@@ -22,10 +22,11 @@ from .errors import (BudgetError, ConstructionError, PrecisionError,
                      PrimfieldError, UsageError, VerificationError)
 from .fieldpoly import (FactorSieve, Factorization, MonicPoly,
                         build_factor_sieve, enumerate_monic, factorize,
-                        format_poly, is_irreducible, parse_poly)
-from .irreducibles import (OrderedIrreducibles, check_degree_brackets,
-                           kth_irreducible, kth_irreducible_degree,
-                           moebius, pi_cumulative, pi_prime)
+                        format_index, format_poly, is_irreducible,
+                        parse_index, parse_poly)
+from .irreducibles import (check_degree_brackets, kth_irreducible,
+                           kth_irreducible_degree, moebius, pi_cumulative,
+                           pi_prime)
 from .primitive import (PolySet, assert_primitive, density_profile,
                         erdos_sum, erdos_sum_irreducibles, is_primitive,
                         random_primitive_set, read_set,
@@ -34,18 +35,19 @@ from .primitive import (PolySet, assert_primitive, density_profile,
 __all__ = [
     "BracketedValue", "BudgetError", "ConstructionError", "CountTable",
     "FactorSieve", "Factorization", "GrowthFunction", "MPConstruction",
-    "MonicPoly", "OrderedIrreducibles", "PolySet", "PrecisionError",
-    "PrimfieldError", "SparseConstruction", "TSequence", "UsageError",
-    "VerificationError", "assert_primitive", "besicovitch_construct",
-    "build_count_table", "build_factor_sieve", "build_t_sequence",
-    "check_degree_brackets", "density_profile", "enumerate_monic",
-    "erdos_sum", "erdos_sum_irreducibles", "euler_gamma_bracket",
-    "evaluate_G", "factorize", "format_poly", "is_irreducible",
+    "MonicPoly", "PolySet", "PrecisionError", "PrimfieldError",
+    "SparseConstruction", "TSequence", "UsageError", "VerificationError",
+    "assert_primitive", "besicovitch_construct", "build_count_table",
+    "build_factor_sieve", "build_t_sequence", "check_degree_brackets",
+    "density_profile", "enumerate_monic", "erdos_sum",
+    "erdos_sum_irreducibles", "euler_gamma_bracket", "evaluate_G",
+    "factorize", "format_index", "format_poly", "is_irreducible",
     "is_primitive", "irreducible_density_constant", "kth_irreducible",
     "kth_irreducible_degree", "mertens_exact", "mertens_product",
     "moebius", "monic_count", "monic_cumulative", "mp_construct",
-    "mp_diagnostics", "norton_check", "parse_poly", "pi_cumulative",
-    "pi_prime", "precision", "random_primitive_set", "read_set",
-    "sathe_selberg_H", "tail_sums", "verify_erdos_density_inequality",
-    "verify_hr_bound", "verify_recurrence_bound", "write_set",
+    "mp_diagnostics", "norton_check", "parse_index", "parse_poly",
+    "pi_cumulative", "pi_prime", "precision", "random_primitive_set",
+    "read_set", "sathe_selberg_H", "tail_sums",
+    "verify_erdos_density_inequality", "verify_hr_bound",
+    "verify_recurrence_bound", "write_set",
 ]

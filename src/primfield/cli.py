@@ -26,7 +26,7 @@ from .counting import (build_count_table, evaluate_G, mertens_product,
                        norton_check, verify_hr_bound, verify_recurrence_bound)
 from .errors import (BudgetError, PrecisionError, UsageError,
                      VerificationError)
-from .fieldpoly import DEFAULT_SIEVE_ENTRIES, format_poly
+from .fieldpoly import DEFAULT_SIEVE_ENTRIES, format_index, format_poly
 from .irreducibles import (check_degree_brackets, kth_irreducible,
                            pi_cumulative, pi_prime)
 from .primitive import (density_profile, erdos_sum, erdos_sum_irreducibles,
@@ -113,6 +113,11 @@ def _decimal_pair(fr: Fraction, digits: int = 36) -> dict:
     return {"exact": f"{fr.numerator}/{fr.denominator}",
             "lo": fraction_to_decimal(fr, digits, "floor"),
             "hi": fraction_to_decimal(fr, digits, "ceil")}
+
+
+def _counterexample(q: int, witness: tuple[int, int]) -> dict:
+    a, b = witness
+    return {"divisor": format_index(q, a), "multiple": format_index(q, b)}
 
 
 def _read_set_file(path: str):
@@ -268,13 +273,11 @@ def cmd_verify_erdos_density(cfg: RunConfig, args) -> int:
     ps = _read_set_file(args.infile)
     ok_prim, witness = is_primitive(ps, max_sieve_entries=cfg.sieve_entries)
     if not ok_prim:
-        a, b = witness
-        payload = {"primitive": False,
-                   "counterexample": {"divisor": format_poly(a),
-                                      "multiple": format_poly(b)}}
+        pair = _counterexample(ps.q, witness)
+        payload = {"primitive": False, "counterexample": pair}
         _write_out(cfg, _dump_json(payload))
-        print(f"input set is not primitive: {format_poly(a)} divides "
-              f"{format_poly(b)}", file=sys.stderr)
+        print(f"input set is not primitive: {pair['divisor']} divides "
+              f"{pair['multiple']}", file=sys.stderr)
         return 2
     report = verify_erdos_density_inequality(
         ps, max_sieve_entries=cfg.sieve_entries)
@@ -331,13 +334,11 @@ def cmd_set_check(cfg: RunConfig, args) -> int:
     payload = {"q": ps.q, "horizon": ps.horizon, "size": len(ps),
                "primitive": ok, "counterexample": None}
     if not ok:
-        a, b = witness
-        payload["counterexample"] = {"divisor": format_poly(a),
-                                     "multiple": format_poly(b)}
+        payload["counterexample"] = _counterexample(ps.q, witness)
     _write_out(cfg, _dump_json(payload))
     if not ok:
-        a, b = witness
-        print(f"not primitive: {format_poly(a)} divides {format_poly(b)}",
+        pair = payload["counterexample"]
+        print(f"not primitive: {pair['divisor']} divides {pair['multiple']}",
               file=sys.stderr)
         return 2
     return 0
@@ -387,9 +388,7 @@ def cmd_construct_besicovitch(cfg: RunConfig, args) -> int:
                                         max_sieve_entries=cfg.sieve_entries)
         report["certified_primitive"] = ok_prim
         if witness is not None:
-            report["counterexample"] = {
-                "divisor": format_poly(witness[0]),
-                "multiple": format_poly(witness[1])}
+            report["counterexample"] = _counterexample(cfg.q, witness)
         if cfg.out:
             with open(cfg.out, "w") as fh:
                 write_set(result.members, fh)
@@ -447,8 +446,7 @@ def cmd_construct_mp(cfg: RunConfig, args) -> int:
         "certified_primitive": ok_prim,
     }
     if witness is not None:
-        report["counterexample"] = {"divisor": format_poly(witness[0]),
-                                    "multiple": format_poly(witness[1])}
+        report["counterexample"] = _counterexample(cfg.q, witness)
     if cfg.out:
         with open(cfg.out, "w") as fh:
             write_set(result.members, fh)
@@ -690,6 +688,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except BrokenPipeError:
+        return 1
+    except Exception as exc:
+        print(f"primfield: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 1
 
 

@@ -474,13 +474,12 @@ def besicovitch_construct(q: int, eps, horizon: int,
         total = sum(q**n for n in levels)
         if total <= max_members:
             earlier_bits = 0
-            polys: list[MonicPoly] = []
+            indices: list[int] = []
             for n in levels:
-                for i in range(q**n, 2 * q**n):
-                    if not masks[i] & earlier_bits:
-                        polys.append(MonicPoly.from_index(q, i))
+                indices.extend(i for i in range(q**n, 2 * q**n)
+                               if not masks[i] & earlier_bits)
                 earlier_bits |= 1 << n
-            members = PolySet(q, horizon, tuple(polys))
+            members = PolySet(q, horizon, tuple(indices))
             running = 0
             counts = members.degree_counts()
             for m in range(1, horizon + 1):
@@ -596,7 +595,7 @@ def mp_construct(q: int, growth_or_tseq, horizon: int,
     sieve = build_factor_sieve(q, enum_horizon, max_entries=max_sieve_entries)
     term_index = {t.index: k for k, t in enumerate(tseq.terms, start=1)}
     got: list[list[int]] = [[0] * (enum_horizon + 1) for _ in range(k_max)]
-    polys: list[MonicPoly] = []
+    indices: list[int] = []
     for idx in (i for d in range(1, enum_horizon + 1)
                 for i in range(q**d, 2 * q**d)):
         fac = sieve.factor_index(idx)
@@ -611,11 +610,11 @@ def mp_construct(q: int, growth_or_tseq, horizon: int,
         if k > k_max or len(fac) != k:
             continue
         got[k - 1][index_degree(q, idx)] += 1
-        polys.append(MonicPoly.from_index(q, idx))
+        indices.append(idx)
     cross = all(got[k][n] == counts[k][n]
                 for k in range(k_max) for n in range(enum_horizon + 1))
     assert cross, "enumerated members disagree with table counts"
-    members = PolySet(q, horizon, tuple(polys))
+    members = PolySet(q, horizon, tuple(indices))
     den = q**horizon * math.lcm(*range(1, horizon + 1))
     total = 0
     total_k0 = 0

@@ -1,10 +1,10 @@
 """Monic polynomial arithmetic over a prime field, plus a factor sieve.
 
-Polynomials are canonical dense coefficient tuples (low degree first,
-leading coefficient 1).  Every monic polynomial of degree d also has an
-integer index in [q^d, 2*q^d): the coefficient vector read as base-q
-digits.  Bulk work (sieving, enumeration, factoring) runs on raw indices
-with numpy; the dataclass layer stays small and convenient.
+Every monic polynomial of degree d has an integer index in [q^d, 2*q^d):
+its coefficient vector (low degree first, leading coefficient 1) read as
+base-q digits.  The core works on indices; the text codec maps a text
+line to an index and back, and MonicPoly (a canonical coefficient tuple)
+is the type for parsing, formatting and coefficient-level arithmetic.
 """
 
 from __future__ import annotations
@@ -43,41 +43,79 @@ def _check_prime(q: int) -> None:
         raise UsageError(f"field order {q} is not prime")
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """Canonical representative of an element of F_q, q prime."""
-
-    q: int
-    value: int
-
-    def __post_init__(self) -> None:
-        _check_prime(self.q)
-        object.__setattr__(self, "value", self.value % self.q)
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.q, self.value + other.value)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.q, self.value * other.value)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.q, -self.value)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return FieldElement(self.q, pow(self.value, self.q - 2, self.q))
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.q != other.q:
-            raise UsageError(f"mixed fields F_{self.q} and F_{other.q}")
-
-
 # ----------------------------------------------------------------------
-# MonicPoly: the canonical object layer
+# Index text codec, and MonicPoly at the parse/format boundary
 # ----------------------------------------------------------------------
+
+def _check_monic(q: int, coeffs: Sequence[int]) -> None:
+    _check_prime(q)
+    if not coeffs:
+        raise UsageError("empty coefficient vector")
+    if coeffs[-1] != 1:
+        raise UsageError("leading coefficient must be 1")
+    if min(coeffs) < 0 or max(coeffs) >= q:
+        raise UsageError(f"coefficients must lie in [0, {q})")
+
+
+def _digits_index(q: int, digits: Sequence[int]) -> int:
+    v = 0
+    for c in reversed(digits):
+        v = v * q + c
+    return v
+
+
+def _coeffs_index(q: int, coeffs: Sequence[int]) -> int:
+    _check_monic(q, coeffs)
+    return _digits_index(q, coeffs)
+
+
+def _monic_digits(q: int, index: int) -> list[int]:
+    """Base-q digits of a monic index, low first; rejects non-monic ones."""
+    _check_prime(q)
+    if index < 1:
+        raise UsageError(f"index {index} is not positive")
+    digits = _index_digits(q, index)
+    if digits[-1] != 1:
+        raise UsageError(f"index {index} has leading base-{q} digit != 1")
+    return digits
+
+
+def format_index(q: int, index: int) -> str:
+    """Canonical text form of a monic index, e.g. x^2+x+1 over F_2
+    (index 7) is 'q=2;1,1,1'."""
+    return f"q={q};" + ",".join(map(str, _index_digits(q, index)))
+
+
+def parse_index(text: str, q: int | None = None) -> tuple[int, int]:
+    """(q, index) of a polynomial in canonical text form; with q given,
+    also a bare decimal index or a bare coefficient list."""
+    s = text.strip()
+    if s.startswith("q="):
+        head, sep, tail = s.partition(";")
+        if not sep:
+            raise UsageError(f"missing ';' in polynomial text {text!r}")
+        try:
+            q_in = int(head[2:])
+        except ValueError:
+            raise UsageError(f"bad field order in {text!r}") from None
+        if q is not None and q != q_in:
+            raise UsageError(f"expected q={q}, got q={q_in}")
+        try:
+            coeffs = list(map(int, tail.split(",")))
+        except ValueError:
+            raise UsageError(f"bad coefficient list in {text!r}") from None
+        return q_in, _coeffs_index(q_in, coeffs)
+    if q is None:
+        raise UsageError(f"bare form {text!r} needs an explicit field order")
+    try:
+        if "," in s:
+            return q, _coeffs_index(q, list(map(int, s.split(","))))
+        index = int(s)
+        _monic_digits(q, index)
+        return q, index
+    except (ValueError, UsageError):
+        raise UsageError(f"cannot parse polynomial {text!r}") from None
+
 
 @dataclass(frozen=True)
 class MonicPoly:
@@ -87,14 +125,8 @@ class MonicPoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_prime(self.q)
         c = tuple(int(x) for x in self.coeffs)
-        if not c:
-            raise UsageError("empty coefficient vector")
-        if c[-1] != 1:
-            raise UsageError("leading coefficient must be 1")
-        if any(not 0 <= x < self.q for x in c):
-            raise UsageError(f"coefficients must lie in [0, {self.q})")
+        _check_monic(self.q, c)
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -109,24 +141,11 @@ class MonicPoly:
     @property
     def index(self) -> int:
         """Coefficient vector read as base-q digits; degree-d range [q^d, 2 q^d)."""
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * self.q + c
-        return v
+        return _digits_index(self.q, self.coeffs)
 
     @classmethod
     def from_index(cls, q: int, index: int) -> "MonicPoly":
-        _check_prime(q)
-        if index < 1:
-            raise UsageError(f"index {index} is not positive")
-        digits = []
-        v = index
-        while v:
-            v, r = divmod(v, q)
-            digits.append(r)
-        if digits[-1] != 1:
-            raise UsageError(f"index {index} has leading base-{q} digit != 1")
-        return cls(q, tuple(digits))
+        return cls(q, tuple(_monic_digits(q, index)))
 
     @classmethod
     def one(cls, q: int) -> "MonicPoly":
@@ -135,45 +154,19 @@ class MonicPoly:
     def __mul__(self, other: "MonicPoly") -> "MonicPoly":
         return poly_mul(self, other)
 
-    def sort_key(self) -> tuple[int, int]:
-        return (self.degree, self.index)
-
     def __str__(self) -> str:
         return format_poly(self)
 
 
 def format_poly(f: MonicPoly) -> str:
     """Canonical text form, e.g. x^2+x+1 over F_2 is 'q=2;1,1,1'."""
-    return f"q={f.q};" + ",".join(str(c) for c in f.coeffs)
+    return format_index(f.q, f.index)
 
 
 def parse_poly(text: str, q: int | None = None) -> MonicPoly:
     """Parse the canonical text form; with q given, also a bare decimal
     index or a bare coefficient list."""
-    s = text.strip()
-    if s.startswith("q="):
-        head, sep, tail = s.partition(";")
-        if not sep:
-            raise UsageError(f"missing ';' in polynomial text {text!r}")
-        try:
-            q_in = int(head[2:])
-        except ValueError:
-            raise UsageError(f"bad field order in {text!r}") from None
-        if q is not None and q != q_in:
-            raise UsageError(f"expected q={q}, got q={q_in}")
-        try:
-            coeffs = tuple(int(t) for t in tail.split(","))
-        except ValueError:
-            raise UsageError(f"bad coefficient list in {text!r}") from None
-        return MonicPoly(q_in, coeffs)
-    if q is None:
-        raise UsageError(f"bare form {text!r} needs an explicit field order")
-    try:
-        if "," in s:
-            return MonicPoly(q, tuple(int(t) for t in s.split(",")))
-        return MonicPoly.from_index(q, int(s))
-    except (ValueError, UsageError):
-        raise UsageError(f"cannot parse polynomial {text!r}") from None
+    return MonicPoly.from_index(*parse_index(text, q))
 
 
 # ----------------------------------------------------------------------

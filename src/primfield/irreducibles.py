@@ -89,32 +89,6 @@ def kth_irreducible(q: int, k: int, sieve: FactorSieve | None = None,
     return MonicPoly.from_index(q, idx)
 
 
-class OrderedIrreducibles:
-    """Materialized irreducibles of F_q[x] in (degree, index) order."""
-
-    def __init__(self, q: int, horizon: int,
-                 max_entries: int = DEFAULT_SIEVE_ENTRIES):
-        _check_prime(q)
-        self.q = q
-        self.horizon = horizon
-        self.sieve = build_factor_sieve(q, horizon, max_entries=max_entries)
-        for d in range(1, horizon + 1):
-            assert len(self.sieve.irreducible_indices(d)) == pi_prime(q, d), d
-
-    def degree_indices(self, d: int) -> np.ndarray:
-        return self.sieve.irreducible_indices(d)
-
-    def kth(self, k: int) -> MonicPoly:
-        if not 1 <= k <= pi_cumulative(self.q, self.horizon):
-            raise UsageError(f"k={k} outside materialized range")
-        return kth_irreducible(self.q, k, sieve=self.sieve)
-
-    def __iter__(self):
-        for d in range(1, self.horizon + 1):
-            for idx in self.degree_indices(d).tolist():
-                yield MonicPoly.from_index(self.q, idx)
-
-
 @dataclass(frozen=True)
 class DegreeBracketReport:
     """Window check for degrees of the k-th irreducible over a k range."""

@@ -9,17 +9,19 @@ rationals, and the irreducible Erdos sum carries a certified tail bracket.
 from __future__ import annotations
 
 import math
+import operator
 import random
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .brackets import BracketedValue
 from .counting import mertens_exact_parts, monic_cumulative
 from .errors import BudgetError, UsageError, VerificationError
-from .fieldpoly import (DEFAULT_SIEVE_ENTRIES, FactorSieve, MonicPoly,
-                        _check_prime, build_factor_sieve, format_poly,
-                        index_degree, index_divrem, index_mul, parse_poly)
+from .fieldpoly import (DEFAULT_SIEVE_ENTRIES, FactorSieve, _check_prime,
+                        build_factor_sieve, format_index, index_degree,
+                        index_divrem, index_mul, parse_index)
 from .irreducibles import pi_prime
 
 
@@ -29,63 +31,75 @@ from .irreducibles import pi_prime
 
 @dataclass(frozen=True)
 class PolySet:
-    """Finite set of non-unit monic polynomials with degrees <= horizon.
+    """Finite set of non-unit monic polynomials with degrees <= horizon,
+    held as their indices.
 
-    Members are deduplicated and kept in (degree, index) order; the index
-    set gives O(1) membership tests.
+    Indices are deduplicated and ascending, which is also (degree, index)
+    order because degree-d indices fill [q^d, 2 q^d).  They stay Python
+    ints, so members may lie past any fixed-width integer range.
     """
 
     q: int
     horizon: int
-    members: tuple[MonicPoly, ...]
-    index_set: frozenset[int] = field(init=False, repr=False, compare=False)
+    indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
         _check_prime(self.q)
         if self.horizon < 1:
             raise UsageError("horizon must be >= 1")
-        canon = sorted({f.sort_key(): f for f in self.members}.items())
-        members = tuple(f for _, f in canon)
-        for f in members:
-            if f.q != self.q:
-                raise UsageError(f"member {f} has base field q={f.q}, set has q={self.q}")
-            if f.degree < 1:
-                raise UsageError("members must be non-unit (degree >= 1)")
-            if f.degree > self.horizon:
-                raise UsageError(f"member {f} exceeds horizon {self.horizon}")
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "index_set",
-                           frozenset(f.index for f in members))
+        q = self.q
+        indices = tuple(sorted(set(map(operator.index, self.indices))))
+        object.__setattr__(self, "indices", indices)
+        if indices and indices[0] < 1:
+            raise UsageError(f"index {indices[0]} is not positive")
+        for d, block in self.by_degree().items():
+            if block[-1] >= 2 * q**d:
+                raise UsageError(
+                    f"index {block[-1]} has leading base-{q} digit != 1")
+        if indices and indices[0] == 1:
+            raise UsageError("members must be non-unit (degree >= 1)")
+        beyond = bisect_left(indices, q**(self.horizon + 1))
+        if beyond < len(indices):
+            raise UsageError(f"member {format_index(q, indices[beyond])}"
+                             f" exceeds horizon {self.horizon}")
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.indices)
 
-    def __contains__(self, f: MonicPoly) -> bool:
-        return f.q == self.q and f.index in self.index_set
+    def __contains__(self, index: int) -> bool:
+        i = bisect_left(self.indices, index)
+        return i < len(self.indices) and self.indices[i] == index
 
-    def __iter__(self):
-        return iter(self.members)
+    def by_degree(self) -> dict[int, tuple[int, ...]]:
+        """Members grouped by degree, ascending within each group."""
+        out: dict[int, tuple[int, ...]] = {}
+        q, indices = self.q, self.indices
+        i = 0
+        while i < len(indices):
+            d = index_degree(q, indices[i])
+            j = bisect_left(indices, q**(d + 1), i)
+            out[d] = indices[i:j]
+            i = j
+        return out
 
     def degree_counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for f in self.members:
-            out[f.degree] = out.get(f.degree, 0) + 1
-        return out
+        return {d: len(block) for d, block in self.by_degree().items()}
 
     @property
     def max_degree(self) -> int:
-        return self.members[-1].degree if self.members else 0
+        return index_degree(self.q, self.indices[-1]) if self.indices else 0
 
 
 def write_set(ps: PolySet, fh) -> None:
     """One header line `q=..;horizon=..`, then one polynomial per line."""
     fh.write(f"q={ps.q};horizon={ps.horizon}\n")
-    for f in ps.members:
-        fh.write(format_poly(f) + "\n")
+    for i in ps.indices:
+        fh.write(format_index(ps.q, i) + "\n")
 
 
 def read_set(fh) -> PolySet:
-    """Inverse of write_set; member lines may also be bare decimal indexes."""
+    """Inverse of write_set; member lines may also be bare decimal indexes
+    or bare coefficient lists."""
     lines = fh.read().splitlines()
     if not lines:
         raise UsageError("empty set file")
@@ -96,22 +110,22 @@ def read_set(fh) -> PolySet:
         horizon = int(parts["horizon"])
     except (KeyError, ValueError):
         raise UsageError(f"bad header {header!r}, expected q=..;horizon=..") from None
-    members: list[MonicPoly] = []
+    indices: list[int] = []
     seen: set[int] = set()
     for lineno, raw in enumerate(lines[1:], start=2):
         text = raw.strip()
         if not text or text.startswith("#"):
             continue
         try:
-            f = parse_poly(text, q=q)
+            _, idx = parse_index(text, q=q)
         except UsageError as exc:
             raise UsageError(f"line {lineno}: {exc}") from None
-        if f.index in seen:
+        if idx in seen:
             raise UsageError(f"line {lineno}: duplicate member {text!r}")
-        seen.add(f.index)
-        members.append(f)
+        seen.add(idx)
+        indices.append(idx)
     try:
-        return PolySet(q, horizon, tuple(members))
+        return PolySet(q, horizon, tuple(indices))
     except UsageError as exc:
         raise UsageError(f"set file invalid: {exc}") from None
 
@@ -122,7 +136,7 @@ def read_set(fh) -> PolySet:
 
 def _divisor_indices(q: int, factors: Sequence[tuple[int, int]]) -> Iterable[int]:
     """Indexes of all monic divisors given [(irreducible index, mult)]."""
-    divs = [MonicPoly.one(q).index]
+    divs = [1]
     for p_idx, mult in factors:
         grown = []
         for d in divs:
@@ -137,8 +151,9 @@ def _divisor_indices(q: int, factors: Sequence[tuple[int, int]]) -> Iterable[int
 def is_primitive(ps: PolySet, sieve: FactorSieve | None = None,
                  method: str = "auto", max_pairs: int = 2**22,
                  max_sieve_entries: int = DEFAULT_SIEVE_ENTRIES,
-                 ) -> tuple[bool, tuple[MonicPoly, MonicPoly] | None]:
-    """Decide primitivity; on failure also return a pair (a, b) with a | b.
+                 ) -> tuple[bool, tuple[int, int] | None]:
+    """Decide primitivity; on failure also return the index pair (a, b)
+    of two members with a | b.
 
     Distinct monic polynomials of equal degree never divide one another,
     so only cross-degree pairs are examined.  Small sets use trial
@@ -147,9 +162,7 @@ def is_primitive(ps: PolySet, sieve: FactorSieve | None = None,
     """
     if method not in ("auto", "pairwise", "divisors"):
         raise UsageError(f"unknown method {method!r}")
-    by_degree: dict[int, list[MonicPoly]] = {}
-    for f in ps.members:
-        by_degree.setdefault(f.degree, []).append(f)
+    by_degree = ps.by_degree()
     if len(by_degree) <= 1:
         return True, None
     counts = {d: len(g) for d, g in by_degree.items()}
@@ -172,22 +185,19 @@ def is_primitive(ps: PolySet, sieve: FactorSieve | None = None,
         for i, d1 in enumerate(degrees):
             for d2 in degrees[i + 1:]:
                 for a in by_degree[d1]:
-                    ai = a.index
                     for b in by_degree[d2]:
-                        if index_divrem(q, b.index, ai)[1] == 0:
+                        if index_divrem(q, b, a)[1] == 0:
                             return False, (a, b)
         return True, None
     if sieve is None or sieve.q != ps.q or sieve.horizon < ps.max_degree:
         sieve = build_factor_sieve(ps.q, ps.max_degree,
                                    max_entries=max_sieve_entries)
     q = ps.q
-    idx_set = ps.index_set
-    for f in ps.members:
-        fi = f.index
-        for d_idx in _divisor_indices(q, sieve.factor_index(fi)):
-            if d_idx != fi and d_idx in idx_set:
-                a = MonicPoly.from_index(q, d_idx)
-                return False, (a, f)
+    idx_set = set(ps.indices)
+    for b in ps.indices:
+        for a in _divisor_indices(q, sieve.factor_index(b)):
+            if a != b and a in idx_set:
+                return False, (a, b)
     return True, None
 
 
@@ -195,10 +205,9 @@ def assert_primitive(ps: PolySet, **kwargs) -> None:
     """Raise VerificationError with the dividing pair if ps is not primitive."""
     ok, witness = is_primitive(ps, **kwargs)
     if not ok:
-        a, b = witness
-        raise VerificationError(
-            f"not primitive: {format_poly(a)} divides {format_poly(b)}",
-            witness=(format_poly(a), format_poly(b)))
+        a, b = (format_index(ps.q, i) for i in witness)
+        raise VerificationError(f"not primitive: {a} divides {b}",
+                                witness=(a, b))
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +275,17 @@ def density_profile(ps: PolySet) -> tuple[DensityRow, ...]:
     return tuple(rows)
 
 
+def _decimal_digits(n: int) -> int:
+    """len(str(n)) for n >= 0, by exact comparison with powers of ten:
+    str() refuses integers past 4300 digits."""
+    k = max(1, int((n.bit_length() - 1) * math.log10(2)))
+    while 10**k <= n:
+        k += 1
+    while k > 1 and 10**(k - 1) > n:
+        k -= 1
+    return k
+
+
 @dataclass(frozen=True)
 class DensityBoundReport:
     """Outcome of the weighted density inequality
@@ -282,11 +302,12 @@ class DensityBoundReport:
         return self.lhs <= 1
 
     def to_json(self) -> dict:
+        num = self.lhs.numerator
+        digits = _decimal_digits(num)
         return {"q": self.q, "size": self.size,
                 "lhs_float": float(self.lhs),
-                "lhs": f"{self.lhs.numerator % 10**30}... (len {len(str(self.lhs.numerator))})"
-                if len(str(self.lhs.numerator)) > 40 else
-                f"{self.lhs.numerator}/{self.lhs.denominator}",
+                "lhs": f"{num % 10**30}... (len {digits})" if digits > 40
+                else f"{num}/{self.lhs.denominator}",
                 "by_level": [[m, c] for m, c in self.by_level],
                 "ok": self.ok}
 
@@ -300,7 +321,7 @@ def verify_erdos_density_inequality(ps: PolySet,
     Members are bucketed by (degree, D(a)); with P(m) = A_m / q^{E_m} the
     whole left side is a single integer comparison against q^{max exponent}.
     """
-    if not ps.members:
+    if not ps.indices:
         return DensityBoundReport(ps.q, 0, Fraction(0), ())
     if sieve is None or sieve.q != ps.q or sieve.horizon < ps.max_degree:
         sieve = build_factor_sieve(ps.q, ps.max_degree,
@@ -308,11 +329,12 @@ def verify_erdos_density_inequality(ps: PolySet,
     q = ps.q
     buckets: dict[tuple[int, int], int] = {}
     level_counts: dict[int, int] = {}
-    for f in ps.members:
-        m = max(index_degree(q, p) for p, _ in sieve.factor_index(f.index))
-        key = (f.degree, m)
-        buckets[key] = buckets.get(key, 0) + 1
-        level_counts[m] = level_counts.get(m, 0) + 1
+    for da, block in ps.by_degree().items():
+        for i in block:
+            m = max(index_degree(q, p) for p, _ in sieve.factor_index(i))
+            key = (da, m)
+            buckets[key] = buckets.get(key, 0) + 1
+            level_counts[m] = level_counts.get(m, 0) + 1
     parts = {m: mertens_exact_parts(q, m) for _, m in buckets}
     max_exp = max(e + da for (da, m), _ in buckets.items()
                   for e in [parts[m][1]])
@@ -339,15 +361,15 @@ def random_primitive_set(q: int, horizon: int, seed: int,
     if per_degree < 1:
         raise UsageError("per_degree must be >= 1")
     rng = random.Random(seed)
-    kept: list[MonicPoly] = []
+    kept: list[int] = []
     kept_idx: set[int] = set()
     for d in range(1, horizon + 1):
         for _ in range(per_degree):
             idx = q**d + rng.randrange(q**d)
             if idx in kept_idx:
                 continue
-            if any(index_divrem(q, idx, a.index)[1] == 0 for a in kept):
+            if any(index_divrem(q, idx, a)[1] == 0 for a in kept):
                 continue
-            kept.append(MonicPoly.from_index(q, idx))
+            kept.append(idx)
             kept_idx.add(idx)
     return PolySet(q, horizon, tuple(kept))

@@ -205,13 +205,11 @@ def test_criterion_07_density_zoo(sieve2, bes18, mp40):
                 for seed in range(100)]
         sets.append(bes18[0].members)
         sets.append(mp40[0].members)
-        irr_prefix = [MonicPoly.from_index(2, int(i))
-                      for d in range(1, 11)
+        irr_prefix = [int(i) for d in range(1, 11)
                       for i in sieve2.irreducible_indices(d)]
         sets.append(PolySet(2, 10, tuple(irr_prefix)))
-        sets.append(PolySet(2, 12, tuple(MonicPoly.from_index(2, i)
-                                         for i in range(2**12, 2**13))))
-        sets.append(PolySet(2, 1, (MonicPoly.from_index(2, 2),)))
+        sets.append(PolySet(2, 12, tuple(range(2**12, 2**13))))
+        sets.append(PolySet(2, 1, (2,)))
         assert len(sets) == 105
         for ps in sets:
             report = verify_erdos_density_inequality(ps, sieve=sieve2)
@@ -273,7 +271,8 @@ def test_criterion_10_mp_construction(sieve2, tseq_log, mp40):
         R = res.total_by_degree()
         assert len(res.members) == sum(R[:19]) > 10**4
         terms = tseq.terms
-        for f in res.members.members:
+        for i in res.members.indices:
+            f = MonicPoly.from_index(2, i)
             fact = factorize(f, sieve2)
             assert fact.is_squarefree, f
             jmin = next(j for j in range(1, res.k_max + 1)

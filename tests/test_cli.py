@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from primfield import MonicPoly, PolySet, read_set, write_set
+from primfield import PolySet, build_factor_sieve, read_set, write_set
+from primfield import cli
 from primfield.cli import main
 
 
@@ -17,8 +18,7 @@ def run(argv, capsys):
 
 
 def write_poly_file(path, q, horizon, indices):
-    ps = PolySet(q, horizon, tuple(MonicPoly.from_index(q, i)
-                                   for i in indices))
+    ps = PolySet(q, horizon, tuple(indices))
     with open(path, "w") as fh:
         write_set(ps, fh)
     return path
@@ -56,6 +56,16 @@ def test_sieve_budget_exit_one(capsys):
     code, _, err = run(["irr", "kth", "--q", "2", "--k", "1000000",
                         "--budget-sieve-entries", "100"], capsys)
     assert code == 1 and "budget" in err
+
+
+def test_internal_error_is_one_line(capsys, monkeypatch):
+    def boom(cfg, args):
+        raise RuntimeError("unexpected state")
+
+    monkeypatch.setattr(cli, "cmd_irr_count", boom)
+    code, out, err = run(["irr", "count", "--max-n", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err == "primfield: internal error: RuntimeError: unexpected state\n"
 
 
 def test_time_budget_exit_one(capsys):
@@ -151,6 +161,13 @@ def test_verify_erdos_density_cli(capsys, tmp_path):
     assert payload["primitive"] is False
     assert payload["counterexample"]["divisor"] == "q=2;0,1"
     assert "not primitive" in err
+    # a degree-13 irreducible: the exact left side has 4882 digits
+    p = int(build_factor_sieve(2, 13).irreducible_indices(13)[0])
+    big = write_poly_file(tmp_path / "big.txt", 2, 13, [p])
+    code, out, err = run(["verify", "erdos-density", "--in", str(big)], capsys)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["ok"] and payload["lhs"].endswith("... (len 4882)")
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,8 @@ from primfield.constructions import (GrowthFunction, besicovitch_construct,
                                      irreducible_density_constant,
                                      mp_construct, mp_diagnostics)
 from primfield.errors import BudgetError, UsageError
-from primfield.fieldpoly import enumerate_monic, factorize, is_irreducible
+from primfield.fieldpoly import (MonicPoly, enumerate_monic, factorize,
+                                 is_irreducible)
 from primfield.irreducibles import pi_cumulative, pi_prime
 from primfield.primitive import assert_primitive, erdos_sum
 from primfield.counting import monic_cumulative
@@ -255,8 +256,8 @@ def test_mp_s1_row_is_the_single_first_term(mp12, tseq2):
 
 def test_mp_members_satisfy_slice_conditions(mp12, tseq2, sieve2):
     term_rank = {t.index: k for k, t in enumerate(tseq2.terms, start=1)}
-    for f in mp12.members:
-        fac = factorize(f, sieve2)
+    for i in mp12.members.indices:
+        fac = factorize(MonicPoly.from_index(2, i), sieve2)
         assert fac.is_squarefree
         hits = sorted(term_rank[p.index] for p, _ in fac.factors
                       if p.index in term_rank)

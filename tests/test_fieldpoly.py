@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from primfield.errors import BudgetError, UsageError
 from primfield.fieldpoly import (MonicPoly, divides, enumerate_monic,
-                                 factorize, format_poly, index_degree,
-                                 index_divrem, index_mul, is_irreducible,
-                                 is_prime, parse_poly, poly_divrem, poly_mul)
+                                 factorize, format_index, format_poly,
+                                 index_degree, index_divrem, index_mul,
+                                 is_irreducible, is_prime, parse_index,
+                                 parse_poly, poly_divrem, poly_mul)
 
 QS = (2, 3, 5)
 
@@ -214,6 +215,8 @@ def test_divisor_degree_mask_matches_divisor_scan(sieve2):
 @given(monic_polys())
 def test_format_parse_round_trip(f):
     assert parse_poly(format_poly(f)) == f
+    assert format_index(f.q, f.index) == format_poly(f)
+    assert parse_index(format_poly(f)) == (f.q, f.index)
     assert parse_poly(str(f.index), q=f.q) == f
     assert parse_poly(",".join(str(c) for c in f.coeffs), q=f.q) == f
 

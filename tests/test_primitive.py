@@ -1,33 +1,34 @@
 """Primitive sets: certificates, sums, densities, and the set file format."""
 
 import io
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primfield.counting import mertens_exact
+from primfield.counting import mertens_exact, monic_cumulative
 from primfield.errors import UsageError, VerificationError
 from primfield.fieldpoly import (MonicPoly, divides, enumerate_monic,
-                                 factorize, parse_poly)
+                                 factorize, index_degree, parse_poly)
 from primfield.primitive import (PolySet, assert_primitive, density_profile,
                                  erdos_sum, erdos_sum_irreducibles,
                                  is_primitive, random_primitive_set, read_set,
                                  verify_erdos_density_inequality, write_set)
 
 
-def brute_primitive(members):
-    for a in members:
-        for b in members:
+def brute_primitive(ps):
+    polys = [MonicPoly.from_index(ps.q, i) for i in ps.indices]
+    for a in polys:
+        for b in polys:
             if a.index != b.index and divides(a, b):
-                return False, (a, b)
+                return False, (a.index, b.index)
     return True, None
 
 
 def polyset_q2(indices, horizon=8):
-    return PolySet(2, horizon, tuple(MonicPoly.from_index(2, i)
-                                     for i in indices))
+    return PolySet(2, horizon, tuple(indices))
 
 
 index_sets_q2 = st.sets(st.integers(2, 511), min_size=0, max_size=40)
@@ -45,22 +46,24 @@ def index_sets_q3(draw):
 # ----------------------------------------------------------------------
 
 def test_polyset_canonicalizes_and_dedups():
-    f = parse_poly("q=2;1,1,1")
-    g = parse_poly("q=2;0,1")
+    f = parse_poly("q=2;1,1,1").index
+    g = parse_poly("q=2;0,1").index
     ps = PolySet(2, 5, (f, g, f))
-    assert [m.index for m in ps.members] == [g.index, f.index]
-    assert len(ps) == 2 and f in ps and g in ps
+    assert ps.indices == (g, f)
+    assert len(ps) == 2 and f in ps and g in ps and 3 not in ps
     assert ps.degree_counts() == {1: 1, 2: 1}
     assert ps.max_degree == 2
 
 
 def test_polyset_validation():
     with pytest.raises(UsageError):
-        PolySet(2, 5, (MonicPoly.one(2),))  # units carry no divisibility data
+        PolySet(2, 5, (1,))  # units carry no divisibility data
     with pytest.raises(UsageError):
-        PolySet(2, 2, (parse_poly("q=2;1,1,0,1"),))  # beyond horizon
+        PolySet(2, 2, (parse_poly("q=2;1,1,0,1").index,))  # beyond horizon
     with pytest.raises(UsageError):
-        PolySet(3, 5, (parse_poly("q=2;0,1"),))  # field mismatch
+        PolySet(3, 5, (6,))  # 6 = 20 in base 3 is not monic
+    with pytest.raises(UsageError):
+        PolySet(2, 5, (0,))
     with pytest.raises(UsageError):
         PolySet(2, 0, ())
 
@@ -73,7 +76,28 @@ def test_set_file_round_trip():
     assert back == ps
     text = "q=2;horizon=6\n# comment\n\n0,1\n13\n"
     got = read_set(io.StringIO(text))
-    assert sorted(m.index for m in got.members) == [2, 13]
+    assert got.indices == (2, 13)
+
+
+@pytest.mark.parametrize("q,index", [
+    (2, 2**70 + 12345),               # past any fixed-width integer
+    (37, 36 + 10 * 37 + 37**2),       # two-digit coefficients 36, 10, 1
+])
+def test_set_file_round_trip_wide_members(q, index):
+    ps = PolySet(q, 70, (index, q + 1))
+    buf = io.StringIO()
+    write_set(ps, buf)
+    text = buf.getvalue()
+    back = read_set(io.StringIO(text))
+    assert back == ps and type(back.indices[-1]) is int
+    again = io.StringIO()
+    write_set(back, again)
+    assert again.getvalue() == text
+    d = index_degree(q, index)
+    assert erdos_sum(back) == Fraction(1, q) + Fraction(1, d * q**d)
+    rows = density_profile(back)
+    assert rows[d - 1].count == 2 and rows[d - 2].count == 1
+    assert rows[-1].ratio == Fraction(2, monic_cumulative(q, 70))
 
 
 def test_set_file_errors_carry_line_numbers():
@@ -85,6 +109,22 @@ def test_set_file_errors_carry_line_numbers():
         read_set(io.StringIO("q=2;horizon=6\n0,1\n1,2\n"))
     with pytest.raises(UsageError, match="duplicate"):
         read_set(io.StringIO("q=2;horizon=6\n0,1\n2\n"))
+    rejected = [
+        ("q=2;horizon=6\n0,1\nq=3;0,1\n", "line 3: expected q=2, got q=3"),
+        ("q=3;horizon=6\nq=3;0,2\n", "line 2: leading coefficient must be 1"),
+        ("q=3;horizon=6\nq=3;0,3,1\n",
+         "line 2: coefficients must lie in [0, 3)"),
+        ("q=3;horizon=6\n0,3,1\n", "line 2: cannot parse polynomial '0,3,1'"),
+        ("q=3;horizon=6\n18\n", "line 2: cannot parse polynomial '18'"),
+        ("q=2;horizon=6\n0,1\n1\n",
+         "set file invalid: members must be non-unit (degree >= 1)"),
+        ("q=2;horizon=2\n0,1\nq=2;1,1,0,1\n",
+         "set file invalid: member q=2;1,1,0,1 exceeds horizon 2"),
+    ]
+    for text, message in rejected:
+        with pytest.raises(UsageError) as info:
+            read_set(io.StringIO(text))
+        assert str(info.value) == message
 
 
 # ----------------------------------------------------------------------
@@ -95,9 +135,7 @@ def test_is_primitive_known_cases():
     ok, witness = is_primitive(polyset_q2({2, 3, 7, 11, 13}))
     assert ok and witness is None
     ok, witness = is_primitive(polyset_q2({2, 6}))  # x divides x^2 + x
-    assert not ok
-    a, b = witness
-    assert divides(a, b) and a.index == 2 and b.index == 6
+    assert not ok and witness == (2, 6)
     with pytest.raises(VerificationError):
         assert_primitive(polyset_q2({2, 6}))
     assert_primitive(polyset_q2({3, 7}))
@@ -107,28 +145,28 @@ def test_is_primitive_known_cases():
 @given(indices=index_sets_q2)
 def test_methods_agree_with_brute_force_q2(sieve2, indices):
     ps = polyset_q2(indices)
-    want_ok, _ = brute_primitive(ps.members)
+    want_ok, _ = brute_primitive(ps)
     for method in ("pairwise", "divisors"):
         ok, witness = is_primitive(ps, sieve=sieve2, method=method)
         assert ok == want_ok
         if not ok:
             a, b = witness
-            assert a in ps and b in ps and a.index != b.index
-            assert divides(a, b)
+            assert a in ps and b in ps and a != b
+            assert divides(MonicPoly.from_index(2, a),
+                           MonicPoly.from_index(2, b))
 
 
 @settings(max_examples=30, deadline=None)
 @given(indices=index_sets_q3())
 def test_methods_agree_with_brute_force_q3(sieve3, indices):
-    members = tuple(MonicPoly.from_index(3, i) for i in indices)
-    ps = PolySet(3, 5, members)
-    want_ok, _ = brute_primitive(ps.members)
+    ps = PolySet(3, 5, tuple(indices))
+    want_ok, _ = brute_primitive(ps)
     for method in ("pairwise", "divisors"):
         assert is_primitive(ps, sieve=sieve3, method=method)[0] == want_ok
 
 
 def test_single_degree_fast_path():
-    ps = PolySet(2, 9, tuple(enumerate_monic(2, 9)))
+    ps = PolySet(2, 9, tuple(f.index for f in enumerate_monic(2, 9)))
     assert is_primitive(ps, method="pairwise") == (True, None)
 
 
@@ -180,7 +218,8 @@ def test_density_inequality_matches_direct_oracle(sieve2):
         ps = random_primitive_set(2, 9, seed, per_degree=5)
         report = verify_erdos_density_inequality(ps, sieve=sieve2)
         direct = Fraction(0)
-        for f in ps.members:
+        for i in ps.indices:
+            f = MonicPoly.from_index(2, i)
             m = factorize(f, sieve2).max_factor_degree
             direct += mertens_exact(2, m) / f.norm
         assert report.lhs == direct
@@ -188,8 +227,26 @@ def test_density_inequality_matches_direct_oracle(sieve2):
         assert report.size == len(ps)
 
 
+@pytest.mark.parametrize("degree", [12, 13])
+def test_density_report_summarizes_huge_numerators(sieve2, degree):
+    # one irreducible of degree 13 gives a 16,218-bit numerator, past the
+    # 4300-digit limit of int -> str conversion
+    p = int(sieve2.irreducible_indices(degree)[0])
+    report = verify_erdos_density_inequality(PolySet(2, degree, (p,)),
+                                             sieve=sieve2)
+    num = report.lhs.numerator
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"{num % 10**30}... (len {len(str(num))})"
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+    assert report.to_json()["lhs"] == want
+    assert report.ok and report.to_json()["by_level"] == [[degree, 1]]
+
+
 def test_density_inequality_can_fail_off_antichains(sieve2):
-    members = tuple(f for d in range(1, 9) for f in enumerate_monic(2, d))
+    members = tuple(f.index for d in range(1, 9) for f in enumerate_monic(2, d))
     report = verify_erdos_density_inequality(PolySet(2, 8, members),
                                              sieve=sieve2)
     assert not report.ok and report.lhs > 1
