@@ -272,16 +272,16 @@ def mertens_exact_parts(q: int, n: int,
     _check_prime(q)
     if n < 0:
         raise UsageError("degree must be >= 0")
-    key = (q, n)
-    got = _MERTENS_PARTS_CACHE.get(key)
-    if got is not None:
-        return got
     exponent_sum = sum(d * pi_prime(q, d) for d in range(1, n + 1))
     bits = int(exponent_sum * math.log2(q)) + 1
     if bits > max_bits:
         raise BudgetError(
             f"exact Mertens product at q={q}, n={n} needs ~{bits} bits"
             f" (budget {max_bits})")
+    key = (q, n)
+    got = _MERTENS_PARTS_CACHE.get(key)
+    if got is not None:
+        return got
     num = 1
     for d in range(1, n + 1):
         num *= pow(q**d - 1, pi_prime(q, d))
@@ -311,14 +311,20 @@ class MertensValue:
         return out
 
 
+# Integers below 2^14281 have at most 4300 decimal digits (Python's default
+# int-to-str limit); the margin absorbs an off-by-one in the bit estimate.
+PRINTABLE_EXACT_BITS = 14280
+
+
 def mertens_product(q: int, n: int,
                     precision_bits: int = DEFAULT_PRECISION_BITS,
-                    exact_max_bits: int = 2**24) -> MertensValue:
+                    exact_max_bits: int = PRINTABLE_EXACT_BITS) -> MertensValue:
     """Truncated Mertens product with its drift-normalized bracket.
 
     normalized brackets e^gamma * n * P(n), which tends to 1.  The exact
-    rational is included while its size fits the bit budget (the exact
-    form needs ~q^n bits, so large n is bracket-only).
+    rational is included while its size fits the bit budget, by default
+    while its decimal form prints (q=2 through n=12); the exact form needs
+    ~q^n bits, so larger n is bracket-only and builds no exact rational.
     """
     _check_prime(q)
     if n < 1:

@@ -440,6 +440,13 @@ def build_factor_sieve(q: int, horizon: int,
     degree are exactly its irreducibles.  Marking each irreducible's
     unmarked multiples in (degree, index) order makes spf the least
     factor.
+
+    Only products that can have p as least factor are formed.  If p of
+    degree d is the least factor of f = p*g, every factor of g is at
+    least p, so deg g >= d; a cofactor of smaller degree carries a
+    smaller factor that already marked the product.  Hence p marks only
+    cofactors of degree d .. horizon - d, and an irreducible with
+    2d > horizon marks nothing.
     """
     _check_prime(q)
     if horizon < 1:
@@ -449,6 +456,7 @@ def build_factor_sieve(q: int, horizon: int,
         raise BudgetError(
             f"sieve for q={q}, horizon={horizon} needs {n_entries} entries"
             f" (budget {max_entries})")
+    # every product index is below n_entries, so the sieve dtype holds it
     dtype = np.int32 if n_entries <= 2**31 else np.int64
     spf = np.zeros(n_entries, dtype=dtype)
     cof = np.zeros(n_entries, dtype=dtype)
@@ -475,10 +483,10 @@ def build_factor_sieve(q: int, horizon: int,
         spf[irr] = irr
         cof[irr] = 1
         emax = horizon - d
-        if emax < 1:
+        if emax < d:
             continue
         if q == 2:
-            g_all = np.arange(2, 2 << emax, dtype=np.int64)
+            g_all = np.arange(base, 2 << emax, dtype=dtype)
             for p in irr.tolist():
                 prods = np.zeros_like(g_all)
                 x = int(p)
@@ -496,7 +504,7 @@ def build_factor_sieve(q: int, horizon: int,
             qpow = q**np.arange(horizon + 1, dtype=np.int64)
             for p in irr.tolist():
                 pd = _index_digits(q, int(p))
-                for e in range(1, emax + 1):
+                for e in range(d, emax + 1):
                     g_cols = digit_matrix(e)
                     out_len = e + d + 1
                     prods = np.zeros(q**e, dtype=np.int64)
@@ -510,7 +518,9 @@ def build_factor_sieve(q: int, horizon: int,
                     tgt = prods[unmarked]
                     spf[tgt] = p
                     cof[tgt] = (np.arange(q**e, 2 * q**e, dtype=np.int64))[unmarked]
-        digit_cache.pop(emax, None)  # largest width not needed again
+        # later degrees need cofactor widths d+1 .. horizon-d-1 only
+        digit_cache.pop(d, None)
+        digit_cache.pop(emax, None)
     return FactorSieve(q, horizon, spf, cof)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from primfield import PolySet, build_factor_sieve, read_set, write_set
 from primfield import cli
+from primfield.counting import mertens_exact
 from primfield.cli import main
 
 
@@ -192,6 +193,25 @@ def test_eval_mertens_cli(capsys):
     assert len(payload["values"]) == 5
     for v in payload["values"]:
         assert Fraction(v["normalized"]["lo"]) <= Fraction(v["normalized"]["hi"])
+
+
+def test_eval_mertens_past_printable_exact(capsys):
+    """Past n=12 the exact rational has over 4300 digits and is omitted."""
+    code, out, _ = run(["eval", "mertens", "--q", "2", "--max-n", "40"],
+                       capsys)
+    assert code == 0
+    rows = out.splitlines()
+    assert rows[0] == "n,normalized_lo,normalized_hi" and len(rows) == 41
+    code, out, _ = run(["eval", "mertens", "--q", "2", "--max-n", "40",
+                        "--format", "json"], capsys)
+    assert code == 0
+    values = json.loads(out)["values"]
+    assert [v["n"] for v in values] == list(range(1, 41))
+    for v in values:
+        if v["n"] <= 12:
+            assert Fraction(v["exact"]) == mertens_exact(2, v["n"])
+        else:
+            assert "exact" not in v
 
 
 def test_eval_erdos_irr_cli(capsys):

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primfield.errors import BudgetError, UsageError
-from primfield.fieldpoly import (MonicPoly, divides, enumerate_monic,
-                                 factorize, format_index, format_poly,
-                                 index_degree, index_divrem, index_mul,
-                                 is_irreducible, is_prime, parse_index,
-                                 parse_poly, poly_divrem, poly_mul)
+from primfield.fieldpoly import (MonicPoly, build_factor_sieve, divides,
+                                 enumerate_monic, factorize, format_index,
+                                 format_poly, index_degree, index_divrem,
+                                 index_mul, is_irreducible, is_prime,
+                                 parse_index, parse_poly, poly_divrem,
+                                 poly_mul)
 
 QS = (2, 3, 5)
 
@@ -173,6 +174,31 @@ def test_sieve_irreducibles_match_trial_division(sieve2, sieve3):
             got = set(int(i) for i in sieve.irreducible_indices(n))
             want = {f.index for f in enumerate_monic(q, n) if is_irreducible(f)}
             assert got == want
+
+
+@pytest.mark.parametrize("q,horizon",
+                         [(2, 12), (2, 13), (3, 6), (3, 7), (5, 4), (5, 5)])
+def test_sieve_matches_product_sets_through_horizon(q, horizon):
+    """Every slot up to the horizon degree, both horizon parities."""
+    irreducibles = []  # (degree, index) order
+    for n in range(1, horizon + 1):
+        red = reducible_indices(q, n)
+        irreducibles += [i for i in range(q**n, 2 * q**n) if i not in red]
+    least = {}
+    for p in irreducibles:
+        for e in range(1, horizon - index_degree(q, p) + 1):
+            for g in range(q**e, 2 * q**e):
+                least.setdefault(index_mul(q, p, g), p)
+    irr_set = set(irreducibles)
+    sieve = build_factor_sieve(q, horizon)
+    spf, cof = sieve.spf.tolist(), sieve.cof.tolist()
+    for i in (i for n in range(1, horizon + 1)
+              for i in range(q**n, 2 * q**n)):
+        if i in irr_set:
+            assert spf[i] == i and i not in least, i
+        else:
+            assert spf[i] == least[i], i
+        assert index_mul(q, spf[i], cof[i]) == i, i
 
 
 def test_factorize_reconstructs_everything(sieve2, sieve3):
