@@ -30,7 +30,7 @@ from .counting import CountTable, build_count_table, monic_cumulative
 from .errors import (BudgetError, ConstructionError, PrecisionError,
                      UsageError)
 from .fieldpoly import (DEFAULT_SIEVE_ENTRIES, FactorSieve, MonicPoly,
-                        _check_prime, build_factor_sieve, index_degree)
+                        _check_prime, build_factor_sieve)
 from .irreducibles import kth_irreducible, pi_cumulative, pi_prime
 from .primitive import PolySet
 
@@ -329,26 +329,17 @@ def build_t_sequence(q: int, growth: GrowthFunction | str,
 # Sparse layered construction from degree slices
 # ----------------------------------------------------------------------
 
-def divisor_degree_masks(sieve: FactorSieve) -> list[int]:
+def divisor_degree_masks(sieve: FactorSieve) -> np.ndarray:
     """masks[i] has bit n set iff the polynomial with index i has a monic
-    divisor of degree exactly n (bit 0 is always set).
+    divisor of degree exactly n (bit 0 is always set); uint64, so the
+    sieve horizon must stay below 64.
 
     Uses div(f) = div(g) + p div(g) for any irreducible p | f, g = f/p,
     so mask(f) = mask(g) | mask(g) << deg p along the sieve's chains.
     """
-    q = sieve.q
-    top = len(sieve.spf)
-    masks = [0] * top
-    masks[1] = 1
-    spf = sieve.spf.tolist()
-    cof = sieve.cof.tolist()
-    for i in range(q, top):
-        p = spf[i]
-        if p == 0:
-            continue
-        g = masks[cof[i]] if p != i else 1
-        masks[i] = g | (g << index_degree(q, p))
-    return masks
+    def step(p, g, out):
+        return out[g] | out[g] << sieve.degrees(p).astype(np.uint64)
+    return sieve.fold(step, np.uint64(1))
 
 
 @dataclass(frozen=True)
@@ -428,24 +419,13 @@ def besicovitch_construct(q: int, eps, horizon: int,
     if sieve is None or sieve.q != q or sieve.horizon < horizon:
         sieve = build_factor_sieve(q, horizon, max_entries=max_sieve_entries)
     masks = divisor_degree_masks(sieve)
-    # T[n][m]: cumulative counts, via per-(mask, degree) aggregation
-    from collections import Counter
-    pair_counts = Counter()
-    for d in range(1, horizon + 1):
-        start, stop = q**d, 2 * q**d
-        pair_counts.update(zip(masks[start:stop], [d] * (stop - start)))
+    # T[n][m]: polynomials of degree <= m with a divisor of degree n
     T = [[0] * (horizon + 1) for _ in range(horizon + 1)]
-    for (mask, d), cnt in pair_counts.items():
-        mask >>= 1
-        n = 1
-        while mask:
-            if mask & 1:
-                T[n][d] += cnt
-            mask >>= 1
-            n += 1
-    for n in range(1, horizon + 1):
-        for m in range(1, horizon + 1):
-            T[n][m] += T[n][m - 1]
+    for m in range(1, horizon + 1):
+        block = masks[q**m:2 * q**m]
+        for n in range(1, m + 1):
+            has_n = np.count_nonzero(block >> np.uint64(n) & 1)
+            T[n][m] = T[n][m - 1] + int(has_n)
     M = [monic_cumulative(q, m) for m in range(horizon + 1)]
     level = 1
     levels: list[int] = []
@@ -474,12 +454,14 @@ def besicovitch_construct(q: int, eps, horizon: int,
         total = sum(q**n for n in levels)
         if total <= max_members:
             earlier_bits = 0
-            indices: list[int] = []
+            blocks = []
             for n in levels:
-                indices.extend(i for i in range(q**n, 2 * q**n)
-                               if not masks[i] & earlier_bits)
+                block = masks[q**n:2 * q**n]
+                fresh = np.nonzero(block & np.uint64(earlier_bits) == 0)[0]
+                blocks.append(fresh + q**n)
                 earlier_bits |= 1 << n
-            members = PolySet(q, horizon, tuple(indices))
+            members = PolySet(q, horizon,
+                              tuple(np.concatenate(blocks).tolist()))
             running = 0
             counts = members.degree_counts()
             for m in range(1, horizon + 1):
@@ -551,8 +533,9 @@ def mp_construct(q: int, growth_or_tseq, horizon: int,
     the number of squarefree g of degree n - deg t_k with k - 1 distinct
     irreducible factors avoiding t_1 .. t_k, read off a count table whose
     per-degree irreducible supply excludes the earlier terms.  Members
-    are enumerated only up to enum_horizon (factorization of every monic
-    polynomial there), and the enumeration must reproduce the counts.
+    are enumerated only up to enum_horizon (from the factor sieve of every
+    monic polynomial there); cross_checked says whether the enumeration
+    reproduces the counts.
     """
     _check_prime(q)
     if isinstance(growth_or_tseq, TSequence):
@@ -591,30 +574,25 @@ def mp_construct(q: int, growth_or_tseq, horizon: int,
             if k - 1 <= g_deg:
                 row[n] = table.count(g_deg, k - 1)
         counts.append(tuple(row))
-    # enumerate members of degree <= enum_horizon by full factorization
+    # members of degree <= enum_horizon from the sieve's folds: f joins
+    # S_k when it is squarefree, the least t-rank among its factors is k
+    # and omega(f) = k
     sieve = build_factor_sieve(q, enum_horizon, max_entries=max_sieve_entries)
-    term_index = {t.index: k for k, t in enumerate(tseq.terms, start=1)}
-    got: list[list[int]] = [[0] * (enum_horizon + 1) for _ in range(k_max)]
-    indices: list[int] = []
-    for idx in (i for d in range(1, enum_horizon + 1)
-                for i in range(q**d, 2 * q**d)):
-        fac = sieve.factor_index(idx)
-        if any(m > 1 for _, m in fac):
-            continue
-        # membership: the smallest t-index k among the factors decides the
-        # slot, and f joins S_k exactly when omega(f) = k
-        hits = [term_index[p] for p, _ in fac if p in term_index]
-        if not hits:
-            continue
-        k = min(hits)
-        if k > k_max or len(fac) != k:
-            continue
-        got[k - 1][index_degree(q, idx)] += 1
-        indices.append(idx)
-    cross = all(got[k][n] == counts[k][n]
-                for k in range(k_max) for n in range(enum_horizon + 1))
-    assert cross, "enumerated members disagree with table counts"
-    members = PolySet(q, horizon, tuple(indices))
+    no_rank = np.iinfo(np.int32).max
+    rank = np.full(len(sieve.spf), no_rank, dtype=np.int32)
+    for k, t in enumerate(tseq.terms, start=1):
+        if t.index < len(rank):
+            rank[t.index] = k
+    least = sieve.fold(lambda p, g, out: np.minimum(rank[p], out[g]),
+                       np.int32(no_rank))
+    member = (sieve.squarefree_flags() & (least == sieve.factor_counts())
+              & (least <= k_max))
+    indices = np.nonzero(member)[0]
+    slots = (least[indices] - 1) * (enum_horizon + 1) + sieve.degrees(indices)
+    got = np.bincount(slots, minlength=k_max * (enum_horizon + 1))
+    cross = got.reshape(k_max, enum_horizon + 1).tolist() == \
+        [list(row[:enum_horizon + 1]) for row in counts]
+    members = PolySet(q, horizon, tuple(indices.tolist()))
     den = q**horizon * math.lcm(*range(1, horizon + 1))
     total = 0
     total_k0 = 0

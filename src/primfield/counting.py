@@ -263,9 +263,6 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
     return f
 
 
-_MERTENS_PARTS_CACHE: dict[tuple[int, int], tuple[int, int]] = {}
-
-
 def mertens_exact_parts(q: int, n: int,
                         max_bits: int = 2**24) -> tuple[int, int]:
     """(A, E) with prod_{d<=n} (1 - q^-d)^{pi'_q(d)} = A / q^E exactly."""
@@ -278,16 +275,10 @@ def mertens_exact_parts(q: int, n: int,
         raise BudgetError(
             f"exact Mertens product at q={q}, n={n} needs ~{bits} bits"
             f" (budget {max_bits})")
-    key = (q, n)
-    got = _MERTENS_PARTS_CACHE.get(key)
-    if got is not None:
-        return got
     num = 1
     for d in range(1, n + 1):
         num *= pow(q**d - 1, pi_prime(q, d))
-    parts = (num, exponent_sum)
-    _MERTENS_PARTS_CACHE[key] = parts
-    return parts
+    return num, exponent_sum
 
 
 def mertens_exact(q: int, n: int, max_bits: int = 2**24) -> Fraction:

@@ -4,21 +4,20 @@ Every monic polynomial of degree d has an integer index in [q^d, 2*q^d):
 its coefficient vector (low degree first, leading coefficient 1) read as
 base-q digits.  The core works on indices; the text codec maps a text
 line to an index and back, and MonicPoly (a canonical coefficient tuple)
-is the type for parsing, formatting and coefficient-level arithmetic.
+is the type for parsing and formatting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BudgetError, UsageError
 
 DEFAULT_SIEVE_ENTRIES = 2**31
-DEFAULT_ENUM_BUDGET = 2**26
 
 
 @lru_cache(maxsize=None)
@@ -134,11 +133,6 @@ class MonicPoly:
         return len(self.coeffs) - 1
 
     @property
-    def norm(self) -> int:
-        """q^degree, the number of residues mod this polynomial."""
-        return self.q**self.degree
-
-    @property
     def index(self) -> int:
         """Coefficient vector read as base-q digits; degree-d range [q^d, 2 q^d)."""
         return _digits_index(self.q, self.coeffs)
@@ -146,13 +140,6 @@ class MonicPoly:
     @classmethod
     def from_index(cls, q: int, index: int) -> "MonicPoly":
         return cls(q, tuple(_monic_digits(q, index)))
-
-    @classmethod
-    def one(cls, q: int) -> "MonicPoly":
-        return cls(q, (1,))
-
-    def __mul__(self, other: "MonicPoly") -> "MonicPoly":
-        return poly_mul(self, other)
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -167,86 +154,6 @@ def parse_poly(text: str, q: int | None = None) -> MonicPoly:
     """Parse the canonical text form; with q given, also a bare decimal
     index or a bare coefficient list."""
     return MonicPoly.from_index(*parse_index(text, q))
-
-
-# ----------------------------------------------------------------------
-# Coefficient-level arithmetic
-# ----------------------------------------------------------------------
-
-def poly_mul(a: MonicPoly, b: MonicPoly) -> MonicPoly:
-    """Product of two monic polynomials (schoolbook convolution mod q)."""
-    if a.q != b.q:
-        raise UsageError(f"mixed fields F_{a.q} and F_{b.q}")
-    q = a.q
-    out = [0] * (a.degree + b.degree + 1)
-    for i, ai in enumerate(a.coeffs):
-        if ai:
-            for j, bj in enumerate(b.coeffs):
-                out[i + j] = (out[i + j] + ai * bj) % q
-    return MonicPoly(q, tuple(out))
-
-
-def poly_divrem(a: MonicPoly, b: MonicPoly) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Quotient and remainder coefficient vectors of a divided by monic b.
-
-    Returned vectors are raw (low to high, possibly empty / not monic);
-    remainder has degree < deg b.
-    """
-    if a.q != b.q:
-        raise UsageError(f"mixed fields F_{a.q} and F_{b.q}")
-    q = a.q
-    rem = list(a.coeffs)
-    db = b.degree
-    if a.degree < db:
-        return (), tuple(rem)
-    quot = [0] * (a.degree - db + 1)
-    for shift in range(a.degree - db, -1, -1):
-        c = rem[shift + db] % q
-        if c:
-            quot[shift] = c
-            for i, bi in enumerate(b.coeffs):
-                rem[shift + i] = (rem[shift + i] - c * bi) % q
-    return tuple(quot), tuple(rem[:db])
-
-
-def divides(a: MonicPoly, b: MonicPoly) -> bool:
-    """True when a divides b."""
-    if a.degree > b.degree:
-        return False
-    _, rem = poly_divrem(b, a)
-    return not any(rem)
-
-
-def enumerate_monic(q: int, degree: int,
-                    max_count: int = DEFAULT_ENUM_BUDGET) -> Iterator[MonicPoly]:
-    """All monic polynomials of the given degree, in index order."""
-    _check_prime(q)
-    if degree < 0:
-        raise UsageError("degree must be >= 0")
-    count = q**degree
-    if count > max_count:
-        raise BudgetError(f"enumerating {count} polynomials exceeds budget {max_count}")
-    base = count
-    for idx in range(base, 2 * base):
-        yield MonicPoly.from_index(q, idx)
-
-
-def is_irreducible(f: MonicPoly, sieve: "FactorSieve | None" = None) -> bool:
-    """Irreducibility by trial division (or one sieve lookup when available).
-
-    Both routes implement the same predicate: no monic divisor of degree
-    in [1, deg f / 2].  Units (degree 0) are not irreducible.
-    """
-    d = f.degree
-    if d == 0:
-        return False
-    if sieve is not None and sieve.q == f.q and sieve.horizon >= d:
-        return sieve.is_irreducible_index(f.index)
-    for e in range(1, d // 2 + 1):
-        for g in enumerate_monic(f.q, e):
-            if divides(g, f):
-                return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -333,59 +240,14 @@ def index_divrem(q: int, a: int, b: int) -> tuple[int, int]:
 # Factor sieve
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Factorization:
-    """Sorted factorization into distinct irreducibles with multiplicities."""
-
-    q: int
-    factors: tuple[tuple[MonicPoly, int], ...]
-
-    @property
-    def degree(self) -> int:
-        return sum(p.degree * m for p, m in self.factors)
-
-    @property
-    def omega(self) -> int:
-        """Number of distinct irreducible factors."""
-        return len(self.factors)
-
-    @property
-    def big_omega(self) -> int:
-        """Number of irreducible factors counted with multiplicity."""
-        return sum(m for _, m in self.factors)
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(m == 1 for _, m in self.factors)
-
-    @property
-    def max_factor_degree(self) -> int:
-        """D(f): largest degree among irreducible factors (0 for the unit)."""
-        return max((p.degree for p, _ in self.factors), default=0)
-
-    def product(self) -> MonicPoly:
-        out = MonicPoly.one(self.q)
-        for p, m in self.factors:
-            for _ in range(m):
-                out = poly_mul(out, p)
-        return out
-
-    def divisor_degree_mask(self) -> int:
-        """Bit n set iff some monic divisor has degree exactly n."""
-        mask = 1
-        for p, m in self.factors:
-            for _ in range(m):
-                mask |= mask << p.degree
-        return mask
-
-
 class FactorSieve:
     """Least-factor table for every monic polynomial of degree <= horizon.
 
     spf[i] holds the index of the least (degree, index) irreducible factor
     of the polynomial with index i, and cof[i] the index of the cofactor,
-    so factoring is a chain of O(1) lookups.  Array slots outside the
-    valid index ranges [q^d, 2 q^d) stay zero.
+    so factoring is a chain of O(1) lookups, and fold computes a
+    per-index quantity along every chain at once.  Array slots outside
+    the valid index ranges [q^d, 2 q^d) stay zero.
     """
 
     def __init__(self, q: int, horizon: int, spf: np.ndarray, cof: np.ndarray):
@@ -394,9 +256,6 @@ class FactorSieve:
         self.spf = spf
         self.cof = cof
         self._irr_cache: dict[int, np.ndarray] = {}
-
-    def is_irreducible_index(self, idx: int) -> bool:
-        return bool(self.spf[idx] == idx)
 
     def irreducible_indices(self, degree: int) -> np.ndarray:
         """Ascending indices of the irreducibles of one degree."""
@@ -410,6 +269,46 @@ class FactorSieve:
                    + base)
             self._irr_cache[degree] = got
         return got
+
+    def degrees(self, idx: np.ndarray) -> np.ndarray:
+        """Degrees of an array of indices below q^(horizon + 1)."""
+        powers = self.q**np.arange(1, self.horizon + 1, dtype=np.int64)
+        return np.searchsorted(powers, idx, side="right")
+
+    def fold(self, step: Callable[[np.ndarray, np.ndarray, np.ndarray],
+                                  np.ndarray], one) -> np.ndarray:
+        """Per-index values built along the least-factor chains.
+
+        out[1] = one and out[i] = step(spf[i], cof[i], out) for every
+        index i of degree 1..horizon, with step taking and returning whole
+        arrays.  It runs as one pass per degree in ascending order: a
+        cofactor always has lower degree than its multiple, so out[cof] is
+        final when the degree is reached.  Slots outside the index ranges
+        stay zero.
+        """
+        one = np.asarray(one)
+        out = np.zeros(len(self.spf), dtype=one.dtype)
+        out[1] = one
+        for d in range(1, self.horizon + 1):
+            s = slice(self.q**d, 2 * self.q**d)
+            out[s] = step(self.spf[s], self.cof[s], out)
+        return out
+
+    def max_factor_degrees(self) -> np.ndarray:
+        """D(f), the largest irreducible-factor degree (0 for the unit)."""
+        return self.fold(
+            lambda p, g, out: np.maximum(self.degrees(p), out[g]), np.int8(0))
+
+    def squarefree_flags(self) -> np.ndarray:
+        """True where the polynomial is squarefree.  p is the least factor
+        of p*g, so p^2 divides p*g exactly when p is the least factor of g."""
+        spf = self.spf
+        return self.fold(lambda p, g, out: out[g] & (spf[g] != p), np.True_)
+
+    def factor_counts(self) -> np.ndarray:
+        """omega(f), the number of distinct irreducible factors."""
+        spf = self.spf
+        return self.fold(lambda p, g, out: out[g] + (spf[g] != p), np.int8(0))
 
     def factor_index(self, idx: int) -> list[tuple[int, int]]:
         """Factorization of an index as (irreducible index, multiplicity) pairs."""
@@ -523,14 +422,3 @@ def build_factor_sieve(q: int, horizon: int,
         digit_cache.pop(emax, None)
     return FactorSieve(q, horizon, spf, cof)
 
-
-def factorize(f: MonicPoly, sieve: FactorSieve) -> Factorization:
-    """Full factorization via the sieve's least-factor chain."""
-    if f.q != sieve.q:
-        raise UsageError(f"sieve is for q={sieve.q}, polynomial has q={f.q}")
-    if f.degree > sieve.horizon:
-        raise UsageError(
-            f"degree {f.degree} exceeds sieve horizon {sieve.horizon}")
-    pairs = sieve.factor_index(f.index)
-    return Factorization(
-        f.q, tuple((MonicPoly.from_index(f.q, p), m) for p, m in pairs))

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .brackets import BracketedValue
 from .counting import mertens_exact_parts, monic_cumulative
 from .errors import BudgetError, UsageError, VerificationError
@@ -327,24 +329,22 @@ def verify_erdos_density_inequality(ps: PolySet,
         sieve = build_factor_sieve(ps.q, ps.max_degree,
                                    max_entries=max_sieve_entries)
     q = ps.q
-    buckets: dict[tuple[int, int], int] = {}
-    level_counts: dict[int, int] = {}
-    for da, block in ps.by_degree().items():
-        for i in block:
-            m = max(index_degree(q, p) for p, _ in sieve.factor_index(i))
-            key = (da, m)
-            buckets[key] = buckets.get(key, 0) + 1
-            level_counts[m] = level_counts.get(m, 0) + 1
-    parts = {m: mertens_exact_parts(q, m) for _, m in buckets}
-    max_exp = max(e + da for (da, m), _ in buckets.items()
-                  for e in [parts[m][1]])
+    idx = np.asarray(ps.indices)
+    levels = sieve.max_factor_degrees()[idx]
+    # member counts per (degree da, D(a) = m) in cell da * width + m
+    width = sieve.horizon + 1
+    cells = np.bincount(sieve.degrees(idx) * width + levels).tolist()
+    buckets = [(*divmod(i, width), c) for i, c in enumerate(cells) if c]
+    by_level = tuple((m, c) for m, c in enumerate(np.bincount(levels).tolist())
+                     if c)
+    parts = {m: mertens_exact_parts(q, m) for m, _ in by_level}
+    max_exp = max(parts[m][1] + da for da, m, _ in buckets)
     num = 0
-    for (da, m), cnt in buckets.items():
+    for da, m, cnt in buckets:
         a_m, e_m = parts[m]
         num += cnt * a_m * q**(max_exp - e_m - da)
     lhs = Fraction(num, q**max_exp)
-    return DensityBoundReport(q, len(ps), lhs,
-                              tuple(sorted(level_counts.items())))
+    return DensityBoundReport(q, len(ps), lhs, by_level)
 
 
 # ----------------------------------------------------------------------

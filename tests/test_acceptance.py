@@ -10,16 +10,18 @@ from fractions import Fraction
 import pytest
 from mpmath import iv
 
-from primfield import (BracketedValue, MonicPoly, PolySet, assert_primitive,
+from primfield import (BracketedValue, PolySet, assert_primitive,
                        besicovitch_construct, build_count_table,
                        build_t_sequence, check_degree_brackets,
-                       erdos_sum_irreducibles, evaluate_G, factorize,
+                       erdos_sum_irreducibles, evaluate_G,
                        kth_irreducible, mertens_product, monic_cumulative,
                        mp_construct, mp_diagnostics, norton_check,
                        pi_cumulative, pi_prime, precision,
                        random_primitive_set, verify_erdos_density_inequality,
                        verify_hr_bound, verify_recurrence_bound)
-from primfield.fieldpoly import divides, index_mul
+from primfield.fieldpoly import index_mul
+
+from oracles import Factorization, divides
 
 
 # ----------------------------------------------------------------------
@@ -92,7 +94,7 @@ def test_criterion_01_count_tables(sieve2, sieve3):
             oracle = {(0, 0): 1}
             for n in range(1, N + 1):
                 for idx in range(q**n, 2 * q**n):
-                    fact = factorize(MonicPoly.from_index(q, idx), sieve)
+                    fact = Factorization.of(sieve, idx)
                     if fact.is_squarefree:
                         key = (n, fact.omega)
                         oracle[key] = oracle.get(key, 0) + 1
@@ -272,12 +274,11 @@ def test_criterion_10_mp_construction(sieve2, tseq_log, mp40):
         assert len(res.members) == sum(R[:19]) > 10**4
         terms = tseq.terms
         for i in res.members.indices:
-            f = MonicPoly.from_index(2, i)
-            fact = factorize(f, sieve2)
-            assert fact.is_squarefree, f
+            fact = Factorization.of(sieve2, i)
+            assert fact.is_squarefree, i
             jmin = next(j for j in range(1, res.k_max + 1)
-                        if divides(terms[j - 1], f))
-            assert fact.omega == jmin, f
+                        if divides(2, terms[j - 1].index, i))
+            assert fact.omega == jmin, i
         bands = {row.n: row for row in mp_diagnostics(res)}
         for n in (10, 20, 30, 40):
             row = bands[n]

@@ -1,0 +1,22 @@
+"""The package's public names."""
+
+import primfield
+from primfield import fieldpoly
+
+# the coefficient-tuple layer; its checks live in the test oracles now
+DELETED = ("DEFAULT_ENUM_BUDGET", "Factorization", "divides",
+           "enumerate_monic", "factorize", "is_irreducible", "poly_divrem",
+           "poly_mul")
+
+
+def test_all_names_resolve_and_deleted_names_are_gone():
+    namespace = {}
+    exec("from primfield import *", namespace)
+    assert set(primfield.__all__) <= set(namespace)
+    assert len(set(primfield.__all__)) == len(primfield.__all__)
+    for name in DELETED:
+        assert name not in primfield.__all__
+        assert not hasattr(primfield, name), name
+        assert not hasattr(fieldpoly, name), name
+    for attr in ("norm", "one", "__mul__"):
+        assert not hasattr(fieldpoly.MonicPoly, attr), attr

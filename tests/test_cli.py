@@ -8,7 +8,7 @@ import pytest
 
 from primfield import PolySet, build_factor_sieve, read_set, write_set
 from primfield import cli
-from primfield.counting import mertens_exact
+from primfield.counting import CountTable, mertens_exact
 from primfield.cli import main
 
 
@@ -322,6 +322,22 @@ def test_construct_mp_cli(capsys, tmp_path):
     with open(set_path) as fh:
         ps = read_set(fh)
     assert len(ps) == report["member_count"]
+
+
+def test_construct_mp_count_mismatch_exits_two(capsys, tmp_path,
+                                               monkeypatch):
+    # a count table one off in every cell: the enumerated members no
+    # longer reproduce the counts, and the run reports that verdict
+    count = CountTable.count
+    monkeypatch.setattr(CountTable, "count",
+                        lambda self, n, k: count(self, n, k) + 1)
+    rpt_path = tmp_path / "mp.json"
+    code, _, err = run(["construct", "mp", "--q", "2",
+                        "--L", "log:eps=0.1", "--horizon", "12",
+                        "--enum-horizon", "12",
+                        "--report", str(rpt_path)], capsys)
+    assert code == 2 and "construction did not certify" in err
+    assert json.loads(rpt_path.read_text())["cross_checked"] is False
 
 
 def test_manifest_and_replay_byte_identical(capsys, tmp_path):

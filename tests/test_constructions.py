@@ -13,11 +13,12 @@ from primfield.constructions import (GrowthFunction, besicovitch_construct,
                                      irreducible_density_constant,
                                      mp_construct, mp_diagnostics)
 from primfield.errors import BudgetError, UsageError
-from primfield.fieldpoly import (MonicPoly, enumerate_monic, factorize,
-                                 is_irreducible)
+from primfield.fieldpoly import build_factor_sieve, index_degree
 from primfield.irreducibles import pi_cumulative, pi_prime
 from primfield.primitive import assert_primitive, erdos_sum
 from primfield.counting import monic_cumulative
+
+from oracles import Factorization, is_irreducible
 
 
 # ----------------------------------------------------------------------
@@ -138,7 +139,7 @@ def test_t_sequence_terms_are_ordered_irreducibles(tseq2, sieve2):
     seen = set()
     for k, term in enumerate(t.terms, start=1):
         assert term.degree == t.degrees[k - 1]
-        assert is_irreducible(term, sieve2)
+        assert is_irreducible(2, term.index)
         assert term.index not in seen
         seen.add(term.index)
     assert t.term(1) == t.terms[0]
@@ -181,9 +182,9 @@ def test_masks_match_per_polynomial_recurrence(sieve2, sieve3):
         q = sieve.q
         masks = divisor_degree_masks(sieve)
         for n in range(1, dmax + 1):
-            for f in enumerate_monic(q, n):
-                assert masks[f.index] == \
-                    factorize(f, sieve).divisor_degree_mask()
+            for f in range(q**n, 2 * q**n):
+                assert masks[f] == \
+                    Factorization.of(sieve, f).divisor_degree_mask
 
 
 # ----------------------------------------------------------------------
@@ -257,21 +258,52 @@ def test_mp_s1_row_is_the_single_first_term(mp12, tseq2):
 def test_mp_members_satisfy_slice_conditions(mp12, tseq2, sieve2):
     term_rank = {t.index: k for k, t in enumerate(tseq2.terms, start=1)}
     for i in mp12.members.indices:
-        fac = factorize(MonicPoly.from_index(2, i), sieve2)
+        fac = Factorization.of(sieve2, i)
         assert fac.is_squarefree
-        hits = sorted(term_rank[p.index] for p, _ in fac.factors
-                      if p.index in term_rank)
+        hits = sorted(term_rank[p] for p, _ in fac.factors
+                      if p in term_rank)
         assert hits, "every member is divisible by some t_k"
         assert fac.omega == hits[0]
     assert_primitive(mp12.members, sieve=sieve2)
 
 
-def test_mp_q3_small():
-    res = mp_construct(3, build_t_sequence(3, "log:eps=0.1"), 9,
-                       enum_horizon=9)
+def assert_mp_membership_rule(res):
+    """Every index to enum_horizon is a member iff it is squarefree and
+    its least t-rank k satisfies k <= k_max and omega = k."""
+    q = res.q
+    sieve = build_factor_sieve(q, res.enum_horizon)
+    term_rank = {t.index: k for k, t in enumerate(res.tseq.terms, start=1)}
+    members = set(res.members.indices)
+    assert all(index_degree(q, i) <= res.enum_horizon for i in members)
+    for n in range(1, res.enum_horizon + 1):
+        for f in range(q**n, 2 * q**n):
+            fac = Factorization.of(sieve, f)
+            least = min((term_rank[p] for p, _ in fac.factors
+                         if p in term_rank), default=None)
+            rule = (fac.is_squarefree and least is not None
+                    and least <= res.k_max and fac.omega == least)
+            assert (f in members) == rule, f
+
+
+def test_mp_membership_both_directions(mp12):
+    assert_mp_membership_rule(mp12)
+
+
+@pytest.fixture(scope="module")
+def mp_q3():
+    return mp_construct(3, build_t_sequence(3, "log:eps=0.1"), 9,
+                        enum_horizon=9)
+
+
+def test_mp_q3_small(mp_q3):
+    res = mp_q3
     assert res.cross_checked
     assert res.erdos_partial == erdos_sum(res.members)
     assert_primitive(res.members)
+
+
+def test_mp_q3_membership_both_directions(mp_q3):
+    assert_mp_membership_rule(mp_q3)
 
 
 def test_mp_guards(tseq2):

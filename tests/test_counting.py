@@ -148,7 +148,7 @@ def test_mertens_exact_matches_direct_product():
 def test_mertens_exact_bit_budget():
     with pytest.raises(BudgetError):
         mertens_exact(2, 60, max_bits=1000)
-    mertens_exact(2, 13)  # cached; the budget still holds on a cache hit
+    mertens_exact(2, 13)
     with pytest.raises(BudgetError):
         mertens_exact(2, 13, max_bits=1000)
     assert mertens_product(2, 13).exact is None

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primfield.errors import BudgetError, UsageError
-from primfield.fieldpoly import (MonicPoly, build_factor_sieve, divides,
-                                 enumerate_monic, factorize, format_index,
+from primfield.constructions import divisor_degree_masks
+from primfield.errors import UsageError
+from primfield.fieldpoly import (MonicPoly, build_factor_sieve, format_index,
                                  format_poly, index_degree, index_divrem,
-                                 index_mul, is_irreducible, is_prime,
-                                 parse_index, parse_poly, poly_divrem,
-                                 poly_mul)
+                                 index_mul, is_prime, parse_index, parse_poly)
+
+from oracles import Factorization, divides, is_irreducible
 
 QS = (2, 3, 5)
 
@@ -32,6 +32,18 @@ def naive_add(q, a, b):
     a = tuple(a) + (0,) * (n - len(a))
     b = tuple(b) + (0,) * (n - len(b))
     return tuple((x + y) % q for x, y in zip(a, b))
+
+
+def digits_value(q, digits):
+    return sum(c * q**i for i, c in enumerate(digits))
+
+
+def value_digits(q, v):
+    out = []
+    while v:
+        v, r = divmod(v, q)
+        out.append(r)
+    return tuple(out)
 
 
 def reducible_indices(q, n):
@@ -93,19 +105,15 @@ def test_monicpoly_validation():
 def test_index_round_trip(f):
     assert MonicPoly.from_index(f.q, f.index) == f
     assert index_degree(f.q, f.index) == f.degree
-    assert f.norm == f.q**f.degree
 
 
 @pytest.mark.parametrize("q", QS)
 def test_degree_slice_is_index_interval(q):
     for d in range(0, 4):
-        idxs = [f.index for f in enumerate_monic(q, d)]
-        assert idxs == list(range(q**d, 2 * q**d))
-
-
-def test_enumerate_budget():
-    with pytest.raises(BudgetError):
-        list(enumerate_monic(2, 30, max_count=1000))
+        polys = [MonicPoly.from_index(q, i) for i in range(q**d, 2 * q**d)]
+        assert all(f.degree == d for f in polys)
+        # q^d distinct monic polynomials: the whole degree-d slice
+        assert len({f.coeffs for f in polys}) == q**d
 
 
 # ----------------------------------------------------------------------
@@ -113,46 +121,33 @@ def test_enumerate_budget():
 # ----------------------------------------------------------------------
 
 @given(monic_pairs())
-def test_poly_mul_matches_convolution(pair):
-    a, b = pair
-    assert poly_mul(a, b).coeffs == naive_mul(a.q, a.coeffs, b.coeffs)
-    assert (a * b).coeffs == poly_mul(a, b).coeffs
-
-
-@given(monic_pairs())
 def test_index_mul_matches_poly_mul(pair):
     a, b = pair
-    assert index_mul(a.q, a.index, b.index) == poly_mul(a, b).index
+    want = MonicPoly(a.q, naive_mul(a.q, a.coeffs, b.coeffs))
+    assert index_mul(a.q, a.index, b.index) == want.index
 
 
 @given(monic_pairs())
 def test_divrem_identity(pair):
+    # a = quot * b + rem with deg rem < deg b determines both uniquely
     a, b = pair
-    quot, rem = poly_divrem(a, b)
-    assert len(rem) < len(b.coeffs)
-    recon = naive_add(a.q, naive_mul(a.q, quot, b.coeffs), rem)
-    padded = a.coeffs + (0,) * (len(recon) - len(a.coeffs))
-    assert recon == padded[:len(recon)]
-
-
-@given(monic_pairs())
-def test_index_divrem_matches_poly_divrem(pair):
-    a, b = pair
-    quot, rem = poly_divrem(a, b)
-    qi, ri = index_divrem(a.q, a.index, b.index)
-    assert qi == sum(c * a.q**i for i, c in enumerate(quot))
-    assert ri == sum(c * a.q**i for i, c in enumerate(rem))
+    q = a.q
+    quot, rem = index_divrem(q, a.index, b.index)
+    assert rem < q**b.degree
+    recon = naive_add(q, naive_mul(q, value_digits(q, quot), b.coeffs),
+                      value_digits(q, rem))
+    assert digits_value(q, recon) == a.index
 
 
 def test_divides_exhaustive_small():
     for q, dmax in ((2, 5), (3, 3)):
-        polys = [f for d in range(0, dmax + 1) for f in enumerate_monic(q, d)]
+        polys = [i for d in range(0, dmax + 1) for i in range(q**d, 2 * q**d)]
         for g in polys:
             for f in polys:
-                expected = any(poly_mul(g, h).index == f.index
-                               for d in range(0, f.degree - g.degree + 1)
-                               for h in enumerate_monic(q, d))
-                assert divides(g, f) == expected
+                e = index_degree(q, f) - index_degree(q, g)
+                expected = e >= 0 and any(index_mul(q, g, h) == f
+                                          for h in range(q**e, 2 * q**e))
+                assert divides(q, g, f) == expected
 
 
 # ----------------------------------------------------------------------
@@ -163,8 +158,8 @@ def test_divides_exhaustive_small():
 def test_is_irreducible_matches_product_sets(q, nmax):
     for n in range(1, nmax + 1):
         red = reducible_indices(q, n)
-        for f in enumerate_monic(q, n):
-            assert is_irreducible(f) == (f.index not in red)
+        for f in range(q**n, 2 * q**n):
+            assert is_irreducible(q, f) == (f not in red)
 
 
 def test_sieve_irreducibles_match_trial_division(sieve2, sieve3):
@@ -172,7 +167,7 @@ def test_sieve_irreducibles_match_trial_division(sieve2, sieve3):
         q = sieve.q
         for n in range(1, nmax + 1):
             got = set(int(i) for i in sieve.irreducible_indices(n))
-            want = {f.index for f in enumerate_monic(q, n) if is_irreducible(f)}
+            want = {f for f in range(q**n, 2 * q**n) if is_irreducible(q, f)}
             assert got == want
 
 
@@ -205,33 +200,57 @@ def test_factorize_reconstructs_everything(sieve2, sieve3):
     for sieve, nmax in ((sieve2, 10), (sieve3, 6)):
         q = sieve.q
         for n in range(1, nmax + 1):
-            for f in enumerate_monic(q, n):
-                fac = factorize(f, sieve)
+            for f in range(q**n, 2 * q**n):
+                fac = Factorization.of(sieve, f)
                 assert fac.product() == f
-                assert fac.degree == n
-                assert all(is_irreducible(p, sieve) for p, _ in fac.factors)
-                keys = [p.index for p, _ in fac.factors]
+                assert sum(fac.degrees()) == n
+                assert all(sieve.spf[p] == p for p, _ in fac.factors)
+                keys = [p for p, _ in fac.factors]
                 assert keys == sorted(set(keys))
                 assert fac.omega == len(keys)
                 assert fac.big_omega >= fac.omega
 
 
 def test_factorization_flags(sieve2):
-    f = parse_poly("q=2;0,0,1")  # x^2
-    fac = factorize(f, sieve2)
+    x2 = parse_poly("q=2;0,0,1").index  # x^2
+    fac = Factorization.of(sieve2, x2)
     assert not fac.is_squarefree and fac.omega == 1 and fac.big_omega == 2
     assert fac.max_factor_degree == 1
-    g = parse_poly("q=2;1,1,1")
-    assert factorize(g, sieve2).is_squarefree
+    assert not sieve2.squarefree_flags()[x2]
+    assert sieve2.factor_counts()[x2] == 1
+    assert sieve2.max_factor_degrees()[x2] == 1
+    g = parse_poly("q=2;1,1,1").index
+    assert Factorization.of(sieve2, g).is_squarefree
+    assert sieve2.squarefree_flags()[g]
 
 
 def test_divisor_degree_mask_matches_divisor_scan(sieve2):
+    masks = divisor_degree_masks(sieve2)
     for n in range(1, 9):
-        for f in enumerate_monic(2, n):
-            mask = factorize(f, sieve2).divisor_degree_mask()
-            degrees = {g.degree for d in range(0, n + 1)
-                       for g in enumerate_monic(2, d) if divides(g, f)}
-            assert degrees == {b for b in range(n + 1) if mask >> b & 1}
+        for f in range(2**n, 2**(n + 1)):
+            degrees = {index_degree(2, g) for g in range(1, 2**(n + 1))
+                       if divides(2, g, f)}
+            for mask in (int(masks[f]),
+                         Factorization.of(sieve2, f).divisor_degree_mask):
+                assert degrees == {b for b in range(n + 1) if mask >> b & 1}
+
+
+@pytest.mark.parametrize("q,horizon", [(2, 12), (3, 7), (5, 5)])
+def test_fold_arrays_match_factorization_oracle(q, horizon):
+    """The four sieve folds at every index through the horizon."""
+    sieve = build_factor_sieve(q, horizon)
+    masks = divisor_degree_masks(sieve).tolist()
+    top = sieve.max_factor_degrees().tolist()
+    sqf = sieve.squarefree_flags().tolist()
+    omega = sieve.factor_counts().tolist()
+    assert (masks[1], top[1], sqf[1], omega[1]) == (1, 0, True, 0)
+    for n in range(1, horizon + 1):
+        for f in range(q**n, 2 * q**n):
+            fac = Factorization.of(sieve, f)
+            assert masks[f] == fac.divisor_degree_mask, f
+            assert top[f] == fac.max_factor_degree, f
+            assert sqf[f] == fac.is_squarefree, f
+            assert omega[f] == fac.omega, f
 
 
 # ----------------------------------------------------------------------

@@ -10,20 +10,20 @@ from hypothesis import strategies as st
 
 from primfield.counting import mertens_exact, monic_cumulative
 from primfield.errors import UsageError, VerificationError
-from primfield.fieldpoly import (MonicPoly, divides, enumerate_monic,
-                                 factorize, index_degree, parse_poly)
+from primfield.fieldpoly import index_degree, parse_poly
 from primfield.primitive import (PolySet, assert_primitive, density_profile,
                                  erdos_sum, erdos_sum_irreducibles,
                                  is_primitive, random_primitive_set, read_set,
                                  verify_erdos_density_inequality, write_set)
 
+from oracles import Factorization, divides
+
 
 def brute_primitive(ps):
-    polys = [MonicPoly.from_index(ps.q, i) for i in ps.indices]
-    for a in polys:
-        for b in polys:
-            if a.index != b.index and divides(a, b):
-                return False, (a.index, b.index)
+    for a in ps.indices:
+        for b in ps.indices:
+            if a != b and divides(ps.q, a, b):
+                return False, (a, b)
     return True, None
 
 
@@ -152,8 +152,7 @@ def test_methods_agree_with_brute_force_q2(sieve2, indices):
         if not ok:
             a, b = witness
             assert a in ps and b in ps and a != b
-            assert divides(MonicPoly.from_index(2, a),
-                           MonicPoly.from_index(2, b))
+            assert divides(2, a, b)
 
 
 @settings(max_examples=30, deadline=None)
@@ -166,7 +165,7 @@ def test_methods_agree_with_brute_force_q3(sieve3, indices):
 
 
 def test_single_degree_fast_path():
-    ps = PolySet(2, 9, tuple(f.index for f in enumerate_monic(2, 9)))
+    ps = PolySet(2, 9, tuple(range(2**9, 2**10)))
     assert is_primitive(ps, method="pairwise") == (True, None)
 
 
@@ -219,9 +218,8 @@ def test_density_inequality_matches_direct_oracle(sieve2):
         report = verify_erdos_density_inequality(ps, sieve=sieve2)
         direct = Fraction(0)
         for i in ps.indices:
-            f = MonicPoly.from_index(2, i)
-            m = factorize(f, sieve2).max_factor_degree
-            direct += mertens_exact(2, m) / f.norm
+            m = Factorization.of(sieve2, i).max_factor_degree
+            direct += mertens_exact(2, m) / 2**index_degree(2, i)
         assert report.lhs == direct
         assert report.ok and direct <= 1
         assert report.size == len(ps)
@@ -246,7 +244,7 @@ def test_density_report_summarizes_huge_numerators(sieve2, degree):
 
 
 def test_density_inequality_can_fail_off_antichains(sieve2):
-    members = tuple(f.index for d in range(1, 9) for f in enumerate_monic(2, d))
+    members = tuple(range(2, 2**9))
     report = verify_erdos_density_inequality(PolySet(2, 8, members),
                                              sieve=sieve2)
     assert not report.ok and report.lhs > 1
