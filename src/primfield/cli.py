@@ -271,6 +271,7 @@ def cmd_verify_norton(cfg: RunConfig, args) -> int:
 
 def cmd_verify_erdos_density(cfg: RunConfig, args) -> int:
     ps = _read_set_file(args.infile)
+    cfg.checkpoint("read")
     ok_prim, witness = is_primitive(ps, max_sieve_entries=cfg.sieve_entries)
     if not ok_prim:
         pair = _counterexample(ps.q, witness)
@@ -329,6 +330,7 @@ def cmd_eval_erdos_irr(cfg: RunConfig, args) -> int:
 
 def cmd_set_check(cfg: RunConfig, args) -> int:
     ps = _read_set_file(args.infile)
+    cfg.checkpoint("read")
     ok, witness = is_primitive(ps, method=args.method,
                                max_sieve_entries=cfg.sieve_entries)
     payload = {"q": ps.q, "horizon": ps.horizon, "size": len(ps),
@@ -346,6 +348,7 @@ def cmd_set_check(cfg: RunConfig, args) -> int:
 
 def cmd_set_erdos_sum(cfg: RunConfig, args) -> int:
     ps = _read_set_file(args.infile)
+    cfg.checkpoint("read")
     value = erdos_sum(ps)
     d = _decimal_pair(value)
     payload = {"q": ps.q, "size": len(ps), "erdos_sum": d}
@@ -355,6 +358,7 @@ def cmd_set_erdos_sum(cfg: RunConfig, args) -> int:
 
 def cmd_set_density(cfg: RunConfig, args) -> int:
     ps = _read_set_file(args.infile)
+    cfg.checkpoint("read")
     profile = density_profile(ps)
     rows = [(r.n, r.count, r.monic_total,
              f"{r.ratio.numerator}/{r.ratio.denominator}",

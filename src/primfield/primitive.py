@@ -9,12 +9,13 @@ rationals, and the irreducible Erdos sum carries a certified tail bracket.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .counting import mertens_exact_parts, monic_cumulative
 from .errors import BudgetError, UsageError, VerificationError
 from .fieldpoly import (DEFAULT_SIEVE_ENTRIES, FactorSieve, _check_prime,
                         build_factor_sieve, format_index, index_degree,
-                        index_divrem, index_mul, parse_index)
+                        index_divrem, index_mul, is_prime, parse_index)
 from .irreducibles import pi_prime
 
 
@@ -92,42 +93,241 @@ class PolySet:
         return index_degree(self.q, self.indices[-1]) if self.indices else 0
 
 
+# ----------------------------------------------------------------------
+# Set files
+# ----------------------------------------------------------------------
+
+_WRITE_BLOCK = 1 << 15   # members formatted per numpy pass
+_READ_CHUNK = 1 << 18    # characters of a set file parsed per numpy pass
+_NEWLINE, _COMMA, _ZERO = ord("\n"), ord(","), ord("0")
+
+
+def _index_dtype(q: int, degree: int):
+    """int64 while q^(degree+1), a bound on every index of that degree and
+    on every digit times its weight, fits; else Python ints in an object
+    array."""
+    return np.int64 if q**(degree + 1) < 2**63 else object
+
+
 def write_set(ps: PolySet, fh) -> None:
-    """One header line `q=..;horizon=..`, then one polynomial per line."""
-    fh.write(f"q={ps.q};horizon={ps.horizon}\n")
-    for i in ps.indices:
-        fh.write(format_index(ps.q, i) + "\n")
+    """One header line `q=..;horizon=..`, then one member per line in the
+    canonical form of `format_index`, ascending.
+
+    Members are formatted in blocks of one degree: one `% q` and `// q`
+    per digit column give the base-q digit matrix, each digit's decimal
+    text fills a fixed-width cell right-aligned, and one mask drops the
+    pad bytes.
+    """
+    q = ps.q
+    fh.write(f"q={q};horizon={ps.horizon}\n")
+    prefix = np.frombuffer(f"q={q};".encode(), np.uint8)
+    width = len(str(q - 1))
+    for d, block in ps.by_degree().items():
+        for lo in range(0, len(block), _WRITE_BLOCK):
+            rest = np.array(block[lo:lo + _WRITE_BLOCK], _index_dtype(q, d))
+            digits = np.empty((len(rest), d + 1), np.min_scalar_type(q - 1))
+            for k in range(d + 1):
+                digits[:, k] = rest % q
+                rest //= q
+            cells = np.empty(digits.shape + (width + 1,), np.uint8)
+            for j in range(width):
+                place = 10**(width - 1 - j)
+                high = digits // place
+                cells[..., j] = high % 10 + _ZERO
+                if place > 1:
+                    cells[..., j][high == 0] = 0     # pad byte
+            cells[..., width] = _COMMA
+            cells[:, -1, width] = _NEWLINE
+            text = np.concatenate(
+                (np.broadcast_to(prefix, (len(digits), len(prefix))),
+                 cells.reshape(len(digits), -1)), axis=1)
+            fh.write(text[text != 0].tobytes().decode("ascii"))
+
+
+def _text_chunks(fh, size: int):
+    """The text of fh in pieces of about `size` characters, each ending
+    just after a newline.  An unterminated last line gets a newline: at
+    most that adds a blank last line, which the reader skips."""
+    carry: list[str] = []
+    while block := fh.read(size):
+        cut = block.rfind("\n") + 1
+        if cut:
+            carry.append(block[:cut])
+            yield "".join(carry)
+            carry = [block[cut:]]
+        else:
+            carry.append(block)
+    tail = "".join(carry)
+    if tail:
+        yield tail + "\n"
+
+
+def _canonical_lines(a: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                     q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which lines a[starts[i]:ends[i]] (each followed by a newline) read
+    exactly as write_set writes them, `q=Q;c0,...,cd` with decimal
+    coefficients below q, no leading zeros and c_d = 1; and the index of
+    each line that does, as an int64 or object array."""
+    prefix = f"q={q};".encode()
+    width = len(str(q - 1))
+    canon = np.zeros(len(starts), bool)
+    ok = ends - starts > len(prefix)
+    for k, byte in enumerate(prefix):
+        ok &= a[np.minimum(starts + k, len(a) - 1)] == byte
+    lines = np.flatnonzero(ok)
+    body, stop = starts[lines] + len(prefix), ends[lines]
+    dig = a - np.uint8(_ZERO)
+    digit = dig < 10
+    comma = a == _COMMA
+    # A body holds digit runs joined by single commas: no other byte, and
+    # no comma that a digit does not follow.
+    bad = ~(digit | comma)
+    bad[:-1] |= comma[:-1] & ~digit[1:]
+    if lines.size:
+        bounds = np.column_stack((body, stop)).ravel()
+        keep = digit[body] & ~np.logical_or.reduceat(bad, bounds)[::2]
+        lines, body, stop = lines[keep], body[keep], stop[keep]
+    if not lines.size:
+        return canon, np.zeros(0, np.int64)
+    # token starts: digits inside a body that follow a non-digit
+    edge = np.zeros(len(a) + 1, np.int8)
+    edge[body], edge[stop] = 1, -1
+    first = np.cumsum(edge[:-1], dtype=np.int8).astype(bool) & digit
+    first[1:] &= ~digit[:-1]
+    tstart = np.flatnonzero(first)
+    head = np.searchsorted(tstart, body)        # first token of each line
+    ntok = np.diff(head, append=len(tstart))
+    tail = head + ntok - 1
+    widths = np.empty_like(tstart)
+    widths[:-1] = tstart[1:] - tstart[:-1] - 1  # a comma precedes the next
+    widths[tail] = stop - tstart[tail]
+    coeff = dig[tstart].astype(np.int64)
+    good = (widths <= width) & ((widths == 1) | (coeff > 0))
+    for j in range(1, width):
+        longer = np.flatnonzero(widths > j)
+        coeff[longer] = coeff[longer] * 10 + dig[tstart[longer] + j]
+    good &= coeff < q
+    line_ok = np.logical_and.reduceat(good, head) & (coeff[tail] == 1)
+    coeff[~good] = 0        # rejected lines must not overflow either
+    dtype = _index_dtype(q, int(ntok.max()) - 1)
+    weights = np.array([q**k for k in range(int(ntok.max()))], dtype)
+    power = np.arange(len(tstart)) - np.repeat(head, ntok)
+    index = np.add.reduceat(coeff.astype(dtype, copy=False) * weights[power],
+                            head)
+    canon[lines[line_ok]] = True
+    return canon, index[line_ok]
+
+
+class _SetFileLines:
+    """Member lines read so far: index and line-number arrays of those in
+    canonical form, and (index, text) of every other by line number."""
+
+    def __init__(self, q: int, line: int):
+        self.q = q
+        self.line = line        # number of the next line to read
+        # Members need a prime q (parse_index words the error), and bulk
+        # coefficients of up to 18 decimal digits fit int64.
+        self.bulk = is_prime(q) and len(str(q - 1)) <= 18
+        self.indices: list[np.ndarray] = []
+        self.numbers: list[np.ndarray] = []
+        self.others: dict[int, tuple[int, str]] = {}
+
+    def read(self, chunk: str) -> None:
+        """Parse newline-terminated text.  Lines write_set could have
+        written are parsed in bulk; every other line, split as
+        str.splitlines() splits it, goes through parse_index.  On a parse
+        error, self.line is the failing line."""
+        if not chunk:
+            return
+        a = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)
+        ends = np.flatnonzero(a == _NEWLINE)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        if self.bulk:
+            canon, index = _canonical_lines(a, starts, ends, self.q)
+        else:
+            canon, index = np.zeros(len(ends), bool), np.zeros(0, np.int64)
+        count = np.ones(len(ends), np.int64)
+        raws = {}
+        for s in np.flatnonzero(~canon).tolist():
+            raw = a[starts[s]:ends[s] + 1].tobytes()
+            raws[s] = raw.decode("utf-8", "surrogatepass").splitlines()
+            count[s] = len(raws[s])
+        number = self.line + np.cumsum(count) - count
+        following = self.line + int(count.sum())
+        self.indices.append(index)
+        self.numbers.append(number[canon])
+        for s, lines in raws.items():
+            for k, raw in enumerate(lines):
+                self.line = int(number[s]) + k
+                text = raw.strip()
+                if not text or text.startswith("#"):
+                    continue
+                try:
+                    _, idx = parse_index(text, q=self.q)
+                except UsageError as exc:
+                    raise UsageError(f"line {self.line}: {exc}") from None
+                self.others[self.line] = idx, text
+        self.line = following
+
+    def members(self, before: int | None = None) -> tuple[int, ...]:
+        """The member indices, ascending, of the lines before `before`;
+        raises on the first line that repeats an earlier member."""
+        values = [idx for idx, _ in self.others.values()]
+        index = np.concatenate(self.indices + [np.array(
+            values, np.int64 if max(values, default=0) < 2**63 else object)])
+        number = np.concatenate(self.numbers + [np.array(list(self.others),
+                                                         np.int64)])
+        keep = np.argsort(number, kind="stable")    # line order
+        if before is not None:
+            keep = keep[number[keep] < before]
+        index, number = index[keep], number[keep]
+        if len(index) > 1 and not (index[1:] > index[:-1]).all():
+            order = np.argsort(index, kind="stable")
+            index = index[order]
+            again = np.flatnonzero(index[1:] == index[:-1]) + 1
+            if again.size:
+                at = again[np.argmin(number[order[again]])]
+                line = int(number[order[at]])
+                text = (self.others[line][1] if line in self.others
+                        else format_index(self.q, int(index[at])))
+                raise UsageError(f"line {line}: duplicate member {text!r}")
+        return tuple(index.tolist())
 
 
 def read_set(fh) -> PolySet:
-    """Inverse of write_set; member lines may also be bare decimal indexes
-    or bare coefficient lists."""
-    lines = fh.read().splitlines()
-    if not lines:
+    """Inverse of write_set.  Member lines may also be bare decimal
+    indices or bare coefficient lists; blank lines and `#` comments are
+    skipped.  Errors name the line, counted as str.splitlines() counts.
+
+    The text is parsed in chunks of about 256k characters, so temporaries
+    stay a few megabytes: lines in the form write_set writes are converted
+    with numpy passes, any other line goes through parse_index, which
+    words every parse error.
+    """
+    chunks = _text_chunks(fh, _READ_CHUNK)
+    first = next(chunks, "")
+    if not first:
         raise UsageError("empty set file")
-    header = lines[0].strip()
+    cut = first.index("\n") + 1
+    head, *rest = first[:cut].splitlines(keepends=True)
+    header = head.strip()
     parts = dict(p.split("=", 1) for p in header.split(";") if "=" in p)
     try:
         q = int(parts["q"])
         horizon = int(parts["horizon"])
     except (KeyError, ValueError):
         raise UsageError(f"bad header {header!r}, expected q=..;horizon=..") from None
-    indices: list[int] = []
-    seen: set[int] = set()
-    for lineno, raw in enumerate(lines[1:], start=2):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        try:
-            _, idx = parse_index(text, q=q)
-        except UsageError as exc:
-            raise UsageError(f"line {lineno}: {exc}") from None
-        if idx in seen:
-            raise UsageError(f"line {lineno}: duplicate member {text!r}")
-        seen.add(idx)
-        indices.append(idx)
+    found = _SetFileLines(q, 2)
     try:
-        return PolySet(q, horizon, tuple(indices))
+        found.read("".join(rest) + first[cut:])
+        for chunk in chunks:
+            found.read(chunk)
+    except UsageError:
+        found.members(before=found.line)
+        raise
+    indices = found.members()
+    try:
+        return PolySet(q, horizon, indices)
     except UsageError as exc:
         raise UsageError(f"set file invalid: {exc}") from None
 
@@ -343,8 +543,32 @@ def verify_erdos_density_inequality(ps: PolySet,
     for da, m, cnt in buckets:
         a_m, e_m = parts[m]
         num += cnt * a_m * q**(max_exp - e_m - da)
-    lhs = Fraction(num, q**max_exp)
+    num, exp = _cancel_powers(num, q, max_exp)
+    lhs = Fraction(_LowestTerms(num, q**exp))
     return DensityBoundReport(q, len(ps), lhs, by_level)
+
+
+def _cancel_powers(num: int, q: int, exp: int) -> tuple[int, int]:
+    """(num / q^k, exp - k) for the largest k <= exp with q^k | num.
+
+    With q prime, num / q^exp is then in lowest terms, found without the
+    general gcd a Fraction of two ~500k-bit integers would run."""
+    if q == 2:
+        k = min((num & -num).bit_length() - 1, exp) if num else exp
+        return num >> k, exp - k
+    while exp and num % q == 0:
+        num //= q
+        exp -= 1
+    return num, exp
+
+
+@numbers.Rational.register
+class _LowestTerms(NamedTuple):
+    """A numerator and positive denominator already in lowest terms.
+    Fraction(r) copies the terms of any numbers.Rational r as they are."""
+
+    numerator: int
+    denominator: int
 
 
 # ----------------------------------------------------------------------

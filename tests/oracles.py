@@ -1,13 +1,19 @@
-"""Per-polynomial oracles: trial division and a factorization summary.
+"""Per-polynomial oracles: trial division, a factorization summary and
+the set-file codec one line at a time.
 
 The library derives factorisation types in bulk, one numpy pass per
-degree over the factor sieve.  These recompute them one index at a time,
-from index arithmetic and the sieve's least-factor chain.
+degree over the factor sieve, and reads and writes set files in numpy
+passes over blocks of members.  These recompute the same results one
+index or one line at a time, from index arithmetic, the sieve's
+least-factor chain and the single-polynomial text codec.
 """
 
 from dataclasses import dataclass
 
-from primfield.fieldpoly import index_degree, index_divrem, index_mul
+from primfield.errors import UsageError
+from primfield.fieldpoly import (format_index, index_degree, index_divrem,
+                                 index_mul, parse_index)
+from primfield.primitive import PolySet
 
 
 def divides(q, a, b):
@@ -69,3 +75,42 @@ class Factorization:
             for _ in range(m):
                 out = index_mul(self.q, out, p)
         return out
+
+
+def write_set_lines(ps, fh):
+    """Set-file writer, one format_index call per member."""
+    fh.write(f"q={ps.q};horizon={ps.horizon}\n")
+    for i in ps.indices:
+        fh.write(format_index(ps.q, i) + "\n")
+
+
+def read_set_lines(fh):
+    """Set-file reader, one parse_index call per member line."""
+    lines = fh.read().splitlines()
+    if not lines:
+        raise UsageError("empty set file")
+    header = lines[0].strip()
+    parts = dict(p.split("=", 1) for p in header.split(";") if "=" in p)
+    try:
+        q = int(parts["q"])
+        horizon = int(parts["horizon"])
+    except (KeyError, ValueError):
+        raise UsageError(f"bad header {header!r}, expected q=..;horizon=..") from None
+    indices = []
+    seen = set()
+    for lineno, raw in enumerate(lines[1:], start=2):
+        text = raw.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            _, idx = parse_index(text, q=q)
+        except UsageError as exc:
+            raise UsageError(f"line {lineno}: {exc}") from None
+        if idx in seen:
+            raise UsageError(f"line {lineno}: duplicate member {text!r}")
+        seen.add(idx)
+        indices.append(idx)
+    try:
+        return PolySet(q, horizon, tuple(indices))
+    except UsageError as exc:
+        raise UsageError(f"set file invalid: {exc}") from None

@@ -59,6 +59,19 @@ def test_sieve_budget_exit_one(capsys):
     assert code == 1 and "budget" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["set", "check"], ["set", "erdos-sum"], ["set", "density"],
+    ["verify", "erdos-density"],
+])
+def test_set_file_commands_check_budget_after_read(capsys, tmp_path, command):
+    path = write_poly_file(tmp_path / "big.txt", 2, 14, range(2**14, 2**15))
+    code, out, err = run([*command, "--in", str(path),
+                          "--budget-seconds", "1e-9"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("primfield: budget exceeded: ")
+    assert "exceeded after read;" in err
+
+
 def test_internal_error_is_one_line(capsys, monkeypatch):
     def boom(cfg, args):
         raise RuntimeError("unexpected state")

@@ -1,6 +1,7 @@
 """Primitive sets: certificates, sums, densities, and the set file format."""
 
 import io
+import random
 import sys
 from fractions import Fraction
 
@@ -8,15 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primfield import primitive
 from primfield.counting import mertens_exact, monic_cumulative
 from primfield.errors import UsageError, VerificationError
-from primfield.fieldpoly import index_degree, parse_poly
+from primfield.fieldpoly import format_index, index_degree, parse_poly
 from primfield.primitive import (PolySet, assert_primitive, density_profile,
                                  erdos_sum, erdos_sum_irreducibles,
                                  is_primitive, random_primitive_set, read_set,
                                  verify_erdos_density_inequality, write_set)
 
-from oracles import Factorization, divides
+from oracles import Factorization, divides, read_set_lines, write_set_lines
 
 
 def brute_primitive(ps):
@@ -127,6 +129,150 @@ def test_set_file_errors_carry_line_numbers():
         assert str(info.value) == message
 
 
+def codec_set(q, degrees, per_degree=40, seed=0):
+    """Random members of the given degrees, plus both ends of each slice."""
+    rng = random.Random(seed)
+    members = set()
+    for d in degrees:
+        members |= {q**d, 2 * q**d - 1}
+        members |= {q**d + rng.randrange(q**d) for _ in range(per_degree)}
+    return PolySet(q, max(degrees), tuple(members))
+
+
+def codec_outcome(read, text):
+    try:
+        return read(io.StringIO(text))
+    except UsageError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("q,degrees", [
+    (2, (1, 2, 9)), (3, (1, 5)), (5, (1, 4)), (7, (2, 3)), (11, (1, 3)),
+    (37, (1, 2, 4)),                   # two-character coefficients
+    (2, (61, 62, 63, 64)),             # int64 through q^(d+1) < 2^63 ...
+    (37, (11, 12)),                    # ... Python ints past it
+])
+def test_set_codec_matches_line_oracle(q, degrees):
+    ps = codec_set(q, degrees)
+    got, want = io.StringIO(), io.StringIO()
+    write_set(ps, got)
+    write_set_lines(ps, want)
+    assert got.getvalue() == want.getvalue()
+    back = read_set(io.StringIO(got.getvalue()))
+    assert back == ps and all(type(i) is int for i in back.indices)
+
+
+@pytest.fixture(scope="module")
+def big_set_text():
+    """Every degree-16 polynomial over F_2 and one of degree 17: three
+    writer blocks, and 2.5 MB of text, several reader chunks."""
+    ps = PolySet(2, 17, tuple(range(2**16, 2**17)) + (2**17 + 5,))
+    got, want = io.StringIO(), io.StringIO()
+    write_set(ps, got)
+    write_set_lines(ps, want)
+    assert got.getvalue() == want.getvalue()
+    assert len(got.getvalue()) > 2 * primitive._READ_CHUNK
+    return ps, got.getvalue()
+
+
+def test_set_codec_round_trips_across_chunks(big_set_text):
+    ps, text = big_set_text
+    assert read_set(io.StringIO(text)) == ps
+
+
+@pytest.mark.parametrize("inserts", [
+    [("q=2;0,2,1", -50)],                       # malformed
+    [(5, -50)],                                 # repeats line 6
+    [("q=2;0,2,1", -50), (5, -60)],             # duplicate comes first
+    [("q=2;0,2,1", -60), (5, -50)],             # parse error comes first
+    [("# note", -70), ("", -65), ("65600", -50)],    # bare index repeats
+    [("1,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1", -50)],  # the last line repeats
+])
+def test_set_file_errors_past_first_chunk(big_set_text, inserts):
+    _, text = big_set_text
+    lines = text.split("\n")
+    for line, at in inserts:
+        lines.insert(at, lines[line] if isinstance(line, int) else line)
+    text = "\n".join(lines)
+    want = codec_outcome(read_set_lines, text)
+    assert isinstance(want, str) and int(want.split()[1][:-1]) > 30000
+    assert codec_outcome(read_set, text) == want
+
+
+MIXED_SET_FILE = (
+    "q=3;horizon=4\r\n# comment\r\n\r\n"
+    "q=3;0,1\r\n12\r\n1,2,1\n  q=3;2,0,1  \n\n#x\n"
+    "q=3;1,1\nq=3;0,0,0,1\n 100\nq=3;2,2,2,1"      # no final newline
+)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64, primitive._READ_CHUNK])
+def test_mixed_set_file_matches_line_oracle(monkeypatch, chunk):
+    want = read_set_lines(io.StringIO(MIXED_SET_FILE))
+    assert want.indices == (3, 4, 11, 12, 16, 27, 53, 100)
+    monkeypatch.setattr(primitive, "_READ_CHUNK", chunk)
+    assert read_set(io.StringIO(MIXED_SET_FILE)) == want
+
+
+@pytest.mark.parametrize("first,second", [("5", "05"), ("05", "5")])
+def test_duplicate_is_named_as_written(first, second):
+    text = f"q=37;horizon=2\nq=37;{first},1\nq=37;{second},1\n"
+    want = f"line 3: duplicate member 'q=37;{second},1'"
+    assert codec_outcome(read_set_lines, text) == want
+    assert codec_outcome(read_set, text) == want
+
+
+@st.composite
+def set_file_texts(draw, q):
+    """Set files mixing lines in write_set's form with zero-padded, bare,
+    blank, comment and malformed lines, joined by assorted line breaks."""
+    lines = [f"q={q};horizon=5"]
+    for _ in range(draw(st.integers(0, 25))):
+        d = draw(st.integers(1, 3))
+        index = q**d + draw(st.integers(0, min(q**d - 1, 20)))
+        coeffs = format_index(q, index).split(";")[1].split(",")
+        kind = draw(st.sampled_from(["canonical"] * 8 + [
+            "padded", "bare index", "bare list", "skipped", "malformed"]))
+        if kind == "canonical":
+            lines.append(format_index(q, index))
+        elif kind == "padded":
+            k = draw(st.integers(0, d))
+            coeffs[k] = "0" + coeffs[k]
+            lines.append(f"q={q};" + ",".join(coeffs))
+        elif kind == "bare index":
+            lines.append(draw(st.sampled_from([str(index), f" {index}"])))
+        elif kind == "bare list":
+            lines.append(",".join(coeffs))
+        elif kind == "skipped":
+            lines.append(draw(st.sampled_from(["", " ", "# c", "#"])))
+        else:
+            lines.append(draw(st.sampled_from([
+                f"q={q};", f"q={q};1_0,1", f"q={q};0,,1", f"q={q};0,1,",
+                f"q={q};{q},1", f"q={q};0,2", f"q={q};+1,1", "q=2;0,1",
+                f"q={q};\u0663,1", "x", "0", "1", str(q), f"q={q};0, 1",
+                f"q={q};0,\x0c1"])))
+    breaks = st.sampled_from(["\n"] * 4 + ["\r\n", "\r", "\x0c"])
+    text = lines[0]
+    for line in lines[1:]:
+        text += draw(breaks) + line
+    return text + draw(st.sampled_from(["", "\n", "\r", "\x0c", " "]))
+
+
+@pytest.mark.parametrize("q", [3, 37])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       chunk=st.sampled_from([1, 3, 16, primitive._READ_CHUNK]))
+def test_set_file_lines_agree_with_line_oracle(q, data, chunk):
+    text = data.draw(set_file_texts(q))
+    want = codec_outcome(read_set_lines, text)
+    original = primitive._READ_CHUNK
+    primitive._READ_CHUNK = chunk
+    try:
+        assert codec_outcome(read_set, text) == want
+    finally:
+        primitive._READ_CHUNK = original
+
+
 # ----------------------------------------------------------------------
 # Primitivity
 # ----------------------------------------------------------------------
@@ -212,17 +358,22 @@ def test_density_profile_manual():
     assert rows[2].running_max == Fraction(2, 3)
 
 
-def test_density_inequality_matches_direct_oracle(sieve2):
-    for seed in range(8):
-        ps = random_primitive_set(2, 9, seed, per_degree=5)
-        report = verify_erdos_density_inequality(ps, sieve=sieve2)
-        direct = Fraction(0)
-        for i in ps.indices:
-            m = Factorization.of(sieve2, i).max_factor_degree
-            direct += mertens_exact(2, m) / 2**index_degree(2, i)
-        assert report.lhs == direct
-        assert report.ok and direct <= 1
-        assert report.size == len(ps)
+def test_density_inequality_matches_direct_oracle(sieve2, sieve3):
+    for q, horizon, sieve in ((2, 9, sieve2), (3, 6, sieve3)):
+        degree_one = PolySet(q, horizon, tuple(range(q, 2 * q)))  # (q-1)/q
+        for ps in [degree_one] + [random_primitive_set(q, horizon, seed,
+                                                       per_degree=5)
+                                  for seed in range(8)]:
+            report = verify_erdos_density_inequality(ps, sieve=sieve)
+            direct = Fraction(0)
+            for i in ps.indices:
+                m = Factorization.of(sieve, i).max_factor_degree
+                direct += mertens_exact(q, m) / q**index_degree(q, i)
+            # the cancelled form is in lowest terms
+            assert (report.lhs.numerator, report.lhs.denominator) == \
+                (direct.numerator, direct.denominator)
+            assert report.ok and direct <= 1
+            assert report.size == len(ps)
 
 
 @pytest.mark.parametrize("degree", [12, 13])
