@@ -20,8 +20,8 @@ from .constructions import (GrowthFunction, MPConstruction,
                             mp_diagnostics)
 from .errors import (BudgetError, ConstructionError, PrecisionError,
                      PrimfieldError, UsageError, VerificationError)
-from .fieldpoly import (FactorSieve, MonicPoly, build_factor_sieve,
-                        format_index, format_poly, parse_index, parse_poly)
+from .fieldpoly import (FactorSieve, build_factor_sieve, format_index,
+                        parse_index)
 from .irreducibles import (check_degree_brackets, kth_irreducible,
                            kth_irreducible_degree, moebius, pi_cumulative,
                            pi_prime)
@@ -32,19 +32,18 @@ from .primitive import (PolySet, assert_primitive, density_profile,
 
 __all__ = [
     "BracketedValue", "BudgetError", "ConstructionError", "CountTable",
-    "FactorSieve", "GrowthFunction", "MPConstruction", "MonicPoly",
-    "PolySet", "PrecisionError", "PrimfieldError", "SparseConstruction",
-    "TSequence", "UsageError", "VerificationError", "assert_primitive",
+    "FactorSieve", "GrowthFunction", "MPConstruction", "PolySet",
+    "PrecisionError", "PrimfieldError", "SparseConstruction", "TSequence",
+    "UsageError", "VerificationError", "assert_primitive",
     "besicovitch_construct", "build_count_table", "build_factor_sieve",
     "build_t_sequence", "check_degree_brackets", "density_profile",
     "erdos_sum", "erdos_sum_irreducibles", "euler_gamma_bracket",
-    "evaluate_G", "format_index", "format_poly", "is_primitive",
+    "evaluate_G", "format_index", "is_primitive",
     "irreducible_density_constant", "kth_irreducible",
-    "kth_irreducible_degree", "mertens_exact", "mertens_product",
-    "moebius", "monic_count", "monic_cumulative", "mp_construct",
-    "mp_diagnostics", "norton_check", "parse_index", "parse_poly",
-    "pi_cumulative", "pi_prime", "precision", "random_primitive_set",
-    "read_set", "sathe_selberg_H", "tail_sums",
+    "kth_irreducible_degree", "mertens_exact", "mertens_product", "moebius",
+    "monic_count", "monic_cumulative", "mp_construct", "mp_diagnostics",
+    "norton_check", "parse_index", "pi_cumulative", "pi_prime", "precision",
+    "random_primitive_set", "read_set", "sathe_selberg_H", "tail_sums",
     "verify_erdos_density_inequality", "verify_hr_bound",
     "verify_recurrence_bound", "write_set",
 ]

@@ -26,7 +26,7 @@ from .counting import (build_count_table, evaluate_G, mertens_product,
                        norton_check, verify_hr_bound, verify_recurrence_bound)
 from .errors import (BudgetError, PrecisionError, UsageError,
                      VerificationError)
-from .fieldpoly import DEFAULT_SIEVE_ENTRIES, format_index, format_poly
+from .fieldpoly import DEFAULT_SIEVE_ENTRIES, format_index, index_degree
 from .irreducibles import (check_degree_brackets, kth_irreducible,
                            pi_cumulative, pi_prime)
 from .primitive import (density_profile, erdos_sum, erdos_sum_irreducibles,
@@ -188,11 +188,12 @@ def cmd_irr_count(cfg: RunConfig, args) -> int:
 
 def cmd_irr_kth(cfg: RunConfig, args) -> int:
     f = kth_irreducible(cfg.q, args.k, max_entries=cfg.sieve_entries)
-    text = format_poly(f)
-    payload = {"q": cfg.q, "k": args.k, "degree": f.degree,
-               "index": f.index, "poly": text}
+    text = format_index(cfg.q, f)
+    degree = index_degree(cfg.q, f)
+    payload = {"q": cfg.q, "k": args.k, "degree": degree,
+               "index": f, "poly": text}
     _emit(cfg, ["k", "degree", "index", "poly"],
-          [(args.k, f.degree, f.index, text)], payload)
+          [(args.k, degree, f, text)], payload)
     return 0
 
 
@@ -431,7 +432,7 @@ def cmd_construct_mp(cfg: RunConfig, args) -> int:
             "K": tseq.K,
             "ranks_head": list(tseq.ranks[:args.materialize]),
             "degrees_head": list(tseq.degrees[:args.materialize]),
-            "terms": [format_poly(t) for t in tseq.terms],
+            "terms": [format_index(cfg.q, t) for t in tseq.terms],
         },
         "k0": tseq.k0,
         "k_max": result.k_max,

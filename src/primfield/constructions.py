@@ -29,8 +29,8 @@ from .brackets import (DEFAULT_PRECISION_BITS, BracketedValue,
 from .counting import CountTable, build_count_table, monic_cumulative
 from .errors import (BudgetError, ConstructionError, PrecisionError,
                      UsageError)
-from .fieldpoly import (DEFAULT_SIEVE_ENTRIES, FactorSieve, MonicPoly,
-                        _check_prime, build_factor_sieve)
+from .fieldpoly import (DEFAULT_SIEVE_ENTRIES, FactorSieve, _check_prime,
+                        build_factor_sieve, index_degree)
 from .irreducibles import kth_irreducible, pi_cumulative, pi_prime
 from .primitive import PolySet
 
@@ -178,8 +178,8 @@ class TSequence:
     cutoff k0 such that sum_{k >= k0} 1/(||t_k|| deg t_k) < 1/2.
 
     suffix_sum is the exact rational sum over k0 <= k <= K; tail_bound
-    dominates the remainder beyond K.  terms materializes the first
-    polynomials of the sequence.
+    dominates the remainder beyond K.  terms holds the indices of the
+    first polynomials of the sequence.
     """
 
     q: int
@@ -188,7 +188,7 @@ class TSequence:
     k0: int
     ranks: tuple[int, ...]
     degrees: tuple[int, ...]
-    terms: tuple[MonicPoly, ...]
+    terms: tuple[int, ...]
     suffix_sum: Fraction
     tail_bound: Fraction
     density_constant: Fraction
@@ -196,11 +196,6 @@ class TSequence:
     @property
     def certified(self) -> bool:
         return self.suffix_sum + self.tail_bound < Fraction(1, 2)
-
-    def term(self, k: int) -> MonicPoly:
-        if not 1 <= k <= len(self.terms):
-            raise UsageError(f"t_{k} not materialized (have {len(self.terms)})")
-        return self.terms[k - 1]
 
     def to_json(self) -> dict:
         return {
@@ -319,7 +314,7 @@ def build_t_sequence(q: int, growth: GrowthFunction | str,
     terms = tuple(kth_irreducible(q, int(r), sieve=sieve)
                   for r in ranks[:mat])
     for t, dd in zip(terms, degs[:mat]):
-        assert t.degree == int(dd)
+        assert index_degree(q, t) == int(dd)
     return TSequence(q, growth, K, k0, tuple(int(r) for r in ranks[:mat]),
                      tuple(int(dd) for dd in degs[:mat]), terms,
                      Fraction(suffix[k0 - 1], den), tail, c)
@@ -581,8 +576,8 @@ def mp_construct(q: int, growth_or_tseq, horizon: int,
     no_rank = np.iinfo(np.int32).max
     rank = np.full(len(sieve.spf), no_rank, dtype=np.int32)
     for k, t in enumerate(tseq.terms, start=1):
-        if t.index < len(rank):
-            rank[t.index] = k
+        if t < len(rank):
+            rank[t] = k
     least = sieve.fold(lambda p, g, out: np.minimum(rank[p], out[g]),
                        np.int32(no_rank))
     member = (sieve.squarefree_flags() & (least == sieve.factor_counts())

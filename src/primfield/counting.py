@@ -13,9 +13,10 @@ uniform upper bound and the factor-count recurrence.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from mpmath import iv
 
@@ -76,9 +77,6 @@ class CountTable:
                 fh.write(f"{n},{k},{v}\n")
 
 
-_TABLE_CACHE: dict[tuple, CountTable] = {}
-
-
 def build_count_table(q: int, N: int,
                       excluded_degrees: Mapping[int, int] | None = None,
                       max_bytes: int = 2**31) -> CountTable:
@@ -92,10 +90,6 @@ def build_count_table(q: int, N: int,
     if N < 0:
         raise UsageError("table size must be >= 0")
     excl = tuple(sorted((d, c) for d, c in (excluded_degrees or {}).items() if c))
-    key = (q, N, excl)
-    got = _TABLE_CACHE.get(key)
-    if got is not None:
-        return got
     # entry count N^2/2, entries up to q^N: rough byte budget check
     est_bytes = (N + 1) * (N + 2) // 2 * (28 + int(N * math.log2(q)) // 8)
     if est_bytes > max_bytes:
@@ -131,7 +125,6 @@ def build_count_table(q: int, N: int,
             assert table.row_total(1) == q
             for n in range(1, N + 1):
                 assert table.rows[n][1] == pi_prime(q, n), (q, n)
-    _TABLE_CACHE[key] = table
     return table
 
 
@@ -254,13 +247,14 @@ def verify_recurrence_bound(q: int, N: int,
 # Truncated Mertens product
 # ----------------------------------------------------------------------
 
-def _coprime_fraction(num: int, den: int) -> Fraction:
-    # num and den are coprime by construction; skip Fraction's gcd pass,
-    # which is quadratic in these sizes.
-    f = Fraction.__new__(Fraction)
-    f._numerator = num
-    f._denominator = den
-    return f
+@numbers.Rational.register
+class _LowestTerms(NamedTuple):
+    """A numerator and positive denominator already in lowest terms.
+    Fraction(r) copies the terms of any numbers.Rational r as they are,
+    skipping the gcd, which is quadratic in the sizes met here."""
+
+    numerator: int
+    denominator: int
 
 
 def mertens_exact_parts(q: int, n: int,
@@ -284,7 +278,8 @@ def mertens_exact_parts(q: int, n: int,
 def mertens_exact(q: int, n: int, max_bits: int = 2**24) -> Fraction:
     """P(n) = prod_{d<=n} (1 - q^-d)^{pi'_q(d)} as an exact rational."""
     num, e = mertens_exact_parts(q, n, max_bits=max_bits)
-    return _coprime_fraction(num, q**e)
+    # each factor q^d - 1 is prime to q
+    return Fraction(_LowestTerms(num, q**e))
 
 
 @dataclass(frozen=True)

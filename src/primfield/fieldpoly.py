@@ -2,16 +2,14 @@
 
 Every monic polynomial of degree d has an integer index in [q^d, 2*q^d):
 its coefficient vector (low degree first, leading coefficient 1) read as
-base-q digits.  The core works on indices; the text codec maps a text
-line to an index and back, and MonicPoly (a canonical coefficient tuple)
-is the type for parsing and formatting.
+base-q digits.  The index is the library's only polynomial type;
+parse_index and format_index map one line of text to an index and back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -19,21 +17,38 @@ from .errors import BudgetError, UsageError
 
 DEFAULT_SIEVE_ENTRIES = 2**31
 
+# Miller-Rabin with the first twelve prime bases is exact below psi_12,
+# the least strong pseudoprime to all of them (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_LIMIT = 318665857834031151167461
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
-    """Trial-division primality, adequate for field characteristics."""
+    """Deterministic Miller-Rabin primality; UsageError from _PRIME_LIMIT up."""
+    if n >= _PRIME_LIMIT:
+        raise UsageError(f"field order {n} is at or above {_PRIME_LIMIT},"
+                         " past exact primality testing")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -43,41 +58,8 @@ def _check_prime(q: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# Index text codec, and MonicPoly at the parse/format boundary
+# Index text codec
 # ----------------------------------------------------------------------
-
-def _check_monic(q: int, coeffs: Sequence[int]) -> None:
-    _check_prime(q)
-    if not coeffs:
-        raise UsageError("empty coefficient vector")
-    if coeffs[-1] != 1:
-        raise UsageError("leading coefficient must be 1")
-    if min(coeffs) < 0 or max(coeffs) >= q:
-        raise UsageError(f"coefficients must lie in [0, {q})")
-
-
-def _digits_index(q: int, digits: Sequence[int]) -> int:
-    v = 0
-    for c in reversed(digits):
-        v = v * q + c
-    return v
-
-
-def _coeffs_index(q: int, coeffs: Sequence[int]) -> int:
-    _check_monic(q, coeffs)
-    return _digits_index(q, coeffs)
-
-
-def _monic_digits(q: int, index: int) -> list[int]:
-    """Base-q digits of a monic index, low first; rejects non-monic ones."""
-    _check_prime(q)
-    if index < 1:
-        raise UsageError(f"index {index} is not positive")
-    digits = _index_digits(q, index)
-    if digits[-1] != 1:
-        raise UsageError(f"index {index} has leading base-{q} digit != 1")
-    return digits
-
 
 def format_index(q: int, index: int) -> str:
     """Canonical text form of a monic index, e.g. x^2+x+1 over F_2
@@ -103,57 +85,28 @@ def parse_index(text: str, q: int | None = None) -> tuple[int, int]:
             coeffs = list(map(int, tail.split(",")))
         except ValueError:
             raise UsageError(f"bad coefficient list in {text!r}") from None
-        return q_in, _coeffs_index(q_in, coeffs)
+        _check_prime(q_in)
+        if coeffs[-1] != 1:
+            raise UsageError("leading coefficient must be 1")
+        if min(coeffs) < 0 or max(coeffs) >= q_in:
+            raise UsageError(f"coefficients must lie in [0, {q_in})")
+        index = 0
+        for c in reversed(coeffs):
+            index = index * q_in + c
+        return q_in, index
     if q is None:
         raise UsageError(f"bare form {text!r} needs an explicit field order")
     try:
-        if "," in s:
-            return q, _coeffs_index(q, list(map(int, s.split(","))))
+        if "," in s:   # a bare list is the canonical form minus its prefix
+            return parse_index(f"q={q};{s}")
         index = int(s)
-        _monic_digits(q, index)
+        _check_prime(q)
+        # leading base-q digit 1: index in [q^d, 2 q^d) for its degree d
+        if not 1 <= index < 2 * q**index_degree(q, index):
+            raise ValueError
         return q, index
     except (ValueError, UsageError):
         raise UsageError(f"cannot parse polynomial {text!r}") from None
-
-
-@dataclass(frozen=True)
-class MonicPoly:
-    """Monic polynomial over F_q; coeffs run low to high, last entry 1."""
-
-    q: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        c = tuple(int(x) for x in self.coeffs)
-        _check_monic(self.q, c)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def index(self) -> int:
-        """Coefficient vector read as base-q digits; degree-d range [q^d, 2 q^d)."""
-        return _digits_index(self.q, self.coeffs)
-
-    @classmethod
-    def from_index(cls, q: int, index: int) -> "MonicPoly":
-        return cls(q, tuple(_monic_digits(q, index)))
-
-    def __str__(self) -> str:
-        return format_poly(self)
-
-
-def format_poly(f: MonicPoly) -> str:
-    """Canonical text form, e.g. x^2+x+1 over F_2 is 'q=2;1,1,1'."""
-    return format_index(f.q, f.index)
-
-
-def parse_poly(text: str, q: int | None = None) -> MonicPoly:
-    """Parse the canonical text form; with q given, also a bare decimal
-    index or a bare coefficient list."""
-    return MonicPoly.from_index(*parse_index(text, q))
 
 
 # ----------------------------------------------------------------------

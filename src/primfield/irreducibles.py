@@ -18,8 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetError, UsageError
-from .fieldpoly import (DEFAULT_SIEVE_ENTRIES, FactorSieve, MonicPoly,
-                        _check_prime, build_factor_sieve)
+from .fieldpoly import (DEFAULT_SIEVE_ENTRIES, FactorSieve, _check_prime,
+                        build_factor_sieve)
 
 
 @lru_cache(maxsize=None)
@@ -79,14 +79,13 @@ def kth_irreducible_degree(q: int, k: int) -> int:
 
 
 def kth_irreducible(q: int, k: int, sieve: FactorSieve | None = None,
-                    max_entries: int = DEFAULT_SIEVE_ENTRIES) -> MonicPoly:
-    """The k-th monic irreducible in (degree, index) order."""
+                    max_entries: int = DEFAULT_SIEVE_ENTRIES) -> int:
+    """Index of the k-th monic irreducible in (degree, index) order."""
     d = kth_irreducible_degree(q, k)
     if sieve is None or sieve.q != q or sieve.horizon < d:
         sieve = build_factor_sieve(q, d, max_entries=max_entries)
     rank = k - pi_cumulative(q, d - 1)
-    idx = int(sieve.irreducible_indices(d)[rank - 1])
-    return MonicPoly.from_index(q, idx)
+    return int(sieve.irreducible_indices(d)[rank - 1])
 
 
 @dataclass(frozen=True)

@@ -9,18 +9,18 @@ rationals, and the irreducible Erdos sum carries a certified tail bracket.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from itertools import pairwise
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .brackets import BracketedValue
-from .counting import mertens_exact_parts, monic_cumulative
+from .counting import _LowestTerms, mertens_exact_parts, monic_cumulative
 from .errors import BudgetError, UsageError, VerificationError
 from .fieldpoly import (DEFAULT_SIEVE_ENTRIES, FactorSieve, _check_prime,
                         build_factor_sieve, format_index, index_degree,
@@ -51,7 +51,11 @@ class PolySet:
         if self.horizon < 1:
             raise UsageError("horizon must be >= 1")
         q = self.q
-        indices = tuple(sorted(set(map(operator.index, self.indices))))
+        indices = tuple(map(operator.index, self.indices))
+        # read_set and the constructions pass ascending, duplicate-free
+        # members; only other input pays for a set and a sort
+        if not all(a < b for a, b in pairwise(indices)):
+            indices = tuple(sorted(set(indices)))
         object.__setattr__(self, "indices", indices)
         if indices and indices[0] < 1:
             raise UsageError(f"index {indices[0]} is not positive")
@@ -560,15 +564,6 @@ def _cancel_powers(num: int, q: int, exp: int) -> tuple[int, int]:
         num //= q
         exp -= 1
     return num, exp
-
-
-@numbers.Rational.register
-class _LowestTerms(NamedTuple):
-    """A numerator and positive denominator already in lowest terms.
-    Fraction(r) copies the terms of any numbers.Rational r as they are."""
-
-    numerator: int
-    denominator: int
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Per-polynomial oracles: trial division, a factorization summary and
-the set-file codec one line at a time.
+the set-file codec one line at a time, plus trial-division primality.
 
 The library derives factorisation types in bulk, one numpy pass per
 degree over the factor sieve, and reads and writes set files in numpy
@@ -14,6 +14,18 @@ from primfield.errors import UsageError
 from primfield.fieldpoly import (format_index, index_degree, index_divrem,
                                  index_mul, parse_index)
 from primfield.primitive import PolySet
+
+
+def is_prime_trial(n):
+    """Primality by trial division up to the square root."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
 def divides(q, a, b):

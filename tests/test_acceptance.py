@@ -19,7 +19,7 @@ from primfield import (BracketedValue, PolySet, assert_primitive,
                        pi_cumulative, pi_prime, precision,
                        random_primitive_set, verify_erdos_density_inequality,
                        verify_hr_bound, verify_recurrence_bound)
-from primfield.fieldpoly import index_mul
+from primfield.fieldpoly import index_degree, index_mul
 
 from oracles import Factorization, divides
 
@@ -235,7 +235,8 @@ def test_criterion_08_degree_brackets(sieve2):
             L = math.log2(k) + math.log2(math.log2(k))
             assert L - 1.5 <= deg <= L + 0.5, k
             if k <= 10**4:
-                assert kth_irreducible(2, k, sieve=sieve2).degree == deg
+                f = kth_irreducible(2, k, sieve=sieve2)
+                assert index_degree(2, f) == deg
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +278,7 @@ def test_criterion_10_mp_construction(sieve2, tseq_log, mp40):
             fact = Factorization.of(sieve2, i)
             assert fact.is_squarefree, i
             jmin = next(j for j in range(1, res.k_max + 1)
-                        if divides(2, terms[j - 1].index, i))
+                        if divides(2, terms[j - 1], i))
             assert fact.omega == jmin, i
         bands = {row.n: row for row in mp_diagnostics(res)}
         for n in (10, 20, 30, 40):

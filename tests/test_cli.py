@@ -2,10 +2,15 @@
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import primfield
 from primfield import PolySet, build_factor_sieve, read_set, write_set
 from primfield import cli
 from primfield.counting import CountTable, mertens_exact
@@ -87,6 +92,37 @@ def test_time_budget_exit_one(capsys):
                         "--eps", "1/4", "--horizon", "10",
                         "--budget-seconds", "1e-9"], capsys)
     assert code == 1 and "budget" in err
+
+
+
+def test_large_field_orders_answer_in_seconds(tmp_path):
+    """Primality of the field order is no longer trial division: a header
+    naming 2^61 - 1 is read at once, and orders past the exact range
+    of the test exit 1.  Each run is a child process with a timeout, so
+    a hang fails the test instead of stalling the suite."""
+    path = tmp_path / "big.txt"
+    path.write_text("q=2305843009213693951;horizon=1\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(primfield.__file__).parents[1]))
+
+    def cli_run(*argv):
+        return subprocess.run([sys.executable, "-m", "primfield.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=30)
+
+    done = cli_run("set", "check", "--in", str(path))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "counterexample": None, "horizon": 1, "primitive": True,
+        "q": 2305843009213693951, "size": 0}
+    done = cli_run("irr", "count", "--q", "1000000000000000003", "--max-n", "2")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[1] == \
+        "1,1000000000000000003,1000000000000000003"
+    done = cli_run("irr", "count", "--q", "318665857834031151167461",
+                   "--max-n", "2")
+    assert done.returncode == 1
+    assert "past exact primality testing" in done.stderr
 
 
 # ----------------------------------------------------------------------

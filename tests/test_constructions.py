@@ -138,13 +138,11 @@ def test_t_sequence_terms_are_ordered_irreducibles(tseq2, sieve2):
     assert all(d2 >= d1 for d1, d2 in zip(t.degrees, t.degrees[1:]))
     seen = set()
     for k, term in enumerate(t.terms, start=1):
-        assert term.degree == t.degrees[k - 1]
-        assert is_irreducible(2, term.index)
-        assert term.index not in seen
-        seen.add(term.index)
-    assert t.term(1) == t.terms[0]
-    with pytest.raises(UsageError):
-        t.term(len(t.terms) + 1)
+        assert type(term) is int
+        assert index_degree(2, term) == t.degrees[k - 1]
+        assert is_irreducible(2, term)
+        assert term not in seen
+        seen.add(term)
 
 
 def test_t_sequence_other_laws_certify():
@@ -256,7 +254,7 @@ def test_mp_s1_row_is_the_single_first_term(mp12, tseq2):
 
 
 def test_mp_members_satisfy_slice_conditions(mp12, tseq2, sieve2):
-    term_rank = {t.index: k for k, t in enumerate(tseq2.terms, start=1)}
+    term_rank = {t: k for k, t in enumerate(tseq2.terms, start=1)}
     for i in mp12.members.indices:
         fac = Factorization.of(sieve2, i)
         assert fac.is_squarefree
@@ -272,7 +270,7 @@ def assert_mp_membership_rule(res):
     its least t-rank k satisfies k <= k_max and omega = k."""
     q = res.q
     sieve = build_factor_sieve(q, res.enum_horizon)
-    term_rank = {t.index: k for k, t in enumerate(res.tseq.terms, start=1)}
+    term_rank = {t: k for k, t in enumerate(res.tseq.terms, start=1)}
     members = set(res.members.indices)
     assert all(index_degree(q, i) <= res.enum_horizon for i in members)
     for n in range(1, res.enum_horizon + 1):

@@ -88,9 +88,6 @@ def test_table_row_identities():
 
 
 def test_table_cache_and_budget():
-    a = build_count_table(3, 25)
-    b = build_count_table(3, 25)
-    assert a is b
     with pytest.raises(BudgetError):
         build_count_table(2, 400, max_bytes=10**4)
     with pytest.raises(UsageError):

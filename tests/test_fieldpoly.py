@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 
 from primfield.constructions import divisor_degree_masks
 from primfield.errors import UsageError
-from primfield.fieldpoly import (MonicPoly, build_factor_sieve, format_index,
-                                 format_poly, index_degree, index_divrem,
-                                 index_mul, is_prime, parse_index, parse_poly)
+from primfield.fieldpoly import (build_factor_sieve, format_index, index_degree,
+                                 index_divrem, index_mul, is_prime, parse_index)
 
-from oracles import Factorization, divides, is_irreducible
+from oracles import Factorization, divides, is_irreducible, is_prime_trial
 
 QS = (2, 3, 5)
 
@@ -56,24 +55,25 @@ def reducible_indices(q, n):
     return out
 
 
-@st.composite
-def monic_polys(draw, max_degree=6):
-    q = draw(st.sampled_from(QS))
+def monic_coeffs(draw, q, max_degree):
     d = draw(st.integers(0, max_degree))
     low = draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d))
-    return MonicPoly(q, tuple(low) + (1,))
+    return tuple(low) + (1,)
+
+
+@st.composite
+def monic_polys(draw, max_degree=6):
+    """(q, coeffs) of a monic polynomial, coefficients low degree first."""
+    q = draw(st.sampled_from(QS))
+    return q, monic_coeffs(draw, q, max_degree)
 
 
 @st.composite
 def monic_pairs(draw, max_degree=6):
+    """(q, a, b): two monic polynomials over one field as coefficients."""
     q = draw(st.sampled_from(QS))
-
-    def poly():
-        d = draw(st.integers(0, max_degree))
-        low = draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d))
-        return MonicPoly(q, tuple(low) + (1,))
-
-    return poly(), poly()
+    return q, monic_coeffs(draw, q, max_degree), monic_coeffs(draw, q,
+                                                              max_degree)
 
 
 # ----------------------------------------------------------------------
@@ -86,34 +86,54 @@ def test_is_prime_small():
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
 
 
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == is_prime_trial(n) for n in range(-2, 200_000))
+
+
+def test_is_prime_large():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base
+    # 2 .. 31, respectively
+    for n in (3215031751, 3825123056546413051):
+        assert not is_prime(n) and not is_prime_trial(n)
+    assert is_prime(2**61 - 1)
+    assert not is_prime((2**31 - 1) * (2**43 - 1))
+    psi12 = 318665857834031151167461
+    assert not is_prime(psi12 - 2)   # even
+    for n in (psi12, psi12 + 2, 2**89 - 1):
+        with pytest.raises(UsageError, match="past exact primality"):
+            is_prime(n)
+
+
 def test_monicpoly_validation():
-    with pytest.raises(UsageError):
-        MonicPoly(4, (1,))
-    with pytest.raises(UsageError):
-        MonicPoly(2, ())
-    with pytest.raises(UsageError):
-        MonicPoly(2, (1, 0))
-    with pytest.raises(UsageError):
-        MonicPoly(3, (3, 1))
-    with pytest.raises(UsageError):
-        MonicPoly.from_index(2, 0)
-    with pytest.raises(UsageError):
-        MonicPoly.from_index(3, 2 * 3**4)
+    # field order not prime; empty coefficient list; leading coefficient
+    # 0; coefficient 3 at q=3; bare index 0; bare index with leading
+    # base-3 digit 2
+    for text, q in (("q=4;1", None), ("1", 4), ("q=2;", None), ("", 2),
+                    ("q=2;1,0", None), ("1,0", 2), ("q=3;3,1", None),
+                    ("3,1", 3), ("0", 2), (str(2 * 3**4), 3)):
+        with pytest.raises(UsageError):
+            parse_index(text, q)
 
 
 @given(monic_polys())
 def test_index_round_trip(f):
-    assert MonicPoly.from_index(f.q, f.index) == f
-    assert index_degree(f.q, f.index) == f.degree
+    q, coeffs = f
+    index = parse_index(",".join(map(str, coeffs)), q)[1]
+    assert format_index(q, index) == f"q={q};" + ",".join(map(str, coeffs))
+    assert index_degree(q, index) == len(coeffs) - 1
 
 
 @pytest.mark.parametrize("q", QS)
 def test_degree_slice_is_index_interval(q):
     for d in range(0, 4):
-        polys = [MonicPoly.from_index(q, i) for i in range(q**d, 2 * q**d)]
-        assert all(f.degree == d for f in polys)
+        texts = [format_index(q, i) for i in range(q**d, 2 * q**d)]
+        coeffs = [tuple(map(int, t.partition(";")[2].split(",")))
+                  for t in texts]
+        assert all(len(c) == d + 1 and c[-1] == 1 for c in coeffs)
         # q^d distinct monic polynomials: the whole degree-d slice
-        assert len({f.coeffs for f in polys}) == q**d
+        assert len(set(coeffs)) == q**d
+        assert [parse_index(t) for t in texts] == [
+            (q, i) for i in range(q**d, 2 * q**d)]
 
 
 # ----------------------------------------------------------------------
@@ -122,21 +142,20 @@ def test_degree_slice_is_index_interval(q):
 
 @given(monic_pairs())
 def test_index_mul_matches_poly_mul(pair):
-    a, b = pair
-    want = MonicPoly(a.q, naive_mul(a.q, a.coeffs, b.coeffs))
-    assert index_mul(a.q, a.index, b.index) == want.index
+    q, a, b = pair
+    want = digits_value(q, naive_mul(q, a, b))
+    assert index_mul(q, digits_value(q, a), digits_value(q, b)) == want
 
 
 @given(monic_pairs())
 def test_divrem_identity(pair):
     # a = quot * b + rem with deg rem < deg b determines both uniquely
-    a, b = pair
-    q = a.q
-    quot, rem = index_divrem(q, a.index, b.index)
-    assert rem < q**b.degree
-    recon = naive_add(q, naive_mul(q, value_digits(q, quot), b.coeffs),
+    q, a, b = pair
+    quot, rem = index_divrem(q, digits_value(q, a), digits_value(q, b))
+    assert rem < q**(len(b) - 1)
+    recon = naive_add(q, naive_mul(q, value_digits(q, quot), b),
                       value_digits(q, rem))
-    assert digits_value(q, recon) == a.index
+    assert digits_value(q, recon) == digits_value(q, a)
 
 
 def test_divides_exhaustive_small():
@@ -212,14 +231,14 @@ def test_factorize_reconstructs_everything(sieve2, sieve3):
 
 
 def test_factorization_flags(sieve2):
-    x2 = parse_poly("q=2;0,0,1").index  # x^2
+    x2 = parse_index("q=2;0,0,1")[1]  # x^2
     fac = Factorization.of(sieve2, x2)
     assert not fac.is_squarefree and fac.omega == 1 and fac.big_omega == 2
     assert fac.max_factor_degree == 1
     assert not sieve2.squarefree_flags()[x2]
     assert sieve2.factor_counts()[x2] == 1
     assert sieve2.max_factor_degrees()[x2] == 1
-    g = parse_poly("q=2;1,1,1").index
+    g = parse_index("q=2;1,1,1")[1]
     assert Factorization.of(sieve2, g).is_squarefree
     assert sieve2.squarefree_flags()[g]
 
@@ -259,16 +278,19 @@ def test_fold_arrays_match_factorization_oracle(q, horizon):
 
 @given(monic_polys())
 def test_format_parse_round_trip(f):
-    assert parse_poly(format_poly(f)) == f
-    assert format_index(f.q, f.index) == format_poly(f)
-    assert parse_index(format_poly(f)) == (f.q, f.index)
-    assert parse_poly(str(f.index), q=f.q) == f
-    assert parse_poly(",".join(str(c) for c in f.coeffs), q=f.q) == f
+    q, coeffs = f
+    index = digits_value(q, coeffs)
+    text = format_index(q, index)
+    assert text == f"q={q};" + ",".join(map(str, coeffs))
+    assert parse_index(text) == (q, index)
+    assert parse_index(text, q=q) == (q, index)
+    assert parse_index(str(index), q=q) == (q, index)
+    assert parse_index(",".join(map(str, coeffs)), q=q) == (q, index)
 
 
 def test_parse_poly_rejects_garbage():
     for text in ("", "q=2;", "q=2;1,2", "q=6;1,1", "q=2;0,0", "nope", "1,0"):
         with pytest.raises(UsageError):
-            parse_poly(text, q=2)
+            parse_index(text, q=2)
     with pytest.raises(UsageError):
-        parse_poly("3")  # bare index needs q
+        parse_index("3")  # bare index needs q

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from primfield.errors import UsageError
-from primfield.fieldpoly import MonicPoly
+from primfield.fieldpoly import format_index, index_degree
 from primfield.irreducibles import (check_degree_brackets, kth_irreducible,
                                     kth_irreducible_degree, moebius,
                                     pi_cumulative, pi_prime)
@@ -78,16 +78,19 @@ def test_pi_cumulative_consistency():
 def test_kth_irreducible_matches_sorted_enumeration(sieve2, sieve3):
     for sieve, nmax in ((sieve2, 6), (sieve3, 4)):
         q = sieve.q
-        ordered = [MonicPoly.from_index(q, f) for n in range(1, nmax + 1)
+        ordered = [f for n in range(1, nmax + 1)
                    for f in range(q**n, 2 * q**n) if is_irreducible(q, f)]
         for k, f in enumerate(ordered, start=1):
-            assert kth_irreducible_degree(q, k) == f.degree
-            assert kth_irreducible(q, k, sieve=sieve) == f
+            assert kth_irreducible_degree(q, k) == index_degree(q, f)
+            got = kth_irreducible(q, k, sieve=sieve)
+            assert got == f and type(got) is int
 
 
 def test_kth_irreducible_head_q2(sieve2):
-    head = [kth_irreducible(2, k, sieve=sieve2).coeffs for k in range(1, 6)]
-    assert head == [(0, 1), (1, 1), (1, 1, 1), (1, 1, 0, 1), (1, 0, 1, 1)]
+    head = [kth_irreducible(2, k, sieve=sieve2) for k in range(1, 6)]
+    assert head == [2, 3, 7, 11, 13]
+    assert [format_index(2, f) for f in head] == [
+        "q=2;0,1", "q=2;1,1", "q=2;1,1,1", "q=2;1,1,0,1", "q=2;1,0,1,1"]
 
 
 def test_kth_guards():

@@ -5,6 +5,7 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from primfield import primitive
 from primfield.counting import mertens_exact, monic_cumulative
 from primfield.errors import UsageError, VerificationError
-from primfield.fieldpoly import format_index, index_degree, parse_poly
+from primfield.fieldpoly import format_index, index_degree, parse_index
 from primfield.primitive import (PolySet, assert_primitive, density_profile,
                                  erdos_sum, erdos_sum_irreducibles,
                                  is_primitive, random_primitive_set, read_set,
@@ -48,8 +49,8 @@ def index_sets_q3(draw):
 # ----------------------------------------------------------------------
 
 def test_polyset_canonicalizes_and_dedups():
-    f = parse_poly("q=2;1,1,1").index
-    g = parse_poly("q=2;0,1").index
+    f = parse_index("q=2;1,1,1")[1]
+    g = parse_index("q=2;0,1")[1]
     ps = PolySet(2, 5, (f, g, f))
     assert ps.indices == (g, f)
     assert len(ps) == 2 and f in ps and g in ps and 3 not in ps
@@ -61,13 +62,35 @@ def test_polyset_validation():
     with pytest.raises(UsageError):
         PolySet(2, 5, (1,))  # units carry no divisibility data
     with pytest.raises(UsageError):
-        PolySet(2, 2, (parse_poly("q=2;1,1,0,1").index,))  # beyond horizon
+        PolySet(2, 2, (parse_index("q=2;1,1,0,1")[1],))  # beyond horizon
     with pytest.raises(UsageError):
         PolySet(3, 5, (6,))  # 6 = 20 in base 3 is not monic
     with pytest.raises(UsageError):
         PolySet(2, 5, (0,))
     with pytest.raises(UsageError):
         PolySet(2, 0, ())
+
+
+def test_polyset_keeps_canonical_input_and_sorts_the_rest():
+    rng = random.Random(5)
+    members = sorted(rng.sample(range(2**6, 2**8), 40) + [2, 3, 7])
+    shuffled = rng.sample(members, len(members))
+    doubled = shuffled + members[::3]
+    want = PolySet(2, 7, tuple(members))
+    assert want.indices == tuple(members)
+    for raw in (shuffled, doubled, np.array(doubled, dtype=np.int64)):
+        ps = PolySet(2, 7, tuple(raw))
+        assert ps == want
+        assert all(type(i) is int for i in ps.indices)
+    # invalid members out of order: the messages name the same member
+    for q, horizon, raw, message in (
+            (2, 5, (7, 0, 3), "index 0 is not positive"),
+            (3, 5, (12, 6, 4), "index 6 has leading base-3 digit != 1"),
+            (2, 5, (5, 1, 3), "members must be non-unit (degree >= 1)"),
+            (2, 3, (9, 40, 2, 9), "member q=2;0,0,0,1,0,1 exceeds horizon 3")):
+        with pytest.raises(UsageError) as err:
+            PolySet(q, horizon, raw)
+        assert str(err.value) == message
 
 
 def test_set_file_round_trip():
