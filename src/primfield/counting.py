@@ -77,6 +77,19 @@ class CountTable:
                 fh.write(f"{n},{k},{v}\n")
 
 
+def _unpack(row: int, slots: int, nbytes: int) -> tuple[int, ...]:
+    """The nbytes-wide unsigned slots of a packed row, lowest first."""
+    raw = row.to_bytes(slots * nbytes, "little")
+    return tuple(int.from_bytes(raw[i:i + nbytes], "little")
+                 for i in range(0, len(raw), nbytes))
+
+
+def _pack(row, nbytes: int) -> int:
+    """Inverse of _unpack: entries must be >= 0 and below 2^(8 nbytes)."""
+    return int.from_bytes(b"".join(v.to_bytes(nbytes, "little") for v in row),
+                          "little")
+
+
 def build_count_table(q: int, N: int,
                       excluded_degrees: Mapping[int, int] | None = None,
                       max_bytes: int = 2**31) -> CountTable:
@@ -84,7 +97,9 @@ def build_count_table(q: int, N: int,
 
     Degree d contributes a factor (1 + u x^d)^m with m = pi'_q(d) minus
     any exclusions: choosing j of the m irreducibles adds degree j*d and
-    factor count j with multiplicity C(m, j).
+    factor count j with multiplicity C(m, j).  Each row is one integer
+    with a fixed-width slot per k (Kronecker substitution), so one
+    multiply-shift-add updates every k of a row at once.
     """
     _check_prime(q)
     if N < 0:
@@ -101,8 +116,14 @@ def build_count_table(q: int, N: int,
         if c > pi_prime(q, d):
             raise UsageError(f"cannot exclude {c} irreducibles of degree {d}")
     excl_map = dict(excl)
-    rows = [[0] * (n + 1) for n in range(N + 1)]
-    rows[0][0] = 1
+    # Row n packed into one int, entry k in bits [k*width, (k+1)*width).
+    # Every update only adds, so an entry never exceeds its final value,
+    # at most q^n <= q^N: slots of a whole number of bytes that hold q^N
+    # never carry into each other.
+    nbytes = ((q**N).bit_length() + 7) // 8
+    width = 8 * nbytes
+    packed = [0] * (N + 1)
+    packed[0] = 1
     for d in range(1, N + 1):
         m = pi_prime(q, d) - excl_map.get(d, 0)
         if m == 0:
@@ -110,14 +131,12 @@ def build_count_table(q: int, N: int,
         jmax = min(N // d, m)
         binom = [math.comb(m, j) for j in range(jmax + 1)]
         for n in range(N, d - 1, -1):
-            dst = rows[n]
+            acc = packed[n]
             for j in range(1, min(n // d, jmax) + 1):
-                src = rows[n - j * d]
-                c = binom[j]
-                lo = j
-                hi = n - j * (d - 1)
-                dst[lo:hi + 1] = [x + c * s for x, s in zip(dst[lo:hi + 1], src)]
-    table = CountTable(q, N, tuple(tuple(r) for r in rows), excl)
+                acc += binom[j] * packed[n - j * d] << width * j
+            packed[n] = acc
+    rows = [_unpack(packed[n], n + 1, nbytes) for n in range(N + 1)]
+    table = CountTable(q, N, tuple(rows), excl)
     if not excl:
         for n in range(2, N + 1):
             assert table.row_total(n) == q**n - q**(n - 1), (q, n)
@@ -188,14 +207,11 @@ def verify_hr_bound(q: int, N: int, table: CountTable | None = None,
     cells = 0
     for n in range(1, N + 1):
         num, s = _log_weight_dyadic_lower(n, precision_bits)
-        qn = q**n
-        apow = 1          # num^(k-1)
-        fact = 1          # (k-1)!
-        shift = 0         # s*(k-1)
+        rhs = q**n        # q^n num^(k-1)
+        scale = n         # n (k-1)! 2^(s(k-1))
         row = table.rows[n]
         for k in range(1, n + 1):
-            lhs = row[k] * n * fact << shift
-            rhs = qn * apow
+            lhs = row[k] * scale
             cells += 1
             if lhs > rhs:
                 violations.append((n, k, row[k]))
@@ -203,9 +219,8 @@ def verify_hr_bound(q: int, N: int, table: CountTable | None = None,
                 margin = math.log(rhs) - math.log(lhs)
                 if margin < min_margin:
                     min_margin = margin
-            apow *= num
-            fact *= k
-            shift += s
+            rhs *= num
+            scale = scale * k << s
     return InequalityReport("uniform-factor-count-bound", q, N, cells,
                             tuple(violations),
                             min_margin if min_margin < math.inf else 0.0)
@@ -220,17 +235,28 @@ def verify_recurrence_bound(q: int, N: int,
         table = build_count_table(q, N)
     if table.q != q or table.N < N or table.excluded_degrees:
         raise UsageError("table does not cover the requested range")
+    rows = [row[:n + 1] for n, row in enumerate(table.rows[:N + 1])]
+    if any(v < 0 for row in rows for v in row):
+        raise UsageError("table has a negative entry")
+    # Slot k-1 of row n's packed sum is sum_{d <= n/2} pi'(d) rows[n-d][k-1]
+    # for every k at once; the largest entry times sum_{d <= N/2} pi'(d)
+    # bounds every slot, however large the given entries are.
+    weights = [pi_prime(q, d) for d in range(1, N // 2 + 1)]
+    largest = max(max(row) for row in rows)
+    nbytes = (largest * max(1, sum(weights))).bit_length() // 8 + 1
+    packed = [_pack(row, nbytes) for row in rows]
     violations: list[tuple] = []
     min_margin = math.inf
     cells = 0
     for n in range(2, N + 1):
+        acc = 0
+        for d in range(1, n // 2 + 1):
+            acc += weights[d - 1] * packed[n - d]
+        sums = _unpack(acc, n, nbytes)
+        row = rows[n]
         for k in range(2, n + 1):
-            lhs = (k - 1) * table.rows[n][k]
-            rhs = 0
-            for d in range(1, n // 2 + 1):
-                nd = n - d
-                if k - 1 <= nd:
-                    rhs += pi_prime(q, d) * table.rows[nd][k - 1]
+            lhs = (k - 1) * row[k]
+            rhs = sums[k - 1]
             cells += 1
             if lhs > rhs:
                 violations.append((n, k, lhs, rhs))
@@ -255,6 +281,17 @@ class _LowestTerms(NamedTuple):
 
     numerator: int
     denominator: int
+
+
+def _term_precision(m: int):
+    """Working precision for one degree's term m * log(1 - q^-d) and kin.
+
+    The log of 1 - q^-d is about -q^-d, so its rounding error relative to
+    it grows like q^d, and the factor m = pi'_q(d) ~ q^d/d scales it back
+    up: m.bit_length() extra bits keep the term's absolute error at the
+    base precision's size, whatever q is.
+    """
+    return precision(iv.prec + m.bit_length())
 
 
 def mertens_exact_parts(q: int, n: int,
@@ -322,8 +359,10 @@ def mertens_product(q: int, n: int,
     with precision(precision_bits):
         s = iv.mpf(0)
         for d in range(1, n + 1):
-            term = iv.log(1 - iv.mpf(1) / q**d)
-            s += pi_prime(q, d) * term
+            m = pi_prime(q, d)
+            with _term_precision(m):
+                term = m * iv.log(1 - iv.mpf(1) / q**d)
+            s += term
         norm = iv.exp(iv.euler + iv.log(iv.mpf(n)) + s)
         bracket = BracketedValue.from_iv(norm)
     return MertensValue(q, n, exact, bracket)
@@ -342,9 +381,11 @@ def _g_series_iv(q: int, z, degree_cap: int):
     """
     s = iv.mpf(0)
     for d in range(1, degree_cap + 1):
-        u = iv.mpf(1) / q**d
-        term = iv.log(1 + z * u) + z * iv.log(1 - u)
-        s += pi_prime(q, d) * term
+        m = pi_prime(q, d)
+        with _term_precision(m):
+            u = iv.mpf(1) / q**d
+            term = m * (iv.log(1 + z * u) + z * iv.log(1 - u))
+        s += term
     tail_mag = z * (1 + z) / q**degree_cap / ((degree_cap + 1) * (q - 1))
     s += -(iv.mpf([0, 1]) * tail_mag)
     return iv.exp(s)

@@ -43,14 +43,18 @@ def moebius(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def pi_prime(q: int, n: int) -> int:
-    """Number of monic irreducibles of degree exactly n over F_q."""
+    """Number of monic irreducibles of degree exactly n over F_q, from
+    the Moebius sum over divisor pairs (d, n/d) with d <= sqrt(n)."""
     _check_prime(q)
     if n < 1:
         raise UsageError("degree must be >= 1")
     total = 0
-    for d in range(1, n + 1):
+    for d in range(1, math.isqrt(n) + 1):
         if n % d == 0:
-            total += moebius(d) * q**(n // d)
+            e = n // d
+            total += moebius(d) * q**e
+            if e != d:
+                total += moebius(e) * q**d
     assert total % n == 0, (q, n)
     count = total // n
     assert 0 < count * n <= q**n, (q, n)
@@ -86,6 +90,12 @@ def kth_irreducible(q: int, k: int, sieve: FactorSieve | None = None,
         sieve = build_factor_sieve(q, d, max_entries=max_entries)
     rank = k - pi_cumulative(q, d - 1)
     return int(sieve.irreducible_indices(d)[rank - 1])
+
+
+# Ranks checked per numpy pass, so a pass holds a few 512 KiB arrays however
+# wide the k range is; and the most violating ranks a report lists.
+BRACKET_BLOCK = 65536
+MAX_LISTED_VIOLATIONS = 1000
 
 
 @dataclass(frozen=True)
@@ -137,18 +147,27 @@ def check_degree_brackets(q: int, k_lo: int, k_hi: int, slack: float,
     nmax = kth_irreducible_degree(q, k_hi)
     cum = np.array([pi_cumulative(q, n) for n in range(0, nmax + 1)],
                    dtype=np.float64)
-    ks = np.arange(k_lo, k_hi + 1, dtype=np.int64)
-    # degree of P_k = least n with pi_cumulative(q, n) >= k
-    degs = np.searchsorted(cum, ks, side="left").astype(np.float64)
     logq = math.log(q)
-    lk = np.log(ks) / logq
-    L = lk + np.log(lk) / logq + math.log(q - 1) / logq
-    low_margin = degs - (L - 1.0 - slack)
-    high_margin = (L + slack) - degs
-    bad = np.nonzero((low_margin < 0) | (high_margin < 0))[0]
+    violations: list[int] = []
+    worst_low = worst_high = math.inf
+    for start in range(k_lo, k_hi + 1, BRACKET_BLOCK):
+        ks = np.arange(start, min(start + BRACKET_BLOCK, k_hi + 1),
+                       dtype=np.int64)
+        # degree of P_k = least n with pi_cumulative(q, n) >= k
+        degs = np.searchsorted(cum, ks, side="left").astype(np.float64)
+        lk = np.log(ks) / logq
+        L = lk + np.log(lk) / logq + math.log(q - 1) / logq
+        low_margin = degs - (L - 1.0 - slack)
+        high_margin = (L + slack) - degs
+        worst_low = min(worst_low, float(low_margin.min()))
+        worst_high = min(worst_high, float(high_margin.min()))
+        if len(violations) < MAX_LISTED_VIOLATIONS:
+            bad = np.nonzero((low_margin < 0) | (high_margin < 0))[0]
+            violations += (int(ks[i]) for i in
+                           bad[:MAX_LISTED_VIOLATIONS - len(violations)])
     return DegreeBracketReport(
-        q=q, k_lo=k_lo, k_hi=k_hi, slack=slack, checked=len(ks),
-        violations=tuple(int(ks[i]) for i in bad[:1000]),
-        worst_low_margin=float(low_margin.min()),
-        worst_high_margin=float(high_margin.min()),
+        q=q, k_lo=k_lo, k_hi=k_hi, slack=slack, checked=k_hi - k_lo + 1,
+        violations=tuple(violations),
+        worst_low_margin=worst_low,
+        worst_high_margin=worst_high,
     )

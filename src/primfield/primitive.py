@@ -441,9 +441,13 @@ def erdos_sum_irreducibles(q: int, eps=Fraction(1, 100)) -> BracketedValue:
     if eps <= 0:
         raise UsageError("eps must be positive")
     cut = math.floor(1 / eps) + 1
-    partial = Fraction(0)
+    # Over the one denominator L q^cut, L = lcm(1..cut), term d is
+    # pi'(d) (L/d) q^(cut-d): Horner's rule in q, and a single reduction.
+    lcm = math.lcm(*range(1, cut + 1))
+    num = 0
     for d in range(1, cut + 1):
-        partial += Fraction(pi_prime(q, d), d * q**d)
+        num = num * q + pi_prime(q, d) * (lcm // d)
+    partial = Fraction(num, lcm * q**cut)
     return BracketedValue(partial, partial + Fraction(1, cut))
 
 

@@ -1,18 +1,30 @@
 """Per-polynomial oracles: trial division, a factorization summary and
-the set-file codec one line at a time, plus trial-division primality.
+the set-file codec one line at a time, plus trial-division primality;
+and per-cell oracles for the exact count layer.
 
 The library derives factorisation types in bulk, one numpy pass per
 degree over the factor sieve, and reads and writes set files in numpy
 passes over blocks of members.  These recompute the same results one
 index or one line at a time, from index arithmetic, the sieve's
 least-factor chain and the single-polynomial text codec.
+
+The library's count tables and recurrence check work on packed rows, one
+integer per table row; its Erdos sum over irreducibles uses one common
+denominator, and its degree-bracket check runs over blocks of ranks.
+The count-layer oracles recompute each of these one cell, one term or
+one whole array at a time.
 """
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
 
 from primfield.errors import UsageError
 from primfield.fieldpoly import (format_index, index_degree, index_divrem,
                                  index_mul, parse_index)
+from primfield.irreducibles import pi_cumulative, pi_prime
 from primfield.primitive import PolySet
 
 
@@ -126,3 +138,77 @@ def read_set_lines(fh):
         return PolySet(q, horizon, tuple(indices))
     except UsageError as exc:
         raise UsageError(f"set file invalid: {exc}") from None
+
+
+def count_table_lists(q, N, excluded_degrees=None):
+    """Rows of Pi'_{q,k}(n) by list convolution, one slice per (d, n, j)."""
+    excl = dict(excluded_degrees or {})
+    rows = [[0] * (n + 1) for n in range(N + 1)]
+    rows[0][0] = 1
+    for d in range(1, N + 1):
+        m = pi_prime(q, d) - excl.get(d, 0)
+        if m == 0:
+            continue
+        jmax = min(N // d, m)
+        binom = [math.comb(m, j) for j in range(jmax + 1)]
+        for n in range(N, d - 1, -1):
+            dst = rows[n]
+            for j in range(1, min(n // d, jmax) + 1):
+                src = rows[n - j * d]
+                c = binom[j]
+                lo = j
+                hi = n - j * (d - 1)
+                dst[lo:hi + 1] = [x + c * s for x, s in zip(dst[lo:hi + 1], src)]
+    return tuple(tuple(r) for r in rows)
+
+
+def recurrence_cells(q, N, rows):
+    """(cells, violations, min_log_margin) of the factor-count recurrence
+    (k-1) rows[n][k] <= sum_{d <= n/2} pi'(d) rows[n-d][k-1], one
+    right side summed per cell."""
+    violations = []
+    min_margin = math.inf
+    cells = 0
+    for n in range(2, N + 1):
+        for k in range(2, n + 1):
+            lhs = (k - 1) * rows[n][k]
+            rhs = 0
+            for d in range(1, n // 2 + 1):
+                nd = n - d
+                if k - 1 <= nd:
+                    rhs += pi_prime(q, d) * rows[nd][k - 1]
+            cells += 1
+            if lhs > rhs:
+                violations.append((n, k, lhs, rhs))
+            elif lhs:
+                min_margin = min(min_margin, math.log(rhs) - math.log(lhs))
+    return cells, tuple(violations), (min_margin if min_margin < math.inf
+                                      else 0.0)
+
+
+def erdos_sum_terms(q, cut):
+    """sum_{d <= cut} pi'(d) / (d q^d), one Fraction added per degree."""
+    partial = Fraction(0)
+    for d in range(1, cut + 1):
+        partial += Fraction(pi_prime(q, d), d * q**d)
+    return partial
+
+
+def degree_brackets_whole(q, k_lo, k_hi, slack):
+    """(violations, worst_low_margin, worst_high_margin) of the degree
+    window check, with every rank of the range in one array."""
+    nmax = 1
+    while pi_cumulative(q, nmax) < k_hi:
+        nmax += 1
+    cum = np.array([pi_cumulative(q, n) for n in range(0, nmax + 1)],
+                   dtype=np.float64)
+    ks = np.arange(k_lo, k_hi + 1, dtype=np.int64)
+    degs = np.searchsorted(cum, ks, side="left").astype(np.float64)
+    logq = math.log(q)
+    lk = np.log(ks) / logq
+    L = lk + np.log(lk) / logq + math.log(q - 1) / logq
+    low_margin = degs - (L - 1.0 - slack)
+    high_margin = (L + slack) - degs
+    bad = np.nonzero((low_margin < 0) | (high_margin < 0))[0]
+    return (tuple(int(ks[i]) for i in bad[:1000]),
+            float(low_margin.min()), float(high_margin.min()))

@@ -263,6 +263,20 @@ def test_eval_mertens_past_printable_exact(capsys):
             assert "exact" not in v
 
 
+def test_eval_mertens_and_g_in_large_fields(capsys):
+    """A field order near 10^18 keeps 1e-36-wide brackets; the terms used
+    to be rounded before their scaling by pi'(d) ~ q^d/d, and both
+    commands exited 1 with "precision exhausted"."""
+    q = "1000000000000000003"
+    for argv in (["eval", "mertens", "--q", q, "--max-n", "3"],
+                 ["eval", "g", "--q", q, "--z", "1", "--z", "2"]):
+        code, out, err = run(argv, capsys)
+        assert code == 0, err
+        for row in out.splitlines()[1:]:
+            _, lo, hi = row.split(",")
+            assert 0 <= Fraction(hi) - Fraction(lo) <= Fraction(1, 10**35)
+
+
 def test_eval_erdos_irr_cli(capsys):
     code, out, _ = run(["eval", "erdos-irr", "--q", "2", "--eps", "1/100",
                         "--format", "json"], capsys)

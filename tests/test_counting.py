@@ -3,17 +3,20 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import iv
 
-from primfield.brackets import BracketedValue, precision
-from primfield.counting import (CountTable, build_count_table, evaluate_G,
-                                mertens_exact, mertens_product, monic_count,
-                                monic_cumulative, norton_check,
+from primfield.brackets import BracketedValue, iv_from_fraction, precision
+from primfield.counting import (CountTable, _g_series_iv, build_count_table,
+                                evaluate_G, mertens_exact, mertens_product,
+                                monic_count, monic_cumulative, norton_check,
                                 q_large_deviation, sathe_selberg_H, tail_sums,
                                 verify_hr_bound, verify_recurrence_bound)
 from primfield.errors import BudgetError, PrecisionError, UsageError
 from primfield.irreducibles import pi_prime
+
+from oracles import count_table_lists, recurrence_cells
 
 
 def enumerate_squarefree_counts(sieve, N, excluded=None):
@@ -74,6 +77,13 @@ def test_table_with_exclusions_matches_enumeration(q, N, excl, sieve2, sieve3):
             assert table.count(n, k) == want[n][k], (n, k, excl)
 
 
+@pytest.mark.parametrize("q,N", [(2, 120), (3, 60), (5, 30), (7, 20)])
+def test_packed_table_matches_list_oracle(q, N):
+    for excl in (None, {1: 1, 2: 1, 5: 2}, {1: q, 3: 1}):
+        table = build_count_table(q, N, excluded_degrees=excl)
+        assert table.rows == count_table_lists(q, N, excl), excl
+
+
 def test_table_row_identities():
     table = build_count_table(2, 40)
     assert table.row_total(1) == 2  # every linear polynomial is squarefree
@@ -129,6 +139,38 @@ def test_recurrence_bound_holds_and_flags():
     assert not verify_recurrence_bound(2, 30, table=doctored).ok
 
 
+def _doctored(table, **cells):
+    """A copy of table with rows[n][k] replaced, cells given as n_k=value."""
+    rows = [list(r) for r in table.rows]
+    for key, value in cells.items():
+        n, k = map(int, key[1:].split("_"))
+        rows[n][k] = value
+    return CountTable(table.q, table.N, tuple(tuple(r) for r in rows))
+
+
+@pytest.mark.parametrize("q,N", [(2, 60), (3, 40), (5, 24)])
+def test_packed_recurrence_matches_cell_oracle(q, N):
+    clean = build_count_table(q, N)
+    r = clean.rows
+    h = N // 2
+    tables = [
+        clean,
+        # far above q^N: a left side that fails, and right sides that grow
+        _doctored(clean, **{f"n{N}_3": r[N][3] * 2**400,
+                            f"n{h}_2": r[h][2] * 2**400}),
+        _doctored(clean, **{f"n{N - 1}_{N - 1}": 0, f"n{N}_2": 0,
+                            f"n{h}_1": r[h][1] * 2**400}),
+    ]
+    for table in tables:
+        report = verify_recurrence_bound(q, N, table=table)
+        assert (report.cells, report.violations, report.min_log_margin) \
+            == recurrence_cells(q, N, table.rows)
+    assert verify_recurrence_bound(q, N, table=tables[0]).ok
+    assert not verify_recurrence_bound(q, N, table=tables[1]).ok
+    with pytest.raises(UsageError, match="negative"):
+        verify_recurrence_bound(q, N, table=_doctored(clean, **{f"n{h}_2": -1}))
+
+
 # ----------------------------------------------------------------------
 # Mertens product
 # ----------------------------------------------------------------------
@@ -161,6 +203,69 @@ def test_mertens_bracket_agrees_with_independent_interval():
                 / iv.mpf([mv.exact.denominator, mv.exact.denominator]))
         # both bracket e^gamma n P(n), so they must overlap
         assert mv.normalized.lo <= indep.hi and indep.lo <= mv.normalized.hi
+
+
+def _mertens_base_precision(q, n, bits):
+    """The normalized bracket with each degree's term rounded at the base
+    precision before it is scaled by pi'(d)."""
+    with precision(bits):
+        s = iv.mpf(0)
+        for d in range(1, n + 1):
+            s += pi_prime(q, d) * iv.log(1 - iv.mpf(1) / q**d)
+        return BracketedValue.from_iv(iv.exp(iv.euler + iv.log(iv.mpf(n)) + s))
+
+
+def _g_base_precision(q, z, cap, bits):
+    with precision(bits):
+        z = iv_from_fraction(z)
+        s = iv.mpf(0)
+        for d in range(1, cap + 1):
+            u = iv.mpf(1) / q**d
+            s += pi_prime(q, d) * (iv.log(1 + z * u) + z * iv.log(1 - u))
+        tail = z * (1 + z) / q**cap / ((cap + 1) * (q - 1))
+        return BracketedValue.from_iv(iv.exp(s - iv.mpf([0, 1]) * tail))
+
+
+def test_term_precision_nests_inside_base_precision_brackets():
+    for n in range(1, 21):
+        new = mertens_product(3, n).normalized
+        assert _mertens_base_precision(3, n, 128).contains_bracket(new), n
+    for z in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)):
+        for cap in (8, 16, 32):
+            with precision(128):
+                new = BracketedValue.from_iv(
+                    _g_series_iv(3, iv_from_fraction(z), cap))
+            assert _g_base_precision(3, z, cap, 128).contains_bracket(new)
+
+
+def _near_bracket(b, x):
+    """lo - 1e-50 <= x <= hi + 1e-50 for an mpmath number x."""
+    tol = mpmath.mpf(10)**-50
+    return (mpmath.mpf(b.lo.numerator) / b.lo.denominator - tol <= x
+            <= mpmath.mpf(b.hi.numerator) / b.hi.denominator + tol)
+
+
+@pytest.mark.parametrize("q", [4294967311, 1000000000000000003])
+def test_mertens_and_G_brackets_in_large_fields(q):
+    """Each degree's term keeps its absolute precision however large q is:
+    the brackets stay ~1e-36 wide and hold the value to 60 digits."""
+    with mpmath.workdps(60):
+        logs = [pi_prime(q, d) * mpmath.log1p(-mpmath.mpf(q)**-d)
+                for d in range(1, 4)]
+        for n in range(1, 4):
+            want = mpmath.exp(mpmath.euler + sum(logs[:n])) * n
+            got = mertens_product(q, n).normalized
+            assert got.width < Fraction(1, 10**35)
+            assert _near_bracket(got, want)
+        for z in (1, 2):
+            # the degree-9 tail is below q^-9 < 1e-86
+            want = mpmath.exp(sum(
+                pi_prime(q, d) * (mpmath.log1p(z * mpmath.mpf(q)**-d)
+                                  + z * mpmath.log1p(-mpmath.mpf(q)**-d))
+                for d in range(1, 9)))
+            got = evaluate_G(q, z, eps=Fraction(1, 10**30))
+            assert got.width < Fraction(1, 10**35)
+            assert _near_bracket(got, want)
 
 
 def test_mertens_normalized_drifts_to_one():

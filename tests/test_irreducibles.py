@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from primfield.errors import UsageError
 from primfield.fieldpoly import format_index, index_degree
-from primfield.irreducibles import (check_degree_brackets, kth_irreducible,
-                                    kth_irreducible_degree, moebius,
-                                    pi_cumulative, pi_prime)
+from primfield.irreducibles import (BRACKET_BLOCK, check_degree_brackets,
+                                    kth_irreducible, kth_irreducible_degree,
+                                    moebius, pi_cumulative, pi_prime)
 
-from oracles import is_irreducible
+from oracles import degree_brackets_whole, is_irreducible
 
 
 # ----------------------------------------------------------------------
@@ -54,6 +54,21 @@ def test_pi_prime_matches_enumeration(q, nmax):
     for n in range(1, nmax + 1):
         want = sum(1 for f in range(q**n, 2 * q**n) if is_irreducible(q, f))
         assert pi_prime(q, n) == want
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_pi_prime_matches_full_divisor_sum(q):
+    """n pi'(n) = sum over every divisor d of n of mu(d) q^(n/d), for
+    n <= 3000: every perfect square and its middle divisor included."""
+    nmax = 3000
+    total = [0] * (nmax + 1)
+    for d in range(1, nmax + 1):
+        mu = moebius_oracle(d)
+        if mu:
+            for n in range(d, nmax + 1, d):
+                total[n] += mu * q**(n // d)
+    for n in range(1, nmax + 1):
+        assert pi_prime(q, n) * n == total[n], n
 
 
 def test_pi_prime_known_values():
@@ -117,6 +132,21 @@ def test_degree_brackets_match_direct_formula():
         deg = kth_irreducible_degree(2, k)
         growth = math.log(k * math.log(k, 2), 2)
         assert growth - 1 - 0.5 - 1e-9 <= deg <= growth + 0.5 + 1e-9
+
+
+@pytest.mark.parametrize("q,k_lo,k_hi,slack", [
+    (2, 2, 140000, 0.17),    # 863 violations, on both sides of the block edge
+    (3, 3, 100000, 0.1),     # the 1000-violation list fills across the edge
+])
+def test_degree_brackets_carry_across_blocks(q, k_lo, k_hi, slack):
+    report = check_degree_brackets(q, k_lo, k_hi, slack)
+    edge = k_lo + BRACKET_BLOCK
+    assert any(k < edge for k in report.violations)
+    assert any(k >= edge for k in report.violations)
+    assert report.checked == k_hi - k_lo + 1
+    assert (report.violations, report.worst_low_margin,
+            report.worst_high_margin) == degree_brackets_whole(q, k_lo, k_hi,
+                                                               slack)
 
 
 def test_degree_brackets_guards():

@@ -1,6 +1,7 @@
 """Primitive sets: certificates, sums, densities, and the set file format."""
 
 import io
+import math
 import random
 import sys
 from fractions import Fraction
@@ -19,7 +20,8 @@ from primfield.primitive import (PolySet, assert_primitive, density_profile,
                                  is_primitive, random_primitive_set, read_set,
                                  verify_erdos_density_inequality, write_set)
 
-from oracles import Factorization, divides, read_set_lines, write_set_lines
+from oracles import (Factorization, divides, erdos_sum_terms, read_set_lines,
+                     write_set_lines)
 
 
 def brute_primitive(ps):
@@ -366,6 +368,16 @@ def test_erdos_sum_irreducibles_nested_and_strict():
                                   "hi": "1.467679473288"}
     with pytest.raises(UsageError):
         erdos_sum_irreducibles(2, 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_erdos_sum_irreducibles_matches_term_sum(q):
+    for eps in (Fraction(2), Fraction(1), Fraction(1, 3), Fraction(2, 7),
+                Fraction(1, 50), Fraction(1, 301)):
+        cut = math.floor(1 / eps) + 1
+        b = erdos_sum_irreducibles(q, eps)
+        assert b.lo == erdos_sum_terms(q, cut), eps
+        assert b.hi == b.lo + Fraction(1, cut)
 
 
 # ----------------------------------------------------------------------
