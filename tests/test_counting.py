@@ -139,11 +139,10 @@ def test_recurrence_bound_holds_and_flags():
     assert not verify_recurrence_bound(2, 30, table=doctored).ok
 
 
-def _doctored(table, **cells):
-    """A copy of table with rows[n][k] replaced, cells given as n_k=value."""
+def _doctored(table, cells):
+    """A copy of table with rows[n][k] = value for each (n, k): value."""
     rows = [list(r) for r in table.rows]
-    for key, value in cells.items():
-        n, k = map(int, key[1:].split("_"))
+    for (n, k), value in cells.items():
         rows[n][k] = value
     return CountTable(table.q, table.N, tuple(tuple(r) for r in rows))
 
@@ -156,10 +155,9 @@ def test_packed_recurrence_matches_cell_oracle(q, N):
     tables = [
         clean,
         # far above q^N: a left side that fails, and right sides that grow
-        _doctored(clean, **{f"n{N}_3": r[N][3] * 2**400,
-                            f"n{h}_2": r[h][2] * 2**400}),
-        _doctored(clean, **{f"n{N - 1}_{N - 1}": 0, f"n{N}_2": 0,
-                            f"n{h}_1": r[h][1] * 2**400}),
+        _doctored(clean, {(N, 3): r[N][3] * 2**400, (h, 2): r[h][2] * 2**400}),
+        _doctored(clean, {(N - 1, N - 1): 0, (N, 2): 0,
+                          (h, 1): r[h][1] * 2**400}),
     ]
     for table in tables:
         report = verify_recurrence_bound(q, N, table=table)
@@ -168,7 +166,7 @@ def test_packed_recurrence_matches_cell_oracle(q, N):
     assert verify_recurrence_bound(q, N, table=tables[0]).ok
     assert not verify_recurrence_bound(q, N, table=tables[1]).ok
     with pytest.raises(UsageError, match="negative"):
-        verify_recurrence_bound(q, N, table=_doctored(clean, **{f"n{h}_2": -1}))
+        verify_recurrence_bound(q, N, table=_doctored(clean, {(h, 2): -1}))
 
 
 # ----------------------------------------------------------------------
