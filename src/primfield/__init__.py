@@ -18,8 +18,8 @@ from .constructions import (GrowthFunction, MPConstruction,
                             besicovitch_construct, build_t_sequence,
                             irreducible_density_constant, mp_construct,
                             mp_diagnostics)
-from .errors import (BudgetError, ConstructionError, PrecisionError,
-                     PrimfieldError, UsageError, VerificationError)
+from .errors import (BudgetError, PrecisionError, PrimfieldError,
+                     UsageError, VerificationError)
 from .fieldpoly import (FactorSieve, build_factor_sieve, format_index,
                         parse_index)
 from .irreducibles import (check_degree_brackets, kth_irreducible,
@@ -31,8 +31,8 @@ from .primitive import (PolySet, assert_primitive, density_profile,
                         verify_erdos_density_inequality, write_set)
 
 __all__ = [
-    "BracketedValue", "BudgetError", "ConstructionError", "CountTable",
-    "FactorSieve", "GrowthFunction", "MPConstruction", "PolySet",
+    "BracketedValue", "BudgetError", "CountTable", "FactorSieve",
+    "GrowthFunction", "MPConstruction", "PolySet",
     "PrecisionError", "PrimfieldError", "SparseConstruction", "TSequence",
     "UsageError", "VerificationError", "assert_primitive",
     "besicovitch_construct", "build_count_table", "build_factor_sieve",

@@ -13,100 +13,55 @@ import argparse
 import csv
 import io
 import json
+import signal
 import sys
-import time
-from dataclasses import dataclass, field
+import threading
 from fractions import Fraction
+from itertools import accumulate
 
 from . import __version__
 from .brackets import DEFAULT_PRECISION_BITS, fraction_to_decimal
 from .constructions import (GrowthFunction, besicovitch_construct,
                             build_t_sequence, mp_construct, mp_diagnostics)
-from .counting import (build_count_table, evaluate_G, mertens_product,
+from .counting import (build_count_table, evaluate_G, mertens_rows,
                        norton_check, verify_hr_bound, verify_recurrence_bound)
 from .errors import (BudgetError, PrecisionError, UsageError,
                      VerificationError)
 from .fieldpoly import DEFAULT_SIEVE_ENTRIES, format_index, index_degree
-from .irreducibles import (check_degree_brackets, kth_irreducible,
-                           pi_cumulative, pi_prime)
+from .irreducibles import check_degree_brackets, kth_irreducible, pi_prime
 from .primitive import (density_profile, erdos_sum, erdos_sum_irreducibles,
                         is_primitive, random_primitive_set, read_set,
                         verify_erdos_density_inequality, write_set)
 
 # ----------------------------------------------------------------------
-# Run configuration and plumbing
+# Plumbing
 # ----------------------------------------------------------------------
 
 DEFAULT_TABLE_BYTES = 2**31
-
-
-@dataclass
-class RunConfig:
-    """Resolved global options for one invocation."""
-
-    q: int = 2
-    precision_bits: int = DEFAULT_PRECISION_BITS
-    fmt: str = "csv"
-    out: str | None = None
-    sieve_entries: int = DEFAULT_SIEVE_ENTRIES
-    table_bytes: int = DEFAULT_TABLE_BYTES
-    seconds: float | None = None
-    seed: int | None = None
-    manifest: str | None = None
-    _t0: float = field(default_factory=time.monotonic, repr=False)
-
-    def checkpoint(self, stage: str) -> None:
-        """Soft wall-clock cap: abort between stages rather than emit
-        silently truncated results."""
-        if self.seconds is not None and time.monotonic() - self._t0 > self.seconds:
-            raise BudgetError(
-                f"soft time budget of {self.seconds}s exceeded after {stage}; "
-                "partial results dropped as incomplete")
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        q=getattr(args, "q", 2),
-        precision_bits=getattr(args, "precision_bits", DEFAULT_PRECISION_BITS),
-        fmt=getattr(args, "fmt", "csv"),
-        out=getattr(args, "out", None),
-        sieve_entries=getattr(args, "budget_sieve_entries", DEFAULT_SIEVE_ENTRIES),
-        table_bytes=getattr(args, "budget_table_bytes", DEFAULT_TABLE_BYTES),
-        seconds=getattr(args, "budget_seconds", None),
-        seed=getattr(args, "seed", None),
-        manifest=getattr(args, "manifest", None),
-    )
-    if cfg.precision_bits < 16:
-        raise UsageError("--precision-bits must be at least 16")
-    if cfg.sieve_entries <= 0 or cfg.table_bytes <= 0:
-        raise UsageError("budgets must be positive")
-    if cfg.seconds is not None and cfg.seconds <= 0:
-        raise UsageError("--budget-seconds must be positive")
-    return cfg
 
 
 def _dump_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _write_out(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+def _write_out(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit(cfg: RunConfig, header, rows, payload) -> None:
+def _emit(args: argparse.Namespace, header, rows, payload) -> None:
     """Tabular output honoring --format; the JSON payload mirrors the rows."""
-    if cfg.fmt == "json":
-        _write_out(cfg, _dump_json(payload))
+    if args.fmt == "json":
+        _write_out(args, _dump_json(payload))
         return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _write_out(cfg, buf.getvalue())
+    _write_out(args, buf.getvalue())
 
 
 def _decimal_pair(fr: Fraction, digits: int = 36) -> dict:
@@ -145,10 +100,9 @@ def _jsonable(v):
     return str(v)
 
 
-def _write_manifest(cfg: RunConfig, args: argparse.Namespace,
-                    argv: list[str]) -> None:
+def _write_manifest(args: argparse.Namespace, argv: list[str]) -> None:
     """Record enough to replay the run byte for byte (no timestamps)."""
-    if not cfg.manifest:
+    if not args.manifest:
         return
     params = {k: _jsonable(v) for k, v in sorted(vars(args).items())
               if k not in _COMMON_DESTS}
@@ -156,17 +110,17 @@ def _write_manifest(cfg: RunConfig, args: argparse.Namespace,
         "tool": "primfield",
         "version": __version__,
         "command": list(getattr(args, "command", ())),
-        "q": cfg.q,
-        "precision_bits": cfg.precision_bits,
-        "format": cfg.fmt,
-        "seed": cfg.seed,
-        "budgets": {"sieve_entries": cfg.sieve_entries,
-                    "table_bytes": cfg.table_bytes,
-                    "seconds": cfg.seconds},
+        "q": args.q,
+        "precision_bits": args.precision_bits,
+        "format": args.fmt,
+        "seed": args.seed,
+        "budgets": {"sieve_entries": args.budget_sieve_entries,
+                    "table_bytes": args.budget_table_bytes,
+                    "seconds": args.budget_seconds},
         "params": params,
         "argv": list(argv),
     }
-    with open(cfg.manifest, "w") as fh:
+    with open(args.manifest, "w") as fh:
         fh.write(_dump_json(payload))
 
 
@@ -174,32 +128,32 @@ def _write_manifest(cfg: RunConfig, args: argparse.Namespace,
 # Subcommand handlers (return the process exit code)
 # ----------------------------------------------------------------------
 
-def cmd_irr_count(cfg: RunConfig, args) -> int:
+def cmd_irr_count(args) -> int:
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
-    rows = [(n, pi_prime(cfg.q, n), pi_cumulative(cfg.q, n))
-            for n in range(1, args.max_n + 1)]
-    payload = {"q": cfg.q,
+    counts = [pi_prime(args.q, n) for n in range(1, args.max_n + 1)]
+    rows = list(zip(range(1, args.max_n + 1), counts, accumulate(counts)))
+    payload = {"q": args.q,
                "rows": [{"n": n, "irreducible": a, "cumulative": c}
                         for n, a, c in rows]}
-    _emit(cfg, ["n", "irreducible", "cumulative"], rows, payload)
+    _emit(args, ["n", "irreducible", "cumulative"], rows, payload)
     return 0
 
 
-def cmd_irr_kth(cfg: RunConfig, args) -> int:
-    f = kth_irreducible(cfg.q, args.k, max_entries=cfg.sieve_entries)
-    text = format_index(cfg.q, f)
-    degree = index_degree(cfg.q, f)
-    payload = {"q": cfg.q, "k": args.k, "degree": degree,
+def cmd_irr_kth(args) -> int:
+    f = kth_irreducible(args.q, args.k, max_entries=args.budget_sieve_entries)
+    text = format_index(args.q, f)
+    degree = index_degree(args.q, f)
+    payload = {"q": args.q, "k": args.k, "degree": degree,
                "index": f, "poly": text}
-    _emit(cfg, ["k", "degree", "index", "poly"],
+    _emit(args, ["k", "degree", "index", "poly"],
           [(args.k, degree, f, text)], payload)
     return 0
 
 
-def cmd_irr_brackets(cfg: RunConfig, args) -> int:
-    report = check_degree_brackets(cfg.q, args.k_lo, args.k_hi, args.slack)
-    _write_out(cfg, _dump_json(report.to_json()))
+def cmd_irr_brackets(args) -> int:
+    report = check_degree_brackets(args.q, args.k_lo, args.k_hi, args.slack)
+    _write_out(args, _dump_json(report.to_json()))
     if not report.ok:
         print("degree bracket violated; see report", file=sys.stderr)
         return 2
@@ -220,49 +174,49 @@ def _parse_excludes(text: str | None) -> dict[int, int] | None:
     return out
 
 
-def cmd_count_table(cfg: RunConfig, args) -> int:
-    table = build_count_table(cfg.q, args.max_n,
+def cmd_count_table(args) -> int:
+    table = build_count_table(args.q, args.max_n,
                               excluded_degrees=_parse_excludes(args.exclude),
-                              max_bytes=cfg.table_bytes)
-    if cfg.fmt == "json":
+                              max_bytes=args.budget_table_bytes)
+    if args.fmt == "json":
         payload = {"q": table.q, "N": table.N,
                    "excluded_degrees": [list(p) for p in table.excluded_degrees],
                    "rows": [list(row) for row in table.rows]}
-        _write_out(cfg, _dump_json(payload))
+        _write_out(args, _dump_json(payload))
     else:
         buf = io.StringIO()
         table.write_csv(buf)
-        _write_out(cfg, buf.getvalue())
+        _write_out(args, buf.getvalue())
     return 0
 
 
-def cmd_verify_hr(cfg: RunConfig, args) -> int:
-    report = verify_hr_bound(cfg.q, args.max_n,
-                             precision_bits=cfg.precision_bits)
-    _write_out(cfg, _dump_json(report.to_json()))
+def cmd_verify_hr(args) -> int:
+    report = verify_hr_bound(args.q, args.max_n,
+                             precision_bits=args.precision_bits)
+    _write_out(args, _dump_json(report.to_json()))
     if not report.ok:
         print("upper bound violated; see report", file=sys.stderr)
         return 2
     return 0
 
 
-def cmd_verify_recurrence(cfg: RunConfig, args) -> int:
-    report = verify_recurrence_bound(cfg.q, args.max_n)
-    _write_out(cfg, _dump_json(report.to_json()))
+def cmd_verify_recurrence(args) -> int:
+    report = verify_recurrence_bound(args.q, args.max_n)
+    _write_out(args, _dump_json(report.to_json()))
     if not report.ok:
         print("recurrence bound violated; see report", file=sys.stderr)
         return 2
     return 0
 
 
-def cmd_verify_norton(cfg: RunConfig, args) -> int:
+def cmd_verify_norton(args) -> int:
     xs = args.x or [Fraction(5), Fraction(10), Fraction(20)]
     reports = [norton_check(x, args.alpha, args.beta,
-                            precision_bits=cfg.precision_bits) for x in xs]
+                            precision_bits=args.precision_bits) for x in xs]
     ok = all(r.ok for r in reports)
     payload = {"alpha": str(args.alpha), "beta": str(args.beta),
                "checks": [r.to_json() for r in reports], "ok": ok}
-    _write_out(cfg, _dump_json(payload))
+    _write_out(args, _dump_json(payload))
     if not ok:
         bad = next(r for r in reports if not r.ok)
         print(f"tail bound fails at x={bad.x}; see report", file=sys.stderr)
@@ -270,75 +224,73 @@ def cmd_verify_norton(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_verify_erdos_density(cfg: RunConfig, args) -> int:
+def cmd_verify_erdos_density(args) -> int:
     ps = _read_set_file(args.infile)
-    cfg.checkpoint("read")
-    ok_prim, witness = is_primitive(ps, max_sieve_entries=cfg.sieve_entries)
+    ok_prim, witness = is_primitive(
+        ps, max_sieve_entries=args.budget_sieve_entries)
     if not ok_prim:
         pair = _counterexample(ps.q, witness)
         payload = {"primitive": False, "counterexample": pair}
-        _write_out(cfg, _dump_json(payload))
+        _write_out(args, _dump_json(payload))
         print(f"input set is not primitive: {pair['divisor']} divides "
               f"{pair['multiple']}", file=sys.stderr)
         return 2
     report = verify_erdos_density_inequality(
-        ps, max_sieve_entries=cfg.sieve_entries)
+        ps, max_sieve_entries=args.budget_sieve_entries)
     payload = report.to_json()
     payload["primitive"] = True
-    _write_out(cfg, _dump_json(payload))
+    _write_out(args, _dump_json(payload))
     if not report.ok:
         print("weighted density bound violated; see report", file=sys.stderr)
         return 2
     return 0
 
 
-def cmd_eval_g(cfg: RunConfig, args) -> int:
+def cmd_eval_g(args) -> int:
     zs = args.z or [Fraction(1)]
     rows, values = [], []
     for z in zs:
-        b = evaluate_G(cfg.q, z, eps=args.eps,
-                       precision_bits=cfg.precision_bits)
+        b = evaluate_G(args.q, z, eps=args.eps,
+                       precision_bits=args.precision_bits)
         d = b.to_json()
         rows.append((str(z), d["lo"], d["hi"]))
         values.append({"z": str(z), **d})
-    payload = {"q": cfg.q, "eps": str(args.eps), "values": values}
-    _emit(cfg, ["z", "lo", "hi"], rows, payload)
+    payload = {"q": args.q, "eps": str(args.eps), "values": values}
+    _emit(args, ["z", "lo", "hi"], rows, payload)
     return 0
 
 
-def cmd_eval_mertens(cfg: RunConfig, args) -> int:
+def cmd_eval_mertens(args) -> int:
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
     rows, values = [], []
-    for n in range(1, args.max_n + 1):
-        mv = mertens_product(cfg.q, n, precision_bits=cfg.precision_bits)
+    for mv in mertens_rows(args.q, args.max_n,
+                           precision_bits=args.precision_bits):
         d = mv.normalized.to_json()
-        rows.append((n, d["lo"], d["hi"]))
+        rows.append((mv.n, d["lo"], d["hi"]))
         values.append(mv.to_json())
-    payload = {"q": cfg.q, "values": values}
-    _emit(cfg, ["n", "normalized_lo", "normalized_hi"], rows, payload)
+    payload = {"q": args.q, "values": values}
+    _emit(args, ["n", "normalized_lo", "normalized_hi"], rows, payload)
     return 0
 
 
-def cmd_eval_erdos_irr(cfg: RunConfig, args) -> int:
-    b = erdos_sum_irreducibles(cfg.q, eps=args.eps)
+def cmd_eval_erdos_irr(args) -> int:
+    b = erdos_sum_irreducibles(args.q, eps=args.eps)
     d = b.to_json()
-    payload = {"q": cfg.q, "eps": str(args.eps), **d,
+    payload = {"q": args.q, "eps": str(args.eps), **d,
                "width_float": float(b.width)}
-    _emit(cfg, ["lo", "hi"], [(d["lo"], d["hi"])], payload)
+    _emit(args, ["lo", "hi"], [(d["lo"], d["hi"])], payload)
     return 0
 
 
-def cmd_set_check(cfg: RunConfig, args) -> int:
+def cmd_set_check(args) -> int:
     ps = _read_set_file(args.infile)
-    cfg.checkpoint("read")
-    ok, witness = is_primitive(ps, method=args.method,
-                               max_sieve_entries=cfg.sieve_entries)
+    ok, witness = is_primitive(ps, max_sieve_entries=args.budget_sieve_entries)
     payload = {"q": ps.q, "horizon": ps.horizon, "size": len(ps),
                "primitive": ok, "counterexample": None}
     if not ok:
         payload["counterexample"] = _counterexample(ps.q, witness)
-    _write_out(cfg, _dump_json(payload))
+    _write_out(args, _dump_json(payload))
     if not ok:
         pair = payload["counterexample"]
         print(f"not primitive: {pair['divisor']} divides {pair['multiple']}",
@@ -347,59 +299,55 @@ def cmd_set_check(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_set_erdos_sum(cfg: RunConfig, args) -> int:
+def cmd_set_erdos_sum(args) -> int:
     ps = _read_set_file(args.infile)
-    cfg.checkpoint("read")
     value = erdos_sum(ps)
     d = _decimal_pair(value)
     payload = {"q": ps.q, "size": len(ps), "erdos_sum": d}
-    _emit(cfg, ["exact", "lo", "hi"], [(d["exact"], d["lo"], d["hi"])], payload)
+    _emit(args, ["exact", "lo", "hi"], [(d["exact"], d["lo"], d["hi"])], payload)
     return 0
 
 
-def cmd_set_density(cfg: RunConfig, args) -> int:
+def cmd_set_density(args) -> int:
     ps = _read_set_file(args.infile)
-    cfg.checkpoint("read")
     profile = density_profile(ps)
     rows = [(r.n, r.count, r.monic_total,
              f"{r.ratio.numerator}/{r.ratio.denominator}",
              float(r.ratio)) for r in profile]
     payload = {"q": ps.q, "rows": [r.to_json() for r in profile]}
-    _emit(cfg, ["n", "count", "monic_total", "ratio", "ratio_float"],
+    _emit(args, ["n", "count", "monic_total", "ratio", "ratio_float"],
           rows, payload)
     return 0
 
 
-def cmd_set_random(cfg: RunConfig, args) -> int:
-    if cfg.seed is None:
+def cmd_set_random(args) -> int:
+    if args.seed is None:
         raise UsageError("set random generates data; pass --seed so the "
                          "run is reproducible")
-    ps = random_primitive_set(cfg.q, args.horizon, cfg.seed,
+    ps = random_primitive_set(args.q, args.horizon, args.seed,
                               per_degree=args.per_degree)
     buf = io.StringIO()
     write_set(ps, buf)
-    _write_out(cfg, buf.getvalue())
+    _write_out(args, buf.getvalue())
     return 0
 
 
-def cmd_construct_besicovitch(cfg: RunConfig, args) -> int:
-    result = besicovitch_construct(cfg.q, args.eps, args.horizon,
+def cmd_construct_besicovitch(args) -> int:
+    result = besicovitch_construct(args.q, args.eps, args.horizon,
                                    max_members=args.max_members,
-                                   max_sieve_entries=cfg.sieve_entries)
-    cfg.checkpoint("construction")
+                                   max_sieve_entries=args.budget_sieve_entries)
     report = result.to_json()
     if result.members is not None:
-        ok_prim, witness = is_primitive(result.members,
-                                        max_sieve_entries=cfg.sieve_entries)
+        ok_prim, witness = is_primitive(
+            result.members, max_sieve_entries=args.budget_sieve_entries)
         report["certified_primitive"] = ok_prim
         if witness is not None:
-            report["counterexample"] = _counterexample(cfg.q, witness)
-        if cfg.out:
-            with open(cfg.out, "w") as fh:
+            report["counterexample"] = _counterexample(args.q, witness)
+        if args.out:
+            with open(args.out, "w") as fh:
                 write_set(result.members, fh)
     else:
         ok_prim = False
-    cfg.checkpoint("certification")
     sys.stdout.write(_dump_json(report))
     if not (result.ok and ok_prim):
         print("construction did not certify; see report", file=sys.stderr)
@@ -407,24 +355,21 @@ def cmd_construct_besicovitch(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_construct_mp(cfg: RunConfig, args) -> int:
+def cmd_construct_mp(args) -> int:
     growth = GrowthFunction.parse(args.L)
-    tseq = build_t_sequence(cfg.q, growth, terms_budget=args.terms_budget,
+    tseq = build_t_sequence(args.q, growth, terms_budget=args.terms_budget,
                             materialize=args.materialize,
-                            precision_bits=cfg.precision_bits,
-                            max_sieve_entries=cfg.sieve_entries)
-    cfg.checkpoint("t-sequence")
-    result = mp_construct(cfg.q, tseq, args.horizon,
+                            precision_bits=args.precision_bits,
+                            max_sieve_entries=args.budget_sieve_entries)
+    result = mp_construct(args.q, tseq, args.horizon,
                           enum_horizon=args.enum_horizon,
-                          max_sieve_entries=cfg.sieve_entries,
-                          table_budget_bytes=cfg.table_bytes)
-    cfg.checkpoint("construction")
+                          max_sieve_entries=args.budget_sieve_entries,
+                          table_budget_bytes=args.budget_table_bytes)
     diag = mp_diagnostics(result)
     ok_prim, witness = is_primitive(result.members,
-                                    max_sieve_entries=cfg.sieve_entries)
-    cfg.checkpoint("certification")
+                                    max_sieve_entries=args.budget_sieve_entries)
     report = {
-        "q": cfg.q,
+        "q": args.q,
         "horizon": result.horizon,
         "enum_horizon": result.enum_horizon,
         "t_sequence": {
@@ -432,7 +377,7 @@ def cmd_construct_mp(cfg: RunConfig, args) -> int:
             "K": tseq.K,
             "ranks_head": list(tseq.ranks[:args.materialize]),
             "degrees_head": list(tseq.degrees[:args.materialize]),
-            "terms": [format_index(cfg.q, t) for t in tseq.terms],
+            "terms": [format_index(args.q, t) for t in tseq.terms],
         },
         "k0": tseq.k0,
         "k_max": result.k_max,
@@ -451,9 +396,9 @@ def cmd_construct_mp(cfg: RunConfig, args) -> int:
         "certified_primitive": ok_prim,
     }
     if witness is not None:
-        report["counterexample"] = _counterexample(cfg.q, witness)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+        report["counterexample"] = _counterexample(args.q, witness)
+    if args.out:
+        with open(args.out, "w") as fh:
             write_set(result.members, fh)
     text = _dump_json(report)
     if args.report:
@@ -471,7 +416,7 @@ def cmd_construct_mp(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_replay(cfg: RunConfig, args) -> int:
+def cmd_replay(args) -> int:
     try:
         with open(args.manifest_in) as fh:
             manifest = json.load(fh)
@@ -529,7 +474,7 @@ def _common_parent() -> argparse.ArgumentParser:
                    default=DEFAULT_TABLE_BYTES, metavar="N",
                    help="largest count table the run may allocate")
     g.add_argument("--budget-seconds", type=float, default=None, metavar="S",
-                   help="soft wall-clock cap checked between stages")
+                   help="wall-clock deadline over the whole run")
     g.add_argument("--seed", type=int, default=None,
                    help="seed for randomized generators (required by them)")
     g.add_argument("--manifest", metavar="PATH",
@@ -617,8 +562,6 @@ def build_parser() -> _Parser:
     p = leaf(st_subs, "check", cmd_set_check, ("set", "check"),
              "decide primitivity, reporting a counterexample pair")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--method", choices=("auto", "pairwise", "divisors"),
-                   default="auto")
     p = leaf(st_subs, "erdos-sum", cmd_set_erdos_sum, ("set", "erdos-sum"),
              "exact Erdos sum of a set file")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
@@ -662,13 +605,45 @@ def build_parser() -> _Parser:
     return root
 
 
+def _run_until(seconds: float, func, args: argparse.Namespace) -> int:
+    """func(args) under one wall-clock deadline over the whole run: an
+    interval timer raises BudgetError wherever the run has got to, inside
+    any stage, and the run's partial output is dropped as incomplete."""
+    if (not hasattr(signal, "setitimer")
+            or threading.current_thread() is not threading.main_thread()):
+        raise UsageError("--budget-seconds needs a POSIX interval timer "
+                         "on the main thread")
+
+    def expire(signum, frame):
+        raise BudgetError(f"soft time budget of {seconds}s exceeded; "
+                          "partial results dropped as incomplete")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    try:
+        try:
+            signal.setitimer(signal.ITIMER_REAL, seconds)
+        except (ValueError, OverflowError) as exc:
+            raise UsageError(f"--budget-seconds {seconds}: {exc}") from None
+        return func(args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _run(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config(args)
-    if args.func is not cmd_replay:
-        _write_manifest(cfg, args, argv)
-    return args.func(cfg, args)
+    args = build_parser().parse_args(argv)
+    if args.func is cmd_replay:
+        return cmd_replay(args)
+    if args.precision_bits < 16:
+        raise UsageError("--precision-bits must be at least 16")
+    if args.budget_sieve_entries <= 0 or args.budget_table_bytes <= 0:
+        raise UsageError("budgets must be positive")
+    if args.budget_seconds is not None and args.budget_seconds <= 0:
+        raise UsageError("--budget-seconds must be positive")
+    _write_manifest(args, argv)
+    if args.budget_seconds is None:
+        return args.func(args)
+    return _run_until(args.budget_seconds, args.func, args)
 
 
 def main(argv=None) -> int:

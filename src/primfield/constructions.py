@@ -27,8 +27,7 @@ from mpmath import iv
 from .brackets import (DEFAULT_PRECISION_BITS, BracketedValue,
                        iv_from_fraction, iv_pointwise_max, precision)
 from .counting import CountTable, build_count_table, monic_cumulative
-from .errors import (BudgetError, ConstructionError, PrecisionError,
-                     UsageError)
+from .errors import BudgetError, PrecisionError, UsageError
 from .fieldpoly import (DEFAULT_SIEVE_ENTRIES, FactorSieve, _check_prime,
                         build_factor_sieve, index_degree)
 from .irreducibles import kth_irreducible, pi_cumulative, pi_prime
@@ -124,7 +123,7 @@ class GrowthFunction:
                 prod = prod * v
         return prod * v**float(1 + self.eps)
 
-    def tail_integral_upper(self, K: int) -> Fraction:
+    def tail_integral_upper(self, K: int) -> Fraction | None:
         """Rational upper bound for int_K^inf dt / (t log^2 t L(t)).
 
         kind "log": the integrand is below 1/(t (log t)^(3+eps)), giving
@@ -132,6 +131,8 @@ class GrowthFunction:
         least log t * log_2 t * ... * log_{j-1} t * (log_j t)^(1+eps)
         with plain iterated logs, and u = log_j t turns the integral into
         int du/u^(1+eps) = 1/(eps (log_j K)^eps); valid once log_j K > 0.
+        None while an iterated log of K is at most 1: the cutoff is then
+        too small for this bound.
         """
         if self.kind == "log":
             lk = iv.log(iv.mpf(K))
@@ -142,9 +143,7 @@ class GrowthFunction:
         for _ in range(2, self.j + 1):
             low = BracketedValue.from_iv(v).lo
             if low <= 1:
-                raise BudgetError(
-                    f"iterated log depth {self.j} needs a larger cutoff"
-                    f" than K={K} for a positive tail integrand")
+                return None
             v = iv.log(v)
         out = 1 / (iv_from_fraction(self.eps) * v**iv_from_fraction(self.eps))
         return BracketedValue.from_iv(out).hi
@@ -269,15 +268,12 @@ def build_t_sequence(q: int, growth: GrowthFunction | str,
             theta = 1 - 1 / ((K + 1) * l_next)
             ok_pre = theta > 0 and theta * l_next >= c
             tail = None
-            if ok_pre:
-                try:
-                    integral = growth.tail_integral_upper(K)
-                    pre = BracketedValue.from_iv(
-                        iv_from_fraction(c) * iv.log(iv.mpf(q))**2
-                        / iv_from_fraction(theta)).hi
-                    tail = pre * integral
-                except BudgetError:
-                    tail = None
+            integral = growth.tail_integral_upper(K) if ok_pre else None
+            if integral is not None:
+                pre = BracketedValue.from_iv(
+                    iv_from_fraction(c) * iv.log(iv.mpf(q))**2
+                    / iv_from_fraction(theta)).hi
+                tail = pre * integral
             if tail is not None and tail < Fraction(1, 2):
                 break
             if K >= terms_budget:
@@ -553,7 +549,7 @@ def mp_construct(q: int, growth_or_tseq, horizon: int,
         else:
             break
     if k_max == 0:
-        raise ConstructionError("horizon below the first usable degree")
+        raise UsageError("horizon below the first usable degree")
     if k_max == len(tseq.terms) and tseq.degrees[-1] + k_max <= horizon:
         raise BudgetError("materialize more t-sequence terms for this horizon")
     counts: list[tuple[int, ...]] = []

@@ -294,6 +294,11 @@ def _term_precision(m: int):
     return precision(iv.prec + m.bit_length())
 
 
+def _numerator_bits(q: int, exponent_sum: int) -> int:
+    """Estimated size in bits of A in P(n) = A / q^E, E = exponent_sum."""
+    return int(exponent_sum * math.log2(q)) + 1
+
+
 def mertens_exact_parts(q: int, n: int,
                         max_bits: int = 2**24) -> tuple[int, int]:
     """(A, E) with prod_{d<=n} (1 - q^-d)^{pi'_q(d)} = A / q^E exactly."""
@@ -301,7 +306,7 @@ def mertens_exact_parts(q: int, n: int,
     if n < 0:
         raise UsageError("degree must be >= 0")
     exponent_sum = sum(d * pi_prime(q, d) for d in range(1, n + 1))
-    bits = int(exponent_sum * math.log2(q)) + 1
+    bits = _numerator_bits(q, exponent_sum)
     if bits > max_bits:
         raise BudgetError(
             f"exact Mertens product at q={q}, n={n} needs ~{bits} bits"
@@ -339,6 +344,44 @@ class MertensValue:
 PRINTABLE_EXACT_BITS = 14280
 
 
+def mertens_rows(q: int, max_n: int,
+                 precision_bits: int = DEFAULT_PRECISION_BITS,
+                 exact_max_bits: int = PRINTABLE_EXACT_BITS,
+                 ) -> tuple[MertensValue, ...]:
+    """mertens_product(q, n) for n = 1..max_n in one pass over the degrees.
+
+    The interval sum of the log terms and the exact numerator both run
+    over d, so row n adds one degree's term to row n - 1.  The numerator's
+    size only grows with n, so once it passes exact_max_bits every later
+    row is bracket-only and builds no exact rational.
+    """
+    _check_prime(q)
+    if max_n < 1:
+        raise UsageError("degree must be >= 1")
+    rows = []
+    num, exponent_sum = 1, 0
+    with precision(precision_bits):
+        s = iv.mpf(0)
+        for n in range(1, max_n + 1):
+            m = pi_prime(q, n)
+            with _term_precision(m):
+                term = m * iv.log(1 - iv.mpf(1) / q**n)
+            s += term
+            exponent_sum += n * m
+            exact = None
+            if (num is not None
+                    and _numerator_bits(q, exponent_sum) <= exact_max_bits):
+                num *= pow(q**n - 1, m)
+                # each factor q^d - 1 is prime to q
+                exact = Fraction(_LowestTerms(num, q**exponent_sum))
+            else:
+                num = None
+            norm = iv.exp(iv.euler + iv.log(iv.mpf(n)) + s)
+            rows.append(MertensValue(q, n, exact,
+                                     BracketedValue.from_iv(norm)))
+    return tuple(rows)
+
+
 def mertens_product(q: int, n: int,
                     precision_bits: int = DEFAULT_PRECISION_BITS,
                     exact_max_bits: int = PRINTABLE_EXACT_BITS) -> MertensValue:
@@ -349,23 +392,7 @@ def mertens_product(q: int, n: int,
     while its decimal form prints (q=2 through n=12); the exact form needs
     ~q^n bits, so larger n is bracket-only and builds no exact rational.
     """
-    _check_prime(q)
-    if n < 1:
-        raise UsageError("degree must be >= 1")
-    try:
-        exact = mertens_exact(q, n, max_bits=exact_max_bits)
-    except BudgetError:
-        exact = None
-    with precision(precision_bits):
-        s = iv.mpf(0)
-        for d in range(1, n + 1):
-            m = pi_prime(q, d)
-            with _term_precision(m):
-                term = m * iv.log(1 - iv.mpf(1) / q**d)
-            s += term
-        norm = iv.exp(iv.euler + iv.log(iv.mpf(n)) + s)
-        bracket = BracketedValue.from_iv(norm)
-    return MertensValue(q, n, exact, bracket)
+    return mertens_rows(q, n, precision_bits, exact_max_bits)[-1]
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,3 @@ class VerificationError(PrimfieldError):
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class ConstructionError(PrimfieldError):
-    """A constructive procedure could not meet its certificate."""

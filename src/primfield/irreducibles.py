@@ -66,9 +66,7 @@ def pi_cumulative(q: int, n: int) -> int:
     """Number of monic irreducibles of degree <= n over F_q."""
     if n < 0:
         raise UsageError("degree must be >= 0")
-    if n == 0:
-        return 0
-    return pi_cumulative(q, n - 1) + pi_prime(q, n)
+    return sum(pi_prime(q, d) for d in range(1, n + 1))
 
 
 def kth_irreducible_degree(q: int, k: int) -> int:
@@ -93,9 +91,11 @@ def kth_irreducible(q: int, k: int, sieve: FactorSieve | None = None,
 
 
 # Ranks checked per numpy pass, so a pass holds a few 512 KiB arrays however
-# wide the k range is; and the most violating ranks a report lists.
+# wide the k range is; the most violating ranks a report lists; and the
+# widest k range one check takes.
 BRACKET_BLOCK = 65536
 MAX_LISTED_VIOLATIONS = 1000
+MAX_BRACKET_RANKS = 4 * 10**6
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,8 @@ class DegreeBracketReport:
         }
 
 
-def check_degree_brackets(q: int, k_lo: int, k_hi: int, slack: float,
-                          max_report: int = 10**6 * 4) -> DegreeBracketReport:
+def check_degree_brackets(q: int, k_lo: int, k_hi: int,
+                          slack: float) -> DegreeBracketReport:
     """Check L(k) - 1 - slack <= deg P_k <= L(k) + slack for k in [k_lo, k_hi].
 
     Margins are float diagnostics (display only); the comparisons have
@@ -142,8 +142,9 @@ def check_degree_brackets(q: int, k_lo: int, k_hi: int, slack: float,
         raise UsageError(f"k_lo must be >= q (got {k_lo}) so log log is defined")
     if k_hi < k_lo:
         raise UsageError("empty k range")
-    if k_hi - k_lo + 1 > max_report:
-        raise BudgetError(f"range of {k_hi - k_lo + 1} exceeds budget {max_report}")
+    if k_hi - k_lo + 1 > MAX_BRACKET_RANKS:
+        raise BudgetError(f"range of {k_hi - k_lo + 1} exceeds budget"
+                          f" {MAX_BRACKET_RANKS}")
     nmax = kth_irreducible_degree(q, k_hi)
     cum = np.array([pi_cumulative(q, n) for n in range(0, nmax + 1)],
                    dtype=np.float64)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .brackets import BracketedValue
 from .counting import _LowestTerms, mertens_exact_parts, monic_cumulative
-from .errors import BudgetError, UsageError, VerificationError
+from .errors import UsageError, VerificationError
 from .fieldpoly import (DEFAULT_SIEVE_ENTRIES, FactorSieve, _check_prime,
                         build_factor_sieve, format_index, index_degree,
                         index_divrem, index_mul, is_prime, parse_index)
@@ -354,51 +354,43 @@ def _divisor_indices(q: int, factors: Sequence[tuple[int, int]]) -> Iterable[int
     return divs
 
 
+# Most cross-degree pairs is_primitive tries by trial division before it
+# factors every member instead.
+MAX_PAIRS = 2**22
+
+
 def is_primitive(ps: PolySet, sieve: FactorSieve | None = None,
-                 method: str = "auto", max_pairs: int = 2**22,
                  max_sieve_entries: int = DEFAULT_SIEVE_ENTRIES,
                  ) -> tuple[bool, tuple[int, int] | None]:
     """Decide primitivity; on failure also return the index pair (a, b)
     of two members with a | b.
 
     Distinct monic polynomials of equal degree never divide one another,
-    so only cross-degree pairs are examined.  Small sets use trial
-    division pair by pair; large sets factor each member once and look
-    up every proper divisor in the index set.
+    so only cross-degree pairs are examined.  Given a sieve that covers
+    the set, or past MAX_PAIRS pairs, each member is factored once and
+    every proper divisor looked up in the index set; other sets use
+    trial division pair by pair.
     """
-    if method not in ("auto", "pairwise", "divisors"):
-        raise UsageError(f"unknown method {method!r}")
     by_degree = ps.by_degree()
     if len(by_degree) <= 1:
         return True, None
-    counts = {d: len(g) for d, g in by_degree.items()}
-    pairs = 0
-    degrees = sorted(counts)
-    for i, d1 in enumerate(degrees):
-        pairs += counts[d1] * sum(counts[d2] for d2 in degrees[i + 1:])
-    if method == "auto":
-        if sieve is not None and sieve.q == ps.q and sieve.horizon >= ps.max_degree:
-            method = "divisors"
-        elif pairs <= max_pairs:
-            method = "pairwise"
-        else:
-            method = "divisors"
-    if method == "pairwise":
-        if pairs > max_pairs:
-            raise BudgetError(f"{pairs} cross-degree pairs exceed budget"
-                              f" {max_pairs}; use the divisors method")
-        q = ps.q
-        for i, d1 in enumerate(degrees):
-            for d2 in degrees[i + 1:]:
-                for a in by_degree[d1]:
-                    for b in by_degree[d2]:
-                        if index_divrem(q, b, a)[1] == 0:
-                            return False, (a, b)
-        return True, None
-    if sieve is None or sieve.q != ps.q or sieve.horizon < ps.max_degree:
-        sieve = build_factor_sieve(ps.q, ps.max_degree,
-                                   max_entries=max_sieve_entries)
     q = ps.q
+    if sieve is None or sieve.q != q or sieve.horizon < ps.max_degree:
+        counts = {d: len(g) for d, g in by_degree.items()}
+        pairs = 0
+        degrees = sorted(counts)
+        for i, d1 in enumerate(degrees):
+            pairs += counts[d1] * sum(counts[d2] for d2 in degrees[i + 1:])
+        if pairs <= MAX_PAIRS:
+            for i, d1 in enumerate(degrees):
+                for d2 in degrees[i + 1:]:
+                    for a in by_degree[d1]:
+                        for b in by_degree[d2]:
+                            if index_divrem(q, b, a)[1] == 0:
+                                return False, (a, b)
+            return True, None
+        sieve = build_factor_sieve(q, ps.max_degree,
+                                   max_entries=max_sieve_entries)
     idx_set = set(ps.indices)
     for b in ps.indices:
         for a in _divisor_indices(q, sieve.factor_index(b)):

@@ -10,9 +10,10 @@ least-factor chain and the single-polynomial text codec.
 
 The library's count tables and recurrence check work on packed rows, one
 integer per table row; its Erdos sum over irreducibles uses one common
-denominator, and its degree-bracket check runs over blocks of ranks.
-The count-layer oracles recompute each of these one cell, one term or
-one whole array at a time.
+denominator, its degree-bracket check runs over blocks of ranks, and its
+Mertens products for n = 1..N come from one running sum over degrees.
+The count-layer oracles recompute each of these one cell, one term, one
+n or one whole array at a time.
 """
 
 import math
@@ -20,8 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from mpmath import iv
 
-from primfield.errors import UsageError
+from primfield.brackets import (DEFAULT_PRECISION_BITS, BracketedValue,
+                                precision)
+from primfield.counting import (PRINTABLE_EXACT_BITS, MertensValue,
+                                _term_precision, mertens_exact)
+from primfield.errors import BudgetError, UsageError
 from primfield.fieldpoly import (format_index, index_degree, index_divrem,
                                  index_mul, parse_index)
 from primfield.irreducibles import pi_cumulative, pi_prime
@@ -192,6 +198,25 @@ def erdos_sum_terms(q, cut):
     for d in range(1, cut + 1):
         partial += Fraction(pi_prime(q, d), d * q**d)
     return partial
+
+
+def mertens_per_n(q, n):
+    """The Mertens product at one n: every degree's term summed afresh, at
+    the same working precisions, and the exact rational from mertens_exact
+    while it fits the printable budget."""
+    try:
+        exact = mertens_exact(q, n, max_bits=PRINTABLE_EXACT_BITS)
+    except BudgetError:
+        exact = None
+    with precision(DEFAULT_PRECISION_BITS):
+        s = iv.mpf(0)
+        for d in range(1, n + 1):
+            m = pi_prime(q, d)
+            with _term_precision(m):
+                term = m * iv.log(1 - iv.mpf(1) / q**d)
+            s += term
+        norm = iv.exp(iv.euler + iv.log(iv.mpf(n)) + s)
+        return MertensValue(q, n, exact, BracketedValue.from_iv(norm))
 
 
 def degree_brackets_whole(q, k_lo, k_hi, slack):

@@ -4,10 +4,12 @@ import primfield
 from primfield import fieldpoly
 
 # the coefficient-tuple layer; its checks live in the test oracles now,
-# and the integer index is the only polynomial type
-DELETED = ("DEFAULT_ENUM_BUDGET", "Factorization", "MonicPoly", "divides",
-           "enumerate_monic", "factorize", "format_poly", "is_irreducible",
-           "parse_poly", "poly_divrem", "poly_mul")
+# and the integer index is the only polynomial type; a construction that
+# cannot start is a UsageError
+DELETED = ("ConstructionError", "DEFAULT_ENUM_BUDGET", "Factorization",
+           "MonicPoly", "divides", "enumerate_monic", "factorize",
+           "format_poly", "is_irreducible", "parse_poly", "poly_divrem",
+           "poly_mul")
 
 
 def test_all_names_resolve_and_deleted_names_are_gone():

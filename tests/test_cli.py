@@ -1,10 +1,14 @@
 """End-to-end checks of the primfield command line interface."""
 
+import argparse
 import filecmp
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -74,11 +78,12 @@ def test_set_file_commands_check_budget_after_read(capsys, tmp_path, command):
                           "--budget-seconds", "1e-9"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("primfield: budget exceeded: ")
-    assert "exceeded after read;" in err
+    assert ("soft time budget of 1e-09s exceeded; partial results dropped"
+            " as incomplete") in err
 
 
 def test_internal_error_is_one_line(capsys, monkeypatch):
-    def boom(cfg, args):
+    def boom(args):
         raise RuntimeError("unexpected state")
 
     monkeypatch.setattr(cli, "cmd_irr_count", boom)
@@ -92,6 +97,94 @@ def test_time_budget_exit_one(capsys):
                         "--eps", "1/4", "--horizon", "10",
                         "--budget-seconds", "1e-9"], capsys)
     assert code == 1 and "budget" in err
+
+
+# arguments that make each leaf subcommand succeed without a deadline;
+# SET stands for a small primitive set file
+LEAF_ARGS = {
+    ("irr", "count"): ["--max-n", "5"],
+    ("irr", "kth"): ["--k", "10"],
+    ("irr", "brackets"): ["--k-lo", "10", "--k-hi", "100"],
+    ("count", "table"): ["--max-n", "10"],
+    ("verify", "hr"): ["--max-n", "10"],
+    ("verify", "recurrence"): ["--max-n", "10"],
+    ("verify", "norton"): [],
+    ("verify", "erdos-density"): ["--in", "SET"],
+    ("eval", "g"): [],
+    ("eval", "mertens"): ["--max-n", "5"],
+    ("eval", "erdos-irr"): [],
+    ("set", "check"): ["--in", "SET"],
+    ("set", "erdos-sum"): ["--in", "SET"],
+    ("set", "density"): ["--in", "SET"],
+    ("set", "random"): ["--horizon", "5", "--seed", "1"],
+    ("construct", "besicovitch"): ["--eps", "1/4", "--horizon", "8"],
+    ("construct", "mp"): ["--L", "log:eps=0.1", "--horizon", "12"],
+}
+
+
+def test_leaf_args_cover_every_leaf_subcommand():
+    def subparsers(parser):
+        return [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    leaves = set()
+    for group in subparsers(cli.build_parser())[0].choices.values():
+        for sub in subparsers(group):
+            leaves |= {p.get_default("command") for p in sub.choices.values()}
+    assert leaves == set(LEAF_ARGS)
+
+
+@pytest.mark.parametrize("command", sorted(LEAF_ARGS),
+                         ids="-".join)
+def test_every_leaf_subcommand_stops_at_the_deadline(capsys, tmp_path,
+                                                      command):
+    path = str(write_poly_file(tmp_path / "s.txt", 2, 6, [2, 3, 7, 11]))
+    argv = [*command, *(path if a == "SET" else a for a in LEAF_ARGS[command]),
+            "--budget-seconds", "1e-9"]
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("primfield: budget exceeded: ")
+
+
+def test_deadline_stops_a_running_handler(capsys, monkeypatch):
+    """The deadline interrupts a stage that never yields, then restores the
+    previous SIGALRM handler and leaves no timer armed."""
+    def spin(args):
+        start = time.monotonic()
+        while time.monotonic() - start < 5:
+            pass
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_irr_count", spin)
+    before = signal.getsignal(signal.SIGALRM)
+    start = time.monotonic()
+    code, out, err = run(["irr", "count", "--max-n", "3",
+                          "--budget-seconds", "0.2"], capsys)
+    assert code == 1 and out == ""
+    assert time.monotonic() - start < 2
+    assert err.startswith(
+        "primfield: budget exceeded: soft time budget of 0.2s exceeded;")
+    assert signal.getsignal(signal.SIGALRM) is before
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
+def test_deadline_is_never_ignored(capsys):
+    """A deadline the interval timer cannot hold, or one asked for off the
+    main thread, is a usage error rather than a run without a deadline."""
+    for seconds in ("nan", "inf", "1e300"):
+        code, out, err = run(["irr", "count", "--max-n", "3",
+                              "--budget-seconds", seconds], capsys)
+        assert code == 1 and out == "", seconds
+        assert err.startswith("primfield: error: --budget-seconds "), seconds
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(main(
+        ["irr", "count", "--max-n", "3", "--budget-seconds", "5"])))
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive() and codes == [1]
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == ("primfield: error: --budget-seconds needs a POSIX "
+                       "interval timer on the main thread\n")
 
 
 
@@ -401,6 +494,13 @@ def test_construct_mp_count_mismatch_exits_two(capsys, tmp_path,
                         "--report", str(rpt_path)], capsys)
     assert code == 2 and "construction did not certify" in err
     assert json.loads(rpt_path.read_text())["cross_checked"] is False
+
+
+def test_construct_mp_horizon_below_first_term_is_usage_error(capsys):
+    code, out, err = run(["construct", "mp", "--q", "2", "--L", "log:eps=5",
+                          "--horizon", "2"], capsys)
+    assert code == 1 and out == ""
+    assert err == "primfield: error: horizon below the first usable degree\n"
 
 
 def test_manifest_and_replay_byte_identical(capsys, tmp_path):

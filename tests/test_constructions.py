@@ -76,6 +76,32 @@ def test_growth_tail_integral_decreasing():
     assert abs(float(t1) - ref) < 1e-10
 
 
+def test_growth_tail_integral_needs_iterated_logs_above_one():
+    # log log K > 1 exactly when K > e^e = 15.15...
+    g = GrowthFunction.parse("iterlog:j=3,eps=2")
+    with precision(96):
+        assert g.tail_integral_upper(15) is None
+        assert g.tail_integral_upper(16) > 0
+
+
+def test_budget_error_inside_the_tail_bound_propagates(monkeypatch):
+    """A deadline that expires while the tail is bounded stops the run; it
+    is not taken for a cutoff too small, which would double K."""
+    real = GrowthFunction.tail_integral_upper
+    fired = []
+
+    def expire_once(self, K):
+        if not fired:
+            fired.append(K)
+            raise BudgetError("deadline")
+        return real(self, K)
+
+    monkeypatch.setattr(GrowthFunction, "tail_integral_upper", expire_once)
+    with pytest.raises(BudgetError, match="deadline"):
+        build_t_sequence(2, "log:eps=0.1")
+    assert fired == [4096]
+
+
 # ----------------------------------------------------------------------
 # Density constant
 # ----------------------------------------------------------------------

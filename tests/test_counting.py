@@ -7,16 +7,18 @@ import mpmath
 import pytest
 from mpmath import iv
 
+from primfield import counting
 from primfield.brackets import BracketedValue, iv_from_fraction, precision
 from primfield.counting import (CountTable, _g_series_iv, build_count_table,
                                 evaluate_G, mertens_exact, mertens_product,
-                                monic_count, monic_cumulative, norton_check,
-                                q_large_deviation, sathe_selberg_H, tail_sums,
-                                verify_hr_bound, verify_recurrence_bound)
+                                mertens_rows, monic_count, monic_cumulative,
+                                norton_check, q_large_deviation,
+                                sathe_selberg_H, tail_sums, verify_hr_bound,
+                                verify_recurrence_bound)
 from primfield.errors import BudgetError, PrecisionError, UsageError
 from primfield.irreducibles import pi_prime
 
-from oracles import count_table_lists, recurrence_cells
+from oracles import count_table_lists, mertens_per_n, recurrence_cells
 
 
 def enumerate_squarefree_counts(sieve, N, excluded=None):
@@ -189,6 +191,44 @@ def test_mertens_exact_bit_budget():
     with pytest.raises(BudgetError):
         mertens_exact(2, 13, max_bits=1000)
     assert mertens_product(2, 13).exact is None
+
+
+def test_mertens_rows_match_each_product_and_the_per_n_sum():
+    for q, max_n in ((2, 60), (3, 20)):
+        rows = mertens_rows(q, max_n)
+        assert [mv.n for mv in rows] == list(range(1, max_n + 1))
+        for mv in rows:
+            want = mertens_per_n(q, mv.n).to_json()
+            assert mv.to_json() == want
+            assert mertens_product(q, mv.n).to_json() == want
+
+
+def test_budget_error_inside_mertens_product_propagates(monkeypatch):
+    """A deadline may expire at any point of the pass, the exact rational
+    included: wherever pi_prime raises BudgetError, it reaches the caller
+    instead of reading as an exact form past the bit budget."""
+    calls = 0
+
+    def counted(q, d):
+        nonlocal calls
+        calls += 1
+        return pi_prime(q, d)
+
+    monkeypatch.setattr(counting, "pi_prime", counted)
+    assert mertens_product(2, 5).exact is not None
+    for k in range(1, calls + 1):
+        seen = 0
+
+        def expire_at_k(q, d):
+            nonlocal seen
+            seen += 1
+            if seen == k:
+                raise BudgetError("deadline")
+            return pi_prime(q, d)
+
+        monkeypatch.setattr(counting, "pi_prime", expire_at_k)
+        with pytest.raises(BudgetError, match="deadline"):
+            mertens_product(2, 5)
 
 
 def test_mertens_bracket_agrees_with_independent_interval():

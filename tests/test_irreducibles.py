@@ -86,6 +86,13 @@ def test_pi_cumulative_consistency():
             assert pi_cumulative(q, n) == total
 
 
+def test_pi_cumulative_on_a_cold_cache():
+    # far past the interpreter's recursion limit
+    pi_cumulative.cache_clear()
+    assert pi_cumulative(2, 3000) == sum(pi_prime(2, d)
+                                         for d in range(1, 3001))
+
+
 # ----------------------------------------------------------------------
 # Ordering
 # ----------------------------------------------------------------------

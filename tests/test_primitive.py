@@ -317,8 +317,9 @@ def test_is_primitive_known_cases():
 def test_methods_agree_with_brute_force_q2(sieve2, indices):
     ps = polyset_q2(indices)
     want_ok, _ = brute_primitive(ps)
-    for method in ("pairwise", "divisors"):
-        ok, witness = is_primitive(ps, sieve=sieve2, method=method)
+    # no sieve: trial division pair by pair; a covering sieve: divisors
+    for sieve in (None, sieve2):
+        ok, witness = is_primitive(ps, sieve=sieve)
         assert ok == want_ok
         if not ok:
             a, b = witness
@@ -331,18 +332,13 @@ def test_methods_agree_with_brute_force_q2(sieve2, indices):
 def test_methods_agree_with_brute_force_q3(sieve3, indices):
     ps = PolySet(3, 5, tuple(indices))
     want_ok, _ = brute_primitive(ps)
-    for method in ("pairwise", "divisors"):
-        assert is_primitive(ps, sieve=sieve3, method=method)[0] == want_ok
+    for sieve in (None, sieve3):
+        assert is_primitive(ps, sieve=sieve)[0] == want_ok
 
 
 def test_single_degree_fast_path():
     ps = PolySet(2, 9, tuple(range(2**9, 2**10)))
-    assert is_primitive(ps, method="pairwise") == (True, None)
-
-
-def test_is_primitive_guards():
-    with pytest.raises(UsageError):
-        is_primitive(polyset_q2({2, 6}), method="magic")
+    assert is_primitive(ps) == (True, None)
 
 
 # ----------------------------------------------------------------------
