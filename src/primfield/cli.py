@@ -27,7 +27,7 @@ from .counting import (build_count_table, evaluate_G, mertens_rows,
                        norton_check, verify_hr_bound, verify_recurrence_bound)
 from .errors import (BudgetError, PrecisionError, UsageError,
                      VerificationError)
-from .fieldpoly import DEFAULT_SIEVE_ENTRIES, format_index, index_degree
+from .fieldpoly import format_index, index_degree
 from .irreducibles import check_degree_brackets, kth_irreducible, pi_prime
 from .primitive import (density_profile, erdos_sum, erdos_sum_irreducibles,
                         is_primitive, random_primitive_set, read_set,
@@ -36,9 +36,6 @@ from .primitive import (density_profile, erdos_sum, erdos_sum_irreducibles,
 # ----------------------------------------------------------------------
 # Plumbing
 # ----------------------------------------------------------------------
-
-DEFAULT_TABLE_BYTES = 2**31
-
 
 def _dump_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -84,9 +81,8 @@ def _read_set_file(path: str):
 
 
 _COMMON_DESTS = frozenset({
-    "q", "out", "fmt", "precision_bits", "budget_sieve_entries",
-    "budget_table_bytes", "budget_seconds", "seed", "manifest",
-    "func", "command",
+    "q", "out", "fmt", "precision_bits", "budget_bytes", "budget_seconds",
+    "seed", "manifest", "func", "command",
 })
 
 
@@ -114,8 +110,7 @@ def _write_manifest(args: argparse.Namespace, argv: list[str]) -> None:
         "precision_bits": args.precision_bits,
         "format": args.fmt,
         "seed": args.seed,
-        "budgets": {"sieve_entries": args.budget_sieve_entries,
-                    "table_bytes": args.budget_table_bytes,
+        "budgets": {"bytes": args.budget_bytes,
                     "seconds": args.budget_seconds},
         "params": params,
         "argv": list(argv),
@@ -141,7 +136,7 @@ def cmd_irr_count(args) -> int:
 
 
 def cmd_irr_kth(args) -> int:
-    f = kth_irreducible(args.q, args.k, max_entries=args.budget_sieve_entries)
+    f = kth_irreducible(args.q, args.k)
     text = format_index(args.q, f)
     degree = index_degree(args.q, f)
     payload = {"q": args.q, "k": args.k, "degree": degree,
@@ -176,8 +171,7 @@ def _parse_excludes(text: str | None) -> dict[int, int] | None:
 
 def cmd_count_table(args) -> int:
     table = build_count_table(args.q, args.max_n,
-                              excluded_degrees=_parse_excludes(args.exclude),
-                              max_bytes=args.budget_table_bytes)
+                              excluded_degrees=_parse_excludes(args.exclude))
     if args.fmt == "json":
         payload = {"q": table.q, "N": table.N,
                    "excluded_degrees": [list(p) for p in table.excluded_degrees],
@@ -226,8 +220,7 @@ def cmd_verify_norton(args) -> int:
 
 def cmd_verify_erdos_density(args) -> int:
     ps = _read_set_file(args.infile)
-    ok_prim, witness = is_primitive(
-        ps, max_sieve_entries=args.budget_sieve_entries)
+    ok_prim, witness = is_primitive(ps)
     if not ok_prim:
         pair = _counterexample(ps.q, witness)
         payload = {"primitive": False, "counterexample": pair}
@@ -235,8 +228,7 @@ def cmd_verify_erdos_density(args) -> int:
         print(f"input set is not primitive: {pair['divisor']} divides "
               f"{pair['multiple']}", file=sys.stderr)
         return 2
-    report = verify_erdos_density_inequality(
-        ps, max_sieve_entries=args.budget_sieve_entries)
+    report = verify_erdos_density_inequality(ps)
     payload = report.to_json()
     payload["primitive"] = True
     _write_out(args, _dump_json(payload))
@@ -285,7 +277,7 @@ def cmd_eval_erdos_irr(args) -> int:
 
 def cmd_set_check(args) -> int:
     ps = _read_set_file(args.infile)
-    ok, witness = is_primitive(ps, max_sieve_entries=args.budget_sieve_entries)
+    ok, witness = is_primitive(ps)
     payload = {"q": ps.q, "horizon": ps.horizon, "size": len(ps),
                "primitive": ok, "counterexample": None}
     if not ok:
@@ -333,13 +325,10 @@ def cmd_set_random(args) -> int:
 
 
 def cmd_construct_besicovitch(args) -> int:
-    result = besicovitch_construct(args.q, args.eps, args.horizon,
-                                   max_members=args.max_members,
-                                   max_sieve_entries=args.budget_sieve_entries)
+    result = besicovitch_construct(args.q, args.eps, args.horizon)
     report = result.to_json()
     if result.members is not None:
-        ok_prim, witness = is_primitive(
-            result.members, max_sieve_entries=args.budget_sieve_entries)
+        ok_prim, witness = is_primitive(result.members)
         report["certified_primitive"] = ok_prim
         if witness is not None:
             report["counterexample"] = _counterexample(args.q, witness)
@@ -359,15 +348,11 @@ def cmd_construct_mp(args) -> int:
     growth = GrowthFunction.parse(args.L)
     tseq = build_t_sequence(args.q, growth, terms_budget=args.terms_budget,
                             materialize=args.materialize,
-                            precision_bits=args.precision_bits,
-                            max_sieve_entries=args.budget_sieve_entries)
+                            precision_bits=args.precision_bits)
     result = mp_construct(args.q, tseq, args.horizon,
-                          enum_horizon=args.enum_horizon,
-                          max_sieve_entries=args.budget_sieve_entries,
-                          table_budget_bytes=args.budget_table_bytes)
+                          enum_horizon=args.enum_horizon)
     diag = mp_diagnostics(result)
-    ok_prim, witness = is_primitive(result.members,
-                                    max_sieve_entries=args.budget_sieve_entries)
+    ok_prim, witness = is_primitive(result.members)
     report = {
         "q": args.q,
         "horizon": result.horizon,
@@ -467,12 +452,8 @@ def _common_parent() -> argparse.ArgumentParser:
     g.add_argument("--precision-bits", type=int,
                    default=DEFAULT_PRECISION_BITS, metavar="B",
                    help="working precision for certified brackets")
-    g.add_argument("--budget-sieve-entries", type=int,
-                   default=DEFAULT_SIEVE_ENTRIES, metavar="N",
-                   help="largest factor sieve the run may allocate")
-    g.add_argument("--budget-table-bytes", type=int,
-                   default=DEFAULT_TABLE_BYTES, metavar="N",
-                   help="largest count table the run may allocate")
+    g.add_argument("--budget-bytes", type=int, default=None, metavar="B",
+                   help="address space the run may add (Linux)")
     g.add_argument("--budget-seconds", type=float, default=None, metavar="S",
                    help="wall-clock deadline over the whole run")
     g.add_argument("--seed", type=int, default=None,
@@ -581,7 +562,6 @@ def build_parser() -> _Parser:
              "layered degree-slice set of positive density")
     p.add_argument("--eps", type=_fraction, required=True)
     p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--max-members", type=int, default=2**22)
     p = leaf(con_subs, "mp", cmd_construct_mp, ("construct", "mp"),
              "thinned-irreducible family with certificate and counts")
     p.add_argument("--L", required=True, metavar="SPEC",
@@ -605,29 +585,62 @@ def build_parser() -> _Parser:
     return root
 
 
-def _run_until(seconds: float, func, args: argparse.Namespace) -> int:
-    """func(args) under one wall-clock deadline over the whole run: an
-    interval timer raises BudgetError wherever the run has got to, inside
-    any stage, and the run's partial output is dropped as incomplete."""
-    if (not hasattr(signal, "setitimer")
+def _run_limited(args: argparse.Namespace) -> int:
+    """args.func(args) under the run's deadline and memory ceiling, each
+    armed only when its flag is given and disarmed on every way out: an
+    interval timer whose SIGALRM handler raises BudgetError, and a soft
+    RLIMIT_AS of the address space mapped now plus the budget, never above
+    the soft limit in force, under which an allocation fails where it is
+    made and its MemoryError becomes a BudgetError.  Either way the run's
+    partial output is dropped as incomplete."""
+    seconds, nbytes = args.budget_seconds, args.budget_bytes
+    if seconds is not None and (
+            not hasattr(signal, "setitimer")
             or threading.current_thread() is not threading.main_thread()):
         raise UsageError("--budget-seconds needs a POSIX interval timer "
                          "on the main thread")
+    previous_limit = None
+    if nbytes is not None:
+        try:
+            import resource
+            with open("/proc/self/statm") as fh:
+                limit = int(fh.read().split()[0]) * resource.getpagesize()
+            previous_limit = soft, hard = resource.getrlimit(
+                resource.RLIMIT_AS)
+            limit += nbytes
+            if soft != resource.RLIM_INFINITY:
+                limit = min(limit, soft)
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+        except (ImportError, AttributeError, OSError, ValueError,
+                OverflowError) as exc:
+            raise UsageError(f"--budget-bytes {nbytes} cannot be armed: "
+                             f"{exc}") from None
 
     def expire(signum, frame):
         raise BudgetError(f"soft time budget of {seconds}s exceeded; "
                           "partial results dropped as incomplete")
 
-    previous = signal.signal(signal.SIGALRM, expire)
     try:
         try:
-            signal.setitimer(signal.ITIMER_REAL, seconds)
-        except (ValueError, OverflowError) as exc:
-            raise UsageError(f"--budget-seconds {seconds}: {exc}") from None
-        return func(args)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+            if seconds is not None:
+                previous_handler = signal.signal(signal.SIGALRM, expire)
+                try:
+                    signal.setitimer(signal.ITIMER_REAL, seconds)
+                except (ValueError, OverflowError) as exc:
+                    raise UsageError(f"--budget-seconds {seconds}: {exc}") \
+                        from None
+            return args.func(args)
+        finally:
+            if seconds is not None:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, previous_handler)
+            if previous_limit is not None:
+                resource.setrlimit(resource.RLIMIT_AS, previous_limit)
+    except MemoryError:
+        if previous_limit is None:
+            raise
+        raise BudgetError(f"memory budget of {nbytes} bytes exceeded; "
+                          "partial results dropped as incomplete") from None
 
 
 def _run(argv: list[str]) -> int:
@@ -636,14 +649,12 @@ def _run(argv: list[str]) -> int:
         return cmd_replay(args)
     if args.precision_bits < 16:
         raise UsageError("--precision-bits must be at least 16")
-    if args.budget_sieve_entries <= 0 or args.budget_table_bytes <= 0:
-        raise UsageError("budgets must be positive")
+    if args.budget_bytes is not None and args.budget_bytes <= 0:
+        raise UsageError("--budget-bytes must be positive")
     if args.budget_seconds is not None and args.budget_seconds <= 0:
         raise UsageError("--budget-seconds must be positive")
     _write_manifest(args, argv)
-    if args.budget_seconds is None:
-        return args.func(args)
-    return _run_until(args.budget_seconds, args.func, args)
+    return _run_limited(args)
 
 
 def main(argv=None) -> int:
@@ -655,6 +666,10 @@ def main(argv=None) -> int:
         return 1
     except BudgetError as exc:
         print(f"primfield: budget exceeded: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print("primfield: budget exceeded: out of memory: "
+              f"{str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except PrecisionError as exc:
         print(f"primfield: precision exhausted: {exc}", file=sys.stderr)

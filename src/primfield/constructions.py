@@ -28,8 +28,8 @@ from .brackets import (DEFAULT_PRECISION_BITS, BracketedValue,
                        iv_from_fraction, iv_pointwise_max, precision)
 from .counting import CountTable, build_count_table, monic_cumulative
 from .errors import BudgetError, PrecisionError, UsageError
-from .fieldpoly import (DEFAULT_SIEVE_ENTRIES, FactorSieve, _check_prime,
-                        build_factor_sieve, index_degree)
+from .fieldpoly import (FactorSieve, _check_prime, build_factor_sieve,
+                        index_degree)
 from .irreducibles import kth_irreducible, pi_cumulative, pi_prime
 from .primitive import PolySet
 
@@ -243,7 +243,6 @@ def build_t_sequence(q: int, growth: GrowthFunction | str,
                      terms_budget: int = 2**17,
                      materialize: int = 64,
                      precision_bits: int = DEFAULT_PRECISION_BITS,
-                     max_sieve_entries: int = DEFAULT_SIEVE_ENTRIES,
                      ) -> TSequence:
     """Certify a cutoff k0 with sum_{k>=k0} 1/(||t_k|| deg t_k) < 1/2.
 
@@ -305,8 +304,7 @@ def build_t_sequence(q: int, growth: GrowthFunction | str,
             break
     assert k0 is not None and k0 <= K
     mat = min(materialize, K)
-    sieve = build_factor_sieve(q, int(degs[mat - 1]),
-                               max_entries=max_sieve_entries)
+    sieve = build_factor_sieve(q, int(degs[mat - 1]))
     terms = tuple(kth_irreducible(q, int(r), sieve=sieve)
                   for r in ranks[:mat])
     for t, dd in zip(terms, degs[:mat]):
@@ -389,9 +387,7 @@ class SparseConstruction:
 
 
 def besicovitch_construct(q: int, eps, horizon: int,
-                          max_members: int = 2**22,
                           sieve: FactorSieve | None = None,
-                          max_sieve_entries: int = DEFAULT_SIEVE_ENTRIES,
                           ) -> SparseConstruction:
     """Greedy layered slice construction at a degree horizon.
 
@@ -408,7 +404,7 @@ def besicovitch_construct(q: int, eps, horizon: int,
     if horizon < 1:
         raise UsageError("horizon must be >= 1")
     if sieve is None or sieve.q != q or sieve.horizon < horizon:
-        sieve = build_factor_sieve(q, horizon, max_entries=max_sieve_entries)
+        sieve = build_factor_sieve(q, horizon)
     masks = divisor_degree_masks(sieve)
     # T[n][m]: polynomials of degree <= m with a divisor of degree n
     T = [[0] * (horizon + 1) for _ in range(horizon + 1)]
@@ -442,25 +438,19 @@ def besicovitch_construct(q: int, eps, horizon: int,
     members = None
     density = Fraction(0)
     if levels:
-        total = sum(q**n for n in levels)
-        if total <= max_members:
-            earlier_bits = 0
-            blocks = []
-            for n in levels:
-                block = masks[q**n:2 * q**n]
-                fresh = np.nonzero(block & np.uint64(earlier_bits) == 0)[0]
-                blocks.append(fresh + q**n)
-                earlier_bits |= 1 << n
-            members = PolySet(q, horizon,
-                              tuple(np.concatenate(blocks).tolist()))
-            running = 0
-            counts = members.degree_counts()
-            for m in range(1, horizon + 1):
-                running += counts.get(m, 0)
-                density = max(density, Fraction(running, M[m]))
-        else:
-            raise BudgetError(f"construction would hold {total} members"
-                              f" (budget {max_members})")
+        earlier_bits = 0
+        blocks = []
+        for n in levels:
+            block = masks[q**n:2 * q**n]
+            fresh = np.nonzero(block & np.uint64(earlier_bits) == 0)[0]
+            blocks.append(fresh + q**n)
+            earlier_bits |= 1 << n
+        members = PolySet(q, horizon, tuple(np.concatenate(blocks).tolist()))
+        running = 0
+        counts = members.degree_counts()
+        for m in range(1, horizon + 1):
+            running += counts.get(m, 0)
+            density = max(density, Fraction(running, M[m]))
     suggested = None
     if not levels and best_first is not None:
         suggested = best_first
@@ -515,8 +505,6 @@ class MPConstruction:
 
 def mp_construct(q: int, growth_or_tseq, horizon: int,
                  enum_horizon: int | None = None,
-                 max_sieve_entries: int = DEFAULT_SIEVE_ENTRIES,
-                 table_budget_bytes: int = 2**31,
                  **tseq_kwargs) -> MPConstruction:
     """Assemble the thinned-irreducible primitive family up to a horizon.
 
@@ -557,8 +545,7 @@ def mp_construct(q: int, growth_or_tseq, horizon: int,
     for k in range(1, k_max + 1):
         dk = tseq.degrees[k - 1]
         excl[dk] = excl.get(dk, 0) + 1
-        table = build_count_table(q, horizon, excluded_degrees=excl,
-                                  max_bytes=table_budget_bytes)
+        table = build_count_table(q, horizon, excluded_degrees=excl)
         row = [0] * (horizon + 1)
         for n in range(dk, horizon + 1):
             g_deg = n - dk
@@ -568,7 +555,7 @@ def mp_construct(q: int, growth_or_tseq, horizon: int,
     # members of degree <= enum_horizon from the sieve's folds: f joins
     # S_k when it is squarefree, the least t-rank among its factors is k
     # and omega(f) = k
-    sieve = build_factor_sieve(q, enum_horizon, max_entries=max_sieve_entries)
+    sieve = build_factor_sieve(q, enum_horizon)
     no_rank = np.iinfo(np.int32).max
     rank = np.full(len(sieve.spf), no_rank, dtype=np.int32)
     for k, t in enumerate(tseq.terms, start=1):

@@ -92,7 +92,7 @@ def _pack(row, nbytes: int) -> int:
 
 def build_count_table(q: int, N: int,
                       excluded_degrees: Mapping[int, int] | None = None,
-                      max_bytes: int = 2**31) -> CountTable:
+                      ) -> CountTable:
     """Exact Pi'_{q,k}(n) for 0 <= k <= n <= N by degree-wise convolution.
 
     Degree d contributes a factor (1 + u x^d)^m with m = pi'_q(d) minus
@@ -105,11 +105,6 @@ def build_count_table(q: int, N: int,
     if N < 0:
         raise UsageError("table size must be >= 0")
     excl = tuple(sorted((d, c) for d, c in (excluded_degrees or {}).items() if c))
-    # entry count N^2/2, entries up to q^N: rough byte budget check
-    est_bytes = (N + 1) * (N + 2) // 2 * (28 + int(N * math.log2(q)) // 8)
-    if est_bytes > max_bytes:
-        raise BudgetError(f"table q={q}, N={N} needs ~{est_bytes} bytes"
-                          f" (budget {max_bytes})")
     for d, c in excl:
         if not 1 <= d <= N:
             raise UsageError(f"excluded degree {d} outside 1..{N}")

@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import BudgetError, UsageError
 
-DEFAULT_SIEVE_ENTRIES = 2**31
-
 # Miller-Rabin with the first twelve prime bases is exact below psi_12,
 # the least strong pseudoprime to all of them (Sorenson and Webster,
 # "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
@@ -283,8 +281,7 @@ class FactorSieve:
         return out
 
 
-def build_factor_sieve(q: int, horizon: int,
-                       max_entries: int = DEFAULT_SIEVE_ENTRIES) -> FactorSieve:
+def build_factor_sieve(q: int, horizon: int) -> FactorSieve:
     """Sieve least factors for all monic polynomials of degree <= horizon.
 
     Irreducibles are discovered degree by degree: once every irreducible
@@ -304,12 +301,12 @@ def build_factor_sieve(q: int, horizon: int,
     if horizon < 1:
         raise UsageError("sieve horizon must be >= 1")
     n_entries = 2 * q**horizon
-    if n_entries > max_entries:
-        raise BudgetError(
-            f"sieve for q={q}, horizon={horizon} needs {n_entries} entries"
-            f" (budget {max_entries})")
     # every product index is below n_entries, so the sieve dtype holds it
     dtype = np.int32 if n_entries <= 2**31 else np.int64
+    n_bytes = 2 * n_entries * np.dtype(dtype).itemsize
+    if n_bytes > np.iinfo(np.intp).max:     # also keeps the horizon < 64
+        raise BudgetError(f"sieve for q={q}, horizon={horizon} needs"
+                          f" {n_bytes} bytes, more than numpy can index")
     spf = np.zeros(n_entries, dtype=dtype)
     cof = np.zeros(n_entries, dtype=dtype)
 

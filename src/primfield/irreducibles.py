@@ -18,8 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetError, UsageError
-from .fieldpoly import (DEFAULT_SIEVE_ENTRIES, FactorSieve, _check_prime,
-                        build_factor_sieve)
+from .fieldpoly import FactorSieve, _check_prime, build_factor_sieve
 
 
 @lru_cache(maxsize=None)
@@ -80,12 +79,11 @@ def kth_irreducible_degree(q: int, k: int) -> int:
     return n
 
 
-def kth_irreducible(q: int, k: int, sieve: FactorSieve | None = None,
-                    max_entries: int = DEFAULT_SIEVE_ENTRIES) -> int:
+def kth_irreducible(q: int, k: int, sieve: FactorSieve | None = None) -> int:
     """Index of the k-th monic irreducible in (degree, index) order."""
     d = kth_irreducible_degree(q, k)
     if sieve is None or sieve.q != q or sieve.horizon < d:
-        sieve = build_factor_sieve(q, d, max_entries=max_entries)
+        sieve = build_factor_sieve(q, d)
     rank = k - pi_cumulative(q, d - 1)
     return int(sieve.irreducible_indices(d)[rank - 1])
 

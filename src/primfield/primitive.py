@@ -14,7 +14,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
+from itertools import accumulate, pairwise
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,9 +22,9 @@ import numpy as np
 from .brackets import BracketedValue
 from .counting import _LowestTerms, mertens_exact_parts, monic_cumulative
 from .errors import UsageError, VerificationError
-from .fieldpoly import (DEFAULT_SIEVE_ENTRIES, FactorSieve, _check_prime,
-                        build_factor_sieve, format_index, index_degree,
-                        index_divrem, index_mul, is_prime, parse_index)
+from .fieldpoly import (FactorSieve, _check_prime, build_factor_sieve,
+                        format_index, index_degree, index_divrem, index_mul,
+                        is_prime, parse_index)
 from .irreducibles import pi_prime
 
 
@@ -354,48 +354,56 @@ def _divisor_indices(q: int, factors: Sequence[tuple[int, int]]) -> Iterable[int
     return divs
 
 
-# Most cross-degree pairs is_primitive tries by trial division before it
-# factors every member instead.
-MAX_PAIRS = 2**22
-
-
 def is_primitive(ps: PolySet, sieve: FactorSieve | None = None,
-                 max_sieve_entries: int = DEFAULT_SIEVE_ENTRIES,
                  ) -> tuple[bool, tuple[int, int] | None]:
     """Decide primitivity; on failure also return the index pair (a, b)
-    of two members with a | b.
+    of two members with a | b: the least member b with a proper divisor
+    in the set, and its least such divisor a.
 
     Distinct monic polynomials of equal degree never divide one another,
-    so only cross-degree pairs are examined.  Given a sieve that covers
-    the set, or past MAX_PAIRS pairs, each member is factored once and
-    every proper divisor looked up in the index set; other sets use
-    trial division pair by pair.
+    so only cross-degree pairs count.  Given a sieve that covers the set,
+    or when building one (2 q^D entries for top degree D) and walking
+    every member's divisors costs less than the cross-degree pairs, the
+    divisor walk decides; other sets use trial division pair by pair.
     """
     by_degree = ps.by_degree()
     if len(by_degree) <= 1:
         return True, None
     q = ps.q
     if sieve is None or sieve.q != q or sieve.horizon < ps.max_degree:
-        counts = {d: len(g) for d, g in by_degree.items()}
-        pairs = 0
-        degrees = sorted(counts)
-        for i, d1 in enumerate(degrees):
-            pairs += counts[d1] * sum(counts[d2] for d2 in degrees[i + 1:])
-        if pairs <= MAX_PAIRS:
-            for i, d1 in enumerate(degrees):
-                for d2 in degrees[i + 1:]:
-                    for a in by_degree[d1]:
-                        for b in by_degree[d2]:
-                            if index_divrem(q, b, a)[1] == 0:
-                                return False, (a, b)
-            return True, None
-        sieve = build_factor_sieve(q, ps.max_degree,
-                                   max_entries=max_sieve_entries)
+        sizes = [len(block) for block in by_degree.values()]
+        pairs = sum(map(operator.mul, sizes[1:], accumulate(sizes)))
+        if 2 * q**ps.max_degree + len(ps) > pairs:
+            return _primitive_by_division(ps)
+        sieve = build_factor_sieve(q, ps.max_degree)
+    return _primitive_by_divisors(ps, sieve)
+
+
+def _primitive_by_division(ps: PolySet) -> tuple[bool, tuple[int, int] | None]:
+    """is_primitive by trial division of each member by every member of
+    lower degree."""
+    q = ps.q
+    lower: list[int] = []
+    for block in ps.by_degree().values():
+        for b in block:
+            for a in lower:
+                if index_divrem(q, b, a)[1] == 0:
+                    return False, (a, b)
+        lower.extend(block)
+    return True, None
+
+
+def _primitive_by_divisors(ps: PolySet, sieve: FactorSieve,
+                           ) -> tuple[bool, tuple[int, int] | None]:
+    """is_primitive by looking up every proper divisor of each member, from
+    its factorization in a sieve that covers the set, in the member set."""
+    q = ps.q
     idx_set = set(ps.indices)
     for b in ps.indices:
-        for a in _divisor_indices(q, sieve.factor_index(b)):
-            if a != b and a in idx_set:
-                return False, (a, b)
+        found = [a for a in _divisor_indices(q, sieve.factor_index(b))
+                 if a != b and a in idx_set]
+        if found:
+            return False, (min(found), b)
     return True, None
 
 
@@ -516,7 +524,6 @@ class DensityBoundReport:
 
 def verify_erdos_density_inequality(ps: PolySet,
                                     sieve: FactorSieve | None = None,
-                                    max_sieve_entries: int = DEFAULT_SIEVE_ENTRIES,
                                     ) -> DensityBoundReport:
     """Exact check that any primitive set satisfies the weighted bound <= 1.
 
@@ -526,8 +533,7 @@ def verify_erdos_density_inequality(ps: PolySet,
     if not ps.indices:
         return DensityBoundReport(ps.q, 0, Fraction(0), ())
     if sieve is None or sieve.q != ps.q or sieve.horizon < ps.max_degree:
-        sieve = build_factor_sieve(ps.q, ps.max_degree,
-                                   max_entries=max_sieve_entries)
+        sieve = build_factor_sieve(ps.q, ps.max_degree)
     q = ps.q
     idx = np.asarray(ps.indices)
     levels = sieve.max_factor_degrees()[idx]

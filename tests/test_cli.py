@@ -4,6 +4,7 @@ import argparse
 import filecmp
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -53,19 +54,22 @@ def test_usage_errors_exit_one(capsys):
         ["irr", "count", "--max-n", "0"],            # domain error
         ["count", "table", "--max-n", "5", "--exclude", "oops"],
         ["irr", "count", "--max-n", "3", "--precision-bits", "8"],
-        ["irr", "count", "--max-n", "3", "--budget-sieve-entries", "0"],
+        ["irr", "count", "--max-n", "3", "--budget-bytes", "0"],
         ["irr", "count", "--max-n", "3", "--budget-seconds", "-1"],
     ]
     for argv in cases:
         code, _, err = run(argv, capsys)
         assert code == 1, argv
         assert "error" in err or "budget" in err, argv
+        if "--budget-bytes" in argv:
+            assert err == "primfield: error: --budget-bytes must be positive\n"
 
 
 def test_sieve_budget_exit_one(capsys):
-    code, _, err = run(["irr", "kth", "--q", "2", "--k", "1000000",
-                        "--budget-sieve-entries", "100"], capsys)
-    assert code == 1 and "budget" in err
+    code, out, err = run(["irr", "kth", "--q", "2", "--k", "1000000",
+                          "--budget-bytes", "20000000"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("primfield: budget exceeded: memory budget")
 
 
 @pytest.mark.parametrize("command", [
@@ -185,6 +189,154 @@ def test_deadline_is_never_ignored(capsys):
     assert cap.out == ""
     assert cap.err == ("primfield: error: --budget-seconds needs a POSIX "
                        "interval timer on the main thread\n")
+
+
+def address_space_limit():
+    return resource.getrlimit(resource.RLIMIT_AS)
+
+
+def spin(args):
+    start = time.monotonic()
+    while time.monotonic() - start < 5:
+        pass
+    return 0
+
+
+@pytest.mark.parametrize("command", sorted(LEAF_ARGS), ids="-".join)
+def test_every_leaf_subcommand_runs_unchanged_under_a_wide_ceiling(
+        capsys, tmp_path, command):
+    path = str(write_poly_file(tmp_path / "s.txt", 2, 6, [2, 3, 7, 11]))
+    argv = [*command, *(path if a == "SET" else a for a in LEAF_ARGS[command])]
+    before = address_space_limit()
+    plain = run(argv, capsys)
+    assert run([*argv, "--budget-bytes", "1000000000"], capsys) == plain
+    assert address_space_limit() == before
+
+
+@pytest.mark.parametrize("argv,seconds", [
+    pytest.param(["irr", "kth", "--q", "2", "--k", "1000000",
+                  "--budget-bytes", "20000000"], 2, id="irr-kth"),
+    pytest.param(["construct", "besicovitch", "--q", "2", "--eps", "1/4",
+                  "--horizon", "22", "--budget-bytes", "100000000"], 2,
+                 id="construct-besicovitch"),
+    # the table fits the heap mapped at startup; its 1.5 MB of text
+    # does not, so this run stops at output, no sooner than uncapped
+    pytest.param(["count", "table", "--q", "2", "--max-n", "400",
+                  "--budget-bytes", "1000000"], None, id="count-table"),
+])
+def test_the_ceiling_stops_a_stage_that_allocates_past_it(argv, seconds):
+    """Each command runs in a fresh process, as from the shell: memory a
+    long-lived process has freed but kept mapped is reused without
+    growing the address space, so a small ceiling binds only in a
+    process of its own.  Uncapped, the first two run 3 s or longer."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(primfield.__file__).parents[1]))
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-m", "primfield.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=30)
+    if seconds is not None:
+        assert time.monotonic() - start < seconds
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == (
+        f"primfield: budget exceeded: memory budget of {argv[-1]} bytes "
+        "exceeded; partial results dropped as incomplete\n")
+
+
+def test_the_limit_is_restored_on_every_path(capsys):
+    before = address_space_limit()
+    ceiling = ["--budget-bytes", "20000000"]
+    code, out, _ = run(["irr", "kth", "--k", "10", *ceiling], capsys)
+    assert code == 0 and out
+    assert address_space_limit() == before
+    code, _, err = run(["irr", "kth", "--k", "1000000", *ceiling], capsys)
+    assert code == 1 and "memory budget" in err
+    assert address_space_limit() == before
+    # the ceiling is armed before the deadline is refused
+    code, _, err = run(["irr", "kth", "--k", "10", *ceiling,
+                        "--budget-seconds", "nan"], capsys)
+    assert code == 1 and err.startswith("primfield: error: --budget-seconds")
+    assert address_space_limit() == before
+
+
+def test_a_lower_soft_limit_is_never_raised(capsys, monkeypatch):
+    seen = []
+
+    def read_limit(args):
+        seen.append(address_space_limit())
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_irr_count", read_limit)
+    before = address_space_limit()
+    with open("/proc/self/statm") as fh:
+        mapped = int(fh.read().split()[0]) * resource.getpagesize()
+    lower = (mapped + 2**32, before[1])
+    resource.setrlimit(resource.RLIMIT_AS, lower)
+    try:
+        for budget in (2**40, 2**24):
+            code, _, _ = run(["irr", "count", "--max-n", "3",
+                              "--budget-bytes", str(budget)], capsys)
+            assert code == 0
+            assert address_space_limit() == lower
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, before)
+    assert seen[0] == lower
+    assert mapped < seen[1][0] < lower[0] and seen[1][1] == lower[1]
+
+
+def test_ceiling_and_deadline_work_together(capsys, monkeypatch):
+    limit, handler = address_space_limit(), signal.getsignal(signal.SIGALRM)
+    both = ["--budget-bytes", "20000000", "--budget-seconds", "30"]
+    code, out, err = run(["irr", "kth", "--k", "1000000", *both], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("primfield: budget exceeded: memory budget of "
+                          "20000000 bytes exceeded;")
+    monkeypatch.setattr(cli, "cmd_irr_count", spin)
+    start = time.monotonic()
+    code, out, err = run(["irr", "count", "--max-n", "3",
+                          "--budget-bytes", "20000000",
+                          "--budget-seconds", "0.2"], capsys)
+    assert code == 1 and out == ""
+    assert time.monotonic() - start < 2
+    assert err.startswith(
+        "primfield: budget exceeded: soft time budget of 0.2s exceeded;")
+    assert address_space_limit() == limit
+    assert signal.getsignal(signal.SIGALRM) is handler
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
+def test_a_sieve_past_numpy_indexing_is_a_budget_error(capsys):
+    code, out, err = run(["irr", "kth", "--q", "2", "--k", str(10**30)],
+                         capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("primfield: budget exceeded: sieve for q=2, "
+                          "horizon=106 needs ")
+    assert err.endswith(" bytes, more than numpy can index\n")
+
+
+def test_an_unarmed_memory_error_is_one_line(capsys, monkeypatch):
+    def exhaust(args):
+        raise MemoryError("Unable to allocate 16.0 GiB")
+
+    monkeypatch.setattr(cli, "cmd_irr_count", exhaust)
+    code, out, err = run(["irr", "count", "--max-n", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err == ("primfield: budget exceeded: out of memory: "
+                   "Unable to allocate 16.0 GiB\n")
+
+
+def test_manifest_records_both_budgets(capsys, tmp_path):
+    man = tmp_path / "man.json"
+    code, _, _ = run(["irr", "count", "--max-n", "3", "--manifest", str(man),
+                      "--budget-bytes", "1000000000"], capsys)
+    assert code == 0
+    manifest = json.loads(man.read_text())
+    assert manifest["budgets"] == {"bytes": 1000000000, "seconds": None}
+    stale = tmp_path / "stale.json"
+    manifest["argv"] += ["--budget-sieve-entries", "100"]
+    stale.write_text(json.dumps(manifest))
+    code, out, err = run(["replay", "--manifest", str(stale)], capsys)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --budget-sieve-entries 100" in err
 
 
 

@@ -243,9 +243,6 @@ def test_besicovitch_guards(sieve2):
             besicovitch_construct(2, eps, 10, sieve=sieve2)
     with pytest.raises(UsageError):
         besicovitch_construct(2, Fraction(1, 4), 0, sieve=sieve2)
-    with pytest.raises(BudgetError):
-        besicovitch_construct(2, Fraction(1, 4), 12, max_members=100,
-                              sieve=sieve2)
 
 
 # ----------------------------------------------------------------------

@@ -100,8 +100,6 @@ def test_table_row_identities():
 
 
 def test_table_cache_and_budget():
-    with pytest.raises(BudgetError):
-        build_count_table(2, 400, max_bytes=10**4)
     with pytest.raises(UsageError):
         build_count_table(2, 10, excluded_degrees={1: 5})  # only 2 exist
     with pytest.raises(UsageError):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primfield.constructions import divisor_degree_masks
-from primfield.errors import UsageError
+from primfield.errors import BudgetError, UsageError
 from primfield.fieldpoly import (build_factor_sieve, format_index, index_degree,
                                  index_divrem, index_mul, is_prime, parse_index)
 
@@ -252,6 +252,14 @@ def test_divisor_degree_mask_matches_divisor_scan(sieve2):
             for mask in (int(masks[f]),
                          Factorization.of(sieve2, f).divisor_degree_mask):
                 assert degrees == {b for b in range(n + 1) if mask >> b & 1}
+
+
+@pytest.mark.parametrize("q,horizon", [(2, 58), (2, 200), (3, 37)])
+def test_a_sieve_numpy_cannot_index_is_a_budget_error(q, horizon):
+    # 2 arrays of 2 q^horizon int64 entries: past 2^63 - 1 bytes from
+    # q=2, horizon=58 up, so divisor_degree_masks never sees horizon 64
+    with pytest.raises(BudgetError, match="more than numpy can index"):
+        build_factor_sieve(q, horizon)
 
 
 @pytest.mark.parametrize("q,horizon", [(2, 12), (3, 7), (5, 5)])

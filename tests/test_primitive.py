@@ -25,8 +25,10 @@ from oracles import (Factorization, divides, erdos_sum_terms, read_set_lines,
 
 
 def brute_primitive(ps):
-    for a in ps.indices:
-        for b in ps.indices:
+    """The witness is_primitive promises: the least member b with a
+    proper divisor in the set, then its least such divisor a."""
+    for b in ps.indices:
+        for a in ps.indices:
             if a != b and divides(ps.q, a, b):
                 return False, (a, b)
     return True, None
@@ -316,24 +318,44 @@ def test_is_primitive_known_cases():
 @given(indices=index_sets_q2)
 def test_methods_agree_with_brute_force_q2(sieve2, indices):
     ps = polyset_q2(indices)
-    want_ok, _ = brute_primitive(ps)
-    # no sieve: trial division pair by pair; a covering sieve: divisors
-    for sieve in (None, sieve2):
-        ok, witness = is_primitive(ps, sieve=sieve)
-        assert ok == want_ok
-        if not ok:
-            a, b = witness
-            assert a in ps and b in ps and a != b
-            assert divides(2, a, b)
+    want = brute_primitive(ps)
+    assert primitive._primitive_by_division(ps) == want
+    assert primitive._primitive_by_divisors(ps, sieve2) == want
 
 
 @settings(max_examples=30, deadline=None)
 @given(indices=index_sets_q3())
 def test_methods_agree_with_brute_force_q3(sieve3, indices):
     ps = PolySet(3, 5, tuple(indices))
-    want_ok, _ = brute_primitive(ps)
-    for sieve in (None, sieve3):
-        assert is_primitive(ps, sieve=sieve)[0] == want_ok
+    want = brute_primitive(ps)
+    assert primitive._primitive_by_division(ps) == want
+    assert primitive._primitive_by_divisors(ps, sieve3) == want
+
+
+def test_witness_is_the_least_multiple_then_its_least_divisor(sieve2):
+    # x | x^4 and x^2+x+1 | x^3+1: the multiple x^3+1 (index 9) comes first
+    ps = polyset_q2({2, 7, 9, 16})
+    for sieve in (None, sieve2):
+        assert is_primitive(ps, sieve=sieve) == (False, (7, 9))
+    # x and x+1 both divide x^2+x (index 6); x is the lesser
+    assert is_primitive(polyset_q2({2, 3, 6}), sieve=sieve2) == (False, (2, 6))
+
+
+def test_is_primitive_picks_the_cheaper_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("wrong path")
+
+    # 14 members, 24 cross-degree pairs: a degree-40 sieve of 2^41
+    # entries would cost far more than dividing
+    sparse = PolySet(2, 40, (2, 3, *range(2**40 + 1, 2**40 + 24, 2)))
+    monkeypatch.setattr(primitive, "build_factor_sieve", refuse)
+    assert is_primitive(sparse) == brute_primitive(sparse)
+    monkeypatch.undo()
+    # every monic of degrees 8 and 9: 2^17 pairs against a sieve of
+    # 2^10 entries and 768 members to walk
+    dense = PolySet(2, 9, tuple(range(2**8, 2**10)))
+    monkeypatch.setattr(primitive, "_primitive_by_division", refuse)
+    assert is_primitive(dense) == (False, (2**8, 2**9))
 
 
 def test_single_degree_fast_path():
