@@ -8,11 +8,10 @@ machine-checkable certificates.
 
 __version__ = "0.1.0"
 
-from .brackets import BracketedValue, euler_gamma_bracket, precision
+from .brackets import BracketedValue, precision
 from .counting import (CountTable, build_count_table, evaluate_G,
-                       mertens_exact, mertens_product, monic_count,
-                       monic_cumulative, norton_check, sathe_selberg_H,
-                       tail_sums, verify_hr_bound, verify_recurrence_bound)
+                       mertens_product, monic_cumulative, norton_check,
+                       verify_hr_bound, verify_recurrence_bound)
 from .constructions import (GrowthFunction, MPConstruction,
                             SparseConstruction, TSequence,
                             besicovitch_construct, build_t_sequence,
@@ -37,13 +36,11 @@ __all__ = [
     "UsageError", "VerificationError", "assert_primitive",
     "besicovitch_construct", "build_count_table", "build_factor_sieve",
     "build_t_sequence", "check_degree_brackets", "density_profile",
-    "erdos_sum", "erdos_sum_irreducibles", "euler_gamma_bracket",
-    "evaluate_G", "format_index", "is_primitive",
-    "irreducible_density_constant", "kth_irreducible",
-    "kth_irreducible_degree", "mertens_exact", "mertens_product", "moebius",
-    "monic_count", "monic_cumulative", "mp_construct", "mp_diagnostics",
-    "norton_check", "parse_index", "pi_cumulative", "pi_prime", "precision",
-    "random_primitive_set", "read_set", "sathe_selberg_H", "tail_sums",
-    "verify_erdos_density_inequality", "verify_hr_bound",
-    "verify_recurrence_bound", "write_set",
+    "erdos_sum", "erdos_sum_irreducibles", "evaluate_G", "format_index",
+    "is_primitive", "irreducible_density_constant", "kth_irreducible",
+    "kth_irreducible_degree", "mertens_product", "moebius",
+    "monic_cumulative", "mp_construct", "mp_diagnostics", "norton_check",
+    "parse_index", "pi_cumulative", "pi_prime", "precision",
+    "random_primitive_set", "read_set", "verify_erdos_density_inequality",
+    "verify_hr_bound", "verify_recurrence_bound", "write_set",
 ]

@@ -1,11 +1,10 @@
 """Certified scalar brackets with exact rational endpoints.
 
-Anything that cannot be held as an exact rational (logs, Gamma, e^gamma)
-is carried as a closed interval [lo, hi] guaranteed to contain the true
+Anything that cannot be held as an exact rational (logs, e^gamma) is
+carried as a closed interval [lo, hi] guaranteed to contain the true
 value.  Transcendental steps run in mpmath's outward-rounded interval
 context; endpoints come back as dyadic rationals, so every downstream
-comparison is exact integer arithmetic.  Interval-on-interval arithmetic
-done here in Fractions needs no rounding at all.
+comparison is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -70,16 +69,6 @@ def iv_from_fraction(fr: Rational):
     return iv.mpf(fr.numerator) / fr.denominator
 
 
-def iv_span(lo: Rational, hi: Rational):
-    """Interval containing all of [lo, hi] (hull of two rationals)."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi:
-        raise UsageError("span endpoints out of order")
-    a = iv_from_fraction(lo)
-    b = iv_from_fraction(hi)
-    return iv.mpf([a.a, b.b])
-
-
 def iv_pointwise_max(x, y):
     """Interval image of max over two intervals: [max lo, max hi]."""
     return iv.mpf([max(x.a, y.a), max(x.b, y.b)])
@@ -106,82 +95,15 @@ class BracketedValue:
         lo, hi = iv_to_fractions(x)
         return cls(lo, hi)
 
-    @classmethod
-    def exactly(cls, value: Rational) -> "BracketedValue":
-        v = Fraction(value)
-        return cls(v, v)
-
     # ---- queries ------------------------------------------------------
 
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def contains(self, value: Rational) -> bool:
-        v = Fraction(value)
-        return self.lo <= v <= self.hi
-
-    def contains_bracket(self, other: "BracketedValue") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def strictly_below(self, other: "BracketedValue | Rational") -> bool:
+    def strictly_below(self, other: "BracketedValue") -> bool:
         """True only if every point of self is below every point of other."""
-        if isinstance(other, BracketedValue):
-            return self.hi < other.lo
-        return self.hi < Fraction(other)
-
-    def strictly_above(self, other: "BracketedValue | Rational") -> bool:
-        if isinstance(other, BracketedValue):
-            return self.lo > other.hi
-        return self.lo > Fraction(other)
-
-    # ---- exact interval arithmetic ------------------------------------
-
-    def __add__(self, other: "BracketedValue | Rational") -> "BracketedValue":
-        if isinstance(other, BracketedValue):
-            return BracketedValue(self.lo + other.lo, self.hi + other.hi)
-        o = Fraction(other)
-        return BracketedValue(self.lo + o, self.hi + o)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BracketedValue":
-        return BracketedValue(-self.hi, -self.lo)
-
-    def __sub__(self, other: "BracketedValue | Rational") -> "BracketedValue":
-        if isinstance(other, BracketedValue):
-            return self + (-other)
-        return self + (-Fraction(other))
-
-    def __rsub__(self, other: Rational) -> "BracketedValue":
-        return (-self) + Fraction(other)
-
-    def __mul__(self, other: "BracketedValue | Rational") -> "BracketedValue":
-        if isinstance(other, BracketedValue):
-            cands = (
-                self.lo * other.lo,
-                self.lo * other.hi,
-                self.hi * other.lo,
-                self.hi * other.hi,
-            )
-            return BracketedValue(min(cands), max(cands))
-        o = Fraction(other)
-        if o >= 0:
-            return BracketedValue(self.lo * o, self.hi * o)
-        return BracketedValue(self.hi * o, self.lo * o)
-
-    __rmul__ = __mul__
-
-    def __abs__(self) -> "BracketedValue":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return BracketedValue(Fraction(0), max(-self.lo, self.hi))
+        return self.hi < other.lo
 
     # ---- serialization ------------------------------------------------
 
@@ -190,10 +112,6 @@ class BracketedValue:
             "lo": fraction_to_decimal(self.lo, digits, "floor"),
             "hi": fraction_to_decimal(self.hi, digits, "ceil"),
         }
-
-    def __str__(self) -> str:
-        d = self.to_json(digits=24)
-        return f"[{d['lo']}, {d['hi']}]"
 
 
 def fraction_to_decimal(fr: Rational, digits: int, direction: str) -> str:
@@ -218,9 +136,3 @@ def fraction_to_decimal(fr: Rational, digits: int, direction: str) -> str:
     if digits == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{frac:0{digits}d}"
-
-
-def euler_gamma_bracket(precision_bits: int = DEFAULT_PRECISION_BITS) -> BracketedValue:
-    """Certified bracket for the Euler-Mascheroni constant."""
-    with precision(precision_bits):
-        return BracketedValue.from_iv(+iv.euler)

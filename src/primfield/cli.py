@@ -25,12 +25,12 @@ from .constructions import (GrowthFunction, besicovitch_construct,
                             build_t_sequence, mp_construct, mp_diagnostics)
 from .counting import (build_count_table, evaluate_G, mertens_rows,
                        norton_check, verify_hr_bound, verify_recurrence_bound)
-from .errors import (BudgetError, PrecisionError, UsageError,
-                     VerificationError)
+from .errors import BudgetError, PrecisionError, UsageError
 from .fieldpoly import format_index, index_degree
 from .irreducibles import check_degree_brackets, kth_irreducible, pi_prime
-from .primitive import (density_profile, erdos_sum, erdos_sum_irreducibles,
-                        is_primitive, random_primitive_set, read_set,
+from .primitive import (density_profile, divisor_walk_sieve, erdos_sum,
+                        erdos_sum_irreducibles, is_primitive,
+                        random_primitive_set, read_set,
                         verify_erdos_density_inequality, write_set)
 
 # ----------------------------------------------------------------------
@@ -220,7 +220,8 @@ def cmd_verify_norton(args) -> int:
 
 def cmd_verify_erdos_density(args) -> int:
     ps = _read_set_file(args.infile)
-    ok_prim, witness = is_primitive(ps)
+    sieve = divisor_walk_sieve(ps)
+    ok_prim, witness = is_primitive(ps, sieve)
     if not ok_prim:
         pair = _counterexample(ps.q, witness)
         payload = {"primitive": False, "counterexample": pair}
@@ -228,7 +229,7 @@ def cmd_verify_erdos_density(args) -> int:
         print(f"input set is not primitive: {pair['divisor']} divides "
               f"{pair['multiple']}", file=sys.stderr)
         return 2
-    report = verify_erdos_density_inequality(ps)
+    report = verify_erdos_density_inequality(ps, sieve)
     payload = report.to_json()
     payload["primitive"] = True
     _write_out(args, _dump_json(payload))
@@ -346,13 +347,13 @@ def cmd_construct_besicovitch(args) -> int:
 
 def cmd_construct_mp(args) -> int:
     growth = GrowthFunction.parse(args.L)
-    tseq = build_t_sequence(args.q, growth, terms_budget=args.terms_budget,
-                            materialize=args.materialize,
+    tseq = build_t_sequence(args.q, growth, materialize=args.materialize,
                             precision_bits=args.precision_bits)
     result = mp_construct(args.q, tseq, args.horizon,
                           enum_horizon=args.enum_horizon)
     diag = mp_diagnostics(result)
-    ok_prim, witness = is_primitive(result.members)
+    witness = result.witness
+    ok_prim = witness is None
     report = {
         "q": args.q,
         "horizon": result.horizon,
@@ -570,7 +571,6 @@ def build_parser() -> _Parser:
     p.add_argument("--enum-horizon", type=int, default=None,
                    help="materialize members up to this degree "
                         "(default min(horizon, 18))")
-    p.add_argument("--terms-budget", type=int, default=2**17)
     p.add_argument("--materialize", type=int, default=64)
     p.add_argument("--report", metavar="FILE",
                    help="write the JSON report here (summary to stdout)")
@@ -674,12 +674,6 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print(f"primfield: precision exhausted: {exc}", file=sys.stderr)
         return 1
-    except VerificationError as exc:
-        print(f"primfield: verification failed: {exc}", file=sys.stderr)
-        if exc.witness is not None:
-            print(_dump_json({"counterexample": _jsonable(exc.witness)}),
-                  file=sys.stderr, end="")
-        return 2
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except BrokenPipeError:

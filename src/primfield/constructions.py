@@ -31,7 +31,7 @@ from .errors import BudgetError, PrecisionError, UsageError
 from .fieldpoly import (FactorSieve, _check_prime, build_factor_sieve,
                         index_degree)
 from .irreducibles import kth_irreducible, pi_cumulative, pi_prime
-from .primitive import PolySet
+from .primitive import PolySet, is_primitive
 
 # ----------------------------------------------------------------------
 # Growth schedules L(x)
@@ -190,23 +190,10 @@ class TSequence:
     terms: tuple[int, ...]
     suffix_sum: Fraction
     tail_bound: Fraction
-    density_constant: Fraction
 
     @property
     def certified(self) -> bool:
         return self.suffix_sum + self.tail_bound < Fraction(1, 2)
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q, "growth": self.growth.format(),
-            "K": self.K, "k0": self.k0,
-            "ranks_head": list(self.ranks[:16]),
-            "degrees_head": list(self.degrees[:16]),
-            "suffix_sum_float": float(self.suffix_sum),
-            "tail_bound_float": float(self.tail_bound),
-            "budget_float": float(self.suffix_sum + self.tail_bound),
-            "certified": self.certified,
-        }
 
 
 def _rank_floor_iv(growth: GrowthFunction, k: int,
@@ -239,8 +226,13 @@ def _rank_schedule(growth: GrowthFunction, K: int,
     return ranks
 
 
-def build_t_sequence(q: int, growth: GrowthFunction | str,
-                     terms_budget: int = 2**17,
+# The method's limit on exact suffix terms: the cutoff K doubles from 2^12
+# until the tail bound beyond it certifies, and a growth law whose tail
+# needs more exact terms than this is refused with a BudgetError.
+MAX_EXACT_TERMS = 2**17
+
+
+def build_t_sequence(q: int, growth: GrowthFunction,
                      materialize: int = 64,
                      precision_bits: int = DEFAULT_PRECISION_BITS,
                      ) -> TSequence:
@@ -252,15 +244,11 @@ def build_t_sequence(q: int, growth: GrowthFunction | str,
     once theta L(K+1) >= c, so each term is at most
     (c log^2 q / theta) / (k log^2 k L(k)) and the integral bound of the
     growth schedule finishes the tail.  K doubles until both the
-    precondition and tail < 1/2 hold.
+    precondition and tail < 1/2 hold, up to MAX_EXACT_TERMS.
     """
     _check_prime(q)
-    if isinstance(growth, str):
-        growth = GrowthFunction.parse(growth)
-    if terms_budget < 2:
-        raise UsageError("terms budget must be at least 2")
     c = irreducible_density_constant(q)
-    K = min(2**12, terms_budget)
+    K = min(2**12, MAX_EXACT_TERMS)
     with precision(precision_bits):
         while True:
             l_next = BracketedValue.from_iv(growth.value_iv(K + 1)).lo
@@ -275,11 +263,11 @@ def build_t_sequence(q: int, growth: GrowthFunction | str,
                 tail = pre * integral
             if tail is not None and tail < Fraction(1, 2):
                 break
-            if K >= terms_budget:
+            if K >= MAX_EXACT_TERMS:
                 raise BudgetError(
-                    f"tail bound not below 1/2 within {terms_budget} terms"
+                    f"tail bound not below 1/2 within {MAX_EXACT_TERMS} terms"
                     f" for growth {growth.format()} at q={q}")
-            K = min(2 * K, terms_budget)
+            K = min(2 * K, MAX_EXACT_TERMS)
     ranks = _rank_schedule(growth, K, precision_bits)
     diffs = np.diff(ranks)
     assert (diffs > 0).all(), "rank schedule must be strictly increasing"
@@ -311,7 +299,7 @@ def build_t_sequence(q: int, growth: GrowthFunction | str,
         assert index_degree(q, t) == int(dd)
     return TSequence(q, growth, K, k0, tuple(int(r) for r in ranks[:mat]),
                      tuple(int(dd) for dd in degs[:mat]), terms,
-                     Fraction(suffix[k0 - 1], den), tail, c)
+                     Fraction(suffix[k0 - 1], den), tail)
 
 
 # ----------------------------------------------------------------------
@@ -451,9 +439,7 @@ def besicovitch_construct(q: int, eps, horizon: int,
         for m in range(1, horizon + 1):
             running += counts.get(m, 0)
             density = max(density, Fraction(running, M[m]))
-    suggested = None
-    if not levels and best_first is not None:
-        suggested = best_first
+    suggested = None if levels else best_first
     return SparseConstruction(q, eps, horizon, tuple(levels),
                               tuple(window_rows), members, density, suggested)
 
@@ -470,7 +456,8 @@ class MPConstruction:
 
     counts[k-1][n] is |S_k at degree n| from restricted count tables;
     members holds the enumerated polynomials of degree <= enum_horizon,
-    cross-checked against the same counts.
+    cross-checked against the same counts; witness is None when
+    is_primitive certifies the members, else its dividing pair.
     """
 
     q: int
@@ -483,6 +470,7 @@ class MPConstruction:
     cross_checked: bool
     erdos_partial: Fraction
     erdos_partial_from_k0: Fraction
+    witness: tuple[int, int] | None
 
     def total_by_degree(self) -> tuple[int, ...]:
         out = [0] * (self.horizon + 1)
@@ -491,21 +479,9 @@ class MPConstruction:
                 out[n] += v
         return tuple(out)
 
-    def to_json(self) -> dict:
-        return {"q": self.q, "horizon": self.horizon,
-                "enum_horizon": self.enum_horizon,
-                "growth": self.tseq.growth.format(),
-                "k0": self.tseq.k0, "k_max": self.k_max,
-                "member_count": len(self.members),
-                "cross_checked": self.cross_checked,
-                "erdos_partial_float": float(self.erdos_partial),
-                "erdos_partial_from_k0_float": float(self.erdos_partial_from_k0),
-                "totals_by_degree": list(self.total_by_degree())}
 
-
-def mp_construct(q: int, growth_or_tseq, horizon: int,
-                 enum_horizon: int | None = None,
-                 **tseq_kwargs) -> MPConstruction:
+def mp_construct(q: int, tseq: TSequence, horizon: int,
+                 enum_horizon: int | None = None) -> MPConstruction:
     """Assemble the thinned-irreducible primitive family up to a horizon.
 
     Counting is exact at every degree <= horizon: S_k at degree n equals
@@ -514,15 +490,11 @@ def mp_construct(q: int, growth_or_tseq, horizon: int,
     per-degree irreducible supply excludes the earlier terms.  Members
     are enumerated only up to enum_horizon (from the factor sieve of every
     monic polynomial there); cross_checked says whether the enumeration
-    reproduces the counts.
+    reproduces the counts, and the same sieve certifies primitivity.
     """
     _check_prime(q)
-    if isinstance(growth_or_tseq, TSequence):
-        tseq = growth_or_tseq
-        if tseq.q != q:
-            raise UsageError("t-sequence belongs to a different field")
-    else:
-        tseq = build_t_sequence(q, growth_or_tseq, **tseq_kwargs)
+    if tseq.q != q:
+        raise UsageError("t-sequence belongs to a different field")
     if horizon < 1:
         raise UsageError("horizon must be >= 1")
     if enum_horizon is None:
@@ -571,6 +543,7 @@ def mp_construct(q: int, growth_or_tseq, horizon: int,
     cross = got.reshape(k_max, enum_horizon + 1).tolist() == \
         [list(row[:enum_horizon + 1]) for row in counts]
     members = PolySet(q, horizon, tuple(indices.tolist()))
+    _, witness = is_primitive(members, sieve)
     den = q**horizon * math.lcm(*range(1, horizon + 1))
     total = 0
     total_k0 = 0
@@ -583,7 +556,8 @@ def mp_construct(q: int, growth_or_tseq, horizon: int,
                     total_k0 += w
     return MPConstruction(q, horizon, enum_horizon, tseq, k_max,
                           tuple(counts), members, cross,
-                          Fraction(total, den), Fraction(total_k0, den))
+                          Fraction(total, den), Fraction(total_k0, den),
+                          witness)
 
 
 @dataclass(frozen=True)
@@ -612,9 +586,7 @@ def mp_diagnostics(mpc: MPConstruction) -> tuple[MPDiagnosticsRow, ...]:
     for n in range(2, mpc.horizon + 1):
         ln = math.log(n)
         lln = math.log(max(ln, math.e))
-        lval = float(np.asarray(
-            tseq.growth.value_float(np.asarray([ln], dtype=np.float64))
-        )[0])
+        lval = float(tseq.growth.value_float(np.array([ln]))[0])
         scaled = totals[n] * ln * lln * lval / float(mpc.q)**n
         b_lo = max(1, math.floor(0.5 * ln))
         b_hi = max(1, math.floor(1.5 * ln))

@@ -16,22 +16,16 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from itertools import count
+from typing import Iterator, Mapping, NamedTuple
 
 from mpmath import iv
 
 from .brackets import (DEFAULT_PRECISION_BITS, BracketedValue, iv_from_fraction,
                        precision)
-from .errors import BudgetError, PrecisionError, UsageError
+from .errors import PrecisionError, UsageError
 from .fieldpoly import _check_prime
 from .irreducibles import pi_prime
-
-def monic_count(q: int, n: int) -> int:
-    """Number of monic polynomials of degree exactly n."""
-    _check_prime(q)
-    if n < 0:
-        raise UsageError("degree must be >= 0")
-    return q**n
 
 
 def monic_cumulative(q: int, n: int) -> int:
@@ -289,34 +283,21 @@ def _term_precision(m: int):
     return precision(iv.prec + m.bit_length())
 
 
-def _numerator_bits(q: int, exponent_sum: int) -> int:
-    """Estimated size in bits of A in P(n) = A / q^E, E = exponent_sum."""
-    return int(exponent_sum * math.log2(q)) + 1
+def mertens_parts(q: int) -> Iterator[tuple[int, int]]:
+    """(A, E) with prod_{d<=n} (1 - q^-d)^{pi'_q(d)} = A / q^E exactly, for
+    n = 1, 2, ... in turn.
 
-
-def mertens_exact_parts(q: int, n: int,
-                        max_bits: int = 2**24) -> tuple[int, int]:
-    """(A, E) with prod_{d<=n} (1 - q^-d)^{pi'_q(d)} = A / q^E exactly."""
-    _check_prime(q)
-    if n < 0:
-        raise UsageError("degree must be >= 0")
-    exponent_sum = sum(d * pi_prime(q, d) for d in range(1, n + 1))
-    bits = _numerator_bits(q, exponent_sum)
-    if bits > max_bits:
-        raise BudgetError(
-            f"exact Mertens product at q={q}, n={n} needs ~{bits} bits"
-            f" (budget {max_bits})")
-    num = 1
-    for d in range(1, n + 1):
-        num *= pow(q**d - 1, pi_prime(q, d))
-    return num, exponent_sum
-
-
-def mertens_exact(q: int, n: int, max_bits: int = 2**24) -> Fraction:
-    """P(n) = prod_{d<=n} (1 - q^-d)^{pi'_q(d)} as an exact rational."""
-    num, e = mertens_exact_parts(q, n, max_bits=max_bits)
-    # each factor q^d - 1 is prime to q
-    return Fraction(_LowestTerms(num, q**e))
+    One running product over the degrees: each n multiplies in its own
+    factor (q^n - 1)^{pi'_q(n)}, each prime to q.  A has about E log2 q
+    bits, ~q^n at degree n, so the run's memory ceiling and deadline are
+    what bound how far a caller takes it.
+    """
+    num, exponent_sum = 1, 0
+    for n in count(1):
+        m = pi_prime(q, n)
+        num *= pow(q**n - 1, m)
+        exponent_sum += n * m
+        yield num, exponent_sum
 
 
 @dataclass(frozen=True)
@@ -341,20 +322,21 @@ PRINTABLE_EXACT_BITS = 14280
 
 def mertens_rows(q: int, max_n: int,
                  precision_bits: int = DEFAULT_PRECISION_BITS,
-                 exact_max_bits: int = PRINTABLE_EXACT_BITS,
                  ) -> tuple[MertensValue, ...]:
     """mertens_product(q, n) for n = 1..max_n in one pass over the degrees.
 
-    The interval sum of the log terms and the exact numerator both run
-    over d, so row n adds one degree's term to row n - 1.  The numerator's
-    size only grows with n, so once it passes exact_max_bits every later
+    The interval sum of the log terms and the exact product of
+    mertens_parts both run over d, so row n adds one degree's term to row
+    n - 1.  A row carries its exact rational while the decimal form prints
+    (q=2 through n=12); the numerator only grows with n, so every later
     row is bracket-only and builds no exact rational.
     """
     _check_prime(q)
     if max_n < 1:
         raise UsageError("degree must be >= 1")
     rows = []
-    num, exponent_sum = 1, 0
+    parts = mertens_parts(q)
+    exponent_sum = 0
     with precision(precision_bits):
         s = iv.mpf(0)
         for n in range(1, max_n + 1):
@@ -364,13 +346,10 @@ def mertens_rows(q: int, max_n: int,
             s += term
             exponent_sum += n * m
             exact = None
-            if (num is not None
-                    and _numerator_bits(q, exponent_sum) <= exact_max_bits):
-                num *= pow(q**n - 1, m)
-                # each factor q^d - 1 is prime to q
-                exact = Fraction(_LowestTerms(num, q**exponent_sum))
-            else:
-                num = None
+            # A in P(n) = A / q^E has about E log2 q bits
+            if int(exponent_sum * math.log2(q)) + 1 <= PRINTABLE_EXACT_BITS:
+                num, e = next(parts)
+                exact = Fraction(_LowestTerms(num, q**e))
             norm = iv.exp(iv.euler + iv.log(iv.mpf(n)) + s)
             rows.append(MertensValue(q, n, exact,
                                      BracketedValue.from_iv(norm)))
@@ -379,15 +358,13 @@ def mertens_rows(q: int, max_n: int,
 
 def mertens_product(q: int, n: int,
                     precision_bits: int = DEFAULT_PRECISION_BITS,
-                    exact_max_bits: int = PRINTABLE_EXACT_BITS) -> MertensValue:
+                    ) -> MertensValue:
     """Truncated Mertens product with its drift-normalized bracket.
 
-    normalized brackets e^gamma * n * P(n), which tends to 1.  The exact
-    rational is included while its size fits the bit budget, by default
-    while its decimal form prints (q=2 through n=12); the exact form needs
-    ~q^n bits, so larger n is bracket-only and builds no exact rational.
+    normalized brackets e^gamma * n * P(n), which tends to 1; the exact
+    rational is included while its decimal form prints, as in mertens_rows.
     """
-    return mertens_rows(q, n, precision_bits, exact_max_bits)[-1]
+    return mertens_rows(q, n, precision_bits)[-1]
 
 
 # ----------------------------------------------------------------------
@@ -451,31 +428,6 @@ def evaluate_G(q: int, z, eps=Fraction(1, 10**6),
         bits *= 2
 
 
-def sathe_selberg_H(q: int, k: int, n: int,
-                    precision_bits: int = DEFAULT_PRECISION_BITS,
-                    degree_cap: int = 64) -> BracketedValue:
-    """Bracket for
-    H_k(n) = (q^n/n) (log n)^(k-1)/(k-1)! * G((k-1)/log n) / Gamma(z+1)
-    with z = (k-1)/log n, the Gamma factor normalizing the Euler product.
-
-    Defined for n >= 2 and 1 <= k <= 2 log n + 1 (the two-sided range in
-    which the approximation is meaningful).
-    """
-    _check_prime(q)
-    if n < 2:
-        raise UsageError("n must be >= 2")
-    if k < 1:
-        raise UsageError("k must be >= 1")
-    with precision(precision_bits):
-        ln_n = iv.log(iv.mpf(n))
-        if k > 1 and k - 1 > BracketedValue.from_iv(2 * ln_n).hi:
-            raise UsageError(f"k={k} outside 1..2 log n + 1 for n={n}")
-        z = iv.mpf(k - 1) / ln_n
-        g = _g_series_iv(q, z, degree_cap) / iv.gamma(1 + z)
-        h = (iv.mpf(q**n) / n) * ln_n**(k - 1) / math.factorial(k - 1) * g
-        return BracketedValue.from_iv(h)
-
-
 # ----------------------------------------------------------------------
 # Poisson-style tails
 # ----------------------------------------------------------------------
@@ -484,73 +436,6 @@ def q_large_deviation(y: Fraction):
     """Q(y) = y log y - y + 1 as an interval (y rational > 0)."""
     y_iv = iv_from_fraction(Fraction(y))
     return y_iv * iv.log(y_iv) - y_iv + 1
-
-
-@dataclass(frozen=True)
-class TailSums:
-    """Exact small/large factor-count masses of one table row, with
-    display-only normalized ratios (floats)."""
-
-    q: int
-    n: int
-    alpha: Fraction
-    beta: Fraction
-    lower_k_max: int
-    lower_sum: int
-    upper_k_min: int
-    upper_sum: int
-    lower_normalized: float
-    upper_normalized: float
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q, "n": self.n,
-            "alpha": str(self.alpha), "beta": str(self.beta),
-            "lower_k_max": self.lower_k_max, "lower_sum": str(self.lower_sum),
-            "upper_k_min": self.upper_k_min, "upper_sum": str(self.upper_sum),
-            "lower_normalized": self.lower_normalized,
-            "upper_normalized": self.upper_normalized,
-        }
-
-
-def tail_sums(q: int, n: int, alpha, beta,
-              table: CountTable | None = None) -> TailSums:
-    """Exact sums of the degree-n table row over k <= alpha log n and
-    k >= beta log n, plus Poisson-normalized ratios for display."""
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    if not 0 < alpha < 1 < beta:
-        raise UsageError("need 0 < alpha < 1 < beta")
-    if n < 2:
-        raise UsageError("n must be >= 2")
-    if table is None:
-        table = build_count_table(q, n)
-    row = table.rows[n]
-    ln_n = math.log(n)
-    k_max = math.floor(float(alpha) * ln_n)
-    k_min = math.ceil(float(beta) * ln_n)
-    lower = sum(row[k] for k in range(0, min(k_max, n) + 1))
-    upper = sum(row[k] for k in range(max(k_min, 0), n + 1))
-    qa = iv_to_float(q_large_deviation(alpha))
-    qb = iv_to_float(q_large_deviation(beta))
-    # normalized size ~ O(1) when the Poisson heuristic is sharp
-    if n * math.log2(q) < 900:
-        qn = float(q)**n
-        lower_nrm = lower * n**qa * math.sqrt(ln_n) / qn
-        upper_nrm = upper * n**qb * math.sqrt(ln_n) / qn
-    else:
-        lower_nrm = math.exp(math.log(lower) + qa * ln_n
-                             + 0.5 * math.log(ln_n) - n * math.log(q)) if lower else 0.0
-        upper_nrm = math.exp(math.log(upper) + qb * ln_n
-                             + 0.5 * math.log(ln_n) - n * math.log(q)) if upper else 0.0
-    return TailSums(q, n, alpha, beta, k_max, lower, k_min, upper,
-                    lower_nrm, upper_nrm)
-
-
-def iv_to_float(x) -> float:
-    """Midpoint float of an interval (display only)."""
-    b = BracketedValue.from_iv(x)
-    return float(b.midpoint)
 
 
 @dataclass(frozen=True)

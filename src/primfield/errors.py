@@ -17,7 +17,8 @@ class UsageError(PrimfieldError):
 
 
 class BudgetError(PrimfieldError):
-    """The request would exceed a memory, size, or iteration budget."""
+    """The run reached its memory ceiling or deadline, or the request is
+    past a fixed limit of the method."""
 
 
 class PrecisionError(PrimfieldError):
@@ -25,8 +26,5 @@ class PrecisionError(PrimfieldError):
 
 
 class VerificationError(PrimfieldError):
-    """A checked inequality or certificate failed; carries a witness."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """A checked inequality or certificate failed; the message names the
+    counterexample."""

@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from mpmath import iv
 
-from .errors import BudgetError, UsageError
+from .brackets import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS,
+                       BracketedValue, precision)
+from .errors import PrecisionError, UsageError
 from .fieldpoly import FactorSieve, _check_prime, build_factor_sieve
 
 
@@ -89,16 +93,17 @@ def kth_irreducible(q: int, k: int, sieve: FactorSieve | None = None) -> int:
 
 
 # Ranks checked per numpy pass, so a pass holds a few 512 KiB arrays however
-# wide the k range is; the most violating ranks a report lists; and the
-# widest k range one check takes.
+# wide the k range is; the most violating ranks a report lists; and how near
+# 0 a float64 margin must be for its sign to be settled in intervals.
 BRACKET_BLOCK = 65536
 MAX_LISTED_VIOLATIONS = 1000
-MAX_BRACKET_RANKS = 4 * 10**6
+MARGIN_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
 class DegreeBracketReport:
-    """Window check for degrees of the k-th irreducible over a k range."""
+    """Window check for degrees of the k-th irreducible over a k range:
+    every violating rank is counted, the first ones listed."""
 
     q: int
     k_lo: int
@@ -106,12 +111,13 @@ class DegreeBracketReport:
     slack: float
     checked: int
     violations: tuple[int, ...]
+    violation_count: int
     worst_low_margin: float
     worst_high_margin: float
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violation_count
 
     def to_json(self) -> dict:
         return {
@@ -121,7 +127,7 @@ class DegreeBracketReport:
             "slack": self.slack,
             "checked": self.checked,
             "violations": list(self.violations[:50]),
-            "violation_count": len(self.violations),
+            "violation_count": self.violation_count,
             "worst_low_margin": self.worst_low_margin,
             "worst_high_margin": self.worst_high_margin,
             "ok": self.ok,
@@ -132,41 +138,82 @@ def check_degree_brackets(q: int, k_lo: int, k_hi: int,
                           slack: float) -> DegreeBracketReport:
     """Check L(k) - 1 - slack <= deg P_k <= L(k) + slack for k in [k_lo, k_hi].
 
-    Margins are float diagnostics (display only); the comparisons have
-    enormous true slack relative to float error at these scales.
+    deg P_k, the least n with pi_cumulative(q, n) >= k, is found by exact
+    integer comparison.  Margins are float64 diagnostics (display only);
+    their signs decide a rank unless one lies within MARGIN_TOLERANCE of
+    0, where _window_violated settles the verdict.
     """
     _check_prime(q)
     if k_lo < q:
         raise UsageError(f"k_lo must be >= q (got {k_lo}) so log log is defined")
     if k_hi < k_lo:
         raise UsageError("empty k range")
-    if k_hi - k_lo + 1 > MAX_BRACKET_RANKS:
-        raise BudgetError(f"range of {k_hi - k_lo + 1} exceeds budget"
-                          f" {MAX_BRACKET_RANKS}")
-    nmax = kth_irreducible_degree(q, k_hi)
-    cum = np.array([pi_cumulative(q, n) for n in range(0, nmax + 1)],
-                   dtype=np.float64)
     logq = math.log(q)
     violations: list[int] = []
+    violation_count = 0
     worst_low = worst_high = math.inf
     for start in range(k_lo, k_hi + 1, BRACKET_BLOCK):
-        ks = np.arange(start, min(start + BRACKET_BLOCK, k_hi + 1),
-                       dtype=np.int64)
-        # degree of P_k = least n with pi_cumulative(q, n) >= k
-        degs = np.searchsorted(cum, ks, side="left").astype(np.float64)
+        stop = min(start + BRACKET_BLOCK, k_hi + 1)
+        n = kth_irreducible_degree(q, start)
+        # ranks from start to pi_cumulative(q, n) have degree n, the next
+        # pi'(n + 1) ranks degree n + 1, and so on
+        degs = np.empty(stop - start)
+        at, d = 0, n
+        while at < len(degs):
+            end = min(pi_cumulative(q, d) + 1 - start, len(degs))
+            degs[at:end] = d
+            at, d = end, d + 1
+        if stop <= 2**63:
+            ks = np.arange(start, stop, dtype=np.int64).astype(np.float64)
+        else:
+            ks = np.array(range(start, stop), dtype=object).astype(np.float64)
         lk = np.log(ks) / logq
         L = lk + np.log(lk) / logq + math.log(q - 1) / logq
         low_margin = degs - (L - 1.0 - slack)
         high_margin = (L + slack) - degs
         worst_low = min(worst_low, float(low_margin.min()))
         worst_high = min(worst_high, float(high_margin.min()))
-        if len(violations) < MAX_LISTED_VIOLATIONS:
-            bad = np.nonzero((low_margin < 0) | (high_margin < 0))[0]
-            violations += (int(ks[i]) for i in
-                           bad[:MAX_LISTED_VIOLATIONS - len(violations)])
+        bad = (low_margin < 0) | (high_margin < 0)
+        near = ((np.abs(low_margin) < MARGIN_TOLERANCE)
+                | (np.abs(high_margin) < MARGIN_TOLERANCE))
+        for i in np.flatnonzero(near).tolist():
+            bad[i] = _window_violated(q, start + i, int(degs[i]), slack)
+        hits = np.flatnonzero(bad)
+        violation_count += len(hits)
+        violations += (start + i for i in
+                       hits[:MAX_LISTED_VIOLATIONS - len(violations)].tolist())
     return DegreeBracketReport(
         q=q, k_lo=k_lo, k_hi=k_hi, slack=slack, checked=k_hi - k_lo + 1,
-        violations=tuple(violations),
+        violations=tuple(violations), violation_count=violation_count,
         worst_low_margin=worst_low,
         worst_high_margin=worst_high,
     )
+
+
+def _window_violated(q: int, k: int, degree: int, slack: float) -> bool:
+    """Certified verdict on L(k) - 1 - slack <= degree <= L(k) + slack.
+
+    L(k) is rational only at q = 2 and k = 2^j with j a power of 2, where
+    it is j + log2 j, and the check is exact.  Anywhere else L(k) is
+    transcendental, so neither margin is 0, and a bracket of L(k) at a
+    precision doubled until it decides both sides settles the verdict.
+    """
+    s = Fraction(slack)
+    j = k.bit_length() - 1
+    if q == 2 and k == 1 << j and j & (j - 1) == 0:
+        L = j + j.bit_length() - 1
+        return not (L - 1 - s <= degree <= L + s)
+    bits = DEFAULT_PRECISION_BITS
+    while bits <= MAX_PRECISION_BITS:
+        with precision(bits):
+            logq = iv.log(iv.mpf(q))
+            lk = iv.log(iv.mpf(k)) / logq
+            L = BracketedValue.from_iv(
+                lk + iv.log(lk) / logq + iv.log(iv.mpf(q - 1)) / logq)
+        if degree < L.lo - 1 - s or degree > L.hi + s:
+            return True
+        if L.hi - 1 - s <= degree <= L.lo + s:
+            return False
+        bits *= 2
+    raise PrecisionError(f"degree window of rank {k} undecided at"
+                         f" {MAX_PRECISION_BITS} bits")

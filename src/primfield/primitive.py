@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .brackets import BracketedValue
-from .counting import _LowestTerms, mertens_exact_parts, monic_cumulative
+from .counting import _LowestTerms, mertens_parts, monic_cumulative
 from .errors import UsageError, VerificationError
 from .fieldpoly import (FactorSieve, _check_prime, build_factor_sieve,
                         format_index, index_degree, index_divrem, index_mul,
@@ -72,10 +72,6 @@ class PolySet:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def __contains__(self, index: int) -> bool:
-        i = bisect_left(self.indices, index)
-        return i < len(self.indices) and self.indices[i] == index
 
     def by_degree(self) -> dict[int, tuple[int, ...]]:
         """Members grouped by degree, ascending within each group."""
@@ -362,21 +358,32 @@ def is_primitive(ps: PolySet, sieve: FactorSieve | None = None,
 
     Distinct monic polynomials of equal degree never divide one another,
     so only cross-degree pairs count.  Given a sieve that covers the set,
-    or when building one (2 q^D entries for top degree D) and walking
-    every member's divisors costs less than the cross-degree pairs, the
-    divisor walk decides; other sets use trial division pair by pair.
+    or else one from divisor_walk_sieve, the divisor walk decides; other
+    sets use trial division pair by pair.
     """
-    by_degree = ps.by_degree()
-    if len(by_degree) <= 1:
+    if len(ps.by_degree()) <= 1:
         return True, None
-    q = ps.q
-    if sieve is None or sieve.q != q or sieve.horizon < ps.max_degree:
-        sizes = [len(block) for block in by_degree.values()]
-        pairs = sum(map(operator.mul, sizes[1:], accumulate(sizes)))
-        if 2 * q**ps.max_degree + len(ps) > pairs:
+    if not _covers(sieve, ps):
+        sieve = divisor_walk_sieve(ps)
+        if sieve is None:
             return _primitive_by_division(ps)
-        sieve = build_factor_sieve(q, ps.max_degree)
     return _primitive_by_divisors(ps, sieve)
+
+
+def _covers(sieve: FactorSieve | None, ps: PolySet) -> bool:
+    return (sieve is not None and sieve.q == ps.q
+            and sieve.horizon >= ps.max_degree)
+
+
+def divisor_walk_sieve(ps: PolySet) -> FactorSieve | None:
+    """A sieve covering ps when building it (2 q^D entries for top degree
+    D) and walking every member's divisors costs less than trial division
+    of the cross-degree pairs; None when division is cheaper."""
+    sizes = [len(block) for block in ps.by_degree().values()]
+    pairs = sum(map(operator.mul, sizes[1:], accumulate(sizes)))
+    if 2 * ps.q**ps.max_degree + len(ps) > pairs:
+        return None
+    return build_factor_sieve(ps.q, ps.max_degree)
 
 
 def _primitive_by_division(ps: PolySet) -> tuple[bool, tuple[int, int] | None]:
@@ -412,8 +419,7 @@ def assert_primitive(ps: PolySet, **kwargs) -> None:
     ok, witness = is_primitive(ps, **kwargs)
     if not ok:
         a, b = (format_index(ps.q, i) for i in witness)
-        raise VerificationError(f"not primitive: {a} divides {b}",
-                                witness=(a, b))
+        raise VerificationError(f"not primitive: {a} divides {b}")
 
 
 # ----------------------------------------------------------------------
@@ -527,12 +533,13 @@ def verify_erdos_density_inequality(ps: PolySet,
                                     ) -> DensityBoundReport:
     """Exact check that any primitive set satisfies the weighted bound <= 1.
 
-    Members are bucketed by (degree, D(a)); with P(m) = A_m / q^{E_m} the
-    whole left side is a single integer comparison against q^{max exponent}.
+    Members are bucketed by (degree, D(a)); with P(m) = A_m / q^{E_m},
+    read off one running product up to the top level, the whole left side
+    is a single integer comparison against q^{max exponent}.
     """
     if not ps.indices:
         return DensityBoundReport(ps.q, 0, Fraction(0), ())
-    if sieve is None or sieve.q != ps.q or sieve.horizon < ps.max_degree:
+    if not _covers(sieve, ps):
         sieve = build_factor_sieve(ps.q, ps.max_degree)
     q = ps.q
     idx = np.asarray(ps.indices)
@@ -543,7 +550,9 @@ def verify_erdos_density_inequality(ps: PolySet,
     buckets = [(*divmod(i, width), c) for i, c in enumerate(cells) if c]
     by_level = tuple((m, c) for m, c in enumerate(np.bincount(levels).tolist())
                      if c)
-    parts = {m: mertens_exact_parts(q, m) for m, _ in by_level}
+    wanted = {m for m, _ in by_level}
+    parts = {m: part for m, part in zip(range(1, max(wanted) + 1),
+                                        mertens_parts(q)) if m in wanted}
     max_exp = max(parts[m][1] + da for da, m, _ in buckets)
     num = 0
     for da, m, cnt in buckets:

@@ -11,12 +11,14 @@ least-factor chain and the single-polynomial text codec.
 The library's count tables and recurrence check work on packed rows, one
 integer per table row; its Erdos sum over irreducibles uses one common
 denominator, its degree-bracket check runs over blocks of ranks, and its
-Mertens products for n = 1..N come from one running sum over degrees.
-The count-layer oracles recompute each of these one cell, one term, one
-n or one whole array at a time.
+Mertens products for n = 1..N come from one running sum and one running
+exact product over degrees.  The count-layer oracles recompute each of
+these one cell, one term, one n or one whole array at a time; the exact
+Mertens product is one Fraction factor per degree.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,8 +28,8 @@ from mpmath import iv
 from primfield.brackets import (DEFAULT_PRECISION_BITS, BracketedValue,
                                 precision)
 from primfield.counting import (PRINTABLE_EXACT_BITS, MertensValue,
-                                _term_precision, mertens_exact)
-from primfield.errors import BudgetError, UsageError
+                                _term_precision)
+from primfield.errors import UsageError
 from primfield.fieldpoly import (format_index, index_degree, index_divrem,
                                  index_mul, parse_index)
 from primfield.irreducibles import pi_cumulative, pi_prime
@@ -200,14 +202,23 @@ def erdos_sum_terms(q, cut):
     return partial
 
 
+def mertens_exact(q, n):
+    """prod_{d <= n} (1 - 1/q^d)^{pi'_q(d)}, one Fraction factor per degree."""
+    out = Fraction(1)
+    for d in range(1, n + 1):
+        out *= (1 - Fraction(1, q**d))**pi_prime(q, d)
+    return out
+
+
 def mertens_per_n(q, n):
     """The Mertens product at one n: every degree's term summed afresh, at
     the same working precisions, and the exact rational from mertens_exact
-    while it fits the printable budget."""
-    try:
-        exact = mertens_exact(q, n, max_bits=PRINTABLE_EXACT_BITS)
-    except BudgetError:
-        exact = None
+    while its numerator, about sum_d d pi'(d) log2 q bits, stays within
+    the printable budget."""
+    exponent = sum(d * pi_prime(q, d) for d in range(1, n + 1))
+    exact = None
+    if int(exponent * math.log2(q)) + 1 <= PRINTABLE_EXACT_BITS:
+        exact = mertens_exact(q, n)
     with precision(DEFAULT_PRECISION_BITS):
         s = iv.mpf(0)
         for d in range(1, n + 1):
@@ -220,20 +231,20 @@ def mertens_per_n(q, n):
 
 
 def degree_brackets_whole(q, k_lo, k_hi, slack):
-    """(violations, worst_low_margin, worst_high_margin) of the degree
-    window check, with every rank of the range in one array."""
-    nmax = 1
-    while pi_cumulative(q, nmax) < k_hi:
-        nmax += 1
-    cum = np.array([pi_cumulative(q, n) for n in range(0, nmax + 1)],
-                   dtype=np.float64)
+    """(violations, violation_count, worst_low_margin, worst_high_margin)
+    of the degree window check, with every rank of the range in one array
+    and each rank's degree from bisecting the exact cumulative counts."""
+    cum = [0]
+    while cum[-1] < k_hi:
+        cum.append(pi_cumulative(q, len(cum)))
     ks = np.arange(k_lo, k_hi + 1, dtype=np.int64)
-    degs = np.searchsorted(cum, ks, side="left").astype(np.float64)
+    degs = np.array([bisect_left(cum, k) for k in range(k_lo, k_hi + 1)],
+                    dtype=np.float64)
     logq = math.log(q)
     lk = np.log(ks) / logq
     L = lk + np.log(lk) / logq + math.log(q - 1) / logq
     low_margin = degs - (L - 1.0 - slack)
     high_margin = (L + slack) - degs
     bad = np.nonzero((low_margin < 0) | (high_margin < 0))[0]
-    return (tuple(int(ks[i]) for i in bad[:1000]),
+    return (tuple(int(ks[i]) for i in bad[:1000]), len(bad),
             float(low_margin.min()), float(high_margin.min()))

@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 from mpmath import iv
 
-from primfield import (BracketedValue, PolySet, assert_primitive,
-                       besicovitch_construct, build_count_table,
+from primfield import (BracketedValue, GrowthFunction, PolySet,
+                       assert_primitive, besicovitch_construct,
+                       build_count_table,
                        build_t_sequence, check_degree_brackets,
                        erdos_sum_irreducibles, evaluate_G,
                        kth_irreducible, mertens_product, monic_cumulative,
@@ -63,7 +64,7 @@ def info(num: int, text: str) -> None:
 @pytest.fixture(scope="module")
 def tseq_log():
     t0 = time.monotonic()
-    t = build_t_sequence(2, "log:eps=0.1")
+    t = build_t_sequence(2, GrowthFunction.parse("log:eps=0.1"))
     return t, time.monotonic() - t0
 
 

@@ -1,16 +1,30 @@
 """The package's public names."""
 
+import ast
+from pathlib import Path
+
 import primfield
-from primfield import fieldpoly, primitive
+from primfield import (brackets, constructions, counting, fieldpoly,
+                       irreducibles, primitive)
+
+SRC = Path(primfield.__file__).resolve().parent
 
 # the coefficient-tuple layer; its checks live in the test oracles now,
 # and the integer index is the only polynomial type; a construction that
 # cannot start is a UsageError; one address-space ceiling replaces the
-# sieve budget, and is_primitive picks its path by cost, not a pair cap
+# sieve budget, and is_primitive picks its path by cost, not a pair cap;
+# library code no command reached, the exact Mertens product's second
+# path, and the size caps the run's deadline and ceiling made redundant
 DELETED = ("ConstructionError", "DEFAULT_ENUM_BUDGET", "DEFAULT_SIEVE_ENTRIES",
-           "Factorization", "MAX_PAIRS", "MonicPoly", "divides",
-           "enumerate_monic", "factorize", "format_poly", "is_irreducible",
-           "parse_poly", "poly_divrem", "poly_mul")
+           "Factorization", "MAX_BRACKET_RANKS", "MAX_PAIRS", "MonicPoly",
+           "TailSums", "divides", "enumerate_monic", "euler_gamma_bracket",
+           "factorize", "format_poly", "is_irreducible", "iv_span",
+           "iv_to_float", "mertens_exact", "mertens_exact_parts",
+           "monic_count", "parse_poly", "poly_divrem", "poly_mul",
+           "sathe_selberg_H", "tail_sums")
+
+# named only by the tests, which call them as the acceptance criteria do
+KEEP = frozenset({"mertens_product", "assert_primitive"})
 
 
 def test_all_names_resolve_and_deleted_names_are_gone():
@@ -21,5 +35,28 @@ def test_all_names_resolve_and_deleted_names_are_gone():
     for name in DELETED:
         assert name not in primfield.__all__
         assert not hasattr(primfield, name), name
-        assert not hasattr(fieldpoly, name), name
-        assert not hasattr(primitive, name), name
+        for module in (brackets, constructions, counting, fieldpoly,
+                       irreducibles, primitive):
+            assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_every_top_level_name_is_used_in_src():
+    """Each function or class a module defines is named somewhere in the
+    package's own code (the re-exports of __init__ do not count)."""
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = {name: mod for name, mod in defined.items()
+              if name not in used and name not in KEEP}
+    assert unused == {}
+    assert KEEP <= set(defined)

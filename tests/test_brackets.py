@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from mpmath import iv, mp
+from mpmath import iv
 
-from primfield.brackets import (DEFAULT_PRECISION_BITS, BracketedValue,
-                                euler_gamma_bracket, fraction_to_decimal,
-                                iv_from_fraction, iv_pointwise_max, iv_span,
+from primfield.brackets import (BracketedValue, fraction_to_decimal,
+                                iv_from_fraction, iv_pointwise_max,
                                 iv_to_fractions, precision)
 from primfield.errors import PrecisionError, UsageError
 
@@ -41,15 +40,15 @@ def test_precision_context_restores():
             pass
 
 
-def test_iv_span_and_pointwise_max():
+def test_iv_pointwise_max():
     with precision(64):
-        x = iv_span(Fraction(1, 3), Fraction(1, 2))
-        y = iv_span(Fraction(2, 5), Fraction(3, 5))
+        x = iv.mpf([iv_from_fraction(Fraction(1, 3)).a,
+                    iv_from_fraction(Fraction(1, 2)).b])
+        y = iv.mpf([iv_from_fraction(Fraction(2, 5)).a,
+                    iv_from_fraction(Fraction(3, 5)).b])
         m = iv_pointwise_max(x, y)
         lo, hi = iv_to_fractions(m)
     assert lo <= Fraction(2, 5) and hi >= Fraction(3, 5)
-    with pytest.raises(UsageError):
-        iv_span(Fraction(1), Fraction(0))
 
 
 # ----------------------------------------------------------------------
@@ -59,9 +58,10 @@ def test_iv_span_and_pointwise_max():
 def test_bracket_validation_and_accessors():
     b = BracketedValue(Fraction(1, 3), Fraction(1, 2))
     assert b.width == Fraction(1, 6)
-    assert b.midpoint == Fraction(5, 12)
-    assert b.contains(Fraction(2, 5)) and not b.contains(Fraction(2))
-    assert BracketedValue.exactly(7).width == 0
+    assert (b.lo, b.hi) == (Fraction(1, 3), Fraction(1, 2))
+    c = BracketedValue(1, 2)
+    assert isinstance(c.lo, Fraction) and isinstance(c.hi, Fraction)
+    assert BracketedValue(7, 7).width == 0
     with pytest.raises(UsageError):
         BracketedValue(Fraction(1), Fraction(0))
 
@@ -71,25 +71,7 @@ def test_from_iv_outward(a, b):
     with precision(48):
         x = iv_from_fraction(a) * iv_from_fraction(b)
         br = BracketedValue.from_iv(x)
-    assert br.contains(a * b)
-
-
-@given(rationals, rationals, rationals, rationals)
-def test_arithmetic_preserves_containment(a, b, c, d):
-    x = BracketedValue(min(a, b), max(a, b))
-    y = BracketedValue(min(c, d), max(c, d))
-    for lhs, rhs, op in (
-        (x + y, None, lambda u, v: u + v),
-        (x - y, None, lambda u, v: u - v),
-        (x * y, None, lambda u, v: u * v),
-    ):
-        for u in (x.lo, x.hi, x.midpoint):
-            for v in (y.lo, y.hi, y.midpoint):
-                assert lhs.contains(op(u, v))
-    assert abs(x).contains(abs(x.midpoint))
-    assert (x + Fraction(2)).contains(x.midpoint + 2)
-    assert (Fraction(2) - x).contains(2 - x.midpoint)
-    assert (x * 3).contains(x.lo * 3)
+    assert br.lo <= a * b <= br.hi
 
 
 def test_strict_comparisons_need_disjoint_brackets():
@@ -98,11 +80,9 @@ def test_strict_comparisons_need_disjoint_brackets():
     c = BracketedValue(Fraction(3, 2), Fraction(3))
     assert not a.strictly_below(b)  # overlap is not a proof
     assert a.strictly_below(c)
-    assert c.strictly_above(a)
-    assert a.strictly_below(Fraction(5, 4))
-    assert not a.strictly_below(Fraction(1))
-    assert BracketedValue(Fraction(1), Fraction(1)).contains_bracket(
-        BracketedValue(Fraction(1), Fraction(1)))
+    assert not c.strictly_below(a)
+    touching = BracketedValue(Fraction(1), Fraction(2))
+    assert not a.strictly_below(touching)  # a shared endpoint is not either
 
 
 # ----------------------------------------------------------------------
@@ -132,19 +112,4 @@ def test_bracket_to_json_brackets_the_value():
     b = BracketedValue(Fraction(1, 3), Fraction(1, 3))
     d = b.to_json(digits=10)
     assert Fraction(d["lo"]) <= Fraction(1, 3) <= Fraction(d["hi"])
-    assert "0.3333333" in str(b)
-
-
-# ----------------------------------------------------------------------
-# Constants
-# ----------------------------------------------------------------------
-
-def test_euler_gamma_bracket_tight_and_correct():
-    g = euler_gamma_bracket()
-    # 50 digits of the Euler-Mascheroni constant
-    ref = Fraction(
-        "0.57721566490153286060651209008240243104215933593992")
-    assert g.contains(ref)
-    assert g.width < Fraction(1, 10**30)
-    loose = euler_gamma_bracket(precision_bits=32)
-    assert loose.contains(ref) and loose.width < Fraction(1, 10**6)
+    assert (d["lo"], d["hi"]) == ("0.3333333333", "0.3333333334")

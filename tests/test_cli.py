@@ -18,8 +18,10 @@ import pytest
 import primfield
 from primfield import PolySet, build_factor_sieve, read_set, write_set
 from primfield import cli
-from primfield.counting import CountTable, mertens_exact
+from primfield.counting import CountTable
 from primfield.cli import main
+
+from oracles import mertens_exact
 
 
 def run(argv, capsys):
@@ -406,6 +408,28 @@ def test_irr_brackets_cli(capsys):
     assert code == 1 and "error" in err
 
 
+def test_irr_brackets_verdicts_past_float64(capsys):
+    # degree 59, above L(k) = 58.90: float64 took degree 58
+    k = str(primfield.pi_cumulative(2, 58) + 1)
+    code, out, err = run(["irr", "brackets", "--q", "2", "--k-lo", k,
+                          "--k-hi", k, "--slack", "0"], capsys)
+    assert code == 2 and "degree bracket violated" in err
+    payload = json.loads(out)
+    assert payload["violation_count"] == 1 and not payload["ok"]
+    code, out, err = run(["irr", "brackets", "--q", "2",
+                          "--k-lo", "9223372036854775807",
+                          "--k-hi", "9223372036854775809"], capsys)
+    assert code in (0, 2) and "internal error" not in err
+    assert json.loads(out)["checked"] == 3
+
+
+@pytest.mark.parametrize("k", ["16", "256", "65536"])
+def test_irr_brackets_exact_ties_hold_at_slack_zero(capsys, k):
+    code, out, _ = run(["irr", "brackets", "--q", "2", "--k-lo", k,
+                        "--k-hi", k, "--slack", "0"], capsys)
+    assert code == 0 and json.loads(out)["ok"]
+
+
 def test_count_table_csv_golden(capsys, tmp_path):
     out_path = tmp_path / "table.csv"
     code, out, _ = run(["count", "table", "--q", "2", "--max-n", "6",
@@ -630,6 +654,42 @@ def test_construct_mp_cli(capsys, tmp_path):
     with open(set_path) as fh:
         ps = read_set(fh)
     assert len(ps) == report["member_count"]
+
+
+def test_terms_budget_flag_is_gone(capsys):
+    code, out, err = run(["construct", "mp", "--q", "2", "--L", "log:eps=0.1",
+                          "--horizon", "12", "--terms-budget", "100"], capsys)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --terms-budget 100" in err
+
+
+def test_each_command_builds_a_sieve_at_most_once(capsys, tmp_path,
+                                                  monkeypatch):
+    from primfield import constructions, fieldpoly, irreducibles
+    from primfield import primitive as primitive_mod
+    built = []
+    real = fieldpoly.build_factor_sieve
+
+    def counted(q, horizon):
+        built.append((q, horizon))
+        return real(q, horizon)
+
+    for mod in (fieldpoly, primitive_mod, constructions, irreducibles):
+        monkeypatch.setattr(mod, "build_factor_sieve", counted)
+    mp_path = tmp_path / "mp.txt"
+    good = write_poly_file(tmp_path / "good.txt", 2, 3, [2, 3, 7])
+    bad = write_poly_file(tmp_path / "bad.txt", 2, 2, [2, 6])
+    for argv, code, sieves in (
+        (["construct", "mp", "--q", "2", "--L", "log:eps=0.1",
+          "--horizon", "40", "--out", str(mp_path)], 0, [(2, 11), (2, 18)]),
+        (["verify", "erdos-density", "--in", str(mp_path)], 0, [(2, 18)]),
+        (["set", "check", "--in", str(mp_path)], 0, [(2, 18)]),
+        (["verify", "erdos-density", "--in", str(good)], 0, [(2, 2)]),
+        (["verify", "erdos-density", "--in", str(bad)], 2, []),
+    ):
+        built.clear()
+        assert run(argv, capsys)[0] == code, argv
+        assert built == sieves, argv
 
 
 def test_construct_mp_count_mismatch_exits_two(capsys, tmp_path,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from primfield import constructions
 from primfield.brackets import BracketedValue, precision
 from primfield.constructions import (GrowthFunction, besicovitch_construct,
                                      build_t_sequence, divisor_degree_masks,
@@ -61,7 +62,7 @@ def test_growth_matches_closed_form():
         b = BracketedValue.from_iv(g.value_iv(10))
     mp.dps = 40
     ref = Fraction(str(mp.log(10 + mp.e)**Fraction(11, 10)))
-    assert abs(b.midpoint - ref) < Fraction(1, 10**20)
+    assert abs((b.lo + b.hi) / 2 - ref) < Fraction(1, 10**20)
 
 
 def test_growth_tail_integral_decreasing():
@@ -98,7 +99,7 @@ def test_budget_error_inside_the_tail_bound_propagates(monkeypatch):
 
     monkeypatch.setattr(GrowthFunction, "tail_integral_upper", expire_once)
     with pytest.raises(BudgetError, match="deadline"):
-        build_t_sequence(2, "log:eps=0.1")
+        build_t_sequence(2, GrowthFunction.parse("log:eps=0.1"))
     assert fired == [4096]
 
 
@@ -121,7 +122,7 @@ def test_density_constant_golden_and_dominance():
 
 @pytest.fixture(scope="module")
 def tseq2():
-    return build_t_sequence(2, "log:eps=0.1")
+    return build_t_sequence(2, GrowthFunction.parse("log:eps=0.1"))
 
 
 def test_t_sequence_certificate_golden(tseq2):
@@ -172,29 +173,30 @@ def test_t_sequence_terms_are_ordered_irreducibles(tseq2, sieve2):
 
 
 def test_t_sequence_other_laws_certify():
-    t3 = build_t_sequence(3, "log:eps=0.1")
+    t3 = build_t_sequence(3, GrowthFunction.parse("log:eps=0.1"))
     assert t3.certified and t3.k0 == 2
-    ti = build_t_sequence(2, "iterlog:j=2,eps=2")
+    ti = build_t_sequence(2, GrowthFunction.parse("iterlog:j=2,eps=2"))
     assert ti.certified and ti.k0 == 3
 
 
-def test_t_sequence_honors_small_budget():
-    # an easy growth law certifies inside a tiny term budget and the
+def test_t_sequence_honors_small_budget(monkeypatch):
+    # an easy growth law certifies inside a tiny term limit and the
     # cutoff K never exceeds it
-    t = build_t_sequence(2, "log:eps=0.1", terms_budget=100)
+    monkeypatch.setattr(constructions, "MAX_EXACT_TERMS", 100)
+    t = build_t_sequence(2, GrowthFunction.parse("log:eps=0.1"))
     assert t.K <= 100
     assert t.certified
 
 
-def test_t_sequence_budget_failures():
-    with pytest.raises(UsageError):
-        build_t_sequence(2, "log:eps=0.1", terms_budget=1)
-    with pytest.raises(BudgetError):
+def test_t_sequence_budget_failures(monkeypatch):
+    monkeypatch.setattr(constructions, "MAX_EXACT_TERMS", 4)
+    with pytest.raises(BudgetError, match="within 4 terms"):
         # K = 4 leaves theta L(K+1) below the density constant
-        build_t_sequence(2, "log:eps=0.1", terms_budget=4)
+        build_t_sequence(2, GrowthFunction.parse("log:eps=0.1"))
+    monkeypatch.setattr(constructions, "MAX_EXACT_TERMS", 2**13)
     with pytest.raises(BudgetError):
         # eps=1 iterated-log tail needs K near 8e7, far over any desk budget
-        build_t_sequence(2, "iterlog:j=2,eps=1", terms_budget=2**13)
+        build_t_sequence(2, GrowthFunction.parse("iterlog:j=2,eps=1"))
 
 
 # ----------------------------------------------------------------------
@@ -312,8 +314,8 @@ def test_mp_membership_both_directions(mp12):
 
 @pytest.fixture(scope="module")
 def mp_q3():
-    return mp_construct(3, build_t_sequence(3, "log:eps=0.1"), 9,
-                        enum_horizon=9)
+    tseq = build_t_sequence(3, GrowthFunction.parse("log:eps=0.1"))
+    return mp_construct(3, tseq, 9, enum_horizon=9)
 
 
 def test_mp_q3_small(mp_q3):
@@ -334,7 +336,8 @@ def test_mp_guards(tseq2):
         mp_construct(2, tseq2, 12, enum_horizon=14)
     with pytest.raises(BudgetError):
         # materialized prefix too short for this horizon
-        short = build_t_sequence(2, "log:eps=0.1", materialize=4)
+        short = build_t_sequence(2, GrowthFunction.parse("log:eps=0.1"),
+                                 materialize=4)
         mp_construct(2, short, 40, enum_horizon=10)
 
 

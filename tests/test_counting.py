@@ -9,16 +9,17 @@ from mpmath import iv
 
 from primfield import counting
 from primfield.brackets import BracketedValue, iv_from_fraction, precision
-from primfield.counting import (CountTable, _g_series_iv, build_count_table,
-                                evaluate_G, mertens_exact, mertens_product,
-                                mertens_rows, monic_count, monic_cumulative,
-                                norton_check, q_large_deviation,
-                                sathe_selberg_H, tail_sums, verify_hr_bound,
+from primfield.counting import (PRINTABLE_EXACT_BITS, CountTable,
+                                _g_series_iv, build_count_table, evaluate_G,
+                                mertens_product, mertens_rows,
+                                monic_cumulative, norton_check,
+                                q_large_deviation, verify_hr_bound,
                                 verify_recurrence_bound)
 from primfield.errors import BudgetError, PrecisionError, UsageError
 from primfield.irreducibles import pi_prime
 
-from oracles import count_table_lists, mertens_per_n, recurrence_cells
+from oracles import (count_table_lists, mertens_exact, mertens_per_n,
+                     recurrence_cells)
 
 
 def enumerate_squarefree_counts(sieve, N, excluded=None):
@@ -48,10 +49,10 @@ def enumerate_squarefree_counts(sieve, N, excluded=None):
 # ----------------------------------------------------------------------
 
 def test_monic_counts():
-    assert [monic_count(2, n) for n in range(4)] == [1, 2, 4, 8]
+    assert [monic_cumulative(2, n) for n in range(4)] == [1, 3, 7, 15]
     assert monic_cumulative(3, 3) == 1 + 3 + 9 + 27
     with pytest.raises(UsageError):
-        monic_count(2, -1)
+        monic_cumulative(2, -1)
 
 
 @pytest.mark.parametrize("q,N", [(2, 10), (3, 6)])
@@ -175,19 +176,22 @@ def test_packed_recurrence_matches_cell_oracle(q, N):
 
 def test_mertens_exact_matches_direct_product():
     for q in (2, 3):
-        for n in range(1, 9):
-            direct = Fraction(1)
-            for d in range(1, n + 1):
-                direct *= (1 - Fraction(1, q**d))**pi_prime(q, d)
-            assert mertens_exact(q, n) == direct
+        rows = mertens_rows(q, 7)
+        for n, mv in enumerate(rows, start=1):
+            assert mv.exact == mertens_exact(q, n)
+    # and through the running numerator the density check reads
+    for n, (num, e) in zip(range(1, 9), counting.mertens_parts(3)):
+        assert Fraction(num, 3**e) == mertens_exact(3, n)
 
 
 def test_mertens_exact_bit_budget():
-    with pytest.raises(BudgetError):
-        mertens_exact(2, 60, max_bits=1000)
-    mertens_exact(2, 13)
-    with pytest.raises(BudgetError):
-        mertens_exact(2, 13, max_bits=1000)
+    """A row carries its exact rational exactly while its numerator fits
+    the printable budget: q=2 through n=12, q=3 through n=7."""
+    for q, last in ((2, 12), (3, 7)):
+        rows = mertens_rows(q, last + 1)
+        assert all(mv.exact is not None for mv in rows[:-1])
+        assert rows[-1].exact is None
+        assert rows[-2].exact.numerator.bit_length() <= PRINTABLE_EXACT_BITS
     assert mertens_product(2, 13).exact is None
 
 
@@ -265,13 +269,15 @@ def _g_base_precision(q, z, cap, bits):
 def test_term_precision_nests_inside_base_precision_brackets():
     for n in range(1, 21):
         new = mertens_product(3, n).normalized
-        assert _mertens_base_precision(3, n, 128).contains_bracket(new), n
+        old = _mertens_base_precision(3, n, 128)
+        assert old.lo <= new.lo and new.hi <= old.hi, n
     for z in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)):
         for cap in (8, 16, 32):
             with precision(128):
                 new = BracketedValue.from_iv(
                     _g_series_iv(3, iv_from_fraction(z), cap))
-            assert _g_base_precision(3, z, cap, 128).contains_bracket(new)
+            old = _g_base_precision(3, z, cap, 128)
+            assert old.lo <= new.lo and new.hi <= old.hi
 
 
 def _near_bracket(b, x):
@@ -306,11 +312,13 @@ def test_mertens_and_G_brackets_in_large_fields(q):
 
 def test_mertens_normalized_drifts_to_one():
     vals = {n: mertens_product(2, n) for n in (10, 20, 30, 40)}
-    errs = {n: abs(v.normalized.midpoint - 1) for n, v in vals.items()}
+    mids = {n: (v.normalized.lo + v.normalized.hi) / 2
+            for n, v in vals.items()}
+    errs = {n: abs(mid - 1) for n, mid in mids.items()}
     assert errs[40] < errs[20] < errs[10]
-    assert vals[40].exact is None  # needs ~2^41 bits, over budget
+    assert vals[40].exact is None  # needs ~2^41 bits, not printable
     golden = Fraction("0.9835616125806990676507639358915")
-    assert abs(vals[30].normalized.midpoint - golden) < Fraction(1, 10**30)
+    assert abs(mids[30] - golden) < Fraction(1, 10**30)
     assert vals[30].normalized.width < Fraction(1, 10**30)
 
 
@@ -320,10 +328,11 @@ def test_mertens_normalized_drifts_to_one():
 
 def test_G_at_zero_and_closed_form_at_one():
     tight = Fraction(1, 10**9)
-    assert evaluate_G(2, 0).contains(1)
+    g0 = evaluate_G(2, 0)
+    assert g0.lo <= 1 <= g0.hi
     for q in (2, 3, 5):
         b = evaluate_G(q, 1, eps=tight)
-        assert b.contains(1 - Fraction(1, q))
+        assert b.lo <= 1 - Fraction(1, q) <= b.hi
         assert b.width <= tight
 
 
@@ -331,11 +340,12 @@ def test_G_frozen_value_and_width_contract():
     eps = Fraction(1, 10**6)
     b = evaluate_G(2, 2, eps=eps)
     assert b.width <= eps
-    assert b.contains(Fraction("0.1813197142697"))
+    assert b.lo <= Fraction("0.1813197142697") <= b.hi
 
 
 def test_G_midpoints_decrease_on_grid():
-    mids = [evaluate_G(2, Fraction(k, 4)).midpoint for k in range(9)]
+    brs = [evaluate_G(2, Fraction(k, 4)) for k in range(9)]
+    mids = [(b.lo + b.hi) / 2 for b in brs]
     assert all(a >= b for a, b in zip(mids, mids[1:]))
 
 
@@ -352,36 +362,17 @@ def test_G_guards_and_precision_exhaustion():
                    degree_cap=16)
 
 
-def test_sathe_selberg_H_reduces_to_main_term_at_k1():
-    for q, n in ((2, 10), (3, 7)):
-        b = sathe_selberg_H(q, 1, n)
-        assert b.contains(Fraction(q**n, n))  # G(0) = 1 exactly
-    with pytest.raises(UsageError):
-        sathe_selberg_H(2, 40, 10)  # k far above 2 log n + 1
-
-
 # ----------------------------------------------------------------------
 # Tails
 # ----------------------------------------------------------------------
 
 def test_q_large_deviation_basics():
     with precision(64):
-        assert BracketedValue.from_iv(q_large_deviation(Fraction(1))).contains(0)
+        one = BracketedValue.from_iv(q_large_deviation(Fraction(1)))
         half = BracketedValue.from_iv(q_large_deviation(Fraction(1, 2)))
-        ref = Fraction(1, 2) - Fraction("0.34657359027997265470861606072909")
-        assert abs(half.midpoint - ref) < Fraction(1, 10**12)
-
-
-def test_tail_sums_partition_row():
-    q, n = 2, 20
-    table = build_count_table(q, n)
-    ts = tail_sums(q, n, Fraction(1, 2), Fraction(2), table=table)
-    row = table.rows[n]
-    middle = sum(row[k] for k in range(ts.lower_k_max + 1, ts.upper_k_min))
-    assert ts.lower_sum + middle + ts.upper_sum == table.row_total(n)
-    assert ts.lower_k_max == math.floor(0.5 * math.log(n))
-    with pytest.raises(UsageError):
-        tail_sums(q, n, Fraction(3, 2), Fraction(2))
+    assert one.lo <= 0 <= one.hi
+    ref = Fraction(1, 2) - Fraction("0.34657359027997265470861606072909")
+    assert abs((half.lo + half.hi) / 2 - ref) < Fraction(1, 10**12)
 
 
 def test_norton_holds_at_desk_parameters():
@@ -399,10 +390,10 @@ def test_norton_upper_tail_is_strictly_above_boundary():
     assert report.upper.boundary_k == 16
     boundary_term = Fraction(10**15, math.factorial(15))
     with precision(96):
-        inclusive = (report.upper.lhs
-                     + BracketedValue.from_iv(
-                         iv.exp(-iv.mpf(10))) * boundary_term)
-    assert inclusive.strictly_above(report.upper.rhs)
+        term = BracketedValue.from_iv(iv.exp(-iv.mpf(10)))
+    # lower end of the upper-tail sum with the boundary term included
+    inclusive_lo = report.upper.lhs.lo + term.lo * boundary_term
+    assert inclusive_lo > report.upper.rhs.hi
 
 
 def test_norton_guards():

@@ -1,16 +1,21 @@
 """Irreducible counting and ordering against enumeration oracles."""
 
 import math
+from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from primfield import irreducibles
 from primfield.errors import UsageError
 from primfield.fieldpoly import format_index, index_degree
-from primfield.irreducibles import (BRACKET_BLOCK, check_degree_brackets,
-                                    kth_irreducible, kth_irreducible_degree,
-                                    moebius, pi_cumulative, pi_prime)
+from primfield.irreducibles import (BRACKET_BLOCK, MAX_LISTED_VIOLATIONS,
+                                    check_degree_brackets, kth_irreducible,
+                                    kth_irreducible_degree, moebius,
+                                    pi_cumulative, pi_prime)
 
 from oracles import degree_brackets_whole, is_irreducible
 
@@ -151,9 +156,102 @@ def test_degree_brackets_carry_across_blocks(q, k_lo, k_hi, slack):
     assert any(k < edge for k in report.violations)
     assert any(k >= edge for k in report.violations)
     assert report.checked == k_hi - k_lo + 1
-    assert (report.violations, report.worst_low_margin,
-            report.worst_high_margin) == degree_brackets_whole(q, k_lo, k_hi,
-                                                               slack)
+    assert (report.violations, report.violation_count,
+            report.worst_low_margin, report.worst_high_margin) \
+        == degree_brackets_whole(q, k_lo, k_hi, slack)
+
+
+def test_violation_count_counts_past_the_listed_ranks():
+    report = check_degree_brackets(3, 3, 100000, 0.1)
+    assert len(report.violations) == MAX_LISTED_VIOLATIONS
+    assert report.violation_count == 1094
+    payload = report.to_json()
+    assert payload["violation_count"] == 1094 and not payload["ok"]
+    assert len(payload["violations"]) == 50
+
+
+def test_degrees_are_exact_past_float64():
+    """Past 2^53 float64 cannot tell pi_cumulative(2, 58) from the next
+    rank; the degree comes from exact integer comparison."""
+    last58 = pi_cumulative(2, 58)
+    assert last58 > 2**53
+    k = last58 + 1
+    assert kth_irreducible_degree(2, k) == 59
+    report = check_degree_brackets(2, k, k, 0.0)
+    # L(k) = 58.90..., below degree 59
+    assert report.violations == (k,) and report.worst_high_margin < 0
+    lo, hi = last58 - 2, last58 + 2
+    want = degree_brackets_whole(2, lo, hi, 0.0)
+    report = check_degree_brackets(2, lo, hi, 0.0)
+    assert (report.violations, report.violation_count,
+            report.worst_low_margin, report.worst_high_margin) == want
+    assert report.violations == (last58 + 1, last58 + 2)
+
+
+def test_ranks_past_int64_get_a_verdict():
+    report = check_degree_brackets(2, 2**63 - 1, 2**63 + 10, 0.5)
+    assert report.ok and report.checked == 12
+    n = kth_irreducible_degree(2, 2**63)
+    L = 63 + math.log2(63)
+    assert L - 1.5 <= n <= L + 0.5
+    assert report.worst_low_margin > 0 and report.worst_high_margin > 0
+
+
+def _true_L(q, k):
+    """L(k) to 50 digits."""
+    with mpmath.workdps(50):
+        lk = mpmath.log(k) / mpmath.log(q)
+        return lk + mpmath.log(lk) / mpmath.log(q) \
+            + mpmath.log(q - 1) / mpmath.log(q)
+
+
+def _window_holds(q, k, slack):
+    """The degree window at one rank decided at 50 digits."""
+    n = kth_irreducible_degree(q, k)
+    with mpmath.workdps(50):
+        s = mpmath.mpf(Fraction(slack).numerator) / Fraction(slack).denominator
+        L = _true_L(q, k)
+        return L - 1 - s <= n <= L + s
+
+
+@pytest.mark.parametrize("k,degree", [(2, 1), (4, 3), (16, 6), (256, 11),
+                                      (65536, 20)])
+def test_exact_ties_at_q2(k, degree):
+    """L(k) = j + log2 j is an integer at k = 2^j, j a power of 2, and
+    there it equals deg P_k: at slack 0 the upper margin is exactly 0."""
+    j = k.bit_length() - 1
+    assert kth_irreducible_degree(2, k) == degree == j + int(math.log2(j))
+    report = check_degree_brackets(2, k, k, 0.0)
+    assert report.ok and report.worst_high_margin == pytest.approx(0, abs=1e-12)
+    # the least negative slack breaks the tie, though no float sees it
+    tiny = -5e-324
+    assert not check_degree_brackets(2, k, k, tiny).ok
+    assert check_degree_brackets(2, k, k, -tiny).ok
+
+
+@pytest.mark.parametrize("q,k", [(2, 17), (2, 1000), (3, 243), (5, 4000)])
+def test_doctored_near_ties_match_high_precision(q, k, monkeypatch):
+    """A slack chosen to put one float margin within rounding of 0: the
+    verdict is the one a 50-digit evaluation gives, on either side."""
+    n = kth_irreducible_degree(q, k)
+    logq = math.log(q)
+    lk = np.log(np.float64(k)) / logq
+    L = float(lk + np.log(lk) / logq + math.log(q - 1) / logq)
+    settled = []
+    real = irreducibles._window_violated
+
+    def counted(*args):
+        settled.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(irreducibles, "_window_violated", counted)
+    for base in (n - L, L - 1 - n):    # zero high margin, zero low margin
+        for slack in (np.nextafter(base, -1.0), base,
+                      np.nextafter(base, 1.0)):
+            slack = float(slack)
+            report = check_degree_brackets(q, k, k, slack)
+            assert report.ok == _window_holds(q, k, slack), slack
+    assert settled == [k] * 6
 
 
 def test_degree_brackets_guards():
