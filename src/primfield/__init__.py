@@ -4,43 +4,52 @@ polynomials over finite fields.
 Counting functions are exact integers or rationals; analytic quantities
 carry certified outward-rounded brackets; constructions ship with
 machine-checkable certificates.
+
+Each exported name is imported from its module on first use (PEP 562), so
+`import primfield` loads neither numpy nor mpmath, and a caller of the
+exact counts never does.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .brackets import BracketedValue, precision
-from .counting import (CountTable, build_count_table, evaluate_G,
-                       mertens_product, monic_cumulative, norton_check,
-                       verify_hr_bound, verify_recurrence_bound)
-from .constructions import (GrowthFunction, MPConstruction,
-                            SparseConstruction, TSequence,
-                            besicovitch_construct, build_t_sequence,
-                            irreducible_density_constant, mp_construct,
-                            mp_diagnostics)
-from .errors import (BudgetError, PrecisionError, PrimfieldError,
-                     UsageError, VerificationError)
-from .fieldpoly import (FactorSieve, build_factor_sieve, format_index,
-                        parse_index)
-from .irreducibles import (check_degree_brackets, kth_irreducible,
-                           kth_irreducible_degree, moebius, pi_cumulative,
-                           pi_prime)
-from .primitive import (PolySet, assert_primitive, density_profile,
-                        erdos_sum, erdos_sum_irreducibles, is_primitive,
-                        random_primitive_set, read_set,
-                        verify_erdos_density_inequality, write_set)
+_EXPORTS = {
+    "brackets": ("BracketedValue", "precision"),
+    "constructions": ("GrowthFunction", "MPConstruction",
+                      "SparseConstruction", "TSequence",
+                      "besicovitch_construct", "build_t_sequence",
+                      "irreducible_density_constant", "mp_construct",
+                      "mp_diagnostics"),
+    "counting": ("CountTable", "build_count_table", "evaluate_G",
+                 "mertens_product", "monic_cumulative", "norton_check",
+                 "verify_hr_bound", "verify_recurrence_bound"),
+    "errors": ("BudgetError", "PrecisionError", "PrimfieldError",
+               "UsageError", "VerificationError"),
+    "fieldpoly": ("format_index", "parse_index"),
+    "irreducibles": ("check_degree_brackets", "erdos_sum_irreducibles",
+                     "kth_irreducible", "kth_irreducible_degree", "moebius",
+                     "pi_cumulative", "pi_prime"),
+    "primitive": ("PolySet", "assert_primitive", "density_profile",
+                  "erdos_sum", "is_primitive", "random_primitive_set",
+                  "read_set", "verify_erdos_density_inequality",
+                  "write_set"),
+    "sieve": ("FactorSieve", "build_factor_sieve"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
 
-__all__ = [
-    "BracketedValue", "BudgetError", "CountTable", "FactorSieve",
-    "GrowthFunction", "MPConstruction", "PolySet",
-    "PrecisionError", "PrimfieldError", "SparseConstruction", "TSequence",
-    "UsageError", "VerificationError", "assert_primitive",
-    "besicovitch_construct", "build_count_table", "build_factor_sieve",
-    "build_t_sequence", "check_degree_brackets", "density_profile",
-    "erdos_sum", "erdos_sum_irreducibles", "evaluate_G", "format_index",
-    "is_primitive", "irreducible_density_constant", "kth_irreducible",
-    "kth_irreducible_degree", "mertens_product", "moebius",
-    "monic_cumulative", "mp_construct", "mp_diagnostics", "norton_check",
-    "parse_index", "pi_cumulative", "pi_prime", "precision",
-    "random_primitive_set", "read_set", "verify_erdos_density_inequality",
-    "verify_hr_bound", "verify_recurrence_bound", "write_set",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value     # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

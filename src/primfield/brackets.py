@@ -4,7 +4,9 @@ Anything that cannot be held as an exact rational (logs, e^gamma) is
 carried as a closed interval [lo, hi] guaranteed to contain the true
 value.  Transcendental steps run in mpmath's outward-rounded interval
 context; endpoints come back as dyadic rationals, so every downstream
-comparison is exact integer arithmetic.
+comparison is exact integer arithmetic.  mpmath is imported by the
+functions that step into it, so code that only holds or prints brackets
+runs without it.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
-
-from mpmath import iv
 
 from .errors import PrecisionError, UsageError
 
@@ -27,6 +27,7 @@ MAX_PRECISION_BITS = 4096
 @contextmanager
 def precision(bits: int) -> Iterator[None]:
     """Temporarily set the interval working precision."""
+    from mpmath import iv
     if not 8 <= bits <= MAX_PRECISION_BITS:
         raise PrecisionError(f"precision {bits} outside [8, {MAX_PRECISION_BITS}]")
     old = iv.prec
@@ -65,12 +66,14 @@ def iv_to_fractions(x) -> tuple[Fraction, Fraction]:
 
 def iv_from_fraction(fr: Rational):
     """Interval guaranteed to contain the rational fr (outward division)."""
+    from mpmath import iv
     fr = Fraction(fr)
     return iv.mpf(fr.numerator) / fr.denominator
 
 
 def iv_pointwise_max(x, y):
     """Interval image of max over two intervals: [max lo, max hi]."""
+    from mpmath import iv
     return iv.mpf([max(x.a, y.a), max(x.b, y.b)])
 
 

@@ -20,18 +20,8 @@ from fractions import Fraction
 from itertools import accumulate
 
 from . import __version__
-from .brackets import DEFAULT_PRECISION_BITS, fraction_to_decimal
-from .constructions import (GrowthFunction, besicovitch_construct,
-                            build_t_sequence, mp_construct, mp_diagnostics)
-from .counting import (build_count_table, evaluate_G, mertens_rows,
-                       norton_check, verify_hr_bound, verify_recurrence_bound)
+from .brackets import DEFAULT_PRECISION_BITS
 from .errors import BudgetError, PrecisionError, UsageError
-from .fieldpoly import format_index, index_degree
-from .irreducibles import check_degree_brackets, kth_irreducible, pi_prime
-from .primitive import (density_profile, divisor_walk_sieve, erdos_sum,
-                        erdos_sum_irreducibles, is_primitive,
-                        random_primitive_set, read_set,
-                        verify_erdos_density_inequality, write_set)
 
 # ----------------------------------------------------------------------
 # Plumbing
@@ -62,17 +52,20 @@ def _emit(args: argparse.Namespace, header, rows, payload) -> None:
 
 
 def _decimal_pair(fr: Fraction, digits: int = 36) -> dict:
+    from .brackets import fraction_to_decimal
     return {"exact": f"{fr.numerator}/{fr.denominator}",
             "lo": fraction_to_decimal(fr, digits, "floor"),
             "hi": fraction_to_decimal(fr, digits, "ceil")}
 
 
 def _counterexample(q: int, witness: tuple[int, int]) -> dict:
+    from .fieldpoly import format_index
     a, b = witness
     return {"divisor": format_index(q, a), "multiple": format_index(q, b)}
 
 
 def _read_set_file(path: str):
+    from .primitive import read_set
     try:
         with open(path) as fh:
             return read_set(fh)
@@ -120,10 +113,12 @@ def _write_manifest(args: argparse.Namespace, argv: list[str]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Subcommand handlers (return the process exit code)
+# Subcommand handlers (return the process exit code).  Each imports the
+# library code it calls, so a launch loads only what its command runs.
 # ----------------------------------------------------------------------
 
 def cmd_irr_count(args) -> int:
+    from .irreducibles import pi_prime
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
     counts = [pi_prime(args.q, n) for n in range(1, args.max_n + 1)]
@@ -136,6 +131,8 @@ def cmd_irr_count(args) -> int:
 
 
 def cmd_irr_kth(args) -> int:
+    from .fieldpoly import format_index, index_degree
+    from .irreducibles import kth_irreducible
     f = kth_irreducible(args.q, args.k)
     text = format_index(args.q, f)
     degree = index_degree(args.q, f)
@@ -147,6 +144,7 @@ def cmd_irr_kth(args) -> int:
 
 
 def cmd_irr_brackets(args) -> int:
+    from .irreducibles import check_degree_brackets
     report = check_degree_brackets(args.q, args.k_lo, args.k_hi, args.slack)
     _write_out(args, _dump_json(report.to_json()))
     if not report.ok:
@@ -170,6 +168,7 @@ def _parse_excludes(text: str | None) -> dict[int, int] | None:
 
 
 def cmd_count_table(args) -> int:
+    from .counting import build_count_table
     table = build_count_table(args.q, args.max_n,
                               excluded_degrees=_parse_excludes(args.exclude))
     if args.fmt == "json":
@@ -185,6 +184,7 @@ def cmd_count_table(args) -> int:
 
 
 def cmd_verify_hr(args) -> int:
+    from .counting import verify_hr_bound
     report = verify_hr_bound(args.q, args.max_n,
                              precision_bits=args.precision_bits)
     _write_out(args, _dump_json(report.to_json()))
@@ -195,6 +195,7 @@ def cmd_verify_hr(args) -> int:
 
 
 def cmd_verify_recurrence(args) -> int:
+    from .counting import verify_recurrence_bound
     report = verify_recurrence_bound(args.q, args.max_n)
     _write_out(args, _dump_json(report.to_json()))
     if not report.ok:
@@ -204,6 +205,7 @@ def cmd_verify_recurrence(args) -> int:
 
 
 def cmd_verify_norton(args) -> int:
+    from .counting import norton_check
     xs = args.x or [Fraction(5), Fraction(10), Fraction(20)]
     reports = [norton_check(x, args.alpha, args.beta,
                             precision_bits=args.precision_bits) for x in xs]
@@ -219,6 +221,8 @@ def cmd_verify_norton(args) -> int:
 
 
 def cmd_verify_erdos_density(args) -> int:
+    from .primitive import (divisor_walk_sieve, is_primitive,
+                            verify_erdos_density_inequality)
     ps = _read_set_file(args.infile)
     sieve = divisor_walk_sieve(ps)
     ok_prim, witness = is_primitive(ps, sieve)
@@ -240,6 +244,7 @@ def cmd_verify_erdos_density(args) -> int:
 
 
 def cmd_eval_g(args) -> int:
+    from .counting import evaluate_G
     zs = args.z or [Fraction(1)]
     rows, values = [], []
     for z in zs:
@@ -254,6 +259,7 @@ def cmd_eval_g(args) -> int:
 
 
 def cmd_eval_mertens(args) -> int:
+    from .counting import mertens_rows
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
     rows, values = [], []
@@ -268,6 +274,7 @@ def cmd_eval_mertens(args) -> int:
 
 
 def cmd_eval_erdos_irr(args) -> int:
+    from .irreducibles import erdos_sum_irreducibles
     b = erdos_sum_irreducibles(args.q, eps=args.eps)
     d = b.to_json()
     payload = {"q": args.q, "eps": str(args.eps), **d,
@@ -277,6 +284,7 @@ def cmd_eval_erdos_irr(args) -> int:
 
 
 def cmd_set_check(args) -> int:
+    from .primitive import is_primitive
     ps = _read_set_file(args.infile)
     ok, witness = is_primitive(ps)
     payload = {"q": ps.q, "horizon": ps.horizon, "size": len(ps),
@@ -293,6 +301,7 @@ def cmd_set_check(args) -> int:
 
 
 def cmd_set_erdos_sum(args) -> int:
+    from .primitive import erdos_sum
     ps = _read_set_file(args.infile)
     value = erdos_sum(ps)
     d = _decimal_pair(value)
@@ -302,6 +311,7 @@ def cmd_set_erdos_sum(args) -> int:
 
 
 def cmd_set_density(args) -> int:
+    from .primitive import density_profile
     ps = _read_set_file(args.infile)
     profile = density_profile(ps)
     rows = [(r.n, r.count, r.monic_total,
@@ -314,6 +324,7 @@ def cmd_set_density(args) -> int:
 
 
 def cmd_set_random(args) -> int:
+    from .primitive import random_primitive_set, write_set
     if args.seed is None:
         raise UsageError("set random generates data; pass --seed so the "
                          "run is reproducible")
@@ -326,6 +337,8 @@ def cmd_set_random(args) -> int:
 
 
 def cmd_construct_besicovitch(args) -> int:
+    from .constructions import besicovitch_construct
+    from .primitive import is_primitive, write_set
     result = besicovitch_construct(args.q, args.eps, args.horizon)
     report = result.to_json()
     if result.members is not None:
@@ -346,6 +359,10 @@ def cmd_construct_besicovitch(args) -> int:
 
 
 def cmd_construct_mp(args) -> int:
+    from .constructions import (GrowthFunction, build_t_sequence,
+                                mp_construct, mp_diagnostics)
+    from .fieldpoly import format_index
+    from .primitive import write_set
     growth = GrowthFunction.parse(args.L)
     tseq = build_t_sequence(args.q, growth, materialize=args.materialize,
                             precision_bits=args.precision_bits)
@@ -585,6 +602,18 @@ def build_parser() -> _Parser:
     return root
 
 
+def _load_library() -> None:
+    """Import numpy, mpmath and every library module.  Under a budget this
+    runs before either limit is armed, so the budgets meter the
+    subcommand's work and never the loading of its code."""
+    import mpmath  # noqa: F401
+    import numpy  # noqa: F401
+
+    import primfield
+    for name in primfield.__all__:
+        getattr(primfield, name)
+
+
 def _run_limited(args: argparse.Namespace) -> int:
     """args.func(args) under the run's deadline and memory ceiling, each
     armed only when its flag is given and disarmed on every way out: an
@@ -599,6 +628,8 @@ def _run_limited(args: argparse.Namespace) -> int:
             or threading.current_thread() is not threading.main_thread()):
         raise UsageError("--budget-seconds needs a POSIX interval timer "
                          "on the main thread")
+    if seconds is not None or nbytes is not None:
+        _load_library()
     previous_limit = None
     if nbytes is not None:
         try:

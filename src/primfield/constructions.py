@@ -28,10 +28,10 @@ from .brackets import (DEFAULT_PRECISION_BITS, BracketedValue,
                        iv_from_fraction, iv_pointwise_max, precision)
 from .counting import CountTable, build_count_table, monic_cumulative
 from .errors import BudgetError, PrecisionError, UsageError
-from .fieldpoly import (FactorSieve, _check_prime, build_factor_sieve,
-                        index_degree)
+from .fieldpoly import _check_prime, index_degree
 from .irreducibles import kth_irreducible, pi_cumulative, pi_prime
 from .primitive import PolySet, is_primitive
+from .sieve import FactorSieve, build_factor_sieve
 
 # ----------------------------------------------------------------------
 # Growth schedules L(x)

@@ -7,7 +7,9 @@ irreducible factors, built exactly from the generating product
 prod_d (1 + u x^d)^{pi'_q(d)}.  Around it sit certified-bracket
 evaluations of the degree-weighted singular series G, the truncated
 Mertens product, Poisson-style tail estimates, and verifiers for the
-uniform upper bound and the factor-count recurrence.
+uniform upper bound and the factor-count recurrence.  The exact counts
+run without mpmath; the functions that bracket analytic quantities
+import it.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from typing import Iterator, Mapping, NamedTuple
-
-from mpmath import iv
 
 from .brackets import (DEFAULT_PRECISION_BITS, BracketedValue, iv_from_fraction,
                        precision)
@@ -170,6 +170,7 @@ class InequalityReport:
 
 def _log_weight_dyadic_lower(n: int, precision_bits: int) -> tuple[int, int]:
     """(num, s) with num/2^s <= log n + 2 - log 2, a certified dyadic bound."""
+    from mpmath import iv
     with precision(precision_bits):
         w = iv.log(iv.mpf(n)) + 2 - iv.log(iv.mpf(2))
         lo = BracketedValue.from_iv(w).lo
@@ -280,6 +281,7 @@ def _term_precision(m: int):
     up: m.bit_length() extra bits keep the term's absolute error at the
     base precision's size, whatever q is.
     """
+    from mpmath import iv
     return precision(iv.prec + m.bit_length())
 
 
@@ -331,6 +333,7 @@ def mertens_rows(q: int, max_n: int,
     (q=2 through n=12); the numerator only grows with n, so every later
     row is bracket-only and builds no exact rational.
     """
+    from mpmath import iv
     _check_prime(q)
     if max_n < 1:
         raise UsageError("degree must be >= 1")
@@ -378,6 +381,7 @@ def _g_series_iv(q: int, z, degree_cap: int):
     with -z(1+z) q^-2d <= g_d <= 0 for q^-d <= 1/2, so the degree tail
     beyond D lies in [-z(1+z) q^-D / ((D+1)(q-1)), 0].
     """
+    from mpmath import iv
     s = iv.mpf(0)
     for d in range(1, degree_cap + 1):
         m = pi_prime(q, d)
@@ -434,6 +438,7 @@ def evaluate_G(q: int, z, eps=Fraction(1, 10**6),
 
 def q_large_deviation(y: Fraction):
     """Q(y) = y log y - y + 1 as an interval (y rational > 0)."""
+    from mpmath import iv
     y_iv = iv_from_fraction(Fraction(y))
     return y_iv * iv.log(y_iv) - y_iv + 1
 
@@ -484,6 +489,7 @@ def norton_check(x, alpha, beta,
     certified bracket, so `holds` means the inequality is proved at
     these parameters.
     """
+    from mpmath import iv
     x = Fraction(x)
     alpha = Fraction(alpha)
     beta = Fraction(beta)

@@ -6,7 +6,10 @@ irreducibles by (degree, index) and locate the k-th one.  The expected
 degree window for the k-th irreducible is
     L(k) - 1 <= deg P_k <= L(k),  up to o(1),
 with L(k) = log_q k + log_q log_q k + log_q (q - 1); callers check it
-with an explicit slack.
+with an explicit slack.  The Erdos sum over all irreducibles is a
+bracket around the exact counts.  numpy, mpmath and the factor sieve are
+imported by the functions that use them, so the exact counts load none
+of them.
 """
 
 from __future__ import annotations
@@ -15,14 +18,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
-from mpmath import iv
+from typing import TYPE_CHECKING
 
 from .brackets import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS,
                        BracketedValue, precision)
 from .errors import PrecisionError, UsageError
-from .fieldpoly import FactorSieve, _check_prime, build_factor_sieve
+from .fieldpoly import _check_prime
+
+if TYPE_CHECKING:
+    from .sieve import FactorSieve
 
 
 @lru_cache(maxsize=None)
@@ -85,11 +89,35 @@ def kth_irreducible_degree(q: int, k: int) -> int:
 
 def kth_irreducible(q: int, k: int, sieve: FactorSieve | None = None) -> int:
     """Index of the k-th monic irreducible in (degree, index) order."""
+    from .sieve import build_factor_sieve
     d = kth_irreducible_degree(q, k)
     if sieve is None or sieve.q != q or sieve.horizon < d:
         sieve = build_factor_sieve(q, d)
     rank = k - pi_cumulative(q, d - 1)
     return int(sieve.irreducible_indices(d)[rank - 1])
+
+
+def erdos_sum_irreducibles(q: int, eps=Fraction(1, 100)) -> BracketedValue:
+    """Certified bracket of width < eps for sum over all irreducibles p of
+    1 / (||p|| deg p).
+
+    Cut at D > 1/eps: each degree-d term is at most 1/d^2 because
+    pi'_q(d) <= q^d/d, so the tail beyond D is below sum_{d>D} 1/d^2 < 1/D,
+    and the bracket width 1/D stays strictly under eps.
+    """
+    _check_prime(q)
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise UsageError("eps must be positive")
+    cut = math.floor(1 / eps) + 1
+    # Over the one denominator L q^cut, L = lcm(1..cut), term d is
+    # pi'(d) (L/d) q^(cut-d): Horner's rule in q, and a single reduction.
+    lcm = math.lcm(*range(1, cut + 1))
+    num = 0
+    for d in range(1, cut + 1):
+        num = num * q + pi_prime(q, d) * (lcm // d)
+    partial = Fraction(num, lcm * q**cut)
+    return BracketedValue(partial, partial + Fraction(1, cut))
 
 
 # Ranks checked per numpy pass, so a pass holds a few 512 KiB arrays however
@@ -143,6 +171,7 @@ def check_degree_brackets(q: int, k_lo: int, k_hi: int,
     their signs decide a rank unless one lies within MARGIN_TOLERANCE of
     0, where _window_violated settles the verdict.
     """
+    import numpy as np
     _check_prime(q)
     if k_lo < q:
         raise UsageError(f"k_lo must be >= q (got {k_lo}) so log log is defined")
@@ -198,6 +227,7 @@ def _window_violated(q: int, k: int, degree: int, slack: float) -> bool:
     transcendental, so neither margin is 0, and a bracket of L(k) at a
     precision doubled until it decides both sides settles the verdict.
     """
+    from mpmath import iv
     s = Fraction(slack)
     j = k.bit_length() - 1
     if q == 2 and k == 1 << j and j & (j - 1) == 0:

@@ -2,8 +2,8 @@
 
 A set S of non-unit monic polynomials is primitive when no member divides
 another.  Everything here is exact: primitivity certificates come with an
-explicit dividing pair on failure, densities and Erdos partial sums are
-rationals, and the irreducible Erdos sum carries a certified tail bracket.
+explicit dividing pair on failure, and densities and Erdos sums are
+rationals.
 """
 
 from __future__ import annotations
@@ -19,13 +19,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .brackets import BracketedValue
 from .counting import _LowestTerms, mertens_parts, monic_cumulative
 from .errors import UsageError, VerificationError
-from .fieldpoly import (FactorSieve, _check_prime, build_factor_sieve,
-                        format_index, index_degree, index_divrem, index_mul,
-                        is_prime, parse_index)
-from .irreducibles import pi_prime
+from .fieldpoly import (_check_prime, format_index, index_degree,
+                        index_divrem, index_mul, is_prime, parse_index)
+from .sieve import FactorSieve, build_factor_sieve
 
 
 # ----------------------------------------------------------------------
@@ -434,29 +432,6 @@ def erdos_sum(ps: PolySet) -> Fraction:
     return total
 
 
-def erdos_sum_irreducibles(q: int, eps=Fraction(1, 100)) -> BracketedValue:
-    """Certified bracket of width < eps for sum over all irreducibles p of
-    1 / (||p|| deg p).
-
-    Cut at D > 1/eps: each degree-d term is at most 1/d^2 because
-    pi'_q(d) <= q^d/d, so the tail beyond D is below sum_{d>D} 1/d^2 < 1/D,
-    and the bracket width 1/D stays strictly under eps.
-    """
-    _check_prime(q)
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise UsageError("eps must be positive")
-    cut = math.floor(1 / eps) + 1
-    # Over the one denominator L q^cut, L = lcm(1..cut), term d is
-    # pi'(d) (L/d) q^(cut-d): Horner's rule in q, and a single reduction.
-    lcm = math.lcm(*range(1, cut + 1))
-    num = 0
-    for d in range(1, cut + 1):
-        num = num * q + pi_prime(q, d) * (lcm // d)
-    partial = Fraction(num, lcm * q**cut)
-    return BracketedValue(partial, partial + Fraction(1, cut))
-
-
 # ----------------------------------------------------------------------
 # Density
 # ----------------------------------------------------------------------
@@ -495,10 +470,14 @@ def _decimal_digits(n: int) -> int:
     """len(str(n)) for n >= 0, by exact comparison with powers of ten:
     str() refuses integers past 4300 digits."""
     k = max(1, int((n.bit_length() - 1) * math.log10(2)))
-    while 10**k <= n:
+    # one power of ten, 10^k, scaled by 10 per step of either loop
+    power = 10**k
+    while power <= n:
         k += 1
-    while k > 1 and 10**(k - 1) > n:
+        power *= 10
+    while k > 1 and power // 10 > n:
         k -= 1
+        power //= 10
     return k
 
 

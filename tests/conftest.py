@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from primfield.fieldpoly import build_factor_sieve
+from primfield.sieve import build_factor_sieve
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

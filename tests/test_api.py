@@ -1,11 +1,16 @@
 """The package's public names."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import primfield
 from primfield import (brackets, constructions, counting, fieldpoly,
-                       irreducibles, primitive)
+                       irreducibles, primitive, sieve)
 
 SRC = Path(primfield.__file__).resolve().parent
 
@@ -36,8 +41,25 @@ def test_all_names_resolve_and_deleted_names_are_gone():
         assert name not in primfield.__all__
         assert not hasattr(primfield, name), name
         for module in (brackets, constructions, counting, fieldpoly,
-                       irreducibles, primitive):
+                       irreducibles, primitive, sieve):
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_the_package_root_loads_its_names_on_first_use():
+    """import primfield alone loads no numpy or mpmath; every name of
+    __all__ is listed by dir() and resolves from its module."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = ("import sys, primfield\n"
+             "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0 and done.stdout == "[]\n", done.stderr
+    assert set(primfield.__all__) <= set(dir(primfield))
+    for name in primfield.__all__:
+        value = getattr(primfield, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+        primfield.frobnicate
 
 
 def test_every_top_level_name_is_used_in_src():

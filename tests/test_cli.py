@@ -244,6 +244,59 @@ def test_the_ceiling_stops_a_stage_that_allocates_past_it(argv, seconds):
         "exceeded; partial results dropped as incomplete\n")
 
 
+def fresh_process(*args):
+    """Run `python *args` with this package on the path, in a new
+    interpreter that has loaded nothing yet."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(primfield.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("command", sorted(LEAF_ARGS), ids="-".join)
+def test_every_leaf_subcommand_runs_unchanged_under_small_budgets(
+        capsys, tmp_path, command):
+    """In a fresh process the subcommand's code, numpy and mpmath are
+    loaded before either budget is armed: 8 MB of address space is less
+    than numpy alone maps, so a budget that metered loading would stop
+    the run."""
+    path = str(write_poly_file(tmp_path / "s.txt", 2, 6, [2, 3, 7, 11]))
+    argv = [*command, *(path if a == "SET" else a for a in LEAF_ARGS[command])]
+    plain = run(argv, capsys)
+    done = fresh_process("-m", "primfield.cli", *argv,
+                         "--budget-bytes", "8000000", "--budget-seconds", "60")
+    assert (done.returncode, done.stdout, done.stderr) == plain
+
+
+# What each command leaves unloaded: the exact counts run on the standard
+# library alone, and the certified brackets need mpmath but not numpy.
+UNLOADED = {
+    ("--version",): {"numpy", "mpmath"},
+    ("count", "table", "--max-n", "10"): {"numpy", "mpmath"},
+    ("verify", "recurrence", "--max-n", "10"): {"numpy", "mpmath"},
+    ("eval", "erdos-irr"): {"numpy", "mpmath"},
+    ("verify", "hr", "--max-n", "10"): {"numpy"},
+    ("eval", "g"): {"numpy"},
+    ("eval", "mertens", "--max-n", "5"): {"numpy"},
+    ("verify", "norton"): {"numpy"},
+}
+
+
+@pytest.mark.parametrize("argv", sorted(UNLOADED), ids="-".join)
+def test_a_command_loads_only_the_code_it_runs(argv):
+    """sys.modules of a fresh process after main returns: numpy and
+    mpmath are loaded exactly when the command's code needs them."""
+    probe = ("import json, sys\n"
+             "from primfield.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(json.dumps([code, sorted({'numpy', 'mpmath'}"
+             " & set(sys.modules))]))\n")
+    done = fresh_process("-c", probe, *argv)
+    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0, done.stderr
+    assert set(loaded) == {"numpy", "mpmath"} - UNLOADED[argv]
+
+
 def test_the_limit_is_restored_on_every_path(capsys):
     before = address_space_limit()
     ceiling = ["--budget-bytes", "20000000"]
@@ -665,16 +718,16 @@ def test_terms_budget_flag_is_gone(capsys):
 
 def test_each_command_builds_a_sieve_at_most_once(capsys, tmp_path,
                                                   monkeypatch):
-    from primfield import constructions, fieldpoly, irreducibles
+    from primfield import constructions, sieve
     from primfield import primitive as primitive_mod
     built = []
-    real = fieldpoly.build_factor_sieve
+    real = sieve.build_factor_sieve
 
     def counted(q, horizon):
         built.append((q, horizon))
         return real(q, horizon)
 
-    for mod in (fieldpoly, primitive_mod, constructions, irreducibles):
+    for mod in (sieve, primitive_mod, constructions):
         monkeypatch.setattr(mod, "build_factor_sieve", counted)
     mp_path = tmp_path / "mp.txt"
     good = write_poly_file(tmp_path / "good.txt", 2, 3, [2, 3, 7])

@@ -14,9 +14,10 @@ from primfield.constructions import (GrowthFunction, besicovitch_construct,
                                      irreducible_density_constant,
                                      mp_construct, mp_diagnostics)
 from primfield.errors import BudgetError, UsageError
-from primfield.fieldpoly import build_factor_sieve, index_degree
+from primfield.fieldpoly import index_degree
 from primfield.irreducibles import pi_cumulative, pi_prime
 from primfield.primitive import assert_primitive, erdos_sum
+from primfield.sieve import build_factor_sieve
 from primfield.counting import monic_cumulative
 
 from oracles import Factorization, is_irreducible

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from primfield.constructions import divisor_degree_masks
 from primfield.errors import BudgetError, UsageError
-from primfield.fieldpoly import (build_factor_sieve, format_index, index_degree,
-                                 index_divrem, index_mul, is_prime, parse_index)
+from primfield.fieldpoly import (format_index, index_degree, index_divrem,
+                                 index_mul, is_prime, parse_index)
+from primfield.sieve import build_factor_sieve
 
 from oracles import Factorization, divides, is_irreducible, is_prime_trial
 

@@ -15,10 +15,11 @@ from primfield import primitive
 from primfield.counting import monic_cumulative
 from primfield.errors import UsageError, VerificationError
 from primfield.fieldpoly import format_index, index_degree, parse_index
+from primfield.irreducibles import erdos_sum_irreducibles
 from primfield.primitive import (PolySet, assert_primitive, density_profile,
-                                 erdos_sum, erdos_sum_irreducibles,
-                                 is_primitive, random_primitive_set, read_set,
-                                 verify_erdos_density_inequality, write_set)
+                                 erdos_sum, is_primitive, random_primitive_set,
+                                 read_set, verify_erdos_density_inequality,
+                                 write_set)
 
 from oracles import (Factorization, divides, erdos_sum_terms, mertens_exact,
                      read_set_lines, write_set_lines)
@@ -445,6 +446,18 @@ def test_density_report_summarizes_huge_numerators(sieve2, degree):
         sys.set_int_max_str_digits(old_limit)
     assert report.to_json()["lhs"] == want
     assert report.ok and report.to_json()["by_level"] == [[degree, 1]]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 17, 40, 4299, 4300, 4301, 9000])
+def test_decimal_digits_at_powers_of_ten(k):
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for n in (10**k - 1, 10**k, 10**k + 1):
+            assert primitive._decimal_digits(n) == len(str(n)), (k, n)
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+    assert [primitive._decimal_digits(n) for n in range(12)] == [1] * 10 + [2] * 2
 
 
 def test_density_inequality_can_fail_off_antichains(sieve2):
