@@ -341,16 +341,13 @@ def cmd_construct_besicovitch(args) -> int:
     from .primitive import is_primitive, write_set
     result = besicovitch_construct(args.q, args.eps, args.horizon)
     report = result.to_json()
-    if result.members is not None:
-        ok_prim, witness = is_primitive(result.members)
-        report["certified_primitive"] = ok_prim
-        if witness is not None:
-            report["counterexample"] = _counterexample(args.q, witness)
-        if args.out:
-            with open(args.out, "w") as fh:
-                write_set(result.members, fh)
-    else:
-        ok_prim = False
+    ok_prim, witness = is_primitive(result.members)
+    report["certified_primitive"] = ok_prim
+    if witness is not None:
+        report["counterexample"] = _counterexample(args.q, witness)
+    if args.out:
+        with open(args.out, "w") as fh:
+            write_set(result.members, fh)
     sys.stdout.write(_dump_json(report))
     if not (result.ok and ok_prim):
         print("construction did not certify; see report", file=sys.stderr)

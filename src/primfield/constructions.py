@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -31,7 +32,7 @@ from .errors import BudgetError, PrecisionError, UsageError
 from .fieldpoly import _check_prime, index_degree
 from .irreducibles import kth_irreducible, pi_cumulative, pi_prime
 from .primitive import PolySet, is_primitive
-from .sieve import FactorSieve, build_factor_sieve
+from .sieve import build_factor_sieve
 
 # ----------------------------------------------------------------------
 # Growth schedules L(x)
@@ -306,17 +307,36 @@ def build_t_sequence(q: int, growth: GrowthFunction,
 # Sparse layered construction from degree slices
 # ----------------------------------------------------------------------
 
-def divisor_degree_masks(sieve: FactorSieve) -> np.ndarray:
-    """masks[i] has bit n set iff the polynomial with index i has a monic
-    divisor of degree exactly n (bit 0 is always set); uint64, so the
-    sieve horizon must stay below 64.
+def divisor_degree_counts(q: int, horizon: int) -> list[list[int]]:
+    """counts[m][n]: monic polynomials of degree m with a monic divisor of
+    degree exactly n, for 0 <= n <= m <= horizon.
 
-    Uses div(f) = div(g) + p div(g) for any irreducible p | f, g = f/p,
-    so mask(f) = mask(g) | mask(g) << deg p along the sieve's chains.
+    If f has k_e irreducible factors of degree e, counted with
+    multiplicity, its divisor degrees are the sums of j_e e with
+    0 <= j_e <= k_e, so they depend on the k_e alone; and
+    C(pi'(e) + k - 1, k) products of k irreducibles have degree-e type k.
+    A DP over the irreducible degrees e = 1..horizon, with states (degree
+    so far, divisor-degree bitmask), counts every factorisation type at
+    once, with no sieve.
     """
-    def step(p, g, out):
-        return out[g] | out[g] << sieve.degrees(p).astype(np.uint64)
-    return sieve.fold(step, np.uint64(1))
+    states: dict[tuple[int, int], int] = defaultdict(int, {(0, 1): 1})
+    for e in range(1, horizon + 1):
+        supply = pi_prime(q, e)
+        # the states before degree e, grown in place by k >= 1 factors
+        for (deg, mask), count in [item for item in states.items()
+                                   if item[0][0] + e <= horizon]:
+            wide = mask
+            for k in range(1, (horizon - deg) // e + 1):
+                wide |= mask << k * e
+                states[deg + k * e, wide] += \
+                    count * math.comb(supply + k - 1, k)
+    counts = [[0] * (horizon + 1) for _ in range(horizon + 1)]
+    for (deg, mask), count in states.items():
+        row = counts[deg]
+        for n in range(deg + 1):
+            if mask >> n & 1:
+                row[n] += count
+    return counts
 
 
 @dataclass(frozen=True)
@@ -345,8 +365,11 @@ class SparseConstruction:
 
     Level i admits slice degree n_i when, for every later degree m up to
     the horizon, polynomials with a divisor of degree n_i fill at most
-    eps / 2^(i+1) of all monic polynomials of degree <= m.  The set keeps
+    eps / 2^(i+1) of all monic polynomials of degree <= m; the set keeps
     each admitted slice minus multiples of earlier admitted slices.
+    Level 1 always admits the horizon slice and nothing below it
+    (besicovitch_construct), so window is the level-1 scan, levels is
+    (horizon,) and members is that slice.
     """
 
     q: int
@@ -354,9 +377,8 @@ class SparseConstruction:
     horizon: int
     levels: tuple[int, ...]
     window: tuple[SliceWindowRow, ...]
-    members: PolySet | None
+    members: PolySet
     density: Fraction
-    suggested_eps: Fraction | None
 
     @property
     def ok(self) -> bool:
@@ -365,25 +387,29 @@ class SparseConstruction:
     def to_json(self) -> dict:
         return {"q": self.q, "eps": str(self.eps), "horizon": self.horizon,
                 "levels": list(self.levels),
-                "size": len(self.members) if self.members is not None else None,
+                "size": len(self.members),
                 "density": str(self.density),
                 "density_float": float(self.density),
-                "suggested_eps": None if self.suggested_eps is None
-                else str(self.suggested_eps),
+                # the eps that would admit a first level: one always is
+                "suggested_eps": None,
                 "ok": self.ok,
                 "window": [r.to_json() for r in self.window]}
 
 
-def besicovitch_construct(q: int, eps, horizon: int,
-                          sieve: FactorSieve | None = None,
-                          ) -> SparseConstruction:
+def besicovitch_construct(q: int, eps, horizon: int) -> SparseConstruction:
     """Greedy layered slice construction at a degree horizon.
 
     T_n(m) counts monic polynomials of degree <= m having a divisor of
-    degree exactly n; a slice degree is admitted at level i when
-    T_n(m)/M_q(m) <= eps/2^(i+1) strictly beyond n (vacuous at the
-    horizon itself).  On failure the report carries the smallest eps
-    that would have admitted a first level.
+    degree exactly n, from divisor_degree_counts; level 1 admits the
+    least slice degree n with T_n(m)/M_q(m) <= eps/4 for every m beyond
+    n up to the horizon (vacuous at the horizon itself).
+
+    That is always the horizon h, for every q and eps.  For n < h the
+    ratio at m = n + 1 exceeds (q^2 + 2q - 3)/(2q^2) >= 1/2 > eps/4: the
+    slice gives q^n, and by Bonferroni at most C(q, 2) q^(n-1)
+    polynomials of degree n + 1 have no root, that is no divisor of
+    degree n.  So no later level is scanned, the members are the
+    horizon slice [q^h, 2 q^h), and no sieve is built.
     """
     _check_prime(q)
     eps = Fraction(eps)
@@ -391,57 +417,26 @@ def besicovitch_construct(q: int, eps, horizon: int,
         raise UsageError("eps must be in (0, 1)")
     if horizon < 1:
         raise UsageError("horizon must be >= 1")
-    if sieve is None or sieve.q != q or sieve.horizon < horizon:
-        sieve = build_factor_sieve(q, horizon)
-    masks = divisor_degree_masks(sieve)
-    # T[n][m]: polynomials of degree <= m with a divisor of degree n
-    T = [[0] * (horizon + 1) for _ in range(horizon + 1)]
-    for m in range(1, horizon + 1):
-        block = masks[q**m:2 * q**m]
-        for n in range(1, m + 1):
-            has_n = np.count_nonzero(block >> np.uint64(n) & 1)
-            T[n][m] = T[n][m - 1] + int(has_n)
+    counts = divisor_degree_counts(q, horizon)
     M = [monic_cumulative(q, m) for m in range(horizon + 1)]
-    level = 1
-    levels: list[int] = []
+    threshold = eps / 4
     window_rows: list[SliceWindowRow] = []
-    best_first = None
     for n in range(1, horizon + 1):
-        threshold = eps / 2**(level + 1)
         worst_m, worst = None, Fraction(0)
+        T = counts[n][n]
         for m in range(n + 1, horizon + 1):
-            ratio = Fraction(T[n][m], M[m])
+            T += counts[m][n]
+            ratio = Fraction(T, M[m])
             if ratio > worst:
                 worst_m, worst = m, ratio
-        admitted = worst <= threshold
-        window_rows.append(SliceWindowRow(level, n, threshold, worst_m,
-                                          worst, admitted))
-        if level == 1:
-            cand = worst * 4
-            if best_first is None or cand < best_first:
-                best_first = cand
-        if admitted:
-            levels.append(n)
-            level += 1
-    members = None
-    density = Fraction(0)
-    if levels:
-        earlier_bits = 0
-        blocks = []
-        for n in levels:
-            block = masks[q**n:2 * q**n]
-            fresh = np.nonzero(block & np.uint64(earlier_bits) == 0)[0]
-            blocks.append(fresh + q**n)
-            earlier_bits |= 1 << n
-        members = PolySet(q, horizon, tuple(np.concatenate(blocks).tolist()))
-        running = 0
-        counts = members.degree_counts()
-        for m in range(1, horizon + 1):
-            running += counts.get(m, 0)
-            density = max(density, Fraction(running, M[m]))
-    suggested = None if levels else best_first
-    return SparseConstruction(q, eps, horizon, tuple(levels),
-                              tuple(window_rows), members, density, suggested)
+        window_rows.append(SliceWindowRow(1, n, threshold, worst_m, worst,
+                                          worst <= threshold))
+    levels = tuple(r.degree for r in window_rows if r.admitted)
+    assert levels == (horizon,), levels
+    base = q**horizon
+    members = PolySet(q, horizon, tuple(range(base, 2 * base)))
+    return SparseConstruction(q, eps, horizon, levels, tuple(window_rows),
+                              members, Fraction(base, M[horizon]))
 
 
 # ----------------------------------------------------------------------

@@ -88,13 +88,16 @@ def kth_irreducible_degree(q: int, k: int) -> int:
 
 
 def kth_irreducible(q: int, k: int, sieve: FactorSieve | None = None) -> int:
-    """Index of the k-th monic irreducible in (degree, index) order."""
-    from .sieve import build_factor_sieve
+    """Index of the k-th monic irreducible in (degree, index) order, read
+    from the degree-d irreducibles of a sieve that covers degree d, or
+    else from irreducible_slice(q, d)."""
     d = kth_irreducible_degree(q, k)
-    if sieve is None or sieve.q != q or sieve.horizon < d:
-        sieve = build_factor_sieve(q, d)
-    rank = k - pi_cumulative(q, d - 1)
-    return int(sieve.irreducible_indices(d)[rank - 1])
+    if sieve is not None and sieve.q == q and sieve.horizon >= d:
+        irr = sieve.irreducible_indices(d)
+    else:
+        from .sieve import irreducible_slice
+        irr = irreducible_slice(q, d)
+    return int(irr[k - pi_cumulative(q, d - 1) - 1])
 
 
 def erdos_sum_irreducibles(q: int, eps=Fraction(1, 100)) -> BracketedValue:

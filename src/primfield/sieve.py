@@ -1,11 +1,15 @@
 """Factor sieve: the least irreducible factor of every monic polynomial
 of degree <= horizon, as numpy arrays over the integer index of
 fieldpoly.  Sieve-wide quantities (degrees, largest factor degree,
-squarefree flags) are folds along the least-factor chains.
+squarefree flags) are folds along the least-factor chains.  The
+irreducibles of one degree alone come from a boolean slice that the
+irreducibles of half that degree mark, and both sieves form products
+with one kernel, monic_multiples.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -124,74 +128,115 @@ def build_factor_sieve(q: int, horizon: int) -> FactorSieve:
     if horizon < 1:
         raise UsageError("sieve horizon must be >= 1")
     n_entries = 2 * q**horizon
-    # every product index is below n_entries, so the sieve dtype holds it
-    dtype = np.int32 if n_entries <= 2**31 else np.int64
-    n_bytes = 2 * n_entries * np.dtype(dtype).itemsize
+    dtype = _index_dtype(n_entries)
+    _check_indexable(q, horizon, 2 * n_entries * np.dtype(dtype).itemsize)
+    spf = np.zeros(n_entries, dtype=dtype)
+    cof = np.zeros(n_entries, dtype=dtype)
+    for d in range(1, horizon + 1):
+        base = q**d
+        irr = np.flatnonzero(spf[base:2 * base] == 0) + base
+        spf[irr] = irr
+        cof[irr] = 1
+        if 2 * d > horizon:
+            continue
+        g_all = _monic_indices(q, d, horizon - d, dtype)
+        for p in irr.tolist():
+            prods = monic_multiples(q, p, d, horizon - d, dtype)
+            unmarked = spf[prods] == 0
+            tgt = prods[unmarked]
+            spf[tgt] = p
+            cof[tgt] = g_all[unmarked]
+    return FactorSieve(q, horizon, spf, cof)
+
+
+def irreducible_slice(q: int, degree: int) -> np.ndarray:
+    """Ascending indices of the irreducibles of one degree >= 1 over a
+    prime field, without a sieve that covers the degree.
+
+    A reducible polynomial of degree d has an irreducible factor of
+    degree at most d/2.  So the irreducibles of build_factor_sieve(q,
+    d // 2) mark their degree-d multiples on a q^d boolean slice, and the
+    unmarked slots are the irreducibles; no least-factor table of degree
+    d is built.
+    """
+    base = q**degree
+    _check_indexable(q, degree, base)
+    dtype = _index_dtype(2 * base)
+    reducible = np.zeros(base, dtype=bool)
+    if degree > 1:
+        half = build_factor_sieve(q, degree // 2)
+        for e in range(1, degree // 2 + 1):
+            for p in half.irreducible_indices(e).tolist():
+                prods = monic_multiples(q, p, degree - e, degree - e, dtype)
+                prods -= base
+                reducible[prods] = True
+                del prods       # free it before the next table is built
+    return np.flatnonzero(~reducible) + base
+
+
+def monic_multiples(q: int, p: int, lo: int, hi: int,
+                    dtype: type[np.integer]) -> np.ndarray:
+    """Indices of p*g for every monic g of degree lo..hi, in ascending
+    order of g; p has degree at most hi, and dtype holds every product.
+
+    Over F_2 every polynomial is monic and the products double: with
+    t[r] = p*r for every r below 2^k, t[2^k + r] = t[r] ^ (p << k).
+    Over odd q the product's digits are the convolution of the digits of
+    p with the digit rows of every g, reduced mod q and summed into
+    indices, one whole-array pass per digit pair in the narrowest integer
+    type that holds the sums.
+    """
+    if q == 2:
+        t = np.zeros(2 << hi, dtype=dtype)
+        for k in range(hi + 1):
+            np.bitwise_xor(t[:1 << k], p << k, out=t[1 << k:2 << k])
+        return t[1 << lo:]
+    p_digits = _index_digits(q, p)
+    assert len(p_digits) <= hi + 1, (p, hi)
+    g_digits = _monic_digits(q, lo, hi, dtype)
+    out = np.zeros(g_digits.shape[1], dtype=dtype)
+    col = np.empty_like(g_digits[0])
+    term = np.empty_like(col)
+    for j in range(len(p_digits) + hi):
+        col.fill(0)
+        for i in range(max(0, j - hi), min(j, len(p_digits) - 1) + 1):
+            if p_digits[i]:
+                np.multiply(g_digits[j - i], p_digits[i], out=term)
+                col += term
+        col %= q
+        out += col * dtype(q**j)
+    return out
+
+
+def _monic_indices(q: int, lo: int, hi: int,
+                   dtype: type[np.integer]) -> np.ndarray:
+    """Every monic index of degree lo..hi, ascending."""
+    return np.concatenate([np.arange(q**e, 2 * q**e, dtype=dtype)
+                           for e in range(lo, hi + 1)])
+
+
+@lru_cache(maxsize=1)
+def _monic_digits(q: int, lo: int, hi: int,
+                  dtype: type[np.integer]) -> np.ndarray:
+    """Base-q digit rows 0..hi of _monic_indices(q, lo, hi), typed to hold
+    a sum of hi + 1 digit products; read-only, since callers share them.
+    One entry is kept: every multiplier of one degree reads the same rows."""
+    g = _monic_indices(q, lo, hi, dtype)
+    rows = np.empty((hi + 1, len(g)),
+                    dtype=np.min_scalar_type((hi + 1) * (q - 1)**2))
+    for i in range(hi + 1):
+        rows[i] = g % q
+        g //= q
+    rows.flags.writeable = False
+    return rows
+
+
+def _index_dtype(n_entries: int) -> type[np.integer]:
+    """The integer type of indices below n_entries."""
+    return np.int32 if n_entries <= 2**31 else np.int64
+
+
+def _check_indexable(q: int, horizon: int, n_bytes: int) -> None:
     if n_bytes > np.iinfo(np.intp).max:     # also keeps the horizon < 64
         raise BudgetError(f"sieve for q={q}, horizon={horizon} needs"
                           f" {n_bytes} bytes, more than numpy can index")
-    spf = np.zeros(n_entries, dtype=dtype)
-    cof = np.zeros(n_entries, dtype=dtype)
-
-    digit_cache: dict[int, np.ndarray] = {}
-
-    def digit_matrix(e: int) -> np.ndarray:
-        got = digit_cache.get(e)
-        if got is None:
-            idxs = np.arange(q**e, 2 * q**e, dtype=np.int64)
-            cols = np.empty((e + 1, q**e), dtype=np.int64)
-            v = idxs.copy()
-            for i in range(e + 1):
-                cols[i] = v % q
-                v //= q
-            digit_cache[e] = cols
-            got = cols
-        return got
-
-    for d in range(1, horizon + 1):
-        base = q**d
-        block = spf[base:2 * base]
-        irr = np.nonzero(block == 0)[0] + base
-        spf[irr] = irr
-        cof[irr] = 1
-        emax = horizon - d
-        if emax < d:
-            continue
-        if q == 2:
-            g_all = np.arange(base, 2 << emax, dtype=dtype)
-            for p in irr.tolist():
-                prods = np.zeros_like(g_all)
-                x = int(p)
-                shift = 0
-                while x:
-                    if x & 1:
-                        prods ^= g_all << shift
-                    x >>= 1
-                    shift += 1
-                unmarked = spf[prods] == 0
-                tgt = prods[unmarked]
-                spf[tgt] = p
-                cof[tgt] = g_all[unmarked]
-        else:
-            qpow = q**np.arange(horizon + 1, dtype=np.int64)
-            for p in irr.tolist():
-                pd = _index_digits(q, int(p))
-                for e in range(d, emax + 1):
-                    g_cols = digit_matrix(e)
-                    out_len = e + d + 1
-                    prods = np.zeros(q**e, dtype=np.int64)
-                    for j in range(out_len):
-                        col = np.zeros(q**e, dtype=np.int64)
-                        for i, pi in enumerate(pd):
-                            if pi and 0 <= j - i <= e:
-                                col += pi * g_cols[j - i]
-                        prods += (col % q) * qpow[j]
-                    unmarked = spf[prods] == 0
-                    tgt = prods[unmarked]
-                    spf[tgt] = p
-                    cof[tgt] = (np.arange(q**e, 2 * q**e, dtype=np.int64))[unmarked]
-        # later degrees need cofactor widths d+1 .. horizon-d-1 only
-        digit_cache.pop(d, None)
-        digit_cache.pop(emax, None)
-    return FactorSieve(q, horizon, spf, cof)
-

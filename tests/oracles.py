@@ -109,6 +109,19 @@ class Factorization:
         return out
 
 
+def divisor_degree_masks(sieve):
+    """masks[i] has bit n set iff the polynomial with index i has a monic
+    divisor of degree exactly n (bit 0 is always set); uint64, so the
+    sieve horizon must stay below 64.
+
+    Uses div(f) = div(g) + p div(g) for any irreducible p | f, g = f/p,
+    so mask(f) = mask(g) | mask(g) << deg p along the sieve's chains.
+    """
+    def step(p, g, out):
+        return out[g] | out[g] << sieve.degrees(p).astype(np.uint64)
+    return sieve.fold(step, np.uint64(1))
+
+
 def write_set_lines(ps, fh):
     """Set-file writer, one format_index call per member."""
     fh.write(f"q={ps.q};horizon={ps.horizon}\n")

@@ -69,9 +69,9 @@ def tseq_log():
 
 
 @pytest.fixture(scope="module")
-def bes18(sieve2):
+def bes18():
     t0 = time.monotonic()
-    res = besicovitch_construct(2, Fraction(1, 4), 18, sieve=sieve2)
+    res = besicovitch_construct(2, Fraction(1, 4), 18)
     return res, time.monotonic() - t0
 
 

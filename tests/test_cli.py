@@ -253,6 +253,17 @@ def fresh_process(*args):
                           text=True, env=env, timeout=60)
 
 
+def test_irr_kth_reads_one_degree_slice_under_a_64_mb_ceiling():
+    """The k-th irreducible of degree 22 comes from a 4 MB boolean slice
+    marked by the irreducibles of degree <= 11, not from a least-factor
+    table of 2 * 2^22 entries per array, which alone passes the ceiling."""
+    done = fresh_process("-m", "primfield.cli", "irr", "kth", "--q", "2",
+                         "--k", "246094", "--budget-bytes", "64000000")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[1].split(",")[:3] == [
+        "246094", "22", "4968059"]
+
+
 @pytest.mark.parametrize("command", sorted(LEAF_ARGS), ids="-".join)
 def test_every_leaf_subcommand_runs_unchanged_under_small_budgets(
         capsys, tmp_path, command):
@@ -739,6 +750,9 @@ def test_each_command_builds_a_sieve_at_most_once(capsys, tmp_path,
         (["set", "check", "--in", str(mp_path)], 0, [(2, 18)]),
         (["verify", "erdos-density", "--in", str(good)], 0, [(2, 2)]),
         (["verify", "erdos-density", "--in", str(bad)], 2, []),
+        (["irr", "kth", "--q", "3", "--k", "40000"], 0, [(3, 6)]),
+        (["construct", "besicovitch", "--q", "2", "--eps", "1/4",
+          "--horizon", "12"], 0, []),
     ):
         built.clear()
         assert run(argv, capsys)[0] == code, argv

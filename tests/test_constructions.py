@@ -10,7 +10,7 @@ from mpmath import mp
 from primfield import constructions
 from primfield.brackets import BracketedValue, precision
 from primfield.constructions import (GrowthFunction, besicovitch_construct,
-                                     build_t_sequence, divisor_degree_masks,
+                                     build_t_sequence, divisor_degree_counts,
                                      irreducible_density_constant,
                                      mp_construct, mp_diagnostics)
 from primfield.errors import BudgetError, UsageError
@@ -20,7 +20,7 @@ from primfield.primitive import assert_primitive, erdos_sum
 from primfield.sieve import build_factor_sieve
 from primfield.counting import monic_cumulative
 
-from oracles import Factorization, is_irreducible
+from oracles import Factorization, divisor_degree_masks, is_irreducible
 
 
 # ----------------------------------------------------------------------
@@ -214,12 +214,25 @@ def test_masks_match_per_polynomial_recurrence(sieve2, sieve3):
                     Factorization.of(sieve, f).divisor_degree_mask
 
 
+@pytest.mark.parametrize("q,horizon", [(2, 12), (3, 7), (5, 5), (7, 4)])
+def test_divisor_degree_counts_match_sieve_masks(q, horizon):
+    """The factorisation-type DP against the per-index masks, every cell."""
+    masks = divisor_degree_masks(build_factor_sieve(q, horizon))
+    counts = divisor_degree_counts(q, horizon)
+    assert counts[0] == [1] + [0] * horizon
+    for m in range(1, horizon + 1):
+        block = masks[q**m:2 * q**m]
+        want = [int(np.count_nonzero(block >> np.uint64(n) & 1))
+                for n in range(horizon + 1)]
+        assert counts[m] == want, m
+
+
 # ----------------------------------------------------------------------
 # Layered slice construction
 # ----------------------------------------------------------------------
 
 def test_besicovitch_small_q2(sieve2):
-    res = besicovitch_construct(2, Fraction(1, 4), 12, sieve=sieve2)
+    res = besicovitch_construct(2, Fraction(1, 4), 12)
     assert res.ok and res.levels == (12,)
     assert len(res.members) == 4096
     assert res.density == Fraction(4096, monic_cumulative(2, 12))
@@ -234,18 +247,44 @@ def test_besicovitch_small_q2(sieve2):
 
 
 def test_besicovitch_small_q3(sieve3):
-    res = besicovitch_construct(3, Fraction(1, 4), 6, sieve=sieve3)
+    res = besicovitch_construct(3, Fraction(1, 4), 6)
     assert res.levels == (6,) and len(res.members) == 729
     assert res.density == Fraction(729, monic_cumulative(3, 6))
     assert_primitive(res.members, sieve=sieve3)
 
 
-def test_besicovitch_guards(sieve2):
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_besicovitch_admits_only_the_horizon_slice(q):
+    """Level 1 never opens below the horizon: for n < h the window ratio
+    at m = n + 1 is above (q^2 + 2q - 3)/(2q^2) >= 1/2 > eps/4.  The
+    construction itself runs wherever its slice has at most 10^5 members."""
+    floor = Fraction(q * q + 2 * q - 3, 2 * q * q)
+    assert floor >= Fraction(1, 2)
+    counts = divisor_degree_counts(q, 10)
+    for n in range(1, 10):
+        share = Fraction(counts[n][n] + counts[n + 1][n],
+                         monic_cumulative(q, n + 1))
+        assert share > floor, n
+    for eps in (Fraction(1, 10**6), Fraction(1, 4), Fraction(999, 1000)):
+        for h in range(1, 11):
+            if q**h > 10**5:
+                break
+            res = besicovitch_construct(q, eps, h)
+            assert res.levels == (h,) and res.ok
+            assert res.to_json()["suggested_eps"] is None
+            assert res.members.indices == tuple(range(q**h, 2 * q**h))
+            assert [r.admitted for r in res.window] == \
+                [False] * (h - 1) + [True]
+            for r in res.window[:-1]:
+                assert r.worst_ratio > floor > eps / 4
+
+
+def test_besicovitch_guards():
     for eps in (0, 1, Fraction(3, 2), -1):
         with pytest.raises(UsageError):
-            besicovitch_construct(2, eps, 10, sieve=sieve2)
+            besicovitch_construct(2, eps, 10)
     with pytest.raises(UsageError):
-        besicovitch_construct(2, Fraction(1, 4), 0, sieve=sieve2)
+        besicovitch_construct(2, Fraction(1, 4), 0)
 
 
 # ----------------------------------------------------------------------

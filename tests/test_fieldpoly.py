@@ -1,16 +1,19 @@
 """Polynomial kernel against coefficient-level and product-set oracles."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primfield.constructions import divisor_degree_masks
 from primfield.errors import BudgetError, UsageError
 from primfield.fieldpoly import (format_index, index_degree, index_divrem,
                                  index_mul, is_prime, parse_index)
-from primfield.sieve import build_factor_sieve
+from primfield.irreducibles import pi_prime
+from primfield.sieve import (build_factor_sieve, irreducible_slice,
+                             monic_multiples)
 
-from oracles import Factorization, divides, is_irreducible, is_prime_trial
+from oracles import (Factorization, divides, divisor_degree_masks,
+                     is_irreducible, is_prime_trial)
 
 QS = (2, 3, 5)
 
@@ -253,6 +256,27 @@ def test_divisor_degree_mask_matches_divisor_scan(sieve2):
             for mask in (int(masks[f]),
                          Factorization.of(sieve2, f).divisor_degree_mask):
                 assert degrees == {b for b in range(n + 1) if mask >> b & 1}
+
+
+@pytest.mark.parametrize("q,lo,hi", [(2, 1, 6), (2, 4, 4), (3, 1, 4),
+                                     (3, 3, 3), (5, 2, 3), (7, 1, 2)])
+def test_monic_multiples_match_index_mul(q, lo, hi):
+    g_all = [g for e in range(lo, hi + 1) for g in range(q**e, 2 * q**e)]
+    for d in range(1, hi + 1):
+        for p in range(q**d, 2 * q**d):
+            got = monic_multiples(q, p, lo, hi, np.int32)
+            assert got.dtype == np.int32
+            assert got.tolist() == [index_mul(q, p, g) for g in g_all], p
+
+
+@pytest.mark.parametrize("q,dmax", [(2, 14), (3, 8), (5, 5), (7, 4)])
+def test_irreducible_slice_matches_the_covering_sieve(q, dmax):
+    for d in range(1, dmax + 1):
+        got = irreducible_slice(q, d)
+        want = build_factor_sieve(q, d).irreducible_indices(d)
+        assert got.tolist() == want.tolist(), d
+        assert len(got) == pi_prime(q, d)
+        assert all(is_irreducible(q, f) for f in got.tolist()), d
 
 
 @pytest.mark.parametrize("q,horizon", [(2, 58), (2, 200), (3, 37)])

@@ -103,14 +103,16 @@ def test_pi_cumulative_on_a_cold_cache():
 # ----------------------------------------------------------------------
 
 def test_kth_irreducible_matches_sorted_enumeration(sieve2, sieve3):
+    """From a covering sieve, and from the degree slice without one."""
     for sieve, nmax in ((sieve2, 6), (sieve3, 4)):
         q = sieve.q
         ordered = [f for n in range(1, nmax + 1)
                    for f in range(q**n, 2 * q**n) if is_irreducible(q, f)]
         for k, f in enumerate(ordered, start=1):
             assert kth_irreducible_degree(q, k) == index_degree(q, f)
-            got = kth_irreducible(q, k, sieve=sieve)
-            assert got == f and type(got) is int
+            for covering in (sieve, None):
+                got = kth_irreducible(q, k, sieve=covering)
+                assert got == f and type(got) is int
 
 
 def test_kth_irreducible_head_q2(sieve2):
