@@ -9,7 +9,6 @@ with one kernel, monic_multiples.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -140,8 +139,9 @@ def build_factor_sieve(q: int, horizon: int) -> FactorSieve:
         if 2 * d > horizon:
             continue
         g_all = _monic_indices(q, d, horizon - d, dtype)
+        g_digits = None if q == 2 else monic_digits(q, g_all, horizon - d)
         for p in irr.tolist():
-            prods = monic_multiples(q, p, d, horizon - d, dtype)
+            prods = monic_multiples(q, p, d, horizon - d, dtype, g_digits)
             unmarked = spf[prods] == 0
             tgt = prods[unmarked]
             spf[tgt] = p
@@ -157,17 +157,22 @@ def irreducible_slice(q: int, degree: int) -> np.ndarray:
     degree at most d/2.  So the irreducibles of build_factor_sieve(q,
     d // 2) mark their degree-d multiples on a q^d boolean slice, and the
     unmarked slots are the irreducibles; no least-factor table of degree
-    d is built.
+    d is built.  The largest array is the slice or the product table of
+    the degree-(d-1) cofactors.
     """
     base = q**degree
-    _check_indexable(q, degree, base)
     dtype = _index_dtype(2 * base)
+    _check_indexable(q, degree,
+                     max(base, _product_table_bytes(q, degree - 1, dtype)))
     reducible = np.zeros(base, dtype=bool)
     if degree > 1:
         half = build_factor_sieve(q, degree // 2)
         for e in range(1, degree // 2 + 1):
+            hi = degree - e
+            g_digits = (None if q == 2 else
+                        monic_digits(q, _monic_indices(q, hi, hi, dtype), hi))
             for p in half.irreducible_indices(e).tolist():
-                prods = monic_multiples(q, p, degree - e, degree - e, dtype)
+                prods = monic_multiples(q, p, hi, hi, dtype, g_digits)
                 prods -= base
                 reducible[prods] = True
                 del prods       # free it before the next table is built
@@ -175,16 +180,18 @@ def irreducible_slice(q: int, degree: int) -> np.ndarray:
 
 
 def monic_multiples(q: int, p: int, lo: int, hi: int,
-                    dtype: type[np.integer]) -> np.ndarray:
+                    dtype: type[np.integer],
+                    g_digits: np.ndarray | None) -> np.ndarray:
     """Indices of p*g for every monic g of degree lo..hi, in ascending
     order of g; p has degree at most hi, and dtype holds every product.
 
     Over F_2 every polynomial is monic and the products double: with
-    t[r] = p*r for every r below 2^k, t[2^k + r] = t[r] ^ (p << k).
-    Over odd q the product's digits are the convolution of the digits of
-    p with the digit rows of every g, reduced mod q and summed into
-    indices, one whole-array pass per digit pair in the narrowest integer
-    type that holds the sums.
+    t[r] = p*r for every r below 2^k, t[2^k + r] = t[r] ^ (p << k), and
+    g_digits is None.  Over odd q, g_digits = monic_digits of those g,
+    and the product's digits are the convolution of the digits of p with
+    those rows, reduced mod q and summed into indices, one whole-array
+    pass per digit pair.  The sums are widened to dtype before they are
+    scaled by q^j.
     """
     if q == 2:
         t = np.zeros(2 << hi, dtype=dtype)
@@ -192,9 +199,9 @@ def monic_multiples(q: int, p: int, lo: int, hi: int,
             np.bitwise_xor(t[:1 << k], p << k, out=t[1 << k:2 << k])
         return t[1 << lo:]
     p_digits = _index_digits(q, p)
-    assert len(p_digits) <= hi + 1, (p, hi)
-    g_digits = _monic_digits(q, lo, hi, dtype)
+    assert len(p_digits) <= len(g_digits), (p, hi)
     out = np.zeros(g_digits.shape[1], dtype=dtype)
+    scaled = np.empty_like(out)
     col = np.empty_like(g_digits[0])
     term = np.empty_like(col)
     for j in range(len(p_digits) + hi):
@@ -204,8 +211,33 @@ def monic_multiples(q: int, p: int, lo: int, hi: int,
                 np.multiply(g_digits[j - i], p_digits[i], out=term)
                 col += term
         col %= q
-        out += col * dtype(q**j)
+        np.multiply(col, q**j, out=scaled, dtype=dtype)
+        out += scaled
     return out
+
+
+def monic_digits(q: int, g: np.ndarray, hi: int) -> np.ndarray:
+    """Base-q digit rows 0..hi of monic indices g of degree <= hi, in the
+    narrowest unsigned type that holds a sum of hi + 1 digit products."""
+    rows = np.empty((hi + 1, len(g)), dtype=_digit_dtype(q, hi))
+    rest = g.copy()
+    for i in range(hi + 1):
+        rows[i] = rest % q
+        rest //= q
+    return rows
+
+
+def _product_table_bytes(q: int, hi: int, dtype: type[np.integer]) -> int:
+    """Bytes of the largest array monic_multiples and monic_digits build
+    for the monic cofactors of degree hi alone."""
+    if q == 2:
+        return (2 << hi) * np.dtype(dtype).itemsize
+    return q**hi * max(np.dtype(dtype).itemsize,
+                       (hi + 1) * _digit_dtype(q, hi).itemsize)
+
+
+def _digit_dtype(q: int, hi: int) -> np.dtype:
+    return np.min_scalar_type((hi + 1) * (q - 1)**2)
 
 
 def _monic_indices(q: int, lo: int, hi: int,
@@ -213,22 +245,6 @@ def _monic_indices(q: int, lo: int, hi: int,
     """Every monic index of degree lo..hi, ascending."""
     return np.concatenate([np.arange(q**e, 2 * q**e, dtype=dtype)
                            for e in range(lo, hi + 1)])
-
-
-@lru_cache(maxsize=1)
-def _monic_digits(q: int, lo: int, hi: int,
-                  dtype: type[np.integer]) -> np.ndarray:
-    """Base-q digit rows 0..hi of _monic_indices(q, lo, hi), typed to hold
-    a sum of hi + 1 digit products; read-only, since callers share them.
-    One entry is kept: every multiplier of one degree reads the same rows."""
-    g = _monic_indices(q, lo, hi, dtype)
-    rows = np.empty((hi + 1, len(g)),
-                    dtype=np.min_scalar_type((hi + 1) * (q - 1)**2))
-    for i in range(hi + 1):
-        rows[i] = g % q
-        g //= q
-    rows.flags.writeable = False
-    return rows
 
 
 def _index_dtype(n_entries: int) -> type[np.integer]:

@@ -10,7 +10,7 @@ from primfield.fieldpoly import (format_index, index_degree, index_divrem,
                                  index_mul, is_prime, parse_index)
 from primfield.irreducibles import pi_prime
 from primfield.sieve import (build_factor_sieve, irreducible_slice,
-                             monic_multiples)
+                             monic_digits, monic_multiples)
 
 from oracles import (Factorization, divides, divisor_degree_masks,
                      is_irreducible, is_prime_trial)
@@ -262,9 +262,11 @@ def test_divisor_degree_mask_matches_divisor_scan(sieve2):
                                      (3, 3, 3), (5, 2, 3), (7, 1, 2)])
 def test_monic_multiples_match_index_mul(q, lo, hi):
     g_all = [g for e in range(lo, hi + 1) for g in range(q**e, 2 * q**e)]
+    g_digits = (None if q == 2 else
+                monic_digits(q, np.array(g_all, dtype=np.int32), hi))
     for d in range(1, hi + 1):
         for p in range(q**d, 2 * q**d):
-            got = monic_multiples(q, p, lo, hi, np.int32)
+            got = monic_multiples(q, p, lo, hi, np.int32, g_digits)
             assert got.dtype == np.int32
             assert got.tolist() == [index_mul(q, p, g) for g in g_all], p
 
@@ -285,6 +287,15 @@ def test_a_sieve_numpy_cannot_index_is_a_budget_error(q, horizon):
     # q=2, horizon=58 up, so divisor_degree_masks never sees horizon 64
     with pytest.raises(BudgetError, match="more than numpy can index"):
         build_factor_sieve(q, horizon)
+
+
+@pytest.mark.parametrize("q,degree,need", [(2, 60, 8 * 2**60),
+                                           (3, 39, 39 * 3**38)])
+def test_a_slice_numpy_cannot_index_is_a_budget_error(q, degree, need):
+    # the boolean slice fits; the largest product table does not: 2^60
+    # int64 products over F_2, and 39 uint8 digit rows of 3^38 cofactors
+    with pytest.raises(BudgetError, match=f" needs {need} bytes, more than"):
+        irreducible_slice(q, degree)
 
 
 @pytest.mark.parametrize("q,horizon", [(2, 12), (3, 7), (5, 5)])
