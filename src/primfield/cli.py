@@ -221,11 +221,9 @@ def cmd_verify_norton(args) -> int:
 
 
 def cmd_verify_erdos_density(args) -> int:
-    from .primitive import (divisor_walk_sieve, is_primitive,
-                            verify_erdos_density_inequality)
+    from .primitive import is_primitive, verify_erdos_density_inequality
     ps = _read_set_file(args.infile)
-    sieve = divisor_walk_sieve(ps)
-    ok_prim, witness = is_primitive(ps, sieve)
+    ok_prim, witness = is_primitive(ps)
     if not ok_prim:
         pair = _counterexample(ps.q, witness)
         payload = {"primitive": False, "counterexample": pair}
@@ -233,7 +231,7 @@ def cmd_verify_erdos_density(args) -> int:
         print(f"input set is not primitive: {pair['divisor']} divides "
               f"{pair['multiple']}", file=sys.stderr)
         return 2
-    report = verify_erdos_density_inequality(ps, sieve)
+    report = verify_erdos_density_inequality(ps)
     payload = report.to_json()
     payload["primitive"] = True
     _write_out(args, _dump_json(payload))

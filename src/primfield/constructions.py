@@ -434,7 +434,7 @@ def besicovitch_construct(q: int, eps, horizon: int) -> SparseConstruction:
     levels = tuple(r.degree for r in window_rows if r.admitted)
     assert levels == (horizon,), levels
     base = q**horizon
-    members = PolySet(q, horizon, tuple(range(base, 2 * base)))
+    members = PolySet(q, horizon, np.arange(base, 2 * base))
     return SparseConstruction(q, eps, horizon, levels, tuple(window_rows),
                               members, Fraction(base, M[horizon]))
 
@@ -485,7 +485,7 @@ def mp_construct(q: int, tseq: TSequence, horizon: int,
     per-degree irreducible supply excludes the earlier terms.  Members
     are enumerated only up to enum_horizon (from the factor sieve of every
     monic polynomial there); cross_checked says whether the enumeration
-    reproduces the counts, and the same sieve certifies primitivity.
+    reproduces the counts, and is_primitive certifies the members.
     """
     _check_prime(q)
     if tseq.q != q:
@@ -519,26 +519,11 @@ def mp_construct(q: int, tseq: TSequence, horizon: int,
             if k - 1 <= g_deg:
                 row[n] = table.count(g_deg, k - 1)
         counts.append(tuple(row))
-    # members of degree <= enum_horizon from the sieve's folds: f joins
-    # S_k when it is squarefree, the least t-rank among its factors is k
-    # and omega(f) = k
-    sieve = build_factor_sieve(q, enum_horizon)
-    no_rank = np.iinfo(np.int32).max
-    rank = np.full(len(sieve.spf), no_rank, dtype=np.int32)
-    for k, t in enumerate(tseq.terms, start=1):
-        if t < len(rank):
-            rank[t] = k
-    least = sieve.fold(lambda p, g, out: np.minimum(rank[p], out[g]),
-                       np.int32(no_rank))
-    member = (sieve.squarefree_flags() & (least == sieve.factor_counts())
-              & (least <= k_max))
-    indices = np.nonzero(member)[0]
-    slots = (least[indices] - 1) * (enum_horizon + 1) + sieve.degrees(indices)
-    got = np.bincount(slots, minlength=k_max * (enum_horizon + 1))
+    indices, got = _enumerate_members(q, tseq, k_max, enum_horizon)
     cross = got.reshape(k_max, enum_horizon + 1).tolist() == \
         [list(row[:enum_horizon + 1]) for row in counts]
-    members = PolySet(q, horizon, tuple(indices.tolist()))
-    _, witness = is_primitive(members, sieve)
+    members = PolySet(q, horizon, indices)
+    _, witness = is_primitive(members)
     den = q**horizon * math.lcm(*range(1, horizon + 1))
     total = 0
     total_k0 = 0
@@ -553,6 +538,28 @@ def mp_construct(q: int, tseq: TSequence, horizon: int,
                           tuple(counts), members, cross,
                           Fraction(total, den), Fraction(total_k0, den),
                           witness)
+
+
+def _enumerate_members(q: int, tseq: TSequence, k_max: int,
+                       enum_horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The members of degree <= enum_horizon, ascending, from the folds
+    of one factor sieve, and their counts per (k, degree) in slot
+    (k - 1) * (enum_horizon + 1) + degree.  f joins S_k when it is
+    squarefree, the least t-rank among its factors is k and omega(f) = k.
+    The sieve and its folds are freed on return."""
+    sieve = build_factor_sieve(q, enum_horizon)
+    no_rank = np.iinfo(np.int32).max
+    rank = np.full(len(sieve.spf), no_rank, dtype=np.int32)
+    for k, t in enumerate(tseq.terms, start=1):
+        if t < len(rank):
+            rank[t] = k
+    least = sieve.fold(lambda p, g, out: np.minimum(rank[p], out[g]),
+                       np.int32(no_rank))
+    member = (sieve.squarefree_flags() & (least == sieve.factor_counts())
+              & (least <= k_max))
+    indices = np.nonzero(member)[0]
+    slots = (least[indices] - 1) * (enum_horizon + 1) + sieve.degrees(indices)
+    return indices, np.bincount(slots, minlength=k_max * (enum_horizon + 1))
 
 
 @dataclass(frozen=True)

@@ -200,9 +200,11 @@ def verify_hr_bound(q: int, N: int, table: CountTable | None = None,
         rhs = q**n        # q^n num^(k-1)
         scale = n         # n (k-1)! 2^(s(k-1))
         row = table.rows[n]
-        for k in range(1, n + 1):
+        # a zero entry satisfies the bound and sets no margin, so the
+        # walk stops at the row's last nonzero entry; cells counts all k
+        cells += n
+        for k in range(1, _support(row)):
             lhs = row[k] * scale
-            cells += 1
             if lhs > rhs:
                 violations.append((n, k, row[k]))
             elif row[k]:
@@ -214,6 +216,11 @@ def verify_hr_bound(q: int, N: int, table: CountTable | None = None,
     return InequalityReport("uniform-factor-count-bound", q, N, cells,
                             tuple(violations),
                             min_margin if min_margin < math.inf else 0.0)
+
+
+def _support(row) -> int:
+    """One past the position of the last nonzero entry of row."""
+    return next((k + 1 for k in range(len(row) - 1, -1, -1) if row[k]), 0)
 
 
 def verify_recurrence_bound(q: int, N: int,
@@ -234,20 +241,23 @@ def verify_recurrence_bound(q: int, N: int,
     weights = [pi_prime(q, d) for d in range(1, N // 2 + 1)]
     largest = max(max(row) for row in rows)
     nbytes = (largest * max(1, sum(weights))).bit_length() // 8 + 1
-    packed = [_pack(row, nbytes) for row in rows]
+    packed = [_pack(row[:_support(row)], nbytes) for row in rows]
     violations: list[tuple] = []
     min_margin = math.inf
     cells = 0
     for n in range(2, N + 1):
+        row = rows[n]
+        # k past the row's support has lhs = 0 <= rhs and no margin, so
+        # only the slots k - 1 below the support's last k are unpacked
+        slots = max(_support(row) - 1, 0)
+        cells += n - 1
         acc = 0
         for d in range(1, n // 2 + 1):
             acc += weights[d - 1] * packed[n - d]
-        sums = _unpack(acc, n, nbytes)
-        row = rows[n]
-        for k in range(2, n + 1):
+        sums = _unpack(acc & ((1 << 8 * nbytes * slots) - 1), slots, nbytes)
+        for k in range(2, slots + 1):
             lhs = (k - 1) * row[k]
             rhs = sums[k - 1]
-            cells += 1
             if lhs > rhs:
                 violations.append((n, k, lhs, rhs))
             elif lhs:

@@ -127,32 +127,6 @@ def _index_digits(q: int, idx: int) -> list[int]:
     return out
 
 
-def index_mul(q: int, a: int, b: int) -> int:
-    """Index of the product of the polynomials with indices a and b."""
-    if q == 2:
-        # carry-less multiply: base-2 digit convolution mod 2
-        out = 0
-        x = a
-        shift = 0
-        while x:
-            if x & 1:
-                out ^= b << shift
-            x >>= 1
-            shift += 1
-        return out
-    da = _index_digits(q, a)
-    db = _index_digits(q, b)
-    out_digits = [0] * (len(da) + len(db) - 1)
-    for i, ai in enumerate(da):
-        if ai:
-            for j, bj in enumerate(db):
-                out_digits[i + j] += ai * bj
-    v = 0
-    for c in reversed(out_digits):
-        v = v * q + (c % q)
-    return v
-
-
 def index_divrem(q: int, a: int, b: int) -> tuple[int, int]:
     """(quotient index, remainder index-value) of index a by monic index b."""
     da = index_degree(q, a)

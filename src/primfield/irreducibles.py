@@ -68,6 +68,32 @@ def pi_prime(q: int, n: int) -> int:
     return count
 
 
+def pi_prime_table(q: int, n: int) -> list[int]:
+    """[pi'_q(1), ..., pi'_q(n)] from one Moebius pass over the powers
+    q^0 .. q^n: each squarefree d adds mu(d) q^(m/d) to every multiple m
+    of d, so no power is raised twice.  Each count passes pi_prime's
+    divisibility and range checks."""
+    _check_prime(q)
+    powers = [1]
+    for _ in range(n):
+        powers.append(powers[-1] * q)
+    totals = [0] * (n + 1)
+    for d in range(1, n + 1):
+        mu = moebius(d)
+        if not mu:
+            continue
+        for m in range(d, n + 1, d):
+            if mu > 0:
+                totals[m] += powers[m // d]
+            else:
+                totals[m] -= powers[m // d]
+    for m in range(1, n + 1):
+        assert totals[m] % m == 0, (q, m)
+        totals[m] //= m
+        assert 0 < totals[m] * m <= powers[m], (q, m)
+    return totals[1:]
+
+
 @lru_cache(maxsize=None)
 def pi_cumulative(q: int, n: int) -> int:
     """Number of monic irreducibles of degree <= n over F_q."""
@@ -113,12 +139,22 @@ def erdos_sum_irreducibles(q: int, eps=Fraction(1, 100)) -> BracketedValue:
     if eps <= 0:
         raise UsageError("eps must be positive")
     cut = math.floor(1 / eps) + 1
-    # Over the one denominator L q^cut, L = lcm(1..cut), term d is
-    # pi'(d) (L/d) q^(cut-d): Horner's rule in q, and a single reduction.
-    lcm = math.lcm(*range(1, cut + 1))
-    num = 0
-    for d in range(1, cut + 1):
-        num = num * q + pi_prime(q, d) * (lcm // d)
+    counts = pi_prime_table(q, cut)
+
+    def split(lo: int, hi: int) -> tuple[int, int]:
+        """(num, L) with sum_{lo <= d < hi} pi'(d) / (d q^d) equal to
+        num / (L q^(hi-1)), L = lcm(lo..hi-1); two halves meet over the
+        lcm of theirs, so each product is about as wide as its range."""
+        if hi - lo == 1:
+            return counts[lo - 1], lo
+        mid = (lo + hi) // 2
+        low, low_lcm = split(lo, mid)
+        high, high_lcm = split(mid, hi)
+        lcm = math.lcm(low_lcm, high_lcm)
+        return (low * (lcm // low_lcm) * q**(hi - mid)
+                + high * (lcm // high_lcm), lcm)
+
+    num, lcm = split(1, cut + 1)
     partial = Fraction(num, lcm * q**cut)
     return BracketedValue(partial, partial + Fraction(1, cut))
 

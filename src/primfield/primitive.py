@@ -11,84 +11,114 @@ from __future__ import annotations
 import math
 import operator
 import random
-from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, pairwise
-from typing import Iterable, Sequence
+from functools import cache
+from itertools import combinations, pairwise
 
 import numpy as np
 
 from .counting import _LowestTerms, mertens_parts, monic_cumulative
 from .errors import UsageError, VerificationError
 from .fieldpoly import (_check_prime, format_index, index_degree,
-                        index_divrem, index_mul, is_prime, parse_index)
-from .sieve import FactorSieve, build_factor_sieve
+                        index_divrem, is_prime, parse_index)
+from .sieve import (FactorSieve, build_factor_sieve, index_multiples,
+                    monic_digits, monic_multiples)
 
 
 # ----------------------------------------------------------------------
 # Finite sets of monic polynomials below a degree horizon
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolySet:
     """Finite set of non-unit monic polynomials with degrees <= horizon,
     held as their indices.
 
-    Indices are deduplicated and ascending, which is also (degree, index)
-    order because degree-d indices fill [q^d, 2 q^d).  They stay Python
-    ints, so members may lie past any fixed-width integer range.
+    indices is one read-only 1-D array, ascending without repeats, which
+    is also (degree, index) order because degree-d indices fill
+    [q^d, 2 q^d).  It is int64 when every member fits, else an object
+    array of Python ints, so members may lie past any fixed-width integer
+    range.  An int64 array passed in is taken over, not copied.
     """
 
     q: int
     horizon: int
-    indices: tuple[int, ...]
+    indices: np.ndarray
 
     def __post_init__(self) -> None:
         _check_prime(self.q)
         if self.horizon < 1:
             raise UsageError("horizon must be >= 1")
         q = self.q
-        indices = tuple(map(operator.index, self.indices))
+        indices = _member_array(self.indices)
         # read_set and the constructions pass ascending, duplicate-free
-        # members; only other input pays for a set and a sort
-        if not all(a < b for a, b in pairwise(indices)):
-            indices = tuple(sorted(set(indices)))
+        # members; only other input pays for a sort
+        if len(indices) > 1 and not (indices[1:] > indices[:-1]).all():
+            indices = np.unique(indices)
+        indices = indices.view()
+        indices.flags.writeable = False
         object.__setattr__(self, "indices", indices)
-        if indices and indices[0] < 1:
-            raise UsageError(f"index {indices[0]} is not positive")
-        for d, block in self.by_degree().items():
-            if block[-1] >= 2 * q**d:
-                raise UsageError(
-                    f"index {block[-1]} has leading base-{q} digit != 1")
-        if indices and indices[0] == 1:
+        if not len(indices):
+            return
+        if indices[0] < 1:
+            raise UsageError(f"index {int(indices[0])} is not positive")
+        bounds = self._degree_bounds()
+        for d, (lo, hi) in enumerate(pairwise(bounds)):
+            # a block ascends, so its last member has the largest digit
+            if lo < hi and int(indices[hi - 1]) >= 2 * q**d:
+                raise UsageError(f"index {int(indices[hi - 1])} has"
+                                 f" leading base-{q} digit != 1")
+        if indices[0] == 1:
             raise UsageError("members must be non-unit (degree >= 1)")
-        beyond = bisect_left(indices, q**(self.horizon + 1))
-        if beyond < len(indices):
-            raise UsageError(f"member {format_index(q, indices[beyond])}"
+        if len(bounds) > self.horizon + 2:
+            beyond = int(indices[bounds[self.horizon + 1]])
+            raise UsageError(f"member {format_index(q, beyond)}"
                              f" exceeds horizon {self.horizon}")
 
     def __len__(self) -> int:
         return len(self.indices)
 
-    def by_degree(self) -> dict[int, tuple[int, ...]]:
-        """Members grouped by degree, ascending within each group."""
-        out: dict[int, tuple[int, ...]] = {}
-        q, indices = self.q, self.indices
-        i = 0
-        while i < len(indices):
-            d = index_degree(q, indices[i])
-            j = bisect_left(indices, q**(d + 1), i)
-            out[d] = indices[i:j]
-            i = j
-        return out
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PolySet):
+            return NotImplemented
+        return (self.q == other.q and self.horizon == other.horizon
+                and np.array_equal(self.indices, other.indices))
+
+    def _degree_bounds(self) -> list[int]:
+        """Positions where each degree 0..max_degree starts, then len(self):
+        degree d fills indices[bounds[d]:bounds[d + 1]]."""
+        powers = [self.q**d for d in range(self.max_degree + 1)]
+        starts = np.searchsorted(self.indices,
+                                 np.array(powers, self.indices.dtype))
+        return starts.tolist() + [len(self.indices)]
+
+    def by_degree(self) -> dict[int, np.ndarray]:
+        """Members grouped by degree, ascending within each group, as
+        views of indices."""
+        bounds = self._degree_bounds()
+        return {d: self.indices[lo:hi]
+                for d, (lo, hi) in enumerate(pairwise(bounds)) if lo < hi}
 
     def degree_counts(self) -> dict[int, int]:
         return {d: len(block) for d, block in self.by_degree().items()}
 
     @property
     def max_degree(self) -> int:
-        return index_degree(self.q, self.indices[-1]) if self.indices else 0
+        return index_degree(self.q, int(self.indices[-1])) if len(self) else 0
+
+
+def _member_array(values) -> np.ndarray:
+    """values as a 1-D int64 array when every one fits, else as an object
+    array of Python ints; an int64 array is returned as it is."""
+    if isinstance(values, np.ndarray) and np.can_cast(values.dtype, np.int64):
+        return values.astype(np.int64, copy=False)
+    values = list(map(operator.index, values))
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        return np.array(values, object)
 
 
 # ----------------------------------------------------------------------
@@ -267,19 +297,25 @@ class _SetFileLines:
                 self.others[self.line] = idx, text
         self.line = following
 
-    def members(self, before: int | None = None) -> tuple[int, ...]:
+    def members(self, before: int | None = None) -> np.ndarray:
         """The member indices, ascending, of the lines before `before`;
         raises on the first line that repeats an earlier member."""
         values = [idx for idx, _ in self.others.values()]
         index = np.concatenate(self.indices + [np.array(
             values, np.int64 if max(values, default=0) < 2**63 else object)])
-        number = np.concatenate(self.numbers + [np.array(list(self.others),
-                                                         np.int64)])
-        keep = np.argsort(number, kind="stable")    # line order
-        if before is not None:
-            keep = keep[number[keep] < before]
-        index, number = index[keep], number[keep]
+        # canonical lines arrive in line order, so line numbers are only
+        # merged when other lines or a cut-off line mix in
+        number = None
+        if self.others or before is not None:
+            number = np.concatenate(self.numbers + [np.array(
+                list(self.others), np.int64)])
+            keep = np.argsort(number, kind="stable")    # line order
+            if before is not None:
+                keep = keep[number[keep] < before]
+            index, number = index[keep], number[keep]
         if len(index) > 1 and not (index[1:] > index[:-1]).all():
+            if number is None:
+                number = np.concatenate(self.numbers)
             order = np.argsort(index, kind="stable")
             index = index[order]
             again = np.flatnonzero(index[1:] == index[:-1]) + 1
@@ -289,7 +325,7 @@ class _SetFileLines:
                 text = (self.others[line][1] if line in self.others
                         else format_index(self.q, int(index[at])))
                 raise UsageError(f"line {line}: duplicate member {text!r}")
-        return tuple(index.tolist())
+        return index
 
 
 def read_set(fh) -> PolySet:
@@ -334,54 +370,29 @@ def read_set(fh) -> PolySet:
 # Primitivity certificates
 # ----------------------------------------------------------------------
 
-def _divisor_indices(q: int, factors: Sequence[tuple[int, int]]) -> Iterable[int]:
-    """Indexes of all monic divisors given [(irreducible index, mult)]."""
-    divs = [1]
-    for p_idx, mult in factors:
-        grown = []
-        for d in divs:
-            acc = d
-            for _ in range(mult):
-                acc = index_mul(q, acc, p_idx)
-                grown.append(acc)
-        divs.extend(grown)
-    return divs
-
-
-def is_primitive(ps: PolySet, sieve: FactorSieve | None = None,
-                 ) -> tuple[bool, tuple[int, int] | None]:
+def is_primitive(ps: PolySet) -> tuple[bool, tuple[int, int] | None]:
     """Decide primitivity; on failure also return the index pair (a, b)
     of two members with a | b: the least member b with a proper divisor
     in the set, and its least such divisor a.
 
     Distinct monic polynomials of equal degree never divide one another,
-    so only cross-degree pairs count.  Given a sieve that covers the set,
-    or else one from divisor_walk_sieve, the divisor walk decides; other
-    sets use trial division pair by pair.
+    so only cross-degree pairs count.  The multiples pass decides when it
+    forms no more products than trial division would test pairs; sparse
+    or high-degree sets use trial division pair by pair.
     """
-    if len(ps.by_degree()) <= 1:
+    blocks = ps.by_degree()
+    if len(blocks) <= 1:
         return True, None
-    if not _covers(sieve, ps):
-        sieve = divisor_walk_sieve(ps)
-        if sieve is None:
-            return _primitive_by_division(ps)
-    return _primitive_by_divisors(ps, sieve)
-
-
-def _covers(sieve: FactorSieve | None, ps: PolySet) -> bool:
-    return (sieve is not None and sieve.q == ps.q
-            and sieve.horizon >= ps.max_degree)
-
-
-def divisor_walk_sieve(ps: PolySet) -> FactorSieve | None:
-    """A sieve covering ps when building it (2 q^D entries for top degree
-    D) and walking every member's divisors costs less than trial division
-    of the cross-degree pairs; None when division is cheaper."""
-    sizes = [len(block) for block in ps.by_degree().values()]
-    pairs = sum(map(operator.mul, sizes[1:], accumulate(sizes)))
-    if 2 * ps.q**ps.max_degree + len(ps) > pairs:
-        return None
-    return build_factor_sieve(ps.q, ps.max_degree)
+    sizes = {d: len(block) for d, block in blocks.items()}
+    pairs = products = 0
+    for low, high in combinations(sizes, 2):
+        pairs += sizes[low] * sizes[high]
+        products += sizes[low] * ps.q**(high - low)
+    # products up to the top degree must fit int64 (an object array of
+    # members never does)
+    if _index_dtype(ps.q, ps.max_degree) is object or products > pairs:
+        return _primitive_by_division(ps)
+    return _primitive_by_multiples(ps)
 
 
 def _primitive_by_division(ps: PolySet) -> tuple[bool, tuple[int, int] | None]:
@@ -390,31 +401,89 @@ def _primitive_by_division(ps: PolySet) -> tuple[bool, tuple[int, int] | None]:
     q = ps.q
     lower: list[int] = []
     for block in ps.by_degree().values():
-        for b in block:
+        members = block.tolist()
+        for b in members:
             for a in lower:
                 if index_divrem(q, b, a)[1] == 0:
                     return False, (a, b)
-        lower.extend(block)
+        lower.extend(members)
     return True, None
 
 
-def _primitive_by_divisors(ps: PolySet, sieve: FactorSieve,
-                           ) -> tuple[bool, tuple[int, int] | None]:
-    """is_primitive by looking up every proper divisor of each member, from
-    its factorization in a sieve that covers the set, in the member set."""
+_LOOKUP_BLOCK = 1 << 16     # products looked up per searchsorted pass
+
+
+def _primitive_by_multiples(ps: PolySet,
+                            ) -> tuple[bool, tuple[int, int] | None]:
+    """is_primitive by forming, for each pair of member degrees e < e',
+    every product of a degree-e member with a monic cofactor of degree
+    e' - e, and looking the products up among the degree-e' members.
+
+    A pair loops over its smaller side: each member times every cofactor
+    (monic_multiples), or each cofactor times the whole block of members
+    (index_multiples).  Target degrees run upward, so the first one that
+    holds a product holds the least multiple b, and its least divisor a
+    is the least over the products equal to b.
+    """
     q = ps.q
-    idx_set = set(ps.indices)
-    for b in ps.indices:
-        found = [a for a in _divisor_indices(q, sieve.factor_index(b))
-                 if a != b and a in idx_set]
+    blocks = ps.by_degree()
+
+    # base-q digit rows for the odd-q kernel, built once per degree
+    @cache
+    def cofactor_rows(f: int) -> np.ndarray | None:
+        if q == 2:
+            return None
+        return monic_digits(q, np.arange(q**f, 2 * q**f), f)
+
+    @cache
+    def member_rows(e: int) -> np.ndarray | None:
+        return None if q == 2 else monic_digits(q, blocks[e], e)
+
+    for top, target in blocks.items():
+        found: list[tuple[int, int]] = []       # (multiple, divisor)
+        for e, block in blocks.items():
+            f = top - e
+            if f <= 0:
+                break
+            if len(block) <= q**f:
+                for a in block.tolist():
+                    products = monic_multiples(q, a, f, f, np.int64,
+                                               cofactor_rows(f))
+                    at = _least_hit(products, target)
+                    if at is not None:
+                        found.append((int(products[at]), a))
+            else:
+                for g in range(q**f, 2 * q**f):
+                    products = index_multiples(q, g, block, np.int64,
+                                               member_rows(e))
+                    at = _least_hit(products, target)
+                    if at is not None:
+                        found.append((int(products[at]), int(block[at])))
         if found:
-            return False, (min(found), b)
+            b, a = min(found)
+            return False, (a, b)
     return True, None
 
 
-def assert_primitive(ps: PolySet, **kwargs) -> None:
+def _least_hit(products: np.ndarray, members: np.ndarray) -> int | None:
+    """Position of the least of the products that members, an ascending
+    array, holds; None when it holds none."""
+    at = None
+    for lo in range(0, len(products), _LOOKUP_BLOCK):
+        chunk = products[lo:lo + _LOOKUP_BLOCK]
+        pos = np.searchsorted(members, chunk)
+        np.minimum(pos, len(members) - 1, out=pos)
+        hits = np.flatnonzero(members[pos] == chunk)
+        if hits.size:
+            i = lo + int(hits[np.argmin(chunk[hits])])
+            if at is None or products[i] < products[at]:
+                at = i
+    return at
+
+
+def assert_primitive(ps: PolySet) -> None:
     """Raise VerificationError with the dividing pair if ps is not primitive."""
-    ok, witness = is_primitive(ps, **kwargs)
+    ok, witness = is_primitive(ps)
     if not ok:
         a, b = (format_index(ps.q, i) for i in witness)
         raise VerificationError(f"not primitive: {a} divides {b}")
@@ -516,20 +585,22 @@ def verify_erdos_density_inequality(ps: PolySet,
     read off one running product up to the top level, the whole left side
     is a single integer comparison against q^{max exponent}.
     """
-    if not ps.indices:
+    if not len(ps):
         return DensityBoundReport(ps.q, 0, Fraction(0), ())
-    if not _covers(sieve, ps):
+    if sieve is None or sieve.q != ps.q or sieve.horizon < ps.max_degree:
         sieve = build_factor_sieve(ps.q, ps.max_degree)
     q = ps.q
-    idx = np.asarray(ps.indices)
-    levels = sieve.max_factor_degrees()[idx]
-    # member counts per (degree da, D(a) = m) in cell da * width + m
-    width = sieve.horizon + 1
-    cells = np.bincount(sieve.degrees(idx) * width + levels).tolist()
-    buckets = [(*divmod(i, width), c) for i, c in enumerate(cells) if c]
-    by_level = tuple((m, c) for m, c in enumerate(np.bincount(levels).tolist())
-                     if c)
-    wanted = {m for m, _ in by_level}
+    levels = sieve.max_factor_degrees()
+    # member counts per (degree da, D(a) = m), and per level m
+    buckets = []
+    per_level: dict[int, int] = defaultdict(int)
+    for da, block in ps.by_degree().items():
+        for m, cnt in enumerate(np.bincount(levels[block]).tolist()):
+            if cnt:
+                buckets.append((da, m, cnt))
+                per_level[m] += cnt
+    by_level = tuple(sorted(per_level.items()))
+    wanted = set(per_level)
     parts = {m: part for m, part in zip(range(1, max(wanted) + 1),
                                         mertens_parts(q)) if m in wanted}
     max_exp = max(parts[m][1] + da for da, m, _ in buckets)

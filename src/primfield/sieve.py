@@ -3,8 +3,9 @@ of degree <= horizon, as numpy arrays over the integer index of
 fieldpoly.  Sieve-wide quantities (degrees, largest factor degree,
 squarefree flags) are folds along the least-factor chains.  The
 irreducibles of one degree alone come from a boolean slice that the
-irreducibles of half that degree mark, and both sieves form products
-with one kernel, monic_multiples.
+irreducibles of half that degree mark.  Both sieves form products with
+one kernel, monic_multiples; index_multiples, its case for an arbitrary
+index array, serves the primitivity pass too.
 """
 
 from __future__ import annotations
@@ -87,25 +88,6 @@ class FactorSieve:
         spf = self.spf
         return self.fold(lambda p, g, out: out[g] + (spf[g] != p), np.int8(0))
 
-    def factor_index(self, idx: int) -> list[tuple[int, int]]:
-        """Factorization of an index as (irreducible index, multiplicity) pairs."""
-        if idx == 1:
-            return []
-        out: list[tuple[int, int]] = []
-        spf = self.spf
-        cof = self.cof
-        v = idx
-        while v != 1:
-            p = int(spf[v])
-            if p == 0:
-                raise UsageError(f"index {v} outside sieve coverage")
-            mult = 0
-            while v != 1 and int(spf[v]) == p:
-                mult += 1
-                v = int(cof[v])
-            out.append((p, mult))
-        return out
-
 
 def build_factor_sieve(q: int, horizon: int) -> FactorSieve:
     """Sieve least factors for all monic polynomials of degree <= horizon.
@@ -183,23 +165,44 @@ def monic_multiples(q: int, p: int, lo: int, hi: int,
                     dtype: type[np.integer],
                     g_digits: np.ndarray | None) -> np.ndarray:
     """Indices of p*g for every monic g of degree lo..hi, in ascending
-    order of g; p has degree at most hi, and dtype holds every product.
+    order of g; dtype holds every product.
 
     Over F_2 every polynomial is monic and the products double: with
     t[r] = p*r for every r below 2^k, t[2^k + r] = t[r] ^ (p << k), and
     g_digits is None.  Over odd q, g_digits = monic_digits of those g,
-    and the product's digits are the convolution of the digits of p with
-    those rows, reduced mod q and summed into indices, one whole-array
-    pass per digit pair.  The sums are widened to dtype before they are
-    scaled by q^j.
+    and index_multiples forms the products.
     """
     if q == 2:
         t = np.zeros(2 << hi, dtype=dtype)
         for k in range(hi + 1):
             np.bitwise_xor(t[:1 << k], p << k, out=t[1 << k:2 << k])
         return t[1 << lo:]
+    return index_multiples(q, p, None, dtype, g_digits)
+
+
+def index_multiples(q: int, p: int, g: np.ndarray | None,
+                    dtype: type[np.integer],
+                    g_digits: np.ndarray | None) -> np.ndarray:
+    """Indices of p*g for each index of an array g, in its order; dtype
+    holds every product.
+
+    Over F_2, one shifted XOR of g per nonzero coefficient of p, and
+    g_digits is None.  Over odd q, g_digits = monic_digits of g, which
+    alone is read, and the product's digits are the convolution of the
+    digits of p with those rows, reduced mod q and summed into indices,
+    one whole-array pass per digit pair.  The sums are widened to dtype
+    before they are scaled by q^j.
+    """
+    if q == 2:
+        out = np.zeros(len(g), dtype=dtype)
+        shifted = np.empty_like(out)
+        for j in range(p.bit_length()):
+            if p >> j & 1:
+                np.left_shift(g, j, out=shifted, dtype=dtype)
+                out ^= shifted
+        return out
     p_digits = _index_digits(q, p)
-    assert len(p_digits) <= len(g_digits), (p, hi)
+    hi = len(g_digits) - 1
     out = np.zeros(g_digits.shape[1], dtype=dtype)
     scaled = np.empty_like(out)
     col = np.empty_like(g_digits[0])
@@ -217,7 +220,7 @@ def monic_multiples(q: int, p: int, lo: int, hi: int,
 
 
 def monic_digits(q: int, g: np.ndarray, hi: int) -> np.ndarray:
-    """Base-q digit rows 0..hi of monic indices g of degree <= hi, in the
+    """Base-q digit rows 0..hi of indices g of degree <= hi, in the
     narrowest unsigned type that holds a sum of hi + 1 digit products."""
     rows = np.empty((hi + 1, len(g)), dtype=_digit_dtype(q, hi))
     rest = g.copy()

@@ -1,20 +1,24 @@
-"""Per-polynomial oracles: trial division, a factorization summary and
-the set-file codec one line at a time, plus trial-division primality;
-and per-cell oracles for the exact count layer.
+"""Per-polynomial oracles: index multiplication and trial division, a
+factorization read off the sieve's least-factor chain, and the set-file
+codec one line at a time, plus trial-division primality; and per-cell
+oracles for the exact count layer.
 
-The library derives factorisation types in bulk, one numpy pass per
-degree over the factor sieve, and reads and writes set files in numpy
-passes over blocks of members.  These recompute the same results one
-index or one line at a time, from index arithmetic, the sieve's
-least-factor chain and the single-polynomial text codec.
+The library forms products and derives factorisation types in bulk, one
+numpy pass per degree, and reads and writes set files in numpy passes
+over blocks of members.  These recompute the same results one index or
+one line at a time, from index arithmetic, the sieve's least-factor
+chain and the single-polynomial text codec.
 
 The library's count tables and recurrence check work on packed rows, one
-integer per table row; its Erdos sum over irreducibles uses one common
-denominator, its degree-bracket check runs over blocks of ranks, and its
-Mertens products for n = 1..N come from one running sum and one running
-exact product over degrees.  The count-layer oracles recompute each of
-these one cell, one term, one n or one whole array at a time; the exact
-Mertens product is one Fraction factor per degree.
+integer per table row, and its two inequality checks walk each row only
+to its last nonzero entry; its Erdos sum over irreducibles is split
+over degree ranges, its degree-bracket check runs over blocks of ranks,
+and its Mertens products for n = 1..N come from one running sum and one
+running exact product over degrees.  The count-layer oracles recompute
+each of these one cell, one term, one n, one whole row or one whole
+array at a time: the Erdos sum both one Fraction per degree and by
+Horner's rule over one common denominator; the exact Mertens product is
+one Fraction factor per degree.
 """
 
 import math
@@ -27,11 +31,12 @@ from mpmath import iv
 
 from primfield.brackets import (DEFAULT_PRECISION_BITS, BracketedValue,
                                 precision)
-from primfield.counting import (PRINTABLE_EXACT_BITS, MertensValue,
-                                _term_precision)
+from primfield.counting import (PRINTABLE_EXACT_BITS, InequalityReport,
+                                MertensValue, _log_weight_dyadic_lower, _pack,
+                                _term_precision, _unpack)
 from primfield.errors import UsageError
-from primfield.fieldpoly import (format_index, index_degree, index_divrem,
-                                 index_mul, parse_index)
+from primfield.fieldpoly import (_index_digits as index_digits, format_index,
+                                 index_degree, index_divrem, parse_index)
 from primfield.irreducibles import pi_cumulative, pi_prime
 from primfield.primitive import PolySet
 
@@ -46,6 +51,49 @@ def is_prime_trial(n):
             return False
         d += 1
     return True
+
+
+def index_mul(q: int, a: int, b: int) -> int:
+    """Index of the product of the polynomials with indices a and b."""
+    if q == 2:
+        # carry-less multiply: base-2 digit convolution mod 2
+        out = 0
+        x = a
+        shift = 0
+        while x:
+            if x & 1:
+                out ^= b << shift
+            x >>= 1
+            shift += 1
+        return out
+    da = index_digits(q, a)
+    db = index_digits(q, b)
+    out_digits = [0] * (len(da) + len(db) - 1)
+    for i, ai in enumerate(da):
+        if ai:
+            for j, bj in enumerate(db):
+                out_digits[i + j] += ai * bj
+    v = 0
+    for c in reversed(out_digits):
+        v = v * q + (c % q)
+    return v
+
+
+def factor_index(sieve, idx):
+    """Factorization of an index as (irreducible index, multiplicity)
+    pairs, read along the sieve's least-factor chain."""
+    out = []
+    v = idx
+    while v != 1:
+        p = int(sieve.spf[v])
+        if p == 0:
+            raise UsageError(f"index {v} outside sieve coverage")
+        mult = 0
+        while v != 1 and int(sieve.spf[v]) == p:
+            mult += 1
+            v = int(sieve.cof[v])
+        out.append((p, mult))
+    return out
 
 
 def divides(q, a, b):
@@ -70,7 +118,7 @@ class Factorization:
 
     @classmethod
     def of(cls, sieve, index):
-        return cls(sieve.q, tuple(sieve.factor_index(index)))
+        return cls(sieve.q, tuple(factor_index(sieve, index)))
 
     def degrees(self):
         """Factor degrees, one entry per factor counted with multiplicity."""
@@ -125,7 +173,7 @@ def divisor_degree_masks(sieve):
 def write_set_lines(ps, fh):
     """Set-file writer, one format_index call per member."""
     fh.write(f"q={ps.q};horizon={ps.horizon}\n")
-    for i in ps.indices:
+    for i in ps.indices.tolist():
         fh.write(format_index(ps.q, i) + "\n")
 
 
@@ -205,6 +253,71 @@ def recurrence_cells(q, N, rows):
                 min_margin = min(min_margin, math.log(rhs) - math.log(lhs))
     return cells, tuple(violations), (min_margin if min_margin < math.inf
                                       else 0.0)
+
+
+def hr_bound_full_width(q, N, table, precision_bits=96):
+    """verify_hr_bound's report with every k of every row walked, zero
+    entries included."""
+    violations = []
+    min_margin = math.inf
+    cells = 0
+    for n in range(1, N + 1):
+        num, s = _log_weight_dyadic_lower(n, precision_bits)
+        rhs = q**n
+        scale = n
+        row = table.rows[n]
+        for k in range(1, n + 1):
+            lhs = row[k] * scale
+            cells += 1
+            if lhs > rhs:
+                violations.append((n, k, row[k]))
+            elif row[k]:
+                min_margin = min(min_margin, math.log(rhs) - math.log(lhs))
+            rhs *= num
+            scale = scale * k << s
+    return InequalityReport("uniform-factor-count-bound", q, N, cells,
+                            tuple(violations),
+                            min_margin if min_margin < math.inf else 0.0)
+
+
+def recurrence_bound_full_width(q, N, table):
+    """verify_recurrence_bound's report with every row packed and every
+    slot of each packed sum unpacked and compared."""
+    rows = [row[:n + 1] for n, row in enumerate(table.rows[:N + 1])]
+    weights = [pi_prime(q, d) for d in range(1, N // 2 + 1)]
+    largest = max(max(row) for row in rows)
+    nbytes = (largest * max(1, sum(weights))).bit_length() // 8 + 1
+    packed = [_pack(row, nbytes) for row in rows]
+    violations = []
+    min_margin = math.inf
+    cells = 0
+    for n in range(2, N + 1):
+        acc = 0
+        for d in range(1, n // 2 + 1):
+            acc += weights[d - 1] * packed[n - d]
+        sums = _unpack(acc, n, nbytes)
+        for k in range(2, n + 1):
+            lhs = (k - 1) * rows[n][k]
+            rhs = sums[k - 1]
+            cells += 1
+            if lhs > rhs:
+                violations.append((n, k, lhs, rhs))
+            elif lhs:
+                min_margin = min(min_margin, math.log(rhs) - math.log(lhs))
+    return InequalityReport("factor-count-recurrence", q, N, cells,
+                            tuple(violations),
+                            min_margin if min_margin < math.inf else 0.0)
+
+
+def erdos_sum_horner(q, cut):
+    """sum_{d <= cut} pi'(d) / (d q^d) over the one denominator
+    L q^cut, L = lcm(1..cut): term d is pi'(d) (L/d) q^(cut-d), summed by
+    Horner's rule in q, then reduced once."""
+    lcm = math.lcm(*range(1, cut + 1))
+    num = 0
+    for d in range(1, cut + 1):
+        num = num * q + pi_prime(q, d) * (lcm // d)
+    return Fraction(num, lcm * q**cut)
 
 
 def erdos_sum_terms(q, cut):

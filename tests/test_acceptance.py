@@ -20,9 +20,9 @@ from primfield import (BracketedValue, GrowthFunction, PolySet,
                        pi_cumulative, pi_prime, precision,
                        random_primitive_set, verify_erdos_density_inequality,
                        verify_hr_bound, verify_recurrence_bound)
-from primfield.fieldpoly import index_degree, index_mul
+from primfield.fieldpoly import index_degree
 
-from oracles import Factorization, divides
+from oracles import Factorization, divides, index_mul
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +244,7 @@ def test_criterion_08_degree_brackets(sieve2):
 # 9: layered slice construction at horizon 18
 # ----------------------------------------------------------------------
 
-def test_criterion_09_besicovitch(sieve2, bes18):
+def test_criterion_09_besicovitch(bes18):
     res, build_secs = bes18
     with gate(9, "layered slice construction at horizon 18 is primitive "
                  "with exact density >= 1/2 - 1/4", extra=build_secs):
@@ -252,7 +252,7 @@ def test_criterion_09_besicovitch(sieve2, bes18):
         assert len(res.members) == 2**18
         assert res.density == Fraction(2**18, monic_cumulative(2, 18))
         assert res.density >= Fraction(1, 2) - Fraction(1, 4)
-        assert_primitive(res.members, sieve=sieve2)
+        assert_primitive(res.members)
 
 
 # ----------------------------------------------------------------------
@@ -271,11 +271,11 @@ def test_criterion_10_mp_construction(sieve2, tseq_log, mp40):
         assert 0 < total < Fraction(1, 2)
         assert res.horizon == 40 and res.enum_horizon == 18
         assert res.cross_checked
-        assert_primitive(res.members, sieve=sieve2)
+        assert_primitive(res.members)
         R = res.total_by_degree()
         assert len(res.members) == sum(R[:19]) > 10**4
         terms = tseq.terms
-        for i in res.members.indices:
+        for i in res.members.indices.tolist():
             fact = Factorization.of(sieve2, i)
             assert fact.is_squarefree, i
             jmin = next(j for j in range(1, res.k_max + 1)

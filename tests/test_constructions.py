@@ -231,12 +231,12 @@ def test_divisor_degree_counts_match_sieve_masks(q, horizon):
 # Layered slice construction
 # ----------------------------------------------------------------------
 
-def test_besicovitch_small_q2(sieve2):
+def test_besicovitch_small_q2():
     res = besicovitch_construct(2, Fraction(1, 4), 12)
     assert res.ok and res.levels == (12,)
     assert len(res.members) == 4096
     assert res.density == Fraction(4096, monic_cumulative(2, 12))
-    assert_primitive(res.members, sieve=sieve2)
+    assert_primitive(res.members)
     # every degree below the admitted level was refused for cause
     refused = {r.degree for r in res.window if not r.admitted}
     assert refused == set(range(1, 12))
@@ -246,11 +246,11 @@ def test_besicovitch_small_q2(sieve2):
             assert r.worst_degree is not None
 
 
-def test_besicovitch_small_q3(sieve3):
+def test_besicovitch_small_q3():
     res = besicovitch_construct(3, Fraction(1, 4), 6)
     assert res.levels == (6,) and len(res.members) == 729
     assert res.density == Fraction(729, monic_cumulative(3, 6))
-    assert_primitive(res.members, sieve=sieve3)
+    assert_primitive(res.members)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -272,7 +272,7 @@ def test_besicovitch_admits_only_the_horizon_slice(q):
             res = besicovitch_construct(q, eps, h)
             assert res.levels == (h,) and res.ok
             assert res.to_json()["suggested_eps"] is None
-            assert res.members.indices == tuple(range(q**h, 2 * q**h))
+            assert res.members.indices.tolist() == list(range(q**h, 2 * q**h))
             assert [r.admitted for r in res.window] == \
                 [False] * (h - 1) + [True]
             for r in res.window[:-1]:
@@ -320,14 +320,14 @@ def test_mp_s1_row_is_the_single_first_term(mp12, tseq2):
 
 def test_mp_members_satisfy_slice_conditions(mp12, tseq2, sieve2):
     term_rank = {t: k for k, t in enumerate(tseq2.terms, start=1)}
-    for i in mp12.members.indices:
+    for i in mp12.members.indices.tolist():
         fac = Factorization.of(sieve2, i)
         assert fac.is_squarefree
         hits = sorted(term_rank[p] for p, _ in fac.factors
                       if p in term_rank)
         assert hits, "every member is divisible by some t_k"
         assert fac.omega == hits[0]
-    assert_primitive(mp12.members, sieve=sieve2)
+    assert_primitive(mp12.members)
 
 
 def assert_mp_membership_rule(res):
@@ -336,7 +336,7 @@ def assert_mp_membership_rule(res):
     q = res.q
     sieve = build_factor_sieve(q, res.enum_horizon)
     term_rank = {t: k for k, t in enumerate(res.tseq.terms, start=1)}
-    members = set(res.members.indices)
+    members = set(res.members.indices.tolist())
     assert all(index_degree(q, i) <= res.enum_horizon for i in members)
     for n in range(1, res.enum_horizon + 1):
         for f in range(q**n, 2 * q**n):

@@ -18,7 +18,8 @@ from primfield.counting import (PRINTABLE_EXACT_BITS, CountTable,
 from primfield.errors import BudgetError, PrecisionError, UsageError
 from primfield.irreducibles import pi_prime
 
-from oracles import (count_table_lists, mertens_exact, mertens_per_n,
+from oracles import (count_table_lists, factor_index, hr_bound_full_width,
+                     mertens_exact, mertens_per_n, recurrence_bound_full_width,
                      recurrence_cells)
 
 
@@ -35,7 +36,7 @@ def enumerate_squarefree_counts(sieve, N, excluded=None):
     rows[0][0] = 1
     for n in range(1, N + 1):
         for idx in range(q**n, 2 * q**n):
-            fac = sieve.factor_index(idx)
+            fac = factor_index(sieve, idx)
             if any(m > 1 for _, m in fac):
                 continue
             if any(p in struck for p, _ in fac):
@@ -138,6 +139,27 @@ def test_recurrence_bound_holds_and_flags():
     rows[30][3] *= 2**40
     doctored = CountTable(2, 30, tuple(tuple(r) for r in rows))
     assert not verify_recurrence_bound(2, 30, table=doctored).ok
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_support_walks_match_full_width_loops(q):
+    """Both checks stop each row at its last nonzero entry; the reports
+    equal those of loops over every slot, on clean tables and on tables
+    with entries past a row's natural support."""
+    for N in (1, 2, 3, 11, 40, 80):
+        clean = build_count_table(q, N)
+        tables = [clean]
+        if N >= 3:
+            tables += [
+                _doctored(clean, {(N, N): 1, (N - 1, N - 2): q**N}),
+                _doctored(clean, {(N, N - 1): clean.rows[N][1] * q**N,
+                                  (N, 1): 0}),
+            ]
+        for table in tables:
+            assert verify_hr_bound(q, N, table=table) == \
+                hr_bound_full_width(q, N, table)
+            assert verify_recurrence_bound(q, N, table=table) == \
+                recurrence_bound_full_width(q, N, table)
 
 
 def _doctored(table, cells):

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from primfield.errors import BudgetError, UsageError
 from primfield.fieldpoly import (format_index, index_degree, index_divrem,
-                                 index_mul, is_prime, parse_index)
+                                 is_prime, parse_index)
 from primfield.irreducibles import pi_prime
 from primfield.sieve import (build_factor_sieve, irreducible_slice,
                              monic_digits, monic_multiples)
 
 from oracles import (Factorization, divides, divisor_degree_masks,
-                     is_irreducible, is_prime_trial)
+                     index_mul, is_irreducible, is_prime_trial)
 
 QS = (2, 3, 5)
 

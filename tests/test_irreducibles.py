@@ -15,7 +15,7 @@ from primfield.fieldpoly import format_index, index_degree
 from primfield.irreducibles import (BRACKET_BLOCK, MAX_LISTED_VIOLATIONS,
                                     check_degree_brackets, kth_irreducible,
                                     kth_irreducible_degree, moebius,
-                                    pi_cumulative, pi_prime)
+                                    pi_cumulative, pi_prime, pi_prime_table)
 
 from oracles import degree_brackets_whole, is_irreducible
 
@@ -74,6 +74,12 @@ def test_pi_prime_matches_full_divisor_sum(q):
                 total[n] += mu * q**(n // d)
     for n in range(1, nmax + 1):
         assert pi_prime(q, n) * n == total[n], n
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 101])
+def test_pi_prime_table_matches_pi_prime(q):
+    assert pi_prime_table(q, 0) == []
+    assert pi_prime_table(q, 400) == [pi_prime(q, n) for n in range(1, 401)]
 
 
 def test_pi_prime_known_values():

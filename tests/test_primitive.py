@@ -21,15 +21,17 @@ from primfield.primitive import (PolySet, assert_primitive, density_profile,
                                  read_set, verify_erdos_density_inequality,
                                  write_set)
 
-from oracles import (Factorization, divides, erdos_sum_terms, mertens_exact,
+from oracles import (Factorization, divides, erdos_sum_horner,
+                     erdos_sum_terms, index_mul, mertens_exact,
                      read_set_lines, write_set_lines)
 
 
 def brute_primitive(ps):
     """The witness is_primitive promises: the least member b with a
     proper divisor in the set, then its least such divisor a."""
-    for b in ps.indices:
-        for a in ps.indices:
+    members = ps.indices.tolist()
+    for b in members:
+        for a in members:
             if a != b and divides(ps.q, a, b):
                 return False, (a, b)
     return True, None
@@ -57,7 +59,7 @@ def test_polyset_canonicalizes_and_dedups():
     f = parse_index("q=2;1,1,1")[1]
     g = parse_index("q=2;0,1")[1]
     ps = PolySet(2, 5, (f, g, f))
-    assert ps.indices == (g, f)
+    assert ps.indices.tolist() == [g, f]
     assert len(ps) == 2
     assert ps.degree_counts() == {1: 1, 2: 1}
     assert ps.max_degree == 2
@@ -82,11 +84,14 @@ def test_polyset_keeps_canonical_input_and_sorts_the_rest():
     shuffled = rng.sample(members, len(members))
     doubled = shuffled + members[::3]
     want = PolySet(2, 7, tuple(members))
-    assert want.indices == tuple(members)
+    assert want.indices.tolist() == members
     for raw in (shuffled, doubled, np.array(doubled, dtype=np.int64)):
-        ps = PolySet(2, 7, tuple(raw))
-        assert ps == want
-        assert all(type(i) is int for i in ps.indices)
+        for given in (tuple(raw), np.array(raw)):
+            ps = PolySet(2, 7, given)
+            assert ps == want
+            assert ps.indices.dtype == np.int64
+            assert not ps.indices.flags.writeable
+            assert all(type(i) is int for i in ps.indices.tolist())
     # invalid members out of order: the messages name the same member
     for q, horizon, raw, message in (
             (2, 5, (7, 0, 3), "index 0 is not positive"),
@@ -106,7 +111,7 @@ def test_set_file_round_trip():
     assert back == ps
     text = "q=2;horizon=6\n# comment\n\n0,1\n13\n"
     got = read_set(io.StringIO(text))
-    assert got.indices == (2, 13)
+    assert got.indices.tolist() == [2, 13]
 
 
 @pytest.mark.parametrize("q,index", [
@@ -119,7 +124,7 @@ def test_set_file_round_trip_wide_members(q, index):
     write_set(ps, buf)
     text = buf.getvalue()
     back = read_set(io.StringIO(text))
-    assert back == ps and type(back.indices[-1]) is int
+    assert back == ps and type(back.indices.tolist()[-1]) is int
     again = io.StringIO()
     write_set(back, again)
     assert again.getvalue() == text
@@ -128,6 +133,28 @@ def test_set_file_round_trip_wide_members(q, index):
     rows = density_profile(back)
     assert rows[d - 1].count == 2 and rows[d - 2].count == 1
     assert rows[-1].ratio == Fraction(2, monic_cumulative(q, 70))
+
+
+def test_members_past_int64_stay_python_ints():
+    """Over q = 10^18 + 3 every index of degree >= 2 lies past int64, so
+    the members are one object array of Python ints from the file to the
+    certificate."""
+    q = 10**18 + 3
+    x, x2, wide = q, q**2, 5 + 7 * q + q**3      # x, x^2, x^3 + 7x + 5
+    ps = PolySet(q, 4, (wide, x2, x))
+    assert ps.indices.dtype == object and not ps.indices.flags.writeable
+    assert ps.indices.tolist() == [x, x2, wide]
+    assert PolySet(q, 4, (x,)).indices.dtype == np.int64
+    buf = io.StringIO()
+    write_set(ps, buf)
+    back = read_set(io.StringIO(buf.getvalue()))
+    assert back == ps and back.indices.dtype == object
+    assert all(type(i) is int for i in back.indices.tolist())
+    assert back.degree_counts() == {1: 1, 2: 1, 3: 1}
+    assert is_primitive(back) == (False, (x, x2))
+    # x + 1 does not divide x^3 + 7x + 5, whose value at -1 is -3
+    assert is_primitive(PolySet(q, 4, (wide, x + 1))) == (True, None)
+    assert erdos_sum(back) == sum(Fraction(1, d * q**d) for d in (1, 2, 3))
 
 
 def test_set_file_errors_carry_line_numbers():
@@ -187,7 +214,8 @@ def test_set_codec_matches_line_oracle(q, degrees):
     write_set_lines(ps, want)
     assert got.getvalue() == want.getvalue()
     back = read_set(io.StringIO(got.getvalue()))
-    assert back == ps and all(type(i) is int for i in back.indices)
+    assert back == ps
+    assert all(type(i) is int for i in back.indices.tolist())
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +265,7 @@ MIXED_SET_FILE = (
 @pytest.mark.parametrize("chunk", [1, 5, 64, primitive._READ_CHUNK])
 def test_mixed_set_file_matches_line_oracle(monkeypatch, chunk):
     want = read_set_lines(io.StringIO(MIXED_SET_FILE))
-    assert want.indices == (3, 4, 11, 12, 16, 27, 53, 100)
+    assert want.indices.tolist() == [3, 4, 11, 12, 16, 27, 53, 100]
     monkeypatch.setattr(primitive, "_READ_CHUNK", chunk)
     assert read_set(io.StringIO(MIXED_SET_FILE)) == want
 
@@ -317,43 +345,74 @@ def test_is_primitive_known_cases():
 
 @settings(max_examples=60, deadline=None)
 @given(indices=index_sets_q2)
-def test_methods_agree_with_brute_force_q2(sieve2, indices):
+def test_methods_agree_with_brute_force_q2(indices):
     ps = polyset_q2(indices)
     want = brute_primitive(ps)
     assert primitive._primitive_by_division(ps) == want
-    assert primitive._primitive_by_divisors(ps, sieve2) == want
+    assert primitive._primitive_by_multiples(ps) == want
 
 
 @settings(max_examples=30, deadline=None)
 @given(indices=index_sets_q3())
-def test_methods_agree_with_brute_force_q3(sieve3, indices):
+def test_methods_agree_with_brute_force_q3(indices):
     ps = PolySet(3, 5, tuple(indices))
     want = brute_primitive(ps)
     assert primitive._primitive_by_division(ps) == want
-    assert primitive._primitive_by_divisors(ps, sieve3) == want
+    assert primitive._primitive_by_multiples(ps) == want
 
 
-def test_witness_is_the_least_multiple_then_its_least_divisor(sieve2):
+def seeded_sets(q, horizon, seed):
+    """A seeded random primitive set, then copies made non-primitive by
+    inserting the product of a member with a random monic cofactor."""
+    rng = random.Random(seed)
+    ps = random_primitive_set(q, horizon, seed, per_degree=6)
+    yield ps
+    members = ps.indices.tolist()
+    for _ in range(4):
+        a = rng.choice(members)
+        room = horizon - index_degree(q, a)
+        if room < 1:
+            continue
+        f = rng.randint(1, room)
+        g = q**f + rng.randrange(q**f)
+        yield PolySet(q, horizon, (*members, index_mul(q, a, g)))
+
+
+@pytest.mark.parametrize("q,horizon", [(2, 9), (3, 6), (5, 4), (7, 3)])
+def test_multiples_pass_matches_division_and_brute_force(q, horizon):
+    verdicts = set()
+    for seed in range(12):
+        for ps in seeded_sets(q, horizon, seed):
+            want = brute_primitive(ps)
+            assert primitive._primitive_by_multiples(ps) == want, ps
+            assert primitive._primitive_by_division(ps) == want, ps
+            assert all(type(i) is int for i in want[1] or ())
+            verdicts.add(want[0])
+    assert verdicts == {True, False}
+
+
+def test_witness_is_the_least_multiple_then_its_least_divisor():
     # x | x^4 and x^2+x+1 | x^3+1: the multiple x^3+1 (index 9) comes first
     ps = polyset_q2({2, 7, 9, 16})
-    for sieve in (None, sieve2):
-        assert is_primitive(ps, sieve=sieve) == (False, (7, 9))
     # x and x+1 both divide x^2+x (index 6); x is the lesser
-    assert is_primitive(polyset_q2({2, 3, 6}), sieve=sieve2) == (False, (2, 6))
+    both = polyset_q2({2, 3, 6})
+    for method in (is_primitive, primitive._primitive_by_multiples,
+                   primitive._primitive_by_division):
+        assert method(ps) == (False, (7, 9))
+        assert method(both) == (False, (2, 6))
 
 
 def test_is_primitive_picks_the_cheaper_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("wrong path")
 
-    # 14 members, 24 cross-degree pairs: a degree-40 sieve of 2^41
-    # entries would cost far more than dividing
+    # 14 members, 24 cross-degree pairs: products of the degree-1 members
+    # with every degree-39 cofactor would number 2^40
     sparse = PolySet(2, 40, (2, 3, *range(2**40 + 1, 2**40 + 24, 2)))
-    monkeypatch.setattr(primitive, "build_factor_sieve", refuse)
+    monkeypatch.setattr(primitive, "_primitive_by_multiples", refuse)
     assert is_primitive(sparse) == brute_primitive(sparse)
     monkeypatch.undo()
-    # every monic of degrees 8 and 9: 2^17 pairs against a sieve of
-    # 2^10 entries and 768 members to walk
+    # every monic of degrees 8 and 9: 2^17 pairs against 512 products
     dense = PolySet(2, 9, tuple(range(2**8, 2**10)))
     monkeypatch.setattr(primitive, "_primitive_by_division", refuse)
     assert is_primitive(dense) == (False, (2**8, 2**9))
@@ -399,6 +458,14 @@ def test_erdos_sum_irreducibles_matches_term_sum(q):
         assert b.hi == b.lo + Fraction(1, cut)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_erdos_sum_irreducibles_matches_horner_form(q):
+    for eps in (Fraction(1), Fraction(1, 7), Fraction(1, 100),
+                Fraction(1, 1000)):
+        cut = math.floor(1 / eps) + 1
+        assert erdos_sum_irreducibles(q, eps).lo == erdos_sum_horner(q, cut)
+
+
 # ----------------------------------------------------------------------
 # Density
 # ----------------------------------------------------------------------
@@ -420,7 +487,7 @@ def test_density_inequality_matches_direct_oracle(sieve2, sieve3):
                                   for seed in range(8)]:
             report = verify_erdos_density_inequality(ps, sieve=sieve)
             direct = Fraction(0)
-            for i in ps.indices:
+            for i in ps.indices.tolist():
                 m = Factorization.of(sieve, i).max_factor_degree
                 direct += mertens_exact(q, m) / q**index_degree(q, i)
             # the cancelled form is in lowest terms
@@ -471,12 +538,12 @@ def test_density_inequality_can_fail_off_antichains(sieve2):
 # Random generator
 # ----------------------------------------------------------------------
 
-def test_random_primitive_set_deterministic_and_primitive(sieve2):
+def test_random_primitive_set_deterministic_and_primitive():
     a = random_primitive_set(2, 10, 42, per_degree=6)
     b = random_primitive_set(2, 10, 42, per_degree=6)
     assert a == b
     assert a.max_degree <= 10
-    assert_primitive(a, sieve=sieve2)
+    assert_primitive(a)
     c = random_primitive_set(2, 10, 43, per_degree=6)
     assert c != a
     assert max(a.degree_counts().values()) <= 6
