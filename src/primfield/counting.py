@@ -384,6 +384,9 @@ def mertens_product(q: int, n: int,
 # Degree-weighted singular series G
 # ----------------------------------------------------------------------
 
+_G_DEGREE_CAP = 64     # last degree of the product before the bounded tail
+
+
 def _g_series_iv(q: int, z, degree_cap: int):
     """Interval for prod_p (1 + z/|p|)(1 - 1/|p|)^z to degree_cap, tail in.
 
@@ -405,8 +408,7 @@ def _g_series_iv(q: int, z, degree_cap: int):
 
 
 def evaluate_G(q: int, z, eps=Fraction(1, 10**6),
-               precision_bits: int = DEFAULT_PRECISION_BITS,
-               degree_cap: int = 64) -> BracketedValue:
+               precision_bits: int = DEFAULT_PRECISION_BITS) -> BracketedValue:
     """Certified bracket for
     G(z) = prod_p (1 + z/|p|) (1 - 1/|p|)^z,  0 <= z <= 2,
     of width at most eps.
@@ -432,13 +434,13 @@ def evaluate_G(q: int, z, eps=Fraction(1, 10**6),
                 out = BracketedValue.from_iv(_g_series_iv(q, z_iv, cap))
                 if out.width <= eps:
                     return out
-                if cap >= degree_cap:
+                if cap >= _G_DEGREE_CAP:
                     break
-                cap = min(2 * cap, degree_cap)
+                cap = min(2 * cap, _G_DEGREE_CAP)
         if bits >= 8 * precision_bits:
             raise PrecisionError(
                 f"G({z}) bracket width {float(out.width):.3e} > eps at"
-                f" degree cap {degree_cap}, precision {bits}")
+                f" degree cap {_G_DEGREE_CAP}, precision {bits}")
         bits *= 2
 
 

@@ -15,7 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, pairwise
+from itertools import chain, combinations, pairwise
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from .counting import _LowestTerms, mertens_parts, monic_cumulative
 from .errors import UsageError, VerificationError
 from .fieldpoly import (_check_prime, format_index, index_degree,
                         index_divrem, is_prime, parse_index)
-from .sieve import (FactorSieve, build_factor_sieve, index_multiples,
-                    monic_digits, monic_multiples)
+from .sieve import (build_factor_sieve, index_multiples, monic_digits,
+                    monic_multiples)
 
 
 # ----------------------------------------------------------------------
@@ -237,95 +237,16 @@ def _canonical_lines(a: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     good &= coeff < q
     line_ok = np.logical_and.reduceat(good, head) & (coeff[tail] == 1)
     coeff[~good] = 0        # rejected lines must not overflow either
+    del tstart, widths, good
     dtype = _index_dtype(q, int(ntok.max()) - 1)
     weights = np.array([q**k for k in range(int(ntok.max()))], dtype)
-    power = np.arange(len(tstart)) - np.repeat(head, ntok)
-    index = np.add.reduceat(coeff.astype(dtype, copy=False) * weights[power],
-                            head)
+    terms = np.arange(len(coeff))
+    terms -= np.repeat(head, ntok)              # power of each coefficient
+    terms = weights[terms]
+    terms *= coeff
+    index = np.add.reduceat(terms, head)
     canon[lines[line_ok]] = True
     return canon, index[line_ok]
-
-
-class _SetFileLines:
-    """Member lines read so far: index and line-number arrays of those in
-    canonical form, and (index, text) of every other by line number."""
-
-    def __init__(self, q: int, line: int):
-        self.q = q
-        self.line = line        # number of the next line to read
-        # Members need a prime q (parse_index words the error), and bulk
-        # coefficients of up to 18 decimal digits fit int64.
-        self.bulk = is_prime(q) and len(str(q - 1)) <= 18
-        self.indices: list[np.ndarray] = []
-        self.numbers: list[np.ndarray] = []
-        self.others: dict[int, tuple[int, str]] = {}
-
-    def read(self, chunk: str) -> None:
-        """Parse newline-terminated text.  Lines write_set could have
-        written are parsed in bulk; every other line, split as
-        str.splitlines() splits it, goes through parse_index.  On a parse
-        error, self.line is the failing line."""
-        if not chunk:
-            return
-        a = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)
-        ends = np.flatnonzero(a == _NEWLINE)
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        if self.bulk:
-            canon, index = _canonical_lines(a, starts, ends, self.q)
-        else:
-            canon, index = np.zeros(len(ends), bool), np.zeros(0, np.int64)
-        count = np.ones(len(ends), np.int64)
-        raws = {}
-        for s in np.flatnonzero(~canon).tolist():
-            raw = a[starts[s]:ends[s] + 1].tobytes()
-            raws[s] = raw.decode("utf-8", "surrogatepass").splitlines()
-            count[s] = len(raws[s])
-        number = self.line + np.cumsum(count) - count
-        following = self.line + int(count.sum())
-        self.indices.append(index)
-        self.numbers.append(number[canon])
-        for s, lines in raws.items():
-            for k, raw in enumerate(lines):
-                self.line = int(number[s]) + k
-                text = raw.strip()
-                if not text or text.startswith("#"):
-                    continue
-                try:
-                    _, idx = parse_index(text, q=self.q)
-                except UsageError as exc:
-                    raise UsageError(f"line {self.line}: {exc}") from None
-                self.others[self.line] = idx, text
-        self.line = following
-
-    def members(self, before: int | None = None) -> np.ndarray:
-        """The member indices, ascending, of the lines before `before`;
-        raises on the first line that repeats an earlier member."""
-        values = [idx for idx, _ in self.others.values()]
-        index = np.concatenate(self.indices + [np.array(
-            values, np.int64 if max(values, default=0) < 2**63 else object)])
-        # canonical lines arrive in line order, so line numbers are only
-        # merged when other lines or a cut-off line mix in
-        number = None
-        if self.others or before is not None:
-            number = np.concatenate(self.numbers + [np.array(
-                list(self.others), np.int64)])
-            keep = np.argsort(number, kind="stable")    # line order
-            if before is not None:
-                keep = keep[number[keep] < before]
-            index, number = index[keep], number[keep]
-        if len(index) > 1 and not (index[1:] > index[:-1]).all():
-            if number is None:
-                number = np.concatenate(self.numbers)
-            order = np.argsort(index, kind="stable")
-            index = index[order]
-            again = np.flatnonzero(index[1:] == index[:-1]) + 1
-            if again.size:
-                at = again[np.argmin(number[order[again]])]
-                line = int(number[order[at]])
-                text = (self.others[line][1] if line in self.others
-                        else format_index(self.q, int(index[at])))
-                raise UsageError(f"line {line}: duplicate member {text!r}")
-        return index
 
 
 def read_set(fh) -> PolySet:
@@ -333,10 +254,13 @@ def read_set(fh) -> PolySet:
     indices or bare coefficient lists; blank lines and `#` comments are
     skipped.  Errors name the line, counted as str.splitlines() counts.
 
-    The text is parsed in chunks of about 256k characters, so temporaries
-    stay a few megabytes: lines in the form write_set writes are converted
-    with numpy passes, any other line goes through parse_index, which
-    words every parse error.
+    The text is parsed in chunks of about 256k characters.  While every
+    line is in the form write_set writes, the chunks are converted with
+    numpy passes, which keep temporaries a few megabytes; from the first
+    other line on, the rest of the file goes one line at a time through
+    parse_index, which words every parse error.  A hand-edited file thus
+    pays a Python loop, several times the bulk cost per line, from its
+    first edited line on.
     """
     chunks = _text_chunks(fh, _READ_CHUNK)
     first = next(chunks, "")
@@ -351,17 +275,56 @@ def read_set(fh) -> PolySet:
         horizon = int(parts["horizon"])
     except (KeyError, ValueError):
         raise UsageError(f"bad header {header!r}, expected q=..;horizon=..") from None
-    found = _SetFileLines(q, 2)
+    others = chain(["".join(rest) + first[cut:]], chunks)
+    members = [np.zeros(0, np.int64)]
+    # Members need a prime q (parse_index words the error), and bulk
+    # coefficients of up to 18 decimal digits fit int64.
+    if not rest and is_prime(q) and len(str(q - 1)) <= 18:
+        for chunk in others:
+            a = np.frombuffer(chunk.encode("utf-8", "surrogatepass"),
+                              np.uint8)
+            ends = np.flatnonzero(a == _NEWLINE)
+            starts = np.concatenate(([0], ends + 1))[:-1]
+            canon, index = _canonical_lines(a, starts, ends, q)
+            if not canon.all():
+                # lines before the first other one are ASCII, so its byte
+                # offset is its character offset
+                s = int(np.argmin(canon))
+                members.append(index[:s])
+                others = chain([chunk[int(starts[s]):]], chunks)
+                break
+            members.append(index)
+    members = np.concatenate(members)
+    # bulk member i is on line i + 2, so a repeat among them is named
+    # before any line the loop reads
+    if len(members) > 1 and not (members[1:] > members[:-1]).all():
+        order = np.argsort(members, kind="stable")
+        again = order[1:][members[order[1:]] == members[order[:-1]]]
+        if again.size:
+            at = int(again.min())
+            raise UsageError(f"line {at + 2}: duplicate member"
+                             f" {format_index(q, int(members[at]))!r}")
+    seen, found = None, []
+    for line, raw in enumerate(
+            (raw for chunk in others for raw in chunk.splitlines()),
+            start=len(members) + 2):
+        text = raw.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            _, idx = parse_index(text, q=q)
+        except UsageError as exc:
+            raise UsageError(f"line {line}: {exc}") from None
+        if seen is None:
+            seen = set(members.tolist())
+        if idx in seen:
+            raise UsageError(f"line {line}: duplicate member {text!r}")
+        seen.add(idx)
+        found.append(idx)
+    if found:
+        members = np.concatenate((members, _member_array(found)))
     try:
-        found.read("".join(rest) + first[cut:])
-        for chunk in chunks:
-            found.read(chunk)
-    except UsageError:
-        found.members(before=found.line)
-        raise
-    indices = found.members()
-    try:
-        return PolySet(q, horizon, indices)
+        return PolySet(q, horizon, members)
     except UsageError as exc:
         raise UsageError(f"set file invalid: {exc}") from None
 
@@ -576,9 +539,7 @@ class DensityBoundReport:
                 "ok": self.ok}
 
 
-def verify_erdos_density_inequality(ps: PolySet,
-                                    sieve: FactorSieve | None = None,
-                                    ) -> DensityBoundReport:
+def verify_erdos_density_inequality(ps: PolySet) -> DensityBoundReport:
     """Exact check that any primitive set satisfies the weighted bound <= 1.
 
     Members are bucketed by (degree, D(a)); with P(m) = A_m / q^{E_m},
@@ -587,10 +548,8 @@ def verify_erdos_density_inequality(ps: PolySet,
     """
     if not len(ps):
         return DensityBoundReport(ps.q, 0, Fraction(0), ())
-    if sieve is None or sieve.q != ps.q or sieve.horizon < ps.max_degree:
-        sieve = build_factor_sieve(ps.q, ps.max_degree)
     q = ps.q
-    levels = sieve.max_factor_degrees()
+    levels = build_factor_sieve(q, ps.max_degree).max_factor_degrees()
     # member counts per (degree da, D(a) = m), and per level m
     buckets = []
     per_level: dict[int, int] = defaultdict(int)

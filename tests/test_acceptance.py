@@ -215,7 +215,7 @@ def test_criterion_07_density_zoo(sieve2, bes18, mp40):
         sets.append(PolySet(2, 1, (2,)))
         assert len(sets) == 105
         for ps in sets:
-            report = verify_erdos_density_inequality(ps, sieve=sieve2)
+            report = verify_erdos_density_inequality(ps)
             assert report.ok and report.lhs <= 1
 
 

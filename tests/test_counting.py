@@ -379,9 +379,8 @@ def test_G_guards_and_precision_exhaustion():
     with pytest.raises(UsageError):
         evaluate_G(2, 1, eps=0)
     with pytest.raises(PrecisionError):
-        # tail at degree cap 16 floors the width near 3e-5, far above eps
-        evaluate_G(2, 1, eps=Fraction(1, 10**60), precision_bits=64,
-                   degree_cap=16)
+        # the degree-64 tail floors the width near 8e-22, far above eps
+        evaluate_G(2, 1, eps=Fraction(1, 10**60), precision_bits=64)
 
 
 # ----------------------------------------------------------------------

@@ -194,6 +194,13 @@ def codec_set(q, degrees, per_degree=40, seed=0):
     return PolySet(q, max(degrees), tuple(members))
 
 
+def refuse_parse_index(*args, **kwargs):
+    """Stands in for parse_index where write_set's output must be read in
+    bulk alone.  (Over q = 10^18 + 3 coefficients pass int64, so such
+    files take the line loop by design.)"""
+    raise AssertionError("parse_index called on a line in write_set's form")
+
+
 def codec_outcome(read, text):
     try:
         return read(io.StringIO(text))
@@ -207,15 +214,30 @@ def codec_outcome(read, text):
     (2, (61, 62, 63, 64)),             # int64 through q^(d+1) < 2^63 ...
     (37, (11, 12)),                    # ... Python ints past it
 ])
-def test_set_codec_matches_line_oracle(q, degrees):
+def test_set_codec_matches_line_oracle(monkeypatch, q, degrees):
     ps = codec_set(q, degrees)
     got, want = io.StringIO(), io.StringIO()
     write_set(ps, got)
     write_set_lines(ps, want)
     assert got.getvalue() == want.getvalue()
-    back = read_set(io.StringIO(got.getvalue()))
+    with monkeypatch.context() as patch:
+        patch.setattr(primitive, "parse_index", refuse_parse_index)
+        back = read_set(io.StringIO(got.getvalue()))
     assert back == ps
     assert all(type(i) is int for i in back.indices.tolist())
+    # a hand-edited line mid-file sends the rest through the line loop,
+    # which must also catch a repeat of a member read in bulk
+    lines = got.getvalue().split("\n")
+    mid, earlier = len(lines) // 2, lines[1 + len(lines) // 4]
+    noted = lines[:mid] + ["# note"] + lines[mid:]
+    repeated = lines[:mid] + ["# note", earlier] + lines[mid:]
+    for chunk in (16, primitive._READ_CHUNK):
+        monkeypatch.setattr(primitive, "_READ_CHUNK", chunk)
+        for edited in (noted, repeated):
+            text = "\n".join(edited)
+            want = codec_outcome(read_set_lines, text)
+            assert codec_outcome(read_set, text) == want
+        assert want == f"line {mid + 2}: duplicate member {earlier!r}"
 
 
 @pytest.fixture(scope="module")
@@ -231,8 +253,9 @@ def big_set_text():
     return ps, got.getvalue()
 
 
-def test_set_codec_round_trips_across_chunks(big_set_text):
+def test_set_codec_round_trips_across_chunks(monkeypatch, big_set_text):
     ps, text = big_set_text
+    monkeypatch.setattr(primitive, "parse_index", refuse_parse_index)
     assert read_set(io.StringIO(text)) == ps
 
 
@@ -485,7 +508,7 @@ def test_density_inequality_matches_direct_oracle(sieve2, sieve3):
         for ps in [degree_one] + [random_primitive_set(q, horizon, seed,
                                                        per_degree=5)
                                   for seed in range(8)]:
-            report = verify_erdos_density_inequality(ps, sieve=sieve)
+            report = verify_erdos_density_inequality(ps)
             direct = Fraction(0)
             for i in ps.indices.tolist():
                 m = Factorization.of(sieve, i).max_factor_degree
@@ -502,8 +525,7 @@ def test_density_report_summarizes_huge_numerators(sieve2, degree):
     # one irreducible of degree 13 gives a 16,218-bit numerator, past the
     # 4300-digit limit of int -> str conversion
     p = int(sieve2.irreducible_indices(degree)[0])
-    report = verify_erdos_density_inequality(PolySet(2, degree, (p,)),
-                                             sieve=sieve2)
+    report = verify_erdos_density_inequality(PolySet(2, degree, (p,)))
     num = report.lhs.numerator
     old_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
@@ -527,10 +549,9 @@ def test_decimal_digits_at_powers_of_ten(k):
     assert [primitive._decimal_digits(n) for n in range(12)] == [1] * 10 + [2] * 2
 
 
-def test_density_inequality_can_fail_off_antichains(sieve2):
+def test_density_inequality_can_fail_off_antichains():
     members = tuple(range(2, 2**9))
-    report = verify_erdos_density_inequality(PolySet(2, 8, members),
-                                             sieve=sieve2)
+    report = verify_erdos_density_inequality(PolySet(2, 8, members))
     assert not report.ok and report.lhs > 1
 
 
