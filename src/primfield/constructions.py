@@ -30,9 +30,9 @@ from .brackets import (DEFAULT_PRECISION_BITS, BracketedValue,
 from .counting import CountTable, build_count_table, monic_cumulative
 from .errors import BudgetError, PrecisionError, UsageError
 from .fieldpoly import _check_prime, index_degree
-from .irreducibles import kth_irreducible, pi_cumulative, pi_prime
+from .irreducibles import pi_cumulative, pi_prime
 from .primitive import PolySet, is_primitive
-from .sieve import build_factor_sieve
+from .sieve import build_factor_sieve, irreducible_slice
 
 # ----------------------------------------------------------------------
 # Growth schedules L(x)
@@ -292,10 +292,11 @@ def build_t_sequence(q: int, growth: GrowthFunction,
             k0 = k
             break
     assert k0 is not None and k0 <= K
+    # t_k is entry r_k - pi_cumulative(q, d - 1) of its degree-d slice
     mat = min(materialize, K)
-    sieve = build_factor_sieve(q, int(degs[mat - 1]))
-    terms = tuple(kth_irreducible(q, int(r), sieve=sieve)
-                  for r in ranks[:mat])
+    slices = {dd: irreducible_slice(q, dd) for dd in set(degs[:mat].tolist())}
+    terms = tuple(int(slices[dd][r - cum[dd - 1] - 1])
+                  for r, dd in zip(ranks[:mat].tolist(), degs[:mat].tolist()))
     for t, dd in zip(terms, degs[:mat]):
         assert index_degree(q, t) == int(dd)
     return TSequence(q, growth, K, k0, tuple(int(r) for r in ranks[:mat]),
@@ -494,6 +495,8 @@ def mp_construct(q: int, tseq: TSequence, horizon: int,
         raise UsageError("horizon must be >= 1")
     if enum_horizon is None:
         enum_horizon = min(horizon, 18)
+    if enum_horizon < 1:
+        raise UsageError("enum_horizon must be >= 1")
     if enum_horizon > horizon:
         raise UsageError("enum_horizon cannot exceed horizon")
     # usable k: t_k materialized and deg t_k + (k-1) within the horizon

@@ -18,15 +18,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .brackets import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS,
                        BracketedValue, precision)
 from .errors import PrecisionError, UsageError
 from .fieldpoly import _check_prime
-
-if TYPE_CHECKING:
-    from .sieve import FactorSieve
 
 
 @lru_cache(maxsize=None)
@@ -113,17 +109,12 @@ def kth_irreducible_degree(q: int, k: int) -> int:
     return n
 
 
-def kth_irreducible(q: int, k: int, sieve: FactorSieve | None = None) -> int:
+def kth_irreducible(q: int, k: int) -> int:
     """Index of the k-th monic irreducible in (degree, index) order, read
-    from the degree-d irreducibles of a sieve that covers degree d, or
-    else from irreducible_slice(q, d)."""
+    from irreducible_slice(q, d) at its degree d."""
+    from .sieve import irreducible_slice
     d = kth_irreducible_degree(q, k)
-    if sieve is not None and sieve.q == q and sieve.horizon >= d:
-        irr = sieve.irreducible_indices(d)
-    else:
-        from .sieve import irreducible_slice
-        irr = irreducible_slice(q, d)
-    return int(irr[k - pi_cumulative(q, d - 1) - 1])
+    return int(irreducible_slice(q, d)[k - pi_cumulative(q, d - 1) - 1])
 
 
 def erdos_sum_irreducibles(q: int, eps=Fraction(1, 100)) -> BracketedValue:

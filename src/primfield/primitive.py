@@ -14,7 +14,6 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import chain, combinations, pairwise
 
 import numpy as np
@@ -23,8 +22,7 @@ from .counting import _LowestTerms, mertens_parts, monic_cumulative
 from .errors import UsageError, VerificationError
 from .fieldpoly import (_check_prime, format_index, index_degree,
                         index_divrem, is_prime, parse_index)
-from .sieve import (build_factor_sieve, index_multiples, monic_digits,
-                    monic_multiples)
+from .sieve import build_factor_sieve, index_multiples, monic_multiples
 
 
 # ----------------------------------------------------------------------
@@ -390,18 +388,6 @@ def _primitive_by_multiples(ps: PolySet,
     """
     q = ps.q
     blocks = ps.by_degree()
-
-    # base-q digit rows for the odd-q kernel, built once per degree
-    @cache
-    def cofactor_rows(f: int) -> np.ndarray | None:
-        if q == 2:
-            return None
-        return monic_digits(q, np.arange(q**f, 2 * q**f), f)
-
-    @cache
-    def member_rows(e: int) -> np.ndarray | None:
-        return None if q == 2 else monic_digits(q, blocks[e], e)
-
     for top, target in blocks.items():
         found: list[tuple[int, int]] = []       # (multiple, divisor)
         for e, block in blocks.items():
@@ -409,16 +395,15 @@ def _primitive_by_multiples(ps: PolySet,
             if f <= 0:
                 break
             if len(block) <= q**f:
-                for a in block.tolist():
-                    products = monic_multiples(q, a, f, f, np.int64,
-                                               cofactor_rows(f))
+                members = block.tolist()
+                for a, products in zip(members, monic_multiples(
+                        q, members, f, f, np.int64)):
                     at = _least_hit(products, target)
                     if at is not None:
                         found.append((int(products[at]), a))
             else:
-                for g in range(q**f, 2 * q**f):
-                    products = index_multiples(q, g, block, np.int64,
-                                               member_rows(e))
+                cofactors = range(q**f, 2 * q**f)
+                for products in index_multiples(q, cofactors, block, np.int64):
                     at = _least_hit(products, target)
                     if at is not None:
                         found.append((int(products[at]), int(block[at])))

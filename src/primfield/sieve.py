@@ -2,20 +2,24 @@
 of degree <= horizon, as numpy arrays over the integer index of
 fieldpoly.  Sieve-wide quantities (degrees, largest factor degree,
 squarefree flags) are folds along the least-factor chains.  The
-irreducibles of one degree alone come from a boolean slice that the
-irreducibles of half that degree mark.  Both sieves form products with
-one kernel, monic_multiples; index_multiples, its case for an arbitrary
-index array, serves the primitivity pass too.
+irreducibles of one degree alone come from irreducible_slice, boolean
+slices that the irreducibles of at most half each degree mark, with no
+least-factor table.  Products come from two generators that yield one
+product array per multiplier: monic_multiples for every monic cofactor
+of a degree range, and index_multiples for an arbitrary index array,
+which the primitivity pass also uses.  Over odd q each forms its
+cofactors' base-q digit rows once per call; no caller sees them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from typing import Callable
 
 import numpy as np
 
 from .errors import BudgetError, UsageError
-from .fieldpoly import _check_prime, _index_digits
+from .fieldpoly import _check_prime, _index_digits, index_degree
 
 
 class FactorSieve:
@@ -33,20 +37,6 @@ class FactorSieve:
         self.horizon = horizon
         self.spf = spf
         self.cof = cof
-        self._irr_cache: dict[int, np.ndarray] = {}
-
-    def irreducible_indices(self, degree: int) -> np.ndarray:
-        """Ascending indices of the irreducibles of one degree."""
-        if not 1 <= degree <= self.horizon:
-            raise UsageError(f"degree {degree} outside sieve horizon {self.horizon}")
-        got = self._irr_cache.get(degree)
-        if got is None:
-            base = self.q**degree
-            sl = self.spf[base:2 * base]
-            got = (np.nonzero(sl == np.arange(base, 2 * base, dtype=sl.dtype))[0]
-                   + base)
-            self._irr_cache[degree] = got
-        return got
 
     def degrees(self, idx: np.ndarray) -> np.ndarray:
         """Degrees of an array of indices below q^(horizon + 1)."""
@@ -121,9 +111,8 @@ def build_factor_sieve(q: int, horizon: int) -> FactorSieve:
         if 2 * d > horizon:
             continue
         g_all = _monic_indices(q, d, horizon - d, dtype)
-        g_digits = None if q == 2 else monic_digits(q, g_all, horizon - d)
-        for p in irr.tolist():
-            prods = monic_multiples(q, p, d, horizon - d, dtype, g_digits)
+        ps = irr.tolist()
+        for p, prods in zip(ps, monic_multiples(q, ps, d, horizon - d, dtype)):
             unmarked = spf[prods] == 0
             tgt = prods[unmarked]
             spf[tgt] = p
@@ -133,106 +122,107 @@ def build_factor_sieve(q: int, horizon: int) -> FactorSieve:
 
 def irreducible_slice(q: int, degree: int) -> np.ndarray:
     """Ascending indices of the irreducibles of one degree >= 1 over a
-    prime field, without a sieve that covers the degree.
+    prime field, with no least-factor table.
 
     A reducible polynomial of degree d has an irreducible factor of
-    degree at most d/2.  So the irreducibles of build_factor_sieve(q,
-    d // 2) mark their degree-d multiples on a q^d boolean slice, and the
-    unmarked slots are the irreducibles; no least-factor table of degree
-    d is built.  The largest array is the slice or the product table of
-    the degree-(d-1) cofactors.
+    degree at most d/2.  So walking the degrees 1..d//2 and then d, the
+    irreducibles already found mark their multiples on a q^e boolean
+    slice of each degree e, and the unmarked slots are its irreducibles.
+    The largest array is the degree-d slice or the product table of the
+    degree-(d-1) cofactors.
     """
-    base = q**degree
-    dtype = _index_dtype(2 * base)
+    _check_prime(q)
+    dtype = _index_dtype(2 * q**degree)
     _check_indexable(q, degree,
-                     max(base, _product_table_bytes(q, degree - 1, dtype)))
-    reducible = np.zeros(base, dtype=bool)
-    if degree > 1:
-        half = build_factor_sieve(q, degree // 2)
-        for e in range(1, degree // 2 + 1):
-            hi = degree - e
-            g_digits = (None if q == 2 else
-                        monic_digits(q, _monic_indices(q, hi, hi, dtype), hi))
-            for p in half.irreducible_indices(e).tolist():
-                prods = monic_multiples(q, p, hi, hi, dtype, g_digits)
+                     max(q**degree, _product_table_bytes(q, degree - 1, dtype)))
+    found: dict[int, np.ndarray] = {}
+    for d in [*range(1, degree // 2 + 1), degree]:
+        base = q**d
+        reducible = np.zeros(base, dtype=bool)
+        for e in range(1, d // 2 + 1):
+            for prods in monic_multiples(q, found[e].tolist(), d - e, d - e,
+                                         dtype):
                 prods -= base
                 reducible[prods] = True
                 del prods       # free it before the next table is built
-    return np.flatnonzero(~reducible) + base
+        found[d] = np.flatnonzero(~reducible) + base
+    return found[degree]
 
 
-def monic_multiples(q: int, p: int, lo: int, hi: int,
-                    dtype: type[np.integer],
-                    g_digits: np.ndarray | None) -> np.ndarray:
-    """Indices of p*g for every monic g of degree lo..hi, in ascending
-    order of g; dtype holds every product.
+def monic_multiples(q: int, ps: Iterable[int], lo: int, hi: int,
+                    dtype: type[np.integer]) -> Iterator[np.ndarray]:
+    """For each p of ps, the indices of p*g for every monic g of degree
+    lo..hi, in ascending order of g; dtype holds every product.
 
     Over F_2 every polynomial is monic and the products double: with
-    t[r] = p*r for every r below 2^k, t[2^k + r] = t[r] ^ (p << k), and
-    g_digits is None.  Over odd q, g_digits = monic_digits of those g,
-    and index_multiples forms the products.
+    t[r] = p*r for every r below 2^k, t[2^k + r] = t[r] ^ (p << k).
+    Over odd q, index_multiples forms the products.
     """
-    if q == 2:
+    if q != 2:
+        yield from index_multiples(q, ps, _monic_indices(q, lo, hi, dtype),
+                                   dtype)
+        return
+    for p in ps:
         t = np.zeros(2 << hi, dtype=dtype)
         for k in range(hi + 1):
             np.bitwise_xor(t[:1 << k], p << k, out=t[1 << k:2 << k])
-        return t[1 << lo:]
-    return index_multiples(q, p, None, dtype, g_digits)
+        yield t[1 << lo:]
+        del t           # free it before the next table is built
 
 
-def index_multiples(q: int, p: int, g: np.ndarray | None,
-                    dtype: type[np.integer],
-                    g_digits: np.ndarray | None) -> np.ndarray:
-    """Indices of p*g for each index of an array g, in its order; dtype
-    holds every product.
+def index_multiples(q: int, ps: Iterable[int], g: np.ndarray,
+                    dtype: type[np.integer]) -> Iterator[np.ndarray]:
+    """For each p of ps, the indices of p*g for each index of an array g,
+    in its order; dtype holds every product.
 
-    Over F_2, one shifted XOR of g per nonzero coefficient of p, and
-    g_digits is None.  Over odd q, g_digits = monic_digits of g, which
-    alone is read, and the product's digits are the convolution of the
-    digits of p with those rows, reduced mod q and summed into indices,
-    one whole-array pass per digit pair.  The sums are widened to dtype
+    Over F_2, one shifted XOR of g per nonzero coefficient of p.  Over
+    odd q, the base-q digit rows of g are formed once, in the narrowest
+    unsigned type that holds a sum of their digit products, and g itself
+    is dropped.  The product's digits are the convolution of the digits
+    of p with those rows, reduced mod q and summed into indices, one
+    whole-array pass per digit pair.  The sums are widened to dtype
     before they are scaled by q^j.
     """
     if q == 2:
-        out = np.zeros(len(g), dtype=dtype)
-        shifted = np.empty_like(out)
-        for j in range(p.bit_length()):
-            if p >> j & 1:
-                np.left_shift(g, j, out=shifted, dtype=dtype)
-                out ^= shifted
-        return out
-    p_digits = _index_digits(q, p)
-    hi = len(g_digits) - 1
-    out = np.zeros(g_digits.shape[1], dtype=dtype)
-    scaled = np.empty_like(out)
-    col = np.empty_like(g_digits[0])
-    term = np.empty_like(col)
-    for j in range(len(p_digits) + hi):
-        col.fill(0)
-        for i in range(max(0, j - hi), min(j, len(p_digits) - 1) + 1):
-            if p_digits[i]:
-                np.multiply(g_digits[j - i], p_digits[i], out=term)
-                col += term
-        col %= q
-        np.multiply(col, q**j, out=scaled, dtype=dtype)
-        out += scaled
-    return out
-
-
-def monic_digits(q: int, g: np.ndarray, hi: int) -> np.ndarray:
-    """Base-q digit rows 0..hi of indices g of degree <= hi, in the
-    narrowest unsigned type that holds a sum of hi + 1 digit products."""
+        shifted = np.empty(len(g), dtype=dtype)
+        for p in ps:
+            out = np.zeros(len(g), dtype=dtype)
+            for j in range(p.bit_length()):
+                if p >> j & 1:
+                    np.left_shift(g, j, out=shifted, dtype=dtype)
+                    out ^= shifted
+            yield out
+            del out
+        return
+    hi = index_degree(q, int(g.max(initial=1)))
     rows = np.empty((hi + 1, len(g)), dtype=_digit_dtype(q, hi))
-    rest = g.copy()
     for i in range(hi + 1):
-        rows[i] = rest % q
-        rest //= q
-    return rows
+        rows[i] = g % q
+        g = g // q
+    del g
+    scaled = np.empty(rows.shape[1], dtype=dtype)
+    col = np.empty_like(rows[0])
+    term = np.empty_like(col)
+    for p in ps:
+        p_digits = _index_digits(q, p)
+        out = np.zeros_like(scaled)
+        for j in range(len(p_digits) + hi):
+            col.fill(0)
+            for i in range(max(0, j - hi), min(j, len(p_digits) - 1) + 1):
+                if p_digits[i]:
+                    np.multiply(rows[j - i], p_digits[i], out=term)
+                    col += term
+            col %= q
+            np.multiply(col, q**j, out=scaled, dtype=dtype)
+            out += scaled
+        yield out
+        del out
 
 
 def _product_table_bytes(q: int, hi: int, dtype: type[np.integer]) -> int:
-    """Bytes of the largest array monic_multiples and monic_digits build
-    for the monic cofactors of degree hi alone."""
+    """Bytes of the largest array monic_multiples builds for the monic
+    cofactors of degree hi alone: its product table, or over odd q the
+    digit rows of index_multiples."""
     if q == 2:
         return (2 << hi) * np.dtype(dtype).itemsize
     return q**hi * max(np.dtype(dtype).itemsize,

@@ -1,7 +1,8 @@
 """Per-polynomial oracles: index multiplication and trial division, a
-factorization read off the sieve's least-factor chain, and the set-file
-codec one line at a time, plus trial-division primality; and per-cell
-oracles for the exact count layer.
+factorization and the irreducibles of a degree read off the sieve's
+least-factor table, and the set-file codec one line at a time, plus
+trial-division primality; and per-cell oracles for the exact count
+layer.
 
 The library forms products and derives factorisation types in bulk, one
 numpy pass per degree, and reads and writes set files in numpy passes
@@ -94,6 +95,14 @@ def factor_index(sieve, idx):
             v = int(sieve.cof[v])
         out.append((p, mult))
     return out
+
+
+def sieve_irreducibles(sieve, d):
+    """Ascending indices of the irreducibles of degree d, read from the
+    sieve's least-factor table: the fixed points spf[i] == i."""
+    base = sieve.q**d
+    return np.flatnonzero(sieve.spf[base:2 * base]
+                          == np.arange(base, 2 * base)) + base
 
 
 def divides(q, a, b):

@@ -22,7 +22,7 @@ from primfield import (BracketedValue, GrowthFunction, PolySet,
                        verify_hr_bound, verify_recurrence_bound)
 from primfield.fieldpoly import index_degree
 
-from oracles import Factorization, divides, index_mul
+from oracles import Factorization, divides, index_mul, sieve_irreducibles
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +209,7 @@ def test_criterion_07_density_zoo(sieve2, bes18, mp40):
         sets.append(bes18[0].members)
         sets.append(mp40[0].members)
         irr_prefix = [int(i) for d in range(1, 11)
-                      for i in sieve2.irreducible_indices(d)]
+                      for i in sieve_irreducibles(sieve2, d)]
         sets.append(PolySet(2, 10, tuple(irr_prefix)))
         sets.append(PolySet(2, 12, tuple(range(2**12, 2**13))))
         sets.append(PolySet(2, 1, (2,)))
@@ -223,7 +223,7 @@ def test_criterion_07_density_zoo(sieve2, bes18, mp40):
 # 8: two-sided degree brackets across three decades of k
 # ----------------------------------------------------------------------
 
-def test_criterion_08_degree_brackets(sieve2):
+def test_criterion_08_degree_brackets():
     with gate(8, "degree brackets hold for k in [1e3, 1e6] at slack 0.5 "
                  "(q=2)"):
         report = check_degree_brackets(2, 10**3, 10**6, 0.5)
@@ -236,7 +236,7 @@ def test_criterion_08_degree_brackets(sieve2):
             L = math.log2(k) + math.log2(math.log2(k))
             assert L - 1.5 <= deg <= L + 0.5, k
             if k <= 10**4:
-                f = kth_irreducible(2, k, sieve=sieve2)
+                f = kth_irreducible(2, k)
                 assert index_degree(2, f) == deg
 
 

@@ -16,10 +16,11 @@ from pathlib import Path
 import pytest
 
 import primfield
-from primfield import PolySet, build_factor_sieve, read_set, write_set
+from primfield import PolySet, read_set, write_set
 from primfield import cli
 from primfield.counting import CountTable
 from primfield.cli import main
+from primfield.sieve import irreducible_slice
 
 from oracles import mertens_exact
 
@@ -561,7 +562,7 @@ def test_verify_erdos_density_cli(capsys, tmp_path):
     assert payload["counterexample"]["divisor"] == "q=2;0,1"
     assert "not primitive" in err
     # a degree-13 irreducible: the exact left side has 4882 digits
-    p = int(build_factor_sieve(2, 13).irreducible_indices(13)[0])
+    p = int(irreducible_slice(2, 13)[0])
     big = write_poly_file(tmp_path / "big.txt", 2, 13, [p])
     code, out, err = run(["verify", "erdos-density", "--in", str(big)], capsys)
     assert code == 0 and err == ""
@@ -761,12 +762,12 @@ def test_each_command_builds_a_sieve_at_most_once(capsys, tmp_path,
     bad = write_poly_file(tmp_path / "bad.txt", 2, 2, [2, 6])
     for argv, code, sieves in (
         (["construct", "mp", "--q", "2", "--L", "log:eps=0.1",
-          "--horizon", "40", "--out", str(mp_path)], 0, [(2, 11), (2, 18)]),
+          "--horizon", "40", "--out", str(mp_path)], 0, [(2, 18)]),
         (["verify", "erdos-density", "--in", str(mp_path)], 0, [(2, 18)]),
         (["set", "check", "--in", str(mp_path)], 0, []),
         (["verify", "erdos-density", "--in", str(good)], 0, [(2, 2)]),
         (["verify", "erdos-density", "--in", str(bad)], 2, []),
-        (["irr", "kth", "--q", "3", "--k", "40000"], 0, [(3, 6)]),
+        (["irr", "kth", "--q", "3", "--k", "40000"], 0, []),
         (["construct", "besicovitch", "--q", "2", "--eps", "1/4",
           "--horizon", "12"], 0, []),
     ):
@@ -789,6 +790,19 @@ def test_construct_mp_count_mismatch_exits_two(capsys, tmp_path,
                         "--report", str(rpt_path)], capsys)
     assert code == 2 and "construction did not certify" in err
     assert json.loads(rpt_path.read_text())["cross_checked"] is False
+
+
+def test_construct_mp_enum_horizon_zero_fails_before_any_count_table(
+        capsys, monkeypatch):
+    from primfield import constructions
+    tables = []
+    monkeypatch.setattr(constructions, "build_count_table",
+                        lambda *a, **kw: tables.append(a))
+    code, out, err = run(["construct", "mp", "--q", "2", "--L", "log:eps=0.1",
+                          "--horizon", "60", "--enum-horizon", "0"], capsys)
+    assert code == 1 and out == ""
+    assert err == "primfield: error: enum_horizon must be >= 1\n"
+    assert tables == []
 
 
 def test_construct_mp_horizon_below_first_term_is_usage_error(capsys):

@@ -20,7 +20,7 @@ from primfield.irreducibles import pi_prime
 
 from oracles import (count_table_lists, factor_index, hr_bound_full_width,
                      mertens_exact, mertens_per_n, recurrence_bound_full_width,
-                     recurrence_cells)
+                     recurrence_cells, sieve_irreducibles)
 
 
 def enumerate_squarefree_counts(sieve, N, excluded=None):
@@ -29,7 +29,7 @@ def enumerate_squarefree_counts(sieve, N, excluded=None):
     struck = set()
     if excluded:
         for d, c in sorted(excluded.items()):
-            idxs = sieve.irreducible_indices(d)
+            idxs = sieve_irreducibles(sieve, d)
             assert c <= len(idxs)
             struck.update(int(i) for i in idxs[:c])
     rows = [[0] * (n + 1) for n in range(N + 1)]

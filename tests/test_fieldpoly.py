@@ -1,5 +1,7 @@
 """Polynomial kernel against coefficient-level and product-set oracles."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,12 @@ from primfield.errors import BudgetError, UsageError
 from primfield.fieldpoly import (format_index, index_degree, index_divrem,
                                  is_prime, parse_index)
 from primfield.irreducibles import pi_prime
-from primfield.sieve import (build_factor_sieve, irreducible_slice,
-                             monic_digits, monic_multiples)
+from primfield.sieve import (build_factor_sieve, index_multiples,
+                             irreducible_slice, monic_multiples)
 
 from oracles import (Factorization, divides, divisor_degree_masks,
-                     index_mul, is_irreducible, is_prime_trial)
+                     index_mul, is_irreducible, is_prime_trial,
+                     sieve_irreducibles)
 
 QS = (2, 3, 5)
 
@@ -189,7 +192,7 @@ def test_sieve_irreducibles_match_trial_division(sieve2, sieve3):
     for sieve, nmax in ((sieve2, 8), (sieve3, 5)):
         q = sieve.q
         for n in range(1, nmax + 1):
-            got = set(int(i) for i in sieve.irreducible_indices(n))
+            got = set(int(i) for i in sieve_irreducibles(sieve, n))
             want = {f for f in range(q**n, 2 * q**n) if is_irreducible(q, f)}
             assert got == want
 
@@ -262,23 +265,47 @@ def test_divisor_degree_mask_matches_divisor_scan(sieve2):
                                      (3, 3, 3), (5, 2, 3), (7, 1, 2)])
 def test_monic_multiples_match_index_mul(q, lo, hi):
     g_all = [g for e in range(lo, hi + 1) for g in range(q**e, 2 * q**e)]
-    g_digits = (None if q == 2 else
-                monic_digits(q, np.array(g_all, dtype=np.int32), hi))
-    for d in range(1, hi + 1):
-        for p in range(q**d, 2 * q**d):
-            got = monic_multiples(q, p, lo, hi, np.int32, g_digits)
-            assert got.dtype == np.int32
-            assert got.tolist() == [index_mul(q, p, g) for g in g_all], p
+    ps = [p for d in range(1, hi + 1) for p in range(q**d, 2 * q**d)]
+    # every product array stays as yielded while later ones are built
+    got = list(monic_multiples(q, ps, lo, hi, np.int32))
+    assert len(got) == len(ps)
+    for p, prods in zip(ps, got):
+        assert prods.dtype == np.int32
+        assert prods.tolist() == [index_mul(q, p, g) for g in g_all], p
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_index_multiples_match_index_mul(q):
+    """An unsorted index array of mixed degrees, the unit included."""
+    rng = random.Random(q)
+    degrees = [rng.randint(0, 4) for _ in range(60)]
+    g = [rng.randrange(q**e, 2 * q**e) for e in degrees] + [1]
+    g_arr = np.array(g, dtype=np.int64)
+    ps = [rng.randrange(q**e, 2 * q**e) for e in (1, 3, 2)]
+    assert list(index_multiples(q, [], g_arr, np.int64)) == []
+    for multipliers in (ps[:1], ps):
+        got = list(index_multiples(q, multipliers, g_arr, np.int64))
+        assert len(got) == len(multipliers)
+        for p, prods in zip(multipliers, got):
+            assert prods.dtype == np.int64
+            assert prods.tolist() == [index_mul(q, p, x) for x in g], p
+    assert g_arr.tolist() == g
 
 
 @pytest.mark.parametrize("q,dmax", [(2, 14), (3, 8), (5, 5), (7, 4)])
 def test_irreducible_slice_matches_the_covering_sieve(q, dmax):
     for d in range(1, dmax + 1):
         got = irreducible_slice(q, d)
-        want = build_factor_sieve(q, d).irreducible_indices(d)
+        want = sieve_irreducibles(build_factor_sieve(q, d), d)
         assert got.tolist() == want.tolist(), d
         assert len(got) == pi_prime(q, d)
         assert all(is_irreducible(q, f) for f in got.tolist()), d
+
+
+def test_irreducible_slice_rejects_a_composite_field():
+    for degree in (1, 3):
+        with pytest.raises(UsageError, match="field order 4 is not prime"):
+            irreducible_slice(4, degree)
 
 
 @pytest.mark.parametrize("q,horizon", [(2, 58), (2, 200), (3, 37)])

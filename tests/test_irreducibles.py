@@ -108,21 +108,18 @@ def test_pi_cumulative_on_a_cold_cache():
 # Ordering
 # ----------------------------------------------------------------------
 
-def test_kth_irreducible_matches_sorted_enumeration(sieve2, sieve3):
-    """From a covering sieve, and from the degree slice without one."""
-    for sieve, nmax in ((sieve2, 6), (sieve3, 4)):
-        q = sieve.q
+def test_kth_irreducible_matches_sorted_enumeration():
+    for q, nmax in ((2, 6), (3, 4)):
         ordered = [f for n in range(1, nmax + 1)
                    for f in range(q**n, 2 * q**n) if is_irreducible(q, f)]
         for k, f in enumerate(ordered, start=1):
             assert kth_irreducible_degree(q, k) == index_degree(q, f)
-            for covering in (sieve, None):
-                got = kth_irreducible(q, k, sieve=covering)
-                assert got == f and type(got) is int
+            got = kth_irreducible(q, k)
+            assert got == f and type(got) is int
 
 
-def test_kth_irreducible_head_q2(sieve2):
-    head = [kth_irreducible(2, k, sieve=sieve2) for k in range(1, 6)]
+def test_kth_irreducible_head_q2():
+    head = [kth_irreducible(2, k) for k in range(1, 6)]
     assert head == [2, 3, 7, 11, 13]
     assert [format_index(2, f) for f in head] == [
         "q=2;0,1", "q=2;1,1", "q=2;1,1,1", "q=2;1,1,0,1", "q=2;1,0,1,1"]

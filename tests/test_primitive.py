@@ -23,7 +23,7 @@ from primfield.primitive import (PolySet, assert_primitive, density_profile,
 
 from oracles import (Factorization, divides, erdos_sum_horner,
                      erdos_sum_terms, index_mul, mertens_exact,
-                     read_set_lines, write_set_lines)
+                     read_set_lines, sieve_irreducibles, write_set_lines)
 
 
 def brute_primitive(ps):
@@ -524,7 +524,7 @@ def test_density_inequality_matches_direct_oracle(sieve2, sieve3):
 def test_density_report_summarizes_huge_numerators(sieve2, degree):
     # one irreducible of degree 13 gives a 16,218-bit numerator, past the
     # 4300-digit limit of int -> str conversion
-    p = int(sieve2.irreducible_indices(degree)[0])
+    p = int(sieve_irreducibles(sieve2, degree)[0])
     report = verify_erdos_density_inequality(PolySet(2, degree, (p,)))
     num = report.lhs.numerator
     old_limit = sys.get_int_max_str_digits()
