@@ -67,10 +67,13 @@ def _counterexample(q: int, witness: tuple[int, int]) -> dict:
 def _read_set_file(path: str):
     from .primitive import read_set
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return read_set(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path!r}: not UTF-8 text ({exc.reason}"
+                         f" {exc.object[exc.start]:#04x})") from None
 
 
 _COMMON_DESTS = frozenset({

@@ -10,7 +10,9 @@ of irreducibles along a slowly growing rank schedule r_k = floor(k L(k)),
 certifies that the Erdos-style weight of the ranks beyond some k_0 is
 below 1/2, and assembles the sets
 S_k = { t_k g : g squarefree, omega(g) = k - 1, no t_j divides g, j <= k }
-whose union is primitive with k running from k_0 upward.
+whose union is primitive with k running from k_0 upward.  mpmath is
+imported by the growth and t-sequence code that brackets with it, so the
+slice construction runs without it.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
-from mpmath import iv
 
 from .brackets import (DEFAULT_PRECISION_BITS, BracketedValue,
                        iv_from_fraction, iv_pointwise_max, precision)
-from .counting import CountTable, build_count_table, monic_cumulative
+from .counting import _pack, build_count_table, monic_cumulative
 from .errors import BudgetError, PrecisionError, UsageError
 from .fieldpoly import _check_prime, index_degree
 from .irreducibles import pi_cumulative, pi_prime
@@ -95,6 +96,7 @@ class GrowthFunction:
 
     def value_iv(self, x: int):
         """Certified interval for L(x), x a positive integer."""
+        from mpmath import iv
         if x < 1:
             raise UsageError("growth argument must be >= 1")
         e = iv.exp(iv.mpf(1))
@@ -135,6 +137,7 @@ class GrowthFunction:
         None while an iterated log of K is at most 1: the cutoff is then
         too small for this bound.
         """
+        from mpmath import iv
         if self.kind == "log":
             lk = iv.log(iv.mpf(K))
             out = 1 / (iv_from_fraction(2 + self.eps)
@@ -247,6 +250,7 @@ def build_t_sequence(q: int, growth: GrowthFunction,
     growth schedule finishes the tail.  K doubles until both the
     precondition and tail < 1/2 hold, up to MAX_EXACT_TERMS.
     """
+    from mpmath import iv
     _check_prime(q)
     c = irreducible_density_constant(q)
     K = min(2**12, MAX_EXACT_TERMS)
@@ -450,7 +454,7 @@ class MPConstruction:
     t_j dividing}, counted exactly to the horizon and materialized up to
     enum_horizon.
 
-    counts[k-1][n] is |S_k at degree n| from restricted count tables;
+    counts[k-1][n] is |S_k at degree n| from the deflated count table;
     members holds the enumerated polynomials of degree <= enum_horizon,
     cross-checked against the same counts; witness is None when
     is_primitive certifies the members, else its dividing pair.
@@ -482,8 +486,9 @@ def mp_construct(q: int, tseq: TSequence, horizon: int,
 
     Counting is exact at every degree <= horizon: S_k at degree n equals
     the number of squarefree g of degree n - deg t_k with k - 1 distinct
-    irreducible factors avoiding t_1 .. t_k, read off a count table whose
-    per-degree irreducible supply excludes the earlier terms.  Members
+    irreducible factors avoiding t_1 .. t_k.  One count table of the whole
+    field is built, and each t_k in turn is divided out of it, so its
+    rows count the polynomials coprime to t_1 .. t_k.  Members
     are enumerated only up to enum_horizon (from the factor sieve of every
     monic polynomial there); cross_checked says whether the enumeration
     reproduces the counts, and is_primitive certifies the members.
@@ -510,17 +515,24 @@ def mp_construct(q: int, tseq: TSequence, horizon: int,
         raise UsageError("horizon below the first usable degree")
     if k_max == len(tseq.terms) and tseq.degrees[-1] + k_max <= horizon:
         raise BudgetError("materialize more t-sequence terms for this horizon")
+    # Row n of the count table, packed into one int with a slot per power
+    # of u wide enough for q^horizon, is the coefficient of x^n in
+    # prod_p (1 + u x^deg p).  Striking t_k divides by its factor
+    # (1 + u x^deg t_k), exactly, in one ascending pass, and no entry
+    # grows; slot k - 1 of row n - deg t_k then counts S_k at degree n.
+    nbytes = ((q**horizon).bit_length() + 7) // 8
+    width, mask = 8 * nbytes, (1 << 8 * nbytes) - 1
+    packed = [_pack(row, nbytes)
+              for row in build_count_table(q, horizon).rows]
     counts: list[tuple[int, ...]] = []
-    excl: dict[int, int] = {}
     for k in range(1, k_max + 1):
         dk = tseq.degrees[k - 1]
-        excl[dk] = excl.get(dk, 0) + 1
-        table = build_count_table(q, horizon, excluded_degrees=excl)
-        row = [0] * (horizon + 1)
         for n in range(dk, horizon + 1):
-            g_deg = n - dk
-            if k - 1 <= g_deg:
-                row[n] = table.count(g_deg, k - 1)
+            packed[n] -= packed[n - dk] << width
+            assert packed[n] >= 0, (k, n)
+        row = [0] * (horizon + 1)
+        for n in range(dk + k - 1, horizon + 1):
+            row[n] = packed[n - dk] >> width * (k - 1) & mask
         counts.append(tuple(row))
     indices, got = _enumerate_members(q, tseq, k_max, enum_horizon)
     cross = got.reshape(k_max, enum_horizon + 1).tolist() == \

@@ -188,12 +188,68 @@ def _text_chunks(fh, size: int):
         yield tail + "\n"
 
 
-def _canonical_lines(a: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+def _fixed_width_lines(a: np.ndarray, ends: np.ndarray,
+                       q: int) -> tuple[np.ndarray, np.ndarray]:
+    """_canonical_lines for q < 10, where every coefficient is one digit.
+
+    A canonical line of degree d, newline included, is then exactly
+    len("q=Q;") + 2(d + 1) bytes, so the lines of one length form one
+    (rows, length) byte matrix, a view when they are consecutive.  Less
+    the template line `q=Q;0,...,0,1` it must be 0 in every column but
+    the low digits, which must be below q: the prefix, the commas, the
+    digits and the leading 1 are checked in one compare.  Horner over the
+    digit columns forms the indices.
+    """
+    prefix = np.frombuffer(f"q={q};".encode(), np.uint8)
+    canon = np.zeros(len(ends), bool)
+    lengths = np.diff(ends, prepend=-1)
+    rows_of, index_of = [], []
+    for length in np.unique(lengths).tolist():
+        degree, odd = divmod(length - len(prefix) - 2, 2)
+        if odd or degree < 0:
+            continue
+        template = np.full(length, _ZERO, np.uint8)
+        template[:len(prefix)] = prefix
+        template[len(prefix) + 1::2] = _COMMA
+        template[-2:] = ord("1"), _NEWLINE
+        limit = np.ones(length, np.uint8)
+        limit[len(prefix):-2:2] = q
+        rows = np.flatnonzero(lengths == length)
+        if rows[-1] - rows[0] == len(rows) - 1:
+            first = int(ends[rows[0]]) + 1 - length
+            mat = a[first:first + len(rows) * length].reshape(-1, length)
+        else:
+            mat = a[ends[rows, None] + np.arange(1 - length, 1)]
+        mat = mat - template
+        good = mat < limit
+        if not good.all():
+            ok = good.all(axis=1)
+            rows, mat = rows[ok], mat[ok]
+        index = np.ones(len(rows), _index_dtype(q, degree))
+        for j in range(len(prefix) + 2 * degree - 2, len(prefix) - 1, -2):
+            index *= q
+            index += mat[:, j]
+        canon[rows] = True
+        rows_of.append(rows)
+        index_of.append(index)
+    if not rows_of:
+        return canon, np.zeros(0, np.int64)
+    rows, index = np.concatenate(rows_of), np.concatenate(index_of)
+    if len(rows_of) > 1:
+        index = index[np.argsort(rows)]
+    return canon, index
+
+
+def _canonical_lines(a: np.ndarray, ends: np.ndarray,
                      q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Which lines a[starts[i]:ends[i]] (each followed by a newline) read
+    """Which lines of a, the bytes before each newline at ends, read
     exactly as write_set writes them, `q=Q;c0,...,cd` with decimal
     coefficients below q, no leading zeros and c_d = 1; and the index of
-    each line that does, as an int64 or object array."""
+    each line that does, in line order, as an int64 or object array.
+
+    Coefficients of varying width are cut into tokens; _fixed_width_lines
+    does the same job faster where every coefficient is one digit."""
+    starts = np.concatenate(([0], ends + 1))[:-1]
     prefix = f"q={q};".encode()
     width = len(str(q - 1))
     canon = np.zeros(len(starts), bool)
@@ -252,13 +308,17 @@ def read_set(fh) -> PolySet:
     indices or bare coefficient lists; blank lines and `#` comments are
     skipped.  Errors name the line, counted as str.splitlines() counts.
 
-    The text is parsed in chunks of about 256k characters.  While every
+    The text is read in chunks of about 256k characters.  While every
     line is in the form write_set writes, the chunks are converted with
-    numpy passes, which keep temporaries a few megabytes; from the first
-    other line on, the rest of the file goes one line at a time through
-    parse_index, which words every parse error.  A hand-edited file thus
-    pays a Python loop, several times the bulk cost per line, from its
-    first edited line on.
+    numpy passes, which keep temporaries a few megabytes: for q < 10 the
+    lines of one length are one fixed-width byte matrix
+    (_fixed_width_lines), for larger q the coefficients are cut into
+    tokens (_canonical_lines).  From the first other line on, the rest of
+    the file goes one line at a time through parse_index, which words
+    every parse error.  A hand-edited file thus pays a Python loop,
+    several times the bulk cost per line, from its first edited line on;
+    the loop looks its members up in the bulk array and keeps a set only
+    of the members it read itself.
     """
     chunks = _text_chunks(fh, _READ_CHUNK)
     first = next(chunks, "")
@@ -278,18 +338,19 @@ def read_set(fh) -> PolySet:
     # Members need a prime q (parse_index words the error), and bulk
     # coefficients of up to 18 decimal digits fit int64.
     if not rest and is_prime(q) and len(str(q - 1)) <= 18:
+        canonical = _fixed_width_lines if q < 10 else _canonical_lines
         for chunk in others:
             a = np.frombuffer(chunk.encode("utf-8", "surrogatepass"),
                               np.uint8)
             ends = np.flatnonzero(a == _NEWLINE)
-            starts = np.concatenate(([0], ends + 1))[:-1]
-            canon, index = _canonical_lines(a, starts, ends, q)
+            canon, index = canonical(a, ends, q)
             if not canon.all():
                 # lines before the first other one are ASCII, so its byte
                 # offset is its character offset
                 s = int(np.argmin(canon))
                 members.append(index[:s])
-                others = chain([chunk[int(starts[s]):]], chunks)
+                start = int(ends[s - 1]) + 1 if s else 0
+                others = chain([chunk[start:]], chunks)
                 break
             members.append(index)
     members = np.concatenate(members)
@@ -302,7 +363,8 @@ def read_set(fh) -> PolySet:
             at = int(again.min())
             raise UsageError(f"line {at + 2}: duplicate member"
                              f" {format_index(q, int(members[at]))!r}")
-    seen, found = None, []
+        members = members[order]
+    seen: set[int] = set()
     for line, raw in enumerate(
             (raw for chunk in others for raw in chunk.splitlines()),
             start=len(members) + 2):
@@ -313,18 +375,24 @@ def read_set(fh) -> PolySet:
             _, idx = parse_index(text, q=q)
         except UsageError as exc:
             raise UsageError(f"line {line}: {exc}") from None
-        if seen is None:
-            seen = set(members.tolist())
-        if idx in seen:
+        if idx in seen or len(members) and _holds(members, idx):
             raise UsageError(f"line {line}: duplicate member {text!r}")
         seen.add(idx)
-        found.append(idx)
-    if found:
-        members = np.concatenate((members, _member_array(found)))
+    if seen:
+        members = np.concatenate((members, _member_array(seen)))
     try:
         return PolySet(q, horizon, members)
     except UsageError as exc:
         raise UsageError(f"set file invalid: {exc}") from None
+
+
+def _holds(ascending: np.ndarray, value: int) -> bool:
+    """Whether an ascending int64 or object array holds value >= 0."""
+    # numpy need not compare an int64 array with a value past its range
+    if ascending.dtype != object and value >= 2**63:
+        return False
+    at = int(np.searchsorted(ascending, value))
+    return at < len(ascending) and ascending[at] == value
 
 
 # ----------------------------------------------------------------------

@@ -132,6 +132,8 @@ def irreducible_slice(q: int, degree: int) -> np.ndarray:
     degree-(d-1) cofactors.
     """
     _check_prime(q)
+    if degree < 1:
+        raise UsageError("degree must be >= 1")
     dtype = _index_dtype(2 * q**degree)
     _check_indexable(q, degree,
                      max(q**degree, _product_table_bytes(q, degree - 1, dtype)))

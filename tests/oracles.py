@@ -19,7 +19,9 @@ running exact product over degrees.  The count-layer oracles recompute
 each of these one cell, one term, one n, one whole row or one whole
 array at a time: the Erdos sum both one Fraction per degree and by
 Horner's rule over one common denominator; the exact Mertens product is
-one Fraction factor per degree.
+one Fraction factor per degree.  The thinned-irreducible construction
+divides each term out of one count table; its oracle rebuilds the table
+for every term.
 """
 
 import math
@@ -34,7 +36,7 @@ from primfield.brackets import (DEFAULT_PRECISION_BITS, BracketedValue,
                                 precision)
 from primfield.counting import (PRINTABLE_EXACT_BITS, InequalityReport,
                                 MertensValue, _log_weight_dyadic_lower, _pack,
-                                _term_precision, _unpack)
+                                _term_precision, _unpack, build_count_table)
 from primfield.errors import UsageError
 from primfield.fieldpoly import (_index_digits as index_digits, format_index,
                                  index_degree, index_divrem, parse_index)
@@ -238,6 +240,19 @@ def count_table_lists(q, N, excluded_degrees=None):
                 hi = n - j * (d - 1)
                 dst[lo:hi + 1] = [x + c * s for x, s in zip(dst[lo:hi + 1], src)]
     return tuple(tuple(r) for r in rows)
+
+
+def mp_counts_rebuilt(q, degrees, horizon):
+    """|S_k at degree n| for t-terms of the given degrees, one count table
+    per k: the field less t_1 .. t_k, built anew each time."""
+    counts, excl = [], {}
+    for k, dk in enumerate(degrees, start=1):
+        excl[dk] = excl.get(dk, 0) + 1
+        table = build_count_table(q, horizon, excluded_degrees=excl)
+        counts.append(tuple(
+            table.count(n - dk, k - 1) if n - dk >= k - 1 else 0
+            for n in range(horizon + 1)))
+    return tuple(counts)
 
 
 def recurrence_cells(q, N, rows):

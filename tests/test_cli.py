@@ -307,6 +307,8 @@ UNLOADED = {
     ("eval", "g"): {"numpy"},
     ("eval", "mertens", "--max-n", "5"): {"numpy"},
     ("verify", "norton"): {"numpy"},
+    ("construct", "besicovitch", "--eps", "1/4", "--horizon", "6"):
+        {"mpmath"},
 }
 
 
@@ -679,6 +681,18 @@ def test_set_check_unreadable_file(capsys, tmp_path):
     assert code == 1 and "cannot read" in err
 
 
+@pytest.mark.parametrize("command", [("set", "check"),
+                                     ("verify", "erdos-density")])
+def test_a_set_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path,
+                                                      command):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"q=2;horizon=4\nq=2;0,1\n\xff\n")
+    code, out, err = run([*command, "--in", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"primfield: error: cannot read {str(path)!r}: not UTF-8"
+                   " text (invalid start byte 0xff)\n")
+
+
 def test_set_random_seed_contract(capsys, tmp_path):
     code, _, err = run(["set", "random", "--q", "2", "--horizon", "8"],
                        capsys)
@@ -780,9 +794,15 @@ def test_construct_mp_count_mismatch_exits_two(capsys, tmp_path,
                                                monkeypatch):
     # a count table one off in every cell: the enumerated members no
     # longer reproduce the counts, and the run reports that verdict
-    count = CountTable.count
-    monkeypatch.setattr(CountTable, "count",
-                        lambda self, n, k: count(self, n, k) + 1)
+    from primfield import constructions
+    build = constructions.build_count_table
+
+    def one_off(q, N):
+        table = build(q, N)
+        return CountTable(q, N, tuple(tuple(v + 1 for v in row)
+                                      for row in table.rows))
+
+    monkeypatch.setattr(constructions, "build_count_table", one_off)
     rpt_path = tmp_path / "mp.json"
     code, _, err = run(["construct", "mp", "--q", "2",
                         "--L", "log:eps=0.1", "--horizon", "12",

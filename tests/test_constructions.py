@@ -20,7 +20,8 @@ from primfield.primitive import assert_primitive, erdos_sum
 from primfield.sieve import build_factor_sieve
 from primfield.counting import monic_cumulative
 
-from oracles import Factorization, divisor_degree_masks, is_irreducible
+from oracles import (Factorization, divisor_degree_masks, is_irreducible,
+                     mp_counts_rebuilt)
 
 
 # ----------------------------------------------------------------------
@@ -367,6 +368,18 @@ def test_mp_q3_small(mp_q3):
 
 def test_mp_q3_membership_both_directions(mp_q3):
     assert_mp_membership_rule(mp_q3)
+
+
+@pytest.mark.parametrize("q,horizon", [(2, 11), (2, 20), (3, 8), (3, 11)])
+def test_mp_counts_equal_one_count_table_per_term(q, horizon):
+    """The one deflated table against a table rebuilt per k, with t-terms
+    of repeated degrees among those used."""
+    tseq = build_t_sequence(q, GrowthFunction.parse("log:eps=0.1"))
+    res = mp_construct(q, tseq, horizon, enum_horizon=min(horizon, 8))
+    used = tseq.degrees[:res.k_max]
+    assert len(set(used)) < len(used)
+    assert res.counts == mp_counts_rebuilt(q, used, horizon)
+    assert res.cross_checked
 
 
 def test_mp_guards(tseq2):

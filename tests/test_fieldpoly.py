@@ -308,6 +308,13 @@ def test_irreducible_slice_rejects_a_composite_field():
             irreducible_slice(4, degree)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("degree", [0, -1])
+def test_irreducible_slice_rejects_degree_below_one(q, degree):
+    with pytest.raises(UsageError, match="degree must be >= 1"):
+        irreducible_slice(q, degree)
+
+
 @pytest.mark.parametrize("q,horizon", [(2, 58), (2, 200), (3, 37)])
 def test_a_sieve_numpy_cannot_index_is_a_budget_error(q, horizon):
     # 2 arrays of 2 q^horizon int64 entries: past 2^63 - 1 bytes from

@@ -337,7 +337,7 @@ def set_file_texts(draw, q):
     return text + draw(st.sampled_from(["", "\n", "\r", "\x0c", " "]))
 
 
-@pytest.mark.parametrize("q", [3, 37])
+@pytest.mark.parametrize("q", [3, 7, 37])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(),
        chunk=st.sampled_from([1, 3, 16, primitive._READ_CHUNK]))
@@ -350,6 +350,154 @@ def test_set_file_lines_agree_with_line_oracle(q, data, chunk):
         assert codec_outcome(read_set, text) == want
     finally:
         primitive._READ_CHUNK = original
+
+
+# ----------------------------------------------------------------------
+# The fixed-width bulk reader (q < 10) and the token path (q >= 11)
+# ----------------------------------------------------------------------
+
+def bulk_lines(reader, text, q):
+    a = np.frombuffer(text.encode(), np.uint8)
+    canon, index = reader(a, np.flatnonzero(a == ord("\n")), q)
+    return canon.tolist(), index.tolist()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fixed_width_lines_match_the_token_path(q, data):
+    """Lines in and out of write_set's form, in any order, with every
+    kind of damage to one column; the token path is the oracle."""
+    lines = []
+    for _ in range(data.draw(st.integers(0, 30))):
+        d = data.draw(st.integers(0, 4))
+        line = format_index(q, q**d + data.draw(st.integers(0, q**d - 1)))
+        at = data.draw(st.integers(0, len(line) - 1))
+        lines.append(data.draw(st.sampled_from([
+            line, line, line, line[:at] + line[at + 1:],
+            line[:at] + data.draw(st.sampled_from(
+                [str(q), "9", "0", ",", ";", "q", " ", "\r", "/", ":"]))
+            + line[at + 1:], line + ",1", "", "#"])))
+    text = "".join(line + "\n" for line in lines)
+    assert bulk_lines(primitive._fixed_width_lines, text, q) == \
+        bulk_lines(primitive._canonical_lines, text, q)
+
+
+@pytest.mark.parametrize("line", [
+    "q=3;0,3,1",        # a digit >= q
+    "q=3;0,9,1",
+    "q=3;0,1,0",        # leading 0
+    "q=3;0,1,2",        # leading digit > 1
+    "q=3;0;1,1",        # missing comma
+    "q=3;0,1 1",
+    "q=3;0,1,1,",       # stray bytes
+    "q=3;0,,1",
+    "q=3;0,1\x0c",
+    "Q=3;0,1",
+    "q=2;0,1",          # another field
+    "q=3;0,1\r",        # CRLF
+])
+@pytest.mark.parametrize("tail", ["\n", ""])
+def test_a_malformed_column_hands_its_line_to_the_loop(line, tail):
+    members = ["q=3;1,1", "q=3;2,1", "q=3;0,0,1"]
+    text = "q=3;horizon=3\n" + "\n".join(members + [line, "q=3;1,0,1"]) + tail
+    canon, _ = bulk_lines(primitive._fixed_width_lines, text.split("\n", 1)[1]
+                          + "\n", 3)
+    assert canon[:4] == [True, True, True, False]
+    want = codec_outcome(read_set_lines, text)
+    assert codec_outcome(read_set, text) == want
+
+
+@pytest.mark.parametrize("newline,end", [
+    ("\r\n", "\r\n"), ("\r\n", ""), ("\r", "\r"), ("\r", ""),
+    ("\n", ""), ("\n", "\r\n"), ("\x0c", "\n"),
+])
+@pytest.mark.parametrize("extra", ["", "q=7;3,1", "q=7;0,7,1"])
+@pytest.mark.parametrize("chunk", [1, 16, primitive._READ_CHUNK])
+def test_line_breaks_give_the_line_oracle_set_or_error(monkeypatch, newline,
+                                                      end, extra, chunk):
+    """Other line breaks, an unterminated last line, and a repeat or a
+    parse error after them: the same PolySet or the same error text."""
+    ps = codec_set(7, (1, 2, 3), per_degree=5)
+    buf = io.StringIO()
+    write_set(ps, buf)
+    lines = buf.getvalue().splitlines() + ([extra] if extra else [])
+    text = newline.join(lines) + end
+    monkeypatch.setattr(primitive, "_READ_CHUNK", chunk)
+    want = codec_outcome(read_set_lines, text)
+    if not extra:
+        assert want == ps
+    assert codec_outcome(read_set, text) == want
+
+
+@pytest.mark.parametrize("q,degrees", [(2, (1, 5, 6, 12)), (5, (1, 2, 3))])
+@pytest.mark.parametrize("chunk", [7, 40, 333])
+def test_runs_split_across_chunks_read_in_bulk(monkeypatch, q, degrees,
+                                               chunk):
+    """A chunk ends mid-run and the next opens another run: every line
+    is still read in bulk, in order, and the last one is unterminated."""
+    ps = codec_set(q, degrees, per_degree=30)
+    buf = io.StringIO()
+    write_set(ps, buf)
+    monkeypatch.setattr(primitive, "_READ_CHUNK", chunk)
+    monkeypatch.setattr(primitive, "parse_index", refuse_parse_index)
+    for text in (buf.getvalue(), buf.getvalue()[:-1]):
+        assert read_set(io.StringIO(text)) == ps
+
+
+def test_unordered_lines_of_one_length_are_gathered():
+    """Canonical lines in no order: each length is one gathered matrix,
+    and the indices come back in line order."""
+    ps = codec_set(3, (1, 2, 4), per_degree=12)
+    buf = io.StringIO()
+    write_set(ps, buf)
+    head, *lines = buf.getvalue().splitlines()
+    random.Random(3).shuffle(lines)
+    body = "".join(line + "\n" for line in lines)
+    canon, index = bulk_lines(primitive._fixed_width_lines, body, 3)
+    assert all(canon)
+    assert index == [parse_index(line)[1] for line in lines]
+    assert read_set(io.StringIO(head + "\n" + body)) == ps
+
+
+@pytest.mark.parametrize("q", [11, 13])
+def test_large_fields_take_the_token_path(monkeypatch, q):
+    ps = codec_set(q, (1, 2, 3))
+    buf = io.StringIO()
+    write_set(ps, buf)
+    monkeypatch.setattr(primitive, "parse_index", refuse_parse_index)
+    monkeypatch.setattr(primitive, "_fixed_width_lines", None)
+    assert read_set(io.StringIO(buf.getvalue())) == ps
+    # a zero-padded repeat of the last degree-1 member, read by the loop
+    edited = buf.getvalue() + f"q={q};0{q - 1},1\n"
+    monkeypatch.undo()
+    want = codec_outcome(read_set_lines, edited)
+    assert want == f"line {len(ps) + 2}: duplicate member 'q={q};0{q - 1},1'"
+    assert codec_outcome(read_set, edited) == want
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+@pytest.mark.parametrize("q,degrees", [(2, (2, 3)), (2, (3, 64)), (3, (1, 2))])
+def test_loop_repeat_of_a_bulk_member_is_named(q, degrees, shuffle):
+    """The loop looks its members up in the bulk array, which is sorted
+    first when the file was not; a member past int64 is never in an int64
+    array."""
+    ps = codec_set(q, degrees, per_degree=6)
+    buf = io.StringIO()
+    write_set(ps, buf)
+    head, *lines = buf.getvalue().splitlines()
+    if shuffle:
+        random.Random(1).shuffle(lines)
+    for repeat in lines:
+        text = "\n".join([head, *lines, "# edited", " " + repeat + " "])
+        want = f"line {len(lines) + 3}: duplicate member {repeat!r}"
+        assert codec_outcome(read_set_lines, text) == want
+        assert codec_outcome(read_set, text) == want
+    wide = format_index(q, q**64 + 1)
+    text = "\n".join([head, *lines, "# edited", wide, wide])
+    want = codec_outcome(read_set_lines, text)
+    assert want == f"line {len(lines) + 4}: duplicate member {wide!r}"
+    assert codec_outcome(read_set, text) == want
 
 
 # ----------------------------------------------------------------------
