@@ -1,10 +1,12 @@
 """Command line interface: exact counts, certified inequality checks,
 and primitive-set constructions over F_q[x].
 
-Exit codes: 0 success or inequality verified, 2 verification failure
-(a counterexample is reported), 1 usage, budget, or precision errors.
-Certified quantities are printed as exact strings or {lo, hi} decimal
-brackets; bare floats appear only in fields labelled *_float.
+Handlers write their output and raise the package's typed errors; main
+alone turns them into exit codes: 0 success or inequality verified, 2 a
+VerificationError (a failed verdict, whose report is already written and
+whose one-line complaint goes to stderr), 1 usage, budget, or precision
+errors.  Certified quantities are printed as exact strings or {lo, hi}
+decimal brackets; bare floats appear only in fields labelled *_float.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import accumulate
 
 from . import __version__
 from .brackets import DEFAULT_PRECISION_BITS
-from .errors import BudgetError, PrecisionError, UsageError
+from .errors import BudgetError, PrecisionError, UsageError, VerificationError
 
 # ----------------------------------------------------------------------
 # Plumbing
@@ -49,6 +51,14 @@ def _emit(args: argparse.Namespace, header, rows, payload) -> None:
     writer.writerow(header)
     writer.writerows(rows)
     _write_out(args, buf.getvalue())
+
+
+def _report(args: argparse.Namespace, payload, ok: bool,
+            complaint: str | None) -> None:
+    """Write a verdict's JSON report, then raise its complaint if it failed."""
+    _write_out(args, _dump_json(payload))
+    if not ok:
+        raise VerificationError(complaint)
 
 
 def _decimal_pair(fr: Fraction, digits: int = 36) -> dict:
@@ -116,11 +126,13 @@ def _write_manifest(args: argparse.Namespace, argv: list[str]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Subcommand handlers (return the process exit code).  Each imports the
-# library code it calls, so a launch loads only what its command runs.
+# Subcommand handlers.  Each writes its output and reports a failed
+# verdict by raising VerificationError once its report is written.  Each
+# imports the library code it calls, so a launch loads only what its
+# command runs.
 # ----------------------------------------------------------------------
 
-def cmd_irr_count(args) -> int:
+def cmd_irr_count(args) -> None:
     from .irreducibles import pi_prime
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
@@ -130,10 +142,9 @@ def cmd_irr_count(args) -> int:
                "rows": [{"n": n, "irreducible": a, "cumulative": c}
                         for n, a, c in rows]}
     _emit(args, ["n", "irreducible", "cumulative"], rows, payload)
-    return 0
 
 
-def cmd_irr_kth(args) -> int:
+def cmd_irr_kth(args) -> None:
     from .fieldpoly import format_index, index_degree
     from .irreducibles import kth_irreducible
     f = kth_irreducible(args.q, args.k)
@@ -143,17 +154,13 @@ def cmd_irr_kth(args) -> int:
                "index": f, "poly": text}
     _emit(args, ["k", "degree", "index", "poly"],
           [(args.k, degree, f, text)], payload)
-    return 0
 
 
-def cmd_irr_brackets(args) -> int:
+def cmd_irr_brackets(args) -> None:
     from .irreducibles import check_degree_brackets
     report = check_degree_brackets(args.q, args.k_lo, args.k_hi, args.slack)
-    _write_out(args, _dump_json(report.to_json()))
-    if not report.ok:
-        print("degree bracket violated; see report", file=sys.stderr)
-        return 2
-    return 0
+    _report(args, report.to_json(), report.ok,
+            "degree bracket violated; see report")
 
 
 def _parse_excludes(text: str | None) -> dict[int, int] | None:
@@ -162,89 +169,72 @@ def _parse_excludes(text: str | None) -> dict[int, int] | None:
     out: dict[int, int] = {}
     for part in text.split(","):
         try:
-            d, c = part.split(":")
-            out[int(d)] = out.get(int(d), 0) + int(c)
+            d, c = (int(v) for v in part.split(":"))
         except ValueError:
             raise UsageError(
                 f"bad --exclude entry {part!r}, want degree:count") from None
+        if c < 0:
+            raise UsageError(
+                f"bad --exclude entry {part!r}: count is negative")
+        out[d] = out.get(d, 0) + c
     return out
 
 
-def cmd_count_table(args) -> int:
+def cmd_count_table(args) -> None:
     from .counting import build_count_table
     table = build_count_table(args.q, args.max_n,
                               excluded_degrees=_parse_excludes(args.exclude))
-    if args.fmt == "json":
-        payload = {"q": table.q, "N": table.N,
-                   "excluded_degrees": [list(p) for p in table.excluded_degrees],
-                   "rows": [list(row) for row in table.rows]}
-        _write_out(args, _dump_json(payload))
-    else:
-        buf = io.StringIO()
-        table.write_csv(buf)
-        _write_out(args, buf.getvalue())
-    return 0
+    cells = ((n, k, v) for n, row in enumerate(table.rows)
+             for k, v in enumerate(row))
+    payload = {"q": table.q, "N": table.N,
+               "excluded_degrees": [list(p) for p in table.excluded_degrees],
+               "rows": [list(row) for row in table.rows]}
+    _emit(args, ["n", "k", "count"], cells, payload)
 
 
-def cmd_verify_hr(args) -> int:
+def cmd_verify_hr(args) -> None:
     from .counting import verify_hr_bound
     report = verify_hr_bound(args.q, args.max_n,
                              precision_bits=args.precision_bits)
-    _write_out(args, _dump_json(report.to_json()))
-    if not report.ok:
-        print("upper bound violated; see report", file=sys.stderr)
-        return 2
-    return 0
+    _report(args, report.to_json(), report.ok,
+            "upper bound violated; see report")
 
 
-def cmd_verify_recurrence(args) -> int:
+def cmd_verify_recurrence(args) -> None:
     from .counting import verify_recurrence_bound
     report = verify_recurrence_bound(args.q, args.max_n)
-    _write_out(args, _dump_json(report.to_json()))
-    if not report.ok:
-        print("recurrence bound violated; see report", file=sys.stderr)
-        return 2
-    return 0
+    _report(args, report.to_json(), report.ok,
+            "recurrence bound violated; see report")
 
 
-def cmd_verify_norton(args) -> int:
+def cmd_verify_norton(args) -> None:
     from .counting import norton_check
     xs = args.x or [Fraction(5), Fraction(10), Fraction(20)]
     reports = [norton_check(x, args.alpha, args.beta,
                             precision_bits=args.precision_bits) for x in xs]
-    ok = all(r.ok for r in reports)
+    bad = next((r.x for r in reports if not r.ok), None)
     payload = {"alpha": str(args.alpha), "beta": str(args.beta),
-               "checks": [r.to_json() for r in reports], "ok": ok}
-    _write_out(args, _dump_json(payload))
-    if not ok:
-        bad = next(r for r in reports if not r.ok)
-        print(f"tail bound fails at x={bad.x}; see report", file=sys.stderr)
-        return 2
-    return 0
+               "checks": [r.to_json() for r in reports], "ok": bad is None}
+    _report(args, payload, bad is None,
+            f"tail bound fails at x={bad}; see report")
 
 
-def cmd_verify_erdos_density(args) -> int:
+def cmd_verify_erdos_density(args) -> None:
     from .primitive import is_primitive, verify_erdos_density_inequality
     ps = _read_set_file(args.infile)
     ok_prim, witness = is_primitive(ps)
-    if not ok_prim:
+    if ok_prim:
+        report = verify_erdos_density_inequality(ps)
+        _report(args, {**report.to_json(), "primitive": True}, report.ok,
+                "weighted density bound violated; see report")
+    else:
         pair = _counterexample(ps.q, witness)
-        payload = {"primitive": False, "counterexample": pair}
-        _write_out(args, _dump_json(payload))
-        print(f"input set is not primitive: {pair['divisor']} divides "
-              f"{pair['multiple']}", file=sys.stderr)
-        return 2
-    report = verify_erdos_density_inequality(ps)
-    payload = report.to_json()
-    payload["primitive"] = True
-    _write_out(args, _dump_json(payload))
-    if not report.ok:
-        print("weighted density bound violated; see report", file=sys.stderr)
-        return 2
-    return 0
+        _report(args, {"primitive": False, "counterexample": pair}, False,
+                f"input set is not primitive: {pair['divisor']} divides "
+                f"{pair['multiple']}")
 
 
-def cmd_eval_g(args) -> int:
+def cmd_eval_g(args) -> None:
     from .counting import evaluate_G
     zs = args.z or [Fraction(1)]
     rows, values = [], []
@@ -256,10 +246,9 @@ def cmd_eval_g(args) -> int:
         values.append({"z": str(z), **d})
     payload = {"q": args.q, "eps": str(args.eps), "values": values}
     _emit(args, ["z", "lo", "hi"], rows, payload)
-    return 0
 
 
-def cmd_eval_mertens(args) -> int:
+def cmd_eval_mertens(args) -> None:
     from .counting import mertens_rows
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
@@ -271,47 +260,38 @@ def cmd_eval_mertens(args) -> int:
         values.append(mv.to_json())
     payload = {"q": args.q, "values": values}
     _emit(args, ["n", "normalized_lo", "normalized_hi"], rows, payload)
-    return 0
 
 
-def cmd_eval_erdos_irr(args) -> int:
+def cmd_eval_erdos_irr(args) -> None:
     from .irreducibles import erdos_sum_irreducibles
     b = erdos_sum_irreducibles(args.q, eps=args.eps)
     d = b.to_json()
     payload = {"q": args.q, "eps": str(args.eps), **d,
                "width_float": float(b.width)}
     _emit(args, ["lo", "hi"], [(d["lo"], d["hi"])], payload)
-    return 0
 
 
-def cmd_set_check(args) -> int:
+def cmd_set_check(args) -> None:
     from .primitive import is_primitive
     ps = _read_set_file(args.infile)
     ok, witness = is_primitive(ps)
+    pair = None if ok else _counterexample(ps.q, witness)
     payload = {"q": ps.q, "horizon": ps.horizon, "size": len(ps),
-               "primitive": ok, "counterexample": None}
-    if not ok:
-        payload["counterexample"] = _counterexample(ps.q, witness)
-    _write_out(args, _dump_json(payload))
-    if not ok:
-        pair = payload["counterexample"]
-        print(f"not primitive: {pair['divisor']} divides {pair['multiple']}",
-              file=sys.stderr)
-        return 2
-    return 0
+               "primitive": ok, "counterexample": pair}
+    _report(args, payload, ok, None if ok else
+            f"not primitive: {pair['divisor']} divides {pair['multiple']}")
 
 
-def cmd_set_erdos_sum(args) -> int:
+def cmd_set_erdos_sum(args) -> None:
     from .primitive import erdos_sum
     ps = _read_set_file(args.infile)
     value = erdos_sum(ps)
     d = _decimal_pair(value)
     payload = {"q": ps.q, "size": len(ps), "erdos_sum": d}
     _emit(args, ["exact", "lo", "hi"], [(d["exact"], d["lo"], d["hi"])], payload)
-    return 0
 
 
-def cmd_set_density(args) -> int:
+def cmd_set_density(args) -> None:
     from .primitive import density_profile
     ps = _read_set_file(args.infile)
     profile = density_profile(ps)
@@ -321,10 +301,9 @@ def cmd_set_density(args) -> int:
     payload = {"q": ps.q, "rows": [r.to_json() for r in profile]}
     _emit(args, ["n", "count", "monic_total", "ratio", "ratio_float"],
           rows, payload)
-    return 0
 
 
-def cmd_set_random(args) -> int:
+def cmd_set_random(args) -> None:
     from .primitive import random_primitive_set, write_set
     if args.seed is None:
         raise UsageError("set random generates data; pass --seed so the "
@@ -334,10 +313,9 @@ def cmd_set_random(args) -> int:
     buf = io.StringIO()
     write_set(ps, buf)
     _write_out(args, buf.getvalue())
-    return 0
 
 
-def cmd_construct_besicovitch(args) -> int:
+def cmd_construct_besicovitch(args) -> None:
     from .constructions import besicovitch_construct
     from .primitive import is_primitive, write_set
     result = besicovitch_construct(args.q, args.eps, args.horizon)
@@ -351,12 +329,10 @@ def cmd_construct_besicovitch(args) -> int:
             write_set(result.members, fh)
     sys.stdout.write(_dump_json(report))
     if not (result.ok and ok_prim):
-        print("construction did not certify; see report", file=sys.stderr)
-        return 2
-    return 0
+        raise VerificationError("construction did not certify; see report")
 
 
-def cmd_construct_mp(args) -> int:
+def cmd_construct_mp(args) -> None:
     from .constructions import (GrowthFunction, build_t_sequence,
                                 mp_construct, mp_diagnostics)
     from .fieldpoly import format_index
@@ -412,12 +388,10 @@ def cmd_construct_mp(args) -> int:
     else:
         sys.stdout.write(text)
     if not (tseq.certified and result.cross_checked and ok_prim):
-        print("construction did not certify; see report", file=sys.stderr)
-        return 2
-    return 0
+        raise VerificationError("construction did not certify; see report")
 
 
-def cmd_replay(args) -> int:
+def cmd_replay(args) -> None:
     try:
         with open(args.manifest_in) as fh:
             manifest = json.load(fh)
@@ -433,7 +407,7 @@ def cmd_replay(args) -> int:
     argv = [str(a) for a in argv]
     if args.out:
         argv += ["--out", args.out]
-    return _run(argv)
+    _run(argv)
 
 
 # ----------------------------------------------------------------------
@@ -612,7 +586,7 @@ def _load_library() -> None:
         getattr(primfield, name)
 
 
-def _run_limited(args: argparse.Namespace) -> int:
+def _run_limited(args: argparse.Namespace) -> None:
     """args.func(args) under the run's deadline and memory ceiling, each
     armed only when its flag is given and disarmed on every way out: an
     interval timer whose SIGALRM handler raises BudgetError, and a soft
@@ -658,7 +632,7 @@ def _run_limited(args: argparse.Namespace) -> int:
                 except (ValueError, OverflowError) as exc:
                     raise UsageError(f"--budget-seconds {seconds}: {exc}") \
                         from None
-            return args.func(args)
+            args.func(args)
         finally:
             if seconds is not None:
                 signal.setitimer(signal.ITIMER_REAL, 0)
@@ -672,10 +646,11 @@ def _run_limited(args: argparse.Namespace) -> int:
                           "partial results dropped as incomplete") from None
 
 
-def _run(argv: list[str]) -> int:
+def _run(argv: list[str]) -> None:
     args = build_parser().parse_args(argv)
     if args.func is cmd_replay:
-        return cmd_replay(args)
+        cmd_replay(args)
+        return
     if args.precision_bits < 16:
         raise UsageError("--precision-bits must be at least 16")
     if args.budget_bytes is not None and args.budget_bytes <= 0:
@@ -683,13 +658,17 @@ def _run(argv: list[str]) -> int:
     if args.budget_seconds is not None and args.budget_seconds <= 0:
         raise UsageError("--budget-seconds must be positive")
     _write_manifest(args, argv)
-    return _run_limited(args)
+    _run_limited(args)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        return _run(argv)
+        _run(argv)
+        return 0
+    except VerificationError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except UsageError as exc:
         print(f"primfield: error: {exc}", file=sys.stderr)
         return 1

@@ -64,12 +64,6 @@ class CountTable:
     def row_total(self, n: int) -> int:
         return sum(self.rows[n])
 
-    def write_csv(self, fh) -> None:
-        fh.write("n,k,count\n")
-        for n, row in enumerate(self.rows):
-            for k, v in enumerate(row):
-                fh.write(f"{n},{k},{v}\n")
-
 
 def _unpack(row: int, slots: int, nbytes: int) -> tuple[int, ...]:
     """The nbytes-wide unsigned slots of a packed row, lowest first."""
@@ -102,7 +96,7 @@ def build_count_table(q: int, N: int,
     for d, c in excl:
         if not 1 <= d <= N:
             raise UsageError(f"excluded degree {d} outside 1..{N}")
-        if c > pi_prime(q, d):
+        if not 0 <= c <= pi_prime(q, d):
             raise UsageError(f"cannot exclude {c} irreducibles of degree {d}")
     excl_map = dict(excl)
     # Row n packed into one int, entry k in bits [k*width, (k+1)*width).

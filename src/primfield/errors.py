@@ -1,8 +1,10 @@
 """Error taxonomy shared across the package.
 
 Three failure families matter to callers: the inputs were unusable, a
-resource budget would be exceeded, or a checked mathematical statement
-actually failed.  The CLI maps these onto distinct exit codes.
+resource budget would be exceeded (or a precision cap reached), or a
+checked mathematical statement actually failed.  The CLI exits 1 on the
+first two and 2 on the third, a VerificationError, whose message is its
+one-line complaint.
 """
 
 from __future__ import annotations

@@ -203,6 +203,8 @@ def check_degree_brackets(q: int, k_lo: int, k_hi: int,
     """
     import numpy as np
     _check_prime(q)
+    if not math.isfinite(slack):
+        raise UsageError(f"slack must be finite (got {slack})")
     if k_lo < q:
         raise UsageError(f"k_lo must be >= q (got {k_lo}) so log log is defined")
     if k_hi < k_lo:

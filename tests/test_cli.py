@@ -1,7 +1,9 @@
 """End-to-end checks of the primfield command line interface."""
 
 import argparse
+import dataclasses
 import filecmp
+import importlib
 import json
 import os
 import resource
@@ -12,6 +14,7 @@ import threading
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,6 +23,7 @@ from primfield import PolySet, read_set, write_set
 from primfield import cli
 from primfield.counting import CountTable
 from primfield.cli import main
+from primfield.errors import VerificationError
 from primfield.sieve import irreducible_slice
 
 from oracles import mertens_exact
@@ -66,6 +70,24 @@ def test_usage_errors_exit_one(capsys):
         assert "error" in err or "budget" in err, argv
         if "--budget-bytes" in argv:
             assert err == "primfield: error: --budget-bytes must be positive\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["count", "table", "--max-n", "4", "--exclude", "2:-1"],
+     "bad --exclude entry '2:-1': count is negative"),
+    # a negative part may not cancel a positive one for the same degree
+    (["count", "table", "--max-n", "4", "--exclude", "2:-1,2:1"],
+     "bad --exclude entry '2:-1': count is negative"),
+    (["count", "table", "--max-n", "4", "--exclude", "1:1,2:-1"],
+     "bad --exclude entry '2:-1': count is negative"),
+    (["irr", "brackets", "--k-lo", "10", "--k-hi", "100", "--slack", "nan"],
+     "slack must be finite (got nan)"),
+    (["irr", "brackets", "--k-lo", "10", "--k-hi", "100", "--slack", "inf"],
+     "slack must be finite (got inf)"),
+], ids=["exclude-negative", "exclude-cancelled", "exclude-second-part",
+        "slack-nan", "slack-inf"])
+def test_an_out_of_domain_value_is_a_usage_error(capsys, argv, message):
+    assert run(argv, capsys) == (1, "", f"primfield: error: {message}\n")
 
 
 def test_sieve_budget_exit_one(capsys):
@@ -521,6 +543,17 @@ def test_count_table_csv_golden(capsys, tmp_path):
     text = out_path.read_text()
     assert text.startswith("n,k,count\n")
     assert "\n2,2,1\n" in text
+    for argv, text in (
+        ([], "n,k,count\n0,0,1\n1,0,0\n1,1,2\n2,0,0\n2,1,1\n2,2,1\n"
+             "3,0,0\n3,1,2\n3,2,2\n3,3,0\n4,0,0\n4,1,3\n4,2,4\n4,3,1\n"
+             "4,4,0\n"),
+        (["--exclude", "1:1"],
+         "n,k,count\n0,0,1\n1,0,0\n1,1,1\n2,0,0\n2,1,1\n2,2,0\n"
+         "3,0,0\n3,1,2\n3,2,1\n3,3,0\n4,0,0\n4,1,3\n4,2,2\n4,3,0\n"
+         "4,4,0\n"),
+    ):
+        assert run(["count", "table", "--q", "2", "--max-n", "4", *argv],
+                   capsys) == (0, text, "")
     code, out, _ = run(["count", "table", "--q", "2", "--max-n", "6",
                         "--exclude", "1:1", "--format", "json"], capsys)
     payload = json.loads(out)
@@ -570,6 +603,133 @@ def test_verify_erdos_density_cli(capsys, tmp_path):
     assert code == 0 and err == ""
     payload = json.loads(out)
     assert payload["ok"] and payload["lhs"].endswith("... (len 4882)")
+
+
+# A failed verdict: its report is written in full, then main prints the
+# one-line complaint and exits 2.  NP is the two-member set {x, x^2}.
+NP_SET = "q=2;horizon=2\nq=2;0,1\nq=2;0,0,1\n"
+NP_PAIR = {"divisor": "q=2;0,1", "multiple": "q=2;0,0,1"}
+STUB = {"ok": False, "stub": True}
+
+
+def dump(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+class FailedReport:
+    """A report as a checking library call returns it when the check fails."""
+
+    ok = False
+    x = Fraction(7)
+
+    def to_json(self):
+        return dict(STUB)
+
+
+def stub(module, name, value):
+    def install(monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(importlib.import_module(f"primfield.{module}"),
+                            name, lambda *args, **kwargs: value)
+    return install
+
+
+def raise_from_library(monkeypatch, capsys, tmp_path):
+    def fail(*args, **kwargs):
+        raise VerificationError("bound fails at n=3, k=2")
+    monkeypatch.setattr(primfield.counting, "verify_hr_bound", fail)
+
+
+MP_ARGV = ["construct", "mp", "--L", "log:eps=0.1", "--horizon", "12"]
+
+
+def uncross_mp(monkeypatch, capsys, tmp_path):
+    """Run mp once as it is, then make its members fail the cross-check:
+    the failed report is the plain one with cross_checked false."""
+    from primfield import constructions
+    plain = tmp_path / "plain.json"
+    assert run([*MP_ARGV, "--report", str(plain)], capsys)[0] == 0
+    assert '"cross_checked": true' in plain.read_text()
+    real = constructions.mp_construct
+    monkeypatch.setattr(constructions, "mp_construct", lambda *a, **kw:
+                        dataclasses.replace(real(*a, **kw),
+                                            cross_checked=False))
+
+
+# site: (break it, argv, stderr, {"stdout" or "OUT": bytes}); NP and GOOD
+# are set files and OUT the path given to --out or --report
+VERDICT_SITES = {
+    "irr-brackets": (
+        stub("irreducibles", "check_degree_brackets", FailedReport()),
+        ["irr", "brackets", "--k-lo", "10", "--k-hi", "100"],
+        "degree bracket violated; see report", {"stdout": dump(STUB)}),
+    "verify-hr": (
+        stub("counting", "verify_hr_bound", FailedReport()),
+        ["verify", "hr", "--max-n", "5", "--out", "OUT"],
+        "upper bound violated; see report", {"stdout": "", "OUT": dump(STUB)}),
+    "verify-recurrence": (
+        stub("counting", "verify_recurrence_bound", FailedReport()),
+        ["verify", "recurrence", "--max-n", "5"],
+        "recurrence bound violated; see report", {"stdout": dump(STUB)}),
+    "verify-norton": (
+        stub("counting", "norton_check", FailedReport()),
+        ["verify", "norton", "--x", "7"],
+        "tail bound fails at x=7; see report",
+        {"stdout": dump({"alpha": "1/2", "beta": "3/2", "checks": [STUB],
+                         "ok": False})}),
+    "verify-erdos-density-not-primitive": (
+        None, ["verify", "erdos-density", "--in", "NP"],
+        "input set is not primitive: q=2;0,1 divides q=2;0,0,1",
+        {"stdout": dump({"counterexample": NP_PAIR, "primitive": False})}),
+    "verify-erdos-density-bound": (
+        stub("primitive", "verify_erdos_density_inequality", FailedReport()),
+        ["verify", "erdos-density", "--in", "GOOD"],
+        "weighted density bound violated; see report",
+        {"stdout": dump({**STUB, "primitive": True})}),
+    "set-check": (
+        None, ["set", "check", "--in", "NP", "--out", "OUT"],
+        "not primitive: q=2;0,1 divides q=2;0,0,1",
+        {"stdout": "", "OUT": dump({"counterexample": NP_PAIR, "horizon": 2,
+                                    "primitive": False, "q": 2, "size": 2})}),
+    "construct-besicovitch": (
+        stub("constructions", "besicovitch_construct",
+             SimpleNamespace(ok=True, members=PolySet(2, 2, (2, 4)),
+                             to_json=lambda: {"levels": [2]})),
+        ["construct", "besicovitch", "--eps", "1/4", "--horizon", "2",
+         "--out", "OUT"],
+        "construction did not certify; see report",
+        {"stdout": dump({"certified_primitive": False,
+                         "counterexample": NP_PAIR, "levels": [2]}),
+         "OUT": NP_SET}),
+    "construct-mp": (
+        uncross_mp, [*MP_ARGV, "--report", "OUT"],
+        "construction did not certify; see report",
+        {"stdout": "mp construction: 333 members to degree 12, counts to "
+                   "degree 12, certified=True\n",
+         "OUT": lambda tmp_path: (tmp_path / "plain.json").read_text()
+         .replace('"cross_checked": true', '"cross_checked": false')}),
+    "library-raise": (
+        raise_from_library, ["verify", "hr", "--max-n", "5"],
+        "bound fails at n=3, k=2", {"stdout": ""}),
+}
+
+
+@pytest.mark.parametrize("site", sorted(VERDICT_SITES))
+def test_a_failed_verdict_writes_its_report_then_exits_two(
+        capsys, tmp_path, monkeypatch, site):
+    setup, argv, complaint, want = VERDICT_SITES[site]
+    paths = {"NP": write_poly_file(tmp_path / "np.txt", 2, 2, [2, 4]),
+             "GOOD": write_poly_file(tmp_path / "good.txt", 2, 3, [2, 3, 7]),
+             "OUT": tmp_path / "out"}
+    if setup is not None:
+        setup(monkeypatch, capsys, tmp_path)
+    code, out, err = run([str(paths.get(a, a)) for a in argv], capsys)
+    assert (code, err) == (2, complaint + "\n")
+    assert out == want["stdout"]
+    if "OUT" in want:
+        text = want["OUT"]
+        if callable(text):
+            text = text(tmp_path)
+        assert paths["OUT"].read_text() == text
 
 
 # ----------------------------------------------------------------------

@@ -106,6 +106,8 @@ def test_table_cache_and_budget():
         build_count_table(2, 10, excluded_degrees={1: 5})  # only 2 exist
     with pytest.raises(UsageError):
         build_count_table(2, 10, excluded_degrees={0: 1})
+    with pytest.raises(UsageError, match="cannot exclude -1 irreducibles"):
+        build_count_table(2, 4, excluded_degrees={2: -1})
 
 
 # ----------------------------------------------------------------------
