@@ -378,16 +378,17 @@ def cmd_construct_mp(args) -> None:
         with open(args.out, "w") as fh:
             write_set(result.members, fh)
     text = _dump_json(report)
+    certified = tseq.certified and result.cross_checked and ok_prim
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(text)
         summary = (f"mp construction: {len(result.members)} members to degree "
                    f"{result.enum_horizon}, counts to degree {result.horizon}, "
-                   f"certified={tseq.certified and ok_prim}\n")
+                   f"certified={certified}\n")
         sys.stdout.write(summary)
     else:
         sys.stdout.write(text)
-    if not (tseq.certified and result.cross_checked and ok_prim):
+    if not certified:
         raise VerificationError("construction did not certify; see report")
 
 

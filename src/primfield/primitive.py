@@ -308,17 +308,15 @@ def read_set(fh) -> PolySet:
     indices or bare coefficient lists; blank lines and `#` comments are
     skipped.  Errors name the line, counted as str.splitlines() counts.
 
-    The text is read in chunks of about 256k characters.  While every
-    line is in the form write_set writes, the chunks are converted with
-    numpy passes, which keep temporaries a few megabytes: for q < 10 the
-    lines of one length are one fixed-width byte matrix
-    (_fixed_width_lines), for larger q the coefficients are cut into
-    tokens (_canonical_lines).  From the first other line on, the rest of
-    the file goes one line at a time through parse_index, which words
-    every parse error.  A hand-edited file thus pays a Python loop,
-    several times the bulk cost per line, from its first edited line on;
-    the loop looks its members up in the bulk array and keeps a set only
-    of the members it read itself.
+    The text is read in chunks of about 256k characters.  A chunk whose
+    every line is in the form write_set writes is converted with numpy
+    passes, which keep temporaries a few megabytes: for q < 10 the lines
+    of one length are one fixed-width byte matrix (_fixed_width_lines),
+    for larger q the coefficients are cut into tokens (_canonical_lines).
+    Any other chunk goes one line at a time through parse_index, which
+    words every parse error, so a hand-edited line costs a Python loop
+    over its own chunk only.  Repeats are found once, over all members;
+    of a repeat and a parse error, the one on the earlier line is raised.
     """
     chunks = _text_chunks(fh, _READ_CHUNK)
     first = next(chunks, "")
@@ -333,66 +331,66 @@ def read_set(fh) -> PolySet:
         horizon = int(parts["horizon"])
     except (KeyError, ValueError):
         raise UsageError(f"bad header {header!r}, expected q=..;horizon=..") from None
-    others = chain(["".join(rest) + first[cut:]], chunks)
-    members = [np.zeros(0, np.int64)]
     # Members need a prime q (parse_index words the error), and bulk
     # coefficients of up to 18 decimal digits fit int64.
-    if not rest and is_prime(q) and len(str(q - 1)) <= 18:
-        canonical = _fixed_width_lines if q < 10 else _canonical_lines
-        for chunk in others:
+    bulk = not rest and is_prime(q) and len(str(q - 1)) <= 18
+    canonical = _fixed_width_lines if q < 10 else _canonical_lines
+    # per chunk: its members, and their count, its first line and its text
+    # if the loop read it (every line of a bulk chunk is a member)
+    members, spots, line, error = [], [], 2, None
+    for chunk in chain(["".join(rest) + first[cut:]], chunks):
+        if bulk:
             a = np.frombuffer(chunk.encode("utf-8", "surrogatepass"),
                               np.uint8)
             ends = np.flatnonzero(a == _NEWLINE)
             canon, index = canonical(a, ends, q)
-            if not canon.all():
-                # lines before the first other one are ASCII, so its byte
-                # offset is its character offset
-                s = int(np.argmin(canon))
-                members.append(index[:s])
-                start = int(ends[s - 1]) + 1 if s else 0
-                others = chain([chunk[start:]], chunks)
+            if canon.all():
+                members.append(index)
+                spots.append((len(index), line, None))
+                line += len(ends)
+                continue
+        lines, index = chunk.splitlines(), []
+        for n, text in _member_lines(lines, line):
+            try:
+                index.append(parse_index(text, q=q)[1])
+            except UsageError as exc:
+                error = f"line {n}: {exc}"
                 break
-            members.append(index)
+        members.append(_member_array(index))
+        spots.append((len(index), line, chunk))
+        line += len(lines)
+        if error:
+            break
     members = np.concatenate(members)
-    # bulk member i is on line i + 2, so a repeat among them is named
-    # before any line the loop reads
     if len(members) > 1 and not (members[1:] > members[:-1]).all():
         order = np.argsort(members, kind="stable")
         again = order[1:][members[order[1:]] == members[order[:-1]]]
         if again.size:
+            # name the later copy that comes first in the file
             at = int(again.min())
-            raise UsageError(f"line {at + 2}: duplicate member"
-                             f" {format_index(q, int(members[at]))!r}")
-        members = members[order]
-    seen: set[int] = set()
-    for line, raw in enumerate(
-            (raw for chunk in others for raw in chunk.splitlines()),
-            start=len(members) + 2):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        try:
-            _, idx = parse_index(text, q=q)
-        except UsageError as exc:
-            raise UsageError(f"line {line}: {exc}") from None
-        if idx in seen or len(members) and _holds(members, idx):
+            text = format_index(q, int(members[at]))
+            for size, line, chunk in spots:
+                if at < size:
+                    break
+                at -= size
+            line, text = ((line + at, text) if chunk is None else
+                          list(_member_lines(chunk.splitlines(), line))[at])
             raise UsageError(f"line {line}: duplicate member {text!r}")
-        seen.add(idx)
-    if seen:
-        members = np.concatenate((members, _member_array(seen)))
+        members = members[order]
+    if error:
+        raise UsageError(error)
     try:
         return PolySet(q, horizon, members)
     except UsageError as exc:
         raise UsageError(f"set file invalid: {exc}") from None
 
 
-def _holds(ascending: np.ndarray, value: int) -> bool:
-    """Whether an ascending int64 or object array holds value >= 0."""
-    # numpy need not compare an int64 array with a value past its range
-    if ascending.dtype != object and value >= 2**63:
-        return False
-    at = int(np.searchsorted(ascending, value))
-    return at < len(ascending) and ascending[at] == value
+def _member_lines(lines: list[str], line: int):
+    """(number, text) of each line but blanks and `#` comments, from line."""
+    for n, raw in enumerate(lines, start=line):
+        text = raw.strip()
+        if text and not text.startswith("#"):
+            yield n, text
 
 
 # ----------------------------------------------------------------------

@@ -177,6 +177,14 @@ def test_set_file_errors_carry_line_numbers():
          "set file invalid: members must be non-unit (degree >= 1)"),
         ("q=2;horizon=2\n0,1\nq=2;1,1,0,1\n",
          "set file invalid: member q=2;1,1,0,1 exceeds horizon 2"),
+        # a q past exact primality testing: a header line holding a second
+        # line break is read by the loop alone, and PolySet words the error
+        ("q=318665857834031151167461;horizon=2\n",
+         "field order 318665857834031151167461 is at or above"
+         " 318665857834031151167461, past exact primality testing"),
+        ("q=318665857834031151167461;horizon=2\x0c\n",
+         "set file invalid: field order 318665857834031151167461 is at or"
+         " above 318665857834031151167461, past exact primality testing"),
     ]
     for text, message in rejected:
         with pytest.raises(UsageError) as info:
@@ -225,8 +233,8 @@ def test_set_codec_matches_line_oracle(monkeypatch, q, degrees):
         back = read_set(io.StringIO(got.getvalue()))
     assert back == ps
     assert all(type(i) is int for i in back.indices.tolist())
-    # a hand-edited line mid-file sends the rest through the line loop,
-    # which must also catch a repeat of a member read in bulk
+    # a hand-edited line mid-file sends its chunk through the line loop,
+    # and a repeat there of a member read in bulk must still be named
     lines = got.getvalue().split("\n")
     mid, earlier = len(lines) // 2, lines[1 + len(lines) // 4]
     noted = lines[:mid] + ["# note"] + lines[mid:]
@@ -257,6 +265,33 @@ def test_set_codec_round_trips_across_chunks(monkeypatch, big_set_text):
     ps, text = big_set_text
     monkeypatch.setattr(primitive, "parse_index", refuse_parse_index)
     assert read_set(io.StringIO(text)) == ps
+
+
+@pytest.mark.parametrize("at", [1, 30000])
+def test_an_edit_sends_only_its_own_chunk_through_the_loop(
+        monkeypatch, big_set_text, at):
+    """A comment on line 2, or several chunks in: parse_index reads the
+    member lines of the chunk that holds it, and no other line."""
+    ps, text = big_set_text
+    lines = text.split("\n")
+    lines.insert(at, "# note")
+    text = "\n".join(lines)
+    edited, = (chunk for chunk in primitive._text_chunks(
+        io.StringIO(text), primitive._READ_CHUNK) if "# note" in chunk)
+    assert edited.startswith("q=2;horizon=17\n") == (at == 1)
+    want = [line for line in edited.splitlines()
+            if not line.startswith(("# note", "q=2;horizon"))]
+    parsed = []
+    real = primitive.parse_index
+
+    def counting_parse_index(text, **kwargs):
+        parsed.append(text)
+        return real(text, **kwargs)
+
+    monkeypatch.setattr(primitive, "parse_index", counting_parse_index)
+    assert read_set(io.StringIO(text)) == ps
+    assert parsed == want
+    assert 0 < len(parsed) < len(ps) // 8
 
 
 @pytest.mark.parametrize("inserts", [
@@ -479,9 +514,9 @@ def test_large_fields_take_the_token_path(monkeypatch, q):
 @pytest.mark.parametrize("shuffle", [False, True])
 @pytest.mark.parametrize("q,degrees", [(2, (2, 3)), (2, (3, 64)), (3, (1, 2))])
 def test_loop_repeat_of_a_bulk_member_is_named(q, degrees, shuffle):
-    """The loop looks its members up in the bulk array, which is sorted
-    first when the file was not; a member past int64 is never in an int64
-    array."""
+    """A repeat read by the loop of a member read in bulk, in a sorted or
+    shuffled file, is named by the line and text of its later copy; a
+    member past int64 turns the one repeat check to Python ints."""
     ps = codec_set(q, degrees, per_degree=6)
     buf = io.StringIO()
     write_set(ps, buf)
