@@ -34,7 +34,6 @@ _EXPORTS = {
                   "erdos_sum", "is_primitive", "random_primitive_set",
                   "read_set", "verify_erdos_density_inequality",
                   "write_set"),
-    "sieve": ("FactorSieve", "build_factor_sieve"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

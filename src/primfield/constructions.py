@@ -33,7 +33,7 @@ from .errors import BudgetError, PrecisionError, UsageError
 from .fieldpoly import _check_prime, index_degree
 from .irreducibles import pi_cumulative, pi_prime
 from .primitive import PolySet, is_primitive
-from .sieve import build_factor_sieve, irreducible_slice
+from .sieve import irreducible_slice, monic_multiples, multiples_pass
 
 # ----------------------------------------------------------------------
 # Growth schedules L(x)
@@ -489,8 +489,8 @@ def mp_construct(q: int, tseq: TSequence, horizon: int,
     irreducible factors avoiding t_1 .. t_k.  One count table of the whole
     field is built, and each t_k in turn is divided out of it, so its
     rows count the polynomials coprime to t_1 .. t_k.  Members
-    are enumerated only up to enum_horizon (from the factor sieve of every
-    monic polynomial there); cross_checked says whether the enumeration
+    are enumerated only up to enum_horizon (from one multiples pass over
+    every monic polynomial there); cross_checked says whether the enumeration
     reproduces the counts, and is_primitive certifies the members.
     """
     _check_prime(q)
@@ -557,24 +557,32 @@ def mp_construct(q: int, tseq: TSequence, horizon: int,
 
 def _enumerate_members(q: int, tseq: TSequence, k_max: int,
                        enum_horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """The members of degree <= enum_horizon, ascending, from the folds
-    of one factor sieve, and their counts per (k, degree) in slot
-    (k - 1) * (enum_horizon + 1) + degree.  f joins S_k when it is
-    squarefree, the least t-rank among its factors is k and omega(f) = k.
-    The sieve and its folds are freed on return."""
-    sieve = build_factor_sieve(q, enum_horizon)
-    no_rank = np.iinfo(np.int32).max
-    rank = np.full(len(sieve.spf), no_rank, dtype=np.int32)
-    for k, t in enumerate(tseq.terms, start=1):
-        if t < len(rank):
-            rank[t] = k
-    least = sieve.fold(lambda p, g, out: np.minimum(rank[p], out[g]),
-                       np.int32(no_rank))
-    member = (sieve.squarefree_flags() & (least == sieve.factor_counts())
-              & (least <= k_max))
-    indices = np.nonzero(member)[0]
-    slots = (least[indices] - 1) * (enum_horizon + 1) + sieve.degrees(indices)
-    return indices, np.bincount(slots, minlength=k_max * (enum_horizon + 1))
+    """The members of degree <= enum_horizon, ascending, and their counts
+    per (k, degree) in slot (k - 1) * (enum_horizon + 1) + degree.  f
+    joins S_k when it is squarefree, its least t-rank is k and omega(f) = k.
+
+    Each product of a degree-d irreducible from one multiples pass adds
+    64 + d to its slot: omega above the low six bits, and in them the sum
+    of the distinct factor degrees (< 64), which is deg f exactly when f
+    is squarefree.  The least t-rank is written over the multiples of each
+    t_k, k descending; h + 1 stands for none, or one above enum_horizon:
+    neither equals omega."""
+    h = enum_horizon
+    passes = multiples_pass(q, h)
+    factors = np.zeros(2 * q**h, dtype=np.int16)
+    for d, products in passes:
+        factors[products] += 64 + d
+    least = np.full_like(factors, h + 1)
+    for k in range(min(k_max, h), 0, -1):
+        if tseq.degrees[k - 1] <= h:
+            least[next(monic_multiples(q, [tseq.terms[k - 1]], 0,
+                                       h - tseq.degrees[k - 1], np.int64))] = k
+    indices = np.flatnonzero(factors >> 6 == least)
+    degrees = np.searchsorted(q**np.arange(1, h + 1), indices, side="right")
+    squarefree = factors[indices] & 63 == degrees
+    slots = (least[indices] - 1).astype(np.int64) * (h + 1) + degrees
+    return (indices[squarefree],
+            np.bincount(slots[squarefree], minlength=k_max * (h + 1)))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ degree window for the k-th irreducible is
     L(k) - 1 <= deg P_k <= L(k),  up to o(1),
 with L(k) = log_q k + log_q log_q k + log_q (q - 1); callers check it
 with an explicit slack.  The Erdos sum over all irreducibles is a
-bracket around the exact counts.  numpy, mpmath and the factor sieve are
-imported by the functions that use them, so the exact counts load none
-of them.
+bracket around the exact counts.  numpy, mpmath and irreducible_slice
+are imported by the functions that use them, so the exact counts load
+none of them.
 """
 
 from __future__ import annotations

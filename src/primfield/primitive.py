@@ -22,7 +22,7 @@ from .counting import _LowestTerms, mertens_parts, monic_cumulative
 from .errors import UsageError, VerificationError
 from .fieldpoly import (_check_prime, format_index, index_degree,
                         index_divrem, is_prime, parse_index)
-from .sieve import build_factor_sieve, index_multiples, monic_multiples
+from .sieve import block_multiples, multiples_pass
 
 
 # ----------------------------------------------------------------------
@@ -446,13 +446,12 @@ def _primitive_by_multiples(ps: PolySet,
     every product of a degree-e member with a monic cofactor of degree
     e' - e, and looking the products up among the degree-e' members.
 
-    A pair loops over its smaller side: each member times every cofactor
-    (monic_multiples), or each cofactor times the whole block of members
-    (index_multiples).  Target degrees run upward, so the first one that
-    holds a product holds the least multiple b, and its least divisor a
-    is the least over the products equal to b.
+    block_multiples loops over the smaller side of a pair: each member
+    times every cofactor, or each cofactor times the whole block of
+    members.  Target degrees run upward, so the first one that holds a
+    product holds the least multiple b, and its least divisor a is the
+    least over the products equal to b.
     """
-    q = ps.q
     blocks = ps.by_degree()
     for top, target in blocks.items():
         found: list[tuple[int, int]] = []       # (multiple, divisor)
@@ -460,19 +459,11 @@ def _primitive_by_multiples(ps: PolySet,
             f = top - e
             if f <= 0:
                 break
-            if len(block) <= q**f:
-                members = block.tolist()
-                for a, products in zip(members, monic_multiples(
-                        q, members, f, f, np.int64)):
-                    at = _least_hit(products, target)
-                    if at is not None:
-                        found.append((int(products[at]), a))
-            else:
-                cofactors = range(q**f, 2 * q**f)
-                for products in index_multiples(q, cofactors, block, np.int64):
-                    at = _least_hit(products, target)
-                    if at is not None:
-                        found.append((int(products[at]), int(block[at])))
+            for a, products in block_multiples(ps.q, block, f, f, np.int64):
+                at = _least_hit(products, target)
+                if at is not None:
+                    found.append((int(products[at]),
+                                  int(block[at]) if a is None else a))
         if found:
             b, a = min(found)
             return False, (a, b)
@@ -593,6 +584,8 @@ class DensityBoundReport:
 def verify_erdos_density_inequality(ps: PolySet) -> DensityBoundReport:
     """Exact check that any primitive set satisfies the weighted bound <= 1.
 
+    D is read off one multiples pass up to the top member degree: every
+    product of a degree-d irreducible sets its slot to d, and d ascends.
     Members are bucketed by (degree, D(a)); with P(m) = A_m / q^{E_m},
     read off one running product up to the top level, the whole left side
     is a single integer comparison against q^{max exponent}.
@@ -600,7 +593,10 @@ def verify_erdos_density_inequality(ps: PolySet) -> DensityBoundReport:
     if not len(ps):
         return DensityBoundReport(ps.q, 0, Fraction(0), ())
     q = ps.q
-    levels = build_factor_sieve(q, ps.max_degree).max_factor_degrees()
+    passes = multiples_pass(q, ps.max_degree)
+    levels = np.zeros(2 * q**ps.max_degree, dtype=np.int8)
+    for d, products in passes:
+        levels[products] = d
     # member counts per (degree da, D(a) = m), and per level m
     buckets = []
     per_level: dict[int, int] = defaultdict(int)

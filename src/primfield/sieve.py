@@ -1,123 +1,74 @@
-"""Factor sieve: the least irreducible factor of every monic polynomial
-of degree <= horizon, as numpy arrays over the integer index of
-fieldpoly.  Sieve-wide quantities (degrees, largest factor degree,
-squarefree flags) are folds along the least-factor chains.  The
-irreducibles of one degree alone come from irreducible_slice, boolean
-slices that the irreducibles of at most half each degree mark, with no
-least-factor table.  Products come from two generators that yield one
-product array per multiplier: monic_multiples for every monic cofactor
-of a degree range, and index_multiples for an arbitrary index array,
-which the primitivity pass also uses.  Over odd q each forms its
-cofactors' base-q digit rows once per call; no caller sees them.
+"""Sieving over the integer index of fieldpoly, in numpy.
+
+multiples_pass, the one factor sieve, yields every irreducible of degree
+<= horizon times every monic cofactor up to the horizon; its callers
+fold the factor data they need from the products.  irreducible_slice
+finds the irreducibles of one degree alone on boolean slices.  Products
+come from two generators that yield one array per multiplier:
+monic_multiples over every monic cofactor of a degree range, and
+index_multiples over an arbitrary index array; block_multiples picks the
+smaller side.  Over odd q each generator forms its cofactors' base-q
+digit rows once per call; no caller sees them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from typing import Callable
 
 import numpy as np
 
 from .errors import BudgetError, UsageError
 from .fieldpoly import _check_prime, _index_digits, index_degree
+from .irreducibles import pi_prime
 
 
-class FactorSieve:
-    """Least-factor table for every monic polynomial of degree <= horizon.
-
-    spf[i] holds the index of the least (degree, index) irreducible factor
-    of the polynomial with index i, and cof[i] the index of the cofactor,
-    so factoring is a chain of O(1) lookups, and fold computes a
-    per-index quantity along every chain at once.  Array slots outside
-    the valid index ranges [q^d, 2 q^d) stay zero.
-    """
-
-    def __init__(self, q: int, horizon: int, spf: np.ndarray, cof: np.ndarray):
-        self.q = q
-        self.horizon = horizon
-        self.spf = spf
-        self.cof = cof
-
-    def degrees(self, idx: np.ndarray) -> np.ndarray:
-        """Degrees of an array of indices below q^(horizon + 1)."""
-        powers = self.q**np.arange(1, self.horizon + 1, dtype=np.int64)
-        return np.searchsorted(powers, idx, side="right")
-
-    def fold(self, step: Callable[[np.ndarray, np.ndarray, np.ndarray],
-                                  np.ndarray], one) -> np.ndarray:
-        """Per-index values built along the least-factor chains.
-
-        out[1] = one and out[i] = step(spf[i], cof[i], out) for every
-        index i of degree 1..horizon, with step taking and returning whole
-        arrays.  It runs as one pass per degree in ascending order: a
-        cofactor always has lower degree than its multiple, so out[cof] is
-        final when the degree is reached.  Slots outside the index ranges
-        stay zero.
-        """
-        one = np.asarray(one)
-        out = np.zeros(len(self.spf), dtype=one.dtype)
-        out[1] = one
-        for d in range(1, self.horizon + 1):
-            s = slice(self.q**d, 2 * self.q**d)
-            out[s] = step(self.spf[s], self.cof[s], out)
-        return out
-
-    def max_factor_degrees(self) -> np.ndarray:
-        """D(f), the largest irreducible-factor degree (0 for the unit)."""
-        return self.fold(
-            lambda p, g, out: np.maximum(self.degrees(p), out[g]), np.int8(0))
-
-    def squarefree_flags(self) -> np.ndarray:
-        """True where the polynomial is squarefree.  p is the least factor
-        of p*g, so p^2 divides p*g exactly when p is the least factor of g."""
-        spf = self.spf
-        return self.fold(lambda p, g, out: out[g] & (spf[g] != p), np.True_)
-
-    def factor_counts(self) -> np.ndarray:
-        """omega(f), the number of distinct irreducible factors."""
-        spf = self.spf
-        return self.fold(lambda p, g, out: out[g] + (spf[g] != p), np.int8(0))
-
-
-def build_factor_sieve(q: int, horizon: int) -> FactorSieve:
-    """Sieve least factors for all monic polynomials of degree <= horizon.
-
-    Irreducibles are discovered degree by degree: once every irreducible
-    of smaller degree has marked its multiples, the unmarked slots of a
-    degree are exactly its irreducibles.  Marking each irreducible's
-    unmarked multiples in (degree, index) order makes spf the least
-    factor.
-
-    Only products that can have p as least factor are formed.  If p of
-    degree d is the least factor of f = p*g, every factor of g is at
-    least p, so deg g >= d; a cofactor of smaller degree carries a
-    smaller factor that already marked the product.  Hence p marks only
-    cofactors of degree d .. horizon - d, and an irreducible with
-    2d > horizon marks nothing.
-    """
+def multiples_pass(q: int, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(d, products) for d = 1..horizon: each degree-d irreducible times
+    every monic cofactor of degree 0..horizon - d, from block_multiples,
+    so each polynomial turns up once per distinct irreducible factor.
+    The degree-d irreducibles are the slots no lower irreducible's product
+    marked; a reducible degree-n polynomial has a factor of degree <= n/2,
+    so only 2d <= horizon marks.  The arguments, and the bytes of all the
+    products against what numpy can index, are checked on the call,
+    before the caller allocates."""
     _check_prime(q)
     if horizon < 1:
         raise UsageError("sieve horizon must be >= 1")
-    n_entries = 2 * q**horizon
-    dtype = _index_dtype(n_entries)
-    _check_indexable(q, horizon, 2 * n_entries * np.dtype(dtype).itemsize)
-    spf = np.zeros(n_entries, dtype=dtype)
-    cof = np.zeros(n_entries, dtype=dtype)
-    for d in range(1, horizon + 1):
-        base = q**d
-        irr = np.flatnonzero(spf[base:2 * base] == 0) + base
-        spf[irr] = irr
-        cof[irr] = 1
-        if 2 * d > horizon:
-            continue
-        g_all = _monic_indices(q, d, horizon - d, dtype)
-        ps = irr.tolist()
-        for p, prods in zip(ps, monic_multiples(q, ps, d, horizon - d, dtype)):
-            unmarked = spf[prods] == 0
-            tgt = prods[unmarked]
-            spf[tgt] = p
-            cof[tgt] = g_all[unmarked]
-    return FactorSieve(q, horizon, spf, cof)
+    dtype = _index_dtype(2 * q**horizon)
+    n_products = sum(pi_prime(q, d) * (q**(horizon - d + 1) - 1) // (q - 1)
+                     for d in range(1, horizon + 1))
+    _check_indexable(q, horizon, n_products * np.dtype(dtype).itemsize)
+
+    def walk():
+        marked = np.zeros(2 * q**horizon, dtype=bool)
+        for d in range(1, horizon + 1):
+            irr = np.flatnonzero(~marked[q**d:2 * q**d]) + q**d
+            for _, products in block_multiples(q, irr, 0, horizon - d, dtype):
+                if 2 * d <= horizon:
+                    marked[products] = True
+                yield d, products
+    return walk()
+
+
+def block_multiples(q: int, block: np.ndarray, lo: int, hi: int,
+                    dtype: type[np.integer],
+                    ) -> Iterator[tuple[int | None, np.ndarray]]:
+    """Each index of the array block times every monic cofactor of degree
+    lo..hi, in dtype, over the smaller side; no product repeats within an
+    array.  While block is longer than a degree e has cofactors (q^e),
+    one array per cofactor g, g * block[i] at i, paired with None; from
+    there on, one per a of block, a times every cofactor of degree e..hi
+    ascending, paired with a."""
+    split = lo
+    while split <= hi and len(block) > q**split:
+        split += 1
+    if split > lo:
+        cofactors = _monic_indices(q, lo, split - 1, dtype).tolist()
+        for products in index_multiples(q, cofactors, block, dtype):
+            yield None, products
+    if split <= hi:
+        members = block.tolist()
+        yield from zip(members, monic_multiples(q, members, split, hi, dtype))
 
 
 def irreducible_slice(q: int, degree: int) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""Shared factor sieves, built once per session."""
+"""Shared least-factor sieves from the oracles, built once per session."""
 
 import sys
 
 import pytest
 
-from primfield.sieve import build_factor_sieve
+from oracles import build_factor_sieve
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,14 +1,17 @@
 """Per-polynomial oracles: index multiplication and trial division, a
-factorization and the irreducibles of a degree read off the sieve's
-least-factor table, and the set-file codec one line at a time, plus
-trial-division primality; and per-cell oracles for the exact count
-layer.
+least-factor sieve with its folds along the least-factor chains, a
+factorization and the irreducibles of a degree read off its table, and
+the set-file codec one line at a time, plus trial-division primality;
+and per-cell oracles for the exact count layer.
 
-The library forms products and derives factorisation types in bulk, one
-numpy pass per degree, and reads and writes set files in numpy passes
-over blocks of members.  These recompute the same results one index or
-one line at a time, from index arithmetic, the sieve's least-factor
-chain and the single-polynomial text codec.
+The library forms products and derives factor data in bulk, from one
+multiples pass over the irreducibles, and reads and writes set files in
+numpy passes over blocks of members.  These recompute the same results
+another way: the least-factor sieve folds its chains once per degree,
+and the rest goes one index or one line at a time, from index
+arithmetic, the sieve's least-factor chain and the single-polynomial
+text codec.  The thinned-irreducible enumeration is also redone from
+the sieve's folds.
 
 The library's count tables and recurrence check work on packed rows, one
 integer per table row, and its two inequality checks walk each row only
@@ -28,6 +31,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 from mpmath import iv
@@ -38,10 +42,13 @@ from primfield.counting import (PRINTABLE_EXACT_BITS, InequalityReport,
                                 MertensValue, _log_weight_dyadic_lower, _pack,
                                 _term_precision, _unpack, build_count_table)
 from primfield.errors import UsageError
-from primfield.fieldpoly import (_index_digits as index_digits, format_index,
-                                 index_degree, index_divrem, parse_index)
+from primfield.fieldpoly import (_check_prime, _index_digits as index_digits,
+                                 format_index, index_degree, index_divrem,
+                                 parse_index)
 from primfield.irreducibles import pi_cumulative, pi_prime
 from primfield.primitive import PolySet
+from primfield.sieve import (_check_indexable, _index_dtype, _monic_indices,
+                             monic_multiples)
 
 
 def is_prime_trial(n):
@@ -105,6 +112,126 @@ def sieve_irreducibles(sieve, d):
     base = sieve.q**d
     return np.flatnonzero(sieve.spf[base:2 * base]
                           == np.arange(base, 2 * base)) + base
+
+
+class FactorSieve:
+    """Least-factor table for every monic polynomial of degree <= horizon.
+
+    spf[i] holds the index of the least (degree, index) irreducible factor
+    of the polynomial with index i, and cof[i] the index of the cofactor,
+    so factoring is a chain of O(1) lookups, and fold computes a
+    per-index quantity along every chain at once.  Array slots outside
+    the valid index ranges [q^d, 2 q^d) stay zero.
+    """
+
+    def __init__(self, q: int, horizon: int, spf: np.ndarray, cof: np.ndarray):
+        self.q = q
+        self.horizon = horizon
+        self.spf = spf
+        self.cof = cof
+
+    def degrees(self, idx: np.ndarray) -> np.ndarray:
+        """Degrees of an array of indices below q^(horizon + 1)."""
+        powers = self.q**np.arange(1, self.horizon + 1, dtype=np.int64)
+        return np.searchsorted(powers, idx, side="right")
+
+    def fold(self, step: Callable[[np.ndarray, np.ndarray, np.ndarray],
+                                  np.ndarray], one) -> np.ndarray:
+        """Per-index values built along the least-factor chains.
+
+        out[1] = one and out[i] = step(spf[i], cof[i], out) for every
+        index i of degree 1..horizon, with step taking and returning whole
+        arrays.  It runs as one pass per degree in ascending order: a
+        cofactor always has lower degree than its multiple, so out[cof] is
+        final when the degree is reached.  Slots outside the index ranges
+        stay zero.
+        """
+        one = np.asarray(one)
+        out = np.zeros(len(self.spf), dtype=one.dtype)
+        out[1] = one
+        for d in range(1, self.horizon + 1):
+            s = slice(self.q**d, 2 * self.q**d)
+            out[s] = step(self.spf[s], self.cof[s], out)
+        return out
+
+    def max_factor_degrees(self) -> np.ndarray:
+        """D(f), the largest irreducible-factor degree (0 for the unit)."""
+        return self.fold(
+            lambda p, g, out: np.maximum(self.degrees(p), out[g]), np.int8(0))
+
+    def squarefree_flags(self) -> np.ndarray:
+        """True where the polynomial is squarefree.  p is the least factor
+        of p*g, so p^2 divides p*g exactly when p is the least factor of g."""
+        spf = self.spf
+        return self.fold(lambda p, g, out: out[g] & (spf[g] != p), np.True_)
+
+    def factor_counts(self) -> np.ndarray:
+        """omega(f), the number of distinct irreducible factors."""
+        spf = self.spf
+        return self.fold(lambda p, g, out: out[g] + (spf[g] != p), np.int8(0))
+
+
+def build_factor_sieve(q: int, horizon: int) -> FactorSieve:
+    """Sieve least factors for all monic polynomials of degree <= horizon.
+
+    Irreducibles are discovered degree by degree: once every irreducible
+    of smaller degree has marked its multiples, the unmarked slots of a
+    degree are exactly its irreducibles.  Marking each irreducible's
+    unmarked multiples in (degree, index) order makes spf the least
+    factor.
+
+    Only products that can have p as least factor are formed.  If p of
+    degree d is the least factor of f = p*g, every factor of g is at
+    least p, so deg g >= d; a cofactor of smaller degree carries a
+    smaller factor that already marked the product.  Hence p marks only
+    cofactors of degree d .. horizon - d, and an irreducible with
+    2d > horizon marks nothing.
+    """
+    _check_prime(q)
+    if horizon < 1:
+        raise UsageError("sieve horizon must be >= 1")
+    n_entries = 2 * q**horizon
+    dtype = _index_dtype(n_entries)
+    _check_indexable(q, horizon, 2 * n_entries * np.dtype(dtype).itemsize)
+    spf = np.zeros(n_entries, dtype=dtype)
+    cof = np.zeros(n_entries, dtype=dtype)
+    for d in range(1, horizon + 1):
+        base = q**d
+        irr = np.flatnonzero(spf[base:2 * base] == 0) + base
+        spf[irr] = irr
+        cof[irr] = 1
+        if 2 * d > horizon:
+            continue
+        g_all = _monic_indices(q, d, horizon - d, dtype)
+        ps = irr.tolist()
+        for p, prods in zip(ps, monic_multiples(q, ps, d, horizon - d, dtype)):
+            unmarked = spf[prods] == 0
+            tgt = prods[unmarked]
+            spf[tgt] = p
+            cof[tgt] = g_all[unmarked]
+    return FactorSieve(q, horizon, spf, cof)
+
+
+def enumerate_members_folds(q: int, tseq, k_max: int, enum_horizon: int,
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """The members of degree <= enum_horizon, ascending, from the folds
+    of one factor sieve, and their counts per (k, degree) in slot
+    (k - 1) * (enum_horizon + 1) + degree, as mp_construct's enumeration
+    returns them.  f joins S_k when it is squarefree, the least t-rank
+    among its factors is k and omega(f) = k."""
+    sieve = build_factor_sieve(q, enum_horizon)
+    no_rank = np.iinfo(np.int32).max
+    rank = np.full(len(sieve.spf), no_rank, dtype=np.int32)
+    for k, t in enumerate(tseq.terms, start=1):
+        if t < len(rank):
+            rank[t] = k
+    least = sieve.fold(lambda p, g, out: np.minimum(rank[p], out[g]),
+                       np.int32(no_rank))
+    member = (sieve.squarefree_flags() & (least == sieve.factor_counts())
+              & (least <= k_max))
+    indices = np.nonzero(member)[0]
+    slots = (least[indices] - 1) * (enum_horizon + 1) + sieve.degrees(indices)
+    return indices, np.bincount(slots, minlength=k_max * (enum_horizon + 1))
 
 
 def divides(q, a, b):

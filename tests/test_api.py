@@ -21,14 +21,16 @@ SRC = Path(primfield.__file__).resolve().parent
 # sieve budget, and is_primitive picks its path by cost, not a pair cap;
 # library code no command reached, the exact Mertens product's second
 # path, and the size caps the run's deadline and ceiling made redundant;
-# the product kernels form their own digit rows
+# the product kernels form their own digit rows; one multiples pass
+# replaces the least-factor sieve and its folds
 DELETED = ("ConstructionError", "DEFAULT_ENUM_BUDGET", "DEFAULT_SIEVE_ENTRIES",
-           "Factorization", "MAX_BRACKET_RANKS", "MAX_PAIRS", "MonicPoly",
-           "TailSums", "divides", "enumerate_monic", "euler_gamma_bracket",
-           "factorize", "format_poly", "is_irreducible", "iv_span",
-           "iv_to_float", "mertens_exact", "mertens_exact_parts",
-           "monic_count", "monic_digits", "parse_poly", "poly_divrem",
-           "poly_mul", "sathe_selberg_H", "tail_sums")
+           "FactorSieve", "Factorization", "MAX_BRACKET_RANKS", "MAX_PAIRS",
+           "MonicPoly", "TailSums", "build_factor_sieve", "divides",
+           "enumerate_monic", "euler_gamma_bracket", "factorize",
+           "format_poly", "is_irreducible", "iv_span", "iv_to_float",
+           "mertens_exact", "mertens_exact_parts", "monic_count",
+           "monic_digits", "parse_poly", "poly_divrem", "poly_mul",
+           "sathe_selberg_H", "tail_sums")
 
 # named only by the tests, which call them as the acceptance criteria do
 KEEP = frozenset({"mertens_product", "assert_primitive"})
@@ -50,9 +52,8 @@ def test_all_names_resolve_and_deleted_names_are_gone():
 def test_irreducibles_have_one_source_and_the_kernels_no_digit_rows():
     """A degree's irreducibles come from irreducible_slice alone, and the
     product kernels take no sieve and no digit rows from their callers."""
-    assert not hasattr(sieve.FactorSieve, "irreducible_indices")
     for fn in (irreducibles.kth_irreducible, sieve.monic_multiples,
-               sieve.index_multiples):
+               sieve.index_multiples, sieve.block_multiples):
         params = inspect.signature(fn).parameters
         assert not {"sieve", "g_digits"} & set(params), fn.__name__
     assert list(inspect.signature(irreducibles.kth_irreducible).parameters) \

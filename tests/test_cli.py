@@ -427,6 +427,23 @@ def test_a_sieve_past_numpy_indexing_is_a_budget_error(capsys):
     assert err.endswith(" bytes, more than numpy can index\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "erdos-density", "--in", "one61.txt"],
+    ["construct", "mp", "--q", "2", "--L", "log:eps=0.1", "--horizon", "61",
+     "--enum-horizon", "61"]])
+def test_a_pass_past_numpy_indexing_fails_before_it_allocates(
+        argv, capsys, tmp_path, monkeypatch):
+    # the fold arrays alone would take 2^62 bytes: had either been
+    # allocated first, the run would report an out-of-memory error instead
+    monkeypatch.chdir(tmp_path)
+    write_poly_file(tmp_path / "one61.txt", 2, 61, [2**61 + 1])
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("primfield: budget exceeded: sieve for q=2, "
+                          "horizon=61 needs ")
+    assert err.endswith(" bytes, more than numpy can index\n")
+
+
 def test_an_unarmed_memory_error_is_one_line(capsys, monkeypatch):
     def exhaust(args):
         raise MemoryError("Unable to allocate 16.0 GiB")
@@ -930,14 +947,14 @@ def test_each_command_builds_a_sieve_at_most_once(capsys, tmp_path,
     from primfield import constructions, sieve
     from primfield import primitive as primitive_mod
     built = []
-    real = sieve.build_factor_sieve
+    real = sieve.multiples_pass
 
     def counted(q, horizon):
         built.append((q, horizon))
         return real(q, horizon)
 
     for mod in (sieve, primitive_mod, constructions):
-        monkeypatch.setattr(mod, "build_factor_sieve", counted)
+        monkeypatch.setattr(mod, "multiples_pass", counted)
     mp_path = tmp_path / "mp.txt"
     good = write_poly_file(tmp_path / "good.txt", 2, 3, [2, 3, 7])
     bad = write_poly_file(tmp_path / "bad.txt", 2, 2, [2, 6])

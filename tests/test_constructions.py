@@ -17,10 +17,10 @@ from primfield.errors import BudgetError, UsageError
 from primfield.fieldpoly import index_degree
 from primfield.irreducibles import pi_cumulative, pi_prime
 from primfield.primitive import assert_primitive, erdos_sum
-from primfield.sieve import build_factor_sieve
 from primfield.counting import monic_cumulative
 
-from oracles import (Factorization, divisor_degree_masks, is_irreducible,
+from oracles import (Factorization, build_factor_sieve, divisor_degree_masks,
+                     enumerate_members_folds, is_irreducible,
                      mp_counts_rebuilt)
 
 
@@ -368,6 +368,21 @@ def test_mp_q3_small(mp_q3):
 
 def test_mp_q3_membership_both_directions(mp_q3):
     assert_mp_membership_rule(mp_q3)
+
+
+@pytest.mark.parametrize("q,horizon,enum_horizon",
+                         [(2, 40, 12), (2, 40, 18), (3, 20, 8), (3, 20, 11),
+                          (5, 14, 7), (7, 10, 5)])
+def test_mp_enumeration_matches_the_sieve_folds(q, horizon, enum_horizon):
+    """The members and their (k, degree) counts from one multiples pass
+    against the least-factor sieve's folds."""
+    tseq = build_t_sequence(q, GrowthFunction.parse("log:eps=0.1"))
+    res = mp_construct(q, tseq, horizon, enum_horizon)
+    got = constructions._enumerate_members(q, tseq, res.k_max, enum_horizon)
+    want = enumerate_members_folds(q, tseq, res.k_max, enum_horizon)
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1].tolist() == want[1].tolist()
+    assert res.cross_checked and len(got[0]) == len(res.members)
 
 
 @pytest.mark.parametrize("q,horizon", [(2, 11), (2, 20), (3, 8), (3, 11)])

@@ -11,12 +11,13 @@ from primfield.errors import BudgetError, UsageError
 from primfield.fieldpoly import (format_index, index_degree, index_divrem,
                                  is_prime, parse_index)
 from primfield.irreducibles import pi_prime
-from primfield.sieve import (build_factor_sieve, index_multiples,
-                             irreducible_slice, monic_multiples)
+from primfield.sieve import (block_multiples, index_multiples,
+                             irreducible_slice, monic_multiples,
+                             multiples_pass)
 
-from oracles import (Factorization, divides, divisor_degree_masks,
-                     index_mul, is_irreducible, is_prime_trial,
-                     sieve_irreducibles)
+from oracles import (Factorization, build_factor_sieve, divides,
+                     divisor_degree_masks, index_mul, is_irreducible,
+                     is_prime_trial, sieve_irreducibles)
 
 QS = (2, 3, 5)
 
@@ -317,8 +318,16 @@ def test_irreducible_slice_rejects_degree_below_one(q, degree):
 
 @pytest.mark.parametrize("q,horizon", [(2, 58), (2, 200), (3, 37)])
 def test_a_sieve_numpy_cannot_index_is_a_budget_error(q, horizon):
-    # 2 arrays of 2 q^horizon int64 entries: past 2^63 - 1 bytes from
-    # q=2, horizon=58 up, so divisor_degree_masks never sees horizon 64
+    # the pass needs one int64 product per pair of an irreducible and a
+    # monic cofactor, past 2^63 - 1 bytes here, and is refused on the
+    # call; so are the oracle sieve's two tables of 2 q^horizon int64
+    # entries, so divisor_degree_masks never sees horizon 64
+    pairs = sum(pi_prime(q, d) * sum(q**e for e in range(horizon - d + 1))
+                for d in range(1, horizon + 1))
+    with pytest.raises(BudgetError) as err:
+        multiples_pass(q, horizon)
+    assert str(err.value) == (f"sieve for q={q}, horizon={horizon} needs "
+                              f"{8 * pairs} bytes, more than numpy can index")
     with pytest.raises(BudgetError, match="more than numpy can index"):
         build_factor_sieve(q, horizon)
 
@@ -330,6 +339,81 @@ def test_a_slice_numpy_cannot_index_is_a_budget_error(q, degree, need):
     # int64 products over F_2, and 39 uint8 digit rows of 3^38 cofactors
     with pytest.raises(BudgetError, match=f" needs {need} bytes, more than"):
         irreducible_slice(q, degree)
+
+
+def pass_folds(q, horizon):
+    """D, omega and the squarefree flags of every index from one
+    multiples pass, as the density check and the mp enumeration fold
+    them."""
+    top = np.zeros(2 * q**horizon, dtype=np.int8)
+    omega = np.zeros_like(top)
+    degree_sum = np.zeros_like(top)
+    for d, products in multiples_pass(q, horizon):
+        top[products] = d
+        omega[products] += 1
+        degree_sum[products] += d
+    degrees = np.zeros_like(top)
+    for n in range(1, horizon + 1):
+        degrees[q**n:2 * q**n] = n
+    return top, omega, degree_sum == degrees
+
+
+@pytest.mark.parametrize("q,horizon", [(2, 1), (2, 12), (2, 15), (3, 2),
+                                       (3, 9), (5, 3), (5, 6), (7, 4)])
+def test_the_pass_matches_the_oracle_folds(q, horizon):
+    """D, omega and squarefreeness at every slot, the unit and the gaps
+    between the degree ranges included."""
+    sieve = build_factor_sieve(q, horizon)
+    top, omega, sqf = pass_folds(q, horizon)
+    assert top.tolist() == sieve.max_factor_degrees().tolist()
+    assert omega.tolist() == sieve.factor_counts().tolist()
+    flags = sieve.squarefree_flags()
+    for n in range(1, horizon + 1):
+        s = slice(q**n, 2 * q**n)
+        assert sqf[s].tolist() == flags[s].tolist(), n
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_the_pass_yields_each_irreducible_times_every_cofactor(q):
+    horizon = {2: 8, 3: 5, 5: 3}[q]
+    got = {}
+    for d, products in multiples_pass(q, horizon):
+        assert len(set(products.tolist())) == len(products), d
+        got.setdefault(d, []).extend(products.tolist())
+    for d in range(1, horizon + 1):
+        want = [index_mul(q, p, g) for p in irreducible_slice(q, d).tolist()
+                for e in range(horizon - d + 1)
+                for g in range(q**e, 2 * q**e)]
+        assert sorted(got[d]) == sorted(want), d
+    assert list(got) == list(range(1, horizon + 1))
+
+
+@pytest.mark.parametrize("q,n,lo,hi", [(2, 1, 0, 3), (2, 5, 0, 4),
+                                       (2, 5, 1, 1), (3, 4, 0, 2),
+                                       (3, 40, 1, 3), (5, 7, 2, 2)])
+def test_block_multiples_take_the_smaller_side(q, n, lo, hi):
+    """Per cofactor degree e, one array per cofactor while len(block) >
+    q^e, then one array per member over the remaining degrees."""
+    rng = random.Random(n)
+    block = np.array(sorted(rng.sample(range(q**4, 2 * q**4), n)))
+    pairs = []
+    for a, products in block_multiples(q, block, lo, hi, np.int64):
+        assert products.dtype == np.int64
+        if a is None:
+            assert len(products) == n
+            g = index_divrem(q, int(products[0]), int(block[0]))[0]
+            pairs += [(int(b), g) for b in block.tolist()]
+            assert products.tolist() == [index_mul(q, b, g)
+                                         for b in block.tolist()]
+            assert n > q**index_degree(q, g)
+        else:
+            gs = [g for e in range(lo, hi + 1) for g in range(q**e, 2 * q**e)
+                  if n <= q**e]
+            pairs += [(a, g) for g in gs]
+            assert products.tolist() == [index_mul(q, a, g) for g in gs]
+    assert sorted(pairs) == sorted(
+        (b, g) for b in block.tolist() for e in range(lo, hi + 1)
+        for g in range(q**e, 2 * q**e))
 
 
 @pytest.mark.parametrize("q,horizon", [(2, 12), (3, 7), (5, 5)])
