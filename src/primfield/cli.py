@@ -337,6 +337,11 @@ def cmd_construct_mp(args) -> None:
                                 mp_construct, mp_diagnostics)
     from .fieldpoly import format_index
     from .primitive import write_set
+    # the sandwich diagnostics scale degree n by the float q^n; q >= 2 puts
+    # any horizon past 1024 beyond float64 without forming q^horizon
+    if args.q ** max(0, min(args.horizon, 1025)) > sys.float_info.max:
+        raise UsageError("q^horizon above 1.8e308, the float64 limit of the"
+                         " sandwich diagnostics")
     growth = GrowthFunction.parse(args.L)
     tseq = build_t_sequence(args.q, growth, materialize=args.materialize,
                             precision_bits=args.precision_bits)

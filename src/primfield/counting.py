@@ -353,8 +353,10 @@ def mertens_rows(q: int, max_n: int,
             s += term
             exponent_sum += n * m
             exact = None
-            # A in P(n) = A / q^E has about E log2 q bits
-            if int(exponent_sum * math.log2(q)) + 1 <= PRINTABLE_EXACT_BITS:
+            # A in P(n) = A / q^E has about E log2 q bits; log2 q >= 1, so
+            # E is tested first and no product past float64 is formed
+            if (exponent_sum <= PRINTABLE_EXACT_BITS and int(
+                    exponent_sum * math.log2(q)) + 1 <= PRINTABLE_EXACT_BITS):
                 num, e = next(parts)
                 exact = Fraction(_LowestTerms(num, q**e))
             norm = iv.exp(iv.euler + iv.log(iv.mpf(n)) + s)

@@ -15,9 +15,11 @@ none of them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, islice
 
 from .brackets import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS,
                        BracketedValue, precision)
@@ -150,12 +152,8 @@ def erdos_sum_irreducibles(q: int, eps=Fraction(1, 100)) -> BracketedValue:
     return BracketedValue(partial, partial + Fraction(1, cut))
 
 
-# Ranks checked per numpy pass, so a pass holds a few 512 KiB arrays however
-# wide the k range is; the most violating ranks a report lists; and how near
-# 0 a float64 margin must be for its sign to be settled in intervals.
-BRACKET_BLOCK = 65536
+# The most violating ranks a report lists.
 MAX_LISTED_VIOLATIONS = 1000
-MARGIN_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -196,10 +194,11 @@ def check_degree_brackets(q: int, k_lo: int, k_hi: int,
                           slack: float) -> DegreeBracketReport:
     """Check L(k) - 1 - slack <= deg P_k <= L(k) + slack for k in [k_lo, k_hi].
 
-    deg P_k, the least n with pi_cumulative(q, n) >= k, is found by exact
-    integer comparison.  Margins are float64 diagnostics (display only);
-    their signs decide a rank unless one lies within MARGIN_TOLERANCE of
-    0, where _window_violated settles the verdict.
+    On each degree block (pi_cumulative(q, d - 1), pi_cumulative(q, d)]
+    deg P_k is d and L(k) increases, so the ranks that break the upper side
+    are a prefix and those that break the lower side a suffix: two
+    bisections of certified verdicts count both.  Margins are float64
+    diagnostics (display only), taken where each side is least.
     """
     import numpy as np
     _check_prime(q)
@@ -209,62 +208,64 @@ def check_degree_brackets(q: int, k_lo: int, k_hi: int,
         raise UsageError(f"k_lo must be >= q (got {k_lo}) so log log is defined")
     if k_hi < k_lo:
         raise UsageError("empty k range")
+    if k_hi > sys.float_info.max:
+        raise UsageError("k_hi above 1.8e308, the float64 limit of the margins")
+    runs, ends = [], []
+    d_lo, d_hi = kth_irreducible_degree(q, k_lo), kth_irreducible_degree(q, k_hi)
+    for d in range(d_lo, d_hi + 1):
+        a = max(k_lo, pi_cumulative(q, d - 1) + 1)
+        b = min(k_hi, pi_cumulative(q, d))
+        verdict = lru_cache(None)(lambda k: _window_violated(q, k, d, slack))
+        # ranks a .. upper - 1 break the upper side, lower .. b the lower;
+        # a block with neither costs the verdicts at a and b
+        upper = _least(a, b, lambda k: not verdict(k)[1])
+        lower = _least(a, b, lambda k: verdict(k)[0])
+        runs += [range(a, upper), range(max(lower, upper), b + 1)]
+        ends += [a, b]
     logq = math.log(q)
-    violations: list[int] = []
-    violation_count = 0
-    worst_low = worst_high = math.inf
-    for start in range(k_lo, k_hi + 1, BRACKET_BLOCK):
-        stop = min(start + BRACKET_BLOCK, k_hi + 1)
-        n = kth_irreducible_degree(q, start)
-        # ranks from start to pi_cumulative(q, n) have degree n, the next
-        # pi'(n + 1) ranks degree n + 1, and so on
-        degs = np.empty(stop - start)
-        at, d = 0, n
-        while at < len(degs):
-            end = min(pi_cumulative(q, d) + 1 - start, len(degs))
-            degs[at:end] = d
-            at, d = end, d + 1
-        if stop <= 2**63:
-            ks = np.arange(start, stop, dtype=np.int64).astype(np.float64)
-        else:
-            ks = np.array(range(start, stop), dtype=object).astype(np.float64)
-        lk = np.log(ks) / logq
-        L = lk + np.log(lk) / logq + math.log(q - 1) / logq
-        low_margin = degs - (L - 1.0 - slack)
-        high_margin = (L + slack) - degs
-        worst_low = min(worst_low, float(low_margin.min()))
-        worst_high = min(worst_high, float(high_margin.min()))
-        bad = (low_margin < 0) | (high_margin < 0)
-        near = ((np.abs(low_margin) < MARGIN_TOLERANCE)
-                | (np.abs(high_margin) < MARGIN_TOLERANCE))
-        for i in np.flatnonzero(near).tolist():
-            bad[i] = _window_violated(q, start + i, int(degs[i]), slack)
-        hits = np.flatnonzero(bad)
-        violation_count += len(hits)
-        violations += (start + i for i in
-                       hits[:MAX_LISTED_VIOLATIONS - len(violations)].tolist())
+    lk = np.log(np.array(ends, dtype=np.float64)) / logq
+    L = lk + np.log(lk) / logq + math.log(q - 1) / logq
+    degs = np.arange(d_lo, d_hi + 1, dtype=np.float64)
+    # the upper margin is least at a block's first rank, the lower at its last
+    high_margin = (L[0::2] + slack) - degs
+    low_margin = degs - (L[1::2] - 1.0 - slack)
     return DegreeBracketReport(
         q=q, k_lo=k_lo, k_hi=k_hi, slack=slack, checked=k_hi - k_lo + 1,
-        violations=tuple(violations), violation_count=violation_count,
-        worst_low_margin=worst_low,
-        worst_high_margin=worst_high,
+        violations=tuple(islice(chain(*runs), MAX_LISTED_VIOLATIONS)),
+        violation_count=sum(run.stop - run.start for run in runs),
+        worst_low_margin=float(low_margin.min()),
+        worst_high_margin=float(high_margin.min()),
     )
 
 
-def _window_violated(q: int, k: int, degree: int, slack: float) -> bool:
-    """Certified verdict on L(k) - 1 - slack <= degree <= L(k) + slack.
+def _least(lo: int, hi: int, holds) -> int:
+    """Least k in [lo, hi] where the monotone holds(k) is true, else hi + 1."""
+    if holds(lo):
+        return lo
+    if not holds(hi):
+        return hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
+
+
+def _window_violated(q: int, k: int, degree: int,
+                     slack: float) -> tuple[bool, bool]:
+    """Certified verdicts (lower side broken, upper side broken) on
+    L(k) - 1 - slack <= degree <= L(k) + slack.
 
     L(k) is rational only at q = 2 and k = 2^j with j a power of 2, where
     it is j + log2 j, and the check is exact.  Anywhere else L(k) is
     transcendental, so neither margin is 0, and a bracket of L(k) at a
-    precision doubled until it decides both sides settles the verdict.
+    precision doubled until it decides both sides settles the verdicts.
     """
     from mpmath import iv
     s = Fraction(slack)
     j = k.bit_length() - 1
     if q == 2 and k == 1 << j and j & (j - 1) == 0:
         L = j + j.bit_length() - 1
-        return not (L - 1 - s <= degree <= L + s)
+        return degree < L - 1 - s, degree > L + s
     bits = DEFAULT_PRECISION_BITS
     while bits <= MAX_PRECISION_BITS:
         with precision(bits):
@@ -272,10 +273,9 @@ def _window_violated(q: int, k: int, degree: int, slack: float) -> bool:
             lk = iv.log(iv.mpf(k)) / logq
             L = BracketedValue.from_iv(
                 lk + iv.log(lk) / logq + iv.log(iv.mpf(q - 1)) / logq)
-        if degree < L.lo - 1 - s or degree > L.hi + s:
-            return True
-        if L.hi - 1 - s <= degree <= L.lo + s:
-            return False
+        low, high = degree < L.lo - 1 - s, degree > L.hi + s
+        if (low or degree >= L.hi - 1 - s) and (high or degree <= L.lo + s):
+            return low, high
         bits *= 2
     raise PrecisionError(f"degree window of rank {k} undecided at"
                          f" {MAX_PRECISION_BITS} bits")

@@ -84,8 +84,16 @@ def test_usage_errors_exit_one(capsys):
      "slack must be finite (got nan)"),
     (["irr", "brackets", "--k-lo", "10", "--k-hi", "100", "--slack", "inf"],
      "slack must be finite (got inf)"),
+    # both refused before any work: no rank past 1.8e308 has a float64
+    # margin, and no q^horizon past it a float64 diagnostic
+    (["irr", "brackets", "--k-lo", str(10**400), "--k-hi", str(10**400)],
+     "k_hi above 1.8e308, the float64 limit of the margins"),
+    (["construct", "mp", "--q", "101", "--L", "log:eps=0.1", "--horizon",
+      "154", "--enum-horizon", "2", "--materialize", "200"],
+     "q^horizon above 1.8e308, the float64 limit of the sandwich"
+     " diagnostics"),
 ], ids=["exclude-negative", "exclude-cancelled", "exclude-second-part",
-        "slack-nan", "slack-inf"])
+        "slack-nan", "slack-inf", "rank-past-float64", "mp-past-float64"])
 def test_an_out_of_domain_value_is_a_usage_error(capsys, argv, message):
     assert run(argv, capsys) == (1, "", f"primfield: error: {message}\n")
 
@@ -797,6 +805,19 @@ def test_eval_mertens_past_printable_exact(capsys):
             assert Fraction(v["exact"]) == mertens_exact(2, v["n"])
         else:
             assert "exact" not in v
+
+
+@pytest.mark.parametrize("q,max_n", [(2, 1030), (3, 700)])
+def test_eval_mertens_past_degree_1023(capsys, q, max_n):
+    """The exponent sum E of P(n) = A / q^E passes 2^1024 here, beyond a
+    float64 estimate of the exact part's width; rows stay bracket-only."""
+    code, out, err = run(["eval", "mertens", "--q", str(q), "--max-n",
+                          str(max_n)], capsys)
+    assert code == 0 and err == ""
+    rows = out.splitlines()
+    assert len(rows) == max_n + 1
+    n, lo, hi = rows[-1].split(",")
+    assert int(n) == max_n and 0.999 < Fraction(lo) <= Fraction(hi) < 1
 
 
 def test_eval_mertens_and_g_in_large_fields(capsys):

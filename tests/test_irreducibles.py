@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from primfield import irreducibles
 from primfield.errors import UsageError
 from primfield.fieldpoly import format_index, index_degree
-from primfield.irreducibles import (BRACKET_BLOCK, MAX_LISTED_VIOLATIONS,
+from primfield.irreducibles import (MAX_LISTED_VIOLATIONS,
                                     check_degree_brackets, kth_irreducible,
                                     kth_irreducible_degree, moebius,
                                     pi_cumulative, pi_prime, pi_prime_table)
@@ -151,19 +151,87 @@ def test_degree_brackets_match_direct_formula():
         assert growth - 1 - 0.5 - 1e-9 <= deg <= growth + 0.5 + 1e-9
 
 
+def _matches_whole(report, q, k_lo, k_hi, slack):
+    return (report.violations, report.violation_count,
+            report.worst_low_margin, report.worst_high_margin) \
+        == degree_brackets_whole(q, k_lo, k_hi, slack)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("slack", [-0.6, -0.3, 0.0, 0.17, 0.5])
+def test_degree_blocks_match_the_per_rank_check(q, slack):
+    """Bisected runs and block-end margins equal the per-rank screen, float
+    margins included; below slack -1/2 a rank can break both sides."""
+    for k_lo, k_hi in ((q, 20000), (1000, 300000)):
+        report = check_degree_brackets(q, k_lo, k_hi, slack)
+        assert report.checked == k_hi - k_lo + 1
+        assert _matches_whole(report, q, k_lo, k_hi, slack), (k_lo, k_hi)
+
+
+@pytest.mark.parametrize("q,d", [(2, 12), (3, 8), (5, 5), (7, 4)])
+def test_ranges_that_start_and_end_at_degree_block_edges(q, d):
+    """k_lo and k_hi one before, at and one past the last rank of a degree
+    block, so end blocks of one rank and of the whole degree both occur."""
+    lo_edge, hi_edge = pi_cumulative(q, d), pi_cumulative(q, d + 2)
+    for slack in (-0.3, 0.0, 0.17):
+        for k_lo in (lo_edge - 1, lo_edge, lo_edge + 1):
+            for k_hi in (hi_edge - 1, hi_edge, hi_edge + 1):
+                report = check_degree_brackets(q, k_lo, k_hi, slack)
+                assert _matches_whole(report, q, k_lo, k_hi, slack), \
+                    (slack, k_lo, k_hi)
+        for k in (lo_edge, lo_edge + 1):
+            report = check_degree_brackets(q, k, k, slack)
+            assert _matches_whole(report, q, k, k, slack), (slack, k)
+
+
 @pytest.mark.parametrize("q,k_lo,k_hi,slack", [
-    (2, 2, 140000, 0.17),    # 863 violations, on both sides of the block edge
-    (3, 3, 100000, 0.1),     # the 1000-violation list fills across the edge
+    (2, 2, 140000, 0.17),    # 863 violations, in degrees 7 to 21
+    (3, 3, 100000, 0.1),     # the 1000-violation list fills across degrees
 ])
 def test_degree_brackets_carry_across_blocks(q, k_lo, k_hi, slack):
     report = check_degree_brackets(q, k_lo, k_hi, slack)
-    edge = k_lo + BRACKET_BLOCK
-    assert any(k < edge for k in report.violations)
-    assert any(k >= edge for k in report.violations)
+    degrees = {kth_irreducible_degree(q, k) for k in report.violations}
+    assert len(degrees) > 5
     assert report.checked == k_hi - k_lo + 1
-    assert (report.violations, report.violation_count,
-            report.worst_low_margin, report.worst_high_margin) \
-        == degree_brackets_whole(q, k_lo, k_hi, slack)
+    assert _matches_whole(report, q, k_lo, k_hi, slack)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_slack_half_holds_to_a_googol_at_two_verdicts_a_block(q, monkeypatch):
+    """No rank from q to 10^100 breaks the slack-1/2 window, and a degree
+    block with no violation is settled by the verdicts at its two ends."""
+    calls = []
+    real = irreducibles._window_violated
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(irreducibles, "_window_violated", counted)
+    report = check_degree_brackets(q, q, 10**100, 0.5)
+    assert report.ok and report.checked == 10**100 - q + 1
+    assert 0 < report.worst_high_margin < 0.5 < report.worst_low_margin
+    ends = {k for d in range(1, kth_irreducible_degree(q, 10**100) + 1)
+            for k in (max(q, pi_cumulative(q, d - 1) + 1),
+                      min(10**100, pi_cumulative(q, d)))}
+    assert sorted(calls) == sorted(ends)
+
+
+def test_runs_longer_than_an_index_are_counted():
+    """At slack 0 the violating runs up to 10^30 hold more than 2^63 ranks;
+    they are counted by their ends and listed from the first."""
+    report = check_degree_brackets(2, 1000, 10**30, 0.0)
+    assert report.violation_count > 2**63
+    first = degree_brackets_whole(2, 1000, 10**5, 0.0)
+    assert first[1] > MAX_LISTED_VIOLATIONS
+    assert report.violations == first[0]
+
+
+def test_ranks_past_float64_are_refused():
+    with pytest.raises(UsageError, match="float64 limit"):
+        check_degree_brackets(2, 10**400, 10**400, 0.5)
+    with pytest.raises(UsageError, match="float64 limit"):
+        check_degree_brackets(3, 3, 2**1024, 0.5)
 
 
 def test_violation_count_counts_past_the_listed_ranks():
@@ -235,28 +303,19 @@ def test_exact_ties_at_q2(k, degree):
 
 
 @pytest.mark.parametrize("q,k", [(2, 17), (2, 1000), (3, 243), (5, 4000)])
-def test_doctored_near_ties_match_high_precision(q, k, monkeypatch):
+def test_doctored_near_ties_match_high_precision(q, k):
     """A slack chosen to put one float margin within rounding of 0: the
     verdict is the one a 50-digit evaluation gives, on either side."""
     n = kth_irreducible_degree(q, k)
     logq = math.log(q)
     lk = np.log(np.float64(k)) / logq
     L = float(lk + np.log(lk) / logq + math.log(q - 1) / logq)
-    settled = []
-    real = irreducibles._window_violated
-
-    def counted(*args):
-        settled.append(args[1])
-        return real(*args)
-
-    monkeypatch.setattr(irreducibles, "_window_violated", counted)
     for base in (n - L, L - 1 - n):    # zero high margin, zero low margin
         for slack in (np.nextafter(base, -1.0), base,
                       np.nextafter(base, 1.0)):
             slack = float(slack)
             report = check_degree_brackets(q, k, k, slack)
             assert report.ok == _window_holds(q, k, slack), slack
-    assert settled == [k] * 6
 
 
 def test_degree_brackets_guards():
