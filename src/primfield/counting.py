@@ -88,6 +88,14 @@ def build_count_table(q: int, N: int,
     factor count j with multiplicity C(m, j).  Each row is one integer
     with a fixed-width slot per k (Kronecker substitution), so one
     multiply-shift-add updates every k of a row at once.
+
+    The factors are applied from d = N down to d = 1.  The product is the
+    same in any order, but this one keeps the rows short where they are
+    read most: while degree d is applied, row r holds only products of
+    irreducibles of degree > d, so at most r/(d+1) + 1 of its slots are
+    nonzero, and a large d, whose j-loop runs up to N/d times per row,
+    reads only such short rows.  The small degrees, whose rows are full,
+    run j only up to m, a few terms.
     """
     _check_prime(q)
     if N < 0:
@@ -107,7 +115,7 @@ def build_count_table(q: int, N: int,
     width = 8 * nbytes
     packed = [0] * (N + 1)
     packed[0] = 1
-    for d in range(1, N + 1):
+    for d in range(N, 0, -1):
         m = pi_prime(q, d) - excl_map.get(d, 0)
         if m == 0:
             continue
@@ -118,7 +126,11 @@ def build_count_table(q: int, N: int,
             for j in range(1, min(n // d, jmax) + 1):
                 acc += binom[j] * packed[n - j * d] << width * j
             packed[n] = acc
-    rows = [_unpack(packed[n], n + 1, nbytes) for n in range(N + 1)]
+    # only the slots up to a row's highest nonzero one are unpacked
+    rows = []
+    for n, row in enumerate(packed):
+        used = -(-row.bit_length() // width)
+        rows.append(_unpack(row, used, nbytes) + (0,) * (n + 1 - used))
     table = CountTable(q, N, tuple(rows), excl)
     if not excl:
         for n in range(2, N + 1):

@@ -92,12 +92,22 @@ def pi_prime_table(q: int, n: int) -> list[int]:
     return totals[1:]
 
 
-@lru_cache(maxsize=None)
+# _CUMULATIVE[q][n] = pi_cumulative(q, n), extended one degree at a time
+_CUMULATIVE: dict[int, list[int]] = {}
+
+
 def pi_cumulative(q: int, n: int) -> int:
-    """Number of monic irreducibles of degree <= n over F_q."""
+    """Number of monic irreducibles of degree <= n over F_q, read from a
+    running list per q, so walking n = 1, 2, ... costs one pi_prime each."""
     if n < 0:
         raise UsageError("degree must be >= 0")
-    return sum(pi_prime(q, d) for d in range(1, n + 1))
+    cum = _CUMULATIVE.get(q)
+    if cum is None:
+        _check_prime(q)
+        cum = _CUMULATIVE[q] = [0]
+    while len(cum) <= n:
+        cum.append(cum[-1] + pi_prime(q, len(cum)))
+    return cum[n]
 
 
 def kth_irreducible_degree(q: int, k: int) -> int:

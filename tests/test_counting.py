@@ -81,11 +81,18 @@ def test_table_with_exclusions_matches_enumeration(q, N, excl, sieve2, sieve3):
             assert table.count(n, k) == want[n][k], (n, k, excl)
 
 
-@pytest.mark.parametrize("q,N", [(2, 120), (3, 60), (5, 30), (7, 20)])
+@pytest.mark.parametrize("q,N", [(2, 120), (3, 60), (5, 30), (7, 20),
+                                 (3, 150)])
 def test_packed_table_matches_list_oracle(q, N):
-    for excl in (None, {1: 1, 2: 1, 5: 2}, {1: q, 3: 1}):
+    # the oracle applies the degrees in ascending order, the table in
+    # descending order; whole degrees struck (first, middle and last)
+    # are skipped by both
+    for excl in (None, {1: 1, 2: 1, 5: 2}, {1: q, 3: 1},
+                 {3: pi_prime(q, 3)}, {N: pi_prime(q, N)}):
         table = build_count_table(q, N, excluded_degrees=excl)
         assert table.rows == count_table_lists(q, N, excl), excl
+        # each row is n + 1 entries, zeros after its support included
+        assert [len(row) for row in table.rows] == list(range(1, N + 2))
 
 
 def test_table_row_identities():
@@ -97,6 +104,10 @@ def test_table_row_identities():
         assert table.count(n, 1) == pi_prime(2, n)
     assert table.count(0, 0) == 1 and table.count(5, 0) == 0
     assert table.count(7, 9) == 0  # k > n reads as zero
+    # rows 0 and 1 keep their n + 1 slots, even when a row is all zeros
+    assert build_count_table(2, 0).rows == ((1,),)
+    assert build_count_table(2, 3, excluded_degrees={1: 2}).rows == \
+        ((1,), (0, 0), (0, 1, 0), (0, 2, 0, 0))
     with pytest.raises(UsageError):
         table.count(41, 1)
 

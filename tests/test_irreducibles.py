@@ -99,9 +99,10 @@ def test_pi_cumulative_consistency():
 
 def test_pi_cumulative_on_a_cold_cache():
     # far past the interpreter's recursion limit
-    pi_cumulative.cache_clear()
-    assert pi_cumulative(2, 3000) == sum(pi_prime(2, d)
-                                         for d in range(1, 3001))
+    irreducibles._CUMULATIVE.clear()
+    assert pi_cumulative(2, 5000) == sum(pi_prime(2, d)
+                                         for d in range(1, 5001))
+    assert kth_irreducible_degree(2, 10**300) == 1006
 
 
 # ----------------------------------------------------------------------
