@@ -6,7 +6,9 @@ alone turns them into exit codes: 0 success or inequality verified, 2 a
 VerificationError (a failed verdict, whose report is already written and
 whose one-line complaint goes to stderr), 1 usage, budget, or precision
 errors.  Certified quantities are printed as exact strings or {lo, hi}
-decimal brackets; bare floats appear only in fields labelled *_float.
+decimal brackets.  Bare floats are display diagnostics: the *_float fields,
+min_log_margin (verify hr, recurrence), worst_low_margin, worst_high_margin
+and slack (irr brackets), and scaled, band_lo, band_hi, z_worst (construct mp).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import signal
 import sys
 import threading
 from fractions import Fraction
-from itertools import accumulate
 
 from . import __version__
 from .brackets import DEFAULT_PRECISION_BITS
@@ -133,11 +134,12 @@ def _write_manifest(args: argparse.Namespace, argv: list[str]) -> None:
 # ----------------------------------------------------------------------
 
 def cmd_irr_count(args) -> None:
-    from .irreducibles import pi_prime
+    from .irreducibles import pi_cumulative, pi_prime
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
-    counts = [pi_prime(args.q, n) for n in range(1, args.max_n + 1)]
-    rows = list(zip(range(1, args.max_n + 1), counts, accumulate(counts)))
+    pi_prime(args.q, args.max_n)    # one Moebius pass, to the top degree only
+    rows = [(n, pi_prime(args.q, n), pi_cumulative(args.q, n))
+            for n in range(1, args.max_n + 1)]
     payload = {"q": args.q,
                "rows": [{"n": n, "irreducible": a, "cumulative": c}
                         for n, a, c in rows]}

@@ -31,7 +31,7 @@ from .brackets import (DEFAULT_PRECISION_BITS, BracketedValue,
 from .counting import _pack, build_count_table, monic_cumulative
 from .errors import BudgetError, PrecisionError, UsageError
 from .fieldpoly import _check_prime, index_degree
-from .irreducibles import pi_cumulative, pi_prime
+from .irreducibles import kth_irreducible_degree, pi_cumulative, pi_prime
 from .primitive import PolySet, is_primitive
 from .sieve import irreducible_slice, monic_multiples, multiples_pass
 
@@ -83,7 +83,7 @@ class GrowthFunction:
                     j = int(val.strip())
                 else:
                     raise UsageError(f"unknown growth parameter {key!r}")
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise UsageError(f"bad growth parameter {part!r}") from None
         if eps is None:
             raise UsageError("growth function needs eps=..")
@@ -252,6 +252,8 @@ def build_t_sequence(q: int, growth: GrowthFunction,
     """
     from mpmath import iv
     _check_prime(q)
+    if materialize < 1:
+        raise UsageError("materialize must be >= 1")
     c = irreducible_density_constant(q)
     K = min(2**12, MAX_EXACT_TERMS)
     with precision(precision_bits):
@@ -276,14 +278,11 @@ def build_t_sequence(q: int, growth: GrowthFunction,
     ranks = _rank_schedule(growth, K, precision_bits)
     diffs = np.diff(ranks)
     assert (diffs > 0).all(), "rank schedule must be strictly increasing"
-    # degrees of the r-th irreducible via the cumulative count
-    cum = [0]
-    d = 0
-    while cum[-1] < int(ranks[-1]):
-        d += 1
-        cum.append(pi_cumulative(q, d))
-    degs = np.searchsorted(np.asarray(cum, dtype=np.int64), ranks, side="left")
-    dmax = int(degs.max())
+    # the degree of rank r is the least d with pi_cumulative(q, d) >= r; the
+    # sums are cut at the last rank's degree, as later ones outgrow int64
+    dmax = kth_irreducible_degree(q, int(ranks[-1]))
+    cum = np.array([pi_cumulative(q, d) for d in range(dmax + 1)], np.int64)
+    degs = np.searchsorted(cum, ranks, side="left")
     # exact suffix sums over a common denominator q^dmax * lcm(1..dmax)
     den = q**dmax * math.lcm(*range(1, dmax + 1))
     nums = [den // (q**int(dd) * int(dd)) for dd in degs]

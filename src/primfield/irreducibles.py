@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import accumulate, chain, islice, repeat
+from operator import mul
 
 from .brackets import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS,
                        BracketedValue, precision)
@@ -46,79 +48,75 @@ def moebius(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def pi_prime(q: int, n: int) -> int:
-    """Number of monic irreducibles of degree exactly n over F_q, from
-    the Moebius sum over divisor pairs (d, n/d) with d <= sqrt(n)."""
-    _check_prime(q)
-    if n < 1:
-        raise UsageError("degree must be >= 1")
-    total = 0
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            e = n // d
-            total += moebius(d) * q**e
-            if e != d:
-                total += moebius(e) * q**d
-    assert total % n == 0, (q, n)
-    count = total // n
-    assert 0 < count * n <= q**n, (q, n)
-    return count
-
-
-def pi_prime_table(q: int, n: int) -> list[int]:
-    """[pi'_q(1), ..., pi'_q(n)] from one Moebius pass over the powers
-    q^0 .. q^n: each squarefree d adds mu(d) q^(m/d) to every multiple m
-    of d, so no power is raised twice.  Each count passes pi_prime's
-    divisibility and range checks."""
-    _check_prime(q)
-    powers = [1]
-    for _ in range(n):
-        powers.append(powers[-1] * q)
-    totals = [0] * (n + 1)
-    for d in range(1, n + 1):
-        mu = moebius(d)
-        if not mu:
-            continue
-        for m in range(d, n + 1, d):
-            if mu > 0:
-                totals[m] += powers[m // d]
-            else:
-                totals[m] -= powers[m // d]
-    for m in range(1, n + 1):
-        assert totals[m] % m == 0, (q, m)
-        totals[m] //= m
-        assert 0 < totals[m] * m <= powers[m], (q, m)
-    return totals[1:]
-
-
-# _CUMULATIVE[q][n] = pi_cumulative(q, n), extended one degree at a time
+# pi_prime(q, n) is _PI_PRIME[q][n - 1], pi_cumulative(q, n) _CUMULATIVE[q][n]
+_PI_PRIME: dict[int, list[int]] = {}
 _CUMULATIVE: dict[int, list[int]] = {}
 
 
+def _pi_primes(q: int, n: int) -> list[int]:
+    """The stored [pi'_q(1), ..., pi'_q(m)], m >= n, for a checked q.  A
+    short list grows to m = max(n, twice its length) by one Moebius pass
+    over q^0 .. q^m: each squarefree d adds mu(d) q^(j/d) to each multiple
+    j of d past the old length.  The list is extended once, after every new
+    count passed its checks, so an error mid-pass leaves it as it was."""
+    table = _PI_PRIME.setdefault(q, [])
+    old = len(table)
+    if n <= old:
+        return table
+    new = max(n, 2 * old)
+    powers = list(accumulate(repeat(q, new), mul, initial=1))
+    totals = [0] * (new + 1)
+    for d in range(1, new + 1):
+        mu = moebius(d)
+        if not mu:
+            continue
+        for j in range(old // d * d + d, new + 1, d):
+            if mu > 0:
+                totals[j] += powers[j // d]
+            else:
+                totals[j] -= powers[j // d]
+    for j in range(old + 1, new + 1):
+        assert totals[j] % j == 0, (q, j)
+        totals[j] //= j
+        assert 0 < totals[j] * j <= powers[j], (q, j)
+    table += totals[old + 1:]
+    return table
+
+
+def pi_prime(q: int, n: int) -> int:
+    """Number of monic irreducibles of degree exactly n over F_q, by the
+    Moebius sum (1/n) sum_{d | n} mu(d) q^(n/d), read from one table per q."""
+    _check_prime(q)
+    if n < 1:
+        raise UsageError("degree must be >= 1")
+    return _pi_primes(q, n)[n - 1]
+
+
 def pi_cumulative(q: int, n: int) -> int:
-    """Number of monic irreducibles of degree <= n over F_q, read from a
-    running list per q, so walking n = 1, 2, ... costs one pi_prime each."""
+    """Number of monic irreducibles of degree <= n over F_q, from running
+    sums per q, extended from the pi' table as far as asked."""
     if n < 0:
         raise UsageError("degree must be >= 0")
     cum = _CUMULATIVE.get(q)
     if cum is None:
         _check_prime(q)
         cum = _CUMULATIVE[q] = [0]
-    while len(cum) <= n:
-        cum.append(cum[-1] + pi_prime(q, len(cum)))
+    if len(cum) <= n:
+        cum += list(accumulate(_pi_primes(q, n)[len(cum) - 1:n],
+                               initial=cum[-1]))[1:]
     return cum[n]
 
 
 def kth_irreducible_degree(q: int, k: int) -> int:
-    """Degree of the k-th irreducible in (degree, index) order, k >= 1."""
+    """Degree of the k-th irreducible in (degree, index) order, k >= 1, by
+    bisecting the running sums, extended to doubling degrees until k."""
     _check_prime(q)
     if k < 1:
         raise UsageError("k must be >= 1")
     n = 1
     while pi_cumulative(q, n) < k:
-        n += 1
-    return n
+        n *= 2
+    return bisect_left(_CUMULATIVE[q], k)
 
 
 def kth_irreducible(q: int, k: int) -> int:
@@ -142,7 +140,7 @@ def erdos_sum_irreducibles(q: int, eps=Fraction(1, 100)) -> BracketedValue:
     if eps <= 0:
         raise UsageError("eps must be positive")
     cut = math.floor(1 / eps) + 1
-    counts = pi_prime_table(q, cut)
+    counts = _pi_primes(q, cut)
 
     def split(lo: int, hi: int) -> tuple[int, int]:
         """(num, L) with sum_{lo <= d < hi} pi'(d) / (d q^d) equal to

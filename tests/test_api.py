@@ -22,15 +22,16 @@ SRC = Path(primfield.__file__).resolve().parent
 # library code no command reached, the exact Mertens product's second
 # path, and the size caps the run's deadline and ceiling made redundant;
 # the product kernels form their own digit rows; one multiples pass
-# replaces the least-factor sieve and its folds
+# replaces the least-factor sieve and its folds; one table of counts per
+# field replaces the second Moebius pass
 DELETED = ("ConstructionError", "DEFAULT_ENUM_BUDGET", "DEFAULT_SIEVE_ENTRIES",
            "FactorSieve", "Factorization", "MAX_BRACKET_RANKS", "MAX_PAIRS",
            "MonicPoly", "TailSums", "build_factor_sieve", "divides",
            "enumerate_monic", "euler_gamma_bracket", "factorize",
            "format_poly", "is_irreducible", "iv_span", "iv_to_float",
            "mertens_exact", "mertens_exact_parts", "monic_count",
-           "monic_digits", "parse_poly", "poly_divrem", "poly_mul",
-           "sathe_selberg_H", "tail_sums")
+           "monic_digits", "parse_poly", "pi_prime_table", "poly_divrem",
+           "poly_mul", "sathe_selberg_H", "tail_sums")
 
 # named only by the tests, which call them as the acceptance criteria do
 KEEP = frozenset({"mertens_product", "assert_primitive"})
@@ -58,6 +59,20 @@ def test_irreducibles_have_one_source_and_the_kernels_no_digit_rows():
         assert not {"sieve", "g_digits"} & set(params), fn.__name__
     assert list(inspect.signature(irreducibles.kth_irreducible).parameters) \
         == ["q", "k"]
+
+
+def test_irreducible_counts_come_from_one_table_behind_public_names():
+    """pi_prime reads the per-field table, with no cache of its own, and
+    no module imports a private name of irreducibles."""
+    assert not hasattr(irreducibles.pi_prime, "cache_info")
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module == "irreducibles":
+                imported |= {(path.name, a.name) for a in node.names}
+    assert ("counting.py", "pi_prime") in imported
+    assert [pair for pair in imported if pair[1][0] == "_"] == []
 
 
 def test_the_package_root_loads_its_names_on_first_use():

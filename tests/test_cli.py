@@ -92,8 +92,19 @@ def test_usage_errors_exit_one(capsys):
       "154", "--enum-horizon", "2", "--materialize", "200"],
      "q^horizon above 1.8e308, the float64 limit of the sandwich"
      " diagnostics"),
+    # a negative count would slice ranks off the end of the sequence
+    (["construct", "mp", "--L", "log:eps=0.1", "--horizon", "10",
+      "--materialize", "0"], "materialize must be >= 1"),
+    (["construct", "mp", "--L", "log:eps=0.1", "--horizon", "10",
+      "--materialize", "-3"], "materialize must be >= 1"),
+    (["construct", "mp", "--L", "log:eps=1/0", "--horizon", "10"],
+     "bad growth parameter 'eps=1/0'"),
+    # the field is checked before the rank
+    (["irr", "kth", "--q", "4", "--k", "0"], "field order 4 is not prime"),
 ], ids=["exclude-negative", "exclude-cancelled", "exclude-second-part",
-        "slack-nan", "slack-inf", "rank-past-float64", "mp-past-float64"])
+        "slack-nan", "slack-inf", "rank-past-float64", "mp-past-float64",
+        "materialize-zero", "materialize-negative", "growth-zero-denominator",
+        "kth-composite-field"])
 def test_an_out_of_domain_value_is_a_usage_error(capsys, argv, message):
     assert run(argv, capsys) == (1, "", f"primfield: error: {message}\n")
 

@@ -43,6 +43,14 @@ def test_growth_parse_rejects_garbage():
             GrowthFunction.parse(text)
 
 
+def test_growth_parse_refuses_a_zero_denominator():
+    for text, part in (("log:eps=1/0", "eps=1/0"),
+                       ("iterlog:j=2,eps=3/0", "eps=3/0")):
+        with pytest.raises(UsageError,
+                           match=f"^bad growth parameter '{part}'$"):
+            GrowthFunction.parse(text)
+
+
 @pytest.mark.parametrize("spec", ["log:eps=0.1", "iterlog:j=2,eps=2",
                                   "iterlog:j=3,eps=1"])
 def test_growth_iv_contains_float_and_is_monotone(spec):
@@ -179,6 +187,13 @@ def test_t_sequence_other_laws_certify():
     assert t3.certified and t3.k0 == 2
     ti = build_t_sequence(2, GrowthFunction.parse("iterlog:j=2,eps=2"))
     assert ti.certified and ti.k0 == 3
+
+
+@pytest.mark.parametrize("materialize", [0, -3])
+def test_t_sequence_refuses_materialize_below_one(materialize):
+    with pytest.raises(UsageError, match="^materialize must be >= 1$"):
+        build_t_sequence(2, GrowthFunction.parse("log:eps=0.1"),
+                         materialize=materialize)
 
 
 def test_t_sequence_honors_small_budget(monkeypatch):

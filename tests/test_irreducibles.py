@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 import numpy as np
@@ -10,12 +11,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from primfield import irreducibles
-from primfield.errors import UsageError
+from primfield.errors import BudgetError, UsageError
 from primfield.fieldpoly import format_index, index_degree
 from primfield.irreducibles import (MAX_LISTED_VIOLATIONS,
                                     check_degree_brackets, kth_irreducible,
                                     kth_irreducible_degree, moebius,
-                                    pi_cumulative, pi_prime, pi_prime_table)
+                                    pi_cumulative, pi_prime)
 
 from oracles import degree_brackets_whole, is_irreducible
 
@@ -61,11 +62,12 @@ def test_pi_prime_matches_enumeration(q, nmax):
         assert pi_prime(q, n) == want
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 101])
 def test_pi_prime_matches_full_divisor_sum(q):
     """n pi'(n) = sum over every divisor d of n of mu(d) q^(n/d), for
-    n <= 3000: every perfect square and its middle divisor included."""
-    nmax = 3000
+    n <= 3000 (n <= 400 for q >= 5): every perfect square and its middle
+    divisor included."""
+    nmax = 3000 if q < 5 else 400
     total = [0] * (nmax + 1)
     for d in range(1, nmax + 1):
         mu = moebius_oracle(d)
@@ -76,10 +78,89 @@ def test_pi_prime_matches_full_divisor_sum(q):
         assert pi_prime(q, n) * n == total[n], n
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7, 101])
-def test_pi_prime_table_matches_pi_prime(q):
-    assert pi_prime_table(q, 0) == []
-    assert pi_prime_table(q, 400) == [pi_prime(q, n) for n in range(1, 401)]
+@pytest.fixture
+def cold(monkeypatch):
+    """Empty count tables for one test; the shared ones come back after."""
+    monkeypatch.setattr(irreducibles, "_PI_PRIME", {})
+    monkeypatch.setattr(irreducibles, "_CUMULATIVE", {})
+
+
+@pytest.mark.parametrize("q", [2, 3, 7])
+def test_table_grown_in_steps_matches_one_cold_build(q, cold):
+    stepped = []
+    for n in (1, 7, 64, 400):
+        pi_prime(q, n)
+        assert len(irreducibles._PI_PRIME[q]) == n
+        stepped.append([pi_prime(q, d) for d in range(1, n + 1)])
+        assert [pi_cumulative(q, d) for d in range(n + 1)] == \
+            [0, *accumulate(stepped[-1])]
+    # an extension at least doubles the table
+    pi_prime(q, 401)
+    assert len(irreducibles._PI_PRIME[q]) == 800
+    want = irreducibles._PI_PRIME.pop(q)[:400]
+    irreducibles._CUMULATIVE.pop(q)
+    assert pi_cumulative(q, 400) == sum(want)
+    assert [pi_prime(q, n) for n in range(1, 401)] == want == stepped[-1]
+    assert len(irreducibles._PI_PRIME[q]) == 400
+
+
+def full_divisor_count(q, n):
+    return sum(moebius_oracle(d) * q**(n // d)
+               for d in range(1, n + 1) if n % d == 0) // n
+
+
+@pytest.mark.parametrize("error", [BudgetError, MemoryError])
+def test_an_error_mid_extension_leaves_the_tables_as_they_were(
+        monkeypatch, cold, error):
+    """A deadline or the memory ceiling may strike at any Moebius step of
+    an extension: the stored counts and running sums stay as they were,
+    and the next call extends them correctly."""
+    q = 3
+    pi_cumulative(q, 16)
+    table = list(irreducibles._PI_PRIME[q])
+    sums = list(irreducibles._CUMULATIVE[q])
+    steps = 0
+
+    def counted(d):
+        nonlocal steps
+        steps += 1
+        return moebius(d)
+
+    monkeypatch.setattr(irreducibles, "moebius", counted)
+    pi_cumulative(q, 40)
+    assert steps == 40
+    irreducibles._PI_PRIME[q][16:] = []
+    irreducibles._CUMULATIVE[q][17:] = []
+    for k in range(1, steps + 1):
+        seen = 0
+
+        def expire_at_k(d):
+            nonlocal seen
+            seen += 1
+            if seen == k:
+                raise error("deadline")
+            return moebius(d)
+
+        monkeypatch.setattr(irreducibles, "moebius", expire_at_k)
+        with pytest.raises(error, match="deadline"):
+            pi_cumulative(q, 40)
+        assert irreducibles._PI_PRIME[q] == table
+        assert irreducibles._CUMULATIVE[q] == sums
+    monkeypatch.setattr(irreducibles, "moebius", moebius)
+    assert pi_cumulative(q, 40) == sum(full_divisor_count(q, n)
+                                       for n in range(1, 41))
+    assert pi_prime(q, 40) == full_divisor_count(q, 40)
+
+
+def test_count_guards_keep_their_order():
+    """A composite field order is reported first, except that
+    pi_cumulative checks the degree before the field."""
+    for call in (lambda: pi_prime(4, 0), lambda: kth_irreducible_degree(4, 0),
+                 lambda: pi_cumulative(4, 3)):
+        with pytest.raises(UsageError, match="^field order 4 is not prime$"):
+            call()
+    with pytest.raises(UsageError, match="^degree must be >= 0$"):
+        pi_cumulative(4, -1)
 
 
 def test_pi_prime_known_values():
@@ -97,9 +178,8 @@ def test_pi_cumulative_consistency():
             assert pi_cumulative(q, n) == total
 
 
-def test_pi_cumulative_on_a_cold_cache():
+def test_pi_cumulative_on_a_cold_cache(cold):
     # far past the interpreter's recursion limit
-    irreducibles._CUMULATIVE.clear()
     assert pi_cumulative(2, 5000) == sum(pi_prime(2, d)
                                          for d in range(1, 5001))
     assert kth_irreducible_degree(2, 10**300) == 1006

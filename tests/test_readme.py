@@ -1,6 +1,7 @@
 """The README's Python example and command lines run as written."""
 
 import doctest
+import json
 import re
 from pathlib import Path
 
@@ -43,3 +44,49 @@ def test_readme_commands(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert code == 0, (" ".join(argv), err)
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+# display diagnostics that carry bare floats without the _float suffix, as
+# README and the cli docstring list them; renaming them changes output bytes
+UNLABELLED_FLOATS = {"min_log_margin", "worst_low_margin", "worst_high_margin",
+                     "slack", "scaled", "band_lo", "band_hi", "z_worst"}
+
+
+def float_keys(node, key=None):
+    """The keys under which a JSON document holds a float, at any depth."""
+    if isinstance(node, float):
+        yield key
+    elif isinstance(node, dict):
+        for k, v in node.items():
+            yield from float_keys(v, k)
+    elif isinstance(node, list):
+        for v in node:
+            yield from float_keys(v, key)
+
+
+def test_readme_reports_hold_floats_only_in_labelled_fields(
+        tmp_path, monkeypatch, capsys):
+    """Every README command, in JSON where it has a choice, and `irr
+    brackets`: each float of each report it writes sits under a *_float
+    key or one of the listed diagnostics, and each of those turns up."""
+    monkeypatch.chdir(tmp_path)
+    commands = [argv[1:] for argv in readme_commands()
+                if argv[1] != "replay"]
+    commands.append(["irr", "brackets", "--k-lo", "1000", "--k-hi",
+                     str(10**30)])
+    keys = set()
+    for argv in commands:
+        if "--format" not in argv:
+            argv = argv + ["--format", "json"]
+        code = main(argv)
+        texts = [capsys.readouterr().out]
+        texts += [(tmp_path / argv[i + 1]).read_text()
+                  for i, a in enumerate(argv) if a in ("--out", "--report")]
+        for text in texts:
+            try:
+                doc = json.loads(text)
+            except ValueError:
+                continue        # a set file
+            keys |= set(float_keys(doc))
+        assert code == 0, argv
+    assert {k for k in keys if not k.endswith("_float")} == UNLABELLED_FLOATS
