@@ -574,8 +574,10 @@ def _enumerate_members(q: int, tseq: TSequence, k_max: int,
     least = np.full_like(factors, h + 1)
     for k in range(min(k_max, h), 0, -1):
         if tseq.degrees[k - 1] <= h:
-            least[next(monic_multiples(q, [tseq.terms[k - 1]], 0,
-                                       h - tseq.degrees[k - 1], np.int64))] = k
+            for _, products in monic_multiples(
+                    q, [tseq.terms[k - 1]], 0, h - tseq.degrees[k - 1],
+                    np.int64):
+                least[products] = k
     indices = np.flatnonzero(factors >> 6 == least)
     degrees = np.searchsorted(q**np.arange(1, h + 1), indices, side="right")
     squarefree = factors[indices] & 63 == degrees

@@ -354,6 +354,7 @@ def mertens_rows(q: int, max_n: int,
     if max_n < 1:
         raise UsageError("degree must be >= 1")
     rows = []
+    pi_prime(q, max_n)      # top degree first: a table grown here ends there
     parts = mertens_parts(q)
     exponent_sum = 0
     with precision(precision_bits):

@@ -437,9 +437,6 @@ def _primitive_by_division(ps: PolySet) -> tuple[bool, tuple[int, int] | None]:
     return True, None
 
 
-_LOOKUP_BLOCK = 1 << 16     # products looked up per searchsorted pass
-
-
 def _primitive_by_multiples(ps: PolySet,
                             ) -> tuple[bool, tuple[int, int] | None]:
     """is_primitive by forming, for each pair of member degrees e < e',
@@ -447,8 +444,9 @@ def _primitive_by_multiples(ps: PolySet,
     e' - e, and looking the products up among the degree-e' members.
 
     block_multiples loops over the smaller side of a pair: each member
-    times every cofactor, or each cofactor times the whole block of
-    members.  Target degrees run upward, so the first one that holds a
+    times every cofactor, or each cofactor times a block of members, and
+    each of its arrays of at most sieve.BLOCK products is looked up in
+    one pass.  Target degrees run upward, so the first one that holds a
     product holds the least multiple b, and its least divisor a is the
     least over the products equal to b.
     """
@@ -463,7 +461,7 @@ def _primitive_by_multiples(ps: PolySet,
                 at = _least_hit(products, target)
                 if at is not None:
                     found.append((int(products[at]),
-                                  int(block[at]) if a is None else a))
+                                  a if isinstance(a, int) else int(a[at])))
         if found:
             b, a = min(found)
             return False, (a, b)
@@ -473,17 +471,12 @@ def _primitive_by_multiples(ps: PolySet,
 def _least_hit(products: np.ndarray, members: np.ndarray) -> int | None:
     """Position of the least of the products that members, an ascending
     array, holds; None when it holds none."""
-    at = None
-    for lo in range(0, len(products), _LOOKUP_BLOCK):
-        chunk = products[lo:lo + _LOOKUP_BLOCK]
-        pos = np.searchsorted(members, chunk)
-        np.minimum(pos, len(members) - 1, out=pos)
-        hits = np.flatnonzero(members[pos] == chunk)
-        if hits.size:
-            i = lo + int(hits[np.argmin(chunk[hits])])
-            if at is None or products[i] < products[at]:
-                at = i
-    return at
+    pos = np.searchsorted(members, products)
+    np.minimum(pos, len(members) - 1, out=pos)
+    hits = np.flatnonzero(members[pos] == products)
+    if not hits.size:
+        return None
+    return int(hits[np.argmin(products[hits])])
 
 
 def assert_primitive(ps: PolySet) -> None:

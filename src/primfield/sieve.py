@@ -3,12 +3,18 @@
 multiples_pass, the one factor sieve, yields every irreducible of degree
 <= horizon times every monic cofactor up to the horizon; its callers
 fold the factor data they need from the products.  irreducible_slice
-finds the irreducibles of one degree alone on boolean slices.  Products
-come from two generators that yield one array per multiplier:
-monic_multiples over every monic cofactor of a degree range, and
-index_multiples over an arbitrary index array; block_multiples picks the
-smaller side.  Over odd q each generator forms its cofactors' base-q
-digit rows once per call; no caller sees them.
+finds the irreducibles of one degree alone on boolean slices.
+
+Products come from three generators of (multiplier, products) pairs:
+monic_multiples over every monic cofactor of a degree range,
+index_multiples over an arbitrary index array, and block_multiples,
+which takes the smaller side of a block of indices and a cofactor range.
+No array holds more than BLOCK products, and a multiplier's arrays
+ascend in the cofactor, so joining them gives all its products.  An
+array is read-only and may be overwritten when its generator resumes:
+callers read it before they ask for the next.  Over odd q the
+generators form the base-q digit rows of one block of cofactors at a
+time; no caller sees them.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ from .errors import BudgetError, UsageError
 from .fieldpoly import _check_prime, _index_digits, index_degree
 from .irreducibles import pi_prime
 
+BLOCK = 1 << 16     # products formed, and looked up, per array
+
 
 def multiples_pass(q: int, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
     """(d, products) for d = 1..horizon: each degree-d irreducible times
@@ -30,13 +38,14 @@ def multiples_pass(q: int, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
     marked; a reducible degree-n polynomial has a factor of degree <= n/2,
     so only 2d <= horizon marks.  The arguments, and the bytes of all the
     products against what numpy can index, are checked on the call,
-    before the caller allocates."""
+    before the caller allocates; pi' is asked for from the top degree
+    down, so a table of counts grown here ends at the horizon."""
     _check_prime(q)
     if horizon < 1:
         raise UsageError("sieve horizon must be >= 1")
     dtype = _index_dtype(2 * q**horizon)
     n_products = sum(pi_prime(q, d) * (q**(horizon - d + 1) - 1) // (q - 1)
-                     for d in range(1, horizon + 1))
+                     for d in range(horizon, 0, -1))
     _check_indexable(q, horizon, n_products * np.dtype(dtype).itemsize)
 
     def walk():
@@ -52,23 +61,25 @@ def multiples_pass(q: int, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
 
 def block_multiples(q: int, block: np.ndarray, lo: int, hi: int,
                     dtype: type[np.integer],
-                    ) -> Iterator[tuple[int | None, np.ndarray]]:
+                    ) -> Iterator[tuple[int | np.ndarray, np.ndarray]]:
     """Each index of the array block times every monic cofactor of degree
     lo..hi, in dtype, over the smaller side; no product repeats within an
     array.  While block is longer than a degree e has cofactors (q^e),
-    one array per cofactor g, g * block[i] at i, paired with None; from
-    there on, one per a of block, a times every cofactor of degree e..hi
-    ascending, paired with a."""
+    each cofactor g times one BLOCK of members at a time, g * members[i]
+    at i, paired with those members (a view of block); from there on,
+    each member a times every cofactor of degree e..hi, paired with a, as
+    monic_multiples yields them."""
     split = lo
     while split <= hi and len(block) > q**split:
         split += 1
     if split > lo:
         cofactors = _monic_indices(q, lo, split - 1, dtype).tolist()
-        for products in index_multiples(q, cofactors, block, dtype):
-            yield None, products
+        for at in range(0, len(block), BLOCK):
+            members = block[at:at + BLOCK]
+            for _, products in index_multiples(q, cofactors, members, dtype):
+                yield members, products
     if split <= hi:
-        members = block.tolist()
-        yield from zip(members, monic_multiples(q, members, split, hi, dtype))
+        yield from monic_multiples(q, block.tolist(), split, hi, dtype)
 
 
 def irreducible_slice(q: int, degree: int) -> np.ndarray:
@@ -78,108 +89,217 @@ def irreducible_slice(q: int, degree: int) -> np.ndarray:
     A reducible polynomial of degree d has an irreducible factor of
     degree at most d/2.  So walking the degrees 1..d//2 and then d, the
     irreducibles already found mark their multiples on a q^e boolean
-    slice of each degree e, and the unmarked slots are its irreducibles.
-    The largest array is the degree-d slice or the product table of the
-    degree-(d-1) cofactors.
+    slice of each degree e, one block of products at a time, and the
+    unmarked slots, complemented in place, are its irreducibles.  The
+    largest array is the degree-d slice.
     """
     _check_prime(q)
     if degree < 1:
         raise UsageError("degree must be >= 1")
     dtype = _index_dtype(2 * q**degree)
-    _check_indexable(q, degree,
-                     max(q**degree, _product_table_bytes(q, degree - 1, dtype)))
+    _check_indexable(q, degree, q**degree + BLOCK * np.dtype(dtype).itemsize)
     found: dict[int, np.ndarray] = {}
+    offsets = np.empty(BLOCK, dtype=dtype)
     for d in [*range(1, degree // 2 + 1), degree]:
         base = q**d
-        reducible = np.zeros(base, dtype=bool)
+        slots = np.zeros(base, dtype=bool)
         for e in range(1, d // 2 + 1):
-            for prods in monic_multiples(q, found[e].tolist(), d - e, d - e,
-                                         dtype):
-                prods -= base
-                reducible[prods] = True
-                del prods       # free it before the next table is built
-        found[d] = np.flatnonzero(~reducible) + base
+            for _, products in monic_multiples(q, found[e].tolist(), d - e,
+                                               d - e, dtype):
+                at = np.subtract(products, base, out=offsets[:len(products)])
+                slots[at] = True
+        found[d] = np.flatnonzero(np.logical_not(slots, out=slots))
+        found[d] += base
     return found[degree]
 
 
 def monic_multiples(q: int, ps: Iterable[int], lo: int, hi: int,
-                    dtype: type[np.integer]) -> Iterator[np.ndarray]:
-    """For each p of ps, the indices of p*g for every monic g of degree
-    lo..hi, in ascending order of g; dtype holds every product.
+                    dtype: type[np.integer],
+                    ) -> Iterator[tuple[int, np.ndarray]]:
+    """(p, products) for each p of ps: the indices of p*g for every monic g
+    of degree lo..hi, ascending in g, one block at a time, all of them
+    before the next p's; dtype holds every product.
 
-    Over F_2 every polynomial is monic and the products double: with
-    t[r] = p*r for every r below 2^k, t[2^k + r] = t[r] ^ (p << k).
-    Over odd q, index_multiples forms the products.
+    Over odd q, at most BLOCK cofactors go to index_multiples whole.
+    Otherwise the cofactors are cut at x^s, for the largest s with
+    q^s <= BLOCK (or s = hi + 1): with t[r] = p*r for every r below q^s,
+    the first block is the monic r below q^s, read off t, and each
+    further block holds the cofactors h x^s + r of one h, whose products
+    are t[r] + (p*h) x^s.  Over F_2 the table doubles, t[2^k + r] =
+    t[r] ^ (p << k), and such a block is t ^ ((p*h) << s).  Over odd q
+    the table comes from index_multiples, and the top deg p digits of
+    each t[r] are added mod q to those of (p*h) x^s, one digit at a time.
     """
-    if q != 2:
+    if q != 2 and (q**(hi + 1) - q**lo) // (q - 1) <= BLOCK:
         yield from index_multiples(q, ps, _monic_indices(q, lo, hi, dtype),
                                    dtype)
         return
-    for p in ps:
-        t = np.zeros(2 << hi, dtype=dtype)
-        for k in range(hi + 1):
-            np.bitwise_xor(t[:1 << k], p << k, out=t[1 << k:2 << k])
-        yield t[1 << lo:]
-        del t           # free it before the next table is built
+    s = min(hi + 1, _block_degree(q))
+    out = np.empty(q**s, dtype=dtype)
+    if q == 2:
+        tables, blocks = _doubling_tables(ps, s, dtype), _xor_blocks
+    else:
+        tables = index_multiples(q, ps, np.arange(q**s, dtype=dtype), dtype)
+        blocks = _digit_blocks
+    for p, t in tables:
+        if lo < s and q == 2:
+            yield p, t[1 << lo:]
+        elif lo < s:
+            n = (q**s - q**lo) // (q - 1)
+            np.concatenate([t[q**e:2 * q**e] for e in range(lo, s)],
+                           out=out[:n])
+            yield p, _read_only(out[:n])
+        heads = (h for e in range(max(lo, s), hi + 1)
+                 for h in range(q**(e - s), 2 * q**(e - s)))
+        for products in blocks(q, p, t, s, heads, out):
+            yield p, products
 
 
 def index_multiples(q: int, ps: Iterable[int], g: np.ndarray,
-                    dtype: type[np.integer]) -> Iterator[np.ndarray]:
-    """For each p of ps, the indices of p*g for each index of an array g,
-    in its order; dtype holds every product.
+                    dtype: type[np.integer],
+                    ) -> Iterator[tuple[int, np.ndarray]]:
+    """(p, products) for each p of ps: the indices of p*g for each index
+    of an array g, in its order, one BLOCK of g at a time; each block is
+    taken for every p before the next, so a g of one block yields one
+    array per p.  dtype holds every product.
 
-    Over F_2, one shifted XOR of g per nonzero coefficient of p.  Over
-    odd q, the base-q digit rows of g are formed once, in the narrowest
-    unsigned type that holds a sum of their digit products, and g itself
-    is dropped.  The product's digits are the convolution of the digits
-    of p with those rows, reduced mod q and summed into indices, one
-    whole-array pass per digit pair.  The sums are widened to dtype
-    before they are scaled by q^j.
+    Over F_2, one shifted XOR of the block per nonzero coefficient of p.
+    Over odd q, the base-q digit rows of the block are formed once, in
+    the narrowest unsigned type that holds a sum of their digit products.
+    The product's digits are the convolution of the digits of p with
+    those rows, reduced mod q and summed into indices, one whole-array
+    pass per digit pair, with as many multipliers stacked in one 2-D
+    pass as fill a BLOCK.  The sums are widened to dtype before they are
+    scaled by q^j.
     """
-    if q == 2:
-        shifted = np.empty(len(g), dtype=dtype)
-        for p in ps:
-            out = np.zeros(len(g), dtype=dtype)
-            for j in range(p.bit_length()):
-                if p >> j & 1:
-                    np.left_shift(g, j, out=shifted, dtype=dtype)
-                    out ^= shifted
-            yield out
-            del out
-        return
+    ps = list(ps)
+    for at in range(0, len(g), BLOCK):
+        if q == 2:
+            yield from _xor_products(ps, g[at:at + BLOCK], dtype)
+        else:
+            yield from _digit_products(q, ps, g[at:at + BLOCK], dtype)
+
+
+def _xor_products(ps: list[int], g: np.ndarray, dtype: type[np.integer],
+                  ) -> Iterator[tuple[int, np.ndarray]]:
+    shifted = np.empty(len(g), dtype=dtype)
+    out = np.empty_like(shifted)
+    view = _read_only(out)
+    for p in ps:
+        out.fill(0)
+        for j in range(p.bit_length()):
+            if p >> j & 1:
+                np.left_shift(g, j, out=shifted, dtype=dtype)
+                out ^= shifted
+        yield p, view
+
+
+def _digit_products(q: int, ps: list[int], g: np.ndarray,
+                    dtype: type[np.integer],
+                    ) -> Iterator[tuple[int, np.ndarray]]:
     hi = index_degree(q, int(g.max(initial=1)))
     rows = np.empty((hi + 1, len(g)), dtype=_digit_dtype(q, hi))
     for i in range(hi + 1):
         rows[i] = g % q
         g = g // q
     del g
-    scaled = np.empty(rows.shape[1], dtype=dtype)
-    col = np.empty_like(rows[0])
-    term = np.empty_like(col)
+    batch = max(1, BLOCK // rows.shape[1])
+    shape = (min(batch, len(ps)), rows.shape[1])
+    out, scaled = np.empty(shape, dtype=dtype), np.empty(shape, dtype=dtype)
+    col, term = (np.empty(shape, dtype=rows.dtype) for _ in range(2))
+    view = _read_only(out)
+    for at in range(0, len(ps), batch):
+        group = ps[at:at + batch]
+        digits = [_index_digits(q, p) for p in group]
+        width = max(map(len, digits))
+        p_digits = np.zeros((len(group), width), dtype=rows.dtype)
+        for i, row in enumerate(digits):
+            p_digits[i, :len(row)] = row
+        live = p_digits.any(axis=0).tolist()
+        o, c, t, sc = (a[:len(group)] for a in (out, col, term, scaled))
+        o.fill(0)
+        for j in range(width + hi):
+            c.fill(0)
+            for i in range(max(0, j - hi), min(j, width - 1) + 1):
+                if live[i]:
+                    np.multiply(p_digits[:, i, None], rows[j - i], out=t)
+                    c += t
+            c %= q
+            np.multiply(c, q**j, out=sc, dtype=dtype)
+            o += sc
+        yield from zip(group, view)
+
+
+def _doubling_tables(ps: Iterable[int], s: int, dtype: type[np.integer],
+                     ) -> Iterator[tuple[int, np.ndarray]]:
+    """(p, t) for each p of ps over F_2: t[r] = p*r for every r below 2^s,
+    by doubling, in one array rewritten for each p."""
+    t = np.zeros(1 << s, dtype=dtype)
+    view = _read_only(t)
     for p in ps:
-        p_digits = _index_digits(q, p)
-        out = np.zeros_like(scaled)
-        for j in range(len(p_digits) + hi):
-            col.fill(0)
-            for i in range(max(0, j - hi), min(j, len(p_digits) - 1) + 1):
-                if p_digits[i]:
-                    np.multiply(rows[j - i], p_digits[i], out=term)
-                    col += term
-            col %= q
-            np.multiply(col, q**j, out=scaled, dtype=dtype)
+        for k in range(s):
+            np.bitwise_xor(t[:1 << k], p << k, out=t[1 << k:2 << k])
+        yield p, view
+
+
+def _xor_blocks(q: int, p: int, t: np.ndarray, s: int, heads: Iterable[int],
+                out: np.ndarray) -> Iterator[np.ndarray]:
+    """out, rewritten for each h of heads to p * (h x^s + r) for every r
+    below 2^s, from t[r] = p*r: t ^ ((p*h) << s)."""
+    view = _read_only(out)
+    for h in heads:
+        np.bitwise_xor(t, _index_product(q, p, h) << s, out=out)
+        yield view
+
+
+def _digit_blocks(q: int, p: int, t: np.ndarray, s: int,
+                  heads: Iterable[int], out: np.ndarray,
+                  ) -> Iterator[np.ndarray]:
+    """out, rewritten for each h of heads to p * (h x^s + r) for every r
+    below q^s, from t[r] = p*r: the low s digits of t[r], its top deg p
+    digits each added mod q to the digit of p*h at its place, and the
+    rest of p*h above them."""
+    n = index_degree(q, p)
+    top, low = np.divmod(t, q**s)
+    overlap = []
+    for _ in range(n):
+        top, digit = np.divmod(top, q)
+        overlap.append(digit)
+    residues = np.arange(q, dtype=out.dtype)
+    scaled = np.empty_like(out)
+    view = _read_only(out)
+    for h in heads:
+        ph = _index_product(q, p, h)
+        np.add(low, ph // q**n * q**(s + n), out=out)
+        for k, digit in enumerate(overlap):
+            lut = (residues + ph // q**k % q) % q * q**(s + k)
+            np.take(lut, digit, out=scaled, mode="clip")
             out += scaled
-        yield out
-        del out
+        yield view
 
 
-def _product_table_bytes(q: int, hi: int, dtype: type[np.integer]) -> int:
-    """Bytes of the largest array monic_multiples builds for the monic
-    cofactors of degree hi alone: its product table, or over odd q the
-    digit rows of index_multiples."""
-    if q == 2:
-        return (2 << hi) * np.dtype(dtype).itemsize
-    return q**hi * max(np.dtype(dtype).itemsize,
-                       (hi + 1) * _digit_dtype(q, hi).itemsize)
+def _index_product(q: int, a: int, b: int) -> int:
+    """The index of the product of the polynomials with indices a and b."""
+    a_digits, b_digits = _index_digits(q, a), _index_digits(q, b)
+    sums = [0] * (len(a_digits) + len(b_digits) - 1)
+    for i, x in enumerate(a_digits):
+        for j, y in enumerate(b_digits):
+            sums[i + j] += x * y
+    return sum(v % q * q**k for k, v in enumerate(sums))
+
+
+def _block_degree(q: int) -> int:
+    """The largest s with q^s <= BLOCK."""
+    s = 0
+    while q**(s + 1) <= BLOCK:
+        s += 1
+    return s
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def _digit_dtype(q: int, hi: int) -> np.dtype:

@@ -203,12 +203,17 @@ def build_factor_sieve(q: int, horizon: int) -> FactorSieve:
         if 2 * d > horizon:
             continue
         g_all = _monic_indices(q, d, horizon - d, dtype)
-        ps = irr.tolist()
-        for p, prods in zip(ps, monic_multiples(q, ps, d, horizon - d, dtype)):
+        at, last = 0, None
+        for p, prods in monic_multiples(q, irr.tolist(), d, horizon - d,
+                                        dtype):
+            # a multiplier's blocks come in a row, ascending in g
+            at = at if p == last else 0
+            g = g_all[at:at + len(prods)]
+            at, last = at + len(prods), p
             unmarked = spf[prods] == 0
             tgt = prods[unmarked]
             spf[tgt] = p
-            cof[tgt] = g_all[unmarked]
+            cof[tgt] = g[unmarked]
     return FactorSieve(q, horizon, spf, cof)
 
 

@@ -308,6 +308,23 @@ def test_irr_kth_reads_one_degree_slice_under_a_64_mb_ceiling():
         "246094", "22", "4968059"]
 
 
+@pytest.mark.parametrize("q,k,budget,row", [
+    (2, 246094, 12000000,
+     '246094,22,4968059,"q=2;1,1,0,1,1,1,1,0,0,1,1,1,0,0,1,1,1,1,0,1,0,0,1"'),
+    (3, 193346, 16000000,
+     '193346,14,4797070,"q=3;1,2,0,0,0,1,1,0,2,0,0,0,0,0,1"')])
+def test_irr_kth_forms_its_products_one_block_at_a_time(q, k, budget, row):
+    """The degree slice (4.2 MB at q=2, degree 22; 4.8 MB at q=3, degree
+    14) and one block of products fit the ceiling.  Whole per-multiplier
+    product arrays do not: the doubling table of x times every cofactor
+    below degree 22 is 2^22 int32 entries, 16 MB, and at q=3 the 14 digit
+    rows of the 3^13 degree-13 cofactors are 22 MB."""
+    done = fresh_process("-m", "primfield.cli", "irr", "kth", "--q", str(q),
+                         "--k", str(k), "--budget-bytes", str(budget))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[1] == row
+
+
 def test_a_degree_18_slice_is_checked_under_a_20_mb_ceiling(tmp_path):
     """The 262,144 members of a degree-18 slice stay one 2 MB int64 array
     from the file to the certificate.  As a tuple of Python ints, about
@@ -381,7 +398,9 @@ def test_the_limit_is_restored_on_every_path(capsys):
     code, out, _ = run(["irr", "kth", "--k", "10", *ceiling], capsys)
     assert code == 0 and out
     assert address_space_limit() == before
-    code, _, err = run(["irr", "kth", "--k", "1000000", *ceiling], capsys)
+    # a degree-27 slice, 134 MB of flags, is past the ceiling however much
+    # freed memory earlier tests left mapped in this process
+    code, _, err = run(["irr", "kth", "--k", "10000000", *ceiling], capsys)
     assert code == 1 and "memory budget" in err
     assert address_space_limit() == before
     # the ceiling is armed before the deadline is refused
@@ -419,7 +438,7 @@ def test_a_lower_soft_limit_is_never_raised(capsys, monkeypatch):
 def test_ceiling_and_deadline_work_together(capsys, monkeypatch):
     limit, handler = address_space_limit(), signal.getsignal(signal.SIGALRM)
     both = ["--budget-bytes", "20000000", "--budget-seconds", "30"]
-    code, out, err = run(["irr", "kth", "--k", "1000000", *both], capsys)
+    code, out, err = run(["irr", "kth", "--k", "10000000", *both], capsys)
     assert code == 1 and out == ""
     assert err.startswith("primfield: budget exceeded: memory budget of "
                           "20000000 bytes exceeded;")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from primfield.errors import BudgetError, UsageError
 from primfield.fieldpoly import (format_index, index_degree, index_divrem,
                                  is_prime, parse_index)
+from primfield import sieve
 from primfield.irreducibles import pi_prime
 from primfield.sieve import (block_multiples, index_multiples,
                              irreducible_slice, monic_multiples,
@@ -262,45 +263,79 @@ def test_divisor_degree_mask_matches_divisor_scan(sieve2):
                 assert degrees == {b for b in range(n + 1) if mask >> b & 1}
 
 
+# 16 products a block: q = 2, 3, 5 and 7 have tables of 16, 9, 5 and 7
+# products, so the ranges below cross block edges
+BLOCK_SIZES = (sieve.BLOCK, 16)
+
+
+def joined(pairs, dtype):
+    """Each multiplier's arrays joined in the order they came, keyed in
+    the order the multipliers first came, and the multipliers in the
+    order of their arrays; each array read-only and within one block."""
+    out, order = {}, []
+    for p, products in pairs:
+        assert products.dtype == dtype
+        assert 0 < len(products) <= sieve.BLOCK
+        assert not products.flags.writeable
+        out.setdefault(p, []).extend(products.tolist())
+        order.append(p)
+    return out, order
+
+
 @pytest.mark.parametrize("q,lo,hi", [(2, 1, 6), (2, 4, 4), (3, 1, 4),
                                      (3, 3, 3), (5, 2, 3), (7, 1, 2)])
-def test_monic_multiples_match_index_mul(q, lo, hi):
+def test_monic_multiples_match_index_mul(q, lo, hi, monkeypatch):
+    """A multiplier's blocks come in a row, and joined they hold p*g for
+    every monic g of degree lo..hi, ascending in g."""
     g_all = [g for e in range(lo, hi + 1) for g in range(q**e, 2 * q**e)]
     ps = [p for d in range(1, hi + 1) for p in range(q**d, 2 * q**d)]
-    # every product array stays as yielded while later ones are built
-    got = list(monic_multiples(q, ps, lo, hi, np.int32))
-    assert len(got) == len(ps)
-    for p, prods in zip(ps, got):
-        assert prods.dtype == np.int32
-        assert prods.tolist() == [index_mul(q, p, g) for g in g_all], p
+    for size in BLOCK_SIZES:
+        monkeypatch.setattr(sieve, "BLOCK", size)
+        got, order = joined(monic_multiples(q, ps, lo, hi, np.int32),
+                            np.int32)
+        assert list(got) == ps
+        assert [p for i, p in enumerate(order)
+                if i == 0 or order[i - 1] != p] == ps
+        assert len(order) >= len(ps) * -(-len(g_all) // size)
+        for p in ps:
+            assert got[p] == [index_mul(q, p, g) for g in g_all], (size, p)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
-def test_index_multiples_match_index_mul(q):
-    """An unsorted index array of mixed degrees, the unit included."""
+def test_index_multiples_match_index_mul(q, monkeypatch):
+    """An unsorted index array of mixed degrees, the unit included, whole
+    and cut short; each block of it is taken for every multiplier before
+    the next block."""
     rng = random.Random(q)
     degrees = [rng.randint(0, 4) for _ in range(60)]
     g = [rng.randrange(q**e, 2 * q**e) for e in degrees] + [1]
     g_arr = np.array(g, dtype=np.int64)
-    ps = [rng.randrange(q**e, 2 * q**e) for e in (1, 3, 2)]
-    assert list(index_multiples(q, [], g_arr, np.int64)) == []
-    for multipliers in (ps[:1], ps):
-        got = list(index_multiples(q, multipliers, g_arr, np.int64))
-        assert len(got) == len(multipliers)
-        for p, prods in zip(multipliers, got):
-            assert prods.dtype == np.int64
-            assert prods.tolist() == [index_mul(q, p, x) for x in g], p
+    ps = list(dict.fromkeys(rng.randrange(q**e, 2 * q**e)
+                            for e in (1, 3, 2, 1, 4, 2, 3)))
+    for size in BLOCK_SIZES:
+        monkeypatch.setattr(sieve, "BLOCK", size)
+        assert list(index_multiples(q, [], g_arr, np.int64)) == []
+        for multipliers in (ps[:1], ps[:3], ps):
+            for arr in (g_arr, g_arr[:5]):
+                got, order = joined(
+                    index_multiples(q, iter(multipliers), arr, np.int64),
+                    np.int64)
+                assert order == multipliers * -(-len(arr) // size)
+                for p in multipliers:
+                    assert got[p] == [index_mul(q, p, x)
+                                      for x in arr.tolist()], (size, p)
     assert g_arr.tolist() == g
 
 
 @pytest.mark.parametrize("q,dmax", [(2, 14), (3, 8), (5, 5), (7, 4)])
-def test_irreducible_slice_matches_the_covering_sieve(q, dmax):
+def test_irreducible_slice_matches_the_covering_sieve(q, dmax, monkeypatch):
     for d in range(1, dmax + 1):
-        got = irreducible_slice(q, d)
-        want = sieve_irreducibles(build_factor_sieve(q, d), d)
-        assert got.tolist() == want.tolist(), d
-        assert len(got) == pi_prime(q, d)
-        assert all(is_irreducible(q, f) for f in got.tolist()), d
+        want = sieve_irreducibles(build_factor_sieve(q, d), d).tolist()
+        assert len(want) == pi_prime(q, d)
+        assert all(is_irreducible(q, f) for f in want), d
+        for size in BLOCK_SIZES:
+            monkeypatch.setattr(sieve, "BLOCK", size)
+            assert irreducible_slice(q, d).tolist() == want, (size, d)
 
 
 def test_irreducible_slice_rejects_a_composite_field():
@@ -332,11 +367,12 @@ def test_a_sieve_numpy_cannot_index_is_a_budget_error(q, horizon):
         build_factor_sieve(q, horizon)
 
 
-@pytest.mark.parametrize("q,degree,need", [(2, 60, 8 * 2**60),
-                                           (3, 39, 39 * 3**38)])
+@pytest.mark.parametrize("q,degree,need", [(2, 63, 2**63 + 8 * 2**16),
+                                           (3, 40, 3**40 + 8 * 2**16)])
 def test_a_slice_numpy_cannot_index_is_a_budget_error(q, degree, need):
-    # the boolean slice fits; the largest product table does not: 2^60
-    # int64 products over F_2, and 39 uint8 digit rows of 3^38 cofactors
+    # the smallest degrees refused: the boolean slice and one block of
+    # int64 products, past 2^63 - 1 bytes (degree 62 at q=2 and degree 39
+    # at q=3 stay below it)
     with pytest.raises(BudgetError, match=f" needs {need} bytes, more than"):
         irreducible_slice(q, degree)
 
@@ -360,17 +396,19 @@ def pass_folds(q, horizon):
 
 @pytest.mark.parametrize("q,horizon", [(2, 1), (2, 12), (2, 15), (3, 2),
                                        (3, 9), (5, 3), (5, 6), (7, 4)])
-def test_the_pass_matches_the_oracle_folds(q, horizon):
+def test_the_pass_matches_the_oracle_folds(q, horizon, monkeypatch):
     """D, omega and squarefreeness at every slot, the unit and the gaps
-    between the degree ranges included."""
-    sieve = build_factor_sieve(q, horizon)
-    top, omega, sqf = pass_folds(q, horizon)
-    assert top.tolist() == sieve.max_factor_degrees().tolist()
-    assert omega.tolist() == sieve.factor_counts().tolist()
-    flags = sieve.squarefree_flags()
-    for n in range(1, horizon + 1):
-        s = slice(q**n, 2 * q**n)
-        assert sqf[s].tolist() == flags[s].tolist(), n
+    between the degree ranges included, at both block sizes."""
+    for size in BLOCK_SIZES:
+        monkeypatch.setattr(sieve, "BLOCK", size)
+        oracle = build_factor_sieve(q, horizon)
+        top, omega, sqf = pass_folds(q, horizon)
+        assert top.tolist() == oracle.max_factor_degrees().tolist()
+        assert omega.tolist() == oracle.factor_counts().tolist()
+        flags = oracle.squarefree_flags()
+        for n in range(1, horizon + 1):
+            s = slice(q**n, 2 * q**n)
+            assert sqf[s].tolist() == flags[s].tolist(), (size, n)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -391,29 +429,37 @@ def test_the_pass_yields_each_irreducible_times_every_cofactor(q):
 @pytest.mark.parametrize("q,n,lo,hi", [(2, 1, 0, 3), (2, 5, 0, 4),
                                        (2, 5, 1, 1), (3, 4, 0, 2),
                                        (3, 40, 1, 3), (5, 7, 2, 2)])
-def test_block_multiples_take_the_smaller_side(q, n, lo, hi):
-    """Per cofactor degree e, one array per cofactor while len(block) >
-    q^e, then one array per member over the remaining degrees."""
+def test_block_multiples_take_the_smaller_side(q, n, lo, hi, monkeypatch):
+    """Per cofactor degree e, each cofactor times a block of members while
+    len(block) > q^e, paired with those members, then each member times
+    the remaining degrees, its blocks joined as monic_multiples yields
+    them; no array past one block."""
     rng = random.Random(n)
     block = np.array(sorted(rng.sample(range(q**4, 2 * q**4), n)))
-    pairs = []
-    for a, products in block_multiples(q, block, lo, hi, np.int64):
-        assert products.dtype == np.int64
-        if a is None:
-            assert len(products) == n
-            g = index_divrem(q, int(products[0]), int(block[0]))[0]
-            pairs += [(int(b), g) for b in block.tolist()]
-            assert products.tolist() == [index_mul(q, b, g)
-                                         for b in block.tolist()]
-            assert n > q**index_degree(q, g)
-        else:
-            gs = [g for e in range(lo, hi + 1) for g in range(q**e, 2 * q**e)
-                  if n <= q**e]
+    for size in BLOCK_SIZES:
+        monkeypatch.setattr(sieve, "BLOCK", size)
+        pairs, per_member = [], {}
+        for a, products in block_multiples(q, block, lo, hi, np.int64):
+            assert products.dtype == np.int64
+            assert len(products) <= size
+            if isinstance(a, np.ndarray):
+                members = a.tolist()
+                assert len(products) == len(members)
+                g = index_divrem(q, int(products[0]), members[0])[0]
+                pairs += [(b, g) for b in members]
+                assert products.tolist() == [index_mul(q, b, g)
+                                             for b in members]
+                assert n > q**index_degree(q, g)
+            else:
+                per_member.setdefault(a, []).extend(products.tolist())
+        for a, products in per_member.items():
+            gs = [g for e in range(lo, hi + 1)
+                  for g in range(q**e, 2 * q**e) if n <= q**e]
             pairs += [(a, g) for g in gs]
-            assert products.tolist() == [index_mul(q, a, g) for g in gs]
-    assert sorted(pairs) == sorted(
-        (b, g) for b in block.tolist() for e in range(lo, hi + 1)
-        for g in range(q**e, 2 * q**e))
+            assert products == [index_mul(q, a, g) for g in gs]
+        assert sorted(pairs) == sorted(
+            (b, g) for b in block.tolist() for e in range(lo, hi + 1)
+            for g in range(q**e, 2 * q**e)), size
 
 
 @pytest.mark.parametrize("q,horizon", [(2, 12), (3, 7), (5, 5)])

@@ -104,6 +104,18 @@ def test_table_grown_in_steps_matches_one_cold_build(q, cold):
     assert len(irreducibles._PI_PRIME[q]) == 400
 
 
+def test_walks_up_the_degrees_ask_for_their_top_degree_first(cold):
+    """The Mertens rows to degree 1100 and a density check of a set of
+    top degree 7 leave each table at that degree, not at the next power
+    of two past it (2048 and 8 when each degree was asked for in turn)."""
+    from primfield.counting import mertens_rows
+    from primfield.primitive import PolySet, verify_erdos_density_inequality
+    mertens_rows(2, 1100)
+    assert len(irreducibles._PI_PRIME[2]) == 1100
+    verify_erdos_density_inequality(PolySet(3, 7, [3, 4, 5, 3**7 + 5]))
+    assert len(irreducibles._PI_PRIME[3]) == 7
+
+
 def full_divisor_count(q, n):
     return sum(moebius_oracle(d) * q**(n // d)
                for d in range(1, n + 1) if n % d == 0) // n

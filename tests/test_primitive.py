@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primfield import primitive
+from primfield import primitive, sieve
 from primfield.counting import monic_cumulative
 from primfield.errors import UsageError, VerificationError
 from primfield.fieldpoly import format_index, index_degree, parse_index
@@ -585,12 +585,19 @@ def seeded_sets(q, horizon, seed):
 
 
 @pytest.mark.parametrize("q,horizon", [(2, 9), (3, 6), (5, 4), (7, 3)])
-def test_multiples_pass_matches_division_and_brute_force(q, horizon):
+def test_multiples_pass_matches_division_and_brute_force(q, horizon,
+                                                         monkeypatch):
+    """Also with 4 products a block, where the degree blocks of members
+    are cut and, at q = 5 and 7, each cofactor is a block of its own."""
     verdicts = set()
     for seed in range(12):
         for ps in seeded_sets(q, horizon, seed):
             want = brute_primitive(ps)
-            assert primitive._primitive_by_multiples(ps) == want, ps
+            for size in (sieve.BLOCK, 4):
+                with monkeypatch.context() as patch:
+                    patch.setattr(sieve, "BLOCK", size)
+                    got = primitive._primitive_by_multiples(ps)
+                assert got == want, (size, ps)
             assert primitive._primitive_by_division(ps) == want, ps
             assert all(type(i) is int for i in want[1] or ())
             verdicts.add(want[0])
