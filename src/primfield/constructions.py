@@ -33,7 +33,8 @@ from .errors import BudgetError, PrecisionError, UsageError
 from .fieldpoly import _check_prime, index_degree
 from .irreducibles import kth_irreducible_degree, pi_cumulative, pi_prime
 from .primitive import PolySet, is_primitive
-from .sieve import irreducible_slice, monic_multiples, multiples_pass
+from .sieve import (_check_indexable, irreducible_slice, monic_multiples,
+                    multiples_pass)
 
 # ----------------------------------------------------------------------
 # Growth schedules L(x)
@@ -568,6 +569,8 @@ def _enumerate_members(q: int, tseq: TSequence, k_max: int,
     neither equals omega."""
     h = enum_horizon
     passes = multiples_pass(q, h)
+    # the int16 slot arrays hold twice the bytes of the pass's flags
+    _check_indexable(q, h, 2 * q**h * np.dtype(np.int16).itemsize)
     factors = np.zeros(2 * q**h, dtype=np.int16)
     for d, products in passes:
         factors[products] += 64 + d

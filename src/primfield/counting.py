@@ -94,8 +94,9 @@ def build_count_table(q: int, N: int,
     read most: while degree d is applied, row r holds only products of
     irreducibles of degree > d, so at most r/(d+1) + 1 of its slots are
     nonzero, and a large d, whose j-loop runs up to N/d times per row,
-    reads only such short rows.  The small degrees, whose rows are full,
-    run j only up to m, a few terms.
+    reads only such short rows.  Rows 1..d are still 0 then, so row n
+    reads only the rows n - jd above d, and row 0 when d divides n.  The
+    small degrees, whose rows are full, run j only up to m, a few terms.
     """
     _check_prime(q)
     if N < 0:
@@ -123,8 +124,12 @@ def build_count_table(q: int, N: int,
         binom = [math.comb(m, j) for j in range(jmax + 1)]
         for n in range(N, d - 1, -1):
             acc = packed[n]
-            for j in range(1, min(n // d, jmax) + 1):
+            # rows 1..d are still 0: j reads only source rows above d,
+            # and row 0, which is 1, when d divides n
+            for j in range(1, min((n - 1) // d - 1, jmax) + 1):
                 acc += binom[j] * packed[n - j * d] << width * j
+            if n % d == 0 and n // d <= jmax:
+                acc += binom[n // d] << width * (n // d)
             packed[n] = acc
     # only the slots up to a row's highest nonzero one are unpacked
     rows = []

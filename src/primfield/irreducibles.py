@@ -7,9 +7,10 @@ degree window for the k-th irreducible is
     L(k) - 1 <= deg P_k <= L(k),  up to o(1),
 with L(k) = log_q k + log_q log_q k + log_q (q - 1); callers check it
 with an explicit slack.  The Erdos sum over all irreducibles is a
-bracket around the exact counts.  numpy, mpmath and irreducible_slice
-are imported by the functions that use them, so the exact counts load
-none of them.
+bracket around the exact counts.  mpmath and irreducible_slice, the
+one path here to numpy, are imported by the functions that use them, so
+the exact counts load neither, and the degree brackets, whose float
+margins come from math, load no numpy.
 """
 
 from __future__ import annotations
@@ -55,31 +56,36 @@ _CUMULATIVE: dict[int, list[int]] = {}
 
 def _pi_primes(q: int, n: int) -> list[int]:
     """The stored [pi'_q(1), ..., pi'_q(m)], m >= n, for a checked q.  A
-    short list grows to m = max(n, twice its length) by one Moebius pass
-    over q^0 .. q^m: each squarefree d adds mu(d) q^(j/d) to each multiple
-    j of d past the old length.  The list is extended once, after every new
-    count passed its checks, so an error mid-pass leaves it as it was."""
+    short list grows to m = max(n, twice its length) by one Moebius pass:
+    the total of each new degree j starts at q^j, the d = 1 term, and each
+    squarefree d >= 2 adds mu(d) q^(j/d) to each multiple j of d past the
+    old length, read from the powers up to q^(m/2).  The list is extended
+    once, after every new count passed its checks, so an error mid-pass
+    leaves it as it was."""
     table = _PI_PRIME.setdefault(q, [])
     old = len(table)
     if n <= old:
         return table
     new = max(n, 2 * old)
-    powers = list(accumulate(repeat(q, new), mul, initial=1))
-    totals = [0] * (new + 1)
+    # totals[i] is the undivided total of degree old + 1 + i
+    totals = list(accumulate(repeat(q, new - old - 1), mul,
+                             initial=q**(old + 1)))
+    powers = list(accumulate(repeat(q, new // 2), mul, initial=1))
     for d in range(1, new + 1):
         mu = moebius(d)
-        if not mu:
+        if d == 1 or not mu:
             continue
-        for j in range(old // d * d + d, new + 1, d):
+        for e in range(old // d + 1, new // d + 1):
             if mu > 0:
-                totals[j] += powers[j // d]
+                totals[e * d - old - 1] += powers[e]
             else:
-                totals[j] -= powers[j // d]
-    for j in range(old + 1, new + 1):
-        assert totals[j] % j == 0, (q, j)
-        totals[j] //= j
-        assert 0 < totals[j] * j <= powers[j], (q, j)
-    table += totals[old + 1:]
+                totals[e * d - old - 1] -= powers[e]
+    power = q**old
+    for i, j in enumerate(range(old + 1, new + 1)):
+        power *= q
+        assert 0 < totals[i] <= power and totals[i] % j == 0, (q, j)
+        totals[i] //= j
+    table += totals
     return table
 
 
@@ -208,7 +214,6 @@ def check_degree_brackets(q: int, k_lo: int, k_hi: int,
     bisections of certified verdicts count both.  Margins are float64
     diagnostics (display only), taken where each side is least.
     """
-    import numpy as np
     _check_prime(q)
     if not math.isfinite(slack):
         raise UsageError(f"slack must be finite (got {slack})")
@@ -218,7 +223,9 @@ def check_degree_brackets(q: int, k_lo: int, k_hi: int,
         raise UsageError("empty k range")
     if k_hi > sys.float_info.max:
         raise UsageError("k_hi above 1.8e308, the float64 limit of the margins")
-    runs, ends = [], []
+    logq = math.log(q)
+    shift = math.log(q - 1) / logq
+    runs, lows, highs = [], [], []
     d_lo, d_hi = kth_irreducible_degree(q, k_lo), kth_irreducible_degree(q, k_hi)
     for d in range(d_lo, d_hi + 1):
         a = max(k_lo, pi_cumulative(q, d - 1) + 1)
@@ -229,21 +236,23 @@ def check_degree_brackets(q: int, k_lo: int, k_hi: int,
         upper = _least(a, b, lambda k: not verdict(k)[1])
         lower = _least(a, b, lambda k: verdict(k)[0])
         runs += [range(a, upper), range(max(lower, upper), b + 1)]
-        ends += [a, b]
-    logq = math.log(q)
-    lk = np.log(np.array(ends, dtype=np.float64)) / logq
-    L = lk + np.log(lk) / logq + math.log(q - 1) / logq
-    degs = np.arange(d_lo, d_hi + 1, dtype=np.float64)
-    # the upper margin is least at a block's first rank, the lower at its last
-    high_margin = (L[0::2] + slack) - degs
-    low_margin = degs - (L[1::2] - 1.0 - slack)
+        # the upper margin is least at the block's first rank, the lower
+        # at its last
+        highs.append((_window_centre(a, logq, shift) + slack) - d)
+        lows.append(d - (_window_centre(b, logq, shift) - 1.0 - slack))
     return DegreeBracketReport(
         q=q, k_lo=k_lo, k_hi=k_hi, slack=slack, checked=k_hi - k_lo + 1,
         violations=tuple(islice(chain(*runs), MAX_LISTED_VIOLATIONS)),
         violation_count=sum(run.stop - run.start for run in runs),
-        worst_low_margin=float(low_margin.min()),
-        worst_high_margin=float(high_margin.min()),
+        worst_low_margin=min(lows),
+        worst_high_margin=min(highs),
     )
+
+
+def _window_centre(k: int, logq: float, shift: float) -> float:
+    """L(k) = log_q k + log_q log_q k + log_q (q - 1) in float64."""
+    lk = math.log(k) / logq
+    return lk + math.log(lk) / logq + shift
 
 
 def _least(lo: int, hi: int, holds) -> int:

@@ -22,6 +22,7 @@ from .counting import _LowestTerms, mertens_parts, monic_cumulative
 from .errors import UsageError, VerificationError
 from .fieldpoly import (_check_prime, format_index, index_degree,
                         index_divrem, is_prime, parse_index)
+from .irreducibles import pi_prime
 from .sieve import block_multiples, multiples_pass
 
 
@@ -600,6 +601,9 @@ def verify_erdos_density_inequality(ps: PolySet) -> DensityBoundReport:
                 per_level[m] += cnt
     by_level = tuple(sorted(per_level.items()))
     wanted = set(per_level)
+    # no level passes the top degree: asking its pi' first keeps the
+    # table of counts that mertens_parts grows from passing it
+    pi_prime(q, ps.max_degree)
     parts = {m: part for m, part in zip(range(1, max(wanted) + 1),
                                         mertens_parts(q)) if m in wanted}
     max_exp = max(parts[m][1] + da for da, m, _ in buckets)

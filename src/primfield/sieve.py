@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import BudgetError, UsageError
 from .fieldpoly import _check_prime, _index_digits, index_degree
-from .irreducibles import pi_prime
 
 BLOCK = 1 << 16     # products formed, and looked up, per array
 
@@ -36,17 +35,16 @@ def multiples_pass(q: int, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
     so each polynomial turns up once per distinct irreducible factor.
     The degree-d irreducibles are the slots no lower irreducible's product
     marked; a reducible degree-n polynomial has a factor of degree <= n/2,
-    so only 2d <= horizon marks.  The arguments, and the bytes of all the
-    products against what numpy can index, are checked on the call,
-    before the caller allocates; pi' is asked for from the top degree
-    down, so a table of counts grown here ends at the horizon."""
+    so only 2d <= horizon marks.  The arguments, and the bytes the pass
+    holds, its 2 q^horizon flags and one BLOCK of products, against what
+    numpy can index, are checked on the call, before the caller
+    allocates."""
     _check_prime(q)
     if horizon < 1:
         raise UsageError("sieve horizon must be >= 1")
     dtype = _index_dtype(2 * q**horizon)
-    n_products = sum(pi_prime(q, d) * (q**(horizon - d + 1) - 1) // (q - 1)
-                     for d in range(horizon, 0, -1))
-    _check_indexable(q, horizon, n_products * np.dtype(dtype).itemsize)
+    _check_indexable(q, horizon,
+                     2 * q**horizon + BLOCK * np.dtype(dtype).itemsize)
 
     def walk():
         marked = np.zeros(2 * q**horizon, dtype=bool)

@@ -45,7 +45,8 @@ from primfield.errors import UsageError
 from primfield.fieldpoly import (_check_prime, _index_digits as index_digits,
                                  format_index, index_degree, index_divrem,
                                  parse_index)
-from primfield.irreducibles import pi_cumulative, pi_prime
+from primfield.irreducibles import (kth_irreducible_degree, pi_cumulative,
+                                    pi_prime)
 from primfield.primitive import PolySet
 from primfield.sieve import (_check_indexable, _index_dtype, _monic_indices,
                              monic_multiples)
@@ -530,3 +531,22 @@ def degree_brackets_whole(q, k_lo, k_hi, slack):
     bad = np.nonzero((low_margin < 0) | (high_margin < 0))[0]
     return (tuple(int(ks[i]) for i in bad[:1000]), len(bad),
             float(low_margin.min()), float(high_margin.min()))
+
+
+def degree_bracket_margins_numpy(q, k_lo, k_hi, slack):
+    """(worst_low_margin, worst_high_margin) as numpy float64 arrays over
+    the degree blocks' end ranks give them: the upper margin at each
+    block's first rank, the lower at its last."""
+    ends = []
+    d_lo = kth_irreducible_degree(q, k_lo)
+    d_hi = kth_irreducible_degree(q, k_hi)
+    for d in range(d_lo, d_hi + 1):
+        ends += [max(k_lo, pi_cumulative(q, d - 1) + 1),
+                 min(k_hi, pi_cumulative(q, d))]
+    logq = math.log(q)
+    lk = np.log(np.array(ends, dtype=np.float64)) / logq
+    L = lk + np.log(lk) / logq + math.log(q - 1) / logq
+    degs = np.arange(d_lo, d_hi + 1, dtype=np.float64)
+    high_margin = (L[0::2] + slack) - degs
+    low_margin = degs - (L[1::2] - 1.0 - slack)
+    return float(low_margin.min()), float(high_margin.min())

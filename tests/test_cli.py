@@ -325,6 +325,17 @@ def test_irr_kth_forms_its_products_one_block_at_a_time(q, k, budget, row):
     assert done.stdout.splitlines()[1] == row
 
 
+def test_the_erdos_sum_to_degree_8001_fits_an_8_mb_ceiling():
+    """Every pi' to degree 8001 comes from one Moebius pass that holds the
+    undivided totals and the powers up to q^4000 only.  With every power
+    up to q^8001 beside them, the run needed 10 MB."""
+    done = fresh_process("-m", "primfield.cli", "eval", "erdos-irr", "--q",
+                         "2", "--eps", "1/8000", "--budget-bytes", "8000000")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == ("lo,hi\n1.467535247277497888275915704516926634,"
+                           "1.467660231654450769165804468421438571\n")
+
+
 def test_a_degree_18_slice_is_checked_under_a_20_mb_ceiling(tmp_path):
     """The 262,144 members of a degree-18 slice stay one 2 MB int64 array
     from the file to the certificate.  As a tuple of Python ints, about
@@ -372,6 +383,7 @@ UNLOADED = {
     ("eval", "g"): {"numpy"},
     ("eval", "mertens", "--max-n", "5"): {"numpy"},
     ("verify", "norton"): {"numpy"},
+    ("irr", "brackets", "--k-lo", "1000", "--k-hi", "100000"): {"numpy"},
     ("construct", "besicovitch", "--eps", "1/4", "--horizon", "6"):
         {"mpmath"},
 }
@@ -466,20 +478,33 @@ def test_a_sieve_past_numpy_indexing_is_a_budget_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "erdos-density", "--in", "one61.txt"],
-    ["construct", "mp", "--q", "2", "--L", "log:eps=0.1", "--horizon", "61",
-     "--enum-horizon", "61"]])
+    ["verify", "erdos-density", "--in", "one62.txt"],
+    ["construct", "mp", "--q", "2", "--L", "log:eps=0.1", "--horizon", "62",
+     "--enum-horizon", "62"]])
 def test_a_pass_past_numpy_indexing_fails_before_it_allocates(
         argv, capsys, tmp_path, monkeypatch):
-    # the fold arrays alone would take 2^62 bytes: had either been
-    # allocated first, the run would report an out-of-memory error instead
+    # 62 is the smallest horizon whose 2^63 flags and one block of
+    # products numpy cannot index; the fold arrays alone would take 2^63
+    # bytes or more: had either been allocated first, the run would
+    # report an out-of-memory error instead
     monkeypatch.chdir(tmp_path)
-    write_poly_file(tmp_path / "one61.txt", 2, 61, [2**61 + 1])
+    write_poly_file(tmp_path / "one62.txt", 2, 62, [2**62 + 1])
     code, out, err = run(argv, capsys)
     assert code == 1 and out == ""
-    assert err.startswith("primfield: budget exceeded: sieve for q=2, "
-                          "horizon=61 needs ")
-    assert err.endswith(" bytes, more than numpy can index\n")
+    assert err == ("primfield: budget exceeded: sieve for q=2, horizon=62"
+                   f" needs {2**63 + 8 * 2**16} bytes, more than numpy can"
+                   " index\n")
+
+
+def test_mp_slot_arrays_past_numpy_indexing_fail_before_they_allocate(
+        capsys):
+    # at horizon 61 the pass's 2^62 flags can be indexed, but not the
+    # enumeration's two int16 slot arrays of 2^63 bytes each
+    code, out, err = run(["construct", "mp", "--q", "2", "--L", "log:eps=0.1",
+                          "--horizon", "61", "--enum-horizon", "61"], capsys)
+    assert code == 1 and out == ""
+    assert err == ("primfield: budget exceeded: sieve for q=2, horizon=61"
+                   f" needs {2**63} bytes, more than numpy can index\n")
 
 
 def test_an_unarmed_memory_error_is_one_line(capsys, monkeypatch):

@@ -351,20 +351,26 @@ def test_irreducible_slice_rejects_degree_below_one(q, degree):
         irreducible_slice(q, degree)
 
 
-@pytest.mark.parametrize("q,horizon", [(2, 58), (2, 200), (3, 37)])
+@pytest.mark.parametrize("q,horizon", [(2, 62), (2, 200), (3, 40)])
 def test_a_sieve_numpy_cannot_index_is_a_budget_error(q, horizon):
-    # the pass needs one int64 product per pair of an irreducible and a
-    # monic cofactor, past 2^63 - 1 bytes here, and is refused on the
-    # call; so are the oracle sieve's two tables of 2 q^horizon int64
-    # entries, so divisor_degree_masks never sees horizon 64
-    pairs = sum(pi_prime(q, d) * sum(q**e for e in range(horizon - d + 1))
-                for d in range(1, horizon + 1))
+    # the pass holds 2 q^horizon flags and one block of int64 products,
+    # past 2^63 - 1 bytes from these horizons on (2, 61 and 3, 39 stay
+    # below it), and is refused on the call; so are the oracle sieve's two
+    # tables of 2 q^horizon int64 entries, so divisor_degree_masks never
+    # sees horizon 64
+    need = 2 * q**horizon + 8 * sieve.BLOCK
     with pytest.raises(BudgetError) as err:
         multiples_pass(q, horizon)
     assert str(err.value) == (f"sieve for q={q}, horizon={horizon} needs "
-                              f"{8 * pairs} bytes, more than numpy can index")
+                              f"{need} bytes, more than numpy can index")
     with pytest.raises(BudgetError, match="more than numpy can index"):
         build_factor_sieve(q, horizon)
+
+
+def test_the_largest_indexable_sieve_horizons_are_accepted():
+    # one below the smallest refused horizons above: the call only checks
+    for q, horizon in ((2, 61), (3, 39)):
+        multiples_pass(q, horizon)
 
 
 @pytest.mark.parametrize("q,degree,need", [(2, 63, 2**63 + 8 * 2**16),

@@ -1,6 +1,8 @@
 """Irreducible counting and ordering against enumeration oracles."""
 
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
@@ -18,7 +20,8 @@ from primfield.irreducibles import (MAX_LISTED_VIOLATIONS,
                                     kth_irreducible_degree, moebius,
                                     pi_cumulative, pi_prime)
 
-from oracles import degree_brackets_whole, is_irreducible
+from oracles import (degree_bracket_margins_numpy, degree_brackets_whole,
+                     is_irreducible)
 
 
 # ----------------------------------------------------------------------
@@ -119,6 +122,18 @@ def test_walks_up_the_degrees_ask_for_their_top_degree_first(cold):
 def full_divisor_count(q, n):
     return sum(moebius_oracle(d) * q**(n // d)
                for d in range(1, n + 1) if n % d == 0) // n
+
+
+def test_a_cold_table_to_degree_8001_peaks_under_8_mb(cold):
+    """The pass holds the new counts' undivided totals and the powers up
+    to q^4000, not every power up to q^8001 beside them (9.8 MB)."""
+    tracemalloc.start()
+    try:
+        irreducibles._pi_primes(2, 8001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 @pytest.mark.parametrize("error", [BudgetError, MemoryError])
@@ -318,6 +333,21 @@ def test_runs_longer_than_an_index_are_counted():
     first = degree_brackets_whole(2, 1000, 10**5, 0.0)
     assert first[1] > MAX_LISTED_VIOLATIONS
     assert report.violations == first[0]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("slack", [-0.3, 0.0, 0.25, 0.5])
+def test_margins_equal_the_numpy_formula(q, slack):
+    """The margins, taken with math.log over Python floats, equal numpy's
+    float64 arrays bit for bit, on seeded ranges with k_hi up to 10^30."""
+    rng = random.Random(q * 100 + int(slack * 100))
+    for k_hi in (rng.randrange(q, 10**4), rng.randrange(10**4, 10**12),
+                 rng.randrange(10**12, 10**30 + 1)):
+        # k_lo log-uniform in [q, k_hi]
+        k_lo = min(k_hi, q + rng.randrange(10**rng.randrange(len(str(k_hi)))))
+        report = check_degree_brackets(q, k_lo, k_hi, slack)
+        assert (report.worst_low_margin, report.worst_high_margin) \
+            == degree_bracket_margins_numpy(q, k_lo, k_hi, slack), (k_lo, k_hi)
 
 
 def test_ranks_past_float64_are_refused():
