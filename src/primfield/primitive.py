@@ -124,8 +124,7 @@ def _member_array(values) -> np.ndarray:
 # Set files
 # ----------------------------------------------------------------------
 
-_WRITE_BLOCK = 1 << 15   # members formatted per numpy pass
-_READ_CHUNK = 1 << 18    # characters of a set file parsed per numpy pass
+_TEXT_CHUNK = 1 << 18    # set-file characters read or written per numpy pass
 _NEWLINE, _COMMA, _ZERO = ord("\n"), ord(","), ord("0")
 
 
@@ -140,35 +139,43 @@ def write_set(ps: PolySet, fh) -> None:
     """One header line `q=..;horizon=..`, then one member per line in the
     canonical form of `format_index`, ascending.
 
-    Members are formatted in blocks of one degree: one `% q` and `// q`
-    per digit column give the base-q digit matrix, each digit's decimal
-    text fills a fixed-width cell right-aligned, and one mask drops the
-    pad bytes.
+    Members of one degree d are formatted in blocks of about 256k
+    characters: a block is one (rows, line length) byte matrix, each line
+    the prefix `q=Q;` and d + 1 cells of width + 1 bytes, a coefficient
+    right-aligned in its cell and a comma or the newline after it.  Each
+    coefficient column takes one `% q` and one `//= q` of the block's
+    indices, its decimal text written straight into its cells.  Below
+    q = 10 every coefficient is one character and the matrix is the text;
+    above, one mask drops the pad bytes before a coefficient.
     """
     q = ps.q
     fh.write(f"q={q};horizon={ps.horizon}\n")
     prefix = np.frombuffer(f"q={q};".encode(), np.uint8)
     width = len(str(q - 1))
+    small = _index_dtype(q, 0)                 # the dtype of a coefficient
     for d, block in ps.by_degree().items():
-        for lo in range(0, len(block), _WRITE_BLOCK):
-            rest = np.array(block[lo:lo + _WRITE_BLOCK], _index_dtype(q, d))
-            digits = np.empty((len(rest), d + 1), np.min_scalar_type(q - 1))
+        length = len(prefix) + (d + 1) * (width + 1)
+        rows = min(len(block), max(1, _TEXT_CHUNK // length))
+        text = np.empty((rows, length), np.uint8)
+        text[:, :len(prefix)] = prefix
+        cells = text[:, len(prefix):].reshape(rows, d + 1, width + 1)
+        cells[..., width] = _COMMA
+        cells[:, -1, width] = _NEWLINE
+        for lo in range(0, len(block), rows):
+            rest = np.array(block[lo:lo + rows], _index_dtype(q, d))
+            out = cells[:len(rest)]
             for k in range(d + 1):
-                digits[:, k] = rest % q
+                coeff = (rest % q).astype(small, copy=False)
                 rest //= q
-            cells = np.empty(digits.shape + (width + 1,), np.uint8)
-            for j in range(width):
-                place = 10**(width - 1 - j)
-                high = digits // place
-                cells[..., j] = high % 10 + _ZERO
-                if place > 1:
-                    cells[..., j][high == 0] = 0     # pad byte
-            cells[..., width] = _COMMA
-            cells[:, -1, width] = _NEWLINE
-            text = np.concatenate(
-                (np.broadcast_to(prefix, (len(digits), len(prefix))),
-                 cells.reshape(len(digits), -1)), axis=1)
-            fh.write(text[text != 0].tobytes().decode("ascii"))
+                np.add(coeff % 10 if width > 1 else coeff, _ZERO,
+                       out=out[:, k, width - 1], casting="unsafe")
+                for j in range(width - 2, -1, -1):
+                    coeff //= 10
+                    np.add(coeff % 10, _ZERO, out=out[:, k, j],
+                           casting="unsafe")
+                    out[:, k, j][coeff == 0] = 0     # pad byte
+            lines = text[:len(rest)]
+            fh.write(str(lines[lines != 0] if width > 1 else lines, "ascii"))
 
 
 def _text_chunks(fh, size: int):
@@ -319,7 +326,7 @@ def read_set(fh) -> PolySet:
     over its own chunk only.  Repeats are found once, over all members;
     of a repeat and a parse error, the one on the earlier line is raised.
     """
-    chunks = _text_chunks(fh, _READ_CHUNK)
+    chunks = _text_chunks(fh, _TEXT_CHUNK)
     first = next(chunks, "")
     if not first:
         raise UsageError("empty set file")

@@ -239,8 +239,8 @@ def test_set_codec_matches_line_oracle(monkeypatch, q, degrees):
     mid, earlier = len(lines) // 2, lines[1 + len(lines) // 4]
     noted = lines[:mid] + ["# note"] + lines[mid:]
     repeated = lines[:mid] + ["# note", earlier] + lines[mid:]
-    for chunk in (16, primitive._READ_CHUNK):
-        monkeypatch.setattr(primitive, "_READ_CHUNK", chunk)
+    for chunk in (16, primitive._TEXT_CHUNK):
+        monkeypatch.setattr(primitive, "_TEXT_CHUNK", chunk)
         for edited in (noted, repeated):
             text = "\n".join(edited)
             want = codec_outcome(read_set_lines, text)
@@ -248,16 +248,37 @@ def test_set_codec_matches_line_oracle(monkeypatch, q, degrees):
         assert want == f"line {mid + 2}: duplicate member {earlier!r}"
 
 
+@pytest.mark.parametrize("q,degrees", [
+    (2, (1, 2, 9)),
+    (37, (1, 2, 4)),                   # padded two-character coefficients
+    (2, (61, 62, 63, 64)),             # int64, then the object-array path
+])
+def test_set_writer_matches_line_oracle_across_blocks(monkeypatch, q, degrees):
+    """A bound of one byte (a line per block) or of five of the longest
+    lines cuts the degrees into many blocks, the last of a degree often
+    shorter than the rest; the text must not change."""
+    ps = codec_set(q, degrees)
+    want = io.StringIO()
+    write_set_lines(ps, want)
+    longest = max(map(len, want.getvalue().splitlines(keepends=True)))
+    for bound in (1, 5 * longest):
+        monkeypatch.setattr(primitive, "_TEXT_CHUNK", bound)
+        got = io.StringIO()
+        write_set(ps, got)
+        assert got.getvalue() == want.getvalue()
+
+
 @pytest.fixture(scope="module")
 def big_set_text():
-    """Every degree-16 polynomial over F_2 and one of degree 17: three
-    writer blocks, and 2.5 MB of text, several reader chunks."""
+    """Every degree-16 polynomial over F_2 and one of degree 17: eleven
+    writer blocks (ten of at most 6,898 38-byte lines, then the degree-17
+    line), and 2.5 MB of text, several reader chunks."""
     ps = PolySet(2, 17, tuple(range(2**16, 2**17)) + (2**17 + 5,))
     got, want = io.StringIO(), io.StringIO()
     write_set(ps, got)
     write_set_lines(ps, want)
     assert got.getvalue() == want.getvalue()
-    assert len(got.getvalue()) > 2 * primitive._READ_CHUNK
+    assert len(got.getvalue()) > 2 * primitive._TEXT_CHUNK
     return ps, got.getvalue()
 
 
@@ -277,7 +298,7 @@ def test_an_edit_sends_only_its_own_chunk_through_the_loop(
     lines.insert(at, "# note")
     text = "\n".join(lines)
     edited, = (chunk for chunk in primitive._text_chunks(
-        io.StringIO(text), primitive._READ_CHUNK) if "# note" in chunk)
+        io.StringIO(text), primitive._TEXT_CHUNK) if "# note" in chunk)
     assert edited.startswith("q=2;horizon=17\n") == (at == 1)
     want = [line for line in edited.splitlines()
             if not line.startswith(("# note", "q=2;horizon"))]
@@ -320,11 +341,11 @@ MIXED_SET_FILE = (
 )
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 64, primitive._READ_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 5, 64, primitive._TEXT_CHUNK])
 def test_mixed_set_file_matches_line_oracle(monkeypatch, chunk):
     want = read_set_lines(io.StringIO(MIXED_SET_FILE))
     assert want.indices.tolist() == [3, 4, 11, 12, 16, 27, 53, 100]
-    monkeypatch.setattr(primitive, "_READ_CHUNK", chunk)
+    monkeypatch.setattr(primitive, "_TEXT_CHUNK", chunk)
     assert read_set(io.StringIO(MIXED_SET_FILE)) == want
 
 
@@ -375,16 +396,16 @@ def set_file_texts(draw, q):
 @pytest.mark.parametrize("q", [3, 7, 37])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(),
-       chunk=st.sampled_from([1, 3, 16, primitive._READ_CHUNK]))
+       chunk=st.sampled_from([1, 3, 16, primitive._TEXT_CHUNK]))
 def test_set_file_lines_agree_with_line_oracle(q, data, chunk):
     text = data.draw(set_file_texts(q))
     want = codec_outcome(read_set_lines, text)
-    original = primitive._READ_CHUNK
-    primitive._READ_CHUNK = chunk
+    original = primitive._TEXT_CHUNK
+    primitive._TEXT_CHUNK = chunk
     try:
         assert codec_outcome(read_set, text) == want
     finally:
-        primitive._READ_CHUNK = original
+        primitive._TEXT_CHUNK = original
 
 
 # ----------------------------------------------------------------------
@@ -448,7 +469,7 @@ def test_a_malformed_column_hands_its_line_to_the_loop(line, tail):
     ("\n", ""), ("\n", "\r\n"), ("\x0c", "\n"),
 ])
 @pytest.mark.parametrize("extra", ["", "q=7;3,1", "q=7;0,7,1"])
-@pytest.mark.parametrize("chunk", [1, 16, primitive._READ_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 16, primitive._TEXT_CHUNK])
 def test_line_breaks_give_the_line_oracle_set_or_error(monkeypatch, newline,
                                                       end, extra, chunk):
     """Other line breaks, an unterminated last line, and a repeat or a
@@ -458,7 +479,7 @@ def test_line_breaks_give_the_line_oracle_set_or_error(monkeypatch, newline,
     write_set(ps, buf)
     lines = buf.getvalue().splitlines() + ([extra] if extra else [])
     text = newline.join(lines) + end
-    monkeypatch.setattr(primitive, "_READ_CHUNK", chunk)
+    monkeypatch.setattr(primitive, "_TEXT_CHUNK", chunk)
     want = codec_outcome(read_set_lines, text)
     if not extra:
         assert want == ps
@@ -474,7 +495,7 @@ def test_runs_split_across_chunks_read_in_bulk(monkeypatch, q, degrees,
     ps = codec_set(q, degrees, per_degree=30)
     buf = io.StringIO()
     write_set(ps, buf)
-    monkeypatch.setattr(primitive, "_READ_CHUNK", chunk)
+    monkeypatch.setattr(primitive, "_TEXT_CHUNK", chunk)
     monkeypatch.setattr(primitive, "parse_index", refuse_parse_index)
     for text in (buf.getvalue(), buf.getvalue()[:-1]):
         assert read_set(io.StringIO(text)) == ps
