@@ -22,7 +22,8 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .errors import BudgetError, PrecisionError, UsageError
 from .fieldpoly import _check_prime, index_degree
 from .irreducibles import kth_irreducible_degree, pi_cumulative, pi_prime
 from .primitive import PolySet, is_primitive
-from .sieve import (_check_indexable, irreducible_slice, monic_multiples,
+from .sieve import (_check_indexable, irreducibles_at, monic_multiples,
                     multiples_pass)
 
 # ----------------------------------------------------------------------
@@ -296,11 +297,15 @@ def build_t_sequence(q: int, growth: GrowthFunction,
             k0 = k
             break
     assert k0 is not None and k0 <= K
-    # t_k is entry r_k - pi_cumulative(q, d - 1) of its degree-d slice
+    # t_k is the degree-d irreducible at 0-based rank r_k - 1 -
+    # pi_cumulative(q, d - 1); the degrees do not fall, so each degree's
+    # ranks come in a row, ascending, and are read from one sieve
     mat = min(materialize, K)
-    slices = {dd: irreducible_slice(q, dd) for dd in set(degs[:mat].tolist())}
-    terms = tuple(int(slices[dd][r - cum[dd - 1] - 1])
-                  for r, dd in zip(ranks[:mat].tolist(), degs[:mat].tolist()))
+    offsets = (ranks[:mat] - cum[degs[:mat] - 1] - 1).tolist()
+    terms = tuple(chain.from_iterable(
+        irreducibles_at(q, dd, [r for _, r in run])
+        for dd, run in groupby(zip(degs[:mat].tolist(), offsets),
+                               key=itemgetter(0))))
     for t, dd in zip(terms, degs[:mat]):
         assert index_degree(q, t) == int(dd)
     return TSequence(q, growth, K, k0, tuple(int(r) for r in ranks[:mat]),
@@ -566,22 +571,27 @@ def _enumerate_members(q: int, tseq: TSequence, k_max: int,
     of the distinct factor degrees (< 64), which is deg f exactly when f
     is squarefree.  The least t-rank is written over the multiples of each
     t_k, k descending; h + 1 stands for none, or one above enum_horizon:
-    neither equals omega."""
+    neither equals omega.  The least t-rank and omega stay <= h + 1 <= 62
+    and are held in int8."""
     h = enum_horizon
     passes = multiples_pass(q, h)
-    # the int16 slot arrays hold twice the bytes of the pass's flags
+    # the int16 slot array holds twice the bytes of the pass's flags
     _check_indexable(q, h, 2 * q**h * np.dtype(np.int16).itemsize)
     factors = np.zeros(2 * q**h, dtype=np.int16)
     for d, products in passes:
         factors[products] += 64 + d
-    least = np.full_like(factors, h + 1)
+    del products                    # the pass's last block
+    least = np.full(len(factors), h + 1, dtype=np.int8)
     for k in range(min(k_max, h), 0, -1):
         if tseq.degrees[k - 1] <= h:
             for _, products in monic_multiples(
                     q, [tseq.terms[k - 1]], 0, h - tseq.degrees[k - 1],
                     np.int64):
                 least[products] = k
-    indices = np.flatnonzero(factors >> 6 == least)
+    # omega, then in the same bytes whether it equals the least t-rank
+    same = np.right_shift(factors, 6, out=np.empty_like(least))
+    indices = np.flatnonzero(np.equal(same, least, out=same.view(bool)))
+    del same
     degrees = np.searchsorted(q**np.arange(1, h + 1), indices, side="right")
     squarefree = factors[indices] & 63 == degrees
     slots = (least[indices] - 1).astype(np.int64) * (h + 1) + degrees

@@ -7,7 +7,7 @@ degree window for the k-th irreducible is
     L(k) - 1 <= deg P_k <= L(k),  up to o(1),
 with L(k) = log_q k + log_q log_q k + log_q (q - 1); callers check it
 with an explicit slack.  The Erdos sum over all irreducibles is a
-bracket around the exact counts.  mpmath and irreducible_slice, the
+bracket around the exact counts.  mpmath and irreducibles_at, the
 one path here to numpy, are imported by the functions that use them, so
 the exact counts load neither, and the degree brackets, whose float
 margins come from math, load no numpy.
@@ -127,10 +127,10 @@ def kth_irreducible_degree(q: int, k: int) -> int:
 
 def kth_irreducible(q: int, k: int) -> int:
     """Index of the k-th monic irreducible in (degree, index) order, read
-    from irreducible_slice(q, d) at its degree d."""
-    from .sieve import irreducible_slice
+    at its rank among the degree-d ones by irreducibles_at(q, d, ...)."""
+    from .sieve import irreducibles_at
     d = kth_irreducible_degree(q, k)
-    return int(irreducible_slice(q, d)[k - pi_cumulative(q, d - 1) - 1])
+    return irreducibles_at(q, d, [k - pi_cumulative(q, d - 1) - 1])[0]
 
 
 def erdos_sum_irreducibles(q: int, eps=Fraction(1, 100)) -> BracketedValue:

@@ -55,7 +55,7 @@ class PolySet:
         # read_set and the constructions pass ascending, duplicate-free
         # members; only other input pays for a sort
         if len(indices) > 1 and not (indices[1:] > indices[:-1]).all():
-            indices = np.unique(indices)
+            indices = _distinct(indices)
         indices = indices.view()
         indices.flags.writeable = False
         object.__setattr__(self, "indices", indices)
@@ -126,6 +126,15 @@ def _member_array(values) -> np.ndarray:
 
 _TEXT_CHUNK = 1 << 18    # set-file characters read or written per numpy pass
 _NEWLINE, _COMMA, _ZERO = ord("\n"), ord(","), ord("0")
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a, ascending, by a sort and a neighbour mask;
+    np.unique would load numpy.ma for its masked-array check."""
+    a = np.sort(a)
+    keep = np.ones(len(a), bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
 def _index_dtype(q: int, degree: int):
@@ -212,7 +221,7 @@ def _fixed_width_lines(a: np.ndarray, ends: np.ndarray,
     canon = np.zeros(len(ends), bool)
     lengths = np.diff(ends, prepend=-1)
     rows_of, index_of = [], []
-    for length in np.unique(lengths).tolist():
+    for length in _distinct(lengths).tolist():
         degree, odd = divmod(length - len(prefix) - 2, 2)
         if odd or degree < 0:
             continue
@@ -602,7 +611,12 @@ def verify_erdos_density_inequality(ps: PolySet) -> DensityBoundReport:
     buckets = []
     per_level: dict[int, int] = defaultdict(int)
     for da, block in ps.by_degree().items():
-        for m, cnt in enumerate(np.bincount(levels[block]).tolist()):
+        # D(a) <= da; sorted in place, the levels of a degree are counted
+        # in int8, where a bincount would first widen them to int64
+        lv = levels[block]
+        lv.sort(kind="stable")
+        ends = np.searchsorted(lv, np.arange(da + 1, dtype=lv.dtype), "right")
+        for m, cnt in enumerate(np.diff(ends, prepend=0).tolist()):
             if cnt:
                 buckets.append((da, m, cnt))
                 per_level[m] += cnt

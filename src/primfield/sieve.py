@@ -3,7 +3,9 @@
 multiples_pass, the one factor sieve, yields every irreducible of degree
 <= horizon times every monic cofactor up to the horizon; its callers
 fold the factor data they need from the products.  irreducible_slice
-finds the irreducibles of one degree alone on boolean slices.
+finds the irreducibles of one degree alone on boolean slices that keep
+only the polynomials prime to x, and irreducibles_at reads some of them
+by rank from per-block counts of the same flags.
 
 Products come from three generators of (multiplier, products) pairs:
 monic_multiples over every monic cofactor of a degree range,
@@ -82,70 +84,146 @@ def block_multiples(q: int, block: np.ndarray, lo: int, hi: int,
 
 def irreducible_slice(q: int, degree: int) -> np.ndarray:
     """Ascending indices of the irreducibles of one degree >= 1 over a
-    prime field, with no least-factor table.
+    prime field, with no least-factor table: the unmarked flags of
+    _wheel_flags, read out in place."""
+    flags = _wheel_flags(q, degree)
+    if degree == 1:
+        return np.arange(q, 2 * q)
+    return _unmarked(q, degree, flags)
 
-    A reducible polynomial of degree d has an irreducible factor of
-    degree at most d/2.  So walking the degrees 1..d//2 and then d, the
-    irreducibles already found mark their multiples on a q^e boolean
-    slice of each degree e, one block of products at a time, and the
-    unmarked slots, complemented in place, are its irreducibles.  The
-    largest array is the degree-d slice.
+
+def irreducibles_at(q: int, degree: int, ranks: Iterable[int]) -> list[int]:
+    """The indices of the irreducibles of one degree >= 1 at ascending
+    0-based ranks in index order, each below their count pi'(degree).
+    The unmarked flags of _wheel_flags are counted one BLOCK at a time,
+    and only a block that holds a rank is read out, so no array of every
+    irreducible of the degree is built."""
+    flags = _wheel_flags(q, degree)
+    ranks = list(ranks)
+    if degree == 1:
+        return [q + r for r in ranks]
+    out: list[int] = []
+    seen = 0
+    for at in range(0, len(flags), BLOCK):
+        if len(out) == len(ranks):
+            break
+        block = flags[at:at + BLOCK]
+        free = len(block) - np.count_nonzero(block)
+        if ranks[len(out)] < seen + free:
+            indices = _unmarked(q, degree, block, at)
+            while len(out) < len(ranks) and ranks[len(out)] < seen + free:
+                out.append(int(indices[ranks[len(out)] - seen]))
+        seen += free
+    return out
+
+
+def _wheel_flags(q: int, degree: int) -> np.ndarray:
+    """One flag per monic polynomial of the degree prime to x, marked where
+    it is reducible.  Degree 1 has q unmarked flags and no wheel: every
+    x + c, x too, is irreducible.
+
+    A reducible polynomial of degree d >= 2 has an irreducible factor of
+    degree at most d/2, and x divides exactly the indices i = 0 mod q.  So
+    degree d keeps a flag only for the (q - 1) q^(d-1) other indices, the
+    one of i at slot i - i // q - (q^d - q^(d-1) + 1) ((i >> 1) - 2^(d-1)
+    over F_2), and walking the degrees 2..d//2 and then d, each
+    irreducible p != x already found marks p*r for the monic r of degree
+    d - deg p with r(0) != 0 alone, the only products prime to x; they
+    come from monic_multiples one block at a time.  The largest array is
+    the degree-d flags.  The bytes checked are those of a whole q^d slice
+    and one block of products: that also keeps every product index, below
+    2 q^d, inside int64.
     """
     _check_prime(q)
     if degree < 1:
         raise UsageError("degree must be >= 1")
     dtype = _index_dtype(2 * q**degree)
     _check_indexable(q, degree, q**degree + BLOCK * np.dtype(dtype).itemsize)
-    found: dict[int, np.ndarray] = {}
-    offsets = np.empty(BLOCK, dtype=dtype)
-    for d in [*range(1, degree // 2 + 1), degree]:
-        base = q**d
-        slots = np.zeros(base, dtype=bool)
+    if degree == 1:
+        return np.zeros(q, dtype=bool)
+    found = {1: list(range(q + 1, 2 * q))}       # x + c for c != 0
+    buf = np.empty(max(BLOCK, q - 1), dtype=dtype)     # see _block_degree
+    for d in [*range(2, degree // 2 + 1), degree]:
+        flags = np.zeros((q - 1) * q**(d - 1), dtype=bool)
         for e in range(1, d // 2 + 1):
-            for _, products in monic_multiples(q, found[e].tolist(), d - e,
-                                               d - e, dtype):
-                at = np.subtract(products, base, out=offsets[:len(products)])
-                slots[at] = True
-        found[d] = np.flatnonzero(np.logical_not(slots, out=slots))
-        found[d] += base
-    return found[degree]
+            for _, products in monic_multiples(q, found[e], d - e, d - e,
+                                               dtype, prime_to_x=True):
+                slots = buf[:len(products)]
+                if q == 2:
+                    np.right_shift(products, 1, out=slots)
+                    slots -= 1 << d - 1
+                else:
+                    np.floor_divide(products, q, out=slots)
+                    np.subtract(products, slots, out=slots)
+                    slots -= q**d - q**(d - 1) + 1
+                flags[slots] = True
+        if d < degree:
+            found[d] = _unmarked(q, d, flags).tolist()
+    return flags
+
+
+def _unmarked(q: int, degree: int, flags: np.ndarray,
+              first: int = 0) -> np.ndarray:
+    """The indices at the unmarked flags, wheel slots first, first + 1,
+    ... of the degree, ascending; flags is complemented in place, and
+    the slots are rewritten to indices in place, one block at a time:
+    slot c holds q^degree + 1 + c + c // (q - 1)."""
+    slots = np.flatnonzero(np.logical_not(flags, out=flags))
+    slots += first
+    for at in range(0, len(slots), BLOCK):
+        c = slots[at:at + BLOCK]
+        c += c // (q - 1) + (q**degree + 1)
+    return slots
 
 
 def monic_multiples(q: int, ps: Iterable[int], lo: int, hi: int,
-                    dtype: type[np.integer],
+                    dtype: type[np.integer], prime_to_x: bool = False,
                     ) -> Iterator[tuple[int, np.ndarray]]:
     """(p, products) for each p of ps: the indices of p*g for every monic g
     of degree lo..hi, ascending in g, one block at a time, all of them
-    before the next p's; dtype holds every product.
+    before the next p's; dtype holds every product.  With prime_to_x,
+    only the g with g(0) != 0, whose index is not a multiple of q: they
+    are chosen before any product is formed.
 
     Over odd q, at most BLOCK cofactors go to index_multiples whole.
     Otherwise the cofactors are cut at x^s, for the largest s with
-    q^s <= BLOCK (or s = hi + 1): with t[r] = p*r for every r below q^s,
-    the first block is the monic r below q^s, read off t, and each
-    further block holds the cofactors h x^s + r of one h, whose products
-    are t[r] + (p*h) x^s.  Over F_2 the table doubles, t[2^k + r] =
-    t[r] ^ (p << k), and such a block is t ^ ((p*h) << s).  Over odd q
-    the table comes from index_multiples, and the top deg p digits of
-    each t[r] are added mod q to those of (p*h) x^s, one digit at a time.
+    q^s <= BLOCK (at least 1 with prime_to_x), or s = hi + 1: with
+    t = p*r for each kept r below q^s, the first block is the
+    monic r below q^s, read off t, and each further block holds the
+    cofactors h x^s + r of one h, whose products are t + (p*h) x^s.
+    Over F_2 the table doubles: t[2^k + r] = t[r] ^ (p << k), or for the
+    odd r = 2m + 1 alone, t[2^k + m] = t[m] ^ (p << k + 1) from t[0] = p;
+    such a block is t ^ ((p*h) << s).  Over odd q the table comes from
+    _digit_products, and the top deg p digits of each t[r] are added mod
+    q to those of (p*h) x^s, one digit at a time.
     """
     if q != 2 and (q**(hi + 1) - q**lo) // (q - 1) <= BLOCK:
-        yield from index_multiples(q, ps, _monic_indices(q, lo, hi, dtype),
+        g = _monic_indices(q, lo, hi, dtype)
+        yield from index_multiples(q, ps, g[g % q != 0] if prime_to_x else g,
                                    dtype)
         return
-    s = min(hi + 1, _block_degree(q))
-    out = np.empty(q**s, dtype=dtype)
+    s = min(hi + 1, _block_degree(q, prime_to_x))
+
+    def rank(n: int) -> int:
+        """How many table rows lie below the cofactor n."""
+        return n - -(-n // q) if prime_to_x else n
+
+    out = np.empty(rank(q**s), dtype=dtype)
     if q == 2:
-        tables, blocks = _doubling_tables(ps, s, dtype), _xor_blocks
+        tables = _doubling_tables(ps, s, dtype, prime_to_x)
+        blocks = _xor_blocks
     else:
-        tables = index_multiples(q, ps, np.arange(q**s, dtype=dtype), dtype)
+        r = np.arange(q**s, dtype=dtype)
+        tables = _digit_products(q, list(ps), r[r % q != 0] if prime_to_x
+                                 else r, dtype)
         blocks = _digit_blocks
     for p, t in tables:
         if lo < s and q == 2:
-            yield p, t[1 << lo:]
+            yield p, t[rank(1 << lo):]
         elif lo < s:
-            n = (q**s - q**lo) // (q - 1)
-            np.concatenate([t[q**e:2 * q**e] for e in range(lo, s)],
-                           out=out[:n])
+            monic = [t[rank(q**e):rank(2 * q**e)] for e in range(lo, s)]
+            n = sum(map(len, monic))
+            np.concatenate(monic, out=out[:n])
             yield p, _read_only(out[:n])
         heads = (h for e in range(max(lo, s), hi + 1)
                  for h in range(q**(e - s), 2 * q**(e - s)))
@@ -229,14 +307,16 @@ def _digit_products(q: int, ps: list[int], g: np.ndarray,
 
 
 def _doubling_tables(ps: Iterable[int], s: int, dtype: type[np.integer],
-                     ) -> Iterator[tuple[int, np.ndarray]]:
+                     odd: bool) -> Iterator[tuple[int, np.ndarray]]:
     """(p, t) for each p of ps over F_2: t[r] = p*r for every r below 2^s,
-    by doubling, in one array rewritten for each p."""
-    t = np.zeros(1 << s, dtype=dtype)
+    or with odd, t[m] = p*(2m + 1) for every odd 2m + 1 below 2^s, by
+    doubling, in one array rewritten for each p."""
+    t = np.zeros(1 << s - odd, dtype=dtype)
     view = _read_only(t)
     for p in ps:
-        for k in range(s):
-            np.bitwise_xor(t[:1 << k], p << k, out=t[1 << k:2 << k])
+        t[0] = p if odd else 0
+        for k in range(s - odd):
+            np.bitwise_xor(t[:1 << k], p << k + odd, out=t[1 << k:2 << k])
         yield p, view
 
 
@@ -286,9 +366,11 @@ def _index_product(q: int, a: int, b: int) -> int:
     return sum(v % q * q**k for k, v in enumerate(sums))
 
 
-def _block_degree(q: int) -> int:
-    """The largest s with q^s <= BLOCK."""
-    s = 0
+def _block_degree(q: int, prime_to_x: bool) -> int:
+    """The largest s with q^s <= BLOCK, at least 1 with prime_to_x: a
+    cofactor prime to x has a constant term, so there its table has
+    (q - 1) q^(s-1) rows, past BLOCK only where q - 1 is."""
+    s = int(prime_to_x)
     while q**(s + 1) <= BLOCK:
         s += 1
     return s

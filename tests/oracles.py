@@ -1,6 +1,7 @@
 """Per-polynomial oracles: index multiplication and trial division, a
 least-factor sieve with its folds along the least-factor chains, a
-factorization and the irreducibles of a degree read off its table, and
+factorization and the irreducibles of a degree read off its table or
+from a slice of every monic polynomial of the degree, and
 the set-file codec one line at a time, plus trial-division primality;
 and per-cell oracles for the exact count layer.
 
@@ -113,6 +114,25 @@ def sieve_irreducibles(sieve, d):
     base = sieve.q**d
     return np.flatnonzero(sieve.spf[base:2 * base]
                           == np.arange(base, 2 * base)) + base
+
+
+def full_irreducible_slice(q, degree):
+    """Ascending indices of the irreducibles of one degree, the library's
+    slice before it kept only the polynomials prime to x: one flag for
+    every monic polynomial of each degree 1..degree//2 and then degree,
+    marked by every irreducible already found, x included, times every
+    monic cofactor."""
+    dtype = _index_dtype(2 * q**degree)
+    found = {}
+    for d in [*range(1, degree // 2 + 1), degree]:
+        base = q**d
+        slots = np.zeros(base, dtype=bool)
+        for e in range(1, d // 2 + 1):
+            for _, products in monic_multiples(q, found[e].tolist(), d - e,
+                                               d - e, dtype):
+                slots[products - base] = True
+        found[d] = np.flatnonzero(~slots) + base
+    return found[degree]
 
 
 class FactorSieve:

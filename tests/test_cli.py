@@ -112,9 +112,10 @@ def test_an_out_of_domain_value_is_a_usage_error(capsys, argv, message):
 def test_sieve_budget_exit_one():
     """In a fresh process: the ceiling meters address space, so in this
     one memory that earlier tests freed but left mapped would be reused
-    uncounted and the sieve could fit."""
+    uncounted and the sieve could fit.  The degree-26 flags alone take
+    32 MB."""
     done = fresh_process("-m", "primfield.cli", "irr", "kth", "--q", "2",
-                         "--k", "1000000", "--budget-bytes", "20000000")
+                         "--k", "4097593", "--budget-bytes", "20000000")
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.startswith("primfield: budget exceeded: memory budget")
 
@@ -261,7 +262,7 @@ def test_every_leaf_subcommand_runs_unchanged_under_a_wide_ceiling(
 
 
 @pytest.mark.parametrize("argv,seconds", [
-    pytest.param(["irr", "kth", "--q", "2", "--k", "1000000",
+    pytest.param(["irr", "kth", "--q", "2", "--k", "4097593",
                   "--budget-bytes", "20000000"], 2, id="irr-kth"),
     pytest.param(["construct", "besicovitch", "--q", "2", "--eps", "1/4",
                   "--horizon", "24", "--budget-bytes", "100000000"], 2,
@@ -276,7 +277,8 @@ def test_the_ceiling_stops_a_stage_that_allocates_past_it(argv, seconds):
     long-lived process has freed but kept mapped is reused without
     growing the address space, so a small ceiling binds only in a
     process of its own.  Uncapped, the first two succeed at a peak RSS
-    of about 110 MB and 180 MB: the degree-24 slice alone is 2^24 int64
+    of about 62 MB and 180 MB: the degree-26 flags of the polynomials
+    prime to x alone are 2^25 bytes, and the degree-24 slice 2^24 int64
     members."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(primfield.__file__).parents[1]))
@@ -301,8 +303,8 @@ def fresh_process(*args):
 
 
 def test_irr_kth_reads_one_degree_slice_under_a_64_mb_ceiling():
-    """The k-th irreducible of degree 22 comes from a 4 MB boolean slice
-    marked by the irreducibles of degree <= 11, not from a least-factor
+    """The k-th irreducible of degree 22 comes from a 2 MB boolean slice
+    of the polynomials prime to x, marked by the irreducibles of degree <= 11, not from a least-factor
     table of 2 * 2^22 entries per array, which alone passes the ceiling."""
     done = fresh_process("-m", "primfield.cli", "irr", "kth", "--q", "2",
                          "--k", "246094", "--budget-bytes", "64000000")
@@ -317,8 +319,9 @@ def test_irr_kth_reads_one_degree_slice_under_a_64_mb_ceiling():
     (3, 193346, 16000000,
      '193346,14,4797070,"q=3;1,2,0,0,0,1,1,0,2,0,0,0,0,0,1"')])
 def test_irr_kth_forms_its_products_one_block_at_a_time(q, k, budget, row):
-    """The degree slice (4.2 MB at q=2, degree 22; 4.8 MB at q=3, degree
-    14) and one block of products fit the ceiling.  Whole per-multiplier
+    """The degree slice of the polynomials prime to x (2.1 MB at q=2,
+    degree 22; 3.2 MB at q=3, degree 14) and one block of products fit
+    the ceiling.  Whole per-multiplier
     product arrays do not: the doubling table of x times every cofactor
     below degree 22 is 2^22 int32 entries, 16 MB, and at q=3 the 14 digit
     rows of the 3^13 degree-13 cofactors are 22 MB."""
@@ -326,6 +329,19 @@ def test_irr_kth_forms_its_products_one_block_at_a_time(q, k, budget, row):
                          "--k", str(k), "--budget-bytes", str(budget))
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[1] == row
+
+
+def test_a_degree_26_irreducible_is_read_under_a_48_mb_ceiling():
+    """At degree 26 the flags of the polynomials prime to x take 32 MB,
+    and the rank is read from per-block counts of them.  A flag for every
+    monic polynomial, 64 MB, and the int64 array of all 2,580,795
+    degree-26 irreducibles, 20 MB, were refused at 64 MB."""
+    done = fresh_process("-m", "primfield.cli", "irr", "kth", "--q", "2",
+                         "--k", "4097593", "--budget-bytes", "48000000")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[1] == (
+        '4097593,26,100667279,'
+        '"q=2;1,1,1,1,0,0,0,1,1,1,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,1,1"')
 
 
 def test_the_erdos_sum_to_degree_8001_fits_an_8_mb_ceiling():
@@ -423,13 +439,30 @@ def test_a_command_loads_only_the_code_it_runs(argv):
     assert set(loaded) == {"numpy", "mpmath"} - UNLOADED[argv]
 
 
+@pytest.mark.parametrize("command", [["set", "check"],
+                                     ["verify", "erdos-density"]])
+def test_set_reading_leaves_numpy_ma_unloaded(tmp_path, command):
+    """np.unique loads numpy.ma for its masked-array check; the set reader
+    takes the distinct line lengths of each bulk chunk, and PolySet sorts
+    unsorted members, without it."""
+    path = write_poly_file(tmp_path / "s.txt", 2, 10, range(2**10, 2**11))
+    probe = ("import json, sys\n"
+             "from primfield.cli import main\n"
+             "from primfield.primitive import PolySet\n"
+             "code = main(sys.argv[1:])\n"
+             "PolySet(2, 4, [7, 3, 7])\n"
+             "print(json.dumps([code, 'numpy.ma' in sys.modules]))\n")
+    done = fresh_process("-c", probe, *command, "--in", str(path))
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, False], done.stderr
+
+
 def test_the_limit_is_restored_on_every_path(capsys):
     before = address_space_limit()
     ceiling = ["--budget-bytes", "20000000"]
     code, out, _ = run(["irr", "kth", "--k", "10", *ceiling], capsys)
     assert code == 0 and out
     assert address_space_limit() == before
-    # a degree-27 slice, 134 MB of flags, is past the ceiling however much
+    # a degree-27 slice, 67 MB of flags, is past the ceiling however much
     # freed memory earlier tests left mapped in this process
     code, _, err = run(["irr", "kth", "--k", "10000000", *ceiling], capsys)
     assert code == 1 and "memory budget" in err

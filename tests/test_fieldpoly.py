@@ -1,6 +1,7 @@
 """Polynomial kernel against coefficient-level and product-set oracles."""
 
 import random
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -13,12 +14,12 @@ from primfield.fieldpoly import (format_index, index_degree, index_divrem,
 from primfield import sieve
 from primfield.irreducibles import pi_prime
 from primfield.sieve import (block_multiples, index_multiples,
-                             irreducible_slice, monic_multiples,
-                             multiples_pass)
+                             irreducible_slice, irreducibles_at,
+                             monic_multiples, multiples_pass)
 
 from oracles import (Factorization, build_factor_sieve, divides,
-                     divisor_degree_masks, index_mul, is_irreducible,
-                     is_prime_trial, sieve_irreducibles)
+                     divisor_degree_masks, full_irreducible_slice, index_mul,
+                     is_irreducible, is_prime_trial, sieve_irreducibles)
 
 QS = (2, 3, 5)
 
@@ -336,6 +337,58 @@ def test_irreducible_slice_matches_the_covering_sieve(q, dmax, monkeypatch):
         for size in BLOCK_SIZES:
             monkeypatch.setattr(sieve, "BLOCK", size)
             assert irreducible_slice(q, d).tolist() == want, (size, d)
+
+
+@pytest.mark.parametrize("q,dmax", [(2, 16), (3, 10), (5, 6), (7, 5),
+                                    (11, 4), (13, 4)])
+def test_wheel_slices_match_the_full_slice(q, dmax, monkeypatch):
+    """The slice of the polynomials prime to x gives the irreducibles of
+    the slice of every monic polynomial, and irreducibles_at reads them
+    at the first and last rank and on each side of every block edge of
+    its flags, at both block sizes."""
+    for d in range(1, dmax + 1):
+        want = full_irreducible_slice(q, d).tolist()
+        # the flag of index i, past x's multiples, once the wheel starts
+        slots = [i - i // q - (q**d - q**(d - 1) + 1) if d > 1 else i - q
+                 for i in want]
+        for size in BLOCK_SIZES:
+            monkeypatch.setattr(sieve, "BLOCK", size)
+            assert irreducible_slice(q, d).tolist() == want, (size, d)
+            edges = {bisect_left(slots, at) + side
+                     for at in range(size, slots[-1] + 1, size)
+                     for side in (-1, 0)}
+            ranks = sorted({0, len(want) - 1}
+                           | {r for r in edges if 0 <= r < len(want)})
+            assert irreducibles_at(q, d, ranks) == [want[r] for r in ranks]
+
+
+@pytest.mark.parametrize("q,degree", [(2, 22), (3, 12)])
+def test_the_wheel_forms_only_products_prime_to_x(q, degree, monkeypatch):
+    """No multiple of x and no product p*r with r(0) = 0 is formed: the
+    products of each degree n, the top one and those of the slices that
+    supply its multipliers, are exactly each irreducible p != x of degree
+    e <= n/2 times the (q - 1) q^(n-e-1) monic r of degree n - e with
+    r(0) != 0."""
+    formed, multipliers = {}, []
+
+    def counted(q_, ps, lo, hi, dtype, prime_to_x=False):
+        assert prime_to_x and lo == hi
+        ps = list(ps)
+        multipliers.extend(ps)
+        for p, products in monic_multiples(q_, ps, lo, hi, dtype, prime_to_x):
+            assert not (products % q == 0).any(), p
+            n = lo + index_degree(q, p)
+            formed[n] = formed.get(n, 0) + len(products)
+            yield p, products
+
+    monkeypatch.setattr(sieve, "monic_multiples", counted)
+    irreducibles_at(q, degree, [0])
+    assert q not in multipliers
+    assert degree in formed
+    for n, count in formed.items():
+        assert count == sum((pi_prime(q, e) - (e == 1))
+                            * (q - 1) * q**(n - e - 1)
+                            for e in range(1, n // 2 + 1)), n
 
 
 def test_irreducible_slice_rejects_a_composite_field():
