@@ -551,7 +551,7 @@ def test_a_pass_past_numpy_indexing_fails_before_it_allocates(
 def test_mp_slot_arrays_past_numpy_indexing_fail_before_they_allocate(
         capsys):
     # at horizon 61 the pass's 2^62 flags can be indexed, but not the
-    # enumeration's two int16 slot arrays of 2^63 bytes each
+    # enumeration's int16 slot array of 2^63 bytes
     code, out, err = run(["construct", "mp", "--q", "2", "--L", "log:eps=0.1",
                           "--horizon", "61", "--enum-horizon", "61"], capsys)
     assert code == 1 and out == ""
