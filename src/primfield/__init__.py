@@ -22,7 +22,7 @@ _EXPORTS = {
                       "irreducible_density_constant", "mp_construct",
                       "mp_diagnostics"),
     "counting": ("CountTable", "build_count_table", "evaluate_G",
-                 "mertens_product", "monic_cumulative", "norton_check",
+                 "monic_cumulative", "norton_check",
                  "verify_hr_bound", "verify_recurrence_bound"),
     "errors": ("BudgetError", "PrecisionError", "PrimfieldError",
                "UsageError", "VerificationError"),
@@ -30,7 +30,7 @@ _EXPORTS = {
     "irreducibles": ("check_degree_brackets", "erdos_sum_irreducibles",
                      "kth_irreducible", "kth_irreducible_degree", "moebius",
                      "pi_cumulative", "pi_prime"),
-    "primitive": ("PolySet", "assert_primitive", "density_profile",
+    "primitive": ("PolySet", "density_profile",
                   "erdos_sum", "is_primitive", "random_primitive_set",
                   "read_set", "verify_erdos_density_inequality",
                   "write_set"),

@@ -566,16 +566,16 @@ def _enumerate_members(q: int, tseq: TSequence, k_max: int,
     per (k, degree) in slot (k - 1) * (enum_horizon + 1) + degree.  f
     joins S_k when it is squarefree, its least t-rank is k and omega(f) = k.
 
-    Each product of a degree-d irreducible from one multiples pass adds
-    64 + d to its slot: omega above the low six bits, and in them the sum
-    of the distinct factor degrees (< 64), which is deg f exactly when f
-    is squarefree.  The least t-rank is written over the multiples of each
-    t_k, k descending; h + 1 stands for none, or one above enum_horizon:
-    neither equals omega.  The least t-rank and omega stay <= h + 1 <= 62
-    and are held in int8."""
+    Each product of a degree-d irreducible of the wheel's slice, from one
+    multiples pass, adds 64 + d to its slot: omega above the low six bits,
+    and in them the sum of the distinct factor degrees (< 64), which is
+    deg f exactly when f is squarefree.  The least t-rank is written over
+    the multiples of each t_k, k descending; h + 1 stands for none, or one
+    above enum_horizon: neither equals omega.  The least t-rank and omega
+    stay <= h + 1 <= 62 and are held in int8."""
     h = enum_horizon
     passes = multiples_pass(q, h)
-    # the int16 slot array holds twice the bytes of the pass's flags
+    # int16 slots: twice the one byte per index that the pass checks
     _check_indexable(q, h, 2 * q**h * np.dtype(np.int16).itemsize)
     factors = np.zeros(2 * q**h, dtype=np.int16)
     for d, products in passes:

@@ -346,7 +346,9 @@ PRINTABLE_EXACT_BITS = 14280
 def mertens_rows(q: int, max_n: int,
                  precision_bits: int = DEFAULT_PRECISION_BITS,
                  ) -> tuple[MertensValue, ...]:
-    """mertens_product(q, n) for n = 1..max_n in one pass over the degrees.
+    """Truncated Mertens products P(n) = prod_{deg p <= n} (1 - 1/||p||)
+    for n = 1..max_n, in one pass over the degrees, each with its
+    drift-normalized bracket of e^gamma * n * P(n), which tends to 1.
 
     The interval sum of the log terms and the exact product of
     mertens_parts both run over d, so row n adds one degree's term to row
@@ -381,17 +383,6 @@ def mertens_rows(q: int, max_n: int,
             rows.append(MertensValue(q, n, exact,
                                      BracketedValue.from_iv(norm)))
     return tuple(rows)
-
-
-def mertens_product(q: int, n: int,
-                    precision_bits: int = DEFAULT_PRECISION_BITS,
-                    ) -> MertensValue:
-    """Truncated Mertens product with its drift-normalized bracket.
-
-    normalized brackets e^gamma * n * P(n), which tends to 1; the exact
-    rational is included while its decimal form prints, as in mertens_rows.
-    """
-    return mertens_rows(q, n, precision_bits)[-1]
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from itertools import chain, combinations, pairwise
 import numpy as np
 
 from .counting import _LowestTerms, mertens_parts, monic_cumulative
-from .errors import UsageError, VerificationError
+from .errors import UsageError
 from .fieldpoly import (_check_prime, format_index, index_degree,
                         index_divrem, is_prime, parse_index)
 from .irreducibles import pi_prime
@@ -496,14 +496,6 @@ def _least_hit(products: np.ndarray, members: np.ndarray) -> int | None:
     return int(hits[np.argmin(products[hits])])
 
 
-def assert_primitive(ps: PolySet) -> None:
-    """Raise VerificationError with the dividing pair if ps is not primitive."""
-    ok, witness = is_primitive(ps)
-    if not ok:
-        a, b = (format_index(ps.q, i) for i in witness)
-        raise VerificationError(f"not primitive: {a} divides {b}")
-
-
 # ----------------------------------------------------------------------
 # Erdos sums
 # ----------------------------------------------------------------------
@@ -594,8 +586,9 @@ class DensityBoundReport:
 def verify_erdos_density_inequality(ps: PolySet) -> DensityBoundReport:
     """Exact check that any primitive set satisfies the weighted bound <= 1.
 
-    D is read off one multiples pass up to the top member degree: every
-    product of a degree-d irreducible sets its slot to d, and d ascends.
+    D is read off one multiples pass up to the top member degree into one
+    byte per index, as the pass checks: every product of a degree-d
+    irreducible sets its slot to d, and d ascends.
     Members are bucketed by (degree, D(a)); with P(m) = A_m / q^{E_m},
     read off one running product up to the top level, the whole left side
     is a single integer comparison against q^{max exponent}.

@@ -1,11 +1,12 @@
 """Sieving over the integer index of fieldpoly, in numpy.
 
-multiples_pass, the one factor sieve, yields every irreducible of degree
-<= horizon times every monic cofactor up to the horizon; its callers
-fold the factor data they need from the products.  irreducible_slice
-finds the irreducibles of one degree alone on boolean slices that keep
-only the polynomials prime to x, and irreducibles_at reads some of them
-by rank from per-block counts of the same flags.
+One sieve finds the irreducibles of one degree: _wheel_flags, on boolean
+slices that keep only the polynomials prime to x.  irreducible_slice
+reads every unmarked flag of a degree out as an index, and
+irreducibles_at reads some of them by rank from per-block counts of the
+flags.  multiples_pass walks the degrees up to a horizon and yields each
+degree's slice times every monic cofactor up to the horizon; its
+callers fold the factor data they need from the products.
 
 Products come from three generators of (multiplier, products) pairs:
 monic_multiples over every monic cofactor of a degree range,
@@ -32,15 +33,13 @@ BLOCK = 1 << 16     # products formed, and looked up, per array
 
 
 def multiples_pass(q: int, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(d, products) for d = 1..horizon: each degree-d irreducible times
-    every monic cofactor of degree 0..horizon - d, from block_multiples,
-    so each polynomial turns up once per distinct irreducible factor.
-    The degree-d irreducibles are the slots no lower irreducible's product
-    marked; a reducible degree-n polynomial has a factor of degree <= n/2,
-    so only 2d <= horizon marks.  The arguments, and the bytes the pass
-    holds, its 2 q^horizon flags and one BLOCK of products, against what
-    numpy can index, are checked on the call, before the caller
-    allocates."""
+    """(d, products) for d = 1..horizon: each degree-d irreducible, from
+    irreducible_slice, times every monic cofactor of degree 0..horizon - d,
+    from block_multiples, so each polynomial turns up once per distinct
+    irreducible factor.  The arguments, and the bytes a caller's fold
+    holds, one byte per index below 2 q^horizon and one BLOCK of the
+    pass's products, against what numpy can index, are checked on the
+    call, before the caller allocates."""
     _check_prime(q)
     if horizon < 1:
         raise UsageError("sieve horizon must be >= 1")
@@ -49,12 +48,9 @@ def multiples_pass(q: int, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
                      2 * q**horizon + BLOCK * np.dtype(dtype).itemsize)
 
     def walk():
-        marked = np.zeros(2 * q**horizon, dtype=bool)
         for d in range(1, horizon + 1):
-            irr = np.flatnonzero(~marked[q**d:2 * q**d]) + q**d
+            irr = irreducible_slice(q, d).astype(dtype, copy=False)
             for _, products in block_multiples(q, irr, 0, horizon - d, dtype):
-                if 2 * d <= horizon:
-                    marked[products] = True
                 yield d, products
     return walk()
 
@@ -300,7 +296,11 @@ def _digit_products(q: int, ps: list[int], g: np.ndarray,
                 if live[i]:
                     np.multiply(p_digits[:, i, None], rows[j - i], out=t)
                     c += t
-            c %= q
+            # c mod q as c - (c // q) q: numpy vectorises a scalar
+            # floor_divide, not a remainder
+            np.floor_divide(c, q, out=t)
+            t *= q
+            c -= t
             np.multiply(c, q**j, out=sc, dtype=dtype)
             o += sc
         yield from zip(group, view)

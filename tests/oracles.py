@@ -2,7 +2,8 @@
 least-factor sieve with its folds along the least-factor chains, a
 factorization and the irreducibles of a degree read off its table or
 from a slice of every monic polynomial of the degree, and
-the set-file codec one line at a time, plus trial-division primality;
+the set-file codec one line at a time, plus trial-division primality
+and a primitivity assertion that names the dividing pair;
 and per-cell oracles for the exact count layer.
 
 The library forms products and derives factor data in bulk, from one
@@ -42,13 +43,13 @@ from primfield.brackets import (DEFAULT_PRECISION_BITS, BracketedValue,
 from primfield.counting import (PRINTABLE_EXACT_BITS, InequalityReport,
                                 MertensValue, _log_weight_dyadic_lower, _pack,
                                 _term_precision, _unpack, build_count_table)
-from primfield.errors import UsageError
+from primfield.errors import UsageError, VerificationError
 from primfield.fieldpoly import (_check_prime, _index_digits as index_digits,
                                  format_index, index_degree, index_divrem,
                                  parse_index)
 from primfield.irreducibles import (kth_irreducible_degree, pi_cumulative,
                                     pi_prime)
-from primfield.primitive import PolySet
+from primfield.primitive import PolySet, is_primitive
 from primfield.sieve import (_check_indexable, _index_dtype, _monic_indices,
                              monic_multiples)
 
@@ -263,6 +264,15 @@ def enumerate_members_folds(q: int, tseq, k_max: int, enum_horizon: int,
 def divides(q, a, b):
     """True when the polynomial with index a divides the one with index b."""
     return index_divrem(q, b, a)[1] == 0
+
+
+def assert_primitive(ps):
+    """Raise VerificationError with the dividing pair if ps is not
+    primitive."""
+    ok, witness = is_primitive(ps)
+    if not ok:
+        a, b = (format_index(ps.q, i) for i in witness)
+        raise VerificationError(f"not primitive: {a} divides {b}")
 
 
 def is_irreducible(q, f):

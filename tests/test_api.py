@@ -23,7 +23,8 @@ SRC = Path(primfield.__file__).resolve().parent
 # path, and the size caps the run's deadline and ceiling made redundant;
 # the product kernels form their own digit rows; one multiples pass
 # replaces the least-factor sieve and its folds; one table of counts per
-# field replaces the second Moebius pass
+# field replaces the second Moebius pass; the Mertens product of one n
+# and the raising primitivity check, which only the tests called
 DELETED = ("ConstructionError", "DEFAULT_ENUM_BUDGET", "DEFAULT_SIEVE_ENTRIES",
            "FactorSieve", "Factorization", "MAX_BRACKET_RANKS", "MAX_PAIRS",
            "MonicPoly", "TailSums", "build_factor_sieve", "divides",
@@ -31,10 +32,8 @@ DELETED = ("ConstructionError", "DEFAULT_ENUM_BUDGET", "DEFAULT_SIEVE_ENTRIES",
            "format_poly", "is_irreducible", "iv_span", "iv_to_float",
            "mertens_exact", "mertens_exact_parts", "monic_count",
            "monic_digits", "parse_poly", "pi_prime_table", "poly_divrem",
-           "poly_mul", "sathe_selberg_H", "tail_sums")
-
-# named only by the tests, which call them as the acceptance criteria do
-KEEP = frozenset({"mertens_product", "assert_primitive", "irreducible_slice"})
+           "poly_mul", "sathe_selberg_H", "tail_sums", "mertens_product",
+           "assert_primitive")
 
 
 def test_all_names_resolve_and_deleted_names_are_gone():
@@ -50,9 +49,23 @@ def test_all_names_resolve_and_deleted_names_are_gone():
             assert not hasattr(module, name), (module.__name__, name)
 
 
-def test_irreducibles_have_one_source_and_the_kernels_no_digit_rows():
-    """A degree's irreducibles come from irreducible_slice alone, and the
-    product kernels take no sieve and no digit rows from their callers."""
+def test_irreducibles_have_one_source_and_the_kernels_no_digit_rows(
+        monkeypatch):
+    """A degree's irreducibles come from the wheel alone: the multiples
+    pass asks irreducible_slice for each degree once, and keeps no flags
+    of its own.  The product kernels take no sieve and no digit rows from
+    their callers."""
+    asked = []
+    real = sieve.irreducible_slice
+
+    def spy(q, degree):
+        asked.append((q, degree))
+        return real(q, degree)
+
+    monkeypatch.setattr(sieve, "irreducible_slice", spy)
+    for _ in sieve.multiples_pass(3, 7):
+        pass
+    assert asked == [(3, d) for d in range(1, 8)]
     for fn in (irreducibles.kth_irreducible, sieve.monic_multiples,
                sieve.index_multiples, sieve.block_multiples):
         params = inspect.signature(fn).parameters
@@ -108,7 +121,5 @@ def test_every_top_level_name_is_used_in_src():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    unused = {name: mod for name, mod in defined.items()
-              if name not in used and name not in KEEP}
+    unused = {name: mod for name, mod in defined.items() if name not in used}
     assert unused == {}
-    assert KEEP <= set(defined)

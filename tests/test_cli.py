@@ -376,6 +376,22 @@ def test_a_degree_18_slice_is_checked_under_a_20_mb_ceiling(tmp_path):
         assert report["primitive"] is True and report["size"] == 2**18
 
 
+def test_a_degree_21_density_check_fits_a_10_mb_ceiling(tmp_path):
+    """The pass takes each degree's irreducibles from the wheel's slice
+    and keeps no flags of its own, so the check of one degree-21 member
+    holds its 4 MB of D slots, one slice and one block of products.  While
+    the pass held 2 q^21 flags of its own beside them, it was refused at
+    10 MB.  The report is the unbudgeted run's, byte for byte."""
+    path = tmp_path / "one21.txt"
+    path.write_text("q=2;horizon=21\n2097155\n")
+    argv = ("-m", "primfield.cli", "verify", "erdos-density", "--in",
+            str(path))
+    budgeted = fresh_process(*argv, "--budget-bytes", "10000000")
+    plain = fresh_process(*argv)
+    assert (budgeted.returncode, budgeted.stderr) == (0, "")
+    assert plain.returncode == 0 and budgeted.stdout == plain.stdout
+
+
 def test_a_degree_18_besicovitch_set_is_written_under_a_6_mb_ceiling(
         capsys, tmp_path):
     """The writer holds one block of about 256k characters of text at a
@@ -535,9 +551,9 @@ def test_a_sieve_past_numpy_indexing_is_a_budget_error(capsys):
      "--enum-horizon", "62"]])
 def test_a_pass_past_numpy_indexing_fails_before_it_allocates(
         argv, capsys, tmp_path, monkeypatch):
-    # 62 is the smallest horizon whose 2^63 flags and one block of
-    # products numpy cannot index; the fold arrays alone would take 2^63
-    # bytes or more: had either been allocated first, the run would
+    # 62 is the smallest horizon whose 2^63 one-byte slots and one block
+    # of products numpy cannot index; the fold arrays alone would take
+    # 2^63 bytes or more: had either been allocated first, the run would
     # report an out-of-memory error instead
     monkeypatch.chdir(tmp_path)
     write_poly_file(tmp_path / "one62.txt", 2, 62, [2**62 + 1])
@@ -550,8 +566,8 @@ def test_a_pass_past_numpy_indexing_fails_before_it_allocates(
 
 def test_mp_slot_arrays_past_numpy_indexing_fail_before_they_allocate(
         capsys):
-    # at horizon 61 the pass's 2^62 flags can be indexed, but not the
-    # enumeration's int16 slot array of 2^63 bytes
+    # at horizon 61 the 2^62 one-byte slots that the pass checks can be
+    # indexed, but not the enumeration's int16 slot array of 2^63 bytes
     code, out, err = run(["construct", "mp", "--q", "2", "--L", "log:eps=0.1",
                           "--horizon", "61", "--enum-horizon", "61"], capsys)
     assert code == 1 and out == ""

@@ -16,12 +16,12 @@ from primfield.constructions import (GrowthFunction, besicovitch_construct,
 from primfield.errors import BudgetError, UsageError
 from primfield.fieldpoly import index_degree
 from primfield.irreducibles import pi_cumulative, pi_prime
-from primfield.primitive import assert_primitive, erdos_sum
+from primfield.primitive import erdos_sum
 from primfield.counting import monic_cumulative
 
-from oracles import (Factorization, build_factor_sieve, divisor_degree_masks,
-                     enumerate_members_folds, is_irreducible,
-                     mp_counts_rebuilt)
+from oracles import (Factorization, assert_primitive, build_factor_sieve,
+                     divisor_degree_masks, enumerate_members_folds,
+                     is_irreducible, mp_counts_rebuilt)
 
 
 # ----------------------------------------------------------------------

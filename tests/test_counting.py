@@ -11,7 +11,7 @@ from primfield import counting
 from primfield.brackets import BracketedValue, iv_from_fraction, precision
 from primfield.counting import (PRINTABLE_EXACT_BITS, CountTable,
                                 _g_series_iv, build_count_table, evaluate_G,
-                                mertens_product, mertens_rows,
+                                mertens_rows,
                                 monic_cumulative, norton_check,
                                 q_large_deviation, verify_hr_bound,
                                 verify_recurrence_bound)
@@ -227,7 +227,7 @@ def test_mertens_exact_bit_budget():
         assert all(mv.exact is not None for mv in rows[:-1])
         assert rows[-1].exact is None
         assert rows[-2].exact.numerator.bit_length() <= PRINTABLE_EXACT_BITS
-    assert mertens_product(2, 13).exact is None
+    assert mertens_rows(2, 13)[-1].exact is None
 
 
 def test_mertens_rows_match_each_product_and_the_per_n_sum():
@@ -237,7 +237,7 @@ def test_mertens_rows_match_each_product_and_the_per_n_sum():
         for mv in rows:
             want = mertens_per_n(q, mv.n).to_json()
             assert mv.to_json() == want
-            assert mertens_product(q, mv.n).to_json() == want
+            assert mertens_rows(q, mv.n)[-1].to_json() == want
 
 
 def test_budget_error_inside_mertens_product_propagates(monkeypatch):
@@ -252,7 +252,7 @@ def test_budget_error_inside_mertens_product_propagates(monkeypatch):
         return pi_prime(q, d)
 
     monkeypatch.setattr(counting, "pi_prime", counted)
-    assert mertens_product(2, 5).exact is not None
+    assert mertens_rows(2, 5)[-1].exact is not None
     for k in range(1, calls + 1):
         seen = 0
 
@@ -265,12 +265,12 @@ def test_budget_error_inside_mertens_product_propagates(monkeypatch):
 
         monkeypatch.setattr(counting, "pi_prime", expire_at_k)
         with pytest.raises(BudgetError, match="deadline"):
-            mertens_product(2, 5)
+            mertens_rows(2, 5)[-1]
 
 
 def test_mertens_bracket_agrees_with_independent_interval():
     for q, n in ((2, 6), (3, 5), (5, 4)):
-        mv = mertens_product(q, n)
+        mv = mertens_rows(q, n)[-1]
         with precision(96):
             indep = BracketedValue.from_iv(
                 iv.exp(iv.euler) * n
@@ -303,7 +303,7 @@ def _g_base_precision(q, z, cap, bits):
 
 def test_term_precision_nests_inside_base_precision_brackets():
     for n in range(1, 21):
-        new = mertens_product(3, n).normalized
+        new = mertens_rows(3, n)[-1].normalized
         old = _mertens_base_precision(3, n, 128)
         assert old.lo <= new.lo and new.hi <= old.hi, n
     for z in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)):
@@ -331,7 +331,7 @@ def test_mertens_and_G_brackets_in_large_fields(q):
                 for d in range(1, 4)]
         for n in range(1, 4):
             want = mpmath.exp(mpmath.euler + sum(logs[:n])) * n
-            got = mertens_product(q, n).normalized
+            got = mertens_rows(q, n)[-1].normalized
             assert got.width < Fraction(1, 10**35)
             assert _near_bracket(got, want)
         for z in (1, 2):
@@ -346,7 +346,7 @@ def test_mertens_and_G_brackets_in_large_fields(q):
 
 
 def test_mertens_normalized_drifts_to_one():
-    vals = {n: mertens_product(2, n) for n in (10, 20, 30, 40)}
+    vals = {n: mertens_rows(2, n)[-1] for n in (10, 20, 30, 40)}
     mids = {n: (v.normalized.lo + v.normalized.hi) / 2
             for n, v in vals.items()}
     errs = {n: abs(mid - 1) for n, mid in mids.items()}

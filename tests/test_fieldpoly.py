@@ -1,6 +1,7 @@
 """Polynomial kernel against coefficient-level and product-set oracles."""
 
 import random
+import tracemalloc
 from bisect import bisect_left
 
 import numpy as np
@@ -406,11 +407,11 @@ def test_irreducible_slice_rejects_degree_below_one(q, degree):
 
 @pytest.mark.parametrize("q,horizon", [(2, 62), (2, 200), (3, 40)])
 def test_a_sieve_numpy_cannot_index_is_a_budget_error(q, horizon):
-    # the pass holds 2 q^horizon flags and one block of int64 products,
-    # past 2^63 - 1 bytes from these horizons on (2, 61 and 3, 39 stay
-    # below it), and is refused on the call; so are the oracle sieve's two
-    # tables of 2 q^horizon int64 entries, so divisor_degree_masks never
-    # sees horizon 64
+    # the pass checks a caller's one-byte slot per index below 2 q^horizon
+    # and one block of int64 products, past 2^63 - 1 bytes from these
+    # horizons on (2, 61 and 3, 39 stay below it), and is refused on the
+    # call; so are the oracle sieve's two tables of 2 q^horizon int64
+    # entries, so divisor_degree_masks never sees horizon 64
     need = 2 * q**horizon + 8 * sieve.BLOCK
     with pytest.raises(BudgetError) as err:
         multiples_pass(q, horizon)
@@ -483,6 +484,21 @@ def test_the_pass_yields_each_irreducible_times_every_cofactor(q):
                 for g in range(q**e, 2 * q**e)]
         assert sorted(got[d]) == sorted(want), d
     assert list(got) == list(range(1, horizon + 1))
+
+
+def test_the_pass_holds_no_flags_of_its_own():
+    """Each degree's irreducibles come from the wheel's slice, so the pass
+    holds one slice and one block of products at a time: at (2, 20) it
+    peaks below the 2 * 2^20 bytes that a flag per index would take alone
+    (3.7 MB with them)."""
+    tracemalloc.start()
+    try:
+        for _ in multiples_pass(2, 20):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("q,n,lo,hi", [(2, 1, 0, 3), (2, 5, 0, 4),

@@ -16,14 +16,15 @@ from primfield.counting import monic_cumulative
 from primfield.errors import UsageError, VerificationError
 from primfield.fieldpoly import format_index, index_degree, parse_index
 from primfield.irreducibles import erdos_sum_irreducibles
-from primfield.primitive import (PolySet, assert_primitive, density_profile,
-                                 erdos_sum, is_primitive, random_primitive_set,
+from primfield.primitive import (PolySet, density_profile, erdos_sum,
+                                 is_primitive, random_primitive_set,
                                  read_set, verify_erdos_density_inequality,
                                  write_set)
 
-from oracles import (Factorization, divides, erdos_sum_horner,
-                     erdos_sum_terms, index_mul, mertens_exact,
-                     read_set_lines, sieve_irreducibles, write_set_lines)
+from oracles import (Factorization, assert_primitive, divides,
+                     erdos_sum_horner, erdos_sum_terms, index_mul,
+                     mertens_exact, read_set_lines, sieve_irreducibles,
+                     write_set_lines)
 
 
 def brute_primitive(ps):
