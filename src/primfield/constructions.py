@@ -22,8 +22,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, groupby
-from operator import itemgetter
+from itertools import accumulate
 
 import numpy as np
 
@@ -297,15 +296,9 @@ def build_t_sequence(q: int, growth: GrowthFunction,
             k0 = k
             break
     assert k0 is not None and k0 <= K
-    # t_k is the degree-d irreducible at 0-based rank r_k - 1 -
-    # pi_cumulative(q, d - 1); the degrees do not fall, so each degree's
-    # ranks come in a row, ascending, and are read from one sieve
+    # t_k is the irreducible of rank r_k, all read from one walk
     mat = min(materialize, K)
-    offsets = (ranks[:mat] - cum[degs[:mat] - 1] - 1).tolist()
-    terms = tuple(chain.from_iterable(
-        irreducibles_at(q, dd, [r for _, r in run])
-        for dd, run in groupby(zip(degs[:mat].tolist(), offsets),
-                               key=itemgetter(0))))
+    terms = tuple(irreducibles_at(q, ranks[:mat].tolist()))
     for t, dd in zip(terms, degs[:mat]):
         assert index_degree(q, t) == int(dd)
     return TSequence(q, growth, K, k0, tuple(int(r) for r in ranks[:mat]),

@@ -2,8 +2,9 @@
 
 pi_prime(q, n) counts degree-n irreducibles by the Moebius sum
 (1/n) * sum_{d | n} mu(d) q^(n/d); cumulative counts order all
-irreducibles by (degree, index) and locate the k-th one.  The expected
-degree window for the k-th irreducible is
+irreducibles by (degree, index) and give the degree of the k-th one,
+which the sieve's irreducibles_at reads from one walk of the wheel.
+The expected degree window for the k-th irreducible is
     L(k) - 1 <= deg P_k <= L(k),  up to o(1),
 with L(k) = log_q k + log_q log_q k + log_q (q - 1); callers check it
 with an explicit slack.  The Erdos sum over all irreducibles is a
@@ -127,10 +128,9 @@ def kth_irreducible_degree(q: int, k: int) -> int:
 
 def kth_irreducible(q: int, k: int) -> int:
     """Index of the k-th monic irreducible in (degree, index) order, read
-    at its rank among the degree-d ones by irreducibles_at(q, d, ...)."""
+    by irreducibles_at from one walk of the wheel."""
     from .sieve import irreducibles_at
-    d = kth_irreducible_degree(q, k)
-    return irreducibles_at(q, d, [k - pi_cumulative(q, d - 1) - 1])[0]
+    return irreducibles_at(q, [k])[0]
 
 
 def erdos_sum_irreducibles(q: int, eps=Fraction(1, 100)) -> BracketedValue:

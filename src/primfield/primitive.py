@@ -23,7 +23,7 @@ from .errors import UsageError
 from .fieldpoly import (_check_prime, format_index, index_degree,
                         index_divrem, is_prime, parse_index)
 from .irreducibles import pi_prime
-from .sieve import block_multiples, multiples_pass
+from .sieve import _divmod, block_multiples, multiples_pass
 
 
 # ----------------------------------------------------------------------
@@ -152,10 +152,10 @@ def write_set(ps: PolySet, fh) -> None:
     characters: a block is one (rows, line length) byte matrix, each line
     the prefix `q=Q;` and d + 1 cells of width + 1 bytes, a coefficient
     right-aligned in its cell and a comma or the newline after it.  Each
-    coefficient column takes one `% q` and one `//= q` of the block's
-    indices, its decimal text written straight into its cells.  Below
-    q = 10 every coefficient is one character and the matrix is the text;
-    above, one mask drops the pad bytes before a coefficient.
+    coefficient column takes one _divmod of the block's indices by q, its
+    decimal text written straight into its cells.  Below q = 10 every
+    coefficient is one character and the matrix is the text; above, one
+    mask drops the pad bytes before a coefficient.
     """
     q = ps.q
     fh.write(f"q={q};horizon={ps.horizon}\n")
@@ -174,15 +174,14 @@ def write_set(ps: PolySet, fh) -> None:
             rest = np.array(block[lo:lo + rows], _index_dtype(q, d))
             out = cells[:len(rest)]
             for k in range(d + 1):
-                coeff = (rest % q).astype(small, copy=False)
-                rest //= q
-                np.add(coeff % 10 if width > 1 else coeff, _ZERO,
-                       out=out[:, k, width - 1], casting="unsafe")
-                for j in range(width - 2, -1, -1):
-                    coeff //= 10
-                    np.add(coeff % 10, _ZERO, out=out[:, k, j],
-                           casting="unsafe")
-                    out[:, k, j][coeff == 0] = 0     # pad byte
+                rest, coeff = _divmod(rest, q)
+                coeff = coeff.astype(small, copy=False)
+                for j in range(width - 1, -1, -1):
+                    tens, digit = _divmod(coeff, 10)
+                    np.add(digit, _ZERO, out=out[:, k, j], casting="unsafe")
+                    if j < width - 1:
+                        out[:, k, j][coeff == 0] = 0     # pad byte
+                    coeff = tens
             lines = text[:len(rest)]
             fh.write(str(lines[lines != 0] if width > 1 else lines, "ascii"))
 

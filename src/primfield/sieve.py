@@ -1,12 +1,12 @@
 """Sieving over the integer index of fieldpoly, in numpy.
 
-One sieve finds the irreducibles of one degree: _wheel_flags, on boolean
-slices that keep only the polynomials prime to x.  irreducible_slice
-reads every unmarked flag of a degree out as an index, and
-irreducibles_at reads some of them by rank from per-block counts of the
-flags.  multiples_pass walks the degrees up to a horizon and yields each
-degree's slice times every monic cofactor up to the horizon; its
-callers fold the factor data they need from the products.
+One sieve finds the irreducibles: _wheel, one walk of boolean slices
+that keep only the polynomials prime to x, each degree sieved once.
+irreducibles_at reads irreducibles of any degrees by global rank from
+per-block counts of its flags.  multiples_pass reads every unmarked flag
+of degrees 1..horizon and yields each degree's irreducibles times every
+monic cofactor up to the horizon; its callers fold the factor data they
+need from the products.
 
 Products come from three generators of (multiplier, products) pairs:
 monic_multiples over every monic cofactor of a degree range,
@@ -22,24 +22,26 @@ time; no caller sees them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from .errors import BudgetError, UsageError
 from .fieldpoly import _check_prime, _index_digits, index_degree
+from .irreducibles import kth_irreducible_degree, pi_cumulative
 
 BLOCK = 1 << 16     # products formed, and looked up, per array
 
 
 def multiples_pass(q: int, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
     """(d, products) for d = 1..horizon: each degree-d irreducible, from
-    irreducible_slice, times every monic cofactor of degree 0..horizon - d,
-    from block_multiples, so each polynomial turns up once per distinct
-    irreducible factor.  The arguments, and the bytes a caller's fold
-    holds, one byte per index below 2 q^horizon and one BLOCK of the
-    pass's products, against what numpy can index, are checked on the
-    call, before the caller allocates."""
+    one walk of the wheel, times every monic cofactor of degree
+    0..horizon - d, from block_multiples, so each polynomial turns up once
+    per distinct irreducible factor.  The arguments, and the bytes a
+    caller's fold holds, one byte per index below 2 q^horizon and one
+    BLOCK of the pass's products, against what numpy can index, are
+    checked on the call, before the caller allocates."""
     _check_prime(q)
     if horizon < 1:
         raise UsageError("sieve horizon must be >= 1")
@@ -48,8 +50,9 @@ def multiples_pass(q: int, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
                      2 * q**horizon + BLOCK * np.dtype(dtype).itemsize)
 
     def walk():
-        for d in range(1, horizon + 1):
-            irr = irreducible_slice(q, d).astype(dtype, copy=False)
+        for d, flags in _wheel(q, range(1, horizon + 1)):
+            irr = _unmarked(q, d, flags).astype(dtype, copy=False)
+            del flags
             for _, products in block_multiples(q, irr, 0, horizon - d, dtype):
                 yield d, products
     return walk()
@@ -78,69 +81,57 @@ def block_multiples(q: int, block: np.ndarray, lo: int, hi: int,
         yield from monic_multiples(q, block.tolist(), split, hi, dtype)
 
 
-def irreducible_slice(q: int, degree: int) -> np.ndarray:
-    """Ascending indices of the irreducibles of one degree >= 1 over a
-    prime field, with no least-factor table: the unmarked flags of
-    _wheel_flags, read out in place."""
-    flags = _wheel_flags(q, degree)
-    if degree == 1:
-        return np.arange(q, 2 * q)
-    return _unmarked(q, degree, flags)
-
-
-def irreducibles_at(q: int, degree: int, ranks: Iterable[int]) -> list[int]:
-    """The indices of the irreducibles of one degree >= 1 at ascending
-    0-based ranks in index order, each below their count pi'(degree).
-    The unmarked flags of _wheel_flags are counted one BLOCK at a time,
-    and only a block that holds a rank is read out, so no array of every
-    irreducible of the degree is built."""
-    flags = _wheel_flags(q, degree)
-    ranks = list(ranks)
-    if degree == 1:
-        return [q + r for r in ranks]
+def irreducibles_at(q: int, ks: Iterable[int]) -> list[int]:
+    """The indices of the irreducibles at ascending ranks k >= 1 in
+    (degree, index) order, of any degrees, read from one walk of the
+    wheel.  Each asked degree's unmarked flags are counted one BLOCK at a
+    time, and only a block that holds a rank is read out, so no array of
+    every irreducible of a degree is built."""
+    ks = list(ks)
     out: list[int] = []
-    seen = 0
-    for at in range(0, len(flags), BLOCK):
-        if len(out) == len(ranks):
-            break
-        block = flags[at:at + BLOCK]
-        free = len(block) - np.count_nonzero(block)
-        if ranks[len(out)] < seen + free:
-            indices = _unmarked(q, degree, block, at)
-            while len(out) < len(ranks) and ranks[len(out)] < seen + free:
-                out.append(int(indices[ranks[len(out)] - seen]))
-        seen += free
+    for d, flags in _wheel(q, {kth_irreducible_degree(q, k) for k in ks}):
+        seen = pi_cumulative(q, d - 1) + 1     # the rank at the next unmarked
+        for at in range(0, len(flags), BLOCK):
+            block = flags[at:at + BLOCK]
+            free = len(block) - np.count_nonzero(block)
+            hits = ks[len(out):bisect_left(ks, seen + free, len(out))]
+            if hits:
+                indices = _unmarked(q, d, block, at)
+                out += [int(indices[k - seen]) for k in hits]
+            seen += free
     return out
 
 
-def _wheel_flags(q: int, degree: int) -> np.ndarray:
-    """One flag per monic polynomial of the degree prime to x, marked where
-    it is reducible.  Degree 1 has q unmarked flags and no wheel: every
-    x + c, x too, is irreducible.
+def _wheel(q: int, degrees: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """(d, flags) for each asked degree d >= 1, ascending: one flag per
+    monic polynomial of degree d prime to x, marked where it is
+    reducible; degree 1 has q unmarked flags, slot c for x + c.
 
     A reducible polynomial of degree d >= 2 has an irreducible factor of
     degree at most d/2, and x divides exactly the indices i = 0 mod q.  So
     degree d keeps a flag only for the (q - 1) q^(d-1) other indices, the
     one of i at slot i - i // q - (q^d - q^(d-1) + 1) ((i >> 1) - 2^(d-1)
-    over F_2), and walking the degrees 2..d//2 and then d, each
-    irreducible p != x already found marks p*r for the monic r of degree
-    d - deg p with r(0) != 0 alone, the only products prime to x; they
-    come from monic_multiples one block at a time.  The largest array is
-    the degree-d flags.  The bytes checked are those of a whole q^d slice
-    and one block of products: that also keeps every product index, below
-    2 q^d, inside int64.
+    over F_2).  One walk sieves the degrees 2..m/2 and each asked degree
+    once, ascending, for the largest asked m, and keeps the irreducibles
+    of degree up to m/2: each p != x marks p*r for the monic r of degree
+    d - deg p with r(0) != 0 alone, the only products prime to x, from
+    monic_multiples one block at a time.  The walk holds no flags it
+    yielded.  The arguments, and the bytes of a q^m slice and one block
+    of products (which keeps every product index, below 2 q^m, inside
+    int64), are checked on the call.
     """
     _check_prime(q)
-    if degree < 1:
+    degrees = set(degrees)
+    if min(degrees, default=1) < 1:
         raise UsageError("degree must be >= 1")
-    dtype = _index_dtype(2 * q**degree)
-    _check_indexable(q, degree, q**degree + BLOCK * np.dtype(dtype).itemsize)
-    if degree == 1:
-        return np.zeros(q, dtype=bool)
+    top = max(degrees, default=1)
+    dtype = _index_dtype(2 * q**top)
+    _check_indexable(q, top, q**top + BLOCK * np.dtype(dtype).itemsize)
     found = {1: list(range(q + 1, 2 * q))}       # x + c for c != 0
-    buf = np.empty(max(BLOCK, q - 1), dtype=dtype)     # see _block_degree
-    for d in [*range(2, degree // 2 + 1), degree]:
-        flags = np.zeros((q - 1) * q**(d - 1), dtype=bool)
+
+    def sieved(d: int) -> np.ndarray:
+        flags = np.zeros((q - 1) * q**(d - 1) if d > 1 else q, dtype=bool)
+        buf = np.empty(max(BLOCK, q - 1), dtype=dtype)     # see _block_degree
         for e in range(1, d // 2 + 1):
             for _, products in monic_multiples(q, found[e], d - e, d - e,
                                                dtype, prime_to_x=True):
@@ -153,19 +144,30 @@ def _wheel_flags(q: int, degree: int) -> np.ndarray:
                     np.subtract(products, slots, out=slots)
                     slots -= q**d - q**(d - 1) + 1
                 flags[slots] = True
-        if d < degree:
-            found[d] = _unmarked(q, d, flags).tolist()
-    return flags
+        if 1 < d <= top // 2:
+            found[d] = _unmarked(q, d, flags.copy()).tolist()
+        return flags
+
+    def walk():
+        for d in sorted(degrees.union(range(2, top // 2 + 1))):
+            if d in degrees:
+                yield d, sieved(d)
+            else:
+                sieved(d)
+    return walk()
 
 
 def _unmarked(q: int, degree: int, flags: np.ndarray,
               first: int = 0) -> np.ndarray:
     """The indices at the unmarked flags, wheel slots first, first + 1,
-    ... of the degree, ascending; flags is complemented in place, and
-    the slots are rewritten to indices in place, one block at a time:
-    slot c holds q^degree + 1 + c + c // (q - 1)."""
+    ... of the degree, ascending; flags is complemented in place, and the
+    slots are rewritten to indices in place, one block at a time: slot c
+    holds q + c at degree 1, above it q^degree + 1 + c + c // (q - 1)."""
     slots = np.flatnonzero(np.logical_not(flags, out=flags))
     slots += first
+    if degree == 1:
+        slots += q
+        return slots
     for at in range(0, len(slots), BLOCK):
         c = slots[at:at + BLOCK]
         c += c // (q - 1) + (q**degree + 1)
@@ -272,8 +274,7 @@ def _digit_products(q: int, ps: list[int], g: np.ndarray,
     hi = index_degree(q, int(g.max(initial=1)))
     rows = np.empty((hi + 1, len(g)), dtype=_digit_dtype(q, hi))
     for i in range(hi + 1):
-        rows[i] = g % q
-        g = g // q
+        g, rows[i] = _divmod(g, q)
     del g
     batch = max(1, BLOCK // rows.shape[1])
     shape = (min(batch, len(ps)), rows.shape[1])
@@ -296,9 +297,7 @@ def _digit_products(q: int, ps: list[int], g: np.ndarray,
                 if live[i]:
                     np.multiply(p_digits[:, i, None], rows[j - i], out=t)
                     c += t
-            # c mod q as c - (c // q) q: numpy vectorises a scalar
-            # floor_divide, not a remainder
-            np.floor_divide(c, q, out=t)
+            np.floor_divide(c, q, out=t)        # c mod q in place: _divmod
             t *= q
             c -= t
             np.multiply(c, q**j, out=sc, dtype=dtype)
@@ -338,10 +337,10 @@ def _digit_blocks(q: int, p: int, t: np.ndarray, s: int,
     digits each added mod q to the digit of p*h at its place, and the
     rest of p*h above them."""
     n = index_degree(q, p)
-    top, low = np.divmod(t, q**s)
+    top, low = _divmod(t, q**s)
     overlap = []
     for _ in range(n):
-        top, digit = np.divmod(top, q)
+        top, digit = _divmod(top, q)
         overlap.append(digit)
     residues = np.arange(q, dtype=out.dtype)
     scaled = np.empty_like(out)
@@ -354,6 +353,13 @@ def _digit_blocks(q: int, p: int, t: np.ndarray, s: int,
             np.take(lut, digit, out=scaled, mode="clip")
             out += scaled
         yield view
+
+
+def _divmod(c: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.divmod(c, m) with the remainder as c - (c // m) m: numpy
+    vectorises a scalar floor_divide, not a remainder."""
+    quot = c // m
+    return quot, c - quot * m
 
 
 def _index_product(q: int, a: int, b: int) -> int:

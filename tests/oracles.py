@@ -1,7 +1,8 @@
 """Per-polynomial oracles: index multiplication and trial division, a
 least-factor sieve with its folds along the least-factor chains, a
-factorization and the irreducibles of a degree read off its table or
-from a slice of every monic polynomial of the degree, and
+factorization and the irreducibles of a degree read off its table,
+from a slice of every monic polynomial of the degree or whole from the
+library's wheel, and
 the set-file codec one line at a time, plus trial-division primality
 and a primitivity assertion that names the dividing pair;
 and per-cell oracles for the exact count layer.
@@ -51,7 +52,7 @@ from primfield.irreducibles import (kth_irreducible_degree, pi_cumulative,
                                     pi_prime)
 from primfield.primitive import PolySet, is_primitive
 from primfield.sieve import (_check_indexable, _index_dtype, _monic_indices,
-                             monic_multiples)
+                             _unmarked, _wheel, monic_multiples)
 
 
 def is_prime_trial(n):
@@ -115,6 +116,14 @@ def sieve_irreducibles(sieve, d):
     base = sieve.q**d
     return np.flatnonzero(sieve.spf[base:2 * base]
                           == np.arange(base, 2 * base)) + base
+
+
+def wheel_slice(q, degree):
+    """Ascending indices of the irreducibles of one degree, every unmarked
+    flag of the library's wheel read out at once: the whole slice that
+    the multiples pass reads."""
+    [(_, flags)] = _wheel(q, [degree])
+    return _unmarked(q, degree, flags)
 
 
 def full_irreducible_slice(q, degree):

@@ -24,7 +24,8 @@ SRC = Path(primfield.__file__).resolve().parent
 # the product kernels form their own digit rows; one multiples pass
 # replaces the least-factor sieve and its folds; one table of counts per
 # field replaces the second Moebius pass; the Mertens product of one n
-# and the raising primitivity check, which only the tests called
+# and the raising primitivity check, which only the tests called; a
+# whole slice of one degree's irreducibles, now read from the one walk
 DELETED = ("ConstructionError", "DEFAULT_ENUM_BUDGET", "DEFAULT_SIEVE_ENTRIES",
            "FactorSieve", "Factorization", "MAX_BRACKET_RANKS", "MAX_PAIRS",
            "MonicPoly", "TailSums", "build_factor_sieve", "divides",
@@ -33,7 +34,7 @@ DELETED = ("ConstructionError", "DEFAULT_ENUM_BUDGET", "DEFAULT_SIEVE_ENTRIES",
            "mertens_exact", "mertens_exact_parts", "monic_count",
            "monic_digits", "parse_poly", "pi_prime_table", "poly_divrem",
            "poly_mul", "sathe_selberg_H", "tail_sums", "mertens_product",
-           "assert_primitive")
+           "assert_primitive", "irreducible_slice")
 
 
 def test_all_names_resolve_and_deleted_names_are_gone():
@@ -51,27 +52,52 @@ def test_all_names_resolve_and_deleted_names_are_gone():
 
 def test_irreducibles_have_one_source_and_the_kernels_no_digit_rows(
         monkeypatch):
-    """A degree's irreducibles come from the wheel alone: the multiples
-    pass asks irreducible_slice for each degree once, and keeps no flags
-    of its own.  The product kernels take no sieve and no digit rows from
-    their callers."""
-    asked = []
-    real = sieve.irreducible_slice
+    """A degree's irreducibles come from one walk of the wheel: during the
+    multiples pass to h the wheel forms, for each degree d = 2..h once,
+    each irreducible p != x of degree e <= d/2 times the (q - 1) q^(d-e-1)
+    monic r of degree d - e with r(0) != 0, and nothing more.  The
+    product kernels take no sieve and no digit rows from their callers."""
+    real = sieve.monic_multiples
+    for q, h in ((2, 14), (3, 7)):
+        formed = []
 
-    def spy(q, degree):
-        asked.append((q, degree))
-        return real(q, degree)
+        def counted(q_, ps, lo, hi, dtype, prime_to_x=False):
+            for p, products in real(q_, ps, lo, hi, dtype, prime_to_x):
+                if prime_to_x:          # the wheel's products alone
+                    formed.append(len(products))
+                yield p, products
 
-    monkeypatch.setattr(sieve, "irreducible_slice", spy)
-    for _ in sieve.multiples_pass(3, 7):
-        pass
-    assert asked == [(3, d) for d in range(1, 8)]
+        monkeypatch.setattr(sieve, "monic_multiples", counted)
+        for _ in sieve.multiples_pass(q, h):
+            pass
+        assert sum(formed) == sum(
+            (irreducibles.pi_prime(q, e) - (e == 1)) * (q - 1) * q**(d - e - 1)
+            for d in range(2, h + 1) for e in range(1, d // 2 + 1)), q
     for fn in (irreducibles.kth_irreducible, sieve.monic_multiples,
                sieve.index_multiples, sieve.block_multiples):
         params = inspect.signature(fn).parameters
         assert not {"sieve", "g_digits"} & set(params), fn.__name__
     assert list(inspect.signature(irreducibles.kth_irreducible).parameters) \
         == ["q", "k"]
+
+
+def test_ranks_of_several_degrees_are_read_from_one_walk(monkeypatch):
+    """irreducibles_at starts the wheel once for ranks of eight degrees
+    up to 10, two of them with two ranks, and reads each where
+    kth_irreducible finds it."""
+    walks = []
+    real = sieve._wheel
+
+    def spy(q, degrees):
+        walks.append(sorted(degrees))
+        return real(q, degrees)
+
+    ks = [1, 2, 3, 4, 7, 20, 50, 100, 101, 140]
+    want = [irreducibles.kth_irreducible(2, k) for k in ks]
+    monkeypatch.setattr(sieve, "_wheel", spy)
+    assert sieve.irreducibles_at(2, ks) == want
+    assert walks == [sorted({irreducibles.kth_irreducible_degree(2, k)
+                             for k in ks})]
 
 
 def test_irreducible_counts_come_from_one_table_behind_public_names():

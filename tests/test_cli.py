@@ -24,9 +24,8 @@ from primfield import cli
 from primfield.counting import CountTable
 from primfield.cli import main
 from primfield.errors import VerificationError
-from primfield.sieve import irreducible_slice
 
-from oracles import mertens_exact
+from oracles import mertens_exact, wheel_slice
 
 
 def run(argv, capsys):
@@ -752,7 +751,7 @@ def test_verify_erdos_density_cli(capsys, tmp_path):
     assert payload["counterexample"]["divisor"] == "q=2;0,1"
     assert "not primitive" in err
     # a degree-13 irreducible: the exact left side has 4882 digits
-    p = int(irreducible_slice(2, 13)[0])
+    p = int(wheel_slice(2, 13)[0])
     big = write_poly_file(tmp_path / "big.txt", 2, 13, [p])
     code, out, err = run(["verify", "erdos-density", "--in", str(big)], capsys)
     assert code == 0 and err == ""

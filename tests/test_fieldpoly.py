@@ -13,14 +13,14 @@ from primfield.errors import BudgetError, UsageError
 from primfield.fieldpoly import (format_index, index_degree, index_divrem,
                                  is_prime, parse_index)
 from primfield import sieve
-from primfield.irreducibles import pi_prime
+from primfield.irreducibles import pi_cumulative, pi_prime
 from primfield.sieve import (block_multiples, index_multiples,
-                             irreducible_slice, irreducibles_at,
-                             monic_multiples, multiples_pass)
+                             irreducibles_at, monic_multiples, multiples_pass)
 
 from oracles import (Factorization, build_factor_sieve, divides,
                      divisor_degree_masks, full_irreducible_slice, index_mul,
-                     is_irreducible, is_prime_trial, sieve_irreducibles)
+                     is_irreducible, is_prime_trial, sieve_irreducibles,
+                     wheel_slice)
 
 QS = (2, 3, 5)
 
@@ -337,7 +337,7 @@ def test_irreducible_slice_matches_the_covering_sieve(q, dmax, monkeypatch):
         assert all(is_irreducible(q, f) for f in want), d
         for size in BLOCK_SIZES:
             monkeypatch.setattr(sieve, "BLOCK", size)
-            assert irreducible_slice(q, d).tolist() == want, (size, d)
+            assert wheel_slice(q, d).tolist() == want, (size, d)
 
 
 @pytest.mark.parametrize("q,dmax", [(2, 16), (3, 10), (5, 6), (7, 5),
@@ -346,21 +346,30 @@ def test_wheel_slices_match_the_full_slice(q, dmax, monkeypatch):
     """The slice of the polynomials prime to x gives the irreducibles of
     the slice of every monic polynomial, and irreducibles_at reads them
     at the first and last rank and on each side of every block edge of
-    its flags, at both block sizes."""
+    its flags, at both block sizes, one degree at a time and every
+    degree's ranks in one call."""
+    asked = {size: ([], []) for size in BLOCK_SIZES}
     for d in range(1, dmax + 1):
         want = full_irreducible_slice(q, d).tolist()
         # the flag of index i, past x's multiples, once the wheel starts
         slots = [i - i // q - (q**d - q**(d - 1) + 1) if d > 1 else i - q
                  for i in want]
+        below = pi_cumulative(q, d - 1)
         for size in BLOCK_SIZES:
             monkeypatch.setattr(sieve, "BLOCK", size)
-            assert irreducible_slice(q, d).tolist() == want, (size, d)
+            assert wheel_slice(q, d).tolist() == want, (size, d)
             edges = {bisect_left(slots, at) + side
                      for at in range(size, slots[-1] + 1, size)
                      for side in (-1, 0)}
             ranks = sorted({0, len(want) - 1}
                            | {r for r in edges if 0 <= r < len(want)})
-            assert irreducibles_at(q, d, ranks) == [want[r] for r in ranks]
+            ks = [below + r + 1 for r in ranks]
+            assert irreducibles_at(q, ks) == [want[r] for r in ranks]
+            asked[size][0].extend(ks)
+            asked[size][1].extend(want[r] for r in ranks)
+    for size, (ks, indices) in asked.items():
+        monkeypatch.setattr(sieve, "BLOCK", size)
+        assert irreducibles_at(q, ks) == indices, size
 
 
 @pytest.mark.parametrize("q,degree", [(2, 22), (3, 12)])
@@ -383,7 +392,7 @@ def test_the_wheel_forms_only_products_prime_to_x(q, degree, monkeypatch):
             yield p, products
 
     monkeypatch.setattr(sieve, "monic_multiples", counted)
-    irreducibles_at(q, degree, [0])
+    irreducibles_at(q, [pi_cumulative(q, degree - 1) + 1])
     assert q not in multipliers
     assert degree in formed
     for n, count in formed.items():
@@ -395,14 +404,24 @@ def test_the_wheel_forms_only_products_prime_to_x(q, degree, monkeypatch):
 def test_irreducible_slice_rejects_a_composite_field():
     for degree in (1, 3):
         with pytest.raises(UsageError, match="field order 4 is not prime"):
-            irreducible_slice(4, degree)
+            irreducibles_at(4, [degree])
+        with pytest.raises(UsageError, match="field order 4 is not prime"):
+            multiples_pass(4, degree)
+        with pytest.raises(UsageError, match="field order 4 is not prime"):
+            wheel_slice(4, degree)
+    with pytest.raises(UsageError, match="field order 4 is not prime"):
+        irreducibles_at(4, [])
 
 
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("degree", [0, -1])
 def test_irreducible_slice_rejects_degree_below_one(q, degree):
     with pytest.raises(UsageError, match="degree must be >= 1"):
-        irreducible_slice(q, degree)
+        wheel_slice(q, degree)
+    with pytest.raises(UsageError, match="k must be >= 1"):
+        irreducibles_at(q, [degree])
+    with pytest.raises(UsageError, match="sieve horizon must be >= 1"):
+        multiples_pass(q, degree)
 
 
 @pytest.mark.parametrize("q,horizon", [(2, 62), (2, 200), (3, 40)])
@@ -432,9 +451,14 @@ def test_the_largest_indexable_sieve_horizons_are_accepted():
 def test_a_slice_numpy_cannot_index_is_a_budget_error(q, degree, need):
     # the smallest degrees refused: the boolean slice and one block of
     # int64 products, past 2^63 - 1 bytes (degree 62 at q=2 and degree 39
-    # at q=3 stay below it)
-    with pytest.raises(BudgetError, match=f" needs {need} bytes, more than"):
-        irreducible_slice(q, degree)
+    # at q=3 stay below it), whether a rank of the degree is asked alone
+    # or after lower ones
+    first = pi_cumulative(q, degree - 1) + 1
+    for ks in ([first], [1, 5, first]):
+        with pytest.raises(BudgetError) as err:
+            irreducibles_at(q, ks)
+        assert str(err.value) == (f"sieve for q={q}, horizon={degree} needs "
+                                  f"{need} bytes, more than numpy can index")
 
 
 def pass_folds(q, horizon):
@@ -479,7 +503,7 @@ def test_the_pass_yields_each_irreducible_times_every_cofactor(q):
         assert len(set(products.tolist())) == len(products), d
         got.setdefault(d, []).extend(products.tolist())
     for d in range(1, horizon + 1):
-        want = [index_mul(q, p, g) for p in irreducible_slice(q, d).tolist()
+        want = [index_mul(q, p, g) for p in wheel_slice(q, d).tolist()
                 for e in range(horizon - d + 1)
                 for g in range(q**e, 2 * q**e)]
         assert sorted(got[d]) == sorted(want), d
