@@ -21,6 +21,7 @@ import signal
 import sys
 import threading
 from fractions import Fraction
+from itertools import islice
 
 from . import __version__
 from .brackets import DEFAULT_PRECISION_BITS
@@ -31,7 +32,20 @@ from .errors import BudgetError, PrecisionError, UsageError, VerificationError
 # ----------------------------------------------------------------------
 
 def _dump_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """json.dumps(payload, sort_keys=True, indent=2) + "\n", built from
+    the encoder's chunks joined a batch at a time: a count table's rows
+    are tens of thousands of chunks, each a str object, which a whole
+    list of them would hold at once beside the text."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+    batches = []
+    while batch := "".join(islice(chunks, _JSON_BATCH)):
+        batches.append(batch)
+    batches.append("\n")
+    return "".join(batches)
+
+
+# encoder chunks joined into one string at a time
+_JSON_BATCH = 4096
 
 
 def _write_out(args: argparse.Namespace, text: str) -> None:

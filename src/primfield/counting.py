@@ -81,27 +81,39 @@ def _pack(row, nbytes: int) -> int:
 def build_count_table(q: int, N: int,
                       excluded_degrees: Mapping[int, int] | None = None,
                       ) -> CountTable:
-    """Exact Pi'_{q,k}(n) for 0 <= k <= n <= N by degree-wise convolution.
+    """Exact Pi'_{q,k}(n) for 0 <= k <= n <= N by degree-wise convolution
+    (_table_rows).
 
     Degree d contributes a factor (1 + u x^d)^m with m = pi'_q(d) minus
     any exclusions: choosing j of the m irreducibles adds degree j*d and
-    factor count j with multiplicity C(m, j).  Each row is one integer
-    with a fixed-width slot per k (Kronecker substitution), so one
-    multiply-shift-add updates every k of a row at once.
+    factor count j with multiplicity C(m, j).
+    """
+    excl = tuple(sorted((d, c) for d, c in (excluded_degrees or {}).items() if c))
+    return CountTable(q, N, tuple(_table_rows(q, N, excl)), excl)
 
-    The factors are applied from d = N down to d = 1.  The product is the
-    same in any order, but this one keeps the rows short where they are
-    read most: while degree d is applied, row r holds only products of
-    irreducibles of degree > d, so at most r/(d+1) + 1 of its slots are
-    nonzero, and a large d, whose j-loop runs up to N/d times per row,
-    reads only such short rows.  Rows 1..d are still 0 then, so row n
-    reads only the rows n - jd above d, and row 0 when d divides n.  The
-    small degrees, whose rows are full, run j only up to m, a few terms.
+
+def _table_rows(q: int, N: int, excl: tuple[tuple[int, int], ...] = (),
+                ) -> Iterator[tuple[int, ...]]:
+    """The rows 0..N of build_count_table's table in turn, each unpacked
+    from the packed build as it is read, its packed int then dropped.
+    Without exclusions every row is checked: row n sums to q^n - q^(n-1)
+    (to q at n = 1), and its k = 1 entry is pi'_q(n).
+
+    Each row is one integer with a fixed-width slot per k (Kronecker
+    substitution), so one multiply-shift-add updates every k of a row at
+    once.  The factors are applied from d = N down to d = 1.  The product
+    is the same in any order, but this one keeps the rows short where
+    they are read most: while degree d is applied, row r holds only
+    products of irreducibles of degree > d, so at most r/(d+1) + 1 of its
+    slots are nonzero, and a large d, whose j-loop runs up to N/d times
+    per row, reads only such short rows.  Rows 1..d are still 0 then, so
+    row n reads only the rows n - jd above d, and row 0 when d divides n.
+    The small degrees, whose rows are full, run j only up to m, a few
+    terms.
     """
     _check_prime(q)
     if N < 0:
         raise UsageError("table size must be >= 0")
-    excl = tuple(sorted((d, c) for d, c in (excluded_degrees or {}).items() if c))
     for d, c in excl:
         if not 1 <= d <= N:
             raise UsageError(f"excluded degree {d} outside 1..{N}")
@@ -131,20 +143,15 @@ def build_count_table(q: int, N: int,
             if n % d == 0 and n // d <= jmax:
                 acc += binom[n // d] << width * (n // d)
             packed[n] = acc
-    # only the slots up to a row's highest nonzero one are unpacked
-    rows = []
-    for n, row in enumerate(packed):
+    for n in range(N + 1):
+        row, packed[n] = packed[n], 0
+        # only the slots up to the row's highest nonzero one are unpacked
         used = -(-row.bit_length() // width)
-        rows.append(_unpack(row, used, nbytes) + (0,) * (n + 1 - used))
-    table = CountTable(q, N, tuple(rows), excl)
-    if not excl:
-        for n in range(2, N + 1):
-            assert table.row_total(n) == q**n - q**(n - 1), (q, n)
-        if N >= 1:
-            assert table.row_total(1) == q
-            for n in range(1, N + 1):
-                assert table.rows[n][1] == pi_prime(q, n), (q, n)
-    return table
+        row = _unpack(row, used, nbytes) + (0,) * (n + 1 - used)
+        if not excl and n:
+            assert sum(row) == (q**n - q**(n - 1) if n > 1 else q), (q, n)
+            assert row[1] == pi_prime(q, n), (q, n)
+        yield row
 
 
 # ----------------------------------------------------------------------
@@ -200,17 +207,20 @@ def verify_hr_bound(q: int, N: int, table: CountTable | None = None,
     inequality; comparisons are pure integer arithmetic.
     """
     if table is None:
-        table = build_count_table(q, N)
-    if table.q != q or table.N < N or table.excluded_degrees:
+        # each row is unpacked as it is checked, never the whole table
+        rows = _table_rows(q, N)
+    elif table.q != q or table.N < N or table.excluded_degrees:
         raise UsageError("table does not cover the requested range")
+    else:
+        rows = iter(table.rows)
+    next(rows)    # row 0 has no k >= 1
     violations: list[tuple] = []
     min_margin = math.inf
     cells = 0
-    for n in range(1, N + 1):
+    for n, row in zip(range(1, N + 1), rows):
         num, s = _log_weight_dyadic_lower(n, precision_bits)
         rhs = q**n        # q^n num^(k-1)
         scale = n         # n (k-1)! 2^(s(k-1))
-        row = table.rows[n]
         # a zero entry satisfies the bound and sets no margin, so the
         # walk stops at the row's last nonzero entry; cells counts all k
         cells += n

@@ -8,7 +8,8 @@ The expected degree window for the k-th irreducible is
     L(k) - 1 <= deg P_k <= L(k),  up to o(1),
 with L(k) = log_q k + log_q log_q k + log_q (q - 1); callers check it
 with an explicit slack.  The Erdos sum over all irreducibles is a
-bracket around the exact counts.  mpmath and irreducibles_at, the
+bracket around the exact counts, which it forms one degree at a time
+and neither reads from nor adds to the shared table.  mpmath and irreducibles_at, the
 one path here to numpy, are imported by the functions that use them, so
 the exact counts load neither, and the degree brackets, whose float
 margins come from math, load no numpy.
@@ -24,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
 from operator import mul
+from typing import Iterator
 
 from .brackets import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS,
                        BracketedValue, precision)
@@ -133,27 +135,77 @@ def kth_irreducible(q: int, k: int) -> int:
     return irreducibles_at(q, [k])[0]
 
 
+def _prime_factor_sieve(n: int):
+    """An unsigned array holding a prime factor of each composite m <= n,
+    and 0 at m = 0, 1 and each prime: each prime p <= sqrt(n) writes
+    itself over its multiples from p^2 on, one slice each.  The array
+    module is imported here, so only the Erdos sum maps its extension."""
+    from array import array
+    factor = array("I", [0]) * (n + 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if not factor[p]:
+            factor[p * p::p] = array("I", [p]) * len(range(p * p, n + 1, p))
+    return factor
+
+
+def _pi_prime_run(q: int, cut: int) -> Iterator[int]:
+    """pi'_q(1), ..., pi'_q(cut) in turn, each from its own Moebius sum
+    sum_{e | d} mu(e) q^(d/e), without the shared table.
+
+    The squarefree divisors e of d, signed by mu(e), are the products of
+    subsets of d's primes, read from one prime-factor sieve.  q^d is a
+    running power, and powers[e] is q^(d/e) at the last multiple d of e
+    seen: it gains a factor q at each multiple, and is dropped past the
+    last one below the cut, so the powers held at degree d are about
+    d ln d log2 q bits.
+    """
+    factor = _prime_factor_sieve(cut)
+    powers: list[int | None] = [1] * (cut + 1)
+    power = 1
+    for d in range(1, cut + 1):
+        power *= q
+        signed, m = [1], d
+        while m > 1:
+            p = factor[m] or m
+            signed += [-e * p for e in signed]
+            while m % p == 0:
+                m //= p
+        low = 0
+        for s in signed[1:]:
+            e = abs(s)
+            term = powers[e] * q
+            powers[e] = term if d + e <= cut else None
+            low += term if s > 0 else -term
+        # 0 < q^d + low <= q^d, and d divides it
+        count, rest = divmod(power + low, d)
+        assert -power < low <= 0 and not rest, (q, d)
+        yield count
+
+
 def erdos_sum_irreducibles(q: int, eps=Fraction(1, 100)) -> BracketedValue:
     """Certified bracket of width < eps for sum over all irreducibles p of
     1 / (||p|| deg p).
 
     Cut at D > 1/eps: each degree-d term is at most 1/d^2 because
     pi'_q(d) <= q^d/d, so the tail beyond D is below sum_{d>D} 1/d^2 < 1/D,
-    and the bracket width 1/D stays strictly under eps.
+    and the bracket width 1/D stays strictly under eps.  The counts come
+    one degree at a time, as the split reaches each leaf, and are dropped
+    once summed.
     """
     _check_prime(q)
     eps = Fraction(eps)
     if eps <= 0:
         raise UsageError("eps must be positive")
     cut = math.floor(1 / eps) + 1
-    counts = _pi_primes(q, cut)
+    counts = _pi_prime_run(q, cut)
 
     def split(lo: int, hi: int) -> tuple[int, int]:
         """(num, L) with sum_{lo <= d < hi} pi'(d) / (d q^d) equal to
         num / (L q^(hi-1)), L = lcm(lo..hi-1); two halves meet over the
-        lcm of theirs, so each product is about as wide as its range."""
+        lcm of theirs, so each product is about as wide as its range.
+        The low half is split first, so the leaves come in ascending d."""
         if hi - lo == 1:
-            return counts[lo - 1], lo
+            return next(counts), lo
         mid = (lo + hi) // 2
         low, low_lcm = split(lo, mid)
         high, high_lcm = split(mid, hi)

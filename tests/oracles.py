@@ -19,13 +19,14 @@ the sieve's folds.
 The library's count tables and recurrence check work on packed rows, one
 integer per table row, and its two inequality checks walk each row only
 to its last nonzero entry; its Erdos sum over irreducibles is split
-over degree ranges, its degree-bracket check runs over blocks of ranks,
-and its Mertens products for n = 1..N come from one running sum and one
-running exact product over degrees.  The count-layer oracles recompute
-each of these one cell, one term, one n, one whole row or one whole
-array at a time: the Erdos sum both one Fraction per degree and by
-Horner's rule over one common denominator; the exact Mertens product is
-one Fraction factor per degree.  The thinned-irreducible construction
+over degree ranges, each count formed as the split reaches its degree,
+its degree-bracket check runs over blocks of ranks, and its Mertens
+products for n = 1..N come from one running sum and one running exact
+product over degrees.  The count-layer oracles recompute each of these
+one cell, one term, one n, one whole row or one whole array at a time:
+the Erdos sum one Fraction per degree, by Horner's rule over one common
+denominator, and by the same split over the shared table of counts;
+the exact Mertens product is one Fraction factor per degree.  The thinned-irreducible construction
 divides each term out of one count table; its oracle rebuilds the table
 for every term.
 """
@@ -513,6 +514,25 @@ def erdos_sum_horner(q, cut):
     num = 0
     for d in range(1, cut + 1):
         num = num * q + pi_prime(q, d) * (lcm // d)
+    return Fraction(num, lcm * q**cut)
+
+
+def erdos_sum_split(q, cut):
+    """sum_{d <= cut} pi'(d) / (d q^d), every pi' read from the shared
+    table, split over degree ranges: (num, L) with the sum over
+    lo <= d < hi equal to num / (L q^(hi-1)), L = lcm(lo..hi-1)."""
+    def split(lo, hi):
+        if hi - lo == 1:
+            return pi_prime(q, lo), lo
+        mid = (lo + hi) // 2
+        low, low_lcm = split(lo, mid)
+        high, high_lcm = split(mid, hi)
+        lcm = math.lcm(low_lcm, high_lcm)
+        return (low * (lcm // low_lcm) * q**(hi - mid)
+                + high * (lcm // high_lcm), lcm)
+
+    pi_prime(q, cut)    # one Moebius pass, to the top degree
+    num, lcm = split(1, cut + 1)
     return Fraction(num, lcm * q**cut)
 
 

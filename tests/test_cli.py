@@ -21,7 +21,7 @@ import pytest
 import primfield
 from primfield import PolySet, read_set, write_set
 from primfield import cli
-from primfield.counting import CountTable
+from primfield.counting import CountTable, build_count_table
 from primfield.cli import main
 from primfield.errors import VerificationError
 
@@ -343,12 +343,13 @@ def test_a_degree_26_irreducible_is_read_under_a_48_mb_ceiling():
         '"q=2;1,1,1,1,0,0,0,1,1,1,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,1,1"')
 
 
-def test_the_erdos_sum_to_degree_8001_fits_an_8_mb_ceiling():
-    """Every pi' to degree 8001 comes from one Moebius pass that holds the
-    undivided totals and the powers up to q^4000 only.  With every power
-    up to q^8001 beside them, the run needed 10 MB."""
+def test_the_erdos_sum_to_degree_8001_fits_a_2_mb_ceiling():
+    """Each pi' to degree 8001 is formed from its own Moebius sum as the
+    split reaches its degree, and dropped once summed: the run needs
+    under 0.1 MB past its start.  Read from the shared table, whose
+    Moebius pass holds every count to the cut, it needed 5.75 MB."""
     done = fresh_process("-m", "primfield.cli", "eval", "erdos-irr", "--q",
-                         "2", "--eps", "1/8000", "--budget-bytes", "8000000")
+                         "2", "--eps", "1/8000", "--budget-bytes", "2000000")
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == ("lo,hi\n1.467535247277497888275915704516926634,"
                            "1.467660231654450769165804468421438571\n")
@@ -713,6 +714,44 @@ def test_count_table_csv_golden(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["excluded_degrees"] == [[1, 1]]
     assert payload["rows"][1] == [0, 1]
+
+
+def table_payload(q, N, excluded_degrees=None):
+    """The JSON payload of `count table`, built from the library's table."""
+    table = build_count_table(q, N, excluded_degrees=excluded_degrees)
+    return {"q": table.q, "N": table.N,
+            "excluded_degrees": [list(p) for p in table.excluded_degrees],
+            "rows": [list(row) for row in table.rows]}
+
+
+NESTED_REPORT = {
+    "name": "nested", "ok": False, "empty": [], "none": None,
+    "floats": [0.1, -0.0, 1e300, 2.5e-308, float("inf")],
+    "levels": {"b": [{"x": None, "y": [], "z": {}}, [[], [1.5, None]]],
+               "a": {"deep": {"deeper": [[[]], {"k": [2, 3.25, None]}]}}},
+    "rows": [[n, [k * 0.5 for k in range(n)], {}] for n in range(40)],
+}
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 7, 4096])
+def test_json_is_joined_in_batches_as_json_dumps_writes_it(
+        monkeypatch, batch):
+    """Batch edges fall anywhere, inside nested lists and dicts too, and
+    the text is json.dumps's."""
+    monkeypatch.setattr(cli, "_JSON_BATCH", batch)
+    for payload in (table_payload(2, 300), table_payload(3, 40, {1: 2, 3: 4}),
+                    NESTED_REPORT):
+        assert cli._dump_json(payload) == \
+            json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_count_table_json_is_json_dumps_of_the_table(capsys):
+    for argv, payload in (([], table_payload(2, 300)),
+                          (["--exclude", "1:1,3:2"],
+                           table_payload(2, 300, {1: 1, 3: 2}))):
+        assert run(["count", "table", "--q", "2", "--max-n", "300",
+                    "--format", "json", *argv], capsys) == (
+            0, json.dumps(payload, sort_keys=True, indent=2) + "\n", "")
 
 
 # ----------------------------------------------------------------------

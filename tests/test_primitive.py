@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primfield import primitive, sieve
+from primfield import irreducibles, primitive, sieve
 from primfield.counting import monic_cumulative
 from primfield.errors import UsageError, VerificationError
 from primfield.fieldpoly import format_index, index_degree, parse_index
@@ -22,7 +22,8 @@ from primfield.primitive import (PolySet, density_profile, erdos_sum,
                                  write_set)
 
 from oracles import (Factorization, assert_primitive, divides,
-                     erdos_sum_horner, erdos_sum_terms, index_mul,
+                     erdos_sum_horner, erdos_sum_split, erdos_sum_terms,
+                     index_mul,
                      mertens_exact, read_set_lines, sieve_irreducibles,
                      write_set_lines)
 
@@ -699,6 +700,39 @@ def test_erdos_sum_irreducibles_matches_horner_form(q):
                 Fraction(1, 1000)):
         cut = math.floor(1 / eps) + 1
         assert erdos_sum_irreducibles(q, eps).lo == erdos_sum_horner(q, cut)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_erdos_sum_irreducibles_matches_the_split_over_the_table(q):
+    """Each count formed from its own Moebius sum as the split reaches its
+    degree gives the sum of the same split over the shared table, at
+    cuts that are powers of two (2, 64, 2048) and cuts that are not."""
+    for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 6), Fraction(1, 63),
+                Fraction(1, 64), Fraction(3, 301), Fraction(1, 1000),
+                Fraction(1, 2047)):
+        cut = math.floor(1 / eps) + 1
+        b = erdos_sum_irreducibles(q, eps)
+        assert b.lo == erdos_sum_split(q, cut), eps
+        assert b.hi == b.lo + Fraction(1, cut)
+
+
+def test_the_erdos_sum_neither_reads_nor_grows_the_shared_table(
+        monkeypatch):
+    """A cold call leaves the shared tables empty, a warm one leaves them
+    as they were, and neither reads them."""
+    monkeypatch.setattr(irreducibles, "_PI_PRIME", {})
+    monkeypatch.setattr(irreducibles, "_CUMULATIVE", {})
+    cold = erdos_sum_irreducibles(3, Fraction(1, 500))
+    assert irreducibles._PI_PRIME == {} and irreducibles._CUMULATIVE == {}
+    irreducibles.pi_cumulative(3, 40)
+    table = {q: list(v) for q, v in irreducibles._PI_PRIME.items()}
+    sums = {q: list(v) for q, v in irreducibles._CUMULATIVE.items()}
+
+    def unread(q, n):
+        raise AssertionError("the shared table was read")
+    monkeypatch.setattr(irreducibles, "_pi_primes", unread)
+    assert erdos_sum_irreducibles(3, Fraction(1, 500)) == cold
+    assert irreducibles._PI_PRIME == table and irreducibles._CUMULATIVE == sums
 
 
 # ----------------------------------------------------------------------
