@@ -28,7 +28,7 @@ _EXPORTS = {
                "UsageError", "VerificationError"),
     "fieldpoly": ("format_index", "parse_index"),
     "irreducibles": ("check_degree_brackets", "erdos_sum_irreducibles",
-                     "kth_irreducible", "kth_irreducible_degree", "moebius",
+                     "kth_irreducible", "kth_irreducible_degree",
                      "pi_cumulative", "pi_prime"),
     "primitive": ("PolySet", "density_profile",
                   "erdos_sum", "is_primitive", "random_primitive_set",

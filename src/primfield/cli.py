@@ -202,9 +202,9 @@ def cmd_count_table(args) -> None:
                               excluded_degrees=_parse_excludes(args.exclude))
     cells = ((n, k, v) for n, row in enumerate(table.rows)
              for k, v in enumerate(row))
+    # the encoder writes tuples as lists, so the rows go in uncopied
     payload = {"q": table.q, "N": table.N,
-               "excluded_degrees": [list(p) for p in table.excluded_degrees],
-               "rows": [list(row) for row in table.rows]}
+               "excluded_degrees": table.excluded_degrees, "rows": table.rows}
     _emit(args, ["n", "k", "count"], cells, payload)
 
 

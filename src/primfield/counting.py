@@ -18,7 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count, islice
 from typing import Iterator, Mapping, NamedTuple
 
 from .brackets import (DEFAULT_PRECISION_BITS, BracketedValue, iv_from_fraction,
@@ -250,24 +250,28 @@ def verify_recurrence_bound(q: int, N: int,
     for all 2 <= k <= n <= N, in exact integers.
     """
     if table is None:
-        table = build_count_table(q, N)
-    if table.q != q or table.N < N or table.excluded_degrees:
+        # rows packed as they are checked; next() runs the build's checks
+        rows = _table_rows(q, N)
+        rows = chain([next(rows)], rows)
+        largest = q**N        # no entry passes q^N
+    elif table.q != q or table.N < N or table.excluded_degrees:
         raise UsageError("table does not cover the requested range")
-    rows = [row[:n + 1] for n, row in enumerate(table.rows[:N + 1])]
-    if any(v < 0 for row in rows for v in row):
-        raise UsageError("table has a negative entry")
+    else:
+        rows = [row[:n + 1] for n, row in enumerate(table.rows[:N + 1])]
+        if any(v < 0 for row in rows for v in row):
+            raise UsageError("table has a negative entry")
+        largest = max(max(row) for row in rows)
+        rows = iter(rows)
     # Slot k-1 of row n's packed sum is sum_{d <= n/2} pi'(d) rows[n-d][k-1]
     # for every k at once; the largest entry times sum_{d <= N/2} pi'(d)
     # bounds every slot, however large the given entries are.
     weights = [pi_prime(q, d) for d in range(1, N // 2 + 1)]
-    largest = max(max(row) for row in rows)
     nbytes = (largest * max(1, sum(weights))).bit_length() // 8 + 1
-    packed = [_pack(row[:_support(row)], nbytes) for row in rows]
+    packed = [_pack(row[:_support(row)], nbytes) for row in islice(rows, 2)]
     violations: list[tuple] = []
     min_margin = math.inf
     cells = 0
-    for n in range(2, N + 1):
-        row = rows[n]
+    for n, row in zip(range(2, N + 1), rows):
         # k past the row's support has lhs = 0 <= rhs and no margin, so
         # only the slots k - 1 below the support's last k are unpacked
         slots = max(_support(row) - 1, 0)
@@ -285,6 +289,8 @@ def verify_recurrence_bound(q: int, N: int,
                 margin = math.log(rhs) - math.log(lhs)
                 if margin < min_margin:
                     min_margin = margin
+        # row n is read only by the rows after it
+        packed.append(_pack(row[:_support(row)], nbytes))
     return InequalityReport("factor-count-recurrence", q, N, cells,
                             tuple(violations),
                             min_margin if min_margin < math.inf else 0.0)

@@ -1,55 +1,37 @@
 """Counting and ordering irreducible monic polynomials over F_q.
 
 pi_prime(q, n) counts degree-n irreducibles by the Moebius sum
-(1/n) * sum_{d | n} mu(d) q^(n/d); cumulative counts order all
+(1/n) * sum_{d | n} mu(d) q^(n/d), formed only by _pi_prime_run: its
+runs fill the shared table per q, and the Erdos sum over all
+irreducibles, a bracket around the exact counts, reads a run of its own
+and neither reads nor grows the table.  Cumulative counts order all
 irreducibles by (degree, index) and give the degree of the k-th one,
 which the sieve's irreducibles_at reads from one walk of the wheel.
 The expected degree window for the k-th irreducible is
     L(k) - 1 <= deg P_k <= L(k),  up to o(1),
 with L(k) = log_q k + log_q log_q k + log_q (q - 1); callers check it
-with an explicit slack.  The Erdos sum over all irreducibles is a
-bracket around the exact counts, which it forms one degree at a time
-and neither reads from nor adds to the shared table.  mpmath and irreducibles_at, the
-one path here to numpy, are imported by the functions that use them, so
-the exact counts load neither, and the degree brackets, whose float
-margins come from math, load no numpy.
+with an explicit slack.  mpmath and irreducibles_at, the one path here
+to numpy, are imported by the functions that use them, so the exact
+counts load neither, and the degree brackets, whose float margins come
+from math, load no numpy.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, islice, repeat
-from operator import mul
+from itertools import accumulate, chain, islice
 from typing import Iterator
 
 from .brackets import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS,
                        BracketedValue, precision)
 from .errors import PrecisionError, UsageError
 from .fieldpoly import _check_prime
-
-
-@lru_cache(maxsize=None)
-def moebius(n: int) -> int:
-    """Moebius function by trial factorization."""
-    if n < 1:
-        raise UsageError("moebius argument must be >= 1")
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
 
 
 # pi_prime(q, n) is _PI_PRIME[q][n - 1], pi_cumulative(q, n) _CUMULATIVE[q][n]
@@ -59,36 +41,14 @@ _CUMULATIVE: dict[int, list[int]] = {}
 
 def _pi_primes(q: int, n: int) -> list[int]:
     """The stored [pi'_q(1), ..., pi'_q(m)], m >= n, for a checked q.  A
-    short list grows to m = max(n, twice its length) by one Moebius pass:
-    the total of each new degree j starts at q^j, the d = 1 term, and each
-    squarefree d >= 2 adds mu(d) q^(j/d) to each multiple j of d past the
-    old length, read from the powers up to q^(m/2).  The list is extended
-    once, after every new count passed its checks, so an error mid-pass
-    leaves it as it was."""
+    short list grows to m = max(n, twice its length) by one run of
+    _pi_prime_run to m, whose counts past the old length are kept.  The
+    list is extended once, after every new count passed the run's checks,
+    so an error mid-run leaves it as it was."""
     table = _PI_PRIME.setdefault(q, [])
     old = len(table)
-    if n <= old:
-        return table
-    new = max(n, 2 * old)
-    # totals[i] is the undivided total of degree old + 1 + i
-    totals = list(accumulate(repeat(q, new - old - 1), mul,
-                             initial=q**(old + 1)))
-    powers = list(accumulate(repeat(q, new // 2), mul, initial=1))
-    for d in range(1, new + 1):
-        mu = moebius(d)
-        if d == 1 or not mu:
-            continue
-        for e in range(old // d + 1, new // d + 1):
-            if mu > 0:
-                totals[e * d - old - 1] += powers[e]
-            else:
-                totals[e * d - old - 1] -= powers[e]
-    power = q**old
-    for i, j in enumerate(range(old + 1, new + 1)):
-        power *= q
-        assert 0 < totals[i] <= power and totals[i] % j == 0, (q, j)
-        totals[i] //= j
-    table += totals
+    if n > old:
+        table += list(islice(_pi_prime_run(q, max(n, 2 * old)), old, None))
     return table
 
 
@@ -138,9 +98,7 @@ def kth_irreducible(q: int, k: int) -> int:
 def _prime_factor_sieve(n: int):
     """An unsigned array holding a prime factor of each composite m <= n,
     and 0 at m = 0, 1 and each prime: each prime p <= sqrt(n) writes
-    itself over its multiples from p^2 on, one slice each.  The array
-    module is imported here, so only the Erdos sum maps its extension."""
-    from array import array
+    itself over its multiples from p^2 on, one slice each."""
     factor = array("I", [0]) * (n + 1)
     for p in range(2, math.isqrt(n) + 1):
         if not factor[p]:
@@ -150,7 +108,8 @@ def _prime_factor_sieve(n: int):
 
 def _pi_prime_run(q: int, cut: int) -> Iterator[int]:
     """pi'_q(1), ..., pi'_q(cut) in turn, each from its own Moebius sum
-    sum_{e | d} mu(e) q^(d/e), without the shared table.
+    sum_{e | d} mu(e) q^(d/e): the one Moebius sum here, which both grows
+    the shared table and feeds the Erdos sum.
 
     The squarefree divisors e of d, signed by mu(e), are the products of
     subsets of d's primes, read from one prime-factor sieve.  q^d is a

@@ -23,9 +23,12 @@ SRC = Path(primfield.__file__).resolve().parent
 # path, and the size caps the run's deadline and ceiling made redundant;
 # the product kernels form their own digit rows; one multiples pass
 # replaces the least-factor sieve and its folds; one table of counts per
-# field replaces the second Moebius pass; the Mertens product of one n
-# and the raising primitivity check, which only the tests called; a
-# whole slice of one degree's irreducibles, now read from the one walk
+# field replaces a second table and its own Moebius pass; the Mertens
+# product of one n and the raising primitivity check, which only the
+# tests called; a whole slice of one degree's irreducibles, now read from
+# the one walk; the trial-factoring Moebius function, since one Moebius
+# run, taking mu from a prime-factor sieve, fills the table and feeds the
+# Erdos sum
 DELETED = ("ConstructionError", "DEFAULT_ENUM_BUDGET", "DEFAULT_SIEVE_ENTRIES",
            "FactorSieve", "Factorization", "MAX_BRACKET_RANKS", "MAX_PAIRS",
            "MonicPoly", "TailSums", "build_factor_sieve", "divides",
@@ -34,7 +37,7 @@ DELETED = ("ConstructionError", "DEFAULT_ENUM_BUDGET", "DEFAULT_SIEVE_ENTRIES",
            "mertens_exact", "mertens_exact_parts", "monic_count",
            "monic_digits", "parse_poly", "pi_prime_table", "poly_divrem",
            "poly_mul", "sathe_selberg_H", "tail_sums", "mertens_product",
-           "assert_primitive", "irreducible_slice")
+           "assert_primitive", "irreducible_slice", "moebius")
 
 
 def test_all_names_resolve_and_deleted_names_are_gone():

@@ -17,8 +17,8 @@ from primfield.errors import BudgetError, UsageError
 from primfield.fieldpoly import format_index, index_degree
 from primfield.irreducibles import (MAX_LISTED_VIOLATIONS,
                                     check_degree_brackets, kth_irreducible,
-                                    kth_irreducible_degree, moebius,
-                                    pi_cumulative, pi_prime)
+                                    kth_irreducible_degree, pi_cumulative,
+                                    pi_prime)
 
 from oracles import (degree_bracket_margins_numpy, degree_brackets_whole,
                      is_irreducible)
@@ -42,13 +42,6 @@ def moebius_oracle(n):
     if n > 1:
         seen.append(n)
     return -1 if len(seen) % 2 else 1
-
-
-def test_moebius_against_factoring():
-    for n in range(1, 500):
-        assert moebius(n) == moebius_oracle(n)
-    with pytest.raises(UsageError):
-        moebius(0)
 
 
 @given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 40))
@@ -125,8 +118,9 @@ def full_divisor_count(q, n):
 
 
 def test_a_cold_table_to_degree_8001_peaks_under_8_mb(cold):
-    """The pass holds the new counts' undivided totals and the powers up
-    to q^4000, not every power up to q^8001 beside them (9.8 MB)."""
+    """The run that fills the table holds, beside the counts it has
+    yielded, q^d and one power q^(d/e) per e with a multiple still to
+    come (4.6 MB measured), not every power up to q^8001 (9.8 MB)."""
     tracemalloc.start()
     try:
         irreducibles._pi_primes(2, 8001)
@@ -139,41 +133,41 @@ def test_a_cold_table_to_degree_8001_peaks_under_8_mb(cold):
 @pytest.mark.parametrize("error", [BudgetError, MemoryError])
 def test_an_error_mid_extension_leaves_the_tables_as_they_were(
         monkeypatch, cold, error):
-    """A deadline or the memory ceiling may strike at any Moebius step of
-    an extension: the stored counts and running sums stay as they were,
-    and the next call extends them correctly."""
+    """A deadline or the memory ceiling may strike at any count of an
+    extension's Moebius run: the stored counts and running sums stay as
+    they were, and the next call extends them correctly."""
     q = 3
     pi_cumulative(q, 16)
     table = list(irreducibles._PI_PRIME[q])
     sums = list(irreducibles._CUMULATIVE[q])
-    steps = 0
+    run = irreducibles._pi_prime_run
+    yielded = []
 
-    def counted(d):
-        nonlocal steps
-        steps += 1
-        return moebius(d)
+    def counted(q, cut):
+        yielded.append(0)
+        for count in run(q, cut):
+            yielded[-1] += 1
+            yield count
 
-    monkeypatch.setattr(irreducibles, "moebius", counted)
+    monkeypatch.setattr(irreducibles, "_pi_prime_run", counted)
     pi_cumulative(q, 40)
-    assert steps == 40
+    assert yielded == [40]      # one run, one count per degree
     irreducibles._PI_PRIME[q][16:] = []
     irreducibles._CUMULATIVE[q][17:] = []
-    for k in range(1, steps + 1):
-        seen = 0
+    for k in range(1, 41):
 
-        def expire_at_k(d):
-            nonlocal seen
-            seen += 1
-            if seen == k:
-                raise error("deadline")
-            return moebius(d)
+        def expire_at_k(q, cut):
+            for seen, count in enumerate(run(q, cut), 1):
+                if seen == k:
+                    raise error("deadline")
+                yield count
 
-        monkeypatch.setattr(irreducibles, "moebius", expire_at_k)
+        monkeypatch.setattr(irreducibles, "_pi_prime_run", expire_at_k)
         with pytest.raises(error, match="deadline"):
             pi_cumulative(q, 40)
         assert irreducibles._PI_PRIME[q] == table
         assert irreducibles._CUMULATIVE[q] == sums
-    monkeypatch.setattr(irreducibles, "moebius", moebius)
+    monkeypatch.setattr(irreducibles, "_pi_prime_run", run)
     assert pi_cumulative(q, 40) == sum(full_divisor_count(q, n)
                                        for n in range(1, 41))
     assert pi_prime(q, 40) == full_divisor_count(q, 40)
