@@ -28,7 +28,7 @@ import numpy as np
 
 from .brackets import (DEFAULT_PRECISION_BITS, BracketedValue,
                        iv_from_fraction, iv_pointwise_max, precision)
-from .counting import _pack, build_count_table, monic_cumulative
+from .counting import _pack, _table_rows, monic_cumulative
 from .errors import BudgetError, PrecisionError, UsageError
 from .fieldpoly import _check_prime, index_degree
 from .irreducibles import kth_irreducible_degree, pi_cumulative, pi_prime
@@ -484,9 +484,10 @@ def mp_construct(q: int, tseq: TSequence, horizon: int,
 
     Counting is exact at every degree <= horizon: S_k at degree n equals
     the number of squarefree g of degree n - deg t_k with k - 1 distinct
-    irreducible factors avoiding t_1 .. t_k.  One count table of the whole
-    field is built, and each t_k in turn is divided out of it, so its
-    rows count the polynomials coprime to t_1 .. t_k.  Members
+    irreducible factors avoiding t_1 .. t_k.  The rows of the whole
+    field's count table are packed as they come off its build, and each
+    t_k in turn is divided out of them, so they count the polynomials
+    coprime to t_1 .. t_k.  Members
     are enumerated only up to enum_horizon (from one multiples pass over
     every monic polynomial there); cross_checked says whether the enumeration
     reproduces the counts, and is_primitive certifies the members.
@@ -520,8 +521,7 @@ def mp_construct(q: int, tseq: TSequence, horizon: int,
     # grows; slot k - 1 of row n - deg t_k then counts S_k at degree n.
     nbytes = ((q**horizon).bit_length() + 7) // 8
     width, mask = 8 * nbytes, (1 << 8 * nbytes) - 1
-    packed = [_pack(row, nbytes)
-              for row in build_count_table(q, horizon).rows]
+    packed = [_pack(row, nbytes) for row in _table_rows(q, horizon)]
     counts: list[tuple[int, ...]] = []
     for k in range(1, k_max + 1):
         dk = tseq.degrees[k - 1]

@@ -7,9 +7,10 @@ irreducible factors, built exactly from the generating product
 prod_d (1 + u x^d)^{pi'_q(d)}.  Around it sit certified-bracket
 evaluations of the degree-weighted singular series G, the truncated
 Mertens product, Poisson-style tail estimates, and verifiers for the
-uniform upper bound and the factor-count recurrence.  The exact counts
-run without mpmath; the functions that bracket analytic quantities
-import it.
+uniform upper bound and the factor-count recurrence.  Every reader of
+the table, those verifiers and the mp construction included, takes its
+rows from one packed build, _table_rows.  The exact counts run without
+mpmath; the functions that bracket analytic quantities import it.
 """
 
 from __future__ import annotations
@@ -53,16 +54,6 @@ class CountTable:
     N: int
     rows: tuple[tuple[int, ...], ...]
     excluded_degrees: tuple[tuple[int, int], ...] = ()
-
-    def count(self, n: int, k: int) -> int:
-        if not 0 <= n <= self.N:
-            raise UsageError(f"n={n} outside table range 0..{self.N}")
-        if not 0 <= k <= n:
-            return 0
-        return self.rows[n][k]
-
-    def row_total(self, n: int) -> int:
-        return sum(self.rows[n])
 
 
 def _unpack(row: int, slots: int, nbytes: int) -> tuple[int, ...]:
@@ -197,23 +188,19 @@ def _log_weight_dyadic_lower(n: int, precision_bits: int) -> tuple[int, int]:
     return num, den.bit_length() - 1
 
 
-def verify_hr_bound(q: int, N: int, table: CountTable | None = None,
+def verify_hr_bound(q: int, N: int,
                     precision_bits: int = 96) -> InequalityReport:
     """Check Pi'_{q,k}(n) <= (q^n/n) (log n + 2 - log 2)^(k-1)/(k-1)!
     for all 1 <= k <= n <= N.
 
-    The right side is replaced by a certified rational lower bound (the
-    log weight rounded down), so every pass is a rigorous instance of the
-    inequality; comparisons are pure integer arithmetic.
+    The rows come off the packed build (_table_rows) one at a time, each
+    unpacked as it is checked, never the whole table.  The right side is
+    replaced by a certified rational lower bound (the log weight rounded
+    down), so every pass is a rigorous instance of the inequality;
+    comparisons are pure integer arithmetic.
     """
-    if table is None:
-        # each row is unpacked as it is checked, never the whole table
-        rows = _table_rows(q, N)
-    elif table.q != q or table.N < N or table.excluded_degrees:
-        raise UsageError("table does not cover the requested range")
-    else:
-        rows = iter(table.rows)
-    next(rows)    # row 0 has no k >= 1
+    rows = _table_rows(q, N)
+    next(rows)    # row 0 has no k >= 1; the build's checks run first
     violations: list[tuple] = []
     min_margin = math.inf
     cells = 0
@@ -244,29 +231,20 @@ def _support(row) -> int:
     return next((k + 1 for k in range(len(row) - 1, -1, -1) if row[k]), 0)
 
 
-def verify_recurrence_bound(q: int, N: int,
-                            table: CountTable | None = None) -> InequalityReport:
+def verify_recurrence_bound(q: int, N: int) -> InequalityReport:
     """Check (k-1) Pi'_{q,k}(n) <= sum_{d <= n/2} pi'_q(d) Pi'_{q,k-1}(n-d)
     for all 2 <= k <= n <= N, in exact integers.
+
+    The rows come off the packed build (_table_rows) one at a time; each
+    is packed again after its own check, for the rows after it to read.
     """
-    if table is None:
-        # rows packed as they are checked; next() runs the build's checks
-        rows = _table_rows(q, N)
-        rows = chain([next(rows)], rows)
-        largest = q**N        # no entry passes q^N
-    elif table.q != q or table.N < N or table.excluded_degrees:
-        raise UsageError("table does not cover the requested range")
-    else:
-        rows = [row[:n + 1] for n, row in enumerate(table.rows[:N + 1])]
-        if any(v < 0 for row in rows for v in row):
-            raise UsageError("table has a negative entry")
-        largest = max(max(row) for row in rows)
-        rows = iter(rows)
+    rows = _table_rows(q, N)
+    rows = chain([next(rows)], rows)    # next() runs the build's checks
     # Slot k-1 of row n's packed sum is sum_{d <= n/2} pi'(d) rows[n-d][k-1]
-    # for every k at once; the largest entry times sum_{d <= N/2} pi'(d)
-    # bounds every slot, however large the given entries are.
+    # for every k at once; no entry passes q^N, so q^N times
+    # sum_{d <= N/2} pi'(d) bounds every slot.
     weights = [pi_prime(q, d) for d in range(1, N // 2 + 1)]
-    nbytes = (largest * max(1, sum(weights))).bit_length() // 8 + 1
+    nbytes = (q**N * max(1, sum(weights))).bit_length() // 8 + 1
     packed = [_pack(row[:_support(row)], nbytes) for row in islice(rows, 2)]
     violations: list[tuple] = []
     min_margin = math.inf
@@ -408,8 +386,9 @@ def mertens_rows(q: int, max_n: int,
 _G_DEGREE_CAP = 64     # last degree of the product before the bounded tail
 
 
-def _g_series_iv(q: int, z, degree_cap: int):
-    """Interval for prod_p (1 + z/|p|)(1 - 1/|p|)^z to degree_cap, tail in.
+def _g_series_iv(q: int, z) -> Iterator:
+    """Intervals for prod_p (1 + z/|p|)(1 - 1/|p|)^z to degree caps 8, 16,
+    32 and 64 in turn, tail in, from one running sum over the degrees.
 
     Per degree d the log factor is g_d = log(1 + z q^-d) + z log(1 - q^-d),
     with -z(1+z) q^-2d <= g_d <= 0 for q^-d <= 1/2, so the degree tail
@@ -417,15 +396,15 @@ def _g_series_iv(q: int, z, degree_cap: int):
     """
     from mpmath import iv
     s = iv.mpf(0)
-    for d in range(1, degree_cap + 1):
+    for d in range(1, _G_DEGREE_CAP + 1):
         m = pi_prime(q, d)
         with _term_precision(m):
             u = iv.mpf(1) / q**d
             term = m * (iv.log(1 + z * u) + z * iv.log(1 - u))
         s += term
-    tail_mag = z * (1 + z) / q**degree_cap / ((degree_cap + 1) * (q - 1))
-    s += -(iv.mpf([0, 1]) * tail_mag)
-    return iv.exp(s)
+        if d >= 8 and d & (d - 1) == 0:
+            tail_mag = z * (1 + z) / q**d / ((d + 1) * (q - 1))
+            yield iv.exp(s - iv.mpf([0, 1]) * tail_mag)
 
 
 def evaluate_G(q: int, z, eps=Fraction(1, 10**6),
@@ -435,9 +414,10 @@ def evaluate_G(q: int, z, eps=Fraction(1, 10**6),
     of width at most eps.
 
     Every factor decreases in z, so G falls from G(0) = 1 and stays in
-    (0, 1].  The product is grouped by degree with exponent pi'_q(d); the
-    degree cutoff doubles, then the working precision, until the bracket
-    is narrow enough.
+    (0, 1].  The product is grouped by degree with exponent pi'_q(d).  At
+    each working precision one running sum over the degrees is read at
+    the cutoffs 8, 16, 32 and 64, so each degree's term is formed once;
+    the precision doubles until the bracket is narrow enough.
     """
     _check_prime(q)
     z = Fraction(z)
@@ -449,15 +429,10 @@ def evaluate_G(q: int, z, eps=Fraction(1, 10**6),
     bits = precision_bits
     while True:
         with precision(bits):
-            z_iv = iv_from_fraction(z)
-            cap = 8
-            while True:
-                out = BracketedValue.from_iv(_g_series_iv(q, z_iv, cap))
+            for g in _g_series_iv(q, iv_from_fraction(z)):
+                out = BracketedValue.from_iv(g)
                 if out.width <= eps:
                     return out
-                if cap >= _G_DEGREE_CAP:
-                    break
-                cap = min(2 * cap, _G_DEGREE_CAP)
         if bits >= 8 * precision_bits:
             raise PrecisionError(
                 f"G({z}) bracket width {float(out.width):.3e} > eps at"

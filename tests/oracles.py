@@ -22,8 +22,10 @@ to its last nonzero entry; its Erdos sum over irreducibles is split
 over degree ranges, each count formed as the split reaches its degree,
 its degree-bracket check runs over blocks of ranks, and its Mertens
 products for n = 1..N come from one running sum and one running exact
-product over degrees.  The count-layer oracles recompute each of these
-one cell, one term, one n, one whole row or one whole array at a time:
+product over degrees; its series G is read at every degree cutoff off
+one running sum.  The count-layer oracles recompute each of these
+one cell, one term, one n, one cutoff, one whole row or one whole array
+at a time:
 the Erdos sum one Fraction per degree, by Horner's rule over one common
 denominator, and by the same split over the shared table of counts;
 the exact Mertens product is one Fraction factor per degree.  The thinned-irreducible construction
@@ -415,6 +417,16 @@ def count_table_lists(q, N, excluded_degrees=None):
     return tuple(tuple(r) for r in rows)
 
 
+def table_count(rows, n, k):
+    """Pi'_{q,k}(n) read off a table's rows: 0 for k outside 0..n."""
+    return rows[n][k] if 0 <= k <= n else 0
+
+
+def row_total(rows, n):
+    """The squarefree monic polynomials of degree n a table counts."""
+    return sum(rows[n])
+
+
 def mp_counts_rebuilt(q, degrees, horizon):
     """|S_k at degree n| for t-terms of the given degrees, one count table
     per k: the field less t_1 .. t_k, built anew each time."""
@@ -423,7 +435,7 @@ def mp_counts_rebuilt(q, degrees, horizon):
         excl[dk] = excl.get(dk, 0) + 1
         table = build_count_table(q, horizon, excluded_degrees=excl)
         counts.append(tuple(
-            table.count(n - dk, k - 1) if n - dk >= k - 1 else 0
+            table_count(table.rows, n - dk, k - 1)
             for n in range(horizon + 1)))
     return tuple(counts)
 
@@ -452,7 +464,7 @@ def recurrence_cells(q, N, rows):
                                       else 0.0)
 
 
-def hr_bound_full_width(q, N, table, precision_bits=96):
+def hr_bound_full_width(q, N, rows, precision_bits=96):
     """verify_hr_bound's report with every k of every row walked, zero
     entries included."""
     violations = []
@@ -462,7 +474,7 @@ def hr_bound_full_width(q, N, table, precision_bits=96):
         num, s = _log_weight_dyadic_lower(n, precision_bits)
         rhs = q**n
         scale = n
-        row = table.rows[n]
+        row = rows[n]
         for k in range(1, n + 1):
             lhs = row[k] * scale
             cells += 1
@@ -477,10 +489,10 @@ def hr_bound_full_width(q, N, table, precision_bits=96):
                             min_margin if min_margin < math.inf else 0.0)
 
 
-def recurrence_bound_full_width(q, N, table):
+def recurrence_bound_full_width(q, N, rows):
     """verify_recurrence_bound's report with every row packed and every
     slot of each packed sum unpacked and compared."""
-    rows = [row[:n + 1] for n, row in enumerate(table.rows[:N + 1])]
+    rows = [row[:n + 1] for n, row in enumerate(rows[:N + 1])]
     weights = [pi_prime(q, d) for d in range(1, N // 2 + 1)]
     largest = max(max(row) for row in rows)
     nbytes = (largest * max(1, sum(weights))).bit_length() // 8 + 1
@@ -542,6 +554,22 @@ def erdos_sum_terms(q, cut):
     for d in range(1, cut + 1):
         partial += Fraction(pi_prime(q, d), d * q**d)
     return partial
+
+
+def g_series_resummed(q, z, degree_cap):
+    """The interval for prod_p (1 + z/|p|)(1 - 1/|p|)^z to degree_cap,
+    tail in, every degree's term summed afresh from degree 1, at the same
+    working precisions as the library's running sum."""
+    s = iv.mpf(0)
+    for d in range(1, degree_cap + 1):
+        m = pi_prime(q, d)
+        with _term_precision(m):
+            u = iv.mpf(1) / q**d
+            term = m * (iv.log(1 + z * u) + z * iv.log(1 - u))
+        s += term
+    tail_mag = z * (1 + z) / q**degree_cap / ((degree_cap + 1) * (q - 1))
+    s += -(iv.mpf([0, 1]) * tail_mag)
+    return iv.exp(s)
 
 
 def mertens_exact(q, n):

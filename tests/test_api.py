@@ -53,6 +53,14 @@ def test_all_names_resolve_and_deleted_names_are_gone():
             assert not hasattr(module, name), (module.__name__, name)
 
 
+def test_every_table_reader_takes_its_rows_from_the_build():
+    """The two inequality checks take no table of their own, and the mp
+    construction reads the packed build's rows, not a whole table."""
+    for fn in (counting.verify_hr_bound, counting.verify_recurrence_bound):
+        assert "table" not in inspect.signature(fn).parameters, fn.__name__
+    assert not hasattr(constructions, "build_count_table")
+
+
 def test_irreducibles_have_one_source_and_the_kernels_no_digit_rows(
         monkeypatch):
     """A degree's irreducibles come from one walk of the wheel: during the

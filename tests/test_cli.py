@@ -21,7 +21,7 @@ import pytest
 import primfield
 from primfield import PolySet, read_set, write_set
 from primfield import cli
-from primfield.counting import CountTable, build_count_table
+from primfield.counting import build_count_table
 from primfield.cli import main
 from primfield.errors import VerificationError
 
@@ -100,10 +100,13 @@ def test_usage_errors_exit_one(capsys):
      "bad growth parameter 'eps=1/0'"),
     # the field is checked before the rank
     (["irr", "kth", "--q", "4", "--k", "0"], "field order 4 is not prime"),
+    (["verify", "hr", "--max-n", "-1"], "table size must be >= 0"),
+    (["verify", "recurrence", "--max-n", "-1"], "table size must be >= 0"),
 ], ids=["exclude-negative", "exclude-cancelled", "exclude-second-part",
         "slack-nan", "slack-inf", "rank-past-float64", "mp-past-float64",
         "materialize-zero", "materialize-negative", "growth-zero-denominator",
-        "kth-composite-field"])
+        "kth-composite-field", "hr-negative-size",
+        "recurrence-negative-size"])
 def test_an_out_of_domain_value_is_a_usage_error(capsys, argv, message):
     assert run(argv, capsys) == (1, "", f"primfield: error: {message}\n")
 
@@ -1158,17 +1161,16 @@ def test_each_command_builds_a_sieve_at_most_once(capsys, tmp_path,
 
 def test_construct_mp_count_mismatch_exits_two(capsys, tmp_path,
                                                monkeypatch):
-    # a count table one off in every cell: the enumerated members no
+    # count-table rows one off in every cell: the enumerated members no
     # longer reproduce the counts, and the run reports that verdict
     from primfield import constructions
-    build = constructions.build_count_table
+    rows = constructions._table_rows
 
     def one_off(q, N):
-        table = build(q, N)
-        return CountTable(q, N, tuple(tuple(v + 1 for v in row)
-                                      for row in table.rows))
+        for row in rows(q, N):
+            yield tuple(v + 1 for v in row)
 
-    monkeypatch.setattr(constructions, "build_count_table", one_off)
+    monkeypatch.setattr(constructions, "_table_rows", one_off)
     rpt_path = tmp_path / "mp.json"
     code, _, err = run(["construct", "mp", "--q", "2",
                         "--L", "log:eps=0.1", "--horizon", "12",
@@ -1182,7 +1184,7 @@ def test_construct_mp_enum_horizon_zero_fails_before_any_count_table(
         capsys, monkeypatch):
     from primfield import constructions
     tables = []
-    monkeypatch.setattr(constructions, "build_count_table",
+    monkeypatch.setattr(constructions, "_table_rows",
                         lambda *a, **kw: tables.append(a))
     code, out, err = run(["construct", "mp", "--q", "2", "--L", "log:eps=0.1",
                           "--horizon", "60", "--enum-horizon", "0"], capsys)

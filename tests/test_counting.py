@@ -10,8 +10,8 @@ from mpmath import iv
 
 from primfield import counting
 from primfield.brackets import BracketedValue, iv_from_fraction, precision
-from primfield.counting import (PRINTABLE_EXACT_BITS, CountTable,
-                                _g_series_iv, _table_rows, build_count_table,
+from primfield.counting import (PRINTABLE_EXACT_BITS, _g_series_iv,
+                                _table_rows, build_count_table,
                                 evaluate_G,
                                 mertens_rows,
                                 monic_cumulative, norton_check,
@@ -20,9 +20,10 @@ from primfield.counting import (PRINTABLE_EXACT_BITS, CountTable,
 from primfield.errors import BudgetError, PrecisionError, UsageError
 from primfield.irreducibles import pi_prime
 
-from oracles import (count_table_lists, factor_index, hr_bound_full_width,
-                     mertens_exact, mertens_per_n, recurrence_bound_full_width,
-                     recurrence_cells, sieve_irreducibles)
+from oracles import (count_table_lists, factor_index, g_series_resummed,
+                     hr_bound_full_width, mertens_exact, mertens_per_n,
+                     recurrence_bound_full_width, recurrence_cells, row_total,
+                     sieve_irreducibles, table_count)
 
 
 def enumerate_squarefree_counts(sieve, N, excluded=None):
@@ -65,7 +66,7 @@ def test_table_matches_enumeration(q, N, sieve2, sieve3):
     want = enumerate_squarefree_counts(sieve, N)
     for n in range(N + 1):
         for k in range(n + 1):
-            assert table.count(n, k) == want[n][k], (n, k)
+            assert table_count(table.rows, n, k) == want[n][k], (n, k)
 
 
 @pytest.mark.parametrize("q,N,excl", [
@@ -80,7 +81,7 @@ def test_table_with_exclusions_matches_enumeration(q, N, excl, sieve2, sieve3):
     want = enumerate_squarefree_counts(sieve, N, excluded=excl)
     for n in range(N + 1):
         for k in range(n + 1):
-            assert table.count(n, k) == want[n][k], (n, k, excl)
+            assert table_count(table.rows, n, k) == want[n][k], (n, k, excl)
 
 
 @pytest.mark.parametrize("q,N", [(2, 120), (3, 60), (5, 30), (7, 20),
@@ -98,23 +99,21 @@ def test_packed_table_matches_list_oracle(q, N):
 
 
 def test_table_row_identities():
-    table = build_count_table(2, 40)
-    assert table.row_total(1) == 2  # every linear polynomial is squarefree
+    rows = build_count_table(2, 40).rows
+    assert row_total(rows, 1) == 2  # every linear polynomial is squarefree
     for n in range(2, 41):
-        assert table.row_total(n) == 2**n - 2**(n - 1)
+        assert row_total(rows, n) == 2**n - 2**(n - 1)
     for n in range(1, 41):
-        assert table.count(n, 1) == pi_prime(2, n)
-    assert table.count(0, 0) == 1 and table.count(5, 0) == 0
-    assert table.count(7, 9) == 0  # k > n reads as zero
+        assert table_count(rows, n, 1) == pi_prime(2, n)
+    assert table_count(rows, 0, 0) == 1 and table_count(rows, 5, 0) == 0
+    assert table_count(rows, 7, 9) == 0  # k > n reads as zero
     # rows 0 and 1 keep their n + 1 slots, even when a row is all zeros
     assert build_count_table(2, 0).rows == ((1,),)
     assert build_count_table(2, 3, excluded_degrees={1: 2}).rows == \
         ((1,), (0, 0), (0, 1, 0), (0, 2, 0, 0))
-    with pytest.raises(UsageError):
-        table.count(41, 1)
 
 
-def test_table_cache_and_budget():
+def test_table_refuses_bad_exclusions():
     with pytest.raises(UsageError):
         build_count_table(2, 10, excluded_degrees={1: 5})  # only 2 exist
     with pytest.raises(UsageError):
@@ -135,12 +134,25 @@ def test_hr_bound_holds_at_desk_scale():
         assert report.min_log_margin >= 0.0
 
 
-def test_hr_bound_flags_doctored_table():
-    clean = build_count_table(2, 50)
-    rows = [list(r) for r in clean.rows]
-    rows[50][1] = 2**50  # far beyond the k=1 bound q^n/n
-    doctored = CountTable(2, 50, tuple(tuple(r) for r in rows))
-    report = verify_hr_bound(2, 50, table=doctored)
+def _feed(monkeypatch, rows):
+    """Have the checks read rows 0..N of rows in place of the packed
+    build's."""
+    monkeypatch.setattr(counting, "_table_rows",
+                        lambda q, N: iter(rows[:N + 1]))
+
+
+def _doctored(rows, cells):
+    """A copy of rows with rows[n][k] = value for each (n, k): value."""
+    rows = [list(r) for r in rows]
+    for (n, k), value in cells.items():
+        rows[n][k] = value
+    return tuple(tuple(r) for r in rows)
+
+
+def test_hr_bound_flags_doctored_table(monkeypatch):
+    clean = build_count_table(2, 50).rows
+    _feed(monkeypatch, _doctored(clean, {(50, 1): 2**50}))  # k=1 bound q^n/n
+    report = verify_hr_bound(2, 50)
     assert not report.ok
     assert any(v[0] == 50 and v[1] == 1 for v in report.violations)
 
@@ -148,10 +160,10 @@ def test_hr_bound_flags_doctored_table():
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_hr_bound_off_the_packed_build_matches_the_table(q):
     """Rows unpacked one at a time off the packed build give the report
-    the whole table gives."""
+    that every cell of the whole table gives."""
     for N in (0, 1, 2, 17, 120, 300):
         streamed = verify_hr_bound(q, N)
-        held = verify_hr_bound(q, N, build_count_table(q, N))
+        held = hr_bound_full_width(q, N, build_count_table(q, N).rows)
         assert streamed == held
         assert streamed.to_json() == held.to_json()
 
@@ -181,31 +193,39 @@ def test_the_hr_check_never_holds_the_unpacked_table():
     assert peak < packed + unpacked / 10
 
 
-def test_recurrence_bound_holds_and_flags():
+def test_checks_refuse_a_negative_table_size():
+    for N in (-1, -2, -5):
+        for check in (verify_hr_bound, verify_recurrence_bound):
+            with pytest.raises(UsageError, match=r"^table size must be >= 0$"):
+                check(2, N)
+
+
+def test_recurrence_bound_holds_and_flags(monkeypatch):
     for q in (2, 3):
         report = verify_recurrence_bound(q, 40)
         assert report.ok and not report.violations
-    clean = build_count_table(2, 30)
-    rows = [list(r) for r in clean.rows]
-    rows[30][3] *= 2**40
-    doctored = CountTable(2, 30, tuple(tuple(r) for r in rows))
-    assert not verify_recurrence_bound(2, 30, table=doctored).ok
+    # 2^30 is the build's bound on any entry; 2 * 2^30 passes the right
+    # side, 404,060,732
+    clean = build_count_table(2, 30).rows
+    _feed(monkeypatch, _doctored(clean, {(30, 3): 2**30}))
+    assert not verify_recurrence_bound(2, 30).ok
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_recurrence_bound_off_the_packed_build_matches_the_table(q):
     """Rows packed one at a time as they come off the build, in slots
-    sized from q^N, give the report the whole table gives."""
+    sized from q^N, give the report that the whole table, packed at its
+    largest entry's width, gives."""
     for N in (0, 1, 2, 3, 17, 80, 150):
-        assert verify_recurrence_bound(q, N) == \
-            verify_recurrence_bound(q, N, build_count_table(q, N))
+        assert verify_recurrence_bound(q, N) == recurrence_bound_full_width(
+            q, N, build_count_table(q, N).rows)
 
 
 def test_the_recurrence_check_never_holds_the_unpacked_table():
-    """Without a table the check holds the packed build and its own packed
-    rows, never the unpacked table, which alone takes 0.78 MB at q = 2,
-    N = 300 (0.58 MB measured; 1.35 MB while it held that table, a copy
-    of its rows and their packed forms)."""
+    """The check holds the packed build and its own packed rows, never
+    the unpacked table, which alone takes 0.78 MB at q = 2, N = 300
+    (0.58 MB measured; 1.35 MB while it held that table, a copy of its
+    rows and their packed forms)."""
     verify_recurrence_bound(2, 300)     # the shared counts
     tracemalloc.start()
     try:
@@ -217,54 +237,46 @@ def test_the_recurrence_check_never_holds_the_unpacked_table():
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
-def test_support_walks_match_full_width_loops(q):
+def test_support_walks_match_full_width_loops(q, monkeypatch):
     """Both checks stop each row at its last nonzero entry; the reports
     equal those of loops over every slot, on clean tables and on tables
-    with entries past a row's natural support."""
+    with entries past a row's natural support, each at most q^N."""
+    cases = []
     for N in (1, 2, 3, 11, 40, 80):
-        clean = build_count_table(q, N)
-        tables = [clean]
+        clean = build_count_table(q, N).rows
+        cases.append((N, clean))
         if N >= 3:
-            tables += [
-                _doctored(clean, {(N, N): 1, (N - 1, N - 2): q**N}),
-                _doctored(clean, {(N, N - 1): clean.rows[N][1] * q**N,
-                                  (N, 1): 0}),
+            cases += [
+                (N, _doctored(clean, {(N, N): 1, (N - 1, N - 2): q**N})),
+                (N, _doctored(clean, {(N, N - 1): q**N, (N, 1): 0})),
             ]
-        for table in tables:
-            assert verify_hr_bound(q, N, table=table) == \
-                hr_bound_full_width(q, N, table)
-            assert verify_recurrence_bound(q, N, table=table) == \
-                recurrence_bound_full_width(q, N, table)
-
-
-def _doctored(table, cells):
-    """A copy of table with rows[n][k] = value for each (n, k): value."""
-    rows = [list(r) for r in table.rows]
-    for (n, k), value in cells.items():
-        rows[n][k] = value
-    return CountTable(table.q, table.N, tuple(tuple(r) for r in rows))
+    for N, rows in cases:
+        _feed(monkeypatch, rows)
+        assert verify_hr_bound(q, N) == hr_bound_full_width(q, N, rows)
+        assert verify_recurrence_bound(q, N) == \
+            recurrence_bound_full_width(q, N, rows)
 
 
 @pytest.mark.parametrize("q,N", [(2, 60), (3, 40), (5, 24)])
-def test_packed_recurrence_matches_cell_oracle(q, N):
-    clean = build_count_table(q, N)
-    r = clean.rows
+def test_packed_recurrence_matches_cell_oracle(q, N, monkeypatch):
+    r = build_count_table(q, N).rows
     h = N // 2
     tables = [
-        clean,
-        # far above q^N: a left side that fails, and right sides that grow
-        _doctored(clean, {(N, 3): r[N][3] * 2**400, (h, 2): r[h][2] * 2**400}),
-        _doctored(clean, {(N - 1, N - 1): 0, (N, 2): 0,
-                          (h, 1): r[h][1] * 2**400}),
+        r,
+        # up to q^N, the build's bound: a left side that fails, and right
+        # sides that grow
+        _doctored(r, {(N, 3): q**N, (h, 2): q**h}),
+        _doctored(r, {(N - 1, N - 1): 0, (N, 2): 0, (h, 1): q**N}),
     ]
-    for table in tables:
-        report = verify_recurrence_bound(q, N, table=table)
+    reports = []
+    for rows in tables:
+        _feed(monkeypatch, rows)
+        report = verify_recurrence_bound(q, N)
         assert (report.cells, report.violations, report.min_log_margin) \
-            == recurrence_cells(q, N, table.rows)
-    assert verify_recurrence_bound(q, N, table=tables[0]).ok
-    assert not verify_recurrence_bound(q, N, table=tables[1]).ok
-    with pytest.raises(UsageError, match="negative"):
-        verify_recurrence_bound(q, N, table=_doctored(clean, {(h, 2): -1}))
+            == recurrence_cells(q, N, rows)
+        reports.append(report)
+    assert reports[0].ok
+    assert not reports[1].ok
 
 
 # ----------------------------------------------------------------------
@@ -369,10 +381,10 @@ def test_term_precision_nests_inside_base_precision_brackets():
         old = _mertens_base_precision(3, n, 128)
         assert old.lo <= new.lo and new.hi <= old.hi, n
     for z in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)):
-        for cap in (8, 16, 32):
-            with precision(128):
-                new = BracketedValue.from_iv(
-                    _g_series_iv(3, iv_from_fraction(z), cap))
+        with precision(128):
+            brackets = [BracketedValue.from_iv(g)
+                        for g in _g_series_iv(3, iv_from_fraction(z))]
+        for cap, new in zip((8, 16, 32, 64), brackets, strict=True):
             old = _g_base_precision(3, z, cap, 128)
             assert old.lo <= new.lo and new.hi <= old.hi
 
@@ -444,6 +456,39 @@ def test_G_midpoints_decrease_on_grid():
     brs = [evaluate_G(2, Fraction(k, 4)) for k in range(9)]
     mids = [(b.lo + b.hi) / 2 for b in brs]
     assert all(a >= b for a, b in zip(mids, mids[1:]))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_G_running_sum_matches_the_resummed_series(q):
+    """The bracket at each degree cap, read off one running sum, is the
+    bracket of the series summed afresh from degree 1 to that cap."""
+    for bits in (96, 192):
+        for z in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2),
+                  Fraction(2)):
+            with precision(bits):
+                z_iv = iv_from_fraction(z)
+                got = [(g.a, g.b) for g in _g_series_iv(q, z_iv)]
+                want = [(g.a, g.b) for g in
+                        (g_series_resummed(q, z_iv, cap)
+                         for cap in (8, 16, 32, 64))]
+            assert got == want, (bits, z)
+
+
+def test_G_forms_each_degree_term_once_per_precision(monkeypatch):
+    """G(1) to 1e-18 at q = 2 needs the degree-64 cap at the base
+    precision: 64 terms, where re-summing at each cap took 8 + 16 + 32 +
+    64 = 120."""
+    terms = 0
+    real = counting._term_precision
+
+    def counted(m):
+        nonlocal terms
+        terms += 1
+        return real(m)
+
+    monkeypatch.setattr(counting, "_term_precision", counted)
+    evaluate_G(2, 1, eps=Fraction(1, 10**18))
+    assert terms == 64
 
 
 def test_G_guards_and_precision_exhaustion():
