@@ -14,6 +14,9 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+# bits of precision of certified brackets; cli reads it without brackets
+DEFAULT_PRECISION_BITS = 128
+
 _EXPORTS = {
     "brackets": ("BracketedValue", "precision"),
     "constructions": ("GrowthFunction", "MPConstruction",

@@ -12,7 +12,6 @@ runs without it.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -20,7 +19,6 @@ from .errors import PrecisionError, UsageError
 
 Rational = Union[int, Fraction]
 
-DEFAULT_PRECISION_BITS = 128
 MAX_PRECISION_BITS = 4096
 
 
@@ -77,19 +75,33 @@ def iv_pointwise_max(x, y):
     return iv.mpf([max(x.a, y.a), max(x.b, y.b)])
 
 
-@dataclass(frozen=True)
 class BracketedValue:
-    """Closed interval [lo, hi] with exact rational endpoints."""
+    """Closed interval [lo, hi] with exact rational endpoints; immutable."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.lo, Fraction) and isinstance(self.hi, Fraction)):
-            object.__setattr__(self, "lo", Fraction(self.lo))
-            object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise UsageError(f"bracket endpoints out of order: {self.lo} > {self.hi}")
+    def __init__(self, lo: Rational, hi: Rational) -> None:
+        if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)):
+            lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise UsageError(f"bracket endpoints out of order: {lo} > {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BracketedValue):
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"BracketedValue(lo={self.lo!r}, hi={self.hi!r})"
 
     # ---- construction -------------------------------------------------
 

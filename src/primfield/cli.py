@@ -14,17 +14,9 @@ and slack (irr brackets), and scaled, band_lo, band_hi, z_worst (construct mp).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
-import signal
 import sys
-import threading
-from fractions import Fraction
-from itertools import islice
 
-from . import __version__
-from .brackets import DEFAULT_PRECISION_BITS
+from . import DEFAULT_PRECISION_BITS, __version__
 from .errors import BudgetError, PrecisionError, UsageError, VerificationError
 
 # ----------------------------------------------------------------------
@@ -36,6 +28,8 @@ def _dump_json(payload) -> str:
     the encoder's chunks joined a batch at a time: a count table's rows
     are tens of thousands of chunks, each a str object, which a whole
     list of them would hold at once beside the text."""
+    import json
+    from itertools import islice
     chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
     batches = []
     while batch := "".join(islice(chunks, _JSON_BATCH)):
@@ -61,6 +55,8 @@ def _emit(args: argparse.Namespace, header, rows, payload) -> None:
     if args.fmt == "json":
         _write_out(args, _dump_json(payload))
         return
+    import csv
+    import io
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -76,7 +72,7 @@ def _report(args: argparse.Namespace, payload, ok: bool,
         raise VerificationError(complaint)
 
 
-def _decimal_pair(fr: Fraction, digits: int = 36) -> dict:
+def _decimal_pair(fr, digits: int = 36) -> dict:
     from .brackets import fraction_to_decimal
     return {"exact": f"{fr.numerator}/{fr.denominator}",
             "lo": fraction_to_decimal(fr, digits, "floor"),
@@ -108,6 +104,7 @@ _COMMON_DESTS = frozenset({
 
 
 def _jsonable(v):
+    from fractions import Fraction
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, (list, tuple)):
@@ -143,8 +140,8 @@ def _write_manifest(args: argparse.Namespace, argv: list[str]) -> None:
 # ----------------------------------------------------------------------
 # Subcommand handlers.  Each writes its output and reports a failed
 # verdict by raising VerificationError once its report is written.  Each
-# imports the library code it calls, so a launch loads only what its
-# command runs.
+# imports the library code and the standard modules it calls (json, csv,
+# fractions as well), so a launch loads only what its command runs.
 # ----------------------------------------------------------------------
 
 def cmd_irr_count(args) -> None:
@@ -225,7 +222,7 @@ def cmd_verify_recurrence(args) -> None:
 
 def cmd_verify_norton(args) -> None:
     from .counting import norton_check
-    xs = args.x or [Fraction(5), Fraction(10), Fraction(20)]
+    xs = args.x or [5, 10, 20]
     reports = [norton_check(x, args.alpha, args.beta,
                             precision_bits=args.precision_bits) for x in xs]
     bad = next((r.x for r in reports if not r.ok), None)
@@ -252,7 +249,7 @@ def cmd_verify_erdos_density(args) -> None:
 
 def cmd_eval_g(args) -> None:
     from .counting import evaluate_G
-    zs = args.z or [Fraction(1)]
+    zs = args.z or [1]
     rows, values = [], []
     for z in zs:
         b = evaluate_G(args.q, z, eps=args.eps,
@@ -320,6 +317,8 @@ def cmd_set_density(args) -> None:
 
 
 def cmd_set_random(args) -> None:
+    import io
+
     from .primitive import random_primitive_set, write_set
     if args.seed is None:
         raise UsageError("set random generates data; pass --seed so the "
@@ -414,6 +413,8 @@ def cmd_construct_mp(args) -> None:
 
 
 def cmd_replay(args) -> None:
+    """Rerun a manifest's argv; the rerun writes no manifest of its own."""
+    import json
     try:
         with open(args.manifest_in) as fh:
             manifest = json.load(fh)
@@ -429,7 +430,7 @@ def cmd_replay(args) -> None:
     argv = [str(a) for a in argv]
     if args.out:
         argv += ["--out", args.out]
-    _run(argv)
+    _run(argv, record=False)
 
 
 # ----------------------------------------------------------------------
@@ -444,7 +445,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str):
+    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -527,8 +529,8 @@ def build_parser() -> _Parser:
              "Poisson tail bounds at chosen parameters")
     p.add_argument("--x", type=_fraction, action="append", metavar="X",
                    help="Poisson mean; repeatable (default 5, 10, 20)")
-    p.add_argument("--alpha", type=_fraction, default=Fraction(1, 2))
-    p.add_argument("--beta", type=_fraction, default=Fraction(3, 2))
+    p.add_argument("--alpha", type=_fraction, default="1/2")
+    p.add_argument("--beta", type=_fraction, default="3/2")
     p = leaf(ver_subs, "erdos-density", cmd_verify_erdos_density,
              ("verify", "erdos-density"),
              "weighted density bound for a primitive set file")
@@ -541,13 +543,13 @@ def build_parser() -> _Parser:
              "degree-weighted singular series G(z)")
     p.add_argument("--z", type=_fraction, action="append", metavar="Z",
                    help="evaluation point; repeatable (default 1)")
-    p.add_argument("--eps", type=_fraction, default=Fraction(1, 10**6))
+    p.add_argument("--eps", type=_fraction, default="1/1000000")
     p = leaf(ev_subs, "mertens", cmd_eval_mertens, ("eval", "mertens"),
              "normalized truncated Mertens products")
     p.add_argument("--max-n", type=int, required=True, metavar="N")
     p = leaf(ev_subs, "erdos-irr", cmd_eval_erdos_irr, ("eval", "erdos-irr"),
              "Erdos sum over all irreducibles")
-    p.add_argument("--eps", type=_fraction, default=Fraction(1, 1000))
+    p.add_argument("--eps", type=_fraction, default="1/1000")
 
     st = subs.add_parser("set", help="operations on primitive set files")
     st_subs = st.add_subparsers(dest="action", metavar="action",
@@ -580,8 +582,8 @@ def build_parser() -> _Parser:
                    help="growth law, e.g. 'log:eps=0.1' or 'iterlog:j=2,eps=2'")
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--enum-horizon", type=int, default=None,
-                   help="materialize members up to this degree "
-                        "(default min(horizon, 18))")
+                   help="materialize members up to this degree (default: "
+                        "the largest h <= horizon with q^h <= 2^18)")
     p.add_argument("--materialize", type=int, default=64)
     p.add_argument("--report", metavar="FILE",
                    help="write the JSON report here (summary to stdout)")
@@ -597,12 +599,11 @@ def build_parser() -> _Parser:
 
 
 def _load_library() -> None:
-    """Import numpy, mpmath and every library module.  Under a budget this
-    runs before either limit is armed, so the budgets meter the
-    subcommand's work and never the loading of its code."""
-    import mpmath  # noqa: F401
-    import numpy  # noqa: F401
-
+    """Import every library module, numpy, mpmath and the standard modules
+    the handlers import.  Under a budget this runs before either limit is
+    armed, so the budgets meter the subcommand's work, not its loading."""
+    for module in ("csv", "fractions", "io", "json", "mpmath", "numpy"):
+        __import__(module)
     import primfield
     for name in primfield.__all__:
         getattr(primfield, name)
@@ -617,11 +618,13 @@ def _run_limited(args: argparse.Namespace) -> None:
     made and its MemoryError becomes a BudgetError.  Either way the run's
     partial output is dropped as incomplete."""
     seconds, nbytes = args.budget_seconds, args.budget_bytes
-    if seconds is not None and (
-            not hasattr(signal, "setitimer")
-            or threading.current_thread() is not threading.main_thread()):
-        raise UsageError("--budget-seconds needs a POSIX interval timer "
-                         "on the main thread")
+    if seconds is not None:
+        import signal
+        import threading
+        if not hasattr(signal, "setitimer") or \
+                threading.current_thread() is not threading.main_thread():
+            raise UsageError("--budget-seconds needs a POSIX interval timer "
+                             "on the main thread")
     if seconds is not None or nbytes is not None:
         _load_library()
     previous_limit = None
@@ -668,7 +671,7 @@ def _run_limited(args: argparse.Namespace) -> None:
                           "partial results dropped as incomplete") from None
 
 
-def _run(argv: list[str]) -> None:
+def _run(argv: list[str], record: bool = True) -> None:
     args = build_parser().parse_args(argv)
     if args.func is cmd_replay:
         cmd_replay(args)
@@ -679,7 +682,8 @@ def _run(argv: list[str]) -> None:
         raise UsageError("--budget-bytes must be positive")
     if args.budget_seconds is not None and args.budget_seconds <= 0:
         raise UsageError("--budget-seconds must be positive")
-    _write_manifest(args, argv)
+    if record:
+        _write_manifest(args, argv)
     _run_limited(args)
 
 

@@ -20,14 +20,15 @@ from __future__ import annotations
 import math
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
-from .brackets import (DEFAULT_PRECISION_BITS, BracketedValue,
-                       iv_from_fraction, iv_pointwise_max, precision)
+from . import DEFAULT_PRECISION_BITS
+from .brackets import (BracketedValue, iv_from_fraction, iv_pointwise_max,
+                       precision)
 from .counting import _pack, _table_rows, monic_cumulative
 from .errors import BudgetError, PrecisionError, UsageError
 from .fieldpoly import _check_prime, index_degree
@@ -43,9 +44,8 @@ from .sieve import (_check_indexable, irreducibles_at, monic_multiples,
 _GROWTH_RE = re.compile(r"^(log|iterlog):(.+)$")
 
 
-@dataclass(frozen=True)
 class GrowthFunction:
-    """Slow growth schedule L(x) >= 1, nondecreasing.
+    """Slow growth schedule L(x) >= 1, nondecreasing; immutable.
 
     kind "log":     L(x) = (log(x + e))^(1 + eps)
     kind "iterlog": L(x) = prod_{m=2}^{j-1} log_m(x) * (log_j(x))^(1+eps)
@@ -53,17 +53,34 @@ class GrowthFunction:
                     clamped below at 1 (log of the max with e).
     """
 
-    kind: str
-    eps: Fraction
-    j: int = 2
+    __slots__ = ("kind", "eps", "j")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("log", "iterlog"):
-            raise UsageError(f"unknown growth kind {self.kind!r}")
-        if self.eps <= 0:
+    def __init__(self, kind: str, eps: Fraction, j: int = 2) -> None:
+        if kind not in ("log", "iterlog"):
+            raise UsageError(f"unknown growth kind {kind!r}")
+        if eps <= 0:
             raise UsageError("growth eps must be positive")
-        if self.kind == "iterlog" and self.j < 2:
+        if kind == "iterlog" and j < 2:
             raise UsageError("iterlog depth j must be >= 2")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "j", j)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GrowthFunction):
+            return NotImplemented
+        return (self.kind, self.eps, self.j) == (other.kind, other.eps, other.j)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.eps, self.j))
+
+    def __repr__(self) -> str:
+        return (f"GrowthFunction(kind={self.kind!r}, eps={self.eps!r},"
+                f" j={self.j!r})")
 
     @classmethod
     def parse(cls, text: str) -> "GrowthFunction":
@@ -176,8 +193,7 @@ def irreducible_density_constant(q: int) -> Fraction:
 # Thinned irreducible sequence t_k
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TSequence:
+class TSequence(NamedTuple):
     """Irreducibles t_k at ranks r_k = floor(k L(k)), with a certified
     cutoff k0 such that sum_{k >= k0} 1/(||t_k|| deg t_k) < 1/2.
 
@@ -342,8 +358,7 @@ def divisor_degree_counts(q: int, horizon: int) -> list[list[int]]:
     return counts
 
 
-@dataclass(frozen=True)
-class SliceWindowRow:
+class SliceWindowRow(NamedTuple):
     """Window scan for one candidate slice degree at one admission level."""
 
     level: int
@@ -362,8 +377,7 @@ class SliceWindowRow:
                 "admitted": self.admitted}
 
 
-@dataclass(frozen=True)
-class SparseConstruction:
+class SparseConstruction(NamedTuple):
     """Layered degree-slice construction output.
 
     Level i admits slice degree n_i when, for every later degree m up to
@@ -446,8 +460,7 @@ def besicovitch_construct(q: int, eps, horizon: int) -> SparseConstruction:
 # Thinned-irreducible construction
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MPConstruction:
+class MPConstruction(NamedTuple):
     """Union over k of S_k = {t_k g : squarefree, omega = k, no earlier
     t_j dividing}, counted exactly to the horizon and materialized up to
     enum_horizon.
@@ -490,7 +503,8 @@ def mp_construct(q: int, tseq: TSequence, horizon: int,
     coprime to t_1 .. t_k.  Members
     are enumerated only up to enum_horizon (from one multiples pass over
     every monic polynomial there); cross_checked says whether the enumeration
-    reproduces the counts, and is_primitive certifies the members.
+    reproduces the counts, and is_primitive certifies the members.  The
+    default enum_horizon is the largest h <= horizon with q^h <= 2^18.
     """
     _check_prime(q)
     if tseq.q != q:
@@ -498,7 +512,8 @@ def mp_construct(q: int, tseq: TSequence, horizon: int,
     if horizon < 1:
         raise UsageError("horizon must be >= 1")
     if enum_horizon is None:
-        enum_horizon = min(horizon, 18)
+        enum_horizon = max((h for h in range(2, horizon + 1)
+                            if q**h <= 1 << 18), default=1)
     if enum_horizon < 1:
         raise UsageError("enum_horizon must be >= 1")
     if enum_horizon > horizon:
@@ -592,8 +607,7 @@ def _enumerate_members(q: int, tseq: TSequence, k_max: int,
             np.bincount(slots[squarefree], minlength=k_max * (h + 1)))
 
 
-@dataclass(frozen=True)
-class MPDiagnosticsRow:
+class MPDiagnosticsRow(NamedTuple):
     n: int
     total: int
     scaled: float

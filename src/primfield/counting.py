@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice
 from typing import Iterator, Mapping, NamedTuple
 
-from .brackets import (DEFAULT_PRECISION_BITS, BracketedValue, iv_from_fraction,
-                       precision)
+from . import DEFAULT_PRECISION_BITS
+from .brackets import BracketedValue, iv_from_fraction, precision
 from .errors import PrecisionError, UsageError
 from .fieldpoly import _check_prime
 from .irreducibles import pi_prime
@@ -41,8 +40,7 @@ def monic_cumulative(q: int, n: int) -> int:
 # Squarefree factor-count table
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     """rows[n][k] = squarefree monic, degree n, k distinct irreducible factors.
 
     excluded_degrees lists (degree, count) pairs of irreducibles struck
@@ -149,8 +147,7 @@ def _table_rows(q: int, N: int, excl: tuple[tuple[int, int], ...] = (),
 # Uniform factor-count bound and recurrence
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """Outcome of checking one inequality family over a (n, k) range."""
 
     name: str
@@ -317,8 +314,7 @@ def mertens_parts(q: int) -> Iterator[tuple[int, int]]:
         yield num, exponent_sum
 
 
-@dataclass(frozen=True)
-class MertensValue:
+class MertensValue(NamedTuple):
     q: int
     n: int
     exact: Fraction | None
@@ -451,8 +447,7 @@ def q_large_deviation(y: Fraction):
     return y_iv * iv.log(y_iv) - y_iv + 1
 
 
-@dataclass(frozen=True)
-class NortonSide:
+class NortonSide(NamedTuple):
     name: str
     boundary_k: int
     lhs: BracketedValue
@@ -465,8 +460,7 @@ class NortonSide:
                 "holds": self.holds}
 
 
-@dataclass(frozen=True)
-class NortonReport:
+class NortonReport(NamedTuple):
     x: Fraction
     alpha: Fraction
     beta: Fraction

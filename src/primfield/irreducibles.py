@@ -22,14 +22,13 @@ import math
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .brackets import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS,
-                       BracketedValue, precision)
+from . import DEFAULT_PRECISION_BITS
+from .brackets import MAX_PRECISION_BITS, BracketedValue, precision
 from .errors import PrecisionError, UsageError
 from .fieldpoly import _check_prime
 
@@ -181,8 +180,7 @@ def erdos_sum_irreducibles(q: int, eps=Fraction(1, 100)) -> BracketedValue:
 MAX_LISTED_VIOLATIONS = 1000
 
 
-@dataclass(frozen=True)
-class DegreeBracketReport:
+class DegreeBracketReport(NamedTuple):
     """Window check for degrees of the k-th irreducible over a k range:
     every violating rank is counted, the first ones listed."""
 

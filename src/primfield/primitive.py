@@ -12,9 +12,9 @@ import math
 import operator
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, pairwise
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,10 +30,9 @@ from .sieve import _divmod, block_multiples, multiples_pass
 # Finite sets of monic polynomials below a degree horizon
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class PolySet:
     """Finite set of non-unit monic polynomials with degrees <= horizon,
-    held as their indices.
+    held as their indices; immutable.
 
     indices is one read-only 1-D array, ascending without repeats, which
     is also (degree, index) order because degree-d indices fill
@@ -42,22 +41,21 @@ class PolySet:
     range.  An int64 array passed in is taken over, not copied.
     """
 
-    q: int
-    horizon: int
-    indices: np.ndarray
+    __slots__ = ("q", "horizon", "indices")
 
-    def __post_init__(self) -> None:
-        _check_prime(self.q)
-        if self.horizon < 1:
+    def __init__(self, q: int, horizon: int, indices) -> None:
+        _check_prime(q)
+        if horizon < 1:
             raise UsageError("horizon must be >= 1")
-        q = self.q
-        indices = _member_array(self.indices)
+        indices = _member_array(indices)
         # read_set and the constructions pass ascending, duplicate-free
         # members; only other input pays for a sort
         if len(indices) > 1 and not (indices[1:] > indices[:-1]).all():
             indices = _distinct(indices)
         indices = indices.view()
         indices.flags.writeable = False
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "indices", indices)
         if not len(indices):
             return
@@ -76,6 +74,10 @@ class PolySet:
             raise UsageError(f"member {format_index(q, beyond)}"
                              f" exceeds horizon {self.horizon}")
 
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+    __delattr__ = __setattr__
+
     def __len__(self) -> int:
         return len(self.indices)
 
@@ -84,6 +86,10 @@ class PolySet:
             return NotImplemented
         return (self.q == other.q and self.horizon == other.horizon
                 and np.array_equal(self.indices, other.indices))
+
+    def __repr__(self) -> str:
+        return (f"PolySet(q={self.q!r}, horizon={self.horizon!r},"
+                f" indices={self.indices!r})")
 
     def _degree_bounds(self) -> list[int]:
         """Positions where each degree 0..max_degree starts, then len(self):
@@ -511,8 +517,7 @@ def erdos_sum(ps: PolySet) -> Fraction:
 # Density
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DensityRow:
+class DensityRow(NamedTuple):
     n: int
     count: int
     monic_total: int
@@ -556,8 +561,7 @@ def _decimal_digits(n: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class DensityBoundReport:
+class DensityBoundReport(NamedTuple):
     """Outcome of the weighted density inequality
     sum_{a in S} (1/||a||) prod_{deg p <= D(a)} (1 - 1/||p||)  <=  1,
     D(a) the largest irreducible-factor degree of a."""

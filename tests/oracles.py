@@ -42,8 +42,8 @@ from typing import Callable
 import numpy as np
 from mpmath import iv
 
-from primfield.brackets import (DEFAULT_PRECISION_BITS, BracketedValue,
-                                precision)
+from primfield import DEFAULT_PRECISION_BITS
+from primfield.brackets import BracketedValue, precision
 from primfield.counting import (PRINTABLE_EXACT_BITS, InequalityReport,
                                 MertensValue, _log_weight_dyadic_lower, _pack,
                                 _term_precision, _unpack, build_count_table)

@@ -5,6 +5,7 @@ import inspect
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import primfield
 from primfield import (brackets, constructions, counting, fieldpoly,
                        irreducibles, primitive, sieve)
+from primfield.errors import UsageError
 
 SRC = Path(primfield.__file__).resolve().parent
 
@@ -160,3 +162,69 @@ def test_every_top_level_name_is_used_in_src():
                 used.add(node.attr)
     unused = {name: mod for name, mod in defined.items() if name not in used}
     assert unused == {}
+
+
+# the records a computation returns: the plain rows and reports, and the
+# three that check their fields when built, each with fields to build from
+PLAIN_RECORDS = (counting.CountTable, counting.InequalityReport,
+                 counting.MertensValue, counting.NortonSide,
+                 counting.NortonReport, irreducibles.DegreeBracketReport,
+                 constructions.TSequence, constructions.SliceWindowRow,
+                 constructions.SparseConstruction,
+                 constructions.MPConstruction, constructions.MPDiagnosticsRow,
+                 primitive.DensityRow, primitive.DensityBoundReport)
+CHECKED_RECORDS = {
+    brackets.BracketedValue: (1, Fraction(3, 2)),
+    constructions.GrowthFunction: ("iterlog", Fraction(1, 10), 3),
+    primitive.PolySet: (3, 4, [3, 4, 10]),
+}
+
+
+@pytest.mark.parametrize("record", [*PLAIN_RECORDS, *CHECKED_RECORDS],
+                         ids=lambda r: r.__name__)
+def test_records_compare_by_value_and_refuse_assignment(record):
+    if record in CHECKED_RECORDS:
+        fields = CHECKED_RECORDS[record]
+        names = record.__slots__
+    else:
+        names = record._fields
+        fields = [f"{name} value" for name in names]
+    a, b = record(*fields), record(*fields)
+    assert a == b and not a != b and a is not b
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
+
+
+def test_checked_records_compare_their_fields_and_keep_their_messages():
+    """Equal fields, after coercion, make equal records with equal hashes;
+    any other field makes another record.  Each refusal keeps its message
+    (PolySet's member checks are pinned in test_primitive)."""
+    c = brackets.BracketedValue(1, Fraction(2))
+    assert c == brackets.BracketedValue(Fraction(1), 2)
+    assert hash(c) == hash(brackets.BracketedValue(Fraction(1), 2))
+    assert c != brackets.BracketedValue(1, 3)
+    g = constructions.GrowthFunction("log", Fraction(1, 10))
+    assert (g.kind, g.eps, g.j) == ("log", Fraction(1, 10), 2)
+    assert hash(g) == hash(constructions.GrowthFunction.parse("log:eps=0.1"))
+    assert g != constructions.GrowthFunction("log", Fraction(1, 10), 3)
+    ps = primitive.PolySet(2, 3, [3, 2, 3])
+    assert ps.indices.tolist() == [2, 3] and not ps.indices.flags.writeable
+    assert ps != primitive.PolySet(2, 4, [2, 3])
+    refused = [
+        (constructions.GrowthFunction, ("exp", Fraction(1)),
+         "unknown growth kind 'exp'"),
+        (constructions.GrowthFunction, ("log", Fraction(0)),
+         "growth eps must be positive"),
+        (constructions.GrowthFunction, ("iterlog", Fraction(1), 1),
+         "iterlog depth j must be >= 2"),
+        (primitive.PolySet, (4, 3, []), "field order 4 is not prime"),
+        (primitive.PolySet, (2, 0, []), "horizon must be >= 1"),
+    ]
+    for record, fields, message in refused:
+        with pytest.raises(UsageError) as caught:
+            record(*fields)
+        assert str(caught.value) == message

@@ -60,10 +60,13 @@ def test_bracket_validation_and_accessors():
     assert b.width == Fraction(1, 6)
     assert (b.lo, b.hi) == (Fraction(1, 3), Fraction(1, 2))
     c = BracketedValue(1, 2)
-    assert isinstance(c.lo, Fraction) and isinstance(c.hi, Fraction)
+    assert type(c.lo) is Fraction and type(c.hi) is Fraction
     assert BracketedValue(7, 7).width == 0
     with pytest.raises(UsageError):
         BracketedValue(Fraction(1), Fraction(0))
+    with pytest.raises(UsageError,
+                       match="^bracket endpoints out of order: 1 > 0$"):
+        BracketedValue(1, 0)
 
 
 @given(rationals, rationals)

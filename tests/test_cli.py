@@ -1,7 +1,6 @@
 """End-to-end checks of the primfield command line interface."""
 
 import argparse
-import dataclasses
 import filecmp
 import importlib
 import json
@@ -431,6 +430,8 @@ def test_every_leaf_subcommand_runs_unchanged_under_small_budgets(
 UNLOADED = {
     ("--version",): {"numpy", "mpmath"},
     ("count", "table", "--max-n", "10"): {"numpy", "mpmath"},
+    ("count", "table", "--max-n", "10", "--format", "json"):
+        {"numpy", "mpmath"},
     ("verify", "recurrence", "--max-n", "10"): {"numpy", "mpmath"},
     ("eval", "erdos-irr"): {"numpy", "mpmath"},
     ("verify", "hr", "--max-n", "10"): {"numpy"},
@@ -442,20 +443,35 @@ UNLOADED = {
         {"mpmath"},
 }
 
+# the commands above whose output is JSON alone
+JSON_ONLY = {argv for argv in UNLOADED
+             if argv[0] in ("verify", "construct") or "json" in argv
+             or argv[:2] == ("irr", "brackets")}
+
 
 @pytest.mark.parametrize("argv", sorted(UNLOADED), ids="-".join)
 def test_a_command_loads_only_the_code_it_runs(argv):
     """sys.modules of a fresh process after main returns: numpy and
-    mpmath are loaded exactly when the command's code needs them."""
-    probe = ("import json, sys\n"
+    mpmath are loaded exactly when the command's code needs them.  No
+    command loads dataclasses, or inspect (which numpy loads) without
+    numpy; --version loads no json, csv, fractions or brackets, and a
+    command whose output is JSON alone no csv."""
+    probe = ("import sys\n"
              "from primfield.cli import main\n"
              "code = main(sys.argv[1:])\n"
-             "print(json.dumps([code, sorted({'numpy', 'mpmath'}"
-             " & set(sys.modules))]))\n")
+             "print(code, *sorted(sys.modules))\n")
     done = fresh_process("-c", probe, *argv)
-    code, loaded = json.loads(done.stdout.splitlines()[-1])
-    assert code == 0, done.stderr
-    assert set(loaded) == {"numpy", "mpmath"} - UNLOADED[argv]
+    code, *modules = done.stdout.splitlines()[-1].split()
+    loaded = set(modules)
+    assert code == "0", done.stderr
+    assert {"numpy", "mpmath"} & loaded == {"numpy", "mpmath"} - UNLOADED[argv]
+    assert "dataclasses" not in loaded
+    if "numpy" not in loaded:
+        assert "inspect" not in loaded
+    if argv == ("--version",):
+        assert not {"json", "csv", "fractions", "primfield.brackets"} & loaded
+    if argv in JSON_ONLY:
+        assert "csv" not in loaded
 
 
 @pytest.mark.parametrize("command", [["set", "check"],
@@ -847,8 +863,7 @@ def uncross_mp(monkeypatch, capsys, tmp_path):
     assert '"cross_checked": true' in plain.read_text()
     real = constructions.mp_construct
     monkeypatch.setattr(constructions, "mp_construct", lambda *a, **kw:
-                        dataclasses.replace(real(*a, **kw),
-                                            cross_checked=False))
+                        real(*a, **kw)._replace(cross_checked=False))
 
 
 # site: (break it, argv, stderr, {"stdout" or "OUT": bytes}); NP and GOOD
@@ -1180,6 +1195,20 @@ def test_construct_mp_count_mismatch_exits_two(capsys, tmp_path,
     assert json.loads(rpt_path.read_text())["cross_checked"] is False
 
 
+def test_a_q3_mp_construction_to_degree_40_runs_under_a_16_mb_ceiling(
+        tmp_path):
+    """By default a q=3 construction enumerates its members to degree 11,
+    2 * 3^11 slots; to degree 18, as at q=2, it took 298 s and 3.0 GB."""
+    report = tmp_path / "mp.json"
+    done = fresh_process("-m", "primfield.cli", "construct", "mp", "--q", "3",
+                         "--L", "log:eps=0.1", "--horizon", "40",
+                         "--report", str(report), "--budget-bytes", "16000000")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ("mp construction: 14568 members to degree 11, "
+                           "counts to degree 40, certified=True\n")
+    assert json.loads(report.read_text())["enum_horizon"] == 11
+
+
 def test_construct_mp_enum_horizon_zero_fails_before_any_count_table(
         capsys, monkeypatch):
     from primfield import constructions
@@ -1214,6 +1243,26 @@ def test_manifest_and_replay_byte_identical(capsys, tmp_path):
                       "--out", str(out2)], capsys)
     assert code == 0
     assert filecmp.cmp(out1, out2, shallow=False)
+
+
+@pytest.mark.parametrize("spelling", ["--manifest PATH", "--manifest=PATH",
+                                      "--man PATH"])
+def test_replay_leaves_the_manifest_it_reads_unchanged(capsys, tmp_path,
+                                                       spelling):
+    """The rerun writes no manifest, however the recorded argv names it:
+    the record keeps its bytes after one replay and after two, and each
+    replay's output equals the recorded run's."""
+    man, first = tmp_path / "m.json", tmp_path / "a.json"
+    argv = ["verify", "hr", "--max-n", "20", "--out", str(first),
+            *(a.replace("PATH", str(man)) for a in spelling.split())]
+    assert run(argv, capsys)[0] == 0
+    recorded = man.read_bytes()
+    for name in ("b.json", "c.json"):
+        code, _, err = run(["replay", "--manifest", str(man),
+                            "--out", str(tmp_path / name)], capsys)
+        assert code == 0, err
+        assert man.read_bytes() == recorded
+        assert filecmp.cmp(first, tmp_path / name, shallow=False)
 
 
 def test_replay_rejects_foreign_manifest(capsys, tmp_path):

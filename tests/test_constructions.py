@@ -412,6 +412,26 @@ def test_mp_counts_equal_one_count_table_per_term(q, horizon):
     assert res.cross_checked
 
 
+@pytest.mark.parametrize("q,horizon,want", [(2, 40, 18), (2, 12, 12),
+                                            (3, 40, 11), (3, 9, 9),
+                                            (5, 30, 7), (7, 30, 6)])
+def test_mp_default_enumeration_horizon_follows_q(monkeypatch, q, horizon,
+                                                  want):
+    """By default members are enumerated to the largest degree h <= horizon
+    with q^h <= 2^18: the enumeration then holds 2 q^h <= 2^19 slots."""
+    class Enumerating(Exception):
+        pass
+
+    def spy(q_, tseq, k_max, enum_horizon):
+        raise Enumerating(enum_horizon)
+
+    monkeypatch.setattr(constructions, "_enumerate_members", spy)
+    tseq = build_t_sequence(q, GrowthFunction.parse("log:eps=0.1"))
+    with pytest.raises(Enumerating) as caught:
+        mp_construct(q, tseq, horizon)
+    assert caught.value.args == (want,)
+
+
 def test_mp_guards(tseq2):
     with pytest.raises(UsageError):
         mp_construct(3, tseq2, 12)  # t-sequence for the wrong field
