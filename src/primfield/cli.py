@@ -42,10 +42,39 @@ def _dump_json(payload) -> str:
 _JSON_BATCH = 4096
 
 
+def _write_file(path: str, fill) -> None:
+    """Call fill(fh) with a text handle on path, as open(path, "w") makes
+    one, and rewrite the file in place: it is opened without O_TRUNC and,
+    once fill returns, a regular file is cut to the written length.  A
+    truncate frees the old file's blocks, and on a filesystem mounted with
+    discard it waits until they are discarded; a rerun over its own output
+    frees none, or only the tail a shorter output leaves.  A path that
+    cannot be opened is a UsageError.  An exception out of the write
+    empties a regular file, removes the path and propagates, so neither a
+    partial output nor new bytes over an old tail survive it, under any
+    name the file has (a symlink's target, another hard link)."""
+    import os
+    import stat
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc}") from None
+    regular = stat.S_ISREG(os.fstat(fd).st_mode)
+    try:
+        with open(fd, "w") as fh:
+            fill(fh)
+            if regular:
+                fh.truncate()
+    except BaseException:
+        if regular:
+            os.truncate(path, 0)
+            os.remove(path)
+        raise
+
+
 def _write_out(args: argparse.Namespace, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_file(args.out, lambda fh: fh.write(text))
     else:
         sys.stdout.write(text)
 
@@ -133,8 +162,7 @@ def _write_manifest(args: argparse.Namespace, argv: list[str]) -> None:
         "params": params,
         "argv": list(argv),
     }
-    with open(args.manifest, "w") as fh:
-        fh.write(_dump_json(payload))
+    _write_file(args.manifest, lambda fh: fh.write(_dump_json(payload)))
 
 
 # ----------------------------------------------------------------------
@@ -340,8 +368,7 @@ def cmd_construct_besicovitch(args) -> None:
     if witness is not None:
         report["counterexample"] = _counterexample(args.q, witness)
     if args.out:
-        with open(args.out, "w") as fh:
-            write_set(result.members, fh)
+        _write_file(args.out, lambda fh: write_set(result.members, fh))
     sys.stdout.write(_dump_json(report))
     if not (result.ok and ok_prim):
         raise VerificationError("construction did not certify; see report")
@@ -395,13 +422,11 @@ def cmd_construct_mp(args) -> None:
     if witness is not None:
         report["counterexample"] = _counterexample(args.q, witness)
     if args.out:
-        with open(args.out, "w") as fh:
-            write_set(result.members, fh)
+        _write_file(args.out, lambda fh: write_set(result.members, fh))
     text = _dump_json(report)
     certified = tseq.certified and result.cross_checked and ok_prim
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text)
+        _write_file(args.report, lambda fh: fh.write(text))
         summary = (f"mp construction: {len(result.members)} members to degree "
                    f"{result.enum_horizon}, counts to degree {result.horizon}, "
                    f"certified={certified}\n")
@@ -615,8 +640,10 @@ def _run_limited(args: argparse.Namespace) -> None:
     interval timer whose SIGALRM handler raises BudgetError, and a soft
     RLIMIT_AS of the address space mapped now plus the budget, never above
     the soft limit in force, under which an allocation fails where it is
-    made and its MemoryError becomes a BudgetError.  Either way the run's
-    partial output is dropped as incomplete."""
+    made and its MemoryError becomes a BudgetError.  Either way nothing
+    more is written: an output file the handler was writing is removed
+    (_write_file), and one it had finished, or not yet opened, keeps its
+    bytes."""
     seconds, nbytes = args.budget_seconds, args.budget_bytes
     if seconds is not None:
         import signal

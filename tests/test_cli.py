@@ -3,10 +3,12 @@
 import argparse
 import filecmp
 import importlib
+import io
 import json
 import os
 import resource
 import signal
+import stat
 import subprocess
 import sys
 import threading
@@ -19,10 +21,10 @@ import pytest
 
 import primfield
 from primfield import PolySet, read_set, write_set
-from primfield import cli
+from primfield import cli, primitive
 from primfield.counting import build_count_table
 from primfield.cli import main
-from primfield.errors import VerificationError
+from primfield.errors import BudgetError, VerificationError
 
 from oracles import mertens_exact, wheel_slice
 
@@ -1230,6 +1232,8 @@ def test_construct_mp_horizon_below_first_term_is_usage_error(capsys):
 
 
 def test_manifest_and_replay_byte_identical(capsys, tmp_path):
+    """The replay writes the recorded bytes, over a longer stale file at a
+    new --out and over the recorded output itself (no --out)."""
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     man = tmp_path / "man.json"
     code, _, _ = run(["irr", "count", "--q", "3", "--max-n", "8",
@@ -1239,10 +1243,15 @@ def test_manifest_and_replay_byte_identical(capsys, tmp_path):
     manifest = json.loads(man.read_text())
     assert manifest["tool"] == "primfield" and manifest["q"] == 3
     assert manifest["params"]["max_n"] == 8
+    recorded = out1.read_bytes()
+    out2.write_bytes(b"x" * (3 * len(recorded)))
     code, _, _ = run(["replay", "--manifest", str(man),
                       "--out", str(out2)], capsys)
     assert code == 0
     assert filecmp.cmp(out1, out2, shallow=False)
+    inode = out1.stat().st_ino
+    assert run(["replay", "--manifest", str(man)], capsys)[0] == 0
+    assert out1.read_bytes() == recorded and out1.stat().st_ino == inode
 
 
 @pytest.mark.parametrize("spelling", ["--manifest PATH", "--manifest=PATH",
@@ -1274,3 +1283,176 @@ def test_replay_rejects_foreign_manifest(capsys, tmp_path):
     broken.write_text("{nope")
     code, _, err = run(["replay", "--manifest", str(broken)], capsys)
     assert code == 1 and "JSON" in err
+
+
+# ----------------------------------------------------------------------
+# Output files: rewritten in place, cut to length, removed on a failure
+# ----------------------------------------------------------------------
+
+def besicovitch(horizon, path, capsys):
+    """Exit code of writing the q=2 Besicovitch set to this horizon."""
+    return run(["construct", "besicovitch", "--q", "2", "--eps", "1/4",
+                "--horizon", str(horizon), "--out", str(path)], capsys)[0]
+
+
+@pytest.mark.parametrize("before, after", [(14, 10), (10, 14), (12, 12)])
+def test_a_rewritten_output_holds_exactly_the_fresh_bytes(capsys, tmp_path,
+                                                          before, after):
+    """Over a longer file (whose tail is cut off), a shorter one and one of
+    the same length, the rewrite equals a write to a new path, and the
+    file keeps its inode and its mode."""
+    path, fresh = tmp_path / "bes.txt", tmp_path / "fresh.txt"
+    assert besicovitch(before, path, capsys) == 0
+    path.chmod(0o640)
+    inode = path.stat().st_ino
+    assert besicovitch(after, path, capsys) == 0
+    assert besicovitch(after, fresh, capsys) == 0
+    assert path.read_bytes() == fresh.read_bytes()
+    assert path.stat().st_ino == inode
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+def test_an_output_file_is_cut_only_after_it_is_written(capsys, tmp_path,
+                                                        monkeypatch):
+    """The rewrite opens the old file without truncating it: while the new,
+    shorter set is written the file still has the old length."""
+    path = tmp_path / "bes.txt"
+    assert besicovitch(14, path, capsys) == 0
+    old_size = path.stat().st_size
+    seen = []
+
+    def measured(ps, fh):
+        seen.append(os.path.getsize(path))
+        write_set(ps, fh)
+
+    monkeypatch.setattr(primitive, "write_set", measured)
+    assert besicovitch(10, path, capsys) == 0
+    assert seen == [old_size] and path.stat().st_size < old_size
+
+
+def test_a_new_output_file_gets_the_mode_open_gives(capsys, tmp_path):
+    new, ref = tmp_path / "new.txt", tmp_path / "ref.txt"
+    umask = os.umask(0o027)
+    try:
+        assert besicovitch(4, new, capsys) == 0
+        with open(ref, "w"):
+            pass
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == \
+        stat.S_IMODE(ref.stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "besicovitch", "--q", "2", "--eps", "1/4", "--horizon", "10"],
+    ["irr", "count", "--max-n", "5"],
+], ids=["set", "table"])
+def test_out_to_dev_null_exits_zero(capsys, argv):
+    code, _, err = run([*argv, "--out", os.devnull], capsys)
+    assert code == 0, err
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def read_fifo(path):
+    """Start a thread that reads the FIFO at path to its end; its list
+    holds the bytes once the thread is done."""
+    got = []
+    reader = threading.Thread(target=lambda: got.append(path.read_bytes()),
+                              daemon=True)
+    reader.start()
+    return reader, got
+
+
+def test_out_to_a_fifo_streams_the_fresh_bytes(capsys, tmp_path):
+    fifo, fresh = tmp_path / "pipe", tmp_path / "fresh.txt"
+    os.mkfifo(fifo)
+    reader, got = read_fifo(fifo)
+    assert besicovitch(10, fifo, capsys) == 0
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert besicovitch(10, fresh, capsys) == 0
+    assert got == [fresh.read_bytes()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def half_then_deadline(ps, fh):
+    """write_set that writes half of the set's text, then hits the run's
+    deadline; the last line it writes is cut short."""
+    buf = io.StringIO()
+    write_set(ps, buf)
+    text = buf.getvalue()
+    fh.write(text[:len(text) // 2 + 3])
+    raise BudgetError("soft time budget of 0.003s exceeded; partial results "
+                      "dropped as incomplete")
+
+
+@pytest.mark.parametrize("before", ["none", "longer", "shorter"])
+@pytest.mark.parametrize("argv", [
+    ["construct", "besicovitch", "--q", "2", "--eps", "1/4", "--horizon", "10"],
+    ["construct", "mp", "--q", "2", "--L", "log:eps=0.1", "--horizon", "10"],
+], ids=["besicovitch", "mp"])
+def test_a_typed_failure_mid_write_removes_the_output_file(
+        capsys, tmp_path, monkeypatch, argv, before):
+    """Neither the half-written set nor a mix of it and an old file's tail
+    survives: the path is gone whether or not a file was there before."""
+    path = tmp_path / "part.txt"
+    if before != "none":
+        assert besicovitch(12 if before == "longer" else 4, path, capsys) == 0
+    monkeypatch.setattr(primitive, "write_set", half_then_deadline)
+    code, out, err = run([*argv, "--out", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("primfield: budget exceeded: soft time budget")
+    assert not os.path.lexists(path)
+
+
+@pytest.mark.parametrize("link", [os.symlink, os.link],
+                         ids=["symlink", "hard-link"])
+def test_a_failure_mid_write_through_a_link_leaves_no_partial_output(
+        capsys, tmp_path, monkeypatch, link):
+    """The path written through is removed and the file behind it, still
+    reachable by its other name, is left empty."""
+    target, path = tmp_path / "target.txt", tmp_path / "part.txt"
+    assert besicovitch(12, target, capsys) == 0
+    link(target, path)
+    monkeypatch.setattr(primitive, "write_set", half_then_deadline)
+    assert besicovitch(10, path, capsys) == 1
+    assert not os.path.lexists(path)
+    assert target.read_bytes() == b""
+
+
+def test_a_failure_mid_write_to_a_fifo_leaves_the_fifo(capsys, tmp_path,
+                                                       monkeypatch):
+    """Only a regular file is removed: a FIFO (or /dev/null) stays."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader, got = read_fifo(fifo)
+    monkeypatch.setattr(primitive, "write_set", half_then_deadline)
+    assert besicovitch(10, fifo, capsys) == 1
+    reader.join(timeout=60)
+    assert not reader.is_alive() and len(got) == 1
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def test_a_run_stopped_by_its_deadline_leaves_no_file(capsys, tmp_path):
+    path = tmp_path / "part.txt"
+    code, out, err = run(["construct", "besicovitch", "--q", "2", "--eps",
+                          "1/4", "--horizon", "18", "--out", str(path),
+                          "--budget-seconds", "0.003"], capsys)
+    assert code == 1 and out == ""
+    assert "budget exceeded" in err
+    assert not os.path.lexists(path)
+
+
+@pytest.mark.parametrize("flag, target", [("--out", "missing"),
+                                          ("--out", "directory"),
+                                          ("--manifest", "missing")])
+def test_an_unwritable_output_path_is_a_usage_error(capsys, tmp_path, flag,
+                                                    target):
+    path = str(tmp_path / "missing" / "x.csv") if target == "missing" \
+        else str(tmp_path)
+    code, out, err = run(["irr", "count", "--max-n", "3", flag, path], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"primfield: error: cannot write {path!r}: ")
+    assert err.count("\n") == 1 and "internal error" not in err
+    assert tmp_path.is_dir()
+
