@@ -22,12 +22,17 @@ Rational = Union[int, Fraction]
 MAX_PRECISION_BITS = 4096
 
 
+def check_precision(bits: int) -> None:
+    """Refuse a working precision outside [8, MAX_PRECISION_BITS]."""
+    if not 8 <= bits <= MAX_PRECISION_BITS:
+        raise PrecisionError(f"precision {bits} outside [8, {MAX_PRECISION_BITS}]")
+
+
 @contextmanager
 def precision(bits: int) -> Iterator[None]:
     """Temporarily set the interval working precision."""
     from mpmath import iv
-    if not 8 <= bits <= MAX_PRECISION_BITS:
-        raise PrecisionError(f"precision {bits} outside [8, {MAX_PRECISION_BITS}]")
+    check_precision(bits)
     old = iv.prec
     iv.prec = bits
     try:

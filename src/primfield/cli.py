@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Iterable, Iterator
 
 from . import DEFAULT_PRECISION_BITS, __version__
 from .errors import BudgetError, PrecisionError, UsageError, VerificationError
@@ -23,23 +24,39 @@ from .errors import BudgetError, PrecisionError, UsageError, VerificationError
 # Plumbing
 # ----------------------------------------------------------------------
 
-def _dump_json(payload) -> str:
-    """json.dumps(payload, sort_keys=True, indent=2) + "\n", built from
+def _json_pieces(payload) -> Iterator[str]:
+    """json.dumps(payload, sort_keys=True, indent=2) + "\n" in pieces, each
     the encoder's chunks joined a batch at a time: a count table's rows
     are tens of thousands of chunks, each a str object, which a whole
     list of them would hold at once beside the text."""
     import json
     from itertools import islice
     chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
-    batches = []
-    while batch := "".join(islice(chunks, _JSON_BATCH)):
-        batches.append(batch)
-    batches.append("\n")
-    return "".join(batches)
+    while batch := "".join(islice(chunks, _BATCH)):
+        yield batch
+    yield "\n"
 
 
-# encoder chunks joined into one string at a time
-_JSON_BATCH = 4096
+def _dump_json(payload) -> str:
+    return "".join(_json_pieces(payload))
+
+
+def _csv_pieces(header, rows) -> Iterator[str]:
+    """The csv text of header and rows, a batch of rows at a time."""
+    import csv
+    import io
+    from itertools import chain, islice
+    rows = chain([header], rows)
+    while True:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(islice(rows, _BATCH))
+        if not (text := buf.getvalue()):
+            return
+        yield text
+
+
+# encoder chunks, or csv rows, joined into one string at a time
+_BATCH = 4096
 
 
 def _write_file(path: str, fill) -> None:
@@ -49,10 +66,11 @@ def _write_file(path: str, fill) -> None:
     truncate frees the old file's blocks, and on a filesystem mounted with
     discard it waits until they are discarded; a rerun over its own output
     frees none, or only the tail a shorter output leaves.  A path that
-    cannot be opened is a UsageError.  An exception out of the write
-    empties a regular file, removes the path and propagates, so neither a
-    partial output nor new bytes over an old tail survive it, under any
-    name the file has (a symlink's target, another hard link)."""
+    cannot be opened, or a write the system refuses (a full disk, a file
+    size limit), is a UsageError naming the path.  An exception out of the
+    write empties a regular file, removes the path and propagates, so
+    neither a partial output nor new bytes over an old tail survive it,
+    under any name the file has (a symlink's target, another hard link)."""
     import os
     import stat
     try:
@@ -65,38 +83,37 @@ def _write_file(path: str, fill) -> None:
             fill(fh)
             if regular:
                 fh.truncate()
-    except BaseException:
+    except BaseException as exc:
         if regular:
             os.truncate(path, 0)
             os.remove(path)
+        if isinstance(exc, OSError):
+            raise UsageError(f"cannot write {path!r}: {exc}") from None
         raise
 
 
-def _write_out(args: argparse.Namespace, text: str) -> None:
+def _write_out(args: argparse.Namespace, pieces: Iterable[str]) -> None:
+    """Write the text pieces to --out as they come, or to stdout in one
+    write once every piece is made, so a run stopped midway prints
+    nothing."""
     if args.out:
-        _write_file(args.out, lambda fh: fh.write(text))
+        _write_file(args.out, lambda fh: fh.writelines(pieces))
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("".join(pieces))
 
 
 def _emit(args: argparse.Namespace, header, rows, payload) -> None:
     """Tabular output honoring --format; the JSON payload mirrors the rows."""
     if args.fmt == "json":
-        _write_out(args, _dump_json(payload))
-        return
-    import csv
-    import io
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_out(args, buf.getvalue())
+        _write_out(args, _json_pieces(payload))
+    else:
+        _write_out(args, _csv_pieces(header, rows))
 
 
 def _report(args: argparse.Namespace, payload, ok: bool,
             complaint: str | None) -> None:
     """Write a verdict's JSON report, then raise its complaint if it failed."""
-    _write_out(args, _dump_json(payload))
+    _write_out(args, _json_pieces(payload))
     if not ok:
         raise VerificationError(complaint)
 
@@ -355,7 +372,7 @@ def cmd_set_random(args) -> None:
                               per_degree=args.per_degree)
     buf = io.StringIO()
     write_set(ps, buf)
-    _write_out(args, buf.getvalue())
+    _write_out(args, [buf.getvalue()])
 
 
 def cmd_construct_besicovitch(args) -> None:

@@ -28,9 +28,11 @@ one cell, one term, one n, one cutoff, one whole row or one whole array
 at a time:
 the Erdos sum one Fraction per degree, by Horner's rule over one common
 denominator, and by the same split over the shared table of counts;
-the exact Mertens product is one Fraction factor per degree.  The thinned-irreducible construction
-divides each term out of one count table; its oracle rebuilds the table
-for every term.
+the exact Mertens product is one Fraction factor per degree.  The
+uniform bound's log weight, which the library sums in fixed-point
+integers, is taken from mpmath's interval log.  The thinned-irreducible
+construction divides each term out of one count table; its oracle
+rebuilds the table for every term.
 """
 
 import math
@@ -45,8 +47,8 @@ from mpmath import iv
 from primfield import DEFAULT_PRECISION_BITS
 from primfield.brackets import BracketedValue, precision
 from primfield.counting import (PRINTABLE_EXACT_BITS, InequalityReport,
-                                MertensValue, _log_weight_dyadic_lower, _pack,
-                                _term_precision, _unpack, build_count_table)
+                                MertensValue, _pack, _term_precision, _unpack,
+                                build_count_table)
 from primfield.errors import UsageError, VerificationError
 from primfield.fieldpoly import (_check_prime, _index_digits as index_digits,
                                  format_index, index_degree, index_divrem,
@@ -464,14 +466,25 @@ def recurrence_cells(q, N, rows):
                                       else 0.0)
 
 
+def log_weight_dyadic_lower(n, precision_bits):
+    """(num, s) with num/2^s <= log n + 2 - log 2: the lower end of the
+    interval mpmath's iv context gives at precision_bits, in lowest terms."""
+    with precision(precision_bits):
+        w = iv.log(iv.mpf(n)) + 2 - iv.log(iv.mpf(2))
+        lo = BracketedValue.from_iv(w).lo
+    num, den = lo.numerator, lo.denominator
+    assert num > 0 and den & (den - 1) == 0
+    return num, den.bit_length() - 1
+
+
 def hr_bound_full_width(q, N, rows, precision_bits=96):
     """verify_hr_bound's report with every k of every row walked, zero
-    entries included."""
+    entries included, and each row's log weight bounded by mpmath."""
     violations = []
     min_margin = math.inf
     cells = 0
     for n in range(1, N + 1):
-        num, s = _log_weight_dyadic_lower(n, precision_bits)
+        num, s = log_weight_dyadic_lower(n, precision_bits)
         rhs = q**n
         scale = n
         row = rows[n]

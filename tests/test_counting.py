@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
@@ -21,7 +22,8 @@ from primfield.errors import BudgetError, PrecisionError, UsageError
 from primfield.irreducibles import pi_prime
 
 from oracles import (count_table_lists, factor_index, g_series_resummed,
-                     hr_bound_full_width, mertens_exact, mertens_per_n,
+                     hr_bound_full_width, log_weight_dyadic_lower,
+                     mertens_exact, mertens_per_n,
                      recurrence_bound_full_width, recurrence_cells, row_total,
                      sieve_irreducibles, table_count)
 
@@ -89,9 +91,12 @@ def test_table_with_exclusions_matches_enumeration(q, N, excl, sieve2, sieve3):
 def test_packed_table_matches_list_oracle(q, N):
     # the oracle applies the degrees in ascending order, the table in
     # descending order; whole degrees struck (first, middle and last)
-    # are skipped by both
+    # are skipped by both; one irreducible left at degree N // 2 puts a
+    # row-0 term in row N // 2 but not in row 2 (N // 2)
     for excl in (None, {1: 1, 2: 1, 5: 2}, {1: q, 3: 1},
-                 {3: pi_prime(q, 3)}, {N: pi_prime(q, N)}):
+                 {3: pi_prime(q, 3)}, {N: pi_prime(q, N)},
+                 {N // 2: pi_prime(q, N // 2) - 1,
+                  N // 3: pi_prime(q, N // 3)}):
         table = build_count_table(q, N, excluded_degrees=excl)
         assert table.rows == count_table_lists(q, N, excl), excl
         # each row is n + 1 entries, zeros after its support included
@@ -147,6 +152,59 @@ def _doctored(rows, cells):
     for (n, k), value in cells.items():
         rows[n][k] = value
     return tuple(tuple(r) for r in rows)
+
+
+PRECISIONS = (16, 53, 96, 128, 200)
+
+
+@pytest.mark.parametrize("p", PRECISIONS)
+def test_integer_log_weights_equal_mpmaths_bound(p):
+    """The fixed-point log weights are the lower ends mpmath's interval
+    log n + 2 - log 2 gives, in the same lowest terms, for n <= 2000."""
+    assert list(counting._log_weights_lower(2000, p)) == \
+        [log_weight_dyadic_lower(n, p) for n in range(1, 2001)]
+
+
+def test_integer_log_weights_hold_to_the_exact_limit():
+    """At 8 bits every n < 2^8 is an exact iv.mpf, and the weights equal
+    mpmath's; a table size past that is refused, not bounded otherwise."""
+    assert list(counting._log_weights_lower(255, 8)) == \
+        [log_weight_dyadic_lower(n, 8) for n in range(1, 256)]
+    with pytest.raises(PrecisionError, match="table size 256"):
+        verify_hr_bound(2, 256, precision_bits=8)
+    for p in (7, 4097):
+        with pytest.raises(PrecisionError, match=f"precision {p} outside"):
+            verify_hr_bound(2, 10, precision_bits=p)
+
+
+@pytest.mark.parametrize("p", [16, 53])
+def test_a_log_bracket_too_wide_to_round_is_summed_again(p):
+    """With 2 guard bits in place of 32 the bracket's ends round apart for
+    most n; each such log n is summed again with more bits, and every
+    rounding, down and up, is the end of mpmath's interval log."""
+    w = p + 2
+    redone = 0
+    for n, (lo, err) in zip(range(2, 200), islice(counting._log_sums(w), 1,
+                                                  None)):
+        for up in (False, True):
+            redone += (counting._round_sig(lo, p, up)
+                       != counting._round_sig(lo + err, p, up))
+            with precision(p):
+                want = BracketedValue.from_iv(iv.log(iv.mpf(n)))
+            got = Fraction(counting._log_rounded(n, p, up, w, lo, err), 2**w)
+            assert got == (want.hi if up else want.lo), (n, up)
+    assert redone > 100
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_hr_reports_equal_the_mpmath_weighted_oracle(q):
+    """verify_hr_bound's reports, with the integer log weights, equal the
+    full-width walk's with mpmath's at every precision swept."""
+    for N in (1, 2, 17, 60):
+        rows = build_count_table(q, N).rows
+        for p in PRECISIONS:
+            report = verify_hr_bound(q, N, precision_bits=p)
+            assert report == hr_bound_full_width(q, N, rows, p), (N, p)
 
 
 def test_hr_bound_flags_doctored_table(monkeypatch):
