@@ -92,6 +92,29 @@ def _write_file(path: str, fill) -> None:
         raise
 
 
+def _check_writable(path: str) -> None:
+    """Before the run, the UsageError _write_file's open would raise for a
+    path in a missing directory, a directory or a path not writable.  It
+    opens nothing (a FIFO would block) and creates nothing (a new file
+    would outlive a run its budget stops)."""
+    import errno
+    import os
+    import stat
+    new = not os.path.exists(path)      # then its directory must take it
+    target = (os.path.dirname(path) or ".") if new else path
+    try:
+        if stat.S_ISDIR(os.stat(target).st_mode) != new:
+            code = errno.ENOTDIR if new else errno.EISDIR
+        elif os.access(target, os.W_OK):
+            return
+        else:
+            code = errno.EACCES
+    except OSError as exc:      # a directory on the way missing or shut
+        code = exc.errno
+    raise UsageError(f"cannot write {path!r}: "
+                     f"{OSError(code, os.strerror(code), path)}")
+
+
 def _write_out(args: argparse.Namespace, pieces: Iterable[str]) -> None:
     """Write the text pieces to --out as they come, or to stdout in one
     write once every piece is made, so a run stopped midway prints
@@ -726,6 +749,9 @@ def _run(argv: list[str], record: bool = True) -> None:
         raise UsageError("--budget-bytes must be positive")
     if args.budget_seconds is not None and args.budget_seconds <= 0:
         raise UsageError("--budget-seconds must be positive")
+    for path in (args.out, getattr(args, "report", None)):
+        if path:
+            _check_writable(path)
     if record:
         _write_manifest(args, argv)
     _run_limited(args)

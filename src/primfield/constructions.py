@@ -623,9 +623,9 @@ class MPDiagnosticsRow(NamedTuple):
 
 def mp_diagnostics(mpc: MPConstruction) -> tuple[MPDiagnosticsRow, ...]:
     """Float diagnostics per degree: the count of the union scaled by
-    n log n loglog n L(log n) / q^n, crude sandwich markers q^(n - deg t_B)
-    for B near (1/2) log n and (3/2) log n, and the largest
-    (k-1)/log^2(n - deg t_k) over contributing k (display only)."""
+    log n max(1, loglog n) L(log n) / q^n, crude sandwich markers
+    q^(n - deg t_B) for B near (1/2) log n and (3/2) log n, and the
+    largest (k-1)/log^2(n - deg t_k) over contributing k (display only)."""
     out = []
     totals = mpc.total_by_degree()
     tseq = mpc.tseq

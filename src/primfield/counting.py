@@ -264,7 +264,8 @@ def _log_weights_lower(N: int, p: int) -> Iterator[tuple[int, int]]:
 
 
 def verify_hr_bound(q: int, N: int,
-                    precision_bits: int = 96) -> InequalityReport:
+                    precision_bits: int = DEFAULT_PRECISION_BITS,
+                    ) -> InequalityReport:
     """Check Pi'_{q,k}(n) <= (q^n/n) (log n + 2 - log 2)^(k-1)/(k-1)!
     for all 1 <= k <= n <= N.
 

@@ -212,7 +212,9 @@ def _text_chunks(fh, size: int):
 
 def _fixed_width_lines(a: np.ndarray, ends: np.ndarray,
                        q: int) -> tuple[np.ndarray, np.ndarray]:
-    """_canonical_lines for q < 10, where every coefficient is one digit.
+    """Which lines of a (each ending at a newline in ends) are in
+    write_set's form for a q < 10, `q=Q;c0,...,cd` with c_d = 1, and
+    their indices in line order, an int64 or object array.
 
     A canonical line of degree d, newline included, is then exactly
     len("q=Q;") + 2(d + 1) bytes, so the lines of one length form one
@@ -262,83 +264,20 @@ def _fixed_width_lines(a: np.ndarray, ends: np.ndarray,
     return canon, index
 
 
-def _canonical_lines(a: np.ndarray, ends: np.ndarray,
-                     q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Which lines of a, the bytes before each newline at ends, read
-    exactly as write_set writes them, `q=Q;c0,...,cd` with decimal
-    coefficients below q, no leading zeros and c_d = 1; and the index of
-    each line that does, in line order, as an int64 or object array.
-
-    Coefficients of varying width are cut into tokens; _fixed_width_lines
-    does the same job faster where every coefficient is one digit."""
-    starts = np.concatenate(([0], ends + 1))[:-1]
-    prefix = f"q={q};".encode()
-    width = len(str(q - 1))
-    canon = np.zeros(len(starts), bool)
-    ok = ends - starts > len(prefix)
-    for k, byte in enumerate(prefix):
-        ok &= a[np.minimum(starts + k, len(a) - 1)] == byte
-    lines = np.flatnonzero(ok)
-    body, stop = starts[lines] + len(prefix), ends[lines]
-    dig = a - np.uint8(_ZERO)
-    digit = dig < 10
-    comma = a == _COMMA
-    # A body holds digit runs joined by single commas: no other byte, and
-    # no comma that a digit does not follow.
-    bad = ~(digit | comma)
-    bad[:-1] |= comma[:-1] & ~digit[1:]
-    if lines.size:
-        bounds = np.column_stack((body, stop)).ravel()
-        keep = digit[body] & ~np.logical_or.reduceat(bad, bounds)[::2]
-        lines, body, stop = lines[keep], body[keep], stop[keep]
-    if not lines.size:
-        return canon, np.zeros(0, np.int64)
-    # token starts: digits inside a body that follow a non-digit
-    edge = np.zeros(len(a) + 1, np.int8)
-    edge[body], edge[stop] = 1, -1
-    first = np.cumsum(edge[:-1], dtype=np.int8).astype(bool) & digit
-    first[1:] &= ~digit[:-1]
-    tstart = np.flatnonzero(first)
-    head = np.searchsorted(tstart, body)        # first token of each line
-    ntok = np.diff(head, append=len(tstart))
-    tail = head + ntok - 1
-    widths = np.empty_like(tstart)
-    widths[:-1] = tstart[1:] - tstart[:-1] - 1  # a comma precedes the next
-    widths[tail] = stop - tstart[tail]
-    coeff = dig[tstart].astype(np.int64)
-    good = (widths <= width) & ((widths == 1) | (coeff > 0))
-    for j in range(1, width):
-        longer = np.flatnonzero(widths > j)
-        coeff[longer] = coeff[longer] * 10 + dig[tstart[longer] + j]
-    good &= coeff < q
-    line_ok = np.logical_and.reduceat(good, head) & (coeff[tail] == 1)
-    coeff[~good] = 0        # rejected lines must not overflow either
-    del tstart, widths, good
-    dtype = _index_dtype(q, int(ntok.max()) - 1)
-    weights = np.array([q**k for k in range(int(ntok.max()))], dtype)
-    terms = np.arange(len(coeff))
-    terms -= np.repeat(head, ntok)              # power of each coefficient
-    terms = weights[terms]
-    terms *= coeff
-    index = np.add.reduceat(terms, head)
-    canon[lines[line_ok]] = True
-    return canon, index[line_ok]
-
-
 def read_set(fh) -> PolySet:
     """Inverse of write_set.  Member lines may also be bare decimal
     indices or bare coefficient lists; blank lines and `#` comments are
     skipped.  Errors name the line, counted as str.splitlines() counts.
 
-    The text is read in chunks of about 256k characters.  A chunk whose
-    every line is in the form write_set writes is converted with numpy
-    passes, which keep temporaries a few megabytes: for q < 10 the lines
-    of one length are one fixed-width byte matrix (_fixed_width_lines),
-    for larger q the coefficients are cut into tokens (_canonical_lines).
-    Any other chunk goes one line at a time through parse_index, which
-    words every parse error, so a hand-edited line costs a Python loop
-    over its own chunk only.  Repeats are found once, over all members;
-    of a repeat and a parse error, the one on the earlier line is raised.
+    The text is read in chunks of about 256k characters.  For q < 10 a
+    chunk whose every line is in the form write_set writes is converted
+    with numpy passes over fixed-width byte matrices (_fixed_width_lines),
+    which keep temporaries a few megabytes.  Any other chunk, every one
+    for q >= 10 included, goes one line at a time through parse_index,
+    which words every parse error: a hand-edited line costs a Python loop
+    over its own chunk only, a q >= 10 file about three times the bulk
+    time.  Repeats are found once, over all members; of a repeat and a
+    parse error, the one on the earlier line is raised.
     """
     chunks = _text_chunks(fh, _TEXT_CHUNK)
     first = next(chunks, "")
@@ -353,10 +292,9 @@ def read_set(fh) -> PolySet:
         horizon = int(parts["horizon"])
     except (KeyError, ValueError):
         raise UsageError(f"bad header {header!r}, expected q=..;horizon=..") from None
-    # Members need a prime q (parse_index words the error), and bulk
-    # coefficients of up to 18 decimal digits fit int64.
-    bulk = not rest and is_prime(q) and len(str(q - 1)) <= 18
-    canonical = _fixed_width_lines if q < 10 else _canonical_lines
+    # Members need a prime q (parse_index words the error); is_prime comes
+    # first, as it refuses a q past exact primality testing.
+    bulk = not rest and is_prime(q) and q < 10
     # per chunk: its members, and their count, its first line and its text
     # if the loop read it (every line of a bulk chunk is a member)
     members, spots, line, error = [], [], 2, None
@@ -365,7 +303,7 @@ def read_set(fh) -> PolySet:
             a = np.frombuffer(chunk.encode("utf-8", "surrogatepass"),
                               np.uint8)
             ends = np.flatnonzero(a == _NEWLINE)
-            canon, index = canonical(a, ends, q)
+            canon, index = _fixed_width_lines(a, ends, q)
             if canon.all():
                 members.append(index)
                 spots.append((len(index), line, None))

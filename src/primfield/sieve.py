@@ -45,7 +45,7 @@ def multiples_pass(q: int, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
     _check_prime(q)
     if horizon < 1:
         raise UsageError("sieve horizon must be >= 1")
-    dtype = _index_dtype(2 * q**horizon)
+    dtype = _product_dtype(2 * q**horizon)
     _check_indexable(q, horizon,
                      2 * q**horizon + BLOCK * np.dtype(dtype).itemsize)
 
@@ -125,7 +125,7 @@ def _wheel(q: int, degrees: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
     if min(degrees, default=1) < 1:
         raise UsageError("degree must be >= 1")
     top = max(degrees, default=1)
-    dtype = _index_dtype(2 * q**top)
+    dtype = _product_dtype(2 * q**top)
     _check_indexable(q, top, q**top + BLOCK * np.dtype(dtype).itemsize)
     found = {1: list(range(q + 1, 2 * q))}       # x + c for c != 0
 
@@ -399,8 +399,8 @@ def _monic_indices(q: int, lo: int, hi: int,
                            for e in range(lo, hi + 1)])
 
 
-def _index_dtype(n_entries: int) -> type[np.integer]:
-    """The integer type of indices below n_entries."""
+def _product_dtype(n_entries: int) -> type[np.integer]:
+    """The integer type of a pass's products, each one below n_entries."""
     return np.int32 if n_entries <= 2**31 else np.int64
 
 

@@ -56,8 +56,9 @@ from primfield.fieldpoly import (_check_prime, _index_digits as index_digits,
 from primfield.irreducibles import (kth_irreducible_degree, pi_cumulative,
                                     pi_prime)
 from primfield.primitive import PolySet, is_primitive
-from primfield.sieve import (_check_indexable, _index_dtype, _monic_indices,
-                             _unmarked, _wheel, monic_multiples)
+from primfield.sieve import (_check_indexable, _monic_indices,
+                             _product_dtype, _unmarked, _wheel,
+                             monic_multiples)
 
 
 def is_prime_trial(n):
@@ -137,7 +138,7 @@ def full_irreducible_slice(q, degree):
     every monic polynomial of each degree 1..degree//2 and then degree,
     marked by every irreducible already found, x included, times every
     monic cofactor."""
-    dtype = _index_dtype(2 * q**degree)
+    dtype = _product_dtype(2 * q**degree)
     found = {}
     for d in [*range(1, degree // 2 + 1), degree]:
         base = q**d
@@ -227,7 +228,7 @@ def build_factor_sieve(q: int, horizon: int) -> FactorSieve:
     if horizon < 1:
         raise UsageError("sieve horizon must be >= 1")
     n_entries = 2 * q**horizon
-    dtype = _index_dtype(n_entries)
+    dtype = _product_dtype(n_entries)
     _check_indexable(q, horizon, 2 * n_entries * np.dtype(dtype).itemsize)
     spf = np.zeros(n_entries, dtype=dtype)
     cof = np.zeros(n_entries, dtype=dtype)
@@ -477,7 +478,8 @@ def log_weight_dyadic_lower(n, precision_bits):
     return num, den.bit_length() - 1
 
 
-def hr_bound_full_width(q, N, rows, precision_bits=96):
+def hr_bound_full_width(q, N, rows,
+                        precision_bits=DEFAULT_PRECISION_BITS):
     """verify_hr_bound's report with every k of every row walked, zero
     entries included, and each row's log weight bounded by mpmath."""
     violations = []

@@ -1458,6 +1458,34 @@ def test_an_unwritable_output_path_is_a_usage_error(capsys, tmp_path, flag,
     assert tmp_path.is_dir()
 
 
+@pytest.mark.parametrize("target", ["missing", "directory", "file-parent"])
+@pytest.mark.parametrize("argv", [
+    ["count", "table", "--q", "2", "--max-n", "500", "--out"],
+    ["construct", "mp", "--q", "2", "--L", "log:eps=0.1", "--horizon", "60",
+     "--report"],
+], ids=["table-out", "mp-report"])
+def test_an_unwritable_output_fails_before_any_count_table(
+        capsys, tmp_path, monkeypatch, argv, target):
+    """The path is refused, in the words a failed open of it gives,
+    before a count table is built, and nothing is created."""
+    from primfield import constructions, counting
+    (tmp_path / "file").write_text("")
+    path = str({"missing": tmp_path / "missing" / "t.csv",
+                "directory": tmp_path,
+                "file-parent": tmp_path / "file" / "t.csv"}[target])
+    with pytest.raises(OSError) as opened:
+        os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    tables = []
+    for module in (counting, constructions):
+        monkeypatch.setattr(module, "_table_rows",
+                            lambda *a, **kw: tables.append(a))
+    code, out, err = run([*argv, path, "--manifest",
+                          str(tmp_path / "m.json")], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"primfield: error: cannot write {path!r}: {opened.value}\n"
+    assert tables == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
 
 def test_a_write_the_system_refuses_is_a_usage_error(tmp_path):
     """Under a 200 kB file size limit the table's write fails with EFBIG

@@ -206,8 +206,7 @@ def codec_set(q, degrees, per_degree=40, seed=0):
 
 def refuse_parse_index(*args, **kwargs):
     """Stands in for parse_index where write_set's output must be read in
-    bulk alone.  (Over q = 10^18 + 3 coefficients pass int64, so such
-    files take the line loop by design.)"""
+    bulk alone, which is for q < 10: larger fields take the line loop."""
     raise AssertionError("parse_index called on a line in write_set's form")
 
 
@@ -231,7 +230,8 @@ def test_set_codec_matches_line_oracle(monkeypatch, q, degrees):
     write_set_lines(ps, want)
     assert got.getvalue() == want.getvalue()
     with monkeypatch.context() as patch:
-        patch.setattr(primitive, "parse_index", refuse_parse_index)
+        if q < 10:      # larger fields are read by the line loop
+            patch.setattr(primitive, "parse_index", refuse_parse_index)
         back = read_set(io.StringIO(got.getvalue()))
     assert back == ps
     assert all(type(i) is int for i in back.indices.tolist())
@@ -411,7 +411,7 @@ def test_set_file_lines_agree_with_line_oracle(q, data, chunk):
 
 
 # ----------------------------------------------------------------------
-# The fixed-width bulk reader (q < 10) and the token path (q >= 11)
+# The fixed-width bulk reader (q < 10)
 # ----------------------------------------------------------------------
 
 def bulk_lines(reader, text, q):
@@ -425,7 +425,9 @@ def bulk_lines(reader, text, q):
 @given(data=st.data())
 def test_fixed_width_lines_match_the_token_path(q, data):
     """Lines in and out of write_set's form, in any order, with every
-    kind of damage to one column; the token path is the oracle."""
+    kind of damage to one column.  The oracle is per line: a line is in
+    write_set's form iff parse_index reads it and format_index gives the
+    same line back."""
     lines = []
     for _ in range(data.draw(st.integers(0, 30))):
         d = data.draw(st.integers(0, 4))
@@ -437,8 +439,16 @@ def test_fixed_width_lines_match_the_token_path(q, data):
                 [str(q), "9", "0", ",", ";", "q", " ", "\r", "/", ":"]))
             + line[at + 1:], line + ",1", "", "#"])))
     text = "".join(line + "\n" for line in lines)
-    assert bulk_lines(primitive._fixed_width_lines, text, q) == \
-        bulk_lines(primitive._canonical_lines, text, q)
+    canon, index = [], []
+    for line in lines:
+        try:
+            member = parse_index(line, q=q)[1]
+        except UsageError:
+            member = None
+        canon.append(member is not None and format_index(q, member) == line)
+        if canon[-1]:
+            index.append(member)
+    assert bulk_lines(primitive._fixed_width_lines, text, q) == (canon, index)
 
 
 @pytest.mark.parametrize("line", [
@@ -519,16 +529,26 @@ def test_unordered_lines_of_one_length_are_gathered():
 
 
 @pytest.mark.parametrize("q", [11, 13])
-def test_large_fields_take_the_token_path(monkeypatch, q):
+def test_large_fields_take_the_line_loop(monkeypatch, q):
+    """Past q = 9 every member line goes through parse_index, and the
+    fixed-width reader is never asked."""
     ps = codec_set(q, (1, 2, 3))
     buf = io.StringIO()
     write_set(ps, buf)
-    monkeypatch.setattr(primitive, "parse_index", refuse_parse_index)
-    monkeypatch.setattr(primitive, "_fixed_width_lines", None)
-    assert read_set(io.StringIO(buf.getvalue())) == ps
-    # a zero-padded repeat of the last degree-1 member, read by the loop
+    parsed = []
+    real = primitive.parse_index
+
+    def counting_parse_index(text, **kwargs):
+        parsed.append(text)
+        return real(text, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(primitive, "parse_index", counting_parse_index)
+        patch.setattr(primitive, "_fixed_width_lines", None)
+        assert read_set(io.StringIO(buf.getvalue())) == ps
+    assert parsed == buf.getvalue().splitlines()[1:]
+    # a zero-padded repeat of the last degree-1 member
     edited = buf.getvalue() + f"q={q};0{q - 1},1\n"
-    monkeypatch.undo()
     want = codec_outcome(read_set_lines, edited)
     assert want == f"line {len(ps) + 2}: duplicate member 'q={q};0{q - 1},1'"
     assert codec_outcome(read_set, edited) == want
