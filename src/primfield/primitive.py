@@ -365,21 +365,31 @@ def is_primitive(ps: PolySet) -> tuple[bool, tuple[int, int] | None]:
     Distinct monic polynomials of equal degree never divide one another,
     so only cross-degree pairs count.  The multiples pass decides when it
     forms no more products than trial division would test pairs; sparse
-    or high-degree sets use trial division pair by pair.
+    or high-degree sets use trial division pair by pair.  Within the
+    pass, a target degree e' gets a membership mask of q^e' bytes when
+    the pass forms at least that many products into it; else its
+    products are looked up by binary search among its members.
     """
     blocks = ps.by_degree()
     if len(blocks) <= 1:
         return True, None
     sizes = {d: len(block) for d, block in blocks.items()}
-    pairs = products = 0
-    for low, high in combinations(sizes, 2):
-        pairs += sizes[low] * sizes[high]
-        products += sizes[low] * ps.q**(high - low)
+    pairs = sum(sizes[low] * sizes[high]
+                for low, high in combinations(sizes, 2))
     # products up to the top degree must fit int64 (an object array of
     # members never does)
-    if _index_dtype(ps.q, ps.max_degree) is object or products > pairs:
+    if _index_dtype(ps.q, ps.max_degree) is object \
+            or sum(_products_into(ps.q, sizes).values()) > pairs:
         return _primitive_by_division(ps)
     return _primitive_by_multiples(ps)
+
+
+def _products_into(q: int, sizes: dict[int, int]) -> dict[int, int]:
+    """For each member degree e' (sizes maps degree to member count), the
+    products the multiples pass forms into it: every member of a degree
+    e < e' times every monic cofactor of degree e' - e."""
+    return {high: sum(sizes[low] * q**(high - low)
+                      for low in sizes if low < high) for high in sizes}
 
 
 def _primitive_by_division(ps: PolySet) -> tuple[bool, tuple[int, int] | None]:
@@ -406,19 +416,31 @@ def _primitive_by_multiples(ps: PolySet,
     block_multiples loops over the smaller side of a pair: each member
     times every cofactor, or each cofactor times a block of members, and
     each of its arrays of at most sieve.BLOCK products is looked up in
-    one pass.  Target degrees run upward, so the first one that holds a
-    product holds the least multiple b, and its least divisor a is the
-    least over the products equal to b.
+    one pass.  Every product into e' lies in [q^e', 2 q^e'), so when the
+    pass forms at least q^e' products into e' (_products_into), one byte
+    per index of that range marks the degree-e' members and a lookup is
+    one gather: the mask costs at most a byte per product formed.  A
+    target wider than the products formed into it keeps the binary
+    search (_least_hit), which holds nothing of its own.  Target
+    degrees run upward, so the first one that holds a product holds the
+    least multiple b, and its least divisor a is the least over the
+    products equal to b.
     """
-    blocks = ps.by_degree()
+    q, blocks = ps.q, ps.by_degree()
+    formed = _products_into(q, {d: len(block) for d, block in blocks.items()})
     for top, target in blocks.items():
+        base, mask = q**top, None
+        if base <= formed[top]:
+            mask = np.zeros(base, bool)
+            mask[target - base] = True
         found: list[tuple[int, int]] = []       # (multiple, divisor)
         for e, block in blocks.items():
             f = top - e
             if f <= 0:
                 break
-            for a, products in block_multiples(ps.q, block, f, f, np.int64):
-                at = _least_hit(products, target)
+            for a, products in block_multiples(q, block, f, f, np.int64):
+                at = (_least_hit(products, target) if mask is None
+                      else _least_masked(products, mask, base))
                 if at is not None:
                     found.append((int(products[at]),
                                   a if isinstance(a, int) else int(a[at])))
@@ -426,6 +448,17 @@ def _primitive_by_multiples(ps: PolySet,
             b, a = min(found)
             return False, (a, b)
     return True, None
+
+
+def _least_masked(products: np.ndarray, mask: np.ndarray,
+                  base: int) -> int | None:
+    """Position of the least of the products, all in [base, base +
+    len(mask)), whose slot products - base is set in mask; None when none
+    is."""
+    hits = np.flatnonzero(mask[products - base])
+    if not hits.size:
+        return None
+    return int(hits[np.argmin(products[hits])])
 
 
 def _least_hit(products: np.ndarray, members: np.ndarray) -> int | None:
@@ -484,9 +517,44 @@ def density_profile(ps: PolySet) -> tuple[DensityRow, ...]:
     return tuple(rows)
 
 
+_LOG10_2 = 0x4D104D427DE7FBCC47C4ACD6    # floor(log10(2) 2^96)
+
+
 def _decimal_digits(n: int) -> int:
-    """len(str(n)) for n >= 0, by exact comparison with powers of ten:
-    str() refuses integers past 4300 digits."""
+    """len(str(n)) for n >= 0, which str() refuses past 4300 digits, from
+    n's top 64 bits; only an n within a factor 1 + 2^-28 of a power of
+    ten goes on to _decimal_digits_by_powers.
+
+    With s = max(0, n.bit_length() - 64) and t = n >> s, n lies in
+    [t 2^s, (t + 1) 2^s), so log10 n lies in [v, v + w) with v = log10 t
+    + s log10 2 and w = log10(1 + 1/t) <= 1 / (t ln 10) < 2^-63 (if s > 0,
+    t >= 2^63; if s = 0, n = t and w = 0).  In units of 2^-96:
+    - f = int(math.log10(t) 2^96) is within 1 + 2^42 + 2^63 of log10(t)
+      2^96: float(t) is within a relative 2^-53 of t, which moves log10
+      by under 2^-54, and log10 t < 19.3, where an ulp is 2^-48, for any
+      math library whose log10 is within 2^15 ulps; with w 2^96 < 2^33
+      that is under 2^64;
+    - _LOG10_2 <= log10(2) 2^96 < _LOG10_2 + 1, so s log10(2) 2^96 lies in
+      [s _LOG10_2, s (_LOG10_2 + 1)].
+    So log10(n) 2^96 lies in (lo, hi) with lo = f - 2^64 + s _LOG10_2 and
+    hi = f + 2^64 + s (_LOG10_2 + 1).  When lo >> 96 and hi >> 96 agree
+    on k, so does log10 n, and n has k + 1 digits.  Otherwise log10 n is
+    within (hi - lo) 2^-96 = 2^-31 + s 2^-96 of an integer, and n within a
+    factor 10^(2^-30) < 1 + 2^-28 of a power of ten while s < 2^60.
+    """
+    if n < 10:
+        return 1
+    s = max(0, n.bit_length() - 64)
+    f = int(math.ldexp(math.log10(n >> s), 96))
+    lo = f - (1 << 64) + s * _LOG10_2
+    hi = f + (1 << 64) + s * (_LOG10_2 + 1)
+    if lo >> 96 == hi >> 96:
+        return (lo >> 96) + 1
+    return _decimal_digits_by_powers(n)
+
+
+def _decimal_digits_by_powers(n: int) -> int:
+    """len(str(n)) for n >= 0, by exact comparison with powers of ten."""
     k = max(1, int((n.bit_length() - 1) * math.log10(2)))
     # one power of ten, 10^k, scaled by 10 per step of either loop
     power = 10**k
@@ -565,7 +633,10 @@ def verify_erdos_density_inequality(ps: PolySet) -> DensityBoundReport:
     num = 0
     for da, m, cnt in buckets:
         a_m, e_m = parts[m]
-        num += cnt * a_m * q**(max_exp - e_m - da)
+        if q == 2:
+            num += (cnt * a_m) << (max_exp - e_m - da)
+        else:
+            num += cnt * a_m * q**(max_exp - e_m - da)
     num, exp = _cancel_powers(num, q, max_exp)
     lhs = Fraction(_LowestTerms(num, q**exp))
     return DensityBoundReport(q, len(ps), lhs, by_level)

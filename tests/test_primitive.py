@@ -4,6 +4,7 @@ import io
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -627,24 +628,68 @@ def seeded_sets(q, horizon, seed):
         yield PolySet(q, horizon, (*members, index_mul(q, a, g)))
 
 
+def counting_lookups(monkeypatch) -> dict[str, int]:
+    """Counts of the multiples pass's mask and sorted lookups."""
+    calls = {"mask": 0, "sorted": 0}
+    for name, key in (("_least_masked", "mask"), ("_least_hit", "sorted")):
+        def spy(*args, _real=getattr(primitive, name), _key=key):
+            calls[_key] += 1
+            return _real(*args)
+        monkeypatch.setattr(primitive, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("q,horizon", [(2, 9), (3, 6), (5, 4), (7, 3)])
 def test_multiples_pass_matches_division_and_brute_force(q, horizon,
                                                          monkeypatch):
     """Also with 4 products a block, where the degree blocks of members
-    are cut and, at q = 5 and 7, each cofactor is a block of its own."""
+    are cut and, at q = 5 and 7, each cofactor is a block of its own.
+    Each set is checked with the mask lookup at every target degree (the
+    size rule's bound met exactly), with the sorted one at every target
+    degree (missed by one), and with the rule as it counts."""
+    real = primitive._products_into
+    rules = {"mask": lambda q, sizes: {d: q**d for d in sizes},
+             "sorted": lambda q, sizes: {d: q**d - 1 for d in sizes},
+             "rule": real}
     verdicts = set()
     for seed in range(12):
         for ps in seeded_sets(q, horizon, seed):
             want = brute_primitive(ps)
             for size in (sieve.BLOCK, 4):
-                with monkeypatch.context() as patch:
-                    patch.setattr(sieve, "BLOCK", size)
-                    got = primitive._primitive_by_multiples(ps)
-                assert got == want, (size, ps)
+                for name, rule in rules.items():
+                    with monkeypatch.context() as patch:
+                        patch.setattr(sieve, "BLOCK", size)
+                        patch.setattr(primitive, "_products_into", rule)
+                        calls = counting_lookups(patch)
+                        got = primitive._primitive_by_multiples(ps)
+                    assert got == want, (size, name, ps)
+                    if name != "rule":
+                        other, = calls.keys() - {name}
+                        assert calls[name] and not calls[other], calls
             assert primitive._primitive_by_division(ps) == want, ps
             assert all(type(i) is int for i in want[1] or ())
             verdicts.add(want[0])
     assert verdicts == {True, False}
+
+
+def test_mask_is_built_only_where_products_cover_it(monkeypatch):
+    """1,024 members of degree 20 and 1,024 of degree 30 form 2^20
+    products into degree 30, which a mask of 2^30 bytes would cover: the
+    sorted lookup takes them, within a few megabytes."""
+    low = range(2**20 + 2**10, 2**20 + 2**11)          # x^20 + x^10 + r
+    ps = PolySet(2, 30, (*low, *range(2**30, 2**30 + 2**10)))
+    calls = counting_lookups(monkeypatch)
+    tracemalloc.start()
+    try:
+        got = is_primitive(ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # x^30 + 1 = (x^10 + 1)(x^20 + x^10 + 1)
+    assert got == (False, (1049601, 1073741825))
+    assert got == primitive._primitive_by_division(ps)
+    assert calls["sorted"] and not calls["mask"]
+    assert peak < 4 * 2**20, peak
 
 
 def test_witness_is_the_least_multiple_then_its_least_divisor():
@@ -768,9 +813,13 @@ def test_density_profile_manual():
     assert rows[2].running_max == Fraction(2, 3)
 
 
-def test_density_inequality_matches_direct_oracle(sieve2, sieve3):
-    for q, horizon, sieve in ((2, 9, sieve2), (3, 6, sieve3)):
+def test_density_inequality_matches_direct_oracle(sieve2, sieve3, sieve5):
+    """q = 2 sums its buckets by shifts, odd q by powers of q; the
+    seeded sets are spread over 4 to 12 levels D(a)."""
+    for q, horizon, sieve in ((2, 14, sieve2), (3, 7, sieve3),
+                              (5, 5, sieve5)):
         degree_one = PolySet(q, horizon, tuple(range(q, 2 * q)))  # (q-1)/q
+        spans = []
         for ps in [degree_one] + [random_primitive_set(q, horizon, seed,
                                                        per_degree=5)
                                   for seed in range(8)]:
@@ -784,6 +833,8 @@ def test_density_inequality_matches_direct_oracle(sieve2, sieve3):
                 (direct.numerator, direct.denominator)
             assert report.ok and direct <= 1
             assert report.size == len(ps)
+            spans.append(len(report.by_level))
+        assert min(spans[1:]) >= 4 and max(spans) >= min(10, horizon), spans
 
 
 @pytest.mark.parametrize("degree", [12, 13])
@@ -803,16 +854,55 @@ def test_density_report_summarizes_huge_numerators(sieve2, degree):
     assert report.ok and report.to_json()["by_level"] == [[degree, 1]]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 17, 40, 4299, 4300, 4301, 9000])
-def test_decimal_digits_at_powers_of_ten(k):
+@pytest.fixture
+def unlimited_str_digits():
     old_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
-    try:
-        for n in (10**k - 1, 10**k, 10**k + 1):
-            assert primitive._decimal_digits(n) == len(str(n)), (k, n)
-    finally:
-        sys.set_int_max_str_digits(old_limit)
+    yield
+    sys.set_int_max_str_digits(old_limit)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 17, 40, 4299, 4300, 4301, 9000])
+def test_decimal_digits_at_powers_of_ten(k, unlimited_str_digits):
+    for n in (10**k - 1, 10**k, 10**k + 1):
+        assert primitive._decimal_digits(n) == len(str(n)), (k, n)
+        assert primitive._decimal_digits_by_powers(n) == len(str(n)), (k, n)
     assert [primitive._decimal_digits(n) for n in range(12)] == [1] * 10 + [2] * 2
+
+
+def test_decimal_digits_read_the_top_bits(monkeypatch, unlimited_str_digits):
+    """Integers of random sizes to 60,000 bits: those of 64 bits and more
+    are each decided without a power of ten, the margin missing them."""
+    rng = random.Random(2024)
+    slow = []
+    real = primitive._decimal_digits_by_powers
+    monkeypatch.setattr(primitive, "_decimal_digits_by_powers",
+                        lambda n: slow.append(n) or real(n))
+    for _ in range(400):
+        n = rng.getrandbits(rng.randint(1, 60000))
+        assert primitive._decimal_digits(n) == len(str(n)), n
+    assert all(n < 2**64 for n in slow), slow
+
+
+def test_decimal_digits_next_to_a_large_power_of_ten(monkeypatch):
+    """bes.txt's numerator has 157,483 digits; 10^157482 and one either
+    side of it lie inside the margin and are counted by powers of ten."""
+    n = 10**157482
+    real = primitive._decimal_digits_by_powers
+    want = [real(m) for m in (n - 1, n, n + 1)]
+    assert want == [157482, 157483, 157483]
+    slow = []
+    monkeypatch.setattr(primitive, "_decimal_digits_by_powers",
+                        lambda m: slow.append(m) or real(m))
+    assert [primitive._decimal_digits(m) for m in (n - 1, n, n + 1)] == want
+    assert slow == [n - 1, n, n + 1]
+
+
+def test_log10_2_enclosure():
+    from decimal import Context
+    ctx = Context(prec=60)
+    scaled = ctx.multiply(ctx.log10(2), 2**96)
+    assert primitive._LOG10_2 == int(scaled) != scaled
 
 
 def test_density_inequality_can_fail_off_antichains():
