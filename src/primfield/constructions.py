@@ -29,7 +29,7 @@ import numpy as np
 from . import DEFAULT_PRECISION_BITS
 from .brackets import (BracketedValue, iv_from_fraction, iv_pointwise_max,
                        precision)
-from .counting import _pack, _table_rows, monic_cumulative
+from .counting import monic_cumulative, strike_counts
 from .errors import BudgetError, PrecisionError, UsageError
 from .fieldpoly import _check_prime, index_degree
 from .irreducibles import kth_irreducible_degree, pi_cumulative, pi_prime
@@ -495,16 +495,13 @@ def mp_construct(q: int, tseq: TSequence, horizon: int,
                  enum_horizon: int | None = None) -> MPConstruction:
     """Assemble the thinned-irreducible primitive family up to a horizon.
 
-    Counting is exact at every degree <= horizon: S_k at degree n equals
-    the number of squarefree g of degree n - deg t_k with k - 1 distinct
-    irreducible factors avoiding t_1 .. t_k.  The rows of the whole
-    field's count table are packed as they come off its build, and each
-    t_k in turn is divided out of them, so they count the polynomials
-    coprime to t_1 .. t_k.  Members
-    are enumerated only up to enum_horizon (from one multiples pass over
-    every monic polynomial there); cross_checked says whether the enumeration
-    reproduces the counts, and is_primitive certifies the members.  The
-    default enum_horizon is the largest h <= horizon with q^h <= 2^18.
+    Counting is exact at every degree <= horizon: S_k at degree n counts
+    the squarefree g of degree n - deg t_k with k - 1 distinct factors
+    avoiding t_1 .. t_k (strike_counts).  Members are enumerated only up
+    to enum_horizon (from one multiples pass over every monic polynomial
+    there); cross_checked says whether the enumeration reproduces the
+    counts, and is_primitive certifies the members.  The default
+    enum_horizon is the largest h <= horizon with q^h <= 2^18.
     """
     _check_prime(q)
     if tseq.q != q:
@@ -529,24 +526,7 @@ def mp_construct(q: int, tseq: TSequence, horizon: int,
         raise UsageError("horizon below the first usable degree")
     if k_max == len(tseq.terms) and tseq.degrees[-1] + k_max <= horizon:
         raise BudgetError("materialize more t-sequence terms for this horizon")
-    # Row n of the count table, packed into one int with a slot per power
-    # of u wide enough for q^horizon, is the coefficient of x^n in
-    # prod_p (1 + u x^deg p).  Striking t_k divides by its factor
-    # (1 + u x^deg t_k), exactly, in one ascending pass, and no entry
-    # grows; slot k - 1 of row n - deg t_k then counts S_k at degree n.
-    nbytes = ((q**horizon).bit_length() + 7) // 8
-    width, mask = 8 * nbytes, (1 << 8 * nbytes) - 1
-    packed = [_pack(row, nbytes) for row in _table_rows(q, horizon)]
-    counts: list[tuple[int, ...]] = []
-    for k in range(1, k_max + 1):
-        dk = tseq.degrees[k - 1]
-        for n in range(dk, horizon + 1):
-            packed[n] -= packed[n - dk] << width
-            assert packed[n] >= 0, (k, n)
-        row = [0] * (horizon + 1)
-        for n in range(dk + k - 1, horizon + 1):
-            row[n] = packed[n - dk] >> width * (k - 1) & mask
-        counts.append(tuple(row))
+    counts = strike_counts(q, horizon, tseq.degrees[:k_max])
     indices, got = _enumerate_members(q, tseq, k_max, enum_horizon)
     cross = got.reshape(k_max, enum_horizon + 1).tolist() == \
         [list(row[:enum_horizon + 1]) for row in counts]
@@ -563,7 +543,7 @@ def mp_construct(q: int, tseq: TSequence, horizon: int,
                 if k >= tseq.k0:
                     total_k0 += w
     return MPConstruction(q, horizon, enum_horizon, tseq, k_max,
-                          tuple(counts), members, cross,
+                          counts, members, cross,
                           Fraction(total, den), Fraction(total_k0, den),
                           witness)
 

@@ -8,11 +8,13 @@ prod_d (1 + u x^d)^{pi'_q(d)}.  Around it sit certified-bracket
 evaluations of the degree-weighted singular series G, the truncated
 Mertens product, Poisson-style tail estimates, and verifiers for the
 uniform upper bound and the factor-count recurrence.  Every reader of
-the table, those verifiers and the mp construction included, takes its
-rows from one packed build, _table_rows, which runs each degree's pass
-only over the rows it can change.  The exact counts and the uniform
-bound's check, whose log weight is bounded in fixed-point integers, run
-without mpmath; the functions that bracket analytic quantities import it.
+the table, those verifiers and the mp construction's strikes included,
+takes its rows from one packed build, _table_rows, which runs each
+degree's pass only over the rows it can change, in slots that
+_slot_bytes alone sizes and no other module reads.  The exact counts
+and the uniform bound's check, whose log weight is bounded in
+fixed-point integers, run without mpmath; the functions that bracket
+analytic quantities import it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import count, islice
 from typing import Iterator, Mapping, NamedTuple
 
 from . import DEFAULT_PRECISION_BITS
@@ -57,6 +59,18 @@ class CountTable(NamedTuple):
     excluded_degrees: tuple[tuple[int, int], ...] = ()
 
 
+def _slot_bytes(q: int, N: int) -> int:
+    """Bytes per slot of any packed row of a table to degree N >= 0: they
+    hold q^N (bit_length(N // 2) + 1), so no slot carries into the next.
+
+    Row n, built or struck (strike_counts), sums to at most q^n, and
+    q^d = sum_{e | d} e pi'(e) >= d pi'(d), so slot j of the recurrence's
+    packed sum, sum_{d <= n/2} pi'(d) row(n-d)[j], is at most q^n H_{n//2}
+    (H_m = 1 + ... + 1/m; H_0 = 0, H_m <= 1 + ln m < 1 + bit_length(m)).
+    """
+    return ((q**N * ((N // 2).bit_length() + 1)).bit_length() + 7) // 8
+
+
 def _unpack(row: int, slots: int, nbytes: int) -> tuple[int, ...]:
     """The nbytes-wide unsigned slots of a packed row, lowest first."""
     raw = row.to_bytes(slots * nbytes, "little")
@@ -64,32 +78,28 @@ def _unpack(row: int, slots: int, nbytes: int) -> tuple[int, ...]:
                  for i in range(0, len(raw), nbytes))
 
 
-def _pack(row, nbytes: int) -> int:
-    """Inverse of _unpack: entries must be >= 0 and below 2^(8 nbytes)."""
-    return int.from_bytes(b"".join(v.to_bytes(nbytes, "little") for v in row),
-                          "little")
-
-
 def build_count_table(q: int, N: int,
                       excluded_degrees: Mapping[int, int] | None = None,
                       ) -> CountTable:
     """Exact Pi'_{q,k}(n) for 0 <= k <= n <= N by degree-wise convolution
-    (_table_rows).
+    (_table_rows), each row padded with zeros to its n + 1 entries.
 
     Degree d contributes a factor (1 + u x^d)^m with m = pi'_q(d) minus
     any exclusions: choosing j of the m irreducibles adds degree j*d and
     factor count j with multiplicity C(m, j).
     """
     excl = tuple(sorted((d, c) for d, c in (excluded_degrees or {}).items() if c))
-    return CountTable(q, N, tuple(_table_rows(q, N, excl)), excl)
+    rows = tuple(row + (0,) * (n + 1 - len(row))
+                 for n, (_, row) in enumerate(_table_rows(q, N, excl)))
+    return CountTable(q, N, rows, excl)
 
 
 def _table_rows(q: int, N: int, excl: tuple[tuple[int, int], ...] = (),
-                ) -> Iterator[tuple[int, ...]]:
-    """The rows 0..N of build_count_table's table in turn, each unpacked
-    from the packed build as it is read, its packed int then dropped.
-    Without exclusions every row is checked: row n sums to q^n - q^(n-1)
-    (to q at n = 1), and its k = 1 entry is pi'_q(n).
+                ) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(packed, row) for rows 0..N of the table in turn: the row's int,
+    which the build then drops, and its slots up to the last nonzero one.
+    Without exclusions every row is checked first: row n sums to
+    q^n - q^(n-1) (to q at n = 1), and its k = 1 entry is pi'_q(n).
 
     Each row is one integer with a fixed-width slot per k (Kronecker
     substitution), so one multiply-shift-add updates every k of a row at
@@ -103,7 +113,8 @@ def _table_rows(q: int, N: int, excl: tuple[tuple[int, int], ...] = (),
     the pass over rows runs only over n > 2d, and the row-0 terms go into
     rows d, 2d, ... in one loop after it, so the N = 300 build takes
     22,350 row passes in place of 45,150 at q = 2.  The small degrees,
-    whose rows are full, run j only up to m, a few terms.
+    whose rows are full, run j only up to m, a few terms.  Exclusions
+    lower m, as striking C irreducibles (strike_counts) takes C passes.
     """
     _check_prime(q)
     if N < 0:
@@ -115,10 +126,8 @@ def _table_rows(q: int, N: int, excl: tuple[tuple[int, int], ...] = (),
             raise UsageError(f"cannot exclude {c} irreducibles of degree {d}")
     excl_map = dict(excl)
     # Row n packed into one int, entry k in bits [k*width, (k+1)*width).
-    # Every update only adds, so an entry never exceeds its final value,
-    # at most q^n <= q^N: slots of a whole number of bytes that hold q^N
-    # never carry into each other.
-    nbytes = ((q**N).bit_length() + 7) // 8
+    # Every update only adds, so an entry never exceeds its final value.
+    nbytes = _slot_bytes(q, N)
     width = 8 * nbytes
     packed = [0] * (N + 1)
     packed[0] = 1
@@ -141,12 +150,31 @@ def _table_rows(q: int, N: int, excl: tuple[tuple[int, int], ...] = (),
     for n in range(N + 1):
         row, packed[n] = packed[n], 0
         # only the slots up to the row's highest nonzero one are unpacked
-        used = -(-row.bit_length() // width)
-        row = _unpack(row, used, nbytes) + (0,) * (n + 1 - used)
+        slots = _unpack(row, -(-row.bit_length() // width), nbytes)
         if not excl and n:
-            assert sum(row) == (q**n - q**(n - 1) if n > 1 else q), (q, n)
-            assert row[1] == pi_prime(q, n), (q, n)
-        yield row
+            assert sum(slots) == (q**n - q**(n - 1) if n > 1 else q), (q, n)
+            assert slots[1] == pi_prime(q, n), (q, n)
+        yield row, slots
+
+
+def strike_counts(q: int, N: int, degrees) -> tuple[tuple[int, ...], ...]:
+    """counts[k-1][n], 0 <= n <= N: squarefree monic g of degree n - deg t_k
+    with k - 1 irreducible factors, none of them t_1 .. t_k, irreducibles
+    of the given degrees.  Packed row n of the field (_table_rows) is the
+    coefficient of x^n in prod_p (1 + u x^deg p), and striking t_k divides
+    it by 1 + u x^deg t_k, exactly, in one ascending pass.
+    """
+    packed = [row for row, _ in _table_rows(q, N)]
+    nbytes = _slot_bytes(q, N)
+    width, mask = 8 * nbytes, (1 << 8 * nbytes) - 1
+    counts = []
+    for k, dk in enumerate(degrees, start=1):
+        for n in range(dk, N + 1):
+            packed[n] -= packed[n - dk] << width
+            assert packed[n] >= 0, (k, n)
+        counts.append(tuple(packed[n - dk] >> width * (k - 1) & mask
+                            if n >= dk + k - 1 else 0 for n in range(N + 1)))
+    return tuple(counts)
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +298,7 @@ def verify_hr_bound(q: int, N: int,
     for all 1 <= k <= n <= N.
 
     The rows come off the packed build (_table_rows) one at a time, each
-    unpacked as it is checked, never the whole table.  The right side is
+    cut at its last nonzero entry, never the whole table.  The right side is
     replaced by a certified rational lower bound (the log weight rounded
     down at precision_bits, _log_weights_lower), so every pass is a
     rigorous instance of the inequality; the bound and the comparisons are
@@ -282,13 +310,13 @@ def verify_hr_bound(q: int, N: int,
     violations: list[tuple] = []
     min_margin = math.inf
     cells = 0
-    for n, row, (num, s) in zip(range(1, N + 1), rows, weights):
+    for n, (_, row), (num, s) in zip(range(1, N + 1), rows, weights):
         rhs = q**n        # q^n num^(k-1)
         scale = n         # n (k-1)! 2^(s(k-1))
         # a zero entry satisfies the bound and sets no margin, so the
         # walk stops at the row's last nonzero entry; cells counts all k
         cells += n
-        for k in range(1, _support(row)):
+        for k in range(1, len(row)):
             lhs = row[k] * scale
             if lhs > rhs:
                 violations.append((n, k, row[k]))
@@ -303,33 +331,24 @@ def verify_hr_bound(q: int, N: int,
                             min_margin if min_margin < math.inf else 0.0)
 
 
-def _support(row) -> int:
-    """One past the position of the last nonzero entry of row."""
-    return next((k + 1 for k in range(len(row) - 1, -1, -1) if row[k]), 0)
-
-
 def verify_recurrence_bound(q: int, N: int) -> InequalityReport:
     """Check (k-1) Pi'_{q,k}(n) <= sum_{d <= n/2} pi'_q(d) Pi'_{q,k-1}(n-d)
     for all 2 <= k <= n <= N, in exact integers.
 
-    The rows come off the packed build (_table_rows) one at a time; each
-    is packed again after its own check, for the rows after it to read.
+    The rows come off the packed build (_table_rows) one at a time, and
+    their packed ints sum to row n's right sides for every k at once.
     """
     rows = _table_rows(q, N)
-    rows = chain([next(rows)], rows)    # next() runs the build's checks
-    # Slot k-1 of row n's packed sum is sum_{d <= n/2} pi'(d) rows[n-d][k-1]
-    # for every k at once; no entry passes q^N, so q^N times
-    # sum_{d <= N/2} pi'(d) bounds every slot.
+    packed = [p for p, _ in islice(rows, 2)]    # runs the build's checks
+    nbytes = _slot_bytes(q, N)
     weights = [pi_prime(q, d) for d in range(1, N // 2 + 1)]
-    nbytes = (q**N * max(1, sum(weights))).bit_length() // 8 + 1
-    packed = [_pack(row[:_support(row)], nbytes) for row in islice(rows, 2)]
     violations: list[tuple] = []
     min_margin = math.inf
     cells = 0
-    for n, row in zip(range(2, N + 1), rows):
+    for n, (p, row) in zip(range(2, N + 1), rows):
         # k past the row's support has lhs = 0 <= rhs and no margin, so
         # only the slots k - 1 below the support's last k are unpacked
-        slots = max(_support(row) - 1, 0)
+        slots = max(len(row) - 1, 0)
         cells += n - 1
         acc = 0
         for d in range(1, n // 2 + 1):
@@ -345,7 +364,7 @@ def verify_recurrence_bound(q: int, N: int) -> InequalityReport:
                 if margin < min_margin:
                     min_margin = margin
         # row n is read only by the rows after it
-        packed.append(_pack(row[:_support(row)], nbytes))
+        packed.append(p)
     return InequalityReport("factor-count-recurrence", q, N, cells,
                             tuple(violations),
                             min_margin if min_margin < math.inf else 0.0)

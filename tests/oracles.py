@@ -32,7 +32,7 @@ the exact Mertens product is one Fraction factor per degree.  The
 uniform bound's log weight, which the library sums in fixed-point
 integers, is taken from mpmath's interval log.  The thinned-irreducible
 construction divides each term out of one count table; its oracle
-rebuilds the table for every term.
+rebuilds the table for every term by list convolution.
 """
 
 import math
@@ -47,8 +47,8 @@ from mpmath import iv
 from primfield import DEFAULT_PRECISION_BITS
 from primfield.brackets import BracketedValue, precision
 from primfield.counting import (PRINTABLE_EXACT_BITS, InequalityReport,
-                                MertensValue, _pack, _term_precision, _unpack,
-                                build_count_table)
+                                MertensValue, _slot_bytes, _term_precision,
+                                _unpack)
 from primfield.errors import UsageError, VerificationError
 from primfield.fieldpoly import (_check_prime, _index_digits as index_digits,
                                  format_index, index_degree, index_divrem,
@@ -432,14 +432,14 @@ def row_total(rows, n):
 
 def mp_counts_rebuilt(q, degrees, horizon):
     """|S_k at degree n| for t-terms of the given degrees, one count table
-    per k: the field less t_1 .. t_k, built anew each time."""
+    per k by list convolution (count_table_lists): the field less
+    t_1 .. t_k, built anew each time, with no packed row."""
     counts, excl = [], {}
     for k, dk in enumerate(degrees, start=1):
         excl[dk] = excl.get(dk, 0) + 1
-        table = build_count_table(q, horizon, excluded_degrees=excl)
-        counts.append(tuple(
-            table_count(table.rows, n - dk, k - 1)
-            for n in range(horizon + 1)))
+        rows = count_table_lists(q, horizon, excl)
+        counts.append(tuple(table_count(rows, n - dk, k - 1)
+                            for n in range(horizon + 1)))
     return tuple(counts)
 
 
@@ -504,22 +504,51 @@ def hr_bound_full_width(q, N, rows,
                             min_margin if min_margin < math.inf else 0.0)
 
 
-def recurrence_bound_full_width(q, N, rows):
-    """verify_recurrence_bound's report with every row packed and every
-    slot of each packed sum unpacked and compared."""
+def _pack(row, nbytes):
+    """One int holding row's entries in nbytes-wide unsigned slots, lowest
+    first (the inverse of counting._unpack): each entry must be >= 0 and
+    below 2^(8 nbytes)."""
+    return int.from_bytes(b"".join(v.to_bytes(nbytes, "little") for v in row),
+                          "little")
+
+
+def packed_rows(q, N, rows):
+    """Rows 0..N of rows as _table_rows yields them: each packed in the
+    build's slots (_slot_bytes) and cut after its last nonzero entry."""
+    nbytes = _slot_bytes(q, N)
+    for row in rows[:N + 1]:
+        row = tuple(row)
+        while row and not row[-1]:
+            row = row[:-1]
+        yield _pack(row, nbytes), row
+
+
+def recurrence_sums_full_width(q, N, rows):
+    """sums[n][j] = sum_{d <= n/2} pi'(d) rows[n-d][j] for 2 <= n <= N and
+    0 <= j < n (sums[0] and sums[1] empty), from every row packed at a
+    width that its largest entry times the sum of the weights fits, with
+    every slot of each packed sum unpacked."""
     rows = [row[:n + 1] for n, row in enumerate(rows[:N + 1])]
     weights = [pi_prime(q, d) for d in range(1, N // 2 + 1)]
     largest = max(max(row) for row in rows)
     nbytes = (largest * max(1, sum(weights))).bit_length() // 8 + 1
     packed = [_pack(row, nbytes) for row in rows]
-    violations = []
-    min_margin = math.inf
-    cells = 0
+    sums = [(), ()]
     for n in range(2, N + 1):
         acc = 0
         for d in range(1, n // 2 + 1):
             acc += weights[d - 1] * packed[n - d]
-        sums = _unpack(acc, n, nbytes)
+        sums.append(_unpack(acc, n, nbytes))
+    return sums
+
+
+def recurrence_bound_full_width(q, N, rows):
+    """verify_recurrence_bound's report with every slot of each of
+    recurrence_sums_full_width's sums compared."""
+    violations = []
+    min_margin = math.inf
+    cells = 0
+    for n, sums in enumerate(recurrence_sums_full_width(q, N, rows)):
         for k in range(2, n + 1):
             lhs = (k - 1) * rows[n][k]
             rhs = sums[k - 1]

@@ -27,7 +27,7 @@ from primfield.counting import build_count_table
 from primfield.cli import main
 from primfield.errors import BudgetError, VerificationError
 
-from oracles import mertens_exact, wheel_slice
+from oracles import mertens_exact, packed_rows, wheel_slice
 
 
 def run(argv, capsys):
@@ -1179,16 +1179,13 @@ def test_each_command_builds_a_sieve_at_most_once(capsys, tmp_path,
 
 def test_construct_mp_count_mismatch_exits_two(capsys, tmp_path,
                                                monkeypatch):
-    # count-table rows one off in every cell: the enumerated members no
-    # longer reproduce the counts, and the run reports that verdict
-    from primfield import constructions
-    rows = constructions._table_rows
-
-    def one_off(q, N):
-        for row in rows(q, N):
-            yield tuple(v + 1 for v in row)
-
-    monkeypatch.setattr(constructions, "_table_rows", one_off)
+    # count-table rows one off in every cell, packed in the build's slots:
+    # the enumerated members no longer reproduce the counts, and the run
+    # reports that verdict
+    from primfield import counting
+    table = build_count_table(2, 12).rows
+    monkeypatch.setattr(counting, "_table_rows", lambda q, N: packed_rows(
+        q, N, [tuple(v + 1 for v in row) for row in table]))
     rpt_path = tmp_path / "mp.json"
     code, _, err = run(["construct", "mp", "--q", "2",
                         "--L", "log:eps=0.1", "--horizon", "12",
@@ -1214,9 +1211,9 @@ def test_a_q3_mp_construction_to_degree_40_runs_under_a_16_mb_ceiling(
 
 def test_construct_mp_enum_horizon_zero_fails_before_any_count_table(
         capsys, monkeypatch):
-    from primfield import constructions
+    from primfield import counting
     tables = []
-    monkeypatch.setattr(constructions, "_table_rows",
+    monkeypatch.setattr(counting, "_table_rows",
                         lambda *a, **kw: tables.append(a))
     code, out, err = run(["construct", "mp", "--q", "2", "--L", "log:eps=0.1",
                           "--horizon", "60", "--enum-horizon", "0"], capsys)
@@ -1468,7 +1465,7 @@ def test_an_unwritable_output_fails_before_any_count_table(
         capsys, tmp_path, monkeypatch, argv, target):
     """The path is refused, in the words a failed open of it gives,
     before a count table is built, and nothing is created."""
-    from primfield import constructions, counting
+    from primfield import counting
     (tmp_path / "file").write_text("")
     path = str({"missing": tmp_path / "missing" / "t.csv",
                 "directory": tmp_path,
@@ -1476,9 +1473,8 @@ def test_an_unwritable_output_fails_before_any_count_table(
     with pytest.raises(OSError) as opened:
         os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     tables = []
-    for module in (counting, constructions):
-        monkeypatch.setattr(module, "_table_rows",
-                            lambda *a, **kw: tables.append(a))
+    monkeypatch.setattr(counting, "_table_rows",
+                        lambda *a, **kw: tables.append(a))
     code, out, err = run([*argv, path, "--manifest",
                           str(tmp_path / "m.json")], capsys)
     assert (code, out) == (1, "")

@@ -23,8 +23,9 @@ from primfield.irreducibles import pi_prime
 
 from oracles import (count_table_lists, factor_index, g_series_resummed,
                      hr_bound_full_width, log_weight_dyadic_lower,
-                     mertens_exact, mertens_per_n,
-                     recurrence_bound_full_width, recurrence_cells, row_total,
+                     mertens_exact, mertens_per_n, packed_rows,
+                     recurrence_bound_full_width, recurrence_cells,
+                     recurrence_sums_full_width, row_total,
                      sieve_irreducibles, table_count)
 
 
@@ -140,10 +141,10 @@ def test_hr_bound_holds_at_desk_scale():
 
 
 def _feed(monkeypatch, rows):
-    """Have the checks read rows 0..N of rows in place of the packed
-    build's."""
+    """Have the checks read rows 0..N of rows, packed in the build's slots
+    (packed_rows), in place of the packed build's."""
     monkeypatch.setattr(counting, "_table_rows",
-                        lambda q, N: iter(rows[:N + 1]))
+                        lambda q, N: packed_rows(q, N, rows))
 
 
 def _doctored(rows, cells):
@@ -279,11 +280,34 @@ def test_recurrence_bound_off_the_packed_build_matches_the_table(q):
             q, N, build_count_table(q, N).rows)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_slots_hold_the_proved_bound_on_every_recurrence_sum(q):
+    """For every N <= 60, every slot of every recurrence sum to degree N,
+    from the oracle's own wide packing, is at most q^N H_{N//2}, the
+    bound _slot_bytes proves, and the build's slots hold that bound; the
+    check's report at that width is the oracle's.  The true sums stay far
+    below the bound (slots sized for q^N alone give the same reports), so
+    the inequality is what pins the width; at q = 3, N = 60 the bound
+    needs a 13th byte, q^N alone 12."""
+    rows = build_count_table(q, 60).rows
+    for N in range(61):
+        bound = q**N * sum(Fraction(1, d) for d in range(1, N // 2 + 1))
+        largest = max((max(s) for s in recurrence_sums_full_width(q, N, rows)
+                       if s), default=0)
+        assert largest <= bound < 2**(8 * counting._slot_bytes(q, N)), N
+        assert verify_recurrence_bound(q, N) == \
+            recurrence_bound_full_width(q, N, rows), N
+    if q == 3:
+        assert counting._slot_bytes(3, 60) == 13
+        assert (3**60).bit_length() <= 8 * 12
+
+
 def test_the_recurrence_check_never_holds_the_unpacked_table():
-    """The check holds the packed build and its own packed rows, never
-    the unpacked table, which alone takes 0.78 MB at q = 2, N = 300
-    (0.58 MB measured; 1.35 MB while it held that table, a copy of its
-    rows and their packed forms)."""
+    """The check holds the build's packed rows, never the unpacked
+    table, which alone takes 0.78 MB at q = 2, N = 300 (0.40 MB
+    measured; 0.58 MB while it packed the rows again in slots of its
+    own, 1.35 MB while it held that table, a copy of its rows and their
+    packed forms)."""
     verify_recurrence_bound(2, 300)     # the shared counts
     tracemalloc.start()
     try:
@@ -298,14 +322,16 @@ def test_the_recurrence_check_never_holds_the_unpacked_table():
 def test_support_walks_match_full_width_loops(q, monkeypatch):
     """Both checks stop each row at its last nonzero entry; the reports
     equal those of loops over every slot, on clean tables and on tables
-    with entries past a row's natural support, each at most q^N."""
+    with entries past a row's natural support.  Each doctored row sums to
+    at most q^n, which the build's slots rest on (_slot_bytes), or is row
+    N, which no recurrence sum reads."""
     cases = []
     for N in (1, 2, 3, 11, 40, 80):
         clean = build_count_table(q, N).rows
         cases.append((N, clean))
         if N >= 3:
             cases += [
-                (N, _doctored(clean, {(N, N): 1, (N - 1, N - 2): q**N})),
+                (N, _doctored(clean, {(N, N): 1, (N - 1, N - 2): q**(N - 2)})),
                 (N, _doctored(clean, {(N, N - 1): q**N, (N, 1): 0})),
             ]
     for N, rows in cases:
@@ -321,10 +347,10 @@ def test_packed_recurrence_matches_cell_oracle(q, N, monkeypatch):
     h = N // 2
     tables = [
         r,
-        # up to q^N, the build's bound: a left side that fails, and right
-        # sides that grow
-        _doctored(r, {(N, 3): q**N, (h, 2): q**h}),
-        _doctored(r, {(N - 1, N - 1): 0, (N, 2): 0, (h, 1): q**N}),
+        # a left side that fails, and right sides that grow; row h still
+        # sums to at most q^h, which the build's slots rest on
+        _doctored(r, {(N, 3): q**N, (h, 2): q**(h - 1)}),
+        _doctored(r, {(N - 1, N - 1): 0, (N, 2): 0, (h, 1): q**(h - 1)}),
     ]
     reports = []
     for rows in tables:
