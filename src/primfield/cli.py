@@ -58,6 +58,19 @@ def _csv_pieces(header, rows) -> Iterator[str]:
 # encoder chunks, or csv rows, joined into one string at a time
 _BATCH = 4096
 
+# While _write_file opens its path, the deadline's SIGALRM handler leaves
+# its BudgetError here instead of raising it; None at any other time.
+_deferred: list[BudgetError] | None = None
+
+
+def _release_deadline() -> None:
+    """End the hold _write_file put on the deadline, raising the
+    BudgetError left while it was held."""
+    global _deferred
+    deferred, _deferred = _deferred, None
+    if deferred:
+        raise deferred[0]
+
 
 def _write_file(path: str, fill) -> None:
     """Call fill(fh) with a text handle on path, as open(path, "w") makes
@@ -70,15 +83,22 @@ def _write_file(path: str, fill) -> None:
     size limit), is a UsageError naming the path.  An exception out of the
     write empties a regular file, removes the path and propagates, so
     neither a partial output nor new bytes over an old tail survive it,
-    under any name the file has (a symlink's target, another hard link)."""
+    under any name the file has (a symlink's target, another hard link).
+    The run's deadline is held from before the open until the file is
+    guarded, so its BudgetError comes before the file is made or where an
+    exception removes it, never between the two."""
     import os
     import stat
+    global _deferred
+    _deferred = []
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
     except OSError as exc:
+        _release_deadline()
         raise UsageError(f"cannot write {path!r}: {exc}") from None
-    regular = stat.S_ISREG(os.fstat(fd).st_mode)
     try:
+        _release_deadline()
         with open(fd, "w") as fh:
             fill(fh)
             if regular:
@@ -712,8 +732,11 @@ def _run_limited(args: argparse.Namespace) -> None:
                              f"{exc}") from None
 
     def expire(signum, frame):
-        raise BudgetError(f"soft time budget of {seconds}s exceeded; "
+        exc = BudgetError(f"soft time budget of {seconds}s exceeded; "
                           "partial results dropped as incomplete")
+        if _deferred is None:
+            raise exc
+        _deferred.append(exc)
 
     try:
         try:

@@ -1441,6 +1441,29 @@ def test_a_run_stopped_by_its_deadline_leaves_no_file(capsys, tmp_path):
     assert not os.path.lexists(path)
 
 
+def test_a_deadline_that_falls_as_the_output_opens_leaves_no_file(
+        capsys, tmp_path, monkeypatch):
+    """The open of --out outlasts the deadline: the file it made is
+    removed, not left behind by a BudgetError raised as the open returns."""
+    path = tmp_path / "part.txt"
+    real_open, opened = os.open, []
+
+    def slow_open(name, *args, **kwargs):
+        fd = real_open(name, *args, **kwargs)
+        if name == str(path):
+            opened.append(fd)
+            time.sleep(0.3)         # the 0.1 s deadline falls here
+        return fd
+
+    monkeypatch.setattr(os, "open", slow_open)
+    code, out, err = run(["construct", "besicovitch", "--q", "2", "--eps",
+                          "1/4", "--horizon", "4", "--out", str(path),
+                          "--budget-seconds", "0.1"], capsys)
+    assert opened and (code, out) == (1, "")
+    assert "budget exceeded" in err
+    assert not os.path.lexists(path)
+
+
 @pytest.mark.parametrize("flag, target", [("--out", "missing"),
                                           ("--out", "directory"),
                                           ("--manifest", "missing")])
