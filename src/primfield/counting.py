@@ -11,16 +11,15 @@ uniform upper bound and the factor-count recurrence.  Every reader of
 the table, those verifiers and the mp construction's strikes included,
 takes its rows from one packed build, _table_rows, which runs each
 degree's pass only over the rows it can change, in slots that
-_slot_bytes alone sizes and no other module reads.  The exact counts
-and the uniform bound's check, whose log weight is bounded in
-fixed-point integers, run without mpmath; the functions that bracket
-analytic quantities import it.
+_slot_bytes alone sizes and no other module reads.  The exact counts,
+the uniform bound's check, whose log weight is bounded in fixed-point
+integers, and the Mertens product's integer bracket run without mpmath;
+the other functions that bracket analytic quantities import it.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from fractions import Fraction
 from itertools import count, islice
 from typing import Iterator, Mapping, NamedTuple
@@ -374,16 +373,6 @@ def verify_recurrence_bound(q: int, N: int) -> InequalityReport:
 # Truncated Mertens product
 # ----------------------------------------------------------------------
 
-@numbers.Rational.register
-class _LowestTerms(NamedTuple):
-    """A numerator and positive denominator already in lowest terms.
-    Fraction(r) copies the terms of any numbers.Rational r as they are,
-    skipping the gcd, which is quadratic in the sizes met here."""
-
-    numerator: int
-    denominator: int
-
-
 def _term_precision(m: int):
     """Working precision for one degree's term m * log(1 - q^-d) and kin.
 
@@ -402,8 +391,7 @@ def mertens_parts(q: int) -> Iterator[tuple[int, int]]:
 
     One running product over the degrees: each n multiplies in its own
     factor (q^n - 1)^{pi'_q(n)}, each prime to q.  A has about E log2 q
-    bits, ~q^n at degree n, so the run's memory ceiling and deadline are
-    what bound how far a caller takes it.
+    bits, ~q^n at degree n.
     """
     num, exponent_sum = 1, 0
     for n in count(1):
@@ -411,6 +399,55 @@ def mertens_parts(q: int) -> Iterator[tuple[int, int]]:
         num *= pow(q**n - 1, m)
         exponent_sum += n * m
         yield num, exponent_sum
+
+
+def _fixed_pow(f: int, m: int, w: int, bias: int) -> int:
+    """2^w (f / 2^w)^m by squaring, each product of w-bit fixed-point
+    values shifted down w bits after adding bias: 0 floors, 2^w - 1 ceils."""
+    r = 1 << w
+    while m:
+        if m & 1:
+            r = r * f + bias >> w
+        f = f * f + bias >> w
+        m >>= 1
+    return r
+
+
+def mertens_brackets(q: int) -> Iterator[tuple[int, int, int]]:
+    """(lo, hi, w) with lo <= 2^w P(n) <= hi, P(n) = prod_{d<=n} (1 -
+    q^-d)^{pi'_q(d)}, for n = 1, 2, ... in turn, in integers alone.
+
+    w is p = DEFAULT_PRECISION_BITS plus the bit length of the largest
+    pi'_q(d) read (the rule of _term_precision), and lo and hi are shifted
+    up with it.  At degree n, with m = pi'_q(n) and x = 1 - q^-n, 2^w x is
+    floored (ceiled), raised to m by _fixed_pow and multiplied into lo
+    (hi), each product shifted down with floor (ceil).  All operands are
+    positive, so each rounding only widens the bracket.
+
+    Width: hi - lo < 73 n 2^(w - p).  Let w_n be w at degree n, e_n = 2^(3
+    - w_n).  The factor is within x (1 -+ e_n), as x >= 1/2, and x^m >= 1/4
+    ((1 - v)^(1/v) >= 1/4 for v = q^-n <= 1/2, and m v <= 1), so each
+    product _fixed_pow rounds is above 1/8 and moves by a factor within 1
+    -+ e_n.  The rounding of the squaring that forms x^(2^j) reaches x^m
+    with exponent m >> j, at most m over all j, the factor's with m, and
+    each multiply's into the result with 1: the power is within x^m (1 -+
+    e_n)^(3m).  Each shift of the running product moves it by at most
+    2^-w_n, and a factor of at most 1 never enlarges an earlier error.  So
+    lo / 2^w >= P(n) (1 - k) - s and hi / 2^w <= P(n) e^k + s, with k =
+    sum_d 3 pi'(d) e_d and s = sum_d 2^-w_d, whose terms are below 24 2^-p
+    and 2^(-p-1) (w_d > p + log2 pi'(d)).  For n < 2^p / 24, k <= 1 and e^k
+    <= 1 + 2k, so with P(n) <= 1 the width is below 3k + 2s < 73 n 2^-p.
+    """
+    w = DEFAULT_PRECISION_BITS
+    lo = hi = 1 << w
+    for n in count(1):
+        m = pi_prime(q, n)      # checks q
+        if (grow := DEFAULT_PRECISION_BITS + m.bit_length() - w) > 0:
+            w, lo, hi = w + grow, lo << grow, hi << grow
+        t = 1 << w
+        lo = lo * _fixed_pow(t + (-t // q**n), m, w, 0) >> w
+        hi = hi * _fixed_pow(t - t // q**n, m, w, t - 1) + t - 1 >> w
+        yield lo, hi, w
 
 
 class MertensValue(NamedTuple):
@@ -430,6 +467,13 @@ class MertensValue(NamedTuple):
 # Integers below 2^14281 have at most 4300 decimal digits (Python's default
 # int-to-str limit); the margin absorbs an off-by-one in the bit estimate.
 PRINTABLE_EXACT_BITS = 14280
+
+
+def exact_prints(q: int, e: int) -> bool:
+    """Whether A / q^e, A of about e log2 q bits, prints within
+    PRINTABLE_EXACT_BITS; e is tested first, so no float overflows."""
+    return (e <= PRINTABLE_EXACT_BITS
+            and e * math.log2(q) < PRINTABLE_EXACT_BITS)
 
 
 def mertens_rows(q: int, max_n: int,
@@ -462,12 +506,9 @@ def mertens_rows(q: int, max_n: int,
             s += term
             exponent_sum += n * m
             exact = None
-            # A in P(n) = A / q^E has about E log2 q bits; log2 q >= 1, so
-            # E is tested first and no product past float64 is formed
-            if (exponent_sum <= PRINTABLE_EXACT_BITS and int(
-                    exponent_sum * math.log2(q)) + 1 <= PRINTABLE_EXACT_BITS):
+            if exact_prints(q, exponent_sum):
                 num, e = next(parts)
-                exact = Fraction(_LowestTerms(num, q**e))
+                exact = Fraction(num, q**e)
             norm = iv.exp(iv.euler + iv.log(iv.mpf(n)) + s)
             rows.append(MertensValue(q, n, exact,
                                      BracketedValue.from_iv(norm)))

@@ -2,23 +2,24 @@
 
 A set S of non-unit monic polynomials is primitive when no member divides
 another.  Everything here is exact: primitivity certificates come with an
-explicit dividing pair on failure, and densities and Erdos sums are
-rationals.
+explicit dividing pair on failure, densities and Erdos sums are
+rationals, and the weighted density bound has an integer bracket.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from collections import defaultdict
 from fractions import Fraction
-from itertools import chain, combinations, pairwise
+from itertools import accumulate, chain, combinations, pairwise
 from typing import NamedTuple
 
 import numpy as np
 
-from .counting import _LowestTerms, mertens_parts, monic_cumulative
+from .brackets import BracketedValue
+from .counting import (exact_prints, mertens_brackets, mertens_parts,
+                       monic_cumulative)
 from .errors import UsageError
 from .fieldpoly import (_check_prime, format_index, index_degree,
                         index_divrem, is_prime, parse_index)
@@ -517,96 +518,57 @@ def density_profile(ps: PolySet) -> tuple[DensityRow, ...]:
     return tuple(rows)
 
 
-_LOG10_2 = 0x4D104D427DE7FBCC47C4ACD6    # floor(log10(2) 2^96)
-
-
-def _decimal_digits(n: int) -> int:
-    """len(str(n)) for n >= 0, which str() refuses past 4300 digits, from
-    n's top 64 bits; only an n within a factor 1 + 2^-28 of a power of
-    ten goes on to _decimal_digits_by_powers.
-
-    With s = max(0, n.bit_length() - 64) and t = n >> s, n lies in
-    [t 2^s, (t + 1) 2^s), so log10 n lies in [v, v + w) with v = log10 t
-    + s log10 2 and w = log10(1 + 1/t) <= 1 / (t ln 10) < 2^-63 (if s > 0,
-    t >= 2^63; if s = 0, n = t and w = 0).  In units of 2^-96:
-    - f = int(math.log10(t) 2^96) is within 1 + 2^42 + 2^63 of log10(t)
-      2^96: float(t) is within a relative 2^-53 of t, which moves log10
-      by under 2^-54, and log10 t < 19.3, where an ulp is 2^-48, for any
-      math library whose log10 is within 2^15 ulps; with w 2^96 < 2^33
-      that is under 2^64;
-    - _LOG10_2 <= log10(2) 2^96 < _LOG10_2 + 1, so s log10(2) 2^96 lies in
-      [s _LOG10_2, s (_LOG10_2 + 1)].
-    So log10(n) 2^96 lies in (lo, hi) with lo = f - 2^64 + s _LOG10_2 and
-    hi = f + 2^64 + s (_LOG10_2 + 1).  When lo >> 96 and hi >> 96 agree
-    on k, so does log10 n, and n has k + 1 digits.  Otherwise log10 n is
-    within (hi - lo) 2^-96 = 2^-31 + s 2^-96 of an integer, and n within a
-    factor 10^(2^-30) < 1 + 2^-28 of a power of ten while s < 2^60.
-    """
-    if n < 10:
-        return 1
-    s = max(0, n.bit_length() - 64)
-    f = int(math.ldexp(math.log10(n >> s), 96))
-    lo = f - (1 << 64) + s * _LOG10_2
-    hi = f + (1 << 64) + s * (_LOG10_2 + 1)
-    if lo >> 96 == hi >> 96:
-        return (lo >> 96) + 1
-    return _decimal_digits_by_powers(n)
-
-
-def _decimal_digits_by_powers(n: int) -> int:
-    """len(str(n)) for n >= 0, by exact comparison with powers of ten."""
-    k = max(1, int((n.bit_length() - 1) * math.log10(2)))
-    # one power of ten, 10^k, scaled by 10 per step of either loop
-    power = 10**k
-    while power <= n:
-        k += 1
-        power *= 10
-    while k > 1 and power // 10 > n:
-        k -= 1
-        power //= 10
-    return k
-
-
 class DensityBoundReport(NamedTuple):
     """Outcome of the weighted density inequality
     sum_{a in S} (1/||a||) prod_{deg p <= D(a)} (1 - 1/||p||)  <=  1,
-    D(a) the largest irreducible-factor degree of a."""
+    D(a) the largest irreducible-factor degree of a.
+
+    lhs brackets the left side, exact is it in lowest terms while that
+    prints, else None, and ok is the verdict."""
 
     q: int
     size: int
-    lhs: Fraction
+    lhs: BracketedValue
+    exact: Fraction | None
     by_level: tuple[tuple[int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs <= 1
+    ok: bool
 
     def to_json(self) -> dict:
-        num = self.lhs.numerator
-        digits = _decimal_digits(num)
-        return {"q": self.q, "size": self.size,
-                "lhs_float": float(self.lhs),
-                "lhs": f"{num % 10**30}... (len {digits})" if digits > 40
-                else f"{num}/{self.lhs.denominator}",
-                "by_level": [[m, c] for m, c in self.by_level],
-                "ok": self.ok}
+        out = {"q": self.q, "size": self.size,
+               "lhs_float": float(self.lhs.lo), "lhs": self.lhs.to_json(),
+               "by_level": [[m, c] for m, c in self.by_level],
+               "ok": self.ok}
+        if self.exact is not None:
+            out["lhs_exact"] = (f"{self.exact.numerator}/"
+                                f"{self.exact.denominator}")
+        return out
 
 
 def verify_erdos_density_inequality(ps: PolySet) -> DensityBoundReport:
-    """Exact check that any primitive set satisfies the weighted bound <= 1.
+    """Check the weighted bound <= 1 by a certified bracket on its left side.
 
-    D is read off one multiples pass up to the top member degree into one
-    byte per index, as the pass checks: every product of a degree-d
-    irreducible sets its slot to d, and d ascends.
-    Members are bucketed by (degree, D(a)); with P(m) = A_m / q^{E_m},
-    read off one running product up to the top level, the whole left side
-    is a single integer comparison against q^{max exponent}.
+    D is read off one multiples pass to the top member degree H, as the
+    pass checks: every product of a degree-d irreducible sets its byte to
+    d, and d ascends.  With members bucketed by (degree da, D(a) = m), the
+    left side lies in sum cnt q^(H - da) [lo_m, hi_m] / (q^H 2^w), from
+    mertens_brackets; the verdict is hi <= 1 or lo > 1.  The exact sum
+    A / q^E, A of ~q^D bits, is formed only while it prints or when the
+    bracket holds 1, and then decides as the integer comparison A <= q^E.
+
+    For a primitive set that never happens.  The sets M_a = {a c : c prime
+    to every p with deg p <= D(a)}, of density q^-deg a P(D(a)), are
+    disjoint (if a c = b c' and D(a) <= D(b), a's factors are those of b
+    of degree <= D(a), so a | b), and miss the polynomials with no factor
+    of degree <= D = max D(a), of density P(D).  So lhs <= 1 - P(D), and
+    the bracket is narrower than 73 H D 2^-DEFAULT_PRECISION_BITS.
     """
-    if not len(ps):
-        return DensityBoundReport(ps.q, 0, Fraction(0), ())
     q = ps.q
-    passes = multiples_pass(q, ps.max_degree)
-    levels = np.zeros(2 * q**ps.max_degree, dtype=np.int8)
+    if not len(ps):
+        return DensityBoundReport(q, 0, BracketedValue(0, 0), Fraction(0),
+                                  (), True)
+    top = ps.max_degree
+    passes = multiples_pass(q, top)
+    levels = np.zeros(2 * q**top, dtype=np.int8)
     for d, products in passes:
         levels[products] = d
     # member counts per (degree da, D(a) = m), and per level m
@@ -623,37 +585,29 @@ def verify_erdos_density_inequality(ps: PolySet) -> DensityBoundReport:
                 buckets.append((da, m, cnt))
                 per_level[m] += cnt
     by_level = tuple(sorted(per_level.items()))
-    wanted = set(per_level)
     # no level passes the top degree: asking its pi' first keeps the
-    # table of counts that mertens_parts grows from passing it
-    pi_prime(q, ps.max_degree)
-    parts = {m: part for m, part in zip(range(1, max(wanted) + 1),
-                                        mertens_parts(q)) if m in wanted}
-    max_exp = max(parts[m][1] + da for da, m, _ in buckets)
-    num = 0
-    for da, m, cnt in buckets:
-        a_m, e_m = parts[m]
-        if q == 2:
-            num += (cnt * a_m) << (max_exp - e_m - da)
-        else:
-            num += cnt * a_m * q**(max_exp - e_m - da)
-    num, exp = _cancel_powers(num, q, max_exp)
-    lhs = Fraction(_LowestTerms(num, q**exp))
-    return DensityBoundReport(q, len(ps), lhs, by_level)
-
-
-def _cancel_powers(num: int, q: int, exp: int) -> tuple[int, int]:
-    """(num / q^k, exp - k) for the largest k <= exp with q^k | num.
-
-    With q prime, num / q^exp is then in lowest terms, found without the
-    general gcd a Fraction of two ~500k-bit integers would run."""
-    if q == 2:
-        k = min((num & -num).bit_length() - 1, exp) if num else exp
-        return num >> k, exp - k
-    while exp and num % q == 0:
-        num //= q
-        exp -= 1
-    return num, exp
+    # table of counts the walks below grow from passing it
+    pi_prime(q, top)
+    top_level = by_level[-1][0]
+    brackets = dict(zip(range(1, top_level + 1), mertens_brackets(q)))
+    w = brackets[top_level][2]
+    lo, hi = (sum(cnt * q**(top - da) * brackets[m][end] << w - brackets[m][2]
+                  for da, m, cnt in buckets) for end in (0, 1))
+    scale = q**top << w
+    lhs = BracketedValue(Fraction(lo, scale), Fraction(hi, scale))
+    ok, exact = lhs.hi <= 1, None
+    exponents = list(accumulate(d * pi_prime(q, d)
+                                for d in range(1, top_level + 1)))
+    max_exp = max(exponents[m - 1] + da for da, m, _ in buckets)
+    prints = exact_prints(q, max_exp)
+    if prints or lhs.lo <= 1 < lhs.hi:
+        parts = dict(zip(range(1, top_level + 1), mertens_parts(q)))
+        num = sum(cnt * parts[m][0] * q**(max_exp - parts[m][1] - da)
+                  for da, m, cnt in buckets)
+        ok = num <= q**max_exp
+        if prints:
+            exact = Fraction(num, q**max_exp)
+    return DensityBoundReport(q, len(ps), lhs, exact, by_level, ok)
 
 
 # ----------------------------------------------------------------------

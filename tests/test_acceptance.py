@@ -218,7 +218,7 @@ def test_criterion_07_density_zoo(sieve2, bes18, mp40):
         assert len(sets) == 105
         for ps in sets:
             report = verify_erdos_density_inequality(ps)
-            assert report.ok and report.lhs <= 1
+            assert report.ok and report.lhs.hi <= 1
 
 
 # ----------------------------------------------------------------------

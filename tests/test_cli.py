@@ -482,16 +482,19 @@ def test_a_command_loads_only_the_code_it_runs(argv):
 def test_set_reading_leaves_numpy_ma_unloaded(tmp_path, command):
     """np.unique loads numpy.ma for its masked-array check; the set reader
     takes the distinct line lengths of each bulk chunk, and PolySet sorts
-    unsorted members, without it."""
+    unsorted members, without it.  Neither command loads mpmath: the
+    density bound is bracketed in integers."""
     path = write_poly_file(tmp_path / "s.txt", 2, 10, range(2**10, 2**11))
     probe = ("import json, sys\n"
              "from primfield.cli import main\n"
              "from primfield.primitive import PolySet\n"
              "code = main(sys.argv[1:])\n"
              "PolySet(2, 4, [7, 3, 7])\n"
-             "print(json.dumps([code, 'numpy.ma' in sys.modules]))\n")
+             "print(json.dumps([code, 'numpy.ma' in sys.modules,\n"
+             "                  'mpmath' in sys.modules]))\n")
     done = fresh_process("-c", probe, *command, "--in", str(path))
-    assert json.loads(done.stdout.splitlines()[-1]) == [0, False], done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, False, False], \
+        done.stderr
 
 
 def test_the_limit_is_restored_on_every_path(capsys):
@@ -804,6 +807,11 @@ def test_verify_erdos_density_cli(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["primitive"] and payload["ok"]
+    # x, x + 1 and x^2 + x + 1: 1/4 + 3/64 exactly, a dyadic value that
+    # its bracket holds exactly too
+    assert payload["lhs_exact"] == "19/64"
+    assert payload["lhs"] == {"lo": "0.296875" + "0" * 30,
+                              "hi": "0.296875" + "0" * 30}
     bad = write_poly_file(tmp_path / "bad.txt", 2, 2, [2, 6])
     code, out, err = run(["verify", "erdos-density", "--in", str(bad)], capsys)
     assert code == 2
@@ -811,13 +819,16 @@ def test_verify_erdos_density_cli(capsys, tmp_path):
     assert payload["primitive"] is False
     assert payload["counterexample"]["divisor"] == "q=2;0,1"
     assert "not primitive" in err
-    # a degree-13 irreducible: the exact left side has 4882 digits
+    # a degree-13 irreducible: the exact left side would have 4882 digits,
+    # so the report carries its bracket alone
     p = int(wheel_slice(2, 13)[0])
     big = write_poly_file(tmp_path / "big.txt", 2, 13, [p])
     code, out, err = run(["verify", "erdos-density", "--in", str(big)], capsys)
     assert code == 0 and err == ""
     payload = json.loads(out)
-    assert payload["ok"] and payload["lhs"].endswith("... (len 4882)")
+    assert payload["ok"] and "lhs_exact" not in payload
+    lo, hi = (Fraction(payload["lhs"][end]) for end in ("lo", "hi"))
+    assert 0 < hi - lo <= Fraction(2, 10**36)
 
 
 # A failed verdict: its report is written in full, then main prints the

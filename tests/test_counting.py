@@ -9,7 +9,7 @@ import mpmath
 import pytest
 from mpmath import iv
 
-from primfield import counting
+from primfield import DEFAULT_PRECISION_BITS, counting
 from primfield.brackets import BracketedValue, iv_from_fraction, precision
 from primfield.counting import (PRINTABLE_EXACT_BITS, _g_series_iv,
                                 _table_rows, build_count_table,
@@ -375,6 +375,19 @@ def test_mertens_exact_matches_direct_product():
     # and through the running numerator the density check reads
     for n, (num, e) in zip(range(1, 9), counting.mertens_parts(3)):
         assert Fraction(num, 3**e) == mertens_exact(3, n)
+
+
+def test_mertens_brackets_hold_the_exact_products():
+    """lo <= 2^w P(n) <= hi, checked against mertens_parts' A / q^E by
+    cross-multiplication, within the docstring's width 73 n 2^(w - p)."""
+    for q, last in ((2, 16), (3, 10), (5, 7), (7, 6)):
+        pairs = zip(range(1, last + 1), counting.mertens_brackets(q),
+                    counting.mertens_parts(q))
+        for n, (lo, hi, w), (num, e) in pairs:
+            assert lo * q**e <= num << w <= hi * q**e, (q, n)
+            assert hi - lo < 73 * n << w - DEFAULT_PRECISION_BITS, (q, n)
+            assert w == DEFAULT_PRECISION_BITS + max(
+                pi_prime(q, d) for d in range(1, n + 1)).bit_length()
 
 
 def test_mertens_exact_bit_budget():

@@ -3,7 +3,6 @@
 import io
 import math
 import random
-import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -12,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primfield import irreducibles, primitive, sieve
+from primfield import counting, irreducibles, primitive, sieve
+from primfield.brackets import BracketedValue
+from primfield.constructions import besicovitch_construct
 from primfield.counting import monic_cumulative
 from primfield.errors import UsageError, VerificationError
 from primfield.fieldpoly import format_index, index_degree, parse_index
@@ -814,8 +815,11 @@ def test_density_profile_manual():
 
 
 def test_density_inequality_matches_direct_oracle(sieve2, sieve3, sieve5):
-    """q = 2 sums its buckets by shifts, odd q by powers of q; the
-    seeded sets are spread over 4 to 12 levels D(a)."""
+    """The bracket holds the direct sum, one Factorization and one
+    mertens_exact per member, and the verdict is the exact one; where the
+    exact value prints it is the direct sum in lowest terms.  The seeded
+    sets are spread over 4 to 12 levels D(a)."""
+    printed = set()
     for q, horizon, sieve in ((2, 14, sieve2), (3, 7, sieve3),
                               (5, 5, sieve5)):
         degree_one = PolySet(q, horizon, tuple(range(q, 2 * q)))  # (q-1)/q
@@ -828,87 +832,88 @@ def test_density_inequality_matches_direct_oracle(sieve2, sieve3, sieve5):
             for i in ps.indices.tolist():
                 m = Factorization.of(sieve, i).max_factor_degree
                 direct += mertens_exact(q, m) / q**index_degree(q, i)
-            # the cancelled form is in lowest terms
-            assert (report.lhs.numerator, report.lhs.denominator) == \
-                (direct.numerator, direct.denominator)
+            assert report.lhs.lo <= direct <= report.lhs.hi
             assert report.ok and direct <= 1
             assert report.size == len(ps)
+            if report.exact is not None:
+                assert report.to_json()["lhs_exact"] == \
+                    f"{direct.numerator}/{direct.denominator}"
+            else:
+                assert "lhs_exact" not in report.to_json()
+            printed.add(report.exact is not None)
             spans.append(len(report.by_level))
         assert min(spans[1:]) >= 4 and max(spans) >= min(10, horizon), spans
+    assert printed == {True, False}
+
+
+def test_primitive_sets_stay_below_one_less_the_rough_density(sieve2):
+    """The lemma of verify_erdos_density_inequality: on a primitive set
+    the left side, and so the bracket's upper end, is at most 1 - P(D),
+    D the top level, so the bracket never holds 1."""
+    sets = [PolySet(q, 3, tuple(range(q, 2 * q))) for q in (2, 3, 5)]
+    sets += [random_primitive_set(q, horizon, seed, per_degree=5)
+             for q, horizon in ((2, 14), (3, 7), (5, 5)) for seed in range(8)]
+    sets.append(PolySet(2, 10, tuple(int(i) for d in range(1, 11)
+                                     for i in sieve_irreducibles(sieve2, d))))
+    sets.append(PolySet(2, 12, tuple(range(2**12, 2**13))))
+    sets.append(PolySet(2, 13, (int(sieve_irreducibles(sieve2, 13)[0]),)))
+    sets.append(besicovitch_construct(2, Fraction(1, 4), 12).members)
+    rough = {}
+    for ps in sets:
+        assert is_primitive(ps)[0]
+        report = verify_erdos_density_inequality(ps)
+        top = (ps.q, report.by_level[-1][0])
+        if top not in rough:
+            rough[top] = mertens_exact(*top)
+        assert report.lhs.hi <= 1 - rough[top], top
+
+
+def test_a_straddling_bracket_is_decided_exactly(monkeypatch):
+    """With every P(m) bracketed as [0, 2], the left side's bracket holds
+    1, and the verdict is the exact comparison: true for {x, x + 1}, whose
+    exact value 1/4 still prints, false for every polynomial of degree 1
+    to 14, whose exact value is too long to print."""
+    def wide(q):
+        for _, _, w in counting.mertens_brackets(q):
+            yield 0, 2 << w, w
+    monkeypatch.setattr(primitive, "mertens_brackets", wide)
+    small = verify_erdos_density_inequality(PolySet(2, 1, (2, 3)))
+    assert small.lhs == BracketedValue(0, 2)
+    assert small.ok and small.exact == Fraction(1, 4)
+    every = verify_erdos_density_inequality(PolySet(2, 14, range(2, 2**15)))
+    assert every.lhs.lo == 0 and every.lhs.hi > 1
+    assert not every.ok and every.exact is None
 
 
 @pytest.mark.parametrize("degree", [12, 13])
-def test_density_report_summarizes_huge_numerators(sieve2, degree):
-    # one irreducible of degree 13 gives a 16,218-bit numerator, past the
-    # 4300-digit limit of int -> str conversion
+def test_density_report_forms_the_exact_sum_only_while_it_prints(
+        sieve2, monkeypatch, degree):
+    """One irreducible of degree 12 has an exact left side with an
+    8,028-bit numerator, which prints; one of degree 13, with a 16,218-bit
+    numerator, is past
+    printing, so no exact sum is formed and the report carries the
+    bracket alone."""
     p = int(sieve_irreducibles(sieve2, degree)[0])
+    formed = []
+    real = primitive.mertens_parts
+    monkeypatch.setattr(primitive, "mertens_parts",
+                        lambda q: formed.append(q) or real(q))
     report = verify_erdos_density_inequality(PolySet(2, degree, (p,)))
-    num = report.lhs.numerator
-    old_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        want = f"{num % 10**30}... (len {len(str(num))})"
-    finally:
-        sys.set_int_max_str_digits(old_limit)
-    assert report.to_json()["lhs"] == want
-    assert report.ok and report.to_json()["by_level"] == [[degree, 1]]
-
-
-@pytest.fixture
-def unlimited_str_digits():
-    old_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    yield
-    sys.set_int_max_str_digits(old_limit)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 17, 40, 4299, 4300, 4301, 9000])
-def test_decimal_digits_at_powers_of_ten(k, unlimited_str_digits):
-    for n in (10**k - 1, 10**k, 10**k + 1):
-        assert primitive._decimal_digits(n) == len(str(n)), (k, n)
-        assert primitive._decimal_digits_by_powers(n) == len(str(n)), (k, n)
-    assert [primitive._decimal_digits(n) for n in range(12)] == [1] * 10 + [2] * 2
-
-
-def test_decimal_digits_read_the_top_bits(monkeypatch, unlimited_str_digits):
-    """Integers of random sizes to 60,000 bits: those of 64 bits and more
-    are each decided without a power of ten, the margin missing them."""
-    rng = random.Random(2024)
-    slow = []
-    real = primitive._decimal_digits_by_powers
-    monkeypatch.setattr(primitive, "_decimal_digits_by_powers",
-                        lambda n: slow.append(n) or real(n))
-    for _ in range(400):
-        n = rng.getrandbits(rng.randint(1, 60000))
-        assert primitive._decimal_digits(n) == len(str(n)), n
-    assert all(n < 2**64 for n in slow), slow
-
-
-def test_decimal_digits_next_to_a_large_power_of_ten(monkeypatch):
-    """bes.txt's numerator has 157,483 digits; 10^157482 and one either
-    side of it lie inside the margin and are counted by powers of ten."""
-    n = 10**157482
-    real = primitive._decimal_digits_by_powers
-    want = [real(m) for m in (n - 1, n, n + 1)]
-    assert want == [157482, 157483, 157483]
-    slow = []
-    monkeypatch.setattr(primitive, "_decimal_digits_by_powers",
-                        lambda m: slow.append(m) or real(m))
-    assert [primitive._decimal_digits(m) for m in (n - 1, n, n + 1)] == want
-    assert slow == [n - 1, n, n + 1]
-
-
-def test_log10_2_enclosure():
-    from decimal import Context
-    ctx = Context(prec=60)
-    scaled = ctx.multiply(ctx.log10(2), 2**96)
-    assert primitive._LOG10_2 == int(scaled) != scaled
+    want = mertens_exact(2, degree) / 2**degree
+    assert report.ok and report.exact == (want if degree == 12 else None)
+    assert formed == ([2] if degree == 12 else [])
+    out = report.to_json()
+    assert out["by_level"] == [[degree, 1]]
+    assert ("lhs_exact" in out) == (degree == 12)
+    assert Fraction(out["lhs"]["lo"]) <= want <= Fraction(out["lhs"]["hi"])
+    assert out["lhs_float"] == float(want)
 
 
 def test_density_inequality_can_fail_off_antichains():
     members = tuple(range(2, 2**9))
     report = verify_erdos_density_inequality(PolySet(2, 8, members))
-    assert not report.ok and report.lhs > 1
+    assert not report.ok and report.lhs.lo > 1
+    assert report.exact > 1
 
 
 # ----------------------------------------------------------------------
