@@ -6,8 +6,8 @@ carry certified outward-rounded brackets; constructions ship with
 machine-checkable certificates.
 
 Each exported name is imported from its module on first use (PEP 562), so
-`import primfield` loads neither numpy nor mpmath, and a caller of the
-exact counts never does.
+`import primfield` loads no numpy, and a caller of the exact counts
+never does.
 """
 
 from importlib import import_module
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 DEFAULT_PRECISION_BITS = 128
 
 _EXPORTS = {
-    "brackets": ("BracketedValue", "precision"),
+    "brackets": ("BracketedValue",),
     "constructions": ("GrowthFunction", "MPConstruction",
                       "SparseConstruction", "TSequence",
                       "besicovitch_construct", "build_t_sequence",

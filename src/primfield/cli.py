@@ -684,10 +684,10 @@ def build_parser() -> _Parser:
 
 
 def _load_library() -> None:
-    """Import every library module, numpy, mpmath and the standard modules
-    the handlers import.  Under a budget this runs before either limit is
+    """Import every library module, numpy and the standard modules the
+    handlers import.  Under a budget this runs before either limit is
     armed, so the budgets meter the subcommand's work, not its loading."""
-    for module in ("csv", "fractions", "io", "json", "mpmath", "numpy"):
+    for module in ("csv", "fractions", "io", "json", "numpy"):
         __import__(module)
     import primfield
     for name in primfield.__all__:

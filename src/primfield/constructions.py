@@ -10,9 +10,10 @@ of irreducibles along a slowly growing rank schedule r_k = floor(k L(k)),
 certifies that the Erdos-style weight of the ranks beyond some k_0 is
 below 1/2, and assembles the sets
 S_k = { t_k g : g squarefree, omega(g) = k - 1, no t_j divides g, j <= k }
-whose union is primitive with k running from k_0 upward.  mpmath is
-imported by the growth and t-sequence code that brackets with it, so the
-slice construction runs without it.
+whose union is primitive with k running from k_0 upward.  The growth
+and t-sequence code brackets its reals with brackets.IntervalContext at
+an explicit precision, handed down to every step that rounds; the
+t-sequence code imports it, so the slice construction does not load it.
 """
 
 from __future__ import annotations
@@ -22,13 +23,11 @@ import re
 from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import DEFAULT_PRECISION_BITS
-from .brackets import (BracketedValue, iv_from_fraction, iv_pointwise_max,
-                       precision)
 from .counting import monic_cumulative, strike_counts
 from .errors import BudgetError, PrecisionError, UsageError
 from .fieldpoly import _check_prime, index_degree
@@ -36,6 +35,10 @@ from .irreducibles import kth_irreducible_degree, pi_cumulative, pi_prime
 from .primitive import PolySet, is_primitive
 from .sieve import (_check_indexable, irreducibles_at, monic_multiples,
                     multiples_pass)
+
+if TYPE_CHECKING:    # loaded by the functions that form brackets
+    from .brackets import Interval, IntervalContext
+
 
 # ----------------------------------------------------------------------
 # Growth schedules L(x)
@@ -112,25 +115,24 @@ class GrowthFunction:
             return f"log:eps={self.eps}"
         return f"iterlog:j={self.j},eps={self.eps}"
 
-    def value_iv(self, x: int):
+    def value_iv(self, iv: IntervalContext, x: int) -> Interval:
         """Certified interval for L(x), x a positive integer."""
-        from mpmath import iv
         if x < 1:
             raise UsageError("growth argument must be >= 1")
-        e = iv.exp(iv.mpf(1))
-        v = iv.log(x + e)
+        e = iv.e
+        v = iv.log(iv.add(x, e))
         if self.kind == "log":
-            return v**iv_from_fraction(1 + self.eps)
-        prod = iv.mpf(1)
+            return iv.pow(v, iv.fraction(1 + self.eps))
+        prod = iv.of(1)
         for m in range(2, self.j + 1):
-            if v.b <= e.a:
+            if v.bracket().hi <= e.bracket().lo:
                 # fully clamped: log(max(v, e)) = log e = 1 exactly
-                v = iv.mpf(1)
+                v = iv.of(1)
             else:
-                v = iv.log(iv_pointwise_max(v, e))
+                v = iv.log(v.max(e))
             if m < self.j:
-                prod *= v
-        return prod * v**iv_from_fraction(1 + self.eps)
+                prod = iv.mul(prod, v)
+        return iv.mul(prod, iv.pow(v, iv.fraction(1 + self.eps)))
 
     def value_float(self, x: np.ndarray) -> np.ndarray:
         """Fast float64 evaluation matching value_iv (for floor screening)."""
@@ -144,7 +146,8 @@ class GrowthFunction:
                 prod = prod * v
         return prod * v**float(1 + self.eps)
 
-    def tail_integral_upper(self, K: int) -> Fraction | None:
+    def tail_integral_upper(self, iv: IntervalContext,
+                            K: int) -> Fraction | None:
         """Rational upper bound for int_K^inf dt / (t log^2 t L(t)).
 
         kind "log": the integrand is below 1/(t (log t)^(3+eps)), giving
@@ -155,20 +158,17 @@ class GrowthFunction:
         None while an iterated log of K is at most 1: the cutoff is then
         too small for this bound.
         """
-        from mpmath import iv
         if self.kind == "log":
-            lk = iv.log(iv.mpf(K))
-            out = 1 / (iv_from_fraction(2 + self.eps)
-                       * lk**iv_from_fraction(2 + self.eps))
-            return BracketedValue.from_iv(out).hi
-        v = iv.log(iv.mpf(K))
+            lk = iv.log(K)
+            power = iv.fraction(2 + self.eps)
+            return iv.div(1, iv.mul(power, iv.pow(lk, power))).bracket().hi
+        v = iv.log(K)
         for _ in range(2, self.j + 1):
-            low = BracketedValue.from_iv(v).lo
-            if low <= 1:
+            if v.bracket().lo <= 1:
                 return None
             v = iv.log(v)
-        out = 1 / (iv_from_fraction(self.eps) * v**iv_from_fraction(self.eps))
-        return BracketedValue.from_iv(out).hi
+        power = iv.fraction(self.eps)
+        return iv.div(1, iv.mul(power, iv.pow(v, power))).bracket().hi
 
 
 # ----------------------------------------------------------------------
@@ -220,10 +220,11 @@ class TSequence(NamedTuple):
 def _rank_floor_iv(growth: GrowthFunction, k: int,
                    precision_bits: int) -> int:
     """floor(k L(k)) with the bracket pinched until the floor is certain."""
+    from .brackets import IntervalContext
     bits = precision_bits
     while bits <= 4096:
-        with precision(bits):
-            b = BracketedValue.from_iv(k * growth.value_iv(k))
+        iv = IntervalContext(bits)
+        b = iv.mul(k, growth.value_iv(iv, k)).bracket()
         lo, hi = math.floor(b.lo), math.floor(b.hi)
         if lo == hi:
             return lo
@@ -267,31 +268,30 @@ def build_t_sequence(q: int, growth: GrowthFunction,
     growth schedule finishes the tail.  K doubles until both the
     precondition and tail < 1/2 hold, up to MAX_EXACT_TERMS.
     """
-    from mpmath import iv
     _check_prime(q)
     if materialize < 1:
         raise UsageError("materialize must be >= 1")
     c = irreducible_density_constant(q)
     K = min(2**12, MAX_EXACT_TERMS)
-    with precision(precision_bits):
-        while True:
-            l_next = BracketedValue.from_iv(growth.value_iv(K + 1)).lo
-            theta = 1 - 1 / ((K + 1) * l_next)
-            ok_pre = theta > 0 and theta * l_next >= c
-            tail = None
-            integral = growth.tail_integral_upper(K) if ok_pre else None
-            if integral is not None:
-                pre = BracketedValue.from_iv(
-                    iv_from_fraction(c) * iv.log(iv.mpf(q))**2
-                    / iv_from_fraction(theta)).hi
-                tail = pre * integral
-            if tail is not None and tail < Fraction(1, 2):
-                break
-            if K >= MAX_EXACT_TERMS:
-                raise BudgetError(
-                    f"tail bound not below 1/2 within {MAX_EXACT_TERMS} terms"
-                    f" for growth {growth.format()} at q={q}")
-            K = min(2 * K, MAX_EXACT_TERMS)
+    from .brackets import IntervalContext
+    iv = IntervalContext(precision_bits)
+    while True:
+        l_next = growth.value_iv(iv, K + 1).bracket().lo
+        theta = 1 - 1 / ((K + 1) * l_next)
+        ok_pre = theta > 0 and theta * l_next >= c
+        tail = None
+        integral = growth.tail_integral_upper(iv, K) if ok_pre else None
+        if integral is not None:
+            pre = iv.div(iv.mul(iv.fraction(c), iv.pow(iv.log(q), 2)),
+                         iv.fraction(theta)).bracket().hi
+            tail = pre * integral
+        if tail is not None and tail < Fraction(1, 2):
+            break
+        if K >= MAX_EXACT_TERMS:
+            raise BudgetError(
+                f"tail bound not below 1/2 within {MAX_EXACT_TERMS} terms"
+                f" for growth {growth.format()} at q={q}")
+        K = min(2 * K, MAX_EXACT_TERMS)
     ranks = _rank_schedule(growth, K, precision_bits)
     diffs = np.diff(ranks)
     assert (diffs > 0).all(), "rank schedule must be strictly increasing"

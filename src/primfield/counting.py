@@ -11,10 +11,11 @@ uniform upper bound and the factor-count recurrence.  Every reader of
 the table, those verifiers and the mp construction's strikes included,
 takes its rows from one packed build, _table_rows, which runs each
 degree's pass only over the rows it can change, in slots that
-_slot_bytes alone sizes and no other module reads.  The exact counts,
-the uniform bound's check, whose log weight is bounded in fixed-point
-integers, and the Mertens product's integer bracket run without mpmath;
-the other functions that bracket analytic quantities import it.
+_slot_bytes alone sizes and no other module reads.  The exact counts
+and the Mertens product's integer bracket are plain integer arithmetic;
+every other certified real, the uniform bound's log weight included, is
+an interval of brackets.IntervalContext at an explicit precision, which
+the functions that form one import, so the exact counts never load it.
 """
 
 from __future__ import annotations
@@ -22,14 +23,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import count, islice
-from typing import Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
 from . import DEFAULT_PRECISION_BITS
-from .brackets import (BracketedValue, check_precision, iv_from_fraction,
-                       precision)
 from .errors import PrecisionError, UsageError
 from .fieldpoly import _check_prime
 from .irreducibles import pi_prime
+
+if TYPE_CHECKING:    # loaded by the functions that form brackets
+    from .brackets import BracketedValue, Interval, IntervalContext
 
 
 def monic_cumulative(q: int, n: int) -> int:
@@ -159,10 +161,18 @@ def _table_rows(q: int, N: int, excl: tuple[tuple[int, int], ...] = (),
 def strike_counts(q: int, N: int, degrees) -> tuple[tuple[int, ...], ...]:
     """counts[k-1][n], 0 <= n <= N: squarefree monic g of degree n - deg t_k
     with k - 1 irreducible factors, none of them t_1 .. t_k, irreducibles
-    of the given degrees.  Packed row n of the field (_table_rows) is the
-    coefficient of x^n in prod_p (1 + u x^deg p), and striking t_k divides
-    it by 1 + u x^deg t_k, exactly, in one ascending pass.
+    of the given nondecreasing degrees.  Packed row n of the field
+    (_table_rows) is the coefficient of x^n in prod_p (1 + u x^deg p), and
+    striking t_k divides it by 1 + u x^deg t_k, exactly, in one ascending
+    pass.
+
+    The strikes stop at the first S_k that is zero through N, and every
+    later S_k is zero through N too: a member t_(k+1) g of S_(k+1) at degree
+    n <= N, less one factor h of g, gives the member t_k (g/h) of S_k at
+    degree n - deg h + deg t_k - deg t_(k+1) < n, since deg t_k <= deg t_(k+1).
     """
+    degrees = tuple(degrees)
+    assert all(a <= b for a, b in zip(degrees, degrees[1:])), degrees
     packed = [row for row, _ in _table_rows(q, N)]
     nbytes = _slot_bytes(q, N)
     width, mask = 8 * nbytes, (1 << 8 * nbytes) - 1
@@ -173,6 +183,9 @@ def strike_counts(q: int, N: int, degrees) -> tuple[tuple[int, ...], ...]:
             assert packed[n] >= 0, (k, n)
         counts.append(tuple(packed[n - dk] >> width * (k - 1) & mask
                             if n >= dk + k - 1 else 0 for n in range(N + 1)))
+        if not any(counts[-1]):
+            break
+    counts += [(0,) * (N + 1)] * (len(degrees) - len(counts))
     return tuple(counts)
 
 
@@ -207,87 +220,30 @@ class InequalityReport(NamedTuple):
         }
 
 
-# bits past the target precision at which each log n is first summed
-_LOG_GUARD_BITS = 32
-
-
-def _round_sig(x: int, p: int, up: bool) -> int:
-    """x >= 0 rounded to p significant bits, up or down."""
-    drop = x.bit_length() - p
-    if drop <= 0:
-        return x
-    return (-(-x >> drop) if up else x >> drop) << drop
-
-
-def _log_sums(w: int) -> Iterator[tuple[int, int]]:
-    """(lo, err) with lo <= 2^w log n < lo + err, for n = 1, 2, ... in turn.
-
-    log(n + 1) = log n + 2 atanh(1/a), a = 2n + 1, and 2 atanh(1/a) is the
-    sum over k >= 0 of 2/((2k+1) a^(2k+1)).  Each term is floored in units
-    of 2^-w, t // (2k+1) with t = floor(2^(w+1) / a^(2k+1)) divided down
-    by a^2 in turn (floor(floor(x/b)/c) = floor(x/(bc))), so each loses
-    less than one unit.  The sum stops at the first term that floors to
-    0: it is below one unit, and the terms after it fall by a factor a^2
-    >= 9 each, so the tail is below 9/8.  A step of K terms thus adds less
-    than K + 2 units to the error.
-    """
-    lo = err = 0
-    for n in count(1):
-        yield lo, err
-        a = 2 * n + 1
-        a2 = a * a
-        t = (1 << (w + 1)) // a
-        k = 0
-        while term := t // (2 * k + 1):
-            lo += term
-            t //= a2
-            k += 1
-        err += k + 2
-
-
-def _log_rounded(n: int, p: int, up: bool, w: int, lo: int, err: int) -> int:
-    """log n rounded to p significant bits, up or down, in units of 2^-w
-    (p <= w), from the bracket lo <= 2^w log n < lo + err of _log_sums.
-
-    Rounding is monotone, so when lo and lo + err round to the same value,
-    log n rounds to it as well: that value is the correctly rounded one.
-    When they differ, the bracket is summed again with more guard bits
-    until they agree (Ziv's strategy); log n is irrational for n >= 2, so
-    the loop ends.
-    """
-    wide = w
-    while (r := _round_sig(lo, p, up)) != _round_sig(lo + err, p, up):
-        wide += _LOG_GUARD_BITS
-        lo, err = next(islice(_log_sums(wide), n - 1, None))
-    # log n >= log 2 > 1/2 has a unit of at least 2^-p: the shift is exact
-    return r >> (wide - w)
-
-
-def _log_weights_lower(N: int, p: int) -> Iterator[tuple[int, int]]:
+def _log_weights_lower(iv: IntervalContext,
+                       N: int) -> Iterator[tuple[int, int]]:
     """(num, s), num/2^s in lowest terms, for n = 1..N: the lower end of
-    the p-bit interval evaluation of log n + 2 - log 2,
+    the interval log n + 2 - log 2 at iv's precision p, that is
 
         fl_down(fl_down(fl_down(log n) + 2) - fl_up(log 2)),
 
-    each fl rounding to p significant bits in the stated direction, which
-    is what mpmath's iv context returns at iv.prec = p while iv.mpf(n) is
-    exact, that is while n < 2^p.  It is a certified lower bound, found in
-    integers alone: every log comes from _log_sums at p + 32 bits, rounded
-    by _log_rounded, and the sums and differences of p-bit values are
-    exact multiples of 2^-(p + 32) before they are rounded.
+    each fl rounding to p significant bits in the stated direction and
+    each log correctly rounded.  It is a certified lower bound while
+    every n converts exactly, that is while n < 2^p.
     """
-    check_precision(p)
+    p = iv.prec
     if N >> p:
         raise PrecisionError(f"precision {p} cannot hold table size {N} "
                              "exactly; it needs N < 2^precision")
-    w = p + _LOG_GUARD_BITS
-    log2_up = _log_rounded(2, p, True, w, *next(islice(_log_sums(w), 1, None)))
-    two = 2 << w
-    for n, (lo, err) in zip(range(1, N + 1), _log_sums(w)):
-        x = _round_sig(_log_rounded(n, p, False, w, lo, err) + two, p, False)
-        x = _round_sig(x - log2_up, p, False)
-        tz = min((x & -x).bit_length() - 1, w)
-        yield x >> tz, w - tz
+    log2 = iv.log(2)
+    for n in range(1, N + 1):
+        w = iv.sub(iv.add(iv.log(n), 2), log2)
+        m, e = w.lo, w.exp
+        tz = (m & -m).bit_length() - 1
+        if e + tz >= 0:
+            yield m >> tz << (e + tz), 0
+        else:
+            yield m >> tz, -e - tz
 
 
 def verify_hr_bound(q: int, N: int,
@@ -301,11 +257,15 @@ def verify_hr_bound(q: int, N: int,
     replaced by a certified rational lower bound (the log weight rounded
     down at precision_bits, _log_weights_lower), so every pass is a
     rigorous instance of the inequality; the bound and the comparisons are
-    pure integer arithmetic, with no mpmath.
+    exact integer arithmetic.
     """
+    # brackets is loaded before the build, whose rows would otherwise
+    # lie under the transient memory of its compile
+    from .brackets import IntervalContext
+    iv = IntervalContext(precision_bits)
     rows = _table_rows(q, N)
     next(rows)    # row 0 has no k >= 1; the build's checks run first
-    weights = _log_weights_lower(N, precision_bits)
+    weights = _log_weights_lower(iv, N)
     violations: list[tuple] = []
     min_margin = math.inf
     cells = 0
@@ -373,7 +333,7 @@ def verify_recurrence_bound(q: int, N: int) -> InequalityReport:
 # Truncated Mertens product
 # ----------------------------------------------------------------------
 
-def _term_precision(m: int):
+def _term_precision(iv: IntervalContext, m: int) -> IntervalContext:
     """Working precision for one degree's term m * log(1 - q^-d) and kin.
 
     The log of 1 - q^-d is about -q^-d, so its rounding error relative to
@@ -381,8 +341,7 @@ def _term_precision(m: int):
     up: m.bit_length() extra bits keep the term's absolute error at the
     base precision's size, whatever q is.
     """
-    from mpmath import iv
-    return precision(iv.prec + m.bit_length())
+    return iv.raised(m.bit_length())
 
 
 def mertens_parts(q: int) -> Iterator[tuple[int, int]]:
@@ -489,7 +448,7 @@ def mertens_rows(q: int, max_n: int,
     (q=2 through n=12); the numerator only grows with n, so every later
     row is bracket-only and builds no exact rational.
     """
-    from mpmath import iv
+    from .brackets import IntervalContext
     _check_prime(q)
     if max_n < 1:
         raise UsageError("degree must be >= 1")
@@ -497,21 +456,19 @@ def mertens_rows(q: int, max_n: int,
     pi_prime(q, max_n)      # top degree first: a table grown here ends there
     parts = mertens_parts(q)
     exponent_sum = 0
-    with precision(precision_bits):
-        s = iv.mpf(0)
-        for n in range(1, max_n + 1):
-            m = pi_prime(q, n)
-            with _term_precision(m):
-                term = m * iv.log(1 - iv.mpf(1) / q**n)
-            s += term
-            exponent_sum += n * m
-            exact = None
-            if exact_prints(q, exponent_sum):
-                num, e = next(parts)
-                exact = Fraction(num, q**e)
-            norm = iv.exp(iv.euler + iv.log(iv.mpf(n)) + s)
-            rows.append(MertensValue(q, n, exact,
-                                     BracketedValue.from_iv(norm)))
+    iv = IntervalContext(precision_bits)
+    s = iv.of(0)
+    for n in range(1, max_n + 1):
+        m = pi_prime(q, n)
+        fine = _term_precision(iv, m)
+        s = iv.add(s, fine.mul(m, fine.log(fine.sub(1, fine.div(1, q**n)))))
+        exponent_sum += n * m
+        exact = None
+        if exact_prints(q, exponent_sum):
+            num, e = next(parts)
+            exact = Fraction(num, q**e)
+        norm = iv.exp(iv.add(iv.add(iv.euler, iv.log(n)), s))
+        rows.append(MertensValue(q, n, exact, norm.bracket()))
     return tuple(rows)
 
 
@@ -522,7 +479,8 @@ def mertens_rows(q: int, max_n: int,
 _G_DEGREE_CAP = 64     # last degree of the product before the bounded tail
 
 
-def _g_series_iv(q: int, z) -> Iterator:
+def _g_series_iv(iv: IntervalContext, q: int, z: Interval,
+                 ) -> Iterator[Interval]:
     """Intervals for prod_p (1 + z/|p|)(1 - 1/|p|)^z to degree caps 8, 16,
     32 and 64 in turn, tail in, from one running sum over the degrees.
 
@@ -530,17 +488,18 @@ def _g_series_iv(q: int, z) -> Iterator:
     with -z(1+z) q^-2d <= g_d <= 0 for q^-d <= 1/2, so the degree tail
     beyond D lies in [-z(1+z) q^-D / ((D+1)(q-1)), 0].
     """
-    from mpmath import iv
-    s = iv.mpf(0)
+    s = iv.of(0)
     for d in range(1, _G_DEGREE_CAP + 1):
         m = pi_prime(q, d)
-        with _term_precision(m):
-            u = iv.mpf(1) / q**d
-            term = m * (iv.log(1 + z * u) + z * iv.log(1 - u))
-        s += term
+        fine = _term_precision(iv, m)
+        u = fine.div(1, q**d)
+        g = fine.add(fine.log(fine.add(1, fine.mul(z, u))),
+                     fine.mul(z, fine.log(fine.sub(1, u))))
+        s = iv.add(s, fine.mul(m, g))
         if d >= 8 and d & (d - 1) == 0:
-            tail_mag = z * (1 + z) / q**d / ((d + 1) * (q - 1))
-            yield iv.exp(s - iv.mpf([0, 1]) * tail_mag)
+            tail_mag = iv.div(iv.div(iv.mul(z, iv.add(1, z)), q**d),
+                              (d + 1) * (q - 1))
+            yield iv.exp(iv.sub(s, iv.mul(iv.span(0, 1), tail_mag)))
 
 
 def evaluate_G(q: int, z, eps=Fraction(1, 10**6),
@@ -562,13 +521,14 @@ def evaluate_G(q: int, z, eps=Fraction(1, 10**6),
         raise UsageError(f"z={z} outside [0, 2]")
     if eps <= 0:
         raise UsageError("eps must be positive")
+    from .brackets import IntervalContext
     bits = precision_bits
     while True:
-        with precision(bits):
-            for g in _g_series_iv(q, iv_from_fraction(z)):
-                out = BracketedValue.from_iv(g)
-                if out.width <= eps:
-                    return out
+        iv = IntervalContext(bits)
+        for g in _g_series_iv(iv, q, iv.fraction(z)):
+            out = g.bracket()
+            if out.width <= eps:
+                return out
         if bits >= 8 * precision_bits:
             raise PrecisionError(
                 f"G({z}) bracket width {float(out.width):.3e} > eps at"
@@ -580,11 +540,10 @@ def evaluate_G(q: int, z, eps=Fraction(1, 10**6),
 # Poisson-style tails
 # ----------------------------------------------------------------------
 
-def q_large_deviation(y: Fraction):
+def q_large_deviation(iv: IntervalContext, y: Fraction) -> Interval:
     """Q(y) = y log y - y + 1 as an interval (y rational > 0)."""
-    from mpmath import iv
-    y_iv = iv_from_fraction(Fraction(y))
-    return y_iv * iv.log(y_iv) - y_iv + 1
+    y_iv = iv.fraction(y)
+    return iv.add(iv.sub(iv.mul(y_iv, iv.log(y_iv)), y_iv), 1)
 
 
 class NortonSide(NamedTuple):
@@ -631,7 +590,6 @@ def norton_check(x, alpha, beta,
     certified bracket, so `holds` means the inequality is proved at
     these parameters.
     """
-    from mpmath import iv
     x = Fraction(x)
     alpha = Fraction(alpha)
     beta = Fraction(beta)
@@ -650,18 +608,21 @@ def norton_check(x, alpha, beta,
         if k <= k_max:
             s_low += term
         s_mid += term
-    with precision(precision_bits):
-        e_neg_x = iv.exp(-iv_from_fraction(x))
-        x_iv = iv_from_fraction(x)
-        lhs_low = BracketedValue.from_iv(e_neg_x * iv_from_fraction(s_low))
-        lhs_up = BracketedValue.from_iv(1 - e_neg_x * iv_from_fraction(s_mid))
-        rhs_low = BracketedValue.from_iv(
-            iv.exp(-q_large_deviation(alpha) * x_iv)
-            / (iv_from_fraction(1 - alpha) * iv.sqrt(iv_from_fraction(alpha) * x_iv)))
-        rhs_up = BracketedValue.from_iv(
-            iv.exp(-q_large_deviation(beta) * x_iv)
-            / (iv_from_fraction(beta - 1)
-               * iv.sqrt(2 * iv.pi * iv_from_fraction(beta) * x_iv)))
+    from .brackets import IntervalContext
+    iv = IntervalContext(precision_bits)
+    e_neg_x = iv.exp(iv.neg(iv.fraction(x)))
+    x_iv = iv.fraction(x)
+    lhs_low = iv.mul(e_neg_x, iv.fraction(s_low)).bracket()
+    lhs_up = iv.sub(1, iv.mul(e_neg_x, iv.fraction(s_mid))).bracket()
+    rhs_low = iv.div(
+        iv.exp(iv.mul(iv.neg(q_large_deviation(iv, alpha)), x_iv)),
+        iv.mul(iv.fraction(1 - alpha),
+               iv.sqrt(iv.mul(iv.fraction(alpha), x_iv)))).bracket()
+    rhs_up = iv.div(
+        iv.exp(iv.mul(iv.neg(q_large_deviation(iv, beta)), x_iv)),
+        iv.mul(iv.fraction(beta - 1),
+               iv.sqrt(iv.mul(iv.mul(iv.mul(2, iv.pi), iv.fraction(beta)),
+                              x_iv)))).bracket()
     lower = NortonSide("lower-tail", k_max, lhs_low, rhs_low,
                        lhs_low.strictly_below(rhs_low))
     upper = NortonSide("upper-tail", k_min, lhs_up, rhs_up,

@@ -10,10 +10,11 @@ which the sieve's irreducibles_at reads from one walk of the wheel.
 The expected degree window for the k-th irreducible is
     L(k) - 1 <= deg P_k <= L(k),  up to o(1),
 with L(k) = log_q k + log_q log_q k + log_q (q - 1); callers check it
-with an explicit slack.  mpmath and irreducibles_at, the one path here
-to numpy, are imported by the functions that use them, so the exact
-counts load neither, and the degree brackets, whose float margins come
-from math, load no numpy.
+with an explicit slack, its verdicts certified by intervals of
+brackets.IntervalContext.  brackets and irreducibles_at, the one path
+here to numpy, are imported by the functions that use them, so the
+exact counts load neither, and the degree brackets, whose float margins
+come from math, load no numpy.
 """
 
 from __future__ import annotations
@@ -25,12 +26,14 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, islice
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import DEFAULT_PRECISION_BITS
-from .brackets import MAX_PRECISION_BITS, BracketedValue, precision
 from .errors import PrecisionError, UsageError
 from .fieldpoly import _check_prime
+
+if TYPE_CHECKING:    # loaded by the functions that form brackets
+    from .brackets import BracketedValue
 
 
 # pi_prime(q, n) is _PI_PRIME[q][n - 1], pi_cumulative(q, n) _CUMULATIVE[q][n]
@@ -150,6 +153,7 @@ def erdos_sum_irreducibles(q: int, eps=Fraction(1, 100)) -> BracketedValue:
     one degree at a time, as the split reaches each leaf, and are dropped
     once summed.
     """
+    from .brackets import BracketedValue
     _check_prime(q)
     eps = Fraction(eps)
     if eps <= 0:
@@ -286,7 +290,7 @@ def _window_violated(q: int, k: int, degree: int,
     transcendental, so neither margin is 0, and a bracket of L(k) at a
     precision doubled until it decides both sides settles the verdicts.
     """
-    from mpmath import iv
+    from .brackets import MAX_PRECISION_BITS, IntervalContext
     s = Fraction(slack)
     j = k.bit_length() - 1
     if q == 2 and k == 1 << j and j & (j - 1) == 0:
@@ -294,11 +298,11 @@ def _window_violated(q: int, k: int, degree: int,
         return degree < L - 1 - s, degree > L + s
     bits = DEFAULT_PRECISION_BITS
     while bits <= MAX_PRECISION_BITS:
-        with precision(bits):
-            logq = iv.log(iv.mpf(q))
-            lk = iv.log(iv.mpf(k)) / logq
-            L = BracketedValue.from_iv(
-                lk + iv.log(lk) / logq + iv.log(iv.mpf(q - 1)) / logq)
+        iv = IntervalContext(bits)
+        logq = iv.log(q)
+        lk = iv.div(iv.log(k), logq)
+        L = iv.add(iv.add(lk, iv.div(iv.log(lk), logq)),
+                   iv.div(iv.log(q - 1), logq)).bracket()
         low, high = degree < L.lo - 1 - s, degree > L.hi + s
         if (low or degree >= L.hi - 1 - s) and (high or degree <= L.lo + s):
             return low, high

@@ -13,11 +13,10 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, pairwise
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .brackets import BracketedValue
 from .counting import (exact_prints, mertens_brackets, mertens_parts,
                        monic_cumulative)
 from .errors import UsageError
@@ -25,6 +24,9 @@ from .fieldpoly import (_check_prime, format_index, index_degree,
                         index_divrem, is_prime, parse_index)
 from .irreducibles import pi_prime
 from .sieve import _divmod, block_multiples, multiples_pass
+
+if TYPE_CHECKING:    # loaded by the functions that form brackets
+    from .brackets import BracketedValue
 
 
 # ----------------------------------------------------------------------
@@ -562,6 +564,7 @@ def verify_erdos_density_inequality(ps: PolySet) -> DensityBoundReport:
     of degree <= D = max D(a), of density P(D).  So lhs <= 1 - P(D), and
     the bracket is narrower than 73 H D 2^-DEFAULT_PRECISION_BITS.
     """
+    from .brackets import BracketedValue
     q = ps.q
     if not len(ps):
         return DensityBoundReport(q, 0, BracketedValue(0, 0), Fraction(0),

@@ -29,14 +29,17 @@ at a time:
 the Erdos sum one Fraction per degree, by Horner's rule over one common
 denominator, and by the same split over the shared table of counts;
 the exact Mertens product is one Fraction factor per degree.  The
-uniform bound's log weight, which the library sums in fixed-point
-integers, is taken from mpmath's interval log.  The thinned-irreducible
-construction divides each term out of one count table; its oracle
-rebuilds the table for every term by list convolution.
+library brackets its real values with its own integer interval type;
+these oracles bracket them in mpmath's interval context instead
+(mp_precision, mp_bracket), the uniform bound's log weight included.
+The thinned-irreducible construction divides each term out of one count
+table, and stops at the first all-zero term; its oracles rebuild the
+table for every term by list convolution, and strike every term in full.
 """
 
 import math
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -45,9 +48,9 @@ import numpy as np
 from mpmath import iv
 
 from primfield import DEFAULT_PRECISION_BITS
-from primfield.brackets import BracketedValue, precision
+from primfield.brackets import BracketedValue
 from primfield.counting import (PRINTABLE_EXACT_BITS, InequalityReport,
-                                MertensValue, _slot_bytes, _term_precision,
+                                MertensValue, _slot_bytes, _table_rows,
                                 _unpack)
 from primfield.errors import UsageError, VerificationError
 from primfield.fieldpoly import (_check_prime, _index_digits as index_digits,
@@ -443,6 +446,22 @@ def mp_counts_rebuilt(q, degrees, horizon):
     return tuple(counts)
 
 
+def strike_counts_full(q, N, degrees):
+    """counting.strike_counts with every term struck: no stop at the
+    first all-zero S_k."""
+    packed = [row for row, _ in _table_rows(q, N)]
+    nbytes = _slot_bytes(q, N)
+    width, mask = 8 * nbytes, (1 << 8 * nbytes) - 1
+    counts = []
+    for k, dk in enumerate(degrees, start=1):
+        for n in range(dk, N + 1):
+            packed[n] -= packed[n - dk] << width
+            assert packed[n] >= 0, (k, n)
+        counts.append(tuple(packed[n - dk] >> width * (k - 1) & mask
+                            if n >= dk + k - 1 else 0 for n in range(N + 1)))
+    return tuple(counts)
+
+
 def recurrence_cells(q, N, rows):
     """(cells, violations, min_log_margin) of the factor-count recurrence
     (k-1) rows[n][k] <= sum_{d <= n/2} pi'(d) rows[n-d][k-1], one
@@ -467,12 +486,52 @@ def recurrence_cells(q, N, rows):
                                       else 0.0)
 
 
+@contextmanager
+def mp_precision(bits):
+    """mpmath's interval context at bits of precision for the block."""
+    old = iv.prec
+    iv.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec = old
+
+
+def mp_term_precision(m):
+    """The library's per-degree precision rule on mpmath's context."""
+    return mp_precision(iv.prec + m.bit_length())
+
+
+def _mp_endpoint(t):
+    sign, man, exp, _bc = t
+    f = Fraction(int(man) << exp) if exp >= 0 else \
+        Fraction(int(man), 1 << -exp)
+    return -f if sign else f
+
+
+def mp_fractions(x):
+    """The exact (lo, hi) of an mpmath interval."""
+    lo, hi = x._mpi_
+    return _mp_endpoint(lo), _mp_endpoint(hi)
+
+
+def mp_bracket(x):
+    """An mpmath interval as a BracketedValue."""
+    return BracketedValue(*mp_fractions(x))
+
+
+def mp_fraction(fr):
+    """fr as mpmath's interval of its numerator over its denominator."""
+    fr = Fraction(fr)
+    return iv.mpf(fr.numerator) / fr.denominator
+
+
 def log_weight_dyadic_lower(n, precision_bits):
     """(num, s) with num/2^s <= log n + 2 - log 2: the lower end of the
     interval mpmath's iv context gives at precision_bits, in lowest terms."""
-    with precision(precision_bits):
+    with mp_precision(precision_bits):
         w = iv.log(iv.mpf(n)) + 2 - iv.log(iv.mpf(2))
-        lo = BracketedValue.from_iv(w).lo
+        lo = mp_fractions(w)[0]
     num, den = lo.numerator, lo.denominator
     assert num > 0 and den & (den - 1) == 0
     return num, den.bit_length() - 1
@@ -607,7 +666,7 @@ def g_series_resummed(q, z, degree_cap):
     s = iv.mpf(0)
     for d in range(1, degree_cap + 1):
         m = pi_prime(q, d)
-        with _term_precision(m):
+        with mp_term_precision(m):
             u = iv.mpf(1) / q**d
             term = m * (iv.log(1 + z * u) + z * iv.log(1 - u))
         s += term
@@ -633,15 +692,15 @@ def mertens_per_n(q, n):
     exact = None
     if int(exponent * math.log2(q)) + 1 <= PRINTABLE_EXACT_BITS:
         exact = mertens_exact(q, n)
-    with precision(DEFAULT_PRECISION_BITS):
+    with mp_precision(DEFAULT_PRECISION_BITS):
         s = iv.mpf(0)
         for d in range(1, n + 1):
             m = pi_prime(q, d)
-            with _term_precision(m):
+            with mp_term_precision(m):
                 term = m * iv.log(1 - iv.mpf(1) / q**d)
             s += term
         norm = iv.exp(iv.euler + iv.log(iv.mpf(n)) + s)
-        return MertensValue(q, n, exact, BracketedValue.from_iv(norm))
+        return MertensValue(q, n, exact, mp_bracket(norm))
 
 
 def degree_brackets_whole(q, k_lo, k_hi, slack):
@@ -681,3 +740,94 @@ def degree_bracket_margins_numpy(q, k_lo, k_hi, slack):
     high_margin = (L[0::2] + slack) - degs
     low_margin = degs - (L[1::2] - 1.0 - slack)
     return float(low_margin.min()), float(high_margin.min())
+
+
+# ----------------------------------------------------------------------
+# The certified brackets formed in mpmath's interval context
+# ----------------------------------------------------------------------
+
+def evaluate_G_mp(q, z, eps, precision_bits=DEFAULT_PRECISION_BITS):
+    """evaluate_G's bracket from mpmath: the series resummed at each cap
+    in turn, the precision doubled until one is at most eps wide."""
+    bits = precision_bits
+    while True:
+        with mp_precision(bits):
+            z_iv = mp_fraction(z)
+            for cap in (8, 16, 32, 64):
+                out = mp_bracket(g_series_resummed(q, z_iv, cap))
+                if out.width <= eps:
+                    return out
+        bits *= 2
+
+
+def norton_brackets_mp(x, alpha, beta, precision_bits=DEFAULT_PRECISION_BITS):
+    """(lower lhs, lower rhs, upper lhs, upper rhs) of norton_check, each
+    factor formed in mpmath's interval context."""
+    x, alpha, beta = Fraction(x), Fraction(alpha), Fraction(beta)
+    k_max = math.floor(alpha * x)
+    k_min = math.floor(beta * x) + 1
+    s_low = s_mid = Fraction(0)
+    term = Fraction(1)
+    for k in range(k_min):
+        if k:
+            term *= Fraction(x, k)
+        if k <= k_max:
+            s_low += term
+        s_mid += term
+
+    def large_deviation(y):
+        y_iv = mp_fraction(y)
+        return y_iv * iv.log(y_iv) - y_iv + 1
+
+    with mp_precision(precision_bits):
+        e_neg_x = iv.exp(-mp_fraction(x))
+        x_iv = mp_fraction(x)
+        return (mp_bracket(e_neg_x * mp_fraction(s_low)),
+                mp_bracket(iv.exp(-large_deviation(alpha) * x_iv)
+                           / (mp_fraction(1 - alpha)
+                              * iv.sqrt(mp_fraction(alpha) * x_iv))),
+                mp_bracket(1 - e_neg_x * mp_fraction(s_mid)),
+                mp_bracket(iv.exp(-large_deviation(beta) * x_iv)
+                           / (mp_fraction(beta - 1)
+                              * iv.sqrt(2 * iv.pi * mp_fraction(beta)
+                                        * x_iv))))
+
+
+def growth_value_mp(growth, x):
+    """GrowthFunction.value_iv in mpmath's context at its precision."""
+    e = iv.exp(iv.mpf(1))
+    v = iv.log(x + e)
+    if growth.kind == "log":
+        return v**mp_fraction(1 + growth.eps)
+    prod = iv.mpf(1)
+    for m in range(2, growth.j + 1):
+        if v.b <= e.a:
+            v = iv.mpf(1)
+        else:
+            v = iv.log(iv.mpf([max(v.a, e.a), max(v.b, e.b)]))
+        if m < growth.j:
+            prod *= v
+    return prod * v**mp_fraction(1 + growth.eps)
+
+
+def t_sequence_tail_mp(q, growth, K, c,
+                       precision_bits=DEFAULT_PRECISION_BITS):
+    """build_t_sequence's exact tail bound beyond the cutoff K, its
+    brackets formed in mpmath's interval context; c is the density
+    constant."""
+    with mp_precision(precision_bits):
+        l_next = mp_bracket(growth_value_mp(growth, K + 1)).lo
+        theta = 1 - 1 / ((K + 1) * l_next)
+        if growth.kind == "log":
+            lk = iv.log(iv.mpf(K))
+            power = mp_fraction(2 + growth.eps)
+            integral = mp_bracket(1 / (power * lk**power)).hi
+        else:
+            v = iv.log(iv.mpf(K))
+            for _ in range(2, growth.j + 1):
+                v = iv.log(v)
+            power = mp_fraction(growth.eps)
+            integral = mp_bracket(1 / (power * v**power)).hi
+        pre = mp_bracket(mp_fraction(c) * iv.log(iv.mpf(q))**2
+                         / mp_fraction(theta)).hi
+    return pre * integral

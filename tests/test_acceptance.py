@@ -10,21 +10,22 @@ from fractions import Fraction
 import pytest
 from mpmath import iv
 
-from primfield import (BracketedValue, GrowthFunction, PolySet,
+from primfield import (GrowthFunction, PolySet,
                        besicovitch_construct,
                        build_count_table,
                        build_t_sequence, check_degree_brackets,
                        erdos_sum_irreducibles, evaluate_G,
                        kth_irreducible, monic_cumulative,
                        mp_construct, mp_diagnostics, norton_check,
-                       pi_cumulative, pi_prime, precision,
+                       pi_cumulative, pi_prime,
                        random_primitive_set, verify_erdos_density_inequality,
                        verify_hr_bound, verify_recurrence_bound)
 from primfield.counting import mertens_rows
 from primfield.fieldpoly import index_degree
 
 from oracles import (Factorization, assert_primitive, divides, index_mul,
-                     sieve_irreducibles, table_count)
+                     mp_bracket, mp_precision, sieve_irreducibles,
+                     table_count)
 
 
 # ----------------------------------------------------------------------
@@ -166,8 +167,8 @@ def test_criterion_05_g_window():
     tol = Fraction(1, 10**6)
     with gate(5, "G brackets on [0,2] sit in [e^-3 - 1e-6, 1 + 1e-6], "
                  "G(0) contains 1, midpoints non-increasing"):
-        with precision(128):
-            e3 = BracketedValue.from_iv(iv.exp(-3))
+        with mp_precision(128):
+            e3 = mp_bracket(iv.exp(-3))
         mids = []
         for k in range(41):
             z = Fraction(k, 20)

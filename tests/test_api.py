@@ -30,7 +30,8 @@ SRC = Path(primfield.__file__).resolve().parent
 # tests called; a whole slice of one degree's irreducibles, now read from
 # the one walk; the trial-factoring Moebius function, since one Moebius
 # run, taking mu from a prime-factor sieve, fills the table and feeds the
-# Erdos sum
+# Erdos sum; mpmath's interval glue, as one integer interval type forms
+# every certified real
 DELETED = ("ConstructionError", "DEFAULT_ENUM_BUDGET", "DEFAULT_SIEVE_ENTRIES",
            "FactorSieve", "Factorization", "MAX_BRACKET_RANKS", "MAX_PAIRS",
            "MonicPoly", "TailSums", "build_factor_sieve", "divides",
@@ -39,7 +40,8 @@ DELETED = ("ConstructionError", "DEFAULT_ENUM_BUDGET", "DEFAULT_SIEVE_ENTRIES",
            "mertens_exact", "mertens_exact_parts", "monic_count",
            "monic_digits", "parse_poly", "pi_prime_table", "poly_divrem",
            "poly_mul", "sathe_selberg_H", "tail_sums", "mertens_product",
-           "assert_primitive", "irreducible_slice", "moebius")
+           "assert_primitive", "irreducible_slice", "moebius", "precision",
+           "iv_from_fraction", "iv_to_fractions", "iv_pointwise_max")
 
 
 def test_all_names_resolve_and_deleted_names_are_gone():
@@ -53,6 +55,7 @@ def test_all_names_resolve_and_deleted_names_are_gone():
         for module in (brackets, constructions, counting, fieldpoly,
                        irreducibles, primitive, sieve):
             assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(brackets.BracketedValue, "from_iv")
 
 
 def test_every_table_reader_takes_its_rows_from_the_build():
@@ -128,14 +131,19 @@ def test_irreducible_counts_come_from_one_table_behind_public_names():
 
 
 def test_the_package_root_loads_its_names_on_first_use():
-    """import primfield alone loads no numpy or mpmath; every name of
-    __all__ is listed by dir() and resolves from its module."""
+    """import primfield alone loads no numpy or mpmath, and resolving
+    every name of __all__ loads no mpmath; every name of __all__ is
+    listed by dir() and resolves from its module."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     probe = ("import sys, primfield\n"
+             "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))\n"
+             "for name in primfield.__all__:\n"
+             "    getattr(primfield, name)\n"
              "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=env, timeout=60)
-    assert done.returncode == 0 and done.stdout == "[]\n", done.stderr
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n['numpy']\n", done.stdout
     assert set(primfield.__all__) <= set(dir(primfield))
     for name in primfield.__all__:
         value = getattr(primfield, name)

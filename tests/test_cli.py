@@ -297,6 +297,13 @@ def test_the_ceiling_stops_a_stage_that_allocates_past_it(argv, seconds):
         "exceeded; partial results dropped as incomplete\n")
 
 
+# `python -c WITHOUT_MPMATH argv...` runs the CLI with mpmath unimportable
+WITHOUT_MPMATH = ("import sys\n"
+                  "sys.modules['mpmath'] = None\n"
+                  "from primfield.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+
+
 def fresh_process(*args, **kwargs):
     """Run `python *args` with this package on the path, in a new
     interpreter that has loaded nothing yet."""
@@ -416,20 +423,33 @@ def test_a_degree_18_besicovitch_set_is_written_under_a_6_mb_ceiling(
 @pytest.mark.parametrize("command", sorted(LEAF_ARGS), ids="-".join)
 def test_every_leaf_subcommand_runs_unchanged_under_small_budgets(
         capsys, tmp_path, command):
-    """In a fresh process the subcommand's code, numpy and mpmath are
-    loaded before either budget is armed: 8 MB of address space is less
-    than numpy alone maps, so a budget that metered loading would stop
-    the run."""
+    """In a fresh process the subcommand's code and numpy are loaded
+    before either budget is armed: 8 MB of address space is less than
+    numpy alone maps, so a budget that metered loading would stop the
+    run.  mpmath is made unimportable first: no subcommand needs it."""
     path = str(write_poly_file(tmp_path / "s.txt", 2, 6, [2, 3, 7, 11]))
     argv = [*command, *(path if a == "SET" else a for a in LEAF_ARGS[command])]
     plain = run(argv, capsys)
-    done = fresh_process("-m", "primfield.cli", *argv,
+    done = fresh_process("-c", WITHOUT_MPMATH, *argv,
                          "--budget-bytes", "8000000", "--budget-seconds", "60")
     assert (done.returncode, done.stdout, done.stderr) == plain
 
 
-# What each command leaves unloaded: the exact counts run on the standard
-# library alone, and the certified brackets need mpmath but not numpy.
+@pytest.mark.parametrize("budget", [["--budget-bytes", "8000000"],
+                                    ["--budget-seconds", "60"]], ids="-".join)
+@pytest.mark.parametrize("command", [("eval", "g"), ("verify", "norton")],
+                         ids="-".join)
+def test_certified_brackets_run_under_each_budget_without_mpmath(
+        capsys, command, budget):
+    """With mpmath unimportable, each budget alone leaves the output of a
+    bracket command as it is: nothing the budget preloads needs it."""
+    plain = run(list(command), capsys)
+    done = fresh_process("-c", WITHOUT_MPMATH, *command, *budget)
+    assert (done.returncode, done.stdout, done.stderr) == plain
+
+
+# What each command leaves unloaded: the exact counts and the certified
+# brackets run on the standard library alone, and no command loads mpmath.
 UNLOADED = {
     ("--version",): {"numpy", "mpmath"},
     ("count", "table", "--max-n", "10"): {"numpy", "mpmath"},
@@ -438,11 +458,14 @@ UNLOADED = {
     ("verify", "recurrence", "--max-n", "10"): {"numpy", "mpmath"},
     ("eval", "erdos-irr"): {"numpy", "mpmath"},
     ("verify", "hr", "--max-n", "10"): {"numpy", "mpmath"},
-    ("eval", "g"): {"numpy"},
-    ("eval", "mertens", "--max-n", "5"): {"numpy"},
-    ("verify", "norton"): {"numpy"},
-    ("irr", "brackets", "--k-lo", "1000", "--k-hi", "100000"): {"numpy"},
+    ("eval", "g"): {"numpy", "mpmath"},
+    ("eval", "mertens", "--max-n", "5"): {"numpy", "mpmath"},
+    ("verify", "norton"): {"numpy", "mpmath"},
+    ("irr", "brackets", "--k-lo", "1000", "--k-hi", "100000"):
+        {"numpy", "mpmath"},
     ("construct", "besicovitch", "--eps", "1/4", "--horizon", "6"):
+        {"mpmath"},
+    ("construct", "mp", "--L", "log:eps=0.1", "--horizon", "12"):
         {"mpmath"},
 }
 
@@ -454,15 +477,18 @@ JSON_ONLY = {argv for argv in UNLOADED
 
 @pytest.mark.parametrize("argv", sorted(UNLOADED), ids="-".join)
 def test_a_command_loads_only_the_code_it_runs(argv):
-    """sys.modules of a fresh process after main returns: numpy and
-    mpmath are loaded exactly when the command's code needs them.  No
-    command loads dataclasses, or inspect (which numpy loads) without
-    numpy; --version loads no json, csv, fractions or brackets, and a
-    command whose output is JSON alone no csv."""
+    """sys.modules of a fresh process after main returns, with mpmath
+    made unimportable first: numpy is loaded exactly when the command's
+    code needs it, and mpmath never.  No command loads dataclasses, or
+    inspect (which numpy loads) without numpy; --version loads no json,
+    csv, fractions or brackets, a command that forms no bracket no
+    brackets, and a command whose output is JSON alone no csv."""
     probe = ("import sys\n"
+             "sys.modules['mpmath'] = None\n"
              "from primfield.cli import main\n"
              "code = main(sys.argv[1:])\n"
-             "print(code, *sorted(sys.modules))\n")
+             "print(code, *sorted(name for name, module in sys.modules.items()\n"
+             "                    if module is not None))\n")
     done = fresh_process("-c", probe, *argv)
     code, *modules = done.stdout.splitlines()[-1].split()
     loaded = set(modules)
@@ -473,6 +499,9 @@ def test_a_command_loads_only_the_code_it_runs(argv):
         assert "inspect" not in loaded
     if argv == ("--version",):
         assert not {"json", "csv", "fractions", "primfield.brackets"} & loaded
+    if argv[0] in ("--version", "count", "construct") \
+            or argv[:2] == ("verify", "recurrence"):
+        assert ("primfield.brackets" in loaded) == (argv[1:2] == ("mp",))
     if argv in JSON_ONLY:
         assert "csv" not in loaded
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from primfield import constructions
-from primfield.brackets import BracketedValue, precision
+from primfield import constructions, counting
+from primfield.brackets import IntervalContext
 from primfield.constructions import (GrowthFunction, besicovitch_construct,
                                      build_t_sequence, divisor_degree_counts,
                                      irreducible_density_constant,
@@ -21,7 +21,8 @@ from primfield.counting import monic_cumulative
 
 from oracles import (Factorization, assert_primitive, build_factor_sieve,
                      divisor_degree_masks, enumerate_members_folds,
-                     is_irreducible, mp_counts_rebuilt)
+                     is_irreducible, mp_counts_rebuilt,
+                     strike_counts_full, t_sequence_tail_mp)
 
 
 # ----------------------------------------------------------------------
@@ -56,8 +57,8 @@ def test_growth_parse_refuses_a_zero_denominator():
 def test_growth_iv_contains_float_and_is_monotone(spec):
     g = GrowthFunction.parse(spec)
     xs = [1, 2, 3, 5, 10, 100, 10**4, 10**6]
-    with precision(96):
-        brackets = [BracketedValue.from_iv(g.value_iv(x)) for x in xs]
+    iv = IntervalContext(96)
+    brackets = [g.value_iv(iv, x).bracket() for x in xs]
     floats = g.value_float(np.array(xs, dtype=np.float64))
     for b, f in zip(brackets, floats):
         assert float(b.lo) - 1e-9 <= f <= float(b.hi) + 1e-9
@@ -68,8 +69,7 @@ def test_growth_iv_contains_float_and_is_monotone(spec):
 
 def test_growth_matches_closed_form():
     g = GrowthFunction.parse("log:eps=0.1")
-    with precision(96):
-        b = BracketedValue.from_iv(g.value_iv(10))
+    b = g.value_iv(IntervalContext(96), 10).bracket()
     mp.dps = 40
     ref = Fraction(str(mp.log(10 + mp.e)**Fraction(11, 10)))
     assert abs((b.lo + b.hi) / 2 - ref) < Fraction(1, 10**20)
@@ -77,9 +77,9 @@ def test_growth_matches_closed_form():
 
 def test_growth_tail_integral_decreasing():
     g = GrowthFunction.parse("log:eps=0.1")
-    with precision(96):
-        t1 = g.tail_integral_upper(2**12)
-        t2 = g.tail_integral_upper(2**14)
+    iv = IntervalContext(96)
+    t1 = g.tail_integral_upper(iv, 2**12)
+    t2 = g.tail_integral_upper(iv, 2**14)
     assert 0 < t2 < t1
     # closed form 1/((2 + eps) log^(2+eps) K)
     k = 2**12
@@ -90,9 +90,23 @@ def test_growth_tail_integral_decreasing():
 def test_growth_tail_integral_needs_iterated_logs_above_one():
     # log log K > 1 exactly when K > e^e = 15.15...
     g = GrowthFunction.parse("iterlog:j=3,eps=2")
-    with precision(96):
-        assert g.tail_integral_upper(15) is None
-        assert g.tail_integral_upper(16) > 0
+    iv = IntervalContext(96)
+    assert g.tail_integral_upper(iv, 15) is None
+    assert g.tail_integral_upper(iv, 16) > 0
+
+
+@pytest.mark.parametrize("q,spec,bits", [(2, "log:eps=0.1", 128),
+                                         (3, "log:eps=0.1", 128),
+                                         (2, "log:eps=1/3", 300),
+                                         (2, "iterlog:j=2,eps=2", 128)])
+def test_the_tail_bound_is_mpmaths_exact_bound(q, spec, bits):
+    """construct mp's exact tail_bound (setpipe's golden mp.json holds the
+    q = 2, log:eps=0.1 one): the rational is the one mpmath's interval
+    context gives at the same cutoff, to the last bit."""
+    growth = GrowthFunction.parse(spec)
+    tseq = build_t_sequence(q, growth, precision_bits=bits)
+    assert tseq.tail_bound == t_sequence_tail_mp(
+        q, growth, tseq.K, irreducible_density_constant(q), bits)
 
 
 def test_budget_error_inside_the_tail_bound_propagates(monkeypatch):
@@ -101,11 +115,11 @@ def test_budget_error_inside_the_tail_bound_propagates(monkeypatch):
     real = GrowthFunction.tail_integral_upper
     fired = []
 
-    def expire_once(self, K):
+    def expire_once(self, iv, K):
         if not fired:
             fired.append(K)
             raise BudgetError("deadline")
-        return real(self, K)
+        return real(self, iv, K)
 
     monkeypatch.setattr(GrowthFunction, "tail_integral_upper", expire_once)
     with pytest.raises(BudgetError, match="deadline"):
@@ -410,6 +424,20 @@ def test_mp_counts_equal_one_count_table_per_term(q, horizon):
     assert len(set(used)) < len(used)
     assert res.counts == mp_counts_rebuilt(q, used, horizon)
     assert res.cross_checked
+
+
+@pytest.mark.parametrize("q,horizon", [(2, 60), (2, 300), (3, 60), (3, 300)])
+def test_strikes_stop_at_the_first_zero_term(q, horizon):
+    """Striking stops at the first S_k that is zero through the horizon,
+    and the counts are those of striking every term, zero rows included."""
+    tseq = build_t_sequence(q, GrowthFunction.parse("log:eps=0.1"),
+                            materialize=400)
+    k_max = max(k for k in range(1, len(tseq.degrees) + 1)
+                if tseq.degrees[k - 1] + k - 1 <= horizon)
+    used = tseq.degrees[:k_max]
+    counts = counting.strike_counts(q, horizon, used)
+    assert counts == strike_counts_full(q, horizon, used)
+    assert not any(counts[-1]) and any(counts[0])
 
 
 @pytest.mark.parametrize("q,horizon,want", [(2, 40, 18), (2, 12, 12),

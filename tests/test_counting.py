@@ -3,14 +3,13 @@
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import islice
 
 import mpmath
 import pytest
 from mpmath import iv
 
-from primfield import DEFAULT_PRECISION_BITS, counting
-from primfield.brackets import BracketedValue, iv_from_fraction, precision
+from primfield import DEFAULT_PRECISION_BITS, brackets, counting
+from primfield.brackets import IntervalContext
 from primfield.counting import (PRINTABLE_EXACT_BITS, _g_series_iv,
                                 _table_rows, build_count_table,
                                 evaluate_G,
@@ -21,9 +20,11 @@ from primfield.counting import (PRINTABLE_EXACT_BITS, _g_series_iv,
 from primfield.errors import BudgetError, PrecisionError, UsageError
 from primfield.irreducibles import pi_prime
 
-from oracles import (count_table_lists, factor_index, g_series_resummed,
+from oracles import (count_table_lists, evaluate_G_mp, factor_index,
+                     g_series_resummed, norton_brackets_mp,
                      hr_bound_full_width, log_weight_dyadic_lower,
-                     mertens_exact, mertens_per_n, packed_rows,
+                     mertens_exact, mertens_per_n, mp_bracket, mp_fraction,
+                     mp_precision, packed_rows,
                      recurrence_bound_full_width, recurrence_cells,
                      recurrence_sums_full_width, row_total,
                      sieve_irreducibles, table_count)
@@ -160,16 +161,16 @@ PRECISIONS = (16, 53, 96, 128, 200)
 
 @pytest.mark.parametrize("p", PRECISIONS)
 def test_integer_log_weights_equal_mpmaths_bound(p):
-    """The fixed-point log weights are the lower ends mpmath's interval
+    """The integer log weights are the lower ends mpmath's interval
     log n + 2 - log 2 gives, in the same lowest terms, for n <= 2000."""
-    assert list(counting._log_weights_lower(2000, p)) == \
+    assert list(counting._log_weights_lower(IntervalContext(p), 2000)) == \
         [log_weight_dyadic_lower(n, p) for n in range(1, 2001)]
 
 
 def test_integer_log_weights_hold_to_the_exact_limit():
     """At 8 bits every n < 2^8 is an exact iv.mpf, and the weights equal
     mpmath's; a table size past that is refused, not bounded otherwise."""
-    assert list(counting._log_weights_lower(255, 8)) == \
+    assert list(counting._log_weights_lower(IntervalContext(8), 255)) == \
         [log_weight_dyadic_lower(n, 8) for n in range(1, 256)]
     with pytest.raises(PrecisionError, match="table size 256"):
         verify_hr_bound(2, 256, precision_bits=8)
@@ -179,22 +180,26 @@ def test_integer_log_weights_hold_to_the_exact_limit():
 
 
 @pytest.mark.parametrize("p", [16, 53])
-def test_a_log_bracket_too_wide_to_round_is_summed_again(p):
-    """With 2 guard bits in place of 32 the bracket's ends round apart for
-    most n; each such log n is summed again with more bits, and every
-    rounding, down and up, is the end of mpmath's interval log."""
-    w = p + 2
-    redone = 0
-    for n, (lo, err) in zip(range(2, 200), islice(counting._log_sums(w), 1,
-                                                  None)):
-        for up in (False, True):
-            redone += (counting._round_sig(lo, p, up)
-                       != counting._round_sig(lo + err, p, up))
-            with precision(p):
-                want = BracketedValue.from_iv(iv.log(iv.mpf(n)))
-            got = Fraction(counting._log_rounded(n, p, up, w, lo, err), 2**w)
-            assert got == (want.hi if up else want.lo), (n, up)
-    assert redone > 100
+def test_a_log_bracket_too_wide_to_round_is_summed_again(p, monkeypatch):
+    """With the working bits 8 short of the target in place of 12 past it,
+    the first bracket's ends round apart for most n; each such log n is
+    formed again with twice the bits, and every rounding, down and up, is
+    the end of mpmath's interval log."""
+    monkeypatch.setattr(brackets, "_ZIV_EXTRA_BITS", -8)
+    real, calls = brackets._log_bracket, 0
+
+    def counted(m, e, w):
+        nonlocal calls
+        calls += 1
+        return real(m, e, w)
+
+    monkeypatch.setattr(brackets, "_log_bracket", counted)
+    iv = IntervalContext(p)
+    for n in range(2, 200):
+        got = iv.log(n).bracket()
+        with mp_precision(p):
+            assert got == mp_bracket(mpmath.iv.log(n)), n
+    assert calls - 198 > 100
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -442,8 +447,8 @@ def test_budget_error_inside_mertens_product_propagates(monkeypatch):
 def test_mertens_bracket_agrees_with_independent_interval():
     for q, n in ((2, 6), (3, 5), (5, 4)):
         mv = mertens_rows(q, n)[-1]
-        with precision(96):
-            indep = BracketedValue.from_iv(
+        with mp_precision(96):
+            indep = mp_bracket(
                 iv.exp(iv.euler) * n
                 * iv.mpf([mv.exact.numerator, mv.exact.numerator])
                 / iv.mpf([mv.exact.denominator, mv.exact.denominator]))
@@ -454,22 +459,22 @@ def test_mertens_bracket_agrees_with_independent_interval():
 def _mertens_base_precision(q, n, bits):
     """The normalized bracket with each degree's term rounded at the base
     precision before it is scaled by pi'(d)."""
-    with precision(bits):
+    with mp_precision(bits):
         s = iv.mpf(0)
         for d in range(1, n + 1):
             s += pi_prime(q, d) * iv.log(1 - iv.mpf(1) / q**d)
-        return BracketedValue.from_iv(iv.exp(iv.euler + iv.log(iv.mpf(n)) + s))
+        return mp_bracket(iv.exp(iv.euler + iv.log(iv.mpf(n)) + s))
 
 
 def _g_base_precision(q, z, cap, bits):
-    with precision(bits):
-        z = iv_from_fraction(z)
+    with mp_precision(bits):
+        z = mp_fraction(z)
         s = iv.mpf(0)
         for d in range(1, cap + 1):
             u = iv.mpf(1) / q**d
             s += pi_prime(q, d) * (iv.log(1 + z * u) + z * iv.log(1 - u))
         tail = z * (1 + z) / q**cap / ((cap + 1) * (q - 1))
-        return BracketedValue.from_iv(iv.exp(s - iv.mpf([0, 1]) * tail))
+        return mp_bracket(iv.exp(s - iv.mpf([0, 1]) * tail))
 
 
 def test_term_precision_nests_inside_base_precision_brackets():
@@ -478,10 +483,9 @@ def test_term_precision_nests_inside_base_precision_brackets():
         old = _mertens_base_precision(3, n, 128)
         assert old.lo <= new.lo and new.hi <= old.hi, n
     for z in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)):
-        with precision(128):
-            brackets = [BracketedValue.from_iv(g)
-                        for g in _g_series_iv(3, iv_from_fraction(z))]
-        for cap, new in zip((8, 16, 32, 64), brackets, strict=True):
+        ctx = IntervalContext(128)
+        capped = [g.bracket() for g in _g_series_iv(ctx, 3, ctx.fraction(z))]
+        for cap, new in zip((8, 16, 32, 64), capped, strict=True):
             old = _g_base_precision(3, z, cap, 128)
             assert old.lo <= new.lo and new.hi <= old.hi
 
@@ -557,17 +561,18 @@ def test_G_midpoints_decrease_on_grid():
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_G_running_sum_matches_the_resummed_series(q):
-    """The bracket at each degree cap, read off one running sum, is the
-    bracket of the series summed afresh from degree 1 to that cap."""
+    """The bracket at each degree cap, read off one running sum, is bit
+    for bit mpmath's bracket of the series summed afresh from degree 1 to
+    that cap."""
     for bits in (96, 192):
         for z in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2),
                   Fraction(2)):
-            with precision(bits):
-                z_iv = iv_from_fraction(z)
-                got = [(g.a, g.b) for g in _g_series_iv(q, z_iv)]
-                want = [(g.a, g.b) for g in
-                        (g_series_resummed(q, z_iv, cap)
-                         for cap in (8, 16, 32, 64))]
+            ctx = IntervalContext(bits)
+            got = [g.bracket()
+                   for g in _g_series_iv(ctx, q, ctx.fraction(z))]
+            with mp_precision(bits):
+                want = [mp_bracket(g_series_resummed(q, mp_fraction(z), cap))
+                        for cap in (8, 16, 32, 64)]
             assert got == want, (bits, z)
 
 
@@ -578,10 +583,10 @@ def test_G_forms_each_degree_term_once_per_precision(monkeypatch):
     terms = 0
     real = counting._term_precision
 
-    def counted(m):
+    def counted(iv, m):
         nonlocal terms
         terms += 1
-        return real(m)
+        return real(iv, m)
 
     monkeypatch.setattr(counting, "_term_precision", counted)
     evaluate_G(2, 1, eps=Fraction(1, 10**18))
@@ -605,9 +610,9 @@ def test_G_guards_and_precision_exhaustion():
 # ----------------------------------------------------------------------
 
 def test_q_large_deviation_basics():
-    with precision(64):
-        one = BracketedValue.from_iv(q_large_deviation(Fraction(1)))
-        half = BracketedValue.from_iv(q_large_deviation(Fraction(1, 2)))
+    ctx = IntervalContext(64)
+    one = q_large_deviation(ctx, Fraction(1)).bracket()
+    half = q_large_deviation(ctx, Fraction(1, 2)).bracket()
     assert one.lo <= 0 <= one.hi
     ref = Fraction(1, 2) - Fraction("0.34657359027997265470861606072909")
     assert abs((half.lo + half.hi) / 2 - ref) < Fraction(1, 10**12)
@@ -627,8 +632,8 @@ def test_norton_upper_tail_is_strictly_above_boundary():
     report = norton_check(10, Fraction(1, 2), Fraction(3, 2))
     assert report.upper.boundary_k == 16
     boundary_term = Fraction(10**15, math.factorial(15))
-    with precision(96):
-        term = BracketedValue.from_iv(iv.exp(-iv.mpf(10)))
+    with mp_precision(96):
+        term = mp_bracket(iv.exp(-iv.mpf(10)))
     # lower end of the upper-tail sum with the boundary term included
     inclusive_lo = report.upper.lhs.lo + term.lo * boundary_term
     assert inclusive_lo > report.upper.rhs.hi
@@ -641,3 +646,32 @@ def test_norton_guards():
         norton_check(5, Fraction(3, 2), Fraction(2))
     with pytest.raises(UsageError):
         norton_check(5, Fraction(1, 2), Fraction(1, 2))
+
+
+# ----------------------------------------------------------------------
+# The certify goldens, bracket for bracket mpmath's
+# ----------------------------------------------------------------------
+
+def test_the_g_golden_is_mpmaths_bracket():
+    """eval g --q 2 at z = 0, 1/2, 1, 3/2, 2 and eps 1e-18, the benchmark's
+    golden op: each bracket is bit for bit the one mpmath's interval
+    context forms."""
+    eps = Fraction(1, 10**18)
+    for z in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2),
+              Fraction(2)):
+        assert evaluate_G(2, z, eps=eps) == evaluate_G_mp(2, z, eps), z
+
+
+def test_the_norton_golden_is_mpmaths_brackets():
+    """verify norton at x = 5, 10, 20, 200 with the default alpha = 1/2
+    and beta = 3/2, the benchmark's golden op, and at a few more
+    parameters: every side's brackets are mpmath's."""
+    for x, alpha, beta in ((5, Fraction(1, 2), Fraction(3, 2)),
+                           (10, Fraction(1, 2), Fraction(3, 2)),
+                           (20, Fraction(1, 2), Fraction(3, 2)),
+                           (200, Fraction(1, 2), Fraction(3, 2)),
+                           (Fraction(7, 2), Fraction(1, 3), Fraction(5, 2)),
+                           (33, Fraction(9, 10), Fraction(11, 10))):
+        r = norton_check(x, alpha, beta)
+        assert (r.lower.lhs, r.lower.rhs, r.upper.lhs, r.upper.rhs) == \
+            norton_brackets_mp(x, alpha, beta), x
